@@ -4,18 +4,33 @@
 // from a shared seed, so each client owns its own shard without any data
 // exchange, exactly like physically-distributed devices.
 //
+// The server is the engine's one coordinator (engine.Run on a cluster
+// backend listening at -addr) and a client is the engine's one device loop
+// (engine.ServeNode): the server prices the market, samples participants
+// and folds the unbiased aggregate; a device only answers the round starts
+// it is sent.
+//
 // Usage:
 //
 //	flnode -role server -addr :9000 -clients 8 -rounds 30 [-round-timeout 30s]
 //	flnode -role client -addr host:9000 -id 0 [-dial-attempts 10]
 //	...
 //	flnode -role client -addr host:9000 -id 7
+//	flnode -role local -clients 8 -rounds 30
 //
-// -round-timeout makes the server degrade gracefully around crashed or
-// silent devices instead of stranding the fleet; -dial-attempts (with
-// -dial-backoff/-dial-backoff-max) lets a device outwait a coordinator that
-// is still booting or rebooting. -join introduces a device with the v4 join
-// handshake; -leave-after N makes it depart gracefully mid-run.
+// -setup, -clients, -rounds, -steps, -seed, -join and -leave describe the
+// federation and must match on every node. -round-timeout makes the server
+// degrade gracefully around crashed or silent devices instead of stranding
+// the fleet: a device that misses the deadline forfeits the round and is
+// re-welcomed, at the coordinator's cursor for it, whenever it dials back
+// in. -dial-attempts (with -dial-backoff/-dial-backoff-max) lets a device
+// outwait a coordinator that is still booting or rebooting. -join n@r and
+// -leave n@r schedule membership churn: the coordinator re-prices the
+// market at every epoch, a device listed in -join introduces itself with
+// the join handshake and is parked until its epoch, and a device listed in
+// -leave is retired by the coordinator at its round and exits cleanly.
+// -role local runs the server's exact spec in-process with no sockets: the
+// reference a TCP run's final loss and accuracy match digit for digit.
 package main
 
 import (
@@ -26,8 +41,11 @@ import (
 	"time"
 
 	"unbiasedfl/internal/cli"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/fl"
+	"unbiasedfl/internal/game"
+	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/transport"
 )
 
@@ -42,7 +60,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		role    = flag.String("role", "server", "node role: server or client")
+		role    = flag.String("role", "server", "node role: server, client, or local (the server's run in-process, no sockets)")
 		addr    = flag.String("addr", "127.0.0.1:9000", "listen (server) or dial (client) address")
 		id      = flag.Int("id", 0, "client id (client role)")
 		setup   = flag.Int("setup", 2, "experimental setup shaping the shared dataset")
@@ -50,18 +68,27 @@ func run(ctx context.Context) error {
 		rounds  = flag.Int("rounds", 30, "training rounds")
 		steps   = flag.Int("steps", 5, "local SGD steps per round")
 		seed    = flag.Uint64("seed", 1, "shared data seed (must match across nodes)")
-		timeout = flag.Duration("timeout", 2*time.Minute, "socket timeout")
+		timeout = flag.Duration("timeout", 2*time.Minute, "server: socket timeout")
 
-		roundTO = flag.Duration("round-timeout", 0, "server: per-round reply deadline; a client that crashes or misses it is treated as unavailable instead of stranding the federation (0 = strict)")
+		roundTO = flag.Duration("round-timeout", 0, "server: per-round reply deadline; a client that crashes or misses it is treated as unavailable for the round instead of stranding the federation, and is re-welcomed when it dials back in (0 = strict)")
 
 		dialAttempts = flag.Int("dial-attempts", 1, "client: dial attempts before giving up (capped exponential backoff between attempts)")
 		dialBackoff  = flag.Duration("dial-backoff", transport.DefaultRetryBase, "client: initial dial backoff; doubles per retry")
 		dialMax      = flag.Duration("dial-backoff-max", transport.DefaultRetryMax, "client: dial backoff cap")
 
-		join       = flag.Bool("join", false, "client: introduce this device with a join handshake (protocol v4) instead of a plain hello — a prospective member asking to be admitted")
-		leaveAfter = flag.Int("leave-after", 0, "client: depart gracefully at the first round >= N — announce MsgLeave, await the coordinator's farewell, exit cleanly (0 = stay for the whole run)")
+		joinFlag  = flag.String("join", "", "membership churn: comma-separated client@round admissions (e.g. '5@3'); must match across nodes — a listed client dials in with the join handshake and is parked until its epoch")
+		leaveFlag = flag.String("leave", "", "membership churn: comma-separated client@round graceful departures (e.g. '2@6'); the coordinator retires the device at that round")
 	)
 	flag.Parse()
+
+	joins, err := cli.ParseChurn(*joinFlag)
+	if err != nil {
+		return fmt.Errorf("-join: %w", err)
+	}
+	leaves, err := cli.ParseChurn(*leaveFlag)
+	if err != nil {
+		return fmt.Errorf("-leave: %w", err)
+	}
 
 	opts := experiment.DefaultOptions()
 	opts.NumClients = *clients
@@ -75,79 +102,88 @@ func run(ctx context.Context) error {
 
 	switch *role {
 	case "server":
-		eq, err := env.Params.SolveKKT()
-		if err != nil {
-			return err
-		}
-		q := make([]float64, len(eq.Q))
-		for i, qi := range eq.Q {
-			if qi < env.Params.QMin {
-				qi = env.Params.QMin
-			}
-			q[i] = qi
-		}
-		cfg := transport.ServerConfig{
-			Addr:       *addr,
-			NumClients: *clients,
-			Q:          q,
-			Weights:    env.Fed.Weights,
-			Rounds:     *rounds,
-			LocalSteps: *steps,
-			BatchSize:  opts.BatchSize,
-			Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-			Timeout:    *timeout,
-		}
-		if *roundTO > 0 {
-			// A round deadline implies graceful degradation: a device that
-			// misses it is skipped (and stays skippable), never waited on.
-			cfg.Timeout = *roundTO
-			cfg.TolerateFaults = true
-		}
-		srv, err := transport.NewServer(cfg, env.Model)
-		if err != nil {
-			return err
-		}
-		defer func() { _ = srv.Close() }()
-		fmt.Printf("server listening on %s, waiting for %d clients\n", srv.Addr(), *clients)
-		res, err := srv.Run(ctx)
-		if err != nil {
-			return err
-		}
-		loss, err := env.Model.Loss(res.FinalModel, env.Fed.Train)
-		if err != nil {
-			return err
-		}
-		acc, err := env.Model.Accuracy(res.FinalModel, env.Fed.Test)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("training finished: global loss %.4f, test accuracy %.4f\n", loss, acc)
-		for n, cnt := range res.ParticipationCounts {
-			fmt.Printf("client %d: q=%.3f participated %d/%d rounds\n", n, q[n], cnt, *rounds)
-		}
-		return nil
+		fmt.Printf("server listening on %s, waiting for %d clients\n", *addr, *clients)
+		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves),
+			engine.NewClusterBackend(engine.ClusterOptions{Addr: *addr, Timeout: *timeout, RoundTimeout: *roundTO}))
+	case "local":
+		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves),
+			engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
 	case "client":
 		if *id < 0 || *id >= *clients {
 			return fmt.Errorf("client id %d out of range [0,%d)", *id, *clients)
 		}
-		node, err := transport.NewClient(transport.ClientConfig{
-			Addr: *addr, ID: *id, Seed: *seed + uint64(*id)*1009 + 17, Timeout: *timeout,
-			Retry: transport.RetryPolicy{
-				Attempts: *dialAttempts, Base: *dialBackoff, Max: *dialMax,
-			},
-			Join:       *join,
-			LeaveAfter: *leaveAfter,
-		}, env.Model, env.Fed.Clients[*id])
-		if err != nil {
+		joining := false
+		for _, j := range joins {
+			joining = joining || j.Client == *id
+		}
+		if err := engine.ServeNode(ctx, engine.NodeConfig{
+			Addr: *addr, ID: *id, Join: joining,
+			Model: env.Model, Shards: env.Fed.Clients,
+			Retry: transport.RetryPolicy{Attempts: *dialAttempts, Base: *dialBackoff, Max: *dialMax},
+		}); err != nil {
 			return err
 		}
-		joined, err := node.Run(ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("client %d finished, participated in %d rounds\n", *id, joined)
+		fmt.Printf("client %d finished\n", *id)
 		return nil
 	default:
 		return fmt.Errorf("unknown role %q", *role)
 	}
+}
+
+// coordinate prices the market with the proposed mechanism, compiles the
+// run into an engine spec — Bernoulli(q*) participation, Lemma-1 unbiased
+// aggregation, the market re-priced at every membership epoch — and runs it
+// on the given backend.
+func coordinate(ctx context.Context, env *experiment.Environment, plan *engine.MembershipPlan, backend engine.ExecutionBackend) error {
+	scheme, err := game.SchemeByName(game.SchemeNameProposed)
+	if err != nil {
+		return err
+	}
+	outcome, err := scheme.Price(env.Params)
+	if err != nil {
+		return err
+	}
+	// The unbiased estimator needs q > 0: priced-out clients sit at the
+	// game's floor.
+	q := env.Params.ClampQ(outcome.Q)
+	sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(env.Opts.Seed^0x5A17))
+	if err != nil {
+		return err
+	}
+	spec := engine.Spec{
+		Model: env.Model, Fed: env.Fed,
+		Rounds: env.Opts.Rounds, LocalSteps: env.Opts.LocalSteps, BatchSize: env.Opts.BatchSize,
+		Schedule: engine.ExpDecay{Eta0: 0.1, Decay: 0.996}, EvalEvery: env.Opts.Rounds,
+		Seed: env.Opts.Seed, Sampler: sampler, Aggregator: engine.UnbiasedAggregator{},
+	}
+	if plan != nil {
+		rp, err := game.NewRepricer(env.Params, scheme)
+		if err != nil {
+			return err
+		}
+		spec.Membership = plan
+		spec.OnEpoch = func(r engine.Roster) error {
+			if _, err := rp.Reprice(r.Active, q, nil); err != nil {
+				return fmt.Errorf("epoch %d re-pricing: %w", r.Epoch, err)
+			}
+			fmt.Printf("epoch %d at round %d: %d active, joined %v, left %v\n",
+				r.Epoch, r.Round, r.NumActive(), r.Joined, r.Left)
+			return sampler.SetQ(q)
+		}
+	}
+	res, err := engine.Run(ctx, spec, backend)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("training finished: global loss %.6f, test accuracy %.6f\n", res.FinalLoss, res.FinalAcc)
+	joined := make([]int, len(q))
+	for _, m := range res.History {
+		for _, n := range m.ParticipantIDs {
+			joined[n]++
+		}
+	}
+	for n, cnt := range joined {
+		fmt.Printf("client %d: q=%.3f participated %d/%d rounds\n", n, q[n], cnt, len(res.History))
+	}
+	return nil
 }

@@ -35,7 +35,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -112,11 +111,11 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	joins, err := parseChurn(*joinFlag)
+	joins, err := cli.ParseChurn(*joinFlag)
 	if err != nil {
 		return fmt.Errorf("-join: %w", err)
 	}
-	leaves, err := parseChurn(*leaveFlag)
+	leaves, err := cli.ParseChurn(*leaveFlag)
 	if err != nil {
 		return fmt.Errorf("-leave: %w", err)
 	}
@@ -216,7 +215,7 @@ func run(ctx context.Context) error {
 	if *fleet > 0 {
 		numClients = *fleet
 	}
-	if plan := churnPlan(numClients, joins, leaves); plan != nil {
+	if plan := cli.ChurnPlan(numClients, joins, leaves); plan != nil {
 		options = append(options, unbiasedfl.WithMembership(plan))
 	}
 	if *ckpt != "" {
@@ -306,73 +305,10 @@ func killAfterHook(n int) func(int) {
 	}
 }
 
-// churnEvent is one parsed client@round membership change.
-type churnEvent struct {
-	Client, Round int
-}
-
-// parseChurn parses a comma-separated list of client@round entries.
-func parseChurn(s string) ([]churnEvent, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []churnEvent
-	for _, part := range strings.Split(s, ",") {
-		var ev churnEvent
-		if _, err := fmt.Sscanf(strings.TrimSpace(part), "%d@%d", &ev.Client, &ev.Round); err != nil {
-			return nil, fmt.Errorf("%q is not client@round", part)
-		}
-		out = append(out, ev)
-	}
-	return out, nil
-}
-
-// churnPlan compiles parsed -join/-leave events into a membership plan for a
-// scheme-mode session (nil when there is no churn). The initial roster is
-// every client that is not scheduled to join; the facade validates the rest.
-func churnPlan(clients int, joins, leaves []churnEvent) *unbiasedfl.MembershipPlan {
-	if len(joins) == 0 && len(leaves) == 0 {
-		return nil
-	}
-	events := map[int]*unbiasedfl.MembershipEvent{}
-	rounds := []int{}
-	at := func(r int) *unbiasedfl.MembershipEvent {
-		if ev, ok := events[r]; ok {
-			return ev
-		}
-		ev := &unbiasedfl.MembershipEvent{Round: r}
-		events[r] = ev
-		rounds = append(rounds, r)
-		return ev
-	}
-	joiner := map[int]bool{}
-	for _, j := range joins {
-		at(j.Round).Join = append(at(j.Round).Join, j.Client)
-		joiner[j.Client] = true
-	}
-	for _, l := range leaves {
-		at(l.Round).Leave = append(at(l.Round).Leave, l.Client)
-	}
-	sort.Ints(rounds)
-	plan := &unbiasedfl.MembershipPlan{}
-	for n := 0; n < clients; n++ {
-		if !joiner[n] {
-			plan.Initial = append(plan.Initial, n)
-		}
-	}
-	for _, r := range rounds {
-		ev := events[r]
-		sort.Ints(ev.Join)
-		sort.Ints(ev.Leave)
-		plan.Events = append(plan.Events, *ev)
-	}
-	return plan
-}
-
 // churnFaults lowers parsed -join/-leave events onto a scenario's fault
 // schedule, where membership churn is declared as FaultJoin/FaultLeave
 // entries.
-func churnFaults(joins, leaves []churnEvent) []unbiasedfl.ClientFault {
+func churnFaults(joins, leaves []cli.ChurnEvent) []unbiasedfl.ClientFault {
 	var out []unbiasedfl.ClientFault
 	for _, j := range joins {
 		out = append(out, unbiasedfl.ClientFault{Client: j.Client, Kind: unbiasedfl.FaultJoin, Round: j.Round})
@@ -385,7 +321,7 @@ func churnFaults(joins, leaves []churnEvent) []unbiasedfl.ClientFault {
 
 // runScenario replays one named scenario under the given run configuration
 // and prints its canonical trace (identical whichever backend carried it).
-func runScenario(ctx context.Context, name string, cfg unbiasedfl.ScenarioRunConfig, joins, leaves []churnEvent, jsonOut bool) error {
+func runScenario(ctx context.Context, name string, cfg unbiasedfl.ScenarioRunConfig, joins, leaves []cli.ChurnEvent, jsonOut bool) error {
 	if name == "list" {
 		if jsonOut {
 			type entry struct {

@@ -1,8 +1,9 @@
 // Prototype: run the paper's cross-device hardware prototype in miniature —
-// a coordinator and a fleet of client nodes communicating over real TCP
-// sockets on localhost, with client-side Bernoulli(q_n) participation and
-// server-side unbiased aggregation (Lemma 1). On real hardware, run
-// cmd/flnode on each device instead.
+// a coordinator and a fleet of device nodes talking over real TCP sockets on
+// localhost, with pricing-induced Bernoulli(q_n) participation and unbiased
+// aggregation (Lemma 1). It is one session on the cluster backend: the same
+// coordinator and device loop cmd/flnode runs as separate processes, here
+// spawned in-process. On real hardware, run cmd/flnode on each device.
 package main
 
 import (
@@ -10,12 +11,9 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync"
 	"time"
 
 	"unbiasedfl"
-	"unbiasedfl/internal/fl"
-	"unbiasedfl/internal/transport"
 )
 
 func main() {
@@ -26,90 +24,50 @@ func main() {
 }
 
 func run() error {
-	const (
-		numClients = 8
-		rounds     = 30
-		localSteps = 5
-	)
 	// Ctrl-C cancels the whole federation — coordinator and every device
 	// node unwind through their contexts.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	sess, err := unbiasedfl.NewSession(ctx, unbiasedfl.Setup2,
-		unbiasedfl.WithClients(numClients),
-		unbiasedfl.WithRounds(rounds),
-		unbiasedfl.WithLocalSteps(localSteps),
+		unbiasedfl.WithClients(8),
+		unbiasedfl.WithRounds(30),
+		unbiasedfl.WithLocalSteps(5),
+		unbiasedfl.WithRuns(1),
+		unbiasedfl.WithBackend(unbiasedfl.BackendCluster),
+		// A device that crashes or stalls past the deadline forfeits its
+		// round — which the unbiased estimator already prices — and is revived.
+		unbiasedfl.WithRoundTimeout(time.Minute),
+		unbiasedfl.WithObserver(unbiasedfl.ObserverFunc(func(e unbiasedfl.Event) {
+			if r, ok := e.(unbiasedfl.RoundEnd); ok {
+				fmt.Printf("round %2d: %d of 8 devices joined", r.Round, r.Participants)
+				if r.Evaluated {
+					fmt.Printf(", global loss %.4f, test accuracy %.4f", r.Loss, r.Accuracy)
+				}
+				fmt.Println()
+			}
+		})),
 	)
 	if err != nil {
 		return err
 	}
-	env := sess.Environment()
+	defer func() { _ = sess.Close() }()
 
-	// Price the market with the proposed mechanism; the equilibrium q*
-	// becomes each device's autonomous participation probability.
+	// Price the market with the proposed mechanism; the equilibrium q* is
+	// each device's participation probability.
 	eq, err := sess.Equilibrium()
 	if err != nil {
 		return err
 	}
-	q := make([]float64, numClients)
-	for i, qi := range eq.Q {
-		if qi < env.Params.QMin {
-			qi = env.Params.QMin
-		}
-		q[i] = qi
+	for n, q := range eq.Q {
+		fmt.Printf("device %d: q* = %.3f at price %.2f\n", n, q, eq.P[n])
 	}
 
-	srv, err := transport.NewServer(transport.ServerConfig{
-		Addr:       "127.0.0.1:0",
-		NumClients: numClients,
-		Q:          q,
-		Weights:    env.Fed.Weights,
-		Rounds:     rounds,
-		LocalSteps: localSteps,
-		BatchSize:  16,
-		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-		Timeout:    time.Minute,
-	}, env.Model)
+	fmt.Println("\ncoordinator and 8 device nodes on loopback TCP:")
+	sr, err := sess.RunScheme(ctx, unbiasedfl.SchemeNameProposed)
 	if err != nil {
 		return err
 	}
-	defer func() { _ = srv.Close() }()
-	fmt.Printf("coordinator listening on %s; launching %d device nodes\n", srv.Addr(), numClients)
-
-	var wg sync.WaitGroup
-	for id := 0; id < numClients; id++ {
-		node, err := transport.NewClient(transport.ClientConfig{
-			Addr: srv.Addr(), ID: id, Seed: uint64(1000 + id), Timeout: time.Minute,
-		}, env.Model, env.Fed.Clients[id])
-		if err != nil {
-			return err
-		}
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			joined, err := node.Run(ctx)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "client %d: %v\n", id, err)
-				return
-			}
-			fmt.Printf("device %d done: joined %d/%d rounds (q=%.3f)\n", id, joined, rounds, q[id])
-		}(id)
-	}
-
-	result, err := srv.Run(ctx)
-	wg.Wait()
-	if err != nil {
-		return err
-	}
-	loss, err := env.Model.Loss(result.FinalModel, env.Fed.Train)
-	if err != nil {
-		return err
-	}
-	acc, err := env.Model.Accuracy(result.FinalModel, env.Fed.Test)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("\nTCP training complete: global loss %.4f, test accuracy %.4f\n", loss, acc)
+	fmt.Printf("\nTCP training complete: global loss %.4f, test accuracy %.4f\n", sr.FinalLoss, sr.FinalAccuracy)
 	return nil
 }

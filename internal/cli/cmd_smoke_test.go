@@ -9,8 +9,8 @@ import (
 
 // TestCmdFlagParsing builds every binary under cmd/ and exercises its flag
 // parsing: -h must print a usage listing the binary's signature flags and
-// exit 0, and an unknown flag must be rejected with a non-zero status. This
-// is the smoke net that catches a cmd whose flag wiring silently breaks —
+// exit 0, and an unknown flag — or a flag the binary has retired — must be
+// rejected with a non-zero status. This is the smoke net that catches a cmd whose flag wiring silently breaks —
 // the library tests never execute package main.
 func TestCmdFlagParsing(t *testing.T) {
 	if testing.Short() {
@@ -24,13 +24,17 @@ func TestCmdFlagParsing(t *testing.T) {
 	}
 
 	cases := []struct {
-		bin   string
-		flags []string // flags whose presence in the usage text is the contract
+		bin     string
+		flags   []string // flags whose presence in the usage text is the contract
+		retired []string // flags that must be rejected like any unknown one
 	}{
-		{"flsim", []string{"-setup", "-scheme", "-scenario", "-clients", "-rounds", "-json", "-progress"}},
-		{"flgame", []string{"-setup", "-budget", "-clients", "-json"}},
-		{"flnode", []string{"-role", "-addr", "-id", "-clients", "-rounds"}},
-		{"flbench", []string{"-setup"}},
+		{"flsim", []string{"-setup", "-scheme", "-scenario", "-clients", "-rounds", "-json", "-progress"}, nil},
+		{"flgame", []string{"-setup", "-budget", "-clients", "-json"}, nil},
+		// Membership is the coordinator's plan (-join/-leave n@r, as in
+		// flsim); the device-initiated -leave-after went with the
+		// uncoordinated prototype session.
+		{"flnode", []string{"-role", "-addr", "-id", "-clients", "-rounds", "-round-timeout", "-join", "-leave"}, []string{"-leave-after"}},
+		{"flbench", []string{"-setup"}, nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -51,12 +55,14 @@ func TestCmdFlagParsing(t *testing.T) {
 			}
 
 			// An unknown flag must be rejected before any work starts.
-			out, err = exec.Command(path, "-definitely-not-a-flag").CombinedOutput()
-			if err == nil {
-				t.Fatalf("%s accepted an unknown flag:\n%s", tc.bin, out)
-			}
-			if !strings.Contains(string(out), "flag provided but not defined") {
-				t.Errorf("%s unknown-flag diagnostics drifted:\n%s", tc.bin, out)
+			for _, f := range append([]string{"-definitely-not-a-flag"}, tc.retired...) {
+				out, err = exec.Command(path, f+"=1").CombinedOutput()
+				if err == nil {
+					t.Fatalf("%s accepted %s:\n%s", tc.bin, f, out)
+				}
+				if !strings.Contains(string(out), "flag provided but not defined") {
+					t.Errorf("%s %s diagnostics drifted:\n%s", tc.bin, f, out)
+				}
 			}
 		})
 	}

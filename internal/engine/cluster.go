@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 	"unbiasedfl/internal/transport"
 )
@@ -32,7 +31,13 @@ var errNodeDown = errors.New("engine: node down")
 
 // ClusterOptions tunes the multi-node TCP backend.
 type ClusterOptions struct {
-	// Addr is the coordinator's listen address (default "127.0.0.1:0").
+	// Addr is the coordinator's listen address. Left empty, the backend
+	// listens on an ephemeral loopback port and spawns the fleet itself: one
+	// in-process node per client (or per group). Set explicitly, it listens
+	// there and spawns nothing — the devices are other processes running
+	// ServeNode. Open waits for them to dial in; a device the coordinator
+	// severed is never respawned (the coordinator does not own it), and one
+	// that redials is re-welcomed at its authoritative cursor.
 	Addr string
 	// Timeout bounds every coordinator-side socket operation (default 30s).
 	Timeout time.Duration
@@ -55,8 +60,8 @@ type ClusterOptions struct {
 	// NodeFault, when non-nil, is consulted by every node at each round
 	// start — the crash/hang injection seam the self-healing tests drive.
 	// Crash severs the node's connection mid-round; Delay stalls it (a hung
-	// peer when the delay exceeds RoundTimeout). Skip is meaningless in a
-	// coordinated session and is ignored.
+	// peer when the delay exceeds RoundTimeout). Like NodeDelay it reaches
+	// only the nodes the backend spawns itself.
 	NodeFault func(client, round int) transport.RoundFault
 	// Retry tunes node dialing, both at boot and when a healing cluster
 	// revives a dead node (zero value: DefaultNodeRetry).
@@ -94,18 +99,17 @@ type clusterSlot struct {
 }
 
 // ClusterBackend executes local updates as a real multi-node federation: a
-// TCP coordinator plus one socket node per client on loopback, speaking the
-// versioned framed protocol of internal/transport. It absorbs the round
-// dispatch previously split between transport.Server and
-// scenario.RunCluster.
+// TCP coordinator plus one socket node per client, speaking the versioned
+// framed protocol of internal/transport. The nodes all run ServeNode —
+// spawned in-process on loopback by default, or dialing in from other
+// processes when ClusterOptions.Addr is set (cmd/flnode).
 //
-// Participation is decided centrally by the orchestrator (the session is
-// marked Coordinated in the welcome): a round start is itself the
-// invitation, so a node never draws willingness coins. Each node owns the
-// same clientExec — fused local steps, private RNG as the n-th Split of the
-// spec seed — that LocalBackend uses in-process, and gob transports float64
-// slices bit-exactly, so a cluster run's trace is byte-identical to the
-// local backend's.
+// Participation is decided centrally by the orchestrator: a round start is
+// itself the invitation, so a node never draws willingness coins. Each node
+// owns the same clientExec — fused local steps, private RNG as the n-th
+// Split of the spec seed — that LocalBackend uses in-process, and gob
+// transports float64 slices bit-exactly, so a cluster run's trace is
+// byte-identical to the local backend's.
 //
 // The coordinator's cursor table is the single source of truth for every
 // client's executor state: a node reports its post-update cursor inside
@@ -113,8 +117,8 @@ type clusterSlot struct {
 // boot, a checkpoint resume, and a mid-run reconnect are the same protocol,
 // and whatever divergent state a crashed node held is discarded with it.
 //
-// With Spec.GroupSize > 1 the backend switches to multiplexed group mode
-// (protocol v5): one socket node hosts a whole sub-aggregator group of K
+// With Spec.GroupSize > 1 the backend switches to multiplexed group mode:
+// one socket node hosts a whole sub-aggregator group of K
 // virtual clients, so a fleet of N clients needs only ⌈N/K⌉ processes and
 // sockets. Each round the coordinator ships one MsgBatchStart per non-empty
 // group — the tasked members with their Lemma-1 scales and authoritative
@@ -125,6 +129,9 @@ type clusterSlot struct {
 // revival, resume, and membership churn pure coordinator-side bookkeeping.
 type ClusterBackend struct {
 	opts ClusterOptions
+	// external: the fleet dials in from outside (an explicit Addr); the
+	// backend spawns, respawns and waits on no node goroutine.
+	external bool
 
 	spec     *Spec
 	runCtx   context.Context
@@ -146,10 +153,7 @@ type ClusterBackend struct {
 	bootErr  error
 	cond     *sync.Cond
 	misses   []int // rounds forfeited per client (healing mode)
-	respawns []int // revivals per client (healing mode)
-	// unitRespawns tracks the revival budget per group node in group mode
-	// (respawns above stays per client for Health, mirrored group-wide).
-	unitRespawns []int
+	respawns []int // revivals per client (healing mode); a group's members move together
 
 	nodeWG   sync.WaitGroup
 	acceptWG sync.WaitGroup
@@ -174,7 +178,8 @@ type ClusterBackend struct {
 
 // NewClusterBackend constructs an unopened cluster backend.
 func NewClusterBackend(opts ClusterOptions) *ClusterBackend {
-	if opts.Addr == "" {
+	external := opts.Addr != ""
+	if !external {
 		opts.Addr = "127.0.0.1:0"
 	}
 	if opts.Timeout <= 0 {
@@ -186,10 +191,13 @@ func NewClusterBackend(opts ClusterOptions) *ClusterBackend {
 	if opts.Retry.Attempts < 1 {
 		opts.Retry = DefaultNodeRetry
 	}
+	if opts.Retry.HandshakeTimeout <= 0 {
+		opts.Retry.HandshakeTimeout = opts.HandshakeTimeout
+	}
 	if opts.MaxRespawns <= 0 {
 		opts.MaxRespawns = DefaultMaxRespawns
 	}
-	b := &ClusterBackend{opts: opts}
+	b := &ClusterBackend{opts: opts, external: external}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
@@ -240,8 +248,9 @@ func (b *ClusterBackend) Health() ClusterHealth {
 }
 
 // Open implements ExecutionBackend: it binds the coordinator's listener,
-// starts the persistent accept loop, boots one node goroutine per client,
-// and waits until the whole fleet has registered.
+// starts the persistent accept loop, boots one node goroutine per client
+// (unless the fleet is external), and waits until the whole starting roster
+// has registered.
 func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	if b.spec != nil {
 		return errors.New("engine: cluster backend already open")
@@ -253,10 +262,18 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	if b.resume != nil && len(b.resume) != nClients {
 		return fmt.Errorf("engine: %d resume cursors for a %d-client fleet", len(b.resume), nClients)
 	}
+	if b.external && spec.GroupSize > 1 && spec.Tamper != nil {
+		// Group nodes apply Tamper before folding, and a hook cannot cross a
+		// process boundary: refuse rather than train a silently different model.
+		return errors.New("engine: Spec.Tamper cannot reach external group nodes")
+	}
 	ln, err := net.Listen("tcp", b.opts.Addr)
 	if err != nil {
 		return fmt.Errorf("engine: cluster listen: %w", err)
 	}
+	// Under the lock: Sockets and Health may be polled from other goroutines
+	// while the run is still opening.
+	b.mu.Lock()
 	b.spec = spec
 	b.runCtx = ctx
 	b.listener = ln
@@ -268,7 +285,6 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	}
 	b.slots = make([]clusterSlot, units)
 	b.nodeErrs = make([]error, units)
-	b.unitRespawns = make([]int, units)
 	b.misses = make([]int, nClients)
 	b.respawns = make([]int, nClients)
 	b.closed = false
@@ -315,13 +331,17 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 		// pure coordinator-side task filtering (see ApplyEpoch).
 		activeCount = units
 	}
+	b.mu.Unlock()
 
 	// On cancellation, close the listener and every connection: reads fail
 	// immediately and stay failed, which the dispatch path, the accept loop,
 	// and the node loops all translate into a prompt unwind. The broadcast
 	// wakes Open's boot wait.
 	if ctx.Done() != nil {
-		b.watchDone = make(chan struct{})
+		// The goroutine selects on its own copy: teardown closes the channel
+		// and clears the field, possibly before this goroutine first runs.
+		done := make(chan struct{})
+		b.watchDone = done
 		go func() {
 			select {
 			case <-ctx.Done():
@@ -329,18 +349,21 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 				b.mu.Lock()
 				b.cond.Broadcast()
 				b.mu.Unlock()
-			case <-b.watchDone:
+			case <-done:
 			}
 		}()
 	}
 
 	b.acceptWG.Add(1)
 	go b.acceptLoop()
-	if b.groupSize > 1 {
+	switch {
+	case b.external:
+		// The devices dial in on their own; prospective members park too.
+	case b.groupSize > 1:
 		for g := 0; g < units; g++ {
 			b.spawnNode(g, false)
 		}
-	} else {
+	default:
 		for n := 0; n < nClients; n++ {
 			if b.active[n] {
 				b.spawnNode(n, false)
@@ -373,10 +396,11 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	return nil
 }
 
-// spawnNode launches (or revives) the node goroutine for client n with its
-// own cancel handle. join selects the prospective-member handshake (MsgJoin,
-// parked until the client's epoch) over the member hello. Callers must not
-// hold b.mu.
+// spawnNode launches (or revives) the in-process node for client — or group
+// — n with its own cancel handle: severed by fail, teardown, or the run
+// context going away. join selects the prospective-member handshake
+// (MsgJoin, parked until the client's epoch) over the member hello. Callers
+// must not hold b.mu.
 func (b *ClusterBackend) spawnNode(n int, join bool) {
 	nodeCtx, cancel := context.WithCancel(b.runCtx)
 	b.mu.Lock()
@@ -384,10 +408,16 @@ func (b *ClusterBackend) spawnNode(n int, join bool) {
 	b.slots[n].gen++
 	gen := b.slots[n].gen
 	b.mu.Unlock()
+	cfg := NodeConfig{
+		Addr: b.listener.Addr().String(), ID: n, Group: b.groupSize > 1, Join: join,
+		Model: b.spec.Model, Shards: b.spec.Fed.Clients, Retry: b.opts.Retry,
+		fault: b.opts.NodeFault, delay: b.opts.NodeDelay, tamper: b.spec.Tamper,
+	}
 	b.nodeWG.Add(1)
 	go func() {
 		defer b.nodeWG.Done()
-		err := b.runNode(nodeCtx, n, join)
+		defer cancel()
+		err := ServeNode(nodeCtx, cfg)
 		b.mu.Lock()
 		if b.slots[n].gen == gen {
 			b.slots[n].pending = false
@@ -422,9 +452,12 @@ func (b *ClusterBackend) acceptLoop() {
 			return
 		}
 		if err := b.register(conn); err != nil {
+			// A refused peer is closed and forgotten. Only a fleet the backend
+			// spawned itself turns a refusal during boot into a boot failure:
+			// an external listener must outlive strangers and stale redials.
 			_ = conn.Close()
 			b.mu.Lock()
-			if b.booting && b.bootErr == nil {
+			if b.booting && b.bootErr == nil && !b.external {
 				b.bootErr = err
 			}
 			b.cond.Broadcast()
@@ -434,17 +467,17 @@ func (b *ClusterBackend) acceptLoop() {
 }
 
 // register runs the handshake/hello/welcome exchange for one accepted
-// connection and marks the slot ready. The welcome carries the
-// coordinator's authoritative cursor for the client, which is what makes a
-// reviving node (and a resumed run) continue the exact stream the fleet
-// would have produced uninterrupted.
+// connection, all of it under the handshake deadline, so a peer that
+// connects and goes silent cannot pin the accept loop beyond it. A reviving
+// node, a resumed run and a redialing external device all arrive here.
 //
-// Members open with MsgHello; prospective members open with MsgJoin. A join
-// from a client whose epoch has not arrived yet is parked — the welcome is
-// withheld until ApplyEpoch admits it at the boundary. A join from an
-// already-active client (the coordinator re-spawning a joiner) is welcomed
-// immediately, and a retired client is refused outright: leaves are
-// permanent.
+// Members open with MsgHello, group nodes with MsgGroupHello, prospective
+// members with MsgJoin. A join from a client whose epoch has not arrived yet
+// is parked — the welcome is withheld until ApplyEpoch admits it at the
+// boundary. A join from an already-active client (a re-spawned or redialing
+// joiner) is welcomed immediately. A hello for a slot that is currently
+// ready, an id out of range, a member hello from a client that is not active
+// and anything from a retired client — leaves are permanent — are refused.
 func (b *ClusterBackend) register(conn net.Conn) error {
 	b.mu.Lock()
 	if b.closed {
@@ -473,87 +506,57 @@ func (b *ClusterBackend) register(conn net.Conn) error {
 	}
 	_ = conn.SetDeadline(time.Time{})
 
-	b.mu.Lock()
 	id := hello.ClientID
+	b.mu.Lock()
+	valid := id >= 0 && id < len(b.slots) && !b.slots[id].ready
 	if b.groupSize > 1 {
-		// Group mode: a multiplexed node announces the group it hosts. The
-		// welcome carries only the run configuration — never a cursor — because
-		// group nodes are stateless between rounds: every batch delivers the
-		// authoritative cursors of exactly the members it tasks.
-		valid := hello.Type == transport.MsgGroupHello && id >= 0 && id < len(b.slots) && !b.slots[id].ready
-		b.mu.Unlock()
-		if !valid {
-			return fmt.Errorf("engine: cluster got invalid group hello (type %v, id %d)", hello.Type, hello.ClientID)
-		}
-		spec := b.spec
-		if err := codec.Send(&transport.Message{
-			Type:        transport.MsgWelcome,
-			ClientID:    id,
-			Q:           1,
-			Coordinated: true,
-			LocalSteps:  spec.LocalSteps,
-			BatchSize:   spec.BatchSize,
-			Rounds:      spec.Rounds,
-		}); err != nil {
-			return err
-		}
-		b.mu.Lock()
-		slot := &b.slots[id]
-		slot.codec = codec
-		slot.conn = conn
-		slot.ready = true
-		slot.pending = false
-		b.ready++
-		b.cond.Broadcast()
-		b.mu.Unlock()
-		return nil
-	}
-	valid := (hello.Type == transport.MsgHello || hello.Type == transport.MsgJoin) &&
-		id >= 0 && id < len(b.slots) && !b.slots[id].ready && !b.retired[id]
-	if valid && hello.Type == transport.MsgHello && !b.active[id] {
-		valid = false // members say hello; prospects must ask to join
+		valid = valid && hello.Type == transport.MsgGroupHello
+	} else {
+		valid = valid && !b.retired[id] && (hello.Type == transport.MsgJoin ||
+			hello.Type == transport.MsgHello && b.active[id])
 	}
 	if !valid {
 		b.mu.Unlock()
-		return fmt.Errorf("engine: cluster got invalid hello (type %v, id %d)", hello.Type, hello.ClientID)
+		return fmt.Errorf("engine: cluster got invalid hello (type %v, id %d)", hello.Type, id)
 	}
 	if hello.Type == transport.MsgJoin && !b.active[id] {
+		defer b.mu.Unlock()
 		if b.slots[id].parked != nil {
-			b.mu.Unlock()
 			return fmt.Errorf("engine: duplicate join from client %d", id)
 		}
 		b.slots[id].parked = codec
 		b.slots[id].parkConn = conn
 		b.cond.Broadcast()
-		b.mu.Unlock()
 		return nil
 	}
-	cursor := b.cursors[id]
 	b.mu.Unlock()
+	return b.welcome(id, codec, conn)
+}
 
-	spec := b.spec
-	if err := codec.Send(&transport.Message{
-		Type:        transport.MsgWelcome,
-		ClientID:    id,
-		Q:           1, // participation is decided centrally
-		Coordinated: true,
-		LocalSteps:  spec.LocalSteps,
-		BatchSize:   spec.BatchSize,
-		Rounds:      spec.Rounds,
-		Cursor: &transport.Cursor{
-			RNG: cursor.RNG, SqCount: cursor.SqCount,
-			SqMean: cursor.SqMean, SqM2: cursor.SqM2,
-		},
-	}); err != nil {
+// welcome completes a registration: it sends slot id's node the run
+// configuration and marks the slot ready. A per-client node also gets the
+// coordinator's authoritative cursor, which is what makes a reviving node
+// (and a resumed run) continue the exact stream the fleet would have
+// produced uninterrupted. A group node gets none — it is stateless between
+// rounds: every batch delivers the cursors of exactly the members it tasks.
+func (b *ClusterBackend) welcome(id int, codec *transport.Codec, conn net.Conn) error {
+	msg := &transport.Message{
+		Type: transport.MsgWelcome, ClientID: id,
+		LocalSteps: b.spec.LocalSteps, BatchSize: b.spec.BatchSize, Rounds: b.spec.Rounds,
+	}
+	if b.groupSize <= 1 {
+		b.mu.Lock()
+		cursor := transport.Cursor(b.cursors[id])
+		b.mu.Unlock()
+		msg.Cursor = &cursor
+	}
+	if err := codec.Send(msg); err != nil {
 		return err
 	}
-
 	b.mu.Lock()
 	slot := &b.slots[id]
-	slot.codec = codec
-	slot.conn = conn
-	slot.ready = true
-	slot.pending = false
+	slot.codec, slot.conn = codec, conn
+	slot.ready, slot.pending = true, false
 	b.ready++
 	b.cond.Broadcast()
 	b.mu.Unlock()
@@ -569,7 +572,8 @@ func (b *ClusterBackend) register(conn net.Conn) error {
 // crashed, disconnected, or missed the deadline are dropped from the
 // returned updates (the orchestrator records those clients as absent — the
 // unbiased estimator already prices unavailability), their connections are
-// severed, and revival dialers start in the background.
+// severed, and — for nodes the backend owns — revival dialers start in the
+// background.
 func (b *ClusterBackend) Dispatch(
 	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
 ) ([]ClientUpdate, error) {
@@ -653,12 +657,10 @@ func (b *ClusterBackend) Dispatch(
 				return nil, ctxErrOr(ctx, err)
 			}
 		}
-		b.commitCursors(tasks, errs, staged)
-		return updates, nil
 	}
 
-	// Self-healing: commit the cursors of the survivors, compact their
-	// updates into task order, and fail out everyone else.
+	// Commit the cursors of the survivors — in strict mode, everyone — compact
+	// their updates into task order, and fail out the rest.
 	b.commitCursors(tasks, errs, staged)
 	k := 0
 	for i := range tasks {
@@ -667,7 +669,7 @@ func (b *ClusterBackend) Dispatch(
 			k++
 			continue
 		}
-		b.failClient(tasks[i].Client, errs[i])
+		b.fail(tasks[i].Client, tasks[i:i+1], errs[i])
 	}
 	return updates[:k], nil
 }
@@ -680,51 +682,56 @@ func (b *ClusterBackend) commitCursors(tasks []ClientTask, errs []error, staged 
 		if errs[i] != nil {
 			continue
 		}
-		c := staged[i]
-		b.cursors[tasks[i].Client] = ClientCursor{
-			RNG: c.RNG, SqCount: c.SqCount, SqMean: c.SqMean, SqM2: c.SqM2,
-		}
+		b.cursors[tasks[i].Client] = ClientCursor(staged[i])
 	}
 	b.mu.Unlock()
 }
 
-// failClient records a forfeited round for the client, severs whatever is
-// left of its connection (waking both the dead node goroutine and any
-// half-open peer), and — within the respawn budget — starts a background
-// revival dialer. Runs on the orchestration goroutine, after the round's
-// dispatch barrier.
-func (b *ClusterBackend) failClient(client int, cause error) {
+// fail ledgers a forfeited round for every tasked member of one unit — a
+// client's node, or in group mode a whole group's — severs whatever is left
+// of the unit's connection (waking both a dead node goroutine and any
+// half-open peer), and starts a background revival dialer if the backend
+// owns the node and its respawn budget allows. Runs on the orchestration
+// goroutine, after the round's dispatch barrier.
+func (b *ClusterBackend) fail(unit int, tasked []ClientTask, cause error) {
 	b.mu.Lock()
-	b.misses[client]++
-	slot := &b.slots[client]
+	for _, t := range tasked {
+		b.misses[t.Client]++
+	}
+	slot := &b.slots[unit]
 	// An errNodeDown miss means the slot was already down when the round
 	// dispatched; if a revival registered mid-round, that fresh connection
 	// is healthy — severing it would churn the node for nothing.
 	if slot.ready && !errors.Is(cause, errNodeDown) {
-		slot.ready = false
-		b.ready--
 		if slot.cancel != nil {
 			slot.cancel()
 		}
-		if slot.conn != nil {
-			_ = slot.conn.Close()
-		}
-		slot.codec = nil
-		slot.conn = nil
+		b.release(slot)
 	}
-	respawn := !b.closed && !slot.ready && !slot.pending && !b.retired[client] &&
-		b.runCtx.Err() == nil && b.respawns[client] < b.opts.MaxRespawns
+	// One node hosts the members [lo, hi): their revival counters move
+	// together, so the first one doubles as the unit's budget.
+	lo, hi, retired := unit, unit+1, false
+	if b.groupSize > 1 {
+		lo = unit * b.groupSize
+		hi = min(lo+b.groupSize, len(b.respawns))
+	} else {
+		retired = b.retired[unit]
+	}
+	respawn := !b.external && !b.closed && !slot.ready && !slot.pending && !retired &&
+		b.runCtx.Err() == nil && b.respawns[lo] < b.opts.MaxRespawns
 	if respawn {
 		slot.pending = true
-		b.respawns[client]++
+		for n := lo; n < hi; n++ {
+			b.respawns[n]++
+		}
 	}
 	b.mu.Unlock()
 	if respawn {
-		b.spawnNode(client, false)
+		b.spawnNode(unit, false)
 	}
 }
 
-// DispatchPartials implements PartialBackend (group mode, protocol v5): one
+// DispatchPartials implements PartialBackend (group mode): one
 // MsgBatchStart per non-empty group ships the tasked members with their
 // Lemma-1 scales and authoritative cursors, then a worker pool sized to
 // GOMAXPROCS drains the MsgPartial replies — so a 10^5-client round runs
@@ -734,8 +741,8 @@ func (b *ClusterBackend) failClient(client int, cause error) {
 // Failure semantics mirror flat dispatch, at group granularity: in strict
 // mode any group failure fails the round; in self-healing mode a group that
 // crashes, disconnects, or misses the deadline forfeits the round for every
-// member it was tasked with, and its node is revived in the background
-// within the respawn budget.
+// member it was tasked with, and its node — if the backend owns it — is
+// revived in the background within the respawn budget.
 func (b *ClusterBackend) DispatchPartials(
 	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
 	groupSize int, sink func(Partial) error,
@@ -775,12 +782,9 @@ func (b *ClusterBackend) DispatchPartials(
 		b.bScales = b.bScales[:0]
 		b.bCursors = b.bCursors[:0]
 		for _, t := range tasks[g.lo:g.hi] {
-			c := b.cursors[t.Client]
 			b.bClients = append(b.bClients, t.Client)
 			b.bScales = append(b.bScales, t.Scale)
-			b.bCursors = append(b.bCursors, transport.Cursor{
-				RNG: c.RNG, SqCount: c.SqCount, SqMean: c.SqMean, SqM2: c.SqM2,
-			})
+			b.bCursors = append(b.bCursors, transport.Cursor(b.cursors[t.Client]))
 		}
 		b.mu.Unlock()
 		if !up {
@@ -851,10 +855,7 @@ func (b *ClusterBackend) DispatchPartials(
 				// never its executor.
 				b.mu.Lock()
 				for i, t := range tasks[g.lo:g.hi] {
-					c := reply.Cursors[i]
-					b.cursors[t.Client] = ClientCursor{
-						RNG: c.RNG, SqCount: c.SqCount, SqMean: c.SqMean, SqM2: c.SqM2,
-					}
+					b.cursors[t.Client] = ClientCursor(reply.Cursors[i])
 				}
 				b.mu.Unlock()
 				sinkMu.Lock()
@@ -884,7 +885,7 @@ func (b *ClusterBackend) DispatchPartials(
 	for gi, err := range gerrs {
 		if err != nil {
 			g := b.groups[gi]
-			b.failGroup(g.id, tasks[g.lo:g.hi], err)
+			b.fail(g.id, tasks[g.lo:g.hi], err)
 		}
 	}
 	return sinkErr
@@ -911,47 +912,16 @@ func checkPartial(reply *transport.Message, g taskGroup, p, nClients, round int)
 	return nil
 }
 
-// failGroup is failClient at group granularity: every tasked member is
-// ledgered as a miss, the group node's connection is severed, and — within
-// the group's respawn budget — a background revival dialer starts. The
-// per-client Respawns counters mirror the group's count for every member,
-// since one process hosts them all.
-func (b *ClusterBackend) failGroup(gid int, tasked []ClientTask, cause error) {
-	b.mu.Lock()
-	for _, t := range tasked {
-		b.misses[t.Client]++
+// release closes a ready slot's connection and frees the slot. Callers hold
+// b.mu.
+func (b *ClusterBackend) release(slot *clusterSlot) {
+	if !slot.ready {
+		return
 	}
-	slot := &b.slots[gid]
-	if slot.ready && !errors.Is(cause, errNodeDown) {
-		slot.ready = false
-		b.ready--
-		if slot.cancel != nil {
-			slot.cancel()
-		}
-		if slot.conn != nil {
-			_ = slot.conn.Close()
-		}
-		slot.codec = nil
-		slot.conn = nil
-	}
-	respawn := !b.closed && !slot.ready && !slot.pending &&
-		b.runCtx.Err() == nil && b.unitRespawns[gid] < b.opts.MaxRespawns
-	if respawn {
-		slot.pending = true
-		b.unitRespawns[gid]++
-		lo := gid * b.groupSize
-		hi := lo + b.groupSize
-		if n := len(b.respawns); hi > n {
-			hi = n
-		}
-		for n := lo; n < hi; n++ {
-			b.respawns[n]++
-		}
-	}
-	b.mu.Unlock()
-	if respawn {
-		b.spawnNode(gid, false)
-	}
+	slot.ready = false
+	b.ready--
+	_ = slot.conn.Close()
+	slot.codec, slot.conn = nil, nil
 }
 
 // Sockets reports how many node connections are currently registered — in
@@ -1002,8 +972,9 @@ func (b *ClusterBackend) ApplyEpoch(ctx context.Context, r Roster) error {
 }
 
 // admit activates client n and completes its join: the parked handshake is
-// welcomed at the coordinator's cursor, or — if the prospective node's
-// dialer died before its epoch — one fresh node is spawned and waited for.
+// welcomed at the coordinator's cursor; one still in flight — an external
+// device yet to dial in — is waited for; and if the backend's own
+// prospective node died before its epoch, one fresh node is spawned.
 // Joining is a deliberate scheduled event, not a tolerable fault, so a
 // failed admission fails the run even in self-healing mode.
 func (b *ClusterBackend) admit(ctx context.Context, n int) error {
@@ -1037,34 +1008,11 @@ func (b *ClusterBackend) admit(ctx context.Context, n int) error {
 	}
 	codec, conn := slot.parked, slot.parkConn
 	slot.parked, slot.parkConn = nil, nil
-	cursor := b.cursors[n]
-	spec := b.spec
 	b.mu.Unlock()
-
-	if err := codec.Send(&transport.Message{
-		Type:        transport.MsgWelcome,
-		ClientID:    n,
-		Q:           1,
-		Coordinated: true,
-		LocalSteps:  spec.LocalSteps,
-		BatchSize:   spec.BatchSize,
-		Rounds:      spec.Rounds,
-		Cursor: &transport.Cursor{
-			RNG: cursor.RNG, SqCount: cursor.SqCount,
-			SqMean: cursor.SqMean, SqM2: cursor.SqM2,
-		},
-	}); err != nil {
+	if err := b.welcome(n, codec, conn); err != nil {
 		_ = conn.Close()
 		return ctxErrOr(ctx, fmt.Errorf("engine: welcome joining node %d: %w", n, err))
 	}
-	b.mu.Lock()
-	slot.codec = codec
-	slot.conn = conn
-	slot.ready = true
-	slot.pending = false
-	b.ready++
-	b.cond.Broadcast()
-	b.mu.Unlock()
 	return nil
 }
 
@@ -1097,14 +1045,7 @@ func (b *ClusterBackend) retire(ctx context.Context, n int) error {
 		}
 	}
 	b.mu.Lock()
-	if slot.ready {
-		slot.ready = false
-		b.ready--
-	}
-	if slot.conn != nil {
-		_ = slot.conn.Close()
-	}
-	slot.codec, slot.conn = nil, nil
+	b.release(slot)
 	b.mu.Unlock()
 	if err != nil && !b.opts.healing() {
 		return ctxErrOr(ctx, fmt.Errorf("engine: retire node %d: %w", n, err))
@@ -1138,14 +1079,10 @@ func (b *ClusterBackend) Close() error {
 	if b.opts.healing() {
 		return nil
 	}
-	label := "cluster node"
-	if b.groupSize > 1 {
-		label = "cluster group node"
-	}
 	var errs []error
 	for n, err := range b.nodeErrs {
 		if err != nil {
-			errs = append(errs, fmt.Errorf("engine: %s %d: %w", label, n, err))
+			errs = append(errs, fmt.Errorf("engine: cluster node %d: %w", n, err))
 		}
 	}
 	return errors.Join(errs...)
@@ -1187,311 +1124,6 @@ func (b *ClusterBackend) closeConns() {
 		_ = c.Close()
 	}
 	b.mu.Unlock()
-}
-
-// runNode is one device of the cluster: it dials the coordinator (with
-// retry — a reviving node may race the coordinator severing its old conn),
-// completes the handshake, restores its executor from the cursor in the
-// welcome, and serves coordinated round starts until MsgDone (session over)
-// or MsgLeave (graceful retirement, acknowledged with MsgBye). ctx is the
-// node's private context: severed by failClient, teardown, or the run
-// context going away. With join set the node is a prospective member: it
-// opens with MsgJoin and waits — unbounded, its epoch may be rounds away —
-// for the coordinator to admit it with a welcome.
-func (b *ClusterBackend) runNode(ctx context.Context, n int, join bool) error {
-	if b.groupSize > 1 {
-		return b.runGroupNode(ctx, n)
-	}
-	spec := b.spec
-	// Deterministic backoff jitter, salted per client and decoupled from
-	// every model-visible stream.
-	jitter := stats.NewRNG(spec.Seed ^ (0x9E3779B97F4A7C15 * uint64(n+1)))
-	conn, err := transport.DialRetry(ctx, b.listener.Addr().String(), b.opts.Retry, jitter)
-	if err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	// The node's reads are unbounded by design — an unselected node simply
-	// waits for its next invitation — so shutdown runs through connection
-	// closes: the coordinator's teardown (or the ctx watcher) severs the
-	// socket and the pending read fails immediately.
-	defer func() { _ = conn.Close() }()
-	stop := transportWatch(ctx, conn)
-	defer stop()
-	codec, err := transport.NewCodec(conn, 0)
-	if err != nil {
-		return err
-	}
-	hsDeadline := time.Now().Add(b.opts.HandshakeTimeout)
-	helloType := transport.MsgHello
-	if join {
-		helloType = transport.MsgJoin
-	}
-	if err := codec.Send(&transport.Message{Type: helloType, ClientID: n}); err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	var welcome *transport.Message
-	if join {
-		welcome, err = codec.Recv()
-	} else {
-		welcome, err = codec.RecvDeadline(hsDeadline)
-	}
-	if err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	if welcome.Type != transport.MsgWelcome || !welcome.Coordinated {
-		return fmt.Errorf("expected coordinated welcome, got %v", welcome.Type)
-	}
-	if welcome.Cursor == nil {
-		return errors.New("welcome missing executor cursor")
-	}
-	st, err := newClientExecAt(ClientCursor{
-		RNG: welcome.Cursor.RNG, SqCount: welcome.Cursor.SqCount,
-		SqMean: welcome.Cursor.SqMean, SqM2: welcome.Cursor.SqM2,
-	})
-	if err != nil {
-		return err
-	}
-
-	var (
-		arena execArena
-		delta tensor.Vec
-	)
-	var delay time.Duration
-	if b.opts.NodeDelay != nil {
-		delay = b.opts.NodeDelay(n)
-	}
-	for {
-		msg, err := codec.Recv()
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			// A severed socket after Close started is the normal end of an
-			// errored run; report it so Close can surface real failures.
-			return err
-		}
-		switch msg.Type {
-		case transport.MsgDone:
-			return nil
-		case transport.MsgLeave:
-			// Graceful retirement at an epoch boundary: acknowledge and go.
-			if err := codec.Send(&transport.Message{Type: transport.MsgBye, ClientID: n}); err != nil {
-				return ctxErrOr(ctx, err)
-			}
-			return nil
-		case transport.MsgRoundStart:
-			var fault transport.RoundFault
-			if b.opts.NodeFault != nil {
-				fault = b.opts.NodeFault(n, msg.Round)
-			}
-			if fault.Crash {
-				return transport.ErrInjectedCrash
-			}
-			if stall := delay + fault.Delay; stall > 0 {
-				timer := time.NewTimer(stall)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-					return ctx.Err()
-				}
-			}
-			if len(delta) != len(msg.Model) {
-				delta = tensor.NewVec(len(msg.Model))
-			}
-			if err := st.localUpdate(
-				ctx, spec.Model, spec.Fed.Clients[n], n,
-				tensor.Vec(msg.Model), spec.LocalSteps, spec.BatchSize, msg.LR,
-				&arena, delta,
-			); err != nil {
-				return err
-			}
-			cursor := st.cursor()
-			if err := codec.Send(&transport.Message{
-				Type: transport.MsgUpdate, ClientID: n, Round: msg.Round,
-				Model: delta, GradSqNorm: st.sqNorms.Mean(),
-				Cursor: &transport.Cursor{
-					RNG: cursor.RNG, SqCount: cursor.SqCount,
-					SqMean: cursor.SqMean, SqM2: cursor.SqM2,
-				},
-			}); err != nil {
-				return ctxErrOr(ctx, err)
-			}
-		default:
-			return fmt.Errorf("unexpected message %v", msg.Type)
-		}
-	}
-}
-
-// runGroupNode is one multiplexed device of the cluster: a single process
-// and socket hosting a whole sub-aggregator group of virtual clients. It
-// announces its group with MsgGroupHello, and then serves MsgBatchStart
-// messages: for each tasked member it restores an executor from the cursor
-// the batch carries, runs the local update in the node's one scratch arena,
-// folds the weighted delta into the node's fixed-point accumulator, and
-// ships back a single MsgPartial — O(model) per node, no per-client state
-// retained between rounds. Fault injection is consulted per member: any
-// member's crash kills the node (the whole group forfeits the round — the
-// multiplexing trade-off), and stalls take the slowest member's delay.
-func (b *ClusterBackend) runGroupNode(ctx context.Context, g int) error {
-	spec := b.spec
-	jitter := stats.NewRNG(spec.Seed ^ (0x9E3779B97F4A7C15 * uint64(g+1)))
-	conn, err := transport.DialRetry(ctx, b.listener.Addr().String(), b.opts.Retry, jitter)
-	if err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	defer func() { _ = conn.Close() }()
-	stop := transportWatch(ctx, conn)
-	defer stop()
-	codec, err := transport.NewCodec(conn, 0)
-	if err != nil {
-		return err
-	}
-	hsDeadline := time.Now().Add(b.opts.HandshakeTimeout)
-	if err := codec.Send(&transport.Message{Type: transport.MsgGroupHello, ClientID: g}); err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	welcome, err := codec.RecvDeadline(hsDeadline)
-	if err != nil {
-		return ctxErrOr(ctx, err)
-	}
-	if welcome.Type != transport.MsgWelcome || !welcome.Coordinated {
-		return fmt.Errorf("expected coordinated welcome, got %v", welcome.Type)
-	}
-
-	var (
-		arena   execArena
-		acc     *FixAcc
-		delta   tensor.Vec
-		clients []int
-		gradSqs []float64
-		cursors []transport.Cursor
-	)
-	for {
-		msg, err := codec.Recv()
-		if err != nil {
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return ctxErr
-			}
-			return err
-		}
-		switch msg.Type {
-		case transport.MsgDone:
-			return nil
-		case transport.MsgBatchStart:
-			if msg.ClientID != g ||
-				len(msg.Scales) != len(msg.Clients) || len(msg.Cursors) != len(msg.Clients) {
-				return fmt.Errorf("malformed batch (id %d, %d clients, %d scales, %d cursors)",
-					msg.ClientID, len(msg.Clients), len(msg.Scales), len(msg.Cursors))
-			}
-			var stall time.Duration
-			crash := false
-			for _, n := range msg.Clients {
-				var d time.Duration
-				if b.opts.NodeFault != nil {
-					f := b.opts.NodeFault(n, msg.Round)
-					crash = crash || f.Crash
-					d += f.Delay
-				}
-				if b.opts.NodeDelay != nil {
-					d += b.opts.NodeDelay(n)
-				}
-				if d > stall {
-					stall = d
-				}
-			}
-			if crash {
-				return transport.ErrInjectedCrash
-			}
-			if stall > 0 {
-				timer := time.NewTimer(stall)
-				select {
-				case <-timer.C:
-				case <-ctx.Done():
-					timer.Stop()
-					return ctx.Err()
-				}
-			}
-			p := len(msg.Model)
-			if acc == nil || acc.Len() != p {
-				acc = NewFixAcc(p)
-				delta = tensor.NewVec(p)
-			} else {
-				acc.Reset()
-			}
-			clients = clients[:0]
-			gradSqs = gradSqs[:0]
-			cursors = cursors[:0]
-			global := tensor.Vec(msg.Model)
-			for i, n := range msg.Clients {
-				wc := msg.Cursors[i]
-				st, err := newClientExecAt(ClientCursor{
-					RNG: wc.RNG, SqCount: wc.SqCount, SqMean: wc.SqMean, SqM2: wc.SqM2,
-				})
-				if err != nil {
-					return fmt.Errorf("client %d cursor: %w", n, err)
-				}
-				if err := st.localUpdate(
-					ctx, spec.Model, spec.Fed.Clients[n], n,
-					global, spec.LocalSteps, spec.BatchSize, msg.LR,
-					&arena, delta,
-				); err != nil {
-					return err
-				}
-				u := ClientUpdate{Client: n, Delta: delta, GradSqNorm: st.sqNorms.Mean()}
-				if spec.Tamper != nil {
-					spec.Tamper(msg.Round, &u)
-				}
-				if err := acc.AddScaled(msg.Scales[i], u.Delta); err != nil {
-					return err
-				}
-				c := st.cursor()
-				clients = append(clients, u.Client)
-				gradSqs = append(gradSqs, u.GradSqNorm)
-				cursors = append(cursors, transport.Cursor{
-					RNG: c.RNG, SqCount: c.SqCount, SqMean: c.SqMean, SqM2: c.SqM2,
-				})
-			}
-			lo, hi, sat := acc.Limbs()
-			if err := codec.Send(&transport.Message{
-				Type: transport.MsgPartial, ClientID: g, Round: msg.Round,
-				Clients: clients, GradSqs: gradSqs, Cursors: cursors,
-				Lo: lo, Hi: hi, Sat: sat,
-			}); err != nil {
-				return ctxErrOr(ctx, err)
-			}
-		default:
-			return fmt.Errorf("unexpected message %v", msg.Type)
-		}
-	}
-}
-
-// transportWatch severs conn when ctx is cancelled — the node-side
-// counterpart of the coordinator's conn sweep, needed because a reviving
-// node's cancel must also unblock a read already pending on a live socket.
-func transportWatch(ctx context.Context, conn net.Conn) (stop func()) {
-	if ctx == nil || ctx.Done() == nil {
-		return func() {}
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	go func() {
-		select {
-		case <-ctx.Done():
-			_ = conn.Close()
-		case <-done:
-		}
-	}()
-	return func() { once.Do(func() { close(done) }) }
-}
-
-// ctxErrOr maps an error surfaced by a cancellation-severed socket back to
-// the context's error.
-func ctxErrOr(ctx context.Context, err error) error {
-	if ctxErr := ctx.Err(); ctxErr != nil {
-		return ctxErr
-	}
-	return err
 }
 
 var (

@@ -13,7 +13,12 @@
 //	                    ├── LocalBackend    in-process worker pool,
 //	                    │                   zero-alloc scratch arenas
 //	                    └── ClusterBackend  real TCP coordinator + one
-//	                                        socket node per client
+//	                              ▲         socket node per client or group
+//	                              │ dial in, hello → welcome(cursor)
+//	                    ServeNode (the one device loop)
+//	                    ├── goroutines the backend spawns on loopback
+//	                    └── other processes (cmd/flnode -role client) when
+//	                        ClusterOptions.Addr is set: external devices
 //
 // The Orchestrator owns everything that determines the result: willingness
 // and availability sampling on separate RNG streams, per-round learning
@@ -22,7 +27,28 @@
 // built-in backends derive client n's private SGD stream as the n-th Split
 // of the spec seed and run the same fused local-update code, so a run is
 // bit-identical across backends and for any GOMAXPROCS — the property the
-// golden-trace backend-equivalence matrix in internal/scenario pins.
+// golden-trace backend-equivalence matrix in internal/scenario pins. There is
+// no other coordinator: the TCP prototype (cmd/flnode, examples/prototype)
+// is this orchestrator on a ClusterBackend.
+//
+// Why two dispatch paths remain. Flat dispatch (ExecutionBackend.Dispatch,
+// MsgRoundStart/MsgUpdate, one socket per client, Aggregator.Aggregate at
+// the coordinator) computes what hierarchical dispatch
+// (PartialBackend.DispatchPartials, MsgBatchStart/MsgPartial) computes at
+// K=1 — the fixed-point fold makes every grouping bit-identical. They stay
+// two interfaces and two message pairs for two reasons. First, the benchmark
+// module (benchmark/trace.go, benchmark/micro.go) compiles against both
+// interfaces, Aggregator.Aggregate, MsgRoundStart and MsgUpdate, and the
+// benchmark may not change together with the code it measures; the merge
+// has to follow a benchmark change. Second, K=1 partials are not free on the
+// wire: an update returns one float64 per parameter (at most 9 gob bytes), a
+// partial two uint64 limbs (at most 18), so at the session-durable
+// workload's model size — transport.roundstart_bytes ≈ transport.update_bytes
+// ≈ 15 kB in the bench — per-client return traffic would roughly double, and
+// the aggregators that need unscaled deltas (proportional, naive inverse)
+// could not ride it at all. The doubling is reasoned from the encoding and
+// unverified: the bench takes transport.partial_bytes at the fleet
+// workload's model size and 1000 members, not at K=1.
 //
 // Layers above compile into a Spec and pick a backend: internal/fl.Runner
 // is a thin compatibility shim over Orchestrator+LocalBackend, and

@@ -1,7 +1,6 @@
 // Package fixpoint is the canonical aggregation arithmetic of the
 // federation: a 128-bit signed fixed-point accumulator shared by the engine's
-// aggregators and the wire-level prototype server (which cannot import the
-// engine). Lemma 1's weighted sum
+// coordinator-side aggregators and its group nodes. Lemma 1's weighted sum
 //
 //	Σ_{n∈S_r} (a_n/q_n)(w_n^{r+1} − w^r)
 //

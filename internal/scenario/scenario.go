@@ -3,19 +3,23 @@
 // heterogeneous cost/valuation distributions, non-IID data skew, and a
 // per-client fault schedule (stragglers, mid-run dropouts, flaky
 // availability) — and a deterministic seeded driver compiles it into one run
-// of the full data → calibration → game → pricing → fl.Runner pipeline,
-// emitting a canonical Trace.
+// of the full data → calibration → game → pricing → engine pipeline, emitting
+// a canonical Trace.
 //
-// Two execution substrates share every Scenario:
+// Two execution substrates share every Scenario, behind one entry point
+// (RunWith) that compiles the scenario into an engine.Spec and points the
+// engine's orchestrator at a backend:
 //
-//   - Run executes in-process through fl.Runner and the sim timing model,
-//     producing a bit-reproducible Trace for the golden-trace regression
-//     suite (testdata/golden). Replays are bit-identical for any
-//     GOMAXPROCS because every layer underneath (kernels, runner pool,
+//   - Run executes in-process on engine.LocalBackend with the sim timing
+//     model, producing a bit-reproducible Trace for the golden-trace
+//     regression suite (testdata/golden). Replays are bit-identical for any
+//     GOMAXPROCS because every layer underneath (kernels, worker pool,
 //     equilibrium engine) is order-fixed by construction.
-//   - RunCluster boots a real transport.Server plus N flnode-style TCP
-//     clients over loopback and injects the same fault schedule at the
-//     socket layer — the standing multi-node integration harness.
+//   - RunCluster executes on engine.ClusterBackend — a TCP coordinator plus
+//     one engine.ServeNode socket node per device over loopback — and stalls
+//     stragglers for real wall-clock time at the socket layer; the Trace is
+//     byte-identical to Run's. It is the standing multi-node integration
+//     harness.
 //
 // The named library (Names, ByName) covers the regimes the paper's claims
 // must survive: clean baselines, straggler-heavy fleets, churn, adversarial

@@ -29,7 +29,7 @@ func encodeFramed(t testing.TB, msgs ...*Message) []byte {
 	return out.Bytes()
 }
 
-// TestBatchMessagesRoundTrip pins the protocol-v5 envelope: a MsgBatchStart
+// TestBatchMessagesRoundTrip pins the multiplexed-group envelope: a MsgBatchStart
 // and its MsgPartial reply survive the codec bit-exactly, parallel slices
 // and fixed-point limbs included.
 func TestBatchMessagesRoundTrip(t *testing.T) {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bytes"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,101 +10,7 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"unbiasedfl/internal/model"
-	"unbiasedfl/internal/testutil"
 )
-
-// handshakeServer builds a 1-client server with a short handshake window and
-// no per-operation timeout — the configuration in which a half-open peer
-// used to pin the accept loop forever.
-func handshakeServer(t *testing.T, hsTimeout time.Duration) *Server {
-	t.Helper()
-	m, err := model.NewLogisticRegression(2, 2, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 1,
-		Q: []float64{1}, Weights: []float64{1},
-		Rounds: 1, LocalSteps: 1, BatchSize: 1,
-		Schedule:         expDecay{Eta0: 0.1, Decay: 1},
-		HandshakeTimeout: hsTimeout,
-	}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return srv
-}
-
-// TestServerHandshakeDeadlineFreesAcceptLoop is the regression test for the
-// half-open-hello leak: a peer that connects but never completes the
-// handshake must not strand Server.Run (and its caller's goroutine) beyond
-// the handshake window, even with no round timeout configured.
-func TestServerHandshakeDeadlineFreesAcceptLoop(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
-	srv := handshakeServer(t, 200*time.Millisecond)
-	defer func() { _ = srv.Close() }()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(context.Background())
-		done <- err
-	}()
-
-	// Connect and go silent: no magic, no hello.
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("server accepted a peer that never completed the handshake")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server still waiting on a half-open handshake after 5s")
-	}
-	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
-}
-
-// TestServerHandshakeDeadlineCoversHello extends the regression to the next
-// phase: a peer that handshakes but never sends its hello is likewise cut
-// off at the handshake deadline, not the round timeout.
-func TestServerHandshakeDeadlineCoversHello(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
-	srv := handshakeServer(t, 200*time.Millisecond)
-	defer func() { _ = srv.Close() }()
-
-	done := make(chan error, 1)
-	go func() {
-		_, err := srv.Run(context.Background())
-		done <- err
-	}()
-
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = conn.Close() }()
-	_ = conn.SetDeadline(time.Now().Add(3 * time.Second))
-	if err := Handshake(conn); err != nil {
-		t.Fatal(err)
-	}
-	// ... and never send the hello.
-
-	select {
-	case err := <-done:
-		if err == nil {
-			t.Fatal("server accepted a peer that never sent its hello")
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("server still waiting on a hello-less peer after 5s")
-	}
-	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
-}
 
 // TestHandshakeVersionMismatch pins the clear-error requirement: a peer
 // speaking a different protocol version is rejected with ErrVersionMismatch.

@@ -1,15 +1,11 @@
-// Package transport reproduces the paper's hardware-prototype communication
-// substrate: "We develop a TCP-based socket interface for the communication
-// between the server and clients." It implements a versioned, length-framed
-// gob protocol over net.Conn, a coordinator (the laptop server in the paper)
-// and client nodes (the Raspberry Pis), runnable across real TCP sockets on
-// localhost or a LAN. The FL semantics — Bernoulli(q_n) participation decided
-// client-side and unbiased aggregation server-side — match internal/fl.
-//
-// The package is deliberately wire-level only (messages, frames, handshake,
-// codec, and the prototype's server/client roles): the unified federation
-// engine in internal/engine layers its ClusterBackend on top of these
-// primitives, so transport must not depend on the orchestration layers.
+// Package transport is the wire layer of the paper's hardware prototype ("We
+// develop a TCP-based socket interface for the communication between the
+// server and clients"): a version handshake, length-framed gob messages, a
+// deadline-aware codec, and a retrying dial — and nothing else. It owns no
+// round loop, no sampling and no aggregation; the one coordinator and the
+// one device loop that speak this protocol are engine.ClusterBackend and
+// engine.ServeNode, so transport imports none of the model, data or
+// orchestration packages.
 //
 // Every connection opens with a 5-byte handshake — a 4-byte magic followed
 // by a protocol version byte, written by both sides and validated before any
@@ -17,6 +13,14 @@
 // one length-prefixed frame (4-byte big-endian length, then the payload),
 // bounded by MaxFrameSize so a corrupt or hostile peer cannot force an
 // unbounded allocation.
+//
+// A session is: hello (MsgHello for a member, MsgJoin for a prospective
+// member, MsgGroupHello for a node hosting a whole group of virtual clients)
+// answered by MsgWelcome; then one MsgRoundStart → MsgUpdate exchange per
+// round a client is sampled in, or one MsgBatchStart → MsgPartial exchange
+// per round a group has tasked members; ended by MsgDone, or for one
+// retiring member by MsgLeave → MsgBye. Participation is always decided by
+// the coordinator: a round start is the invitation.
 package transport
 
 import (
@@ -34,15 +38,11 @@ import (
 
 // Protocol framing constants.
 const (
-	// ProtocolVersion is the current wire-protocol version, bumped on every
-	// incompatible change (version 1: unframed gob; version 2: handshake +
-	// length-framed gob; version 3: resumable executor cursors on
-	// MsgWelcome/MsgUpdate; version 4: membership churn — MsgJoin handshake
-	// for prospective members, MsgLeave/MsgBye graceful retirement;
-	// version 5: multiplexed virtual clients — MsgGroupHello/MsgBatchStart/
-	// MsgPartial batch a whole sub-aggregator group's tasks onto one socket
-	// and ship back a single fixed-point group partial).
-	ProtocolVersion byte = 5
+	// ProtocolVersion is the wire-protocol version, bumped on every
+	// incompatible change; peers of different versions refuse each other in
+	// the handshake. Version 6 retired the uncoordinated prototype session
+	// (client-side participation coins and the skip message reporting them).
+	ProtocolVersion byte = 6
 	// MaxFrameSize bounds a single frame's payload. The largest legitimate
 	// frame is a MsgRoundStart carrying the flattened global model; 64 MiB
 	// covers ~8M float64 parameters with gob overhead to spare.
@@ -72,8 +72,7 @@ var ErrFrameTooLarge = errors.New("transport: frame exceeds size limit")
 // connection: each side writes the 4-byte magic plus its version byte, then
 // reads and checks the peer's. Both the coordinator and the nodes call it
 // symmetrically, so a version-skewed or alien peer is rejected with a clear
-// error before any gob traffic. The caller manages deadlines (see
-// ServerConfig.HandshakeTimeout for the accept side).
+// error before any gob traffic. The caller manages deadlines.
 func Handshake(conn net.Conn) error {
 	if conn == nil {
 		return errors.New("transport: nil connection")
@@ -140,39 +139,37 @@ type MsgType int
 
 // Protocol message types.
 const (
-	// MsgHello is sent by a client after dialing: it announces its ID.
+	// MsgHello is a member's opening message: it announces its client ID.
 	MsgHello MsgType = iota + 1
-	// MsgWelcome acknowledges a hello and carries the run configuration.
+	// MsgWelcome answers a hello with the run configuration and, for a
+	// per-client node, the authoritative executor cursor.
 	MsgWelcome
-	// MsgRoundStart carries the current global model to every client.
+	// MsgRoundStart invites one client into a round: it carries the current
+	// global model and the round's learning rate.
 	MsgRoundStart
-	// MsgUpdate carries a participating client's model delta back.
+	// MsgUpdate carries the invited client's model delta back.
 	MsgUpdate
-	// MsgSkip tells the server the client sat this round out.
-	MsgSkip
 	// MsgDone ends the session.
 	MsgDone
-	// MsgJoin is a prospective member's hello (protocol v4): the peer asks
-	// to enter the federation and is welcomed — with its authoritative
-	// cursor — at the next membership-epoch boundary.
+	// MsgJoin is a prospective member's hello: the peer asks to enter the
+	// federation and is welcomed — with its authoritative cursor — at the
+	// membership-epoch boundary that admits it.
 	MsgJoin
-	// MsgLeave requests a graceful permanent departure (protocol v4). The
-	// coordinator sends it to retire a node at an epoch boundary; the
-	// prototype client sends it to announce its own exit.
+	// MsgLeave retires a node at an epoch boundary: a graceful, permanent
+	// departure ordered by the coordinator.
 	MsgLeave
 	// MsgBye acknowledges a MsgLeave; the connection closes after it.
 	MsgBye
-	// MsgGroupHello is a multiplexed node's hello (protocol v5): the peer
-	// announces it hosts a whole sub-aggregator group of virtual clients,
-	// identified by ClientID = group index.
+	// MsgGroupHello is a multiplexed node's hello: the peer hosts a whole
+	// sub-aggregator group of virtual clients, ClientID = group index.
 	MsgGroupHello
 	// MsgBatchStart carries one round's work for an entire group over a
-	// single socket (protocol v5): the global model plus parallel Clients/
-	// Scales/Cursors slices, one entry per tasked member.
+	// single socket: the global model plus parallel Clients/Scales/Cursors
+	// slices, one entry per tasked member.
 	MsgBatchStart
-	// MsgPartial carries a group's folded contribution back (protocol v5):
-	// the 128-bit fixed-point limbs of Σ (a_n/q_n)·delta_n over the batch,
-	// plus per-member gradient statistics and post-update cursors.
+	// MsgPartial carries a group's folded contribution back: the 128-bit
+	// fixed-point limbs of Σ (a_n/q_n)·delta_n over the batch, plus
+	// per-member gradient statistics and post-update cursors.
 	MsgPartial
 )
 
@@ -182,24 +179,18 @@ type Message struct {
 	Type     MsgType
 	ClientID int
 	Round    int
-	// Model carries the flattened global parameters (MsgRoundStart) or the
-	// client's delta (MsgUpdate).
+	// Model carries the flattened global parameters (MsgRoundStart,
+	// MsgBatchStart) or the client's delta (MsgUpdate).
 	Model []float64
-	// Q is the participation level assigned to the client (MsgWelcome).
-	Q float64
-	// LocalSteps and BatchSize configure client-side SGD (MsgWelcome).
+	// LocalSteps, BatchSize and Rounds configure node-side SGD (MsgWelcome).
 	LocalSteps int
 	BatchSize  int
 	Rounds     int
-	// Coordinated marks an engine-driven session (MsgWelcome): participation
-	// is decided centrally by the orchestrator's sampler and a round-start is
-	// itself the invitation, so the client must not draw willingness coins or
-	// send MsgSkip.
-	Coordinated bool
-	// LR is the learning rate for the announced round (MsgRoundStart).
+	// LR is the learning rate for the announced round (MsgRoundStart,
+	// MsgBatchStart).
 	LR float64
 	// GradSqNorm reports the client's running mean squared gradient norm
-	// (MsgUpdate/MsgSkip), feeding the server's G_n estimates.
+	// (MsgUpdate), feeding the server's G_n estimates.
 	GradSqNorm float64
 	// Cursor carries resumable executor state: on MsgWelcome the coordinator
 	// positions the node's SGD stream (fresh boot, resume, or reconnect after
@@ -208,14 +199,14 @@ type Message struct {
 	// even if the node later dies.
 	Cursor *Cursor
 
-	// Multiplexed-group fields (protocol v5). On MsgBatchStart, Clients lists
-	// the tasked members of the group, Scales their Lemma-1 a_n/q_n fold
-	// coefficients, and Cursors their authoritative executor positions — the
-	// node keeps no per-client state between rounds. On MsgPartial, Clients
-	// echoes the batch, Lo/Hi carry the fixed-point limbs of the group sum
-	// (one pair per model parameter), Sat reports fixed-point saturation,
-	// and GradSqs/Cursors report per-member statistics and post-update
-	// positions aligned with Clients.
+	// Multiplexed-group fields. On MsgBatchStart, Clients lists the tasked
+	// members of the group, Scales their Lemma-1 a_n/q_n fold coefficients,
+	// and Cursors their authoritative executor positions — the node keeps no
+	// per-client state between rounds. On MsgPartial, Clients echoes the
+	// batch, Lo/Hi carry the fixed-point limbs of the group sum (one pair per
+	// model parameter), Sat reports fixed-point saturation, and
+	// GradSqs/Cursors report per-member statistics and post-update positions
+	// aligned with Clients.
 	Clients []int
 	Scales  []float64
 	Cursors []Cursor
@@ -379,14 +370,36 @@ func (f *frameReader) next() error {
 	return nil
 }
 
-// watchCancel closes the connection when ctx is cancelled. gob decode
-// loops otherwise block unboundedly on a dead or silent peer, and a mere
-// deadline slam would be erased by the Codec's per-operation deadline
-// resets — closing is sticky: the pending read fails immediately and every
-// later operation fails with "use of closed network connection", which
-// callers translate back into ctx.Err(). The returned stop function
-// releases the watcher; it is safe to call any number of times.
-func watchCancel(ctx context.Context, conn net.Conn) (stop func()) {
+// DefaultHandshakeTimeout bounds the hello phase of a connection — the
+// preamble plus the first message — on both the accept and the dial side
+// when the caller configures none.
+const DefaultHandshakeTimeout = 10 * time.Second
+
+// RoundFault describes a fault injected into one round of a node's run —
+// the socket-layer counterpart of a scenario fault schedule. The zero value
+// is a healthy round.
+type RoundFault struct {
+	// Delay stalls the node before it acts on the round (a straggler, or a
+	// hung peer when the delay exceeds the round deadline).
+	Delay time.Duration
+	// Crash severs the connection before replying; the node loop returns
+	// ErrInjectedCrash.
+	Crash bool
+}
+
+// ErrInjectedCrash is returned by a node loop whose fault hook ordered the
+// connection severed mid-round. Harnesses treat it as the expected outcome
+// of a scheduled dropout rather than a failure.
+var ErrInjectedCrash = errors.New("transport: injected crash")
+
+// CloseOnCancel closes conn when ctx is cancelled. gob decode loops
+// otherwise block unboundedly on a dead or silent peer, and a mere deadline
+// slam would be erased by the Codec's per-operation deadline resets —
+// closing is sticky: the pending read fails immediately and every later
+// operation fails with "use of closed network connection", which callers
+// translate back into ctx.Err(). The returned stop function releases the
+// watcher; it is safe to call any number of times.
+func CloseOnCancel(ctx context.Context, conn net.Conn) (stop func()) {
 	if ctx == nil || ctx.Done() == nil {
 		return func() {}
 	}

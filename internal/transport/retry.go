@@ -119,7 +119,7 @@ func dialOnce(ctx context.Context, addr string, timeout time.Duration) (net.Conn
 	}
 	// The cancellation watcher makes a ctx cancelled mid-handshake sever the
 	// socket rather than wait out the deadline.
-	stop := watchCancel(ctx, conn)
+	stop := CloseOnCancel(ctx, conn)
 	defer stop()
 	_ = conn.SetDeadline(time.Now().Add(timeout))
 	if err := Handshake(conn); err != nil {

@@ -1,26 +1,10 @@
 package transport
 
 import (
-	"context"
-	"math"
 	"net"
-	"sync"
 	"testing"
 	"time"
-
-	"unbiasedfl/internal/data"
-	"unbiasedfl/internal/model"
-	"unbiasedfl/internal/stats"
 )
-
-// expDecay mirrors fl.ExpDecay for the tests without importing internal/fl
-// (which now sits above transport in the layering): η_r = Eta0·Decay^r.
-type expDecay struct {
-	Eta0  float64
-	Decay float64
-}
-
-func (s expDecay) LR(round int) float64 { return s.Eta0 * math.Pow(s.Decay, float64(round)) }
 
 func TestCodecRoundTrip(t *testing.T) {
 	a, b := net.Pipe()
@@ -56,218 +40,5 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if _, err := NewCodec(nil, 0); err == nil {
 		t.Fatal("expected nil-conn error")
-	}
-}
-
-func TestServerConfigValidation(t *testing.T) {
-	m, err := model.NewLogisticRegression(2, 2, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: 2,
-		Q: []float64{0.5, 0.5}, Weights: []float64{0.5, 0.5},
-		Rounds: 1, LocalSteps: 1, BatchSize: 1,
-		Schedule: expDecay{Eta0: 0.1, Decay: 1},
-	}
-	srv, err := NewServer(good, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = srv.Close()
-
-	cases := map[string]func(*ServerConfig){
-		"zero clients": func(c *ServerConfig) { c.NumClients = 0 },
-		"q mismatch":   func(c *ServerConfig) { c.Q = c.Q[:1] },
-		"w mismatch":   func(c *ServerConfig) { c.Weights = c.Weights[:1] },
-		"zero rounds":  func(c *ServerConfig) { c.Rounds = 0 },
-		"nil schedule": func(c *ServerConfig) { c.Schedule = nil },
-		"bad q":        func(c *ServerConfig) { c.Q = []float64{0, 0.5} },
-	}
-	for name, mutate := range cases {
-		bad := good
-		bad.Q = append([]float64(nil), good.Q...)
-		bad.Weights = append([]float64(nil), good.Weights...)
-		mutate(&bad)
-		if _, err := NewServer(bad, m); err == nil {
-			t.Fatalf("%s: expected error", name)
-		}
-	}
-	if _, err := NewServer(good, nil); err == nil {
-		t.Fatal("expected nil model error")
-	}
-}
-
-func TestClientValidation(t *testing.T) {
-	m, err := model.NewLogisticRegression(2, 2, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shard := &data.Dataset{Dim: 2, Classes: 2, X: [][]float64{{1, 1}}, Y: []int{0}}
-	if _, err := NewClient(ClientConfig{ID: 0}, nil, shard); err == nil {
-		t.Fatal("expected nil model error")
-	}
-	if _, err := NewClient(ClientConfig{ID: 0}, m, nil); err == nil {
-		t.Fatal("expected nil shard error")
-	}
-	if _, err := NewClient(ClientConfig{ID: -1}, m, shard); err == nil {
-		t.Fatal("expected negative id error")
-	}
-}
-
-// TestEndToEndTCP runs a full 8-client federated training session over real
-// localhost TCP sockets, reproducing the paper's prototype topology in
-// miniature, and checks the trained model beats the zero model.
-func TestEndToEndTCP(t *testing.T) {
-	const numClients = 8
-	cfg := data.MNISTLikeConfig()
-	cfg.NumClients = numClients
-	cfg.TotalSamples = 1200
-	cfg.TestSamples = 300
-	cfg.Dim = 8
-	cfg.Classes = 4
-	cfg.MaxClasses = 3
-	fed, err := data.GenerateImageLike(stats.NewRNG(11), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := model.NewLogisticRegression(cfg.Dim, cfg.Classes, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	q := make([]float64, numClients)
-	for i := range q {
-		q[i] = 0.5 + 0.05*float64(i)
-	}
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: numClients,
-		Q: q, Weights: fed.Weights,
-		Rounds: 25, LocalSteps: 5, BatchSize: 16,
-		Schedule: expDecay{Eta0: 0.1, Decay: 0.996},
-		Timeout:  10 * time.Second,
-	}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	var wg sync.WaitGroup
-	clientErrs := make([]error, numClients)
-	participations := make([]int, numClients)
-	for id := 0; id < numClients; id++ {
-		id := id
-		client, err := NewClient(ClientConfig{
-			Addr: srv.Addr(), ID: id, Seed: uint64(100 + id),
-			Timeout: 10 * time.Second,
-		}, m, fed.Clients[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			participations[id], clientErrs[id] = client.Run(context.Background())
-		}()
-	}
-
-	result, err := srv.Run(context.Background())
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for id, cerr := range clientErrs {
-		if cerr != nil {
-			t.Fatalf("client %d: %v", id, cerr)
-		}
-	}
-
-	// Server's participation tally must match the clients' own counts.
-	for id := range participations {
-		if participations[id] != result.ParticipationCounts[id] {
-			t.Fatalf("client %d: participation mismatch %d vs %d",
-				id, participations[id], result.ParticipationCounts[id])
-		}
-	}
-	// The trained model must beat the zero model on the pooled objective.
-	zeroLoss, err := m.Loss(m.ZeroParams(), fed.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	finalLoss, err := m.Loss(result.FinalModel, fed.Train)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if finalLoss >= zeroLoss {
-		t.Fatalf("TCP training did not improve loss: %v >= %v", finalLoss, zeroLoss)
-	}
-	// Gradient statistics must have flowed back for participating clients.
-	for id, g := range result.GradSqNorm {
-		if result.ParticipationCounts[id] > 0 && g <= 0 {
-			t.Fatalf("client %d participated but reported no gradient stats", id)
-		}
-	}
-}
-
-// TestTCPParticipationRates checks that over many rounds the observed
-// participation frequencies track the assigned q.
-func TestTCPParticipationRates(t *testing.T) {
-	const numClients = 3
-	shardCfg := data.MNISTLikeConfig()
-	shardCfg.NumClients = numClients
-	shardCfg.TotalSamples = 300
-	shardCfg.TestSamples = 50
-	shardCfg.Dim = 4
-	shardCfg.Classes = 2
-	shardCfg.MaxClasses = 2
-	fed, err := data.GenerateImageLike(stats.NewRNG(21), shardCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := model.NewLogisticRegression(shardCfg.Dim, shardCfg.Classes, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := []float64{0.2, 0.6, 1.0}
-	const rounds = 120
-	srv, err := NewServer(ServerConfig{
-		Addr: "127.0.0.1:0", NumClients: numClients,
-		Q: q, Weights: fed.Weights,
-		Rounds: rounds, LocalSteps: 1, BatchSize: 8,
-		Schedule: expDecay{Eta0: 0.05, Decay: 1},
-		Timeout:  10 * time.Second,
-	}, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = srv.Close() }()
-
-	var wg sync.WaitGroup
-	for id := 0; id < numClients; id++ {
-		client, err := NewClient(ClientConfig{
-			Addr: srv.Addr(), ID: id, Seed: uint64(7 + id), Timeout: 10 * time.Second,
-		}, m, fed.Clients[id])
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := client.Run(context.Background()); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	result, err := srv.Run(context.Background())
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if result.ParticipationCounts[2] != rounds {
-		t.Fatalf("q=1 client joined %d/%d rounds", result.ParticipationCounts[2], rounds)
-	}
-	rate0 := float64(result.ParticipationCounts[0]) / rounds
-	if rate0 < 0.05 || rate0 > 0.4 {
-		t.Fatalf("q=0.2 client rate %v far from target", rate0)
 	}
 }
