@@ -136,13 +136,25 @@ func (st *clientExec) cursor() ClientCursor {
 
 // newClientExecAt builds an executor positioned at a captured cursor.
 func newClientExecAt(c ClientCursor) (*clientExec, error) {
-	rng, err := stats.RestoreRNG(c.RNG)
-	if err != nil {
+	st := &clientExec{rng: new(stats.RNG)}
+	if err := st.restore(c); err != nil {
 		return nil, err
+	}
+	return st, nil
+}
+
+// restore repositions the executor in place at a captured cursor,
+// overwriting every field the cursor carries: a group node runs each tasked
+// member of a batch through one executor this way, and nothing of the
+// previous member survives. On error the executor must not be used.
+func (st *clientExec) restore(c ClientCursor) error {
+	if err := st.rng.Restore(c.RNG); err != nil {
+		return err
 	}
 	sq, err := stats.RestoreWelford(c.SqCount, c.SqMean, c.SqM2)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return &clientExec{rng: rng, sqNorms: sq}, nil
+	st.sqNorms = sq
+	return nil
 }

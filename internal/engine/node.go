@@ -103,13 +103,15 @@ type node struct {
 	cfg          *NodeConfig
 	codec        *transport.Codec
 	steps, batch int
-	st           *clientExec // nil on a group node: batches carry the cursors
-	arena        execArena
-	delta        tensor.Vec
-	acc          *FixAcc
-	clients      []int
-	gradSqs      []float64
-	cursors      []transport.Cursor
+	// st is a per-client device's persistent executor; on a group node, whose
+	// batches carry the cursors, it is restored at each tasked member's in turn.
+	st      *clientExec
+	arena   execArena
+	delta   tensor.Vec
+	acc     *FixAcc
+	clients []int
+	gradSqs []float64
+	cursors []transport.Cursor
 }
 
 func serveNode(ctx context.Context, cfg *NodeConfig) error {
@@ -189,6 +191,7 @@ func (nd *node) hello() error {
 	}
 	nd.steps, nd.batch = welcome.LocalSteps, welcome.BatchSize
 	if cfg.Group {
+		nd.st = &clientExec{rng: new(stats.RNG)}
 		return nil
 	}
 	if welcome.Cursor == nil {
@@ -249,7 +252,7 @@ func (nd *node) update(ctx context.Context, st *clientExec, n int, global tensor
 // serveRound answers one invitation of a per-client device with its delta
 // and post-update cursor.
 func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
-	if nd.st == nil {
+	if nd.cfg.Group {
 		return errors.New("round start on a group node")
 	}
 	id := nd.cfg.ID
@@ -267,12 +270,13 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 }
 
 // serveBatch answers one round's batch of a group node: for each tasked
-// member it restores an executor from the cursor the batch carries, runs the
-// local update in the node's one scratch arena, folds the weighted delta
-// into the node's fixed-point accumulator, and ships back a single
-// MsgPartial — O(model) per node, no per-client state kept between rounds.
+// member it restores the node's one executor at the cursor the batch
+// carries, runs the local update in the node's one scratch arena, folds the
+// weighted delta into the node's fixed-point accumulator, and ships back a
+// single MsgPartial — O(model) per node, no per-client state kept between
+// rounds.
 func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
-	if nd.st != nil || msg.ClientID != nd.cfg.ID ||
+	if !nd.cfg.Group || msg.ClientID != nd.cfg.ID ||
 		len(msg.Scales) != len(msg.Clients) || len(msg.Cursors) != len(msg.Clients) {
 		return fmt.Errorf("malformed batch (id %d, %d clients, %d scales, %d cursors)",
 			msg.ClientID, len(msg.Clients), len(msg.Scales), len(msg.Cursors))
@@ -288,9 +292,9 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 	nd.clients = nd.clients[:0]
 	nd.gradSqs = nd.gradSqs[:0]
 	nd.cursors = nd.cursors[:0]
+	st := nd.st
 	for i, n := range msg.Clients {
-		st, err := newClientExecAt(ClientCursor(msg.Cursors[i]))
-		if err != nil {
+		if err := st.restore(ClientCursor(msg.Cursors[i])); err != nil {
 			return fmt.Errorf("client %d cursor: %w", n, err)
 		}
 		if err := nd.update(ctx, st, n, msg.Model, msg.LR); err != nil {

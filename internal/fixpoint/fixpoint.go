@@ -21,13 +21,22 @@
 //
 // Precision and range: the grid step is 2^-80 ≈ 8.3e-25 — far below the
 // float64 ulp of any parameter the models here produce — and a single addend
-// may carry magnitude up to 2^23. A saturating addend (non-finite, or above
-// the cap) poisons the accumulator: the final fold yields NaN, so the
-// orchestrator's divergence guard fires exactly as it would had the float
-// fold overflowed. With |addend| < 2^23 the integer magnitude per addend is
-// below 2^103, leaving headroom for 2^24 (≈16.7M) addends before the signed
-// 128-bit range could overflow — comfortably above the 1e6-client fleets
-// this engine targets.
+// may carry magnitude up to and including 2^23. A saturating addend (NaN,
+// ±Inf, or above the cap) poisons the accumulator: the final fold yields NaN,
+// so the orchestrator's divergence guard fires exactly as it would had the
+// float fold overflowed. With |addend| ≤ 2^23 the integer magnitude per
+// addend is at most 2^103, leaving headroom for 2^24 − 1 (≈16.7M) addends of
+// one sign before the signed 128-bit range could overflow — comfortably above
+// the 1e6-client fleets this engine targets.
+//
+// The quantizer is integer arithmetic on the product's IEEE-754 bits, not a
+// chain of math-library calls: a float with biased exponent e and 53-bit
+// significand m is m·2^(e−1075), so on the grid it is m·2^(e−995) — the
+// significand shifted left into the two limbs when e ≥ 995, and shifted
+// right with round-half-to-even on the dropped bits when e < 995. Anything
+// below half a grid step — every subnormal and ±0 among them — is an exact
+// zero, and the sign is applied as a two's-complement negate. The one float
+// rounding per addend is the product fl(scale·delta[j]) itself.
 package fixpoint
 
 import (
@@ -43,8 +52,31 @@ import (
 const fixShift = 80
 
 // fixMaxAddend bounds the magnitude one addend may contribute; anything
-// larger (or non-finite) saturates the accumulator.
+// larger (or non-finite) saturates the accumulator. The cap itself is allowed.
 const fixMaxAddend = 1 << 23
+
+// The IEEE-754 binary64 layout the quantizer reads a product through.
+const (
+	f64SignBit  = 1 << 63
+	f64FracBits = 52
+	f64Implicit = 1 << f64FracBits
+	f64FracMask = f64Implicit - 1
+	// fixCapBits is Float64bits(fixMaxAddend) = Float64bits(2^23). Float
+	// bit patterns with the sign cleared order like the magnitudes they
+	// encode, with ±Inf and every NaN above all finite values, so one
+	// unsigned compare against it rejects NaN, ±Inf and over-cap addends.
+	fixCapBits = (1023 + 23) << f64FracBits
+	// fixExpBias turns a biased exponent e into the power of two the 53-bit
+	// significand carries on the grid: m·2^(e−1075)·2^fixShift = m·2^(e−fixExpBias).
+	fixExpBias = 1075 - fixShift
+)
+
+// fixStep is the grid step 2^-fixShift — what one unit of the low limb is
+// worth as a float64 — and fixHiStep what one unit of the high limb is.
+const (
+	fixStep   = 1.0 / (1 << fixShift)
+	fixHiStep = 1.0 / (1 << (fixShift - 64))
+)
 
 var errFixLen = errors.New("fixpoint: accumulator length mismatch")
 
@@ -66,32 +98,73 @@ func (a *Acc) Len() int { return len(a.lo) }
 
 // Reset zeroes the accumulator for reuse.
 func (a *Acc) Reset() {
-	for j := range a.lo {
-		a.lo[j] = 0
-		a.hi[j] = 0
-	}
+	clear(a.lo)
+	clear(a.hi)
 	a.sat = false
 }
 
 // AddScaled folds one client's weighted delta into the accumulator:
-// for each parameter j it quantizes fl(scale·delta[j]) and adds the exact
-// integer. The float product is the only rounding step and depends solely on
+// for each parameter j it quantizes fl(scale·delta[j]) onto the 2^-fixShift
+// grid — round to nearest, ties to even — and adds the exact integer. The
+// float product is the only float rounding step and depends solely on
 // (scale, delta[j]) — never on what is already accumulated — which is the
-// key grouping-invariance property.
+// key grouping-invariance property. A product that is NaN, ±Inf or above
+// 2^23 in magnitude (2^23 itself is accepted) is skipped and latches the
+// saturation flag; a subnormal or ±0 product adds exactly 0.
+//
+// The quantizer works on the product's bits. With s = e − fixExpBias the
+// addend's magnitude is m·2^s for the 53-bit significand m, s running from
+// 51 at the cap down to −995:
+//
+//   - s ≥ 0 (|x| ≥ 2^-28, most of what a fleet folds): m shifted left by s
+//     across the two limbs, exactly.
+//   - −54 ≤ s < 0: m shifted right by r = −s, rounded half-to-even on the r
+//     dropped bits by adding half − 1 plus the parity of the kept part
+//     before the shift; the result fits the low limb.
+//   - s < −54: below a quarter of a grid step, exactly 0. A biased exponent
+//     of 0 — subnormals, ±0 — lands here too, so the implicit bit ORed into
+//     m without looking is harmless.
+//
+// A negative product is added as ^x + 1: the limbs are complemented and the
+// sign bit rides in as the carry of the 128-bit add, so the sign costs no
+// branch.
 func (a *Acc) AddScaled(scale float64, delta tensor.Vec) error {
 	if len(delta) != len(a.lo) {
 		return errFixLen
 	}
-	for j, d := range delta {
-		x := scale * d
-		lo, hi, ok := fixQuantize(x)
-		if !ok {
-			a.sat = true
+	// Same-length reslices of hoisted locals let the compiler drop the
+	// bounds checks from the loop.
+	lo := a.lo
+	hi := a.hi[:len(lo)]
+	delta = delta[:len(lo)]
+	sat := false
+	for j := range lo {
+		b := math.Float64bits(scale * delta[j])
+		mag := b &^ f64SignBit
+		if mag > fixCapBits {
+			sat = true
 			continue
 		}
+		m := mag&f64FracMask | f64Implicit
+		var xlo, xhi uint64
+		if s := int(mag>>f64FracBits) - fixExpBias; s >= 0 {
+			xlo = m << (uint(s) & 63)
+			xhi = m >> 1 >> (uint(63-s) & 63) // m >> (64−s), defined at s = 0
+		} else {
+			r := uint(-s)
+			if r > 54 {
+				continue
+			}
+			r &= 63
+			xlo = (m + (1<<(r-1) - 1) + m>>r&1) >> r
+		}
+		sign := b >> 63
 		var c uint64
-		a.lo[j], c = bits.Add64(a.lo[j], lo, 0)
-		a.hi[j], _ = bits.Add64(a.hi[j], hi, c)
+		lo[j], c = bits.Add64(lo[j], xlo^-sign, sign)
+		hi[j], _ = bits.Add64(hi[j], xhi^-sign, c)
+	}
+	if sat {
+		a.sat = true
 	}
 	return nil
 }
@@ -151,37 +224,6 @@ func (a *Acc) AddTo(v tensor.Vec) error {
 	return nil
 }
 
-// fixQuantize maps x onto the 2^-fixShift grid, returning the two's
-// complement 128-bit limbs of round-to-nearest-even(x·2^fixShift).
-// ok is false when x is non-finite or exceeds the addend cap.
-func fixQuantize(x float64) (lo, hi uint64, ok bool) {
-	if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > fixMaxAddend {
-		return 0, 0, false
-	}
-	// Scaling by a power of two is exact; the single rounding step is the
-	// round-to-even snap onto the integer grid.
-	v := math.RoundToEven(math.Ldexp(x, fixShift))
-	if v == 0 {
-		return 0, 0, true
-	}
-	neg := v < 0
-	av := math.Abs(v)
-	// Split the (exactly representable) integer av into 64-bit limbs. Both
-	// the power-of-two divide and the subtraction are exact: av < 2^103 has
-	// a 53-bit mantissa, so av mod 2^64 spans at most 53 significant bits.
-	hf := math.Floor(math.Ldexp(av, -64))
-	lf := av - math.Ldexp(hf, 64)
-	lo, hi = uint64(lf), uint64(hf)
-	if neg {
-		lo = ^lo + 1
-		hi = ^hi
-		if lo == 0 {
-			hi++
-		}
-	}
-	return lo, hi, true
-}
-
 // fixToFloat converts one 128-bit two's-complement fixed-point sum to
 // float64. The result is a pure function of the limbs, so every fold tree
 // that reaches the same integer sum reaches the same float.
@@ -194,7 +236,9 @@ func fixToFloat(lo, hi uint64) float64 {
 			hi++
 		}
 	}
-	f := math.Ldexp(float64(hi), 64-fixShift) + math.Ldexp(float64(lo), -fixShift)
+	// Scaling by a power of two is exact (neither product is anywhere near
+	// the subnormal range), so the sum is the conversion's one rounding.
+	f := float64(hi)*fixHiStep + float64(lo)*fixStep
 	if neg {
 		f = -f
 	}

@@ -2,6 +2,7 @@ package fixpoint
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"unbiasedfl/internal/stats"
@@ -134,5 +135,332 @@ func TestAccNegativeSums(t *testing.T) {
 	}
 	if v[0] != 10+(2.5-4.25) {
 		t.Fatalf("mixed-sign sum = %v, want %v", v[0], 10+(2.5-4.25))
+	}
+}
+
+// fixQuantizeRef is the float-library quantizer AddScaled used to call, kept
+// verbatim as the oracle the integer one is held to. It maps x onto the 2^-fixShift grid, returning the two's
+// complement 128-bit limbs of round-to-nearest-even(x·2^fixShift).
+// ok is false when x is non-finite or exceeds the addend cap.
+func fixQuantizeRef(x float64) (lo, hi uint64, ok bool) {
+	if math.IsNaN(x) || math.IsInf(x, 0) || math.Abs(x) > fixMaxAddend {
+		return 0, 0, false
+	}
+	// Scaling by a power of two is exact; the single rounding step is the
+	// round-to-even snap onto the integer grid.
+	v := math.RoundToEven(math.Ldexp(x, fixShift))
+	if v == 0 {
+		return 0, 0, true
+	}
+	neg := v < 0
+	av := math.Abs(v)
+	// Split the (exactly representable) integer av into 64-bit limbs. Both
+	// the power-of-two divide and the subtraction are exact: av < 2^103 has
+	// a 53-bit mantissa, so av mod 2^64 spans at most 53 significant bits.
+	hf := math.Floor(math.Ldexp(av, -64))
+	lf := av - math.Ldexp(hf, 64)
+	lo, hi = uint64(lf), uint64(hf)
+	if neg {
+		lo = ^lo + 1
+		hi = ^hi
+		if lo == 0 {
+			hi++
+		}
+	}
+	return lo, hi, true
+}
+
+// fixQuantize runs one addend through the shipped quantizer — the loop
+// inside AddScaled, there is no other — and returns the limbs it added to a
+// zero accumulator.
+func fixQuantize(x float64) (lo, hi uint64, ok bool) {
+	a := New(1)
+	if err := a.AddScaled(1, tensor.Vec{x}); err != nil {
+		panic(err)
+	}
+	return a.lo[0], a.hi[0], !a.sat
+}
+
+// quantizeEdges are the addends where the integer quantizer could part from
+// the reference: the grid step and its half-way points, the cap and its
+// neighbours, the smallest shifts that still round to something, and
+// everything that must quantize to exactly 0 or saturate.
+func quantizeEdges() []float64 {
+	step := math.Ldexp(1, -fixShift)
+	edges := []float64{
+		0, 1, 0.5, 1e-10, 3.141592653589793, 1 << 22,
+		step,                        // one grid step
+		step / 2,                    // tie between 0 and 1: to 0
+		3 * step / 2,                // tie between 1 and 2: to 2
+		5 * step / 2,                // tie between 2 and 3: to 2
+		math.Nextafter(step/2, 1),   // just above a tie
+		math.Nextafter(step/2, 0),   // just below a tie
+		math.Nextafter(3*step/2, 0), // just below a tie with an odd neighbour
+		step / 4,                    // a shift of 54: always 0
+		math.Nextafter(step/2, 0) / 2,
+		math.Ldexp(1<<52+1, -52-28), // s = 0: no shift either way
+		math.Ldexp(1<<52+1, -52-29), // s = -1, tie with an even neighbour
+		math.Ldexp(1<<52+3, -52-29), // s = -1, tie with an odd neighbour
+		math.Ldexp(1<<53-1, -52-27), // s = 1, every significand bit set
+		math.Ldexp(1<<53-1, -52-28-53),
+		math.Ldexp(1<<53-1, -52-28-54),
+		fixMaxAddend, // the cap is inclusive
+		math.Nextafter(fixMaxAddend, math.Inf(1)),
+		math.Nextafter(fixMaxAddend, 0),
+		2 * fixMaxAddend,
+		0x1p-1022, // smallest normal
+		math.Nextafter(0x1p-1022, 0),
+		math.SmallestNonzeroFloat64,
+		math.MaxFloat64,
+		math.Inf(1),
+		math.NaN(),
+		math.Float64frombits(0x7FF0_0000_DEAD_BEEF), // signalling NaN with a payload
+		math.Float64frombits(0x7FFF_FFFF_FFFF_FFFF),
+	}
+	for _, x := range edges {
+		edges = append(edges, -x) // NaNs gain a sign bit, which must not matter
+	}
+	return edges
+}
+
+// checkQuantize holds the shipped quantizer to the reference on one addend.
+func checkQuantize(t *testing.T, x float64) {
+	t.Helper()
+	lo, hi, ok := fixQuantize(x)
+	rlo, rhi, rok := fixQuantizeRef(x)
+	if lo != rlo || hi != rhi || ok != rok {
+		t.Fatalf("quantize(%v = %#016x) = %#016x:%016x ok=%v, reference %#016x:%016x ok=%v",
+			x, math.Float64bits(x), hi, lo, ok, rhi, rlo, rok)
+	}
+}
+
+// TestQuantizeMatchesReference is the differential test of the integer
+// quantizer: limbs and saturation must equal the float-library reference on
+// every edge and on seeded random bit patterns, magnitudes and exact ties.
+func TestQuantizeMatchesReference(t *testing.T) {
+	for _, x := range quantizeEdges() {
+		checkQuantize(t, x)
+	}
+	n := 1 << 20
+	if testing.Short() {
+		n = 1 << 16
+	}
+	rng := stats.NewRNG(13)
+	for i := 0; i < n; i++ {
+		checkQuantize(t, math.Float64frombits(rng.Uint64()))
+		// A uniform significand at every exponent from far below the grid to
+		// past the cap, both signs.
+		x := math.Ldexp(1+rng.Float64(), rng.Intn(171)-140)
+		if i&1 == 1 {
+			x = -x
+		}
+		checkQuantize(t, x)
+		// An odd multiple of half a grid step: an exact tie, neighbours of
+		// either parity, at every size a tie can have.
+		tie := math.Ldexp(float64(rng.Uint64()>>(11+rng.Intn(53))|1), -fixShift-1)
+		checkQuantize(t, tie)
+		checkQuantize(t, -tie)
+	}
+}
+
+// FuzzQuantizeMatchesReference hands the fuzzer the addend's 64 bits.
+func FuzzQuantizeMatchesReference(f *testing.F) {
+	for _, x := range quantizeEdges() {
+		f.Add(math.Float64bits(x))
+	}
+	f.Fuzz(func(t *testing.T, b uint64) {
+		checkQuantize(t, math.Float64frombits(b))
+	})
+}
+
+// TestAddScaledMatchesReferenceElementwise: the loop AddScaled ships — on a
+// vector, with a scale that makes the product round, onto limbs that already
+// hold sums of both signs — equals the reference quantizer applied to each
+// product and added with carry, and an addend that saturates is skipped,
+// latches sat for good and leaves its neighbours alone.
+func TestAddScaledMatchesReferenceElementwise(t *testing.T) {
+	const p = 4099
+	rng := stats.NewRNG(29)
+	edges := quantizeEdges()
+	got, wantLo, wantHi := New(p), make([]uint64, p), make([]uint64, p)
+	wantSat := false
+	for round := 0; round < 6; round++ {
+		scale := math.Exp(6 * (rng.Float64() - 0.5))
+		delta := tensor.NewVec(p)
+		for j := range delta {
+			delta[j] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(60)-50)
+		}
+		if round == 3 {
+			// Every edge, through a scale of exactly 1 so it arrives intact;
+			// the NaNs, infinities and over-cap values among them saturate.
+			scale = 1
+			copy(delta[p/2:], edges)
+		}
+		for j, d := range delta {
+			lo, hi, ok := fixQuantizeRef(scale * d)
+			if !ok {
+				wantSat = true
+				continue
+			}
+			var c uint64
+			wantLo[j], c = bits.Add64(wantLo[j], lo, 0)
+			wantHi[j], _ = bits.Add64(wantHi[j], hi, c)
+		}
+		if err := got.AddScaled(scale, delta); err != nil {
+			t.Fatal(err)
+		}
+		lo, hi, sat := got.Limbs()
+		if sat != wantSat {
+			t.Fatalf("round %d: sat = %v, reference %v", round, sat, wantSat)
+		}
+		for j := range lo {
+			if lo[j] != wantLo[j] || hi[j] != wantHi[j] {
+				t.Fatalf("round %d, parameter %d: limbs %#016x:%016x, reference %#016x:%016x",
+					round, j, hi[j], lo[j], wantHi[j], wantLo[j])
+			}
+		}
+	}
+	if !wantSat {
+		t.Fatal("the edge round did not saturate: the sticky flag went untested")
+	}
+	if err := got.AddScaled(1, tensor.NewVec(p+1)); err == nil {
+		t.Fatal("AddScaled accepted a delta of the wrong length")
+	}
+}
+
+// TestAccHeadroom pins the package doc's promise: 2^24 − 1 addends of cap
+// magnitude and one sign still sum exactly. The count is reached by doubling
+// through MergeLimbs — total += 2^k addends, k = 0..23 — not by 16M folds.
+func TestAccHeadroom(t *testing.T) {
+	for _, sign := range []float64{1, -1} {
+		pow := New(1) // 2^k cap-magnitude addends
+		if err := pow.AddScaled(sign, tensor.Vec{fixMaxAddend}); err != nil {
+			t.Fatal(err)
+		}
+		total := New(1)
+		for k := 0; k < 24; k++ {
+			if err := total.Merge(pow); err != nil {
+				t.Fatal(err)
+			}
+			lo, hi, sat := pow.Limbs()
+			if err := pow.MergeLimbs([]uint64{lo[0]}, []uint64{hi[0]}, sat); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if total.Saturated() {
+			t.Fatalf("sign %v: cap-magnitude addends saturated", sign)
+		}
+		v := tensor.Vec{0}
+		if err := total.AddTo(v); err != nil {
+			t.Fatal(err)
+		}
+		// (2^24 − 1)·2^23 has 24 significant bits: the float is exact.
+		if want := sign * (1<<24 - 1) * fixMaxAddend; v[0] != want {
+			t.Fatalf("sign %v: 2^24-1 cap addends fold to %v, want %v", sign, v[0], want)
+		}
+	}
+}
+
+// TestFoldAllocs: a group's fold — Reset, AddScaled per member, Limbs, AddTo —
+// runs once per round per group on buffers made at New and allocates nothing.
+func TestFoldAllocs(t *testing.T) {
+	const p = 610
+	delta, v := benchDelta(p, 0.37, 3), tensor.NewVec(p)
+	a := New(p)
+	allocs := testing.AllocsPerRun(100, func() {
+		a.Reset()
+		if err := a.AddScaled(0.37, delta); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, sat := a.Limbs(); sat {
+			t.Fatal("saturated")
+		}
+		if err := a.AddTo(v); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Reset+AddScaled+Limbs+AddTo allocates %v times per fold, want 0", allocs)
+	}
+}
+
+// benchDelta draws a delta whose products with scale have magnitudes from
+// 2^-40 to 2^-20 and either sign: real addends sit on both sides of 2^-28,
+// where the quantizer's shift changes direction.
+func benchDelta(p int, scale float64, seed uint64) tensor.Vec {
+	rng := stats.NewRNG(seed)
+	delta := tensor.NewVec(p)
+	for j := range delta {
+		delta[j] = math.Ldexp(1+rng.Float64(), -41+rng.Intn(21)) / scale
+		if rng.Bernoulli(0.5) {
+			delta[j] = -delta[j]
+		}
+	}
+	return delta
+}
+
+// benchSizes are the two model sizes the engine folds: Setup 1's 610
+// parameters (the fleet workloads) and MNIST-shaped 7 850.
+var benchSizes = []struct {
+	name string
+	p    int
+}{{"p=610", 610}, {"p=7850", 7850}}
+
+// BenchmarkAddScaled folds a rotation of 32 distinct deltas, as a group folds
+// its members: on one repeated vector the branch predictor learns every
+// data-dependent branch a quantizer has and hides it.
+func BenchmarkAddScaled(b *testing.B) {
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			deltas := make([]tensor.Vec, 32)
+			for i := range deltas {
+				deltas[i] = benchDelta(size.p, 0.37, uint64(i+1))
+			}
+			a := New(size.p)
+			b.SetBytes(int64(8 * size.p))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.AddScaled(0.37, deltas[i%len(deltas)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkMergeLimbs(b *testing.B) {
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			a, part := New(size.p), New(size.p)
+			if err := part.AddScaled(0.37, benchDelta(size.p, 0.37, 1)); err != nil {
+				b.Fatal(err)
+			}
+			lo, hi, sat := part.Limbs()
+			b.SetBytes(int64(16 * size.p))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.MergeLimbs(lo, hi, sat); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+func BenchmarkAddTo(b *testing.B) {
+	for _, size := range benchSizes {
+		b.Run(size.name, func(b *testing.B) {
+			a, v := New(size.p), tensor.NewVec(size.p)
+			if err := a.AddScaled(0.37, benchDelta(size.p, 0.37, 1)); err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(16 * size.p))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := a.AddTo(v); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -78,10 +78,22 @@ func (r *RNG) State() [4]uint64 { return r.s }
 // State. The all-zero vector is not a reachable xoshiro state, so it is
 // rejected rather than silently producing a degenerate stream.
 func RestoreRNG(state [4]uint64) (*RNG, error) {
-	if state[0]|state[1]|state[2]|state[3] == 0 {
-		return nil, errors.New("stats: all-zero RNG state")
+	var r RNG
+	if err := r.Restore(state); err != nil {
+		return nil, err
 	}
-	return &RNG{s: state}, nil
+	return &r, nil
+}
+
+// Restore repositions r in place at a cursor previously captured with State
+// — RestoreRNG without the allocation, for a caller that restores one
+// generator per client per round. A rejected state leaves r untouched.
+func (r *RNG) Restore(state [4]uint64) error {
+	if state[0]|state[1]|state[2]|state[3] == 0 {
+		return errors.New("stats: all-zero RNG state")
+	}
+	r.s = state
+	return nil
 }
 
 // Float64 returns a uniform value in [0, 1).

@@ -27,6 +27,25 @@ func TestRestoreRNGRejectsZeroState(t *testing.T) {
 	}
 }
 
+// TestRNGRestoreInPlace: Restore repositions an existing generator exactly as
+// RestoreRNG builds a new one, and a rejected state leaves it where it was.
+func TestRNGRestoreInPlace(t *testing.T) {
+	src := NewRNG(11)
+	src.Uint64()
+	r := NewRNG(99)
+	if err := r.Restore(src.State()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Restore([4]uint64{}); err == nil {
+		t.Fatal("all-zero state accepted")
+	}
+	for i := 0; i < 100; i++ {
+		if a, b := src.Uint64(), r.Uint64(); a != b {
+			t.Fatalf("draw %d diverged after in-place restore: %d vs %d", i, a, b)
+		}
+	}
+}
+
 // TestWelfordStateRoundtrip: a restored accumulator must continue with
 // bit-identical mean/variance updates.
 func TestWelfordStateRoundtrip(t *testing.T) {
