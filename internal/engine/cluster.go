@@ -107,8 +107,8 @@ type clusterSlot struct {
 // Participation is decided centrally by the orchestrator: a round start is
 // itself the invitation, so a node never draws willingness coins. Each node
 // owns the same clientExec — fused local steps, private RNG as the n-th
-// Split of the spec seed — that LocalBackend uses in-process, and gob
-// transports float64 slices bit-exactly, so a cluster run's trace is
+// Split of the spec seed — that LocalBackend uses in-process, and the wire
+// carries float64 slices as their bits, so a cluster run's trace is
 // byte-identical to the local backend's.
 //
 // The coordinator's cursor table is the single source of truth for every
@@ -506,20 +506,21 @@ func (b *ClusterBackend) register(conn net.Conn) error {
 	}
 	_ = conn.SetDeadline(time.Time{})
 
-	id := hello.ClientID
+	// The hello is the codec's until its next Recv; the slot keeps only these.
+	id, typ := hello.ClientID, hello.Type
 	b.mu.Lock()
 	valid := id >= 0 && id < len(b.slots) && !b.slots[id].ready
 	if b.groupSize > 1 {
-		valid = valid && hello.Type == transport.MsgGroupHello
+		valid = valid && typ == transport.MsgGroupHello
 	} else {
-		valid = valid && !b.retired[id] && (hello.Type == transport.MsgJoin ||
-			hello.Type == transport.MsgHello && b.active[id])
+		valid = valid && !b.retired[id] && (typ == transport.MsgJoin ||
+			typ == transport.MsgHello && b.active[id])
 	}
 	if !valid {
 		b.mu.Unlock()
-		return fmt.Errorf("engine: cluster got invalid hello (type %v, id %d)", hello.Type, id)
+		return fmt.Errorf("engine: cluster got invalid hello (type %v, id %d)", typ, id)
 	}
-	if hello.Type == transport.MsgJoin && !b.active[id] {
+	if typ == transport.MsgJoin && !b.active[id] {
 		defer b.mu.Unlock()
 		if b.slots[id].parked != nil {
 			return fmt.Errorf("engine: duplicate join from client %d", id)
@@ -634,6 +635,10 @@ func (b *ClusterBackend) Dispatch(
 					task.Client, reply.Type, reply.ClientID, reply.Round)
 				return
 			}
+			// reply belongs to the codec until its next Recv, which is next
+			// round's at the earliest: the delta is used in place through this
+			// round's aggregation (ClientUpdate.Delta's contract) and the
+			// cursor is copied out.
 			updates[i] = ClientUpdate{
 				Client:     task.Client,
 				Delta:      tensor.Vec(reply.Model),
@@ -852,7 +857,9 @@ func (b *ClusterBackend) DispatchPartials(
 				}
 				// Commit the batch members' post-update cursors, keyed by the
 				// dispatched tasks: tampering may relabel an update's client,
-				// never its executor.
+				// never its executor. reply is the codec's until its next Recv:
+				// the cursors are copied here and the sink consumes the limbs,
+				// clients and statistics before it returns.
 				b.mu.Lock()
 				for i, t := range tasks[g.lo:g.hi] {
 					b.cursors[t.Client] = ClientCursor(reply.Cursors[i])
@@ -1072,8 +1079,13 @@ func (b *ClusterBackend) Close() error {
 		}
 	}
 	b.mu.Unlock()
-	for _, codec := range codecs {
-		_ = codec.Send(&transport.Message{Type: transport.MsgDone})
+	// A cancelled run was cut, not finished: its devices see their sockets
+	// severed (the context watcher is already closing them), never a MsgDone
+	// that happened to win the race against it.
+	if b.runCtx.Err() == nil {
+		for _, codec := range codecs {
+			_ = codec.Send(&transport.Message{Type: transport.MsgDone})
+		}
 	}
 	b.teardown()
 	if b.opts.healing() {

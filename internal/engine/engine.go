@@ -41,14 +41,14 @@
 // interfaces, Aggregator.Aggregate, MsgRoundStart and MsgUpdate, and the
 // benchmark may not change together with the code it measures; the merge
 // has to follow a benchmark change. Second, K=1 partials are not free on the
-// wire: an update returns one float64 per parameter (at most 9 gob bytes), a
-// partial two uint64 limbs (at most 18), so at the session-durable
-// workload's model size — transport.roundstart_bytes ≈ transport.update_bytes
-// ≈ 15 kB in the bench — per-client return traffic would roughly double, and
-// the aggregators that need unscaled deltas (proportional, naive inverse)
-// could not ride it at all. The doubling is reasoned from the encoding and
-// unverified: the bench takes transport.partial_bytes at the fleet
-// workload's model size and 1000 members, not at K=1.
+// wire: the fixed layout carries an update's delta as one float64 per
+// parameter (8 B) and a partial's sum as two uint64 limbs (16 B), so at the
+// session-durable workload's model size, p = 1 690 — a round start is a
+// 13 611 B frame and an update 13 667 B — the K=1 partial replacing that
+// update would be 27 203 B: per-client return traffic doubles, and the
+// aggregators that need unscaled deltas (proportional, naive inverse) could
+// not ride it at all. transport's TestWireBytesPerParam computes all three
+// figures from the encoder.
 //
 // Layers above compile into a Spec and pick a backend: internal/fl.Runner
 // is a thin compatibility shim over Orchestrator+LocalBackend, and

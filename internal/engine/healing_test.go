@@ -19,6 +19,18 @@ type replaySampler struct {
 func (s *replaySampler) Sample(round int) []int { return s.rounds[round] }
 func (s *replaySampler) NumClients() int        { return s.n }
 
+// holdAfter returns an OnRound hook that parks the coordinator at the end of
+// the given round until the backend has want registered sockets — that is,
+// until the background revivals of the nodes that round forfeited have
+// dialed back in — or five seconds pass.
+func holdAfter(backend *ClusterBackend, round, want int) func(RoundMetrics) {
+	return func(m RoundMetrics) {
+		for deadline := time.Now().Add(5 * time.Second); m.Round == round && backend.Sockets() < want && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
 // TestClusterSelfHealing is the robustness acceptance test: a round with one
 // crashed node and one hung node must complete within the round deadline,
 // record the missing clients as unavailable in the participation ledger, and
@@ -54,6 +66,12 @@ func TestClusterSelfHealing(t *testing.T) {
 			return transport.RoundFault{}
 		},
 	})
+
+	// The seven rounds after the hang take well under a millisecond each;
+	// unheld, the hung node's background revival (and on a loaded box the
+	// crashed node's too) can lose the race against the end of the run and
+	// the "rejoined" assertions below would flake.
+	spec.OnRound = holdAfter(backend, hangRound, nClients)
 
 	start := time.Now()
 	res, err := Run(context.Background(), spec, backend)

@@ -189,11 +189,7 @@ func TestClusterGroupHalfOpenPeerForfeitsRound(t *testing.T) {
 	})
 	// The remaining rounds take microseconds; hold the coordinator after the
 	// forfeited round until the background revival has registered.
-	spec.OnRound = func(m RoundMetrics) {
-		for deadline := time.Now().Add(5 * time.Second); m.Round == 1 && backend.Sockets() < 2 && time.Now().Before(deadline); {
-			time.Sleep(time.Millisecond)
-		}
-	}
+	spec.OnRound = holdAfter(backend, 1, 2)
 	res, err := Run(context.Background(), spec, backend)
 	if err != nil {
 		t.Fatal(err)

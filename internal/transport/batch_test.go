@@ -2,49 +2,75 @@ package transport
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
+	"io"
 	"net"
 	"strings"
 	"testing"
 	"time"
 )
 
-// encodeFramed gob-encodes msgs into the wire form the codec ships: one
-// length-prefixed frame per message.
+// memConn is the in-memory connection the wire-format tests drive a Codec
+// over: reads come from r, writes pile up in w and are counted. The embedded
+// nil net.Conn is never reached by a codec without timeouts.
+type memConn struct {
+	net.Conn
+	r      io.Reader
+	w      bytes.Buffer
+	writes int
+}
+
+func (c *memConn) Read(p []byte) (int, error) { return c.r.Read(p) }
+func (c *memConn) Write(p []byte) (int, error) {
+	c.writes++
+	return c.w.Write(p)
+}
+
+// encodeFramed is the wire form of msgs as the codec ships them: one
+// length-prefixed frame per message, one Write per frame.
 func encodeFramed(t testing.TB, msgs ...*Message) []byte {
 	t.Helper()
-	var out bytes.Buffer
-	var stage bytes.Buffer
-	enc := gob.NewEncoder(&stage)
+	conn := &memConn{}
+	codec, err := NewCodec(conn, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, m := range msgs {
-		stage.Reset()
-		if err := enc.Encode(m); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteFrame(&out, stage.Bytes()); err != nil {
+		if err := codec.Send(m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return out.Bytes()
+	if conn.writes != len(msgs) {
+		t.Fatalf("%d messages took %d writes, want one each", len(msgs), conn.writes)
+	}
+	return conn.w.Bytes()
+}
+
+// decodeFramed reads every frame of wire back through a fresh codec, handing
+// each message to visit while it is still valid.
+func decodeFramed(t testing.TB, wire []byte, visit func(i int, m *Message)) {
+	t.Helper()
+	codec, err := NewCodec(&memConn{r: bytes.NewReader(wire)}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; ; i++ {
+		m, err := codec.Recv()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+		visit(i, m)
+	}
 }
 
 // TestBatchMessagesRoundTrip pins the multiplexed-group envelope: a MsgBatchStart
 // and its MsgPartial reply survive the codec bit-exactly, parallel slices
 // and fixed-point limbs included.
 func TestBatchMessagesRoundTrip(t *testing.T) {
-	c1, c2 := net.Pipe()
-	defer func() { _ = c1.Close() }()
-	defer func() { _ = c2.Close() }()
-	a, err := NewCodec(c1, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewCodec(c2, 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	batch := &Message{
 		Type: MsgBatchStart, ClientID: 3, Round: 7, LR: 0.05,
 		Model:   []float64{0.25, -1.5, 3.75},
@@ -61,40 +87,20 @@ func TestBatchMessagesRoundTrip(t *testing.T) {
 		Hi:      []uint64{0, ^uint64(0), 7},
 		Sat:     true,
 	}
-	done := make(chan error, 1)
-	go func() {
-		if err := a.Send(batch); err != nil {
-			done <- err
-			return
-		}
-		done <- a.Send(partial)
-	}()
-	for _, want := range []*Message{batch, partial} {
-		got, err := b.Recv()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Type != want.Type || got.ClientID != want.ClientID || got.Round != want.Round ||
-			got.Sat != want.Sat || len(got.Clients) != len(want.Clients) ||
-			len(got.Cursors) != len(want.Cursors) {
-			t.Fatalf("round-trip mangled the envelope: %+v vs %+v", got, want)
-		}
-		for i := range want.Clients {
-			if got.Clients[i] != want.Clients[i] {
-				t.Fatalf("Clients[%d] = %d, want %d", i, got.Clients[i], want.Clients[i])
-			}
-		}
-		for i := range want.Lo {
-			if got.Lo[i] != want.Lo[i] || got.Hi[i] != want.Hi[i] {
-				t.Fatalf("limb %d = (%d,%d), want (%d,%d)", i, got.Lo[i], got.Hi[i], want.Lo[i], want.Hi[i])
-			}
-		}
-		if len(want.Cursors) > 0 && got.Cursors[len(got.Cursors)-1].RNG != want.Cursors[len(want.Cursors)-1].RNG {
-			t.Fatal("cursor state did not survive the wire")
-		}
+	want := []*Message{batch, partial}
+	wire := encodeFramed(t, want...)
+	// The layout's arithmetic: 4 B prefix, 87 B of header, counts and Sat,
+	// 8 B per float/int/limb, 56 B per cursor.
+	if n, sum := len(wire), (4+87+8*9+56*3)+(4+87+8*12+56*3); n != sum {
+		t.Fatalf("batch + partial take %d wire bytes, layout says %d", n, sum)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
+	seen := 0
+	decodeFramed(t, wire, func(i int, got *Message) {
+		requireSameBits(t, got, want[i])
+		seen++
+	})
+	if seen != len(want) {
+		t.Fatalf("decoded %d messages, sent %d", seen, len(want))
 	}
 }
 
@@ -147,15 +153,11 @@ func TestSendOversizedBatchFailsCleanly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// ~8.5M full-mantissa float64 parameters (gob spends ~9 bytes on each;
-	// zeros would compress to one byte) encode past the 64 MiB budget. No
-	// reader is attached to the pipe: if Send tried to write anything it
-	// would block and the test would time out, which is itself the
-	// regression signal.
+	// ~9.4M float64 parameters at 8 bytes each encode past the 64 MiB
+	// budget whatever their values. No reader is attached to the pipe: if
+	// Send tried to write anything it would block and the test would time
+	// out, which is itself the regression signal.
 	model := make([]float64, MaxFrameSize/8+(1<<20))
-	for i := range model {
-		model[i] = 1.0 / 3.0
-	}
 	msg := &Message{
 		Type:    MsgBatchStart,
 		Clients: make([]int, 1000),
@@ -168,19 +170,26 @@ func TestSendOversizedBatchFailsCleanly(t *testing.T) {
 	if !strings.Contains(err.Error(), "1000 clients") {
 		t.Fatalf("error does not name the offending batch size: %v", err)
 	}
+	// The size is arithmetic, so the refusal comes before anything is staged.
+	if cap(codec.wbuf) != 0 {
+		t.Fatalf("refused send grew the staging buffer to %d bytes", cap(codec.wbuf))
+	}
 }
 
-// FuzzDecodeBatch throws arbitrary framed bytes at the codec's message
-// decode path: it must never panic and never allocate beyond the frame
-// budget, whatever a corrupt or hostile multiplexed peer ships.
+// fuzzBatch is the valid batch the fuzz seeds and the malformed-frame table
+// are cut from.
+var fuzzBatch = &Message{
+	Type: MsgBatchStart, ClientID: 1, Round: 2, LR: 0.1, Model: []float64{1, 2},
+	Clients: []int{3, 4}, Scales: []float64{0.5, 0.5}, Cursors: []Cursor{{RNG: [4]uint64{1, 2, 3, 4}}, {}},
+}
+
+// FuzzDecodeBatch throws arbitrary framed bytes at the codec's receive
+// path — every message type, not only the group pair its name dates from:
+// any byte string is either rejected with an error or decodes to a message
+// that re-encodes to the identical bytes, it never panics, and what the
+// decoder sizes from a frame never exceeds that frame's own length.
 func FuzzDecodeBatch(f *testing.F) {
-	valid := encodeFramed(f, &Message{
-		Type: MsgBatchStart, ClientID: 1, Round: 2, LR: 0.1,
-		Model:   []float64{1, 2},
-		Clients: []int{3, 4},
-		Scales:  []float64{0.5, 0.5},
-		Cursors: []Cursor{{RNG: [4]uint64{1, 2, 3, 4}}, {}},
-	})
+	valid := encodeFramed(f, fuzzBatch)
 	f.Add(valid)
 	f.Add(encodeFramed(f, &Message{
 		Type: MsgPartial, ClientID: 1, Round: 2,
@@ -189,18 +198,107 @@ func FuzzDecodeBatch(f *testing.F) {
 	}))
 	f.Add(valid[:len(valid)/2])                 // truncated mid-frame
 	f.Add(append([]byte{0, 0, 0, 4}, valid...)) // length prefix lies
+	for _, m := range goldenMessages {
+		f.Add(encodeFramed(f, m.msg))
+	}
+	for _, bad := range malformedFrames(f) {
+		f.Add(bad.wire)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
-		fr := &frameReader{r: bytes.NewReader(b)}
-		dec := gob.NewDecoder(fr)
-		var m Message
-		if err := dec.Decode(&m); err != nil {
+		in, err := NewCodec(&memConn{r: bytes.NewReader(b)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := in.Recv()
+		if err != nil {
 			return
 		}
-		// Whatever decoded must be re-encodable within the same budget the
-		// sender enforces (or rejected by it) — never a panic.
-		var out bytes.Buffer
-		if err := gob.NewEncoder(&out).Encode(&m); err != nil {
+		frame := b[:frameHeaderSize+int(binary.BigEndian.Uint32(b))]
+		if got := decodedBytes(m); got > len(frame) {
+			t.Fatalf("a %d-byte frame decoded into %d bytes of storage", len(frame), got)
+		}
+		if cap(in.rbuf) > max(len(frame), frameHeaderSize) {
+			t.Fatalf("a %d-byte frame was read into a %d-byte buffer", len(frame), cap(in.rbuf))
+		}
+		out := &memConn{}
+		back, err := NewCodec(out, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := back.Send(m); err != nil {
 			t.Fatalf("accepted message does not re-encode: %v", err)
 		}
+		if !bytes.Equal(out.w.Bytes(), frame) {
+			t.Fatalf("accepted frame is not canonical:\n in  %x\n out %x", frame, out.w.Bytes())
+		}
 	})
+}
+
+// malformedFrames are byte strings one edit away from a valid batch frame,
+// each of which the decoder must refuse: the fuzz target's hostile seeds and
+// TestRecvRejectsMalformedFrames' table.
+func malformedFrames(t testing.TB) []struct {
+	name string
+	wire []byte
+} {
+	valid := encodeFramed(t, fuzzBatch)
+	// mutate resizes valid by grow bytes, keeps the length prefix honest
+	// about it, and applies edit to the payload.
+	mutate := func(grow int, edit func(payload []byte)) []byte {
+		b := append([]byte(nil), valid...)
+		b = append(b, make([]byte, max(grow, 0))...)[:len(valid)+grow]
+		binary.BigEndian.PutUint32(b, uint32(len(b)-frameHeaderSize))
+		if edit != nil {
+			edit(b[frameHeaderSize:])
+		}
+		return b
+	}
+	count := func(n uint32) func([]byte) {
+		return func(p []byte) { binary.LittleEndian.PutUint32(p[headerSize:], n) }
+	}
+	return []struct {
+		name string
+		wire []byte
+	}{
+		{"zero-length frame", []byte{0, 0, 0, 0}},
+		{"type past the last", mutate(0, func(p []byte) { p[0] = byte(MsgPartial) + 1 })},
+		{"type zero", mutate(0, func(p []byte) { p[0] = 0 })},
+		{"Model count one too many", mutate(0, count(3))},
+		{"Model count one too few", mutate(0, count(1))},
+		{"Model count past the frame", mutate(0, count(1e9))},
+		{"Model count that overflows a 32-bit size", mutate(0, count(1<<29+2))},
+		{"cursor flag not 0 or 1", mutate(0, func(p []byte) { p[headerSize-1] = 2 })},
+		{"cursor flag set, no cursor", mutate(0, func(p []byte) { p[headerSize-1] = 1 })},
+		{"Sat not 0 or 1", mutate(0, func(p []byte) { p[len(p)-1] = 7 })},
+		{"Sat byte cut off", mutate(-1, nil)},
+		{"cut inside a section", mutate(-30, nil)},
+		{"cut inside the header", mutate(headerSize/2-len(valid)+frameHeaderSize, nil)},
+		{"trailing bytes", mutate(5, nil)},
+	}
+}
+
+// TestRecvRejectsMalformedFrames: each hostile seed is refused with an
+// error, and a refusal sizes nothing from the frame's lies.
+func TestRecvRejectsMalformedFrames(t *testing.T) {
+	for _, bad := range malformedFrames(t) {
+		codec, err := NewCodec(&memConn{r: bytes.NewReader(bad.wire)}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := codec.Recv()
+		if err == nil {
+			t.Errorf("%s: decoded to %+v", bad.name, m)
+			continue
+		}
+		if got := decodedBytes(&codec.rmsg); got > len(bad.wire) {
+			t.Errorf("%s: refusal still sized %d bytes from a %d-byte frame", bad.name, got, len(bad.wire))
+		}
+		t.Logf("%s: %v", bad.name, err)
+	}
+}
+
+// decodedBytes is the storage a decoded message's sections hold.
+func decodedBytes(m *Message) int {
+	return 8*(cap(m.Model)+cap(m.Scales)+cap(m.GradSqs)+cap(m.Clients)+cap(m.Lo)+cap(m.Hi)) +
+		cursorSize*cap(m.Cursors)
 }
