@@ -10,10 +10,10 @@ package unbiasedfl_test
 
 import (
 	"context"
-	"strconv"
 	"testing"
 
 	"unbiasedfl"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
@@ -182,6 +182,31 @@ func BenchmarkFig7(b *testing.B) {
 	}
 }
 
+// ablationLoss trains the training-side ablations' shared configuration (50
+// rounds, one final evaluation) on the pooled local backend and returns the
+// final global loss.
+func ablationLoss(
+	b *testing.B, env *unbiasedfl.Environment, sampler engine.Sampler, agg engine.Aggregator, seed uint64,
+) float64 {
+	b.Helper()
+	res, err := engine.Run(context.Background(), engine.Spec{
+		Model:      env.Model,
+		Fed:        env.Fed,
+		Rounds:     50,
+		LocalSteps: 8,
+		BatchSize:  16,
+		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
+		EvalEvery:  50,
+		Seed:       seed,
+		Sampler:    sampler,
+		Aggregator: agg,
+	}, engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.FinalLoss
+}
+
 // BenchmarkAblationAggregation compares Lemma 1's unbiased aggregation with
 // the biased proportional rule and the naive inverse-weighting the paper
 // warns about, under the same skewed participation levels.
@@ -194,10 +219,10 @@ func BenchmarkAblationAggregation(b *testing.B) {
 			q[i] = 0.9
 		}
 	}
-	aggs := map[string]fl.Aggregator{
-		"unbiased-lemma1":     fl.UnbiasedAggregator{},
-		"biased-proportional": fl.ProportionalAggregator{},
-		"naive-inverse":       fl.NaiveInverseAggregator{},
+	aggs := map[string]engine.Aggregator{
+		"unbiased-lemma1":     engine.UnbiasedAggregator{},
+		"biased-proportional": engine.ProportionalAggregator{},
+		"naive-inverse":       engine.NaiveInverseAggregator{},
 	}
 	for name, agg := range aggs {
 		agg := agg
@@ -211,20 +236,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := fl.Config{
-					Rounds: 50, LocalSteps: 8, BatchSize: 16,
-					Schedule:  fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-					EvalEvery: 50, Seed: 99,
-				}
-				runner := &fl.Runner{
-					Model: env.Model, Fed: env.Fed, Config: cfg,
-					Sampler: sampler, Aggregator: agg, Parallel: true,
-				}
-				res, err := runner.Run()
-				if err != nil {
-					b.Fatal(err)
-				}
-				lossSum += res.FinalLoss
+				lossSum += ablationLoss(b, env, sampler, agg, 99)
 			}
 			b.ReportMetric(lossSum/float64(b.N), "final-loss")
 		})
@@ -295,28 +307,13 @@ func BenchmarkAblationFixedSubset(b *testing.B) {
 			subset = append(subset, i)
 		}
 	}
-	cfgFor := func(seed uint64) fl.Config {
-		return fl.Config{
-			Rounds: 50, LocalSteps: 8, BatchSize: 16,
-			Schedule:  fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-			EvalEvery: 50, Seed: seed,
-		}
-	}
 	b.Run("fixed-subset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sampler, err := fl.NewFixedSubsetSampler(subset, n)
 			if err != nil {
 				b.Fatal(err)
 			}
-			runner := &fl.Runner{
-				Model: env.Model, Fed: env.Fed, Config: cfgFor(uint64(i) + 3),
-				Sampler: sampler, Aggregator: fl.ProportionalAggregator{}, Parallel: true,
-			}
-			res, err := runner.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.FinalLoss, "final-loss")
+			b.ReportMetric(ablationLoss(b, env, sampler, engine.ProportionalAggregator{}, uint64(i)+3), "final-loss")
 		}
 	})
 	b.Run("randomized-unbiased", func(b *testing.B) {
@@ -329,15 +326,7 @@ func BenchmarkAblationFixedSubset(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			runner := &fl.Runner{
-				Model: env.Model, Fed: env.Fed, Config: cfgFor(uint64(i) + 4),
-				Sampler: sampler, Aggregator: fl.UnbiasedAggregator{}, Parallel: true,
-			}
-			res, err := runner.Run()
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(res.FinalLoss, "final-loss")
+			b.ReportMetric(ablationLoss(b, env, sampler, engine.UnbiasedAggregator{}, uint64(i)+4), "final-loss")
 		}
 	})
 }
@@ -460,82 +449,6 @@ func BenchmarkExtensionAdaptiveRepricing(b *testing.B) {
 	}
 }
 
-// BenchmarkEquilibriumSolve measures the raw KKT solver across fleet sizes
-// (microbenchmark for the mechanism itself): one cold solve per iteration,
-// a reused warm engine, and a batched sweep over nearby budgets. The
-// internal/game package carries the finer-grained engine benchmarks behind
-// BENCH_PR3.json.
-func BenchmarkEquilibriumSolve(b *testing.B) {
-	for _, n := range []int{10, 40, 160, 640} {
-		n := n
-		b.Run(itoa(n), func(b *testing.B) {
-			p := syntheticGame(b, n)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := p.SolveKKT(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-	b.Run("warm-640-clients", func(b *testing.B) {
-		p := syntheticGame(b, 640)
-		s := unbiasedfl.NewSolver()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Solve(p); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("solve-many-640-clients", func(b *testing.B) {
-		base := syntheticGame(b, 640)
-		games := make([]*unbiasedfl.GameParams, 32)
-		for i := range games {
-			g := base.Clone()
-			g.B = base.B * (0.9 + 0.2*float64(i)/31)
-			games[i] = g
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := unbiasedfl.SolveMany(games, 0); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-func syntheticGame(b *testing.B, n int) *game.Params {
-	b.Helper()
-	r := stats.NewRNG(uint64(n))
-	a := make([]float64, n)
-	var sum float64
-	for i := range a {
-		a[i] = 0.5 + r.Float64()
-		sum += a[i]
-	}
-	for i := range a {
-		a[i] /= sum
-	}
-	g, err := stats.UniformRange(r, n, 1, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := stats.UniformRange(r, n, 10, 100)
-	if err != nil {
-		b.Fatal(err)
-	}
-	v, err := stats.UniformRange(r, n, 0, 8000)
-	if err != nil {
-		b.Fatal(err)
-	}
-	return &game.Params{
-		A: a, G: g, C: c, V: v,
-		Alpha: 1, R: 1000, B: 200, QMax: 1, QMin: game.DefaultQMin,
-	}
-}
-
 func medianWeight(w []float64) float64 {
 	m, err := stats.Quantile(w, 0.5)
 	if err != nil {
@@ -543,5 +456,3 @@ func medianWeight(w []float64) float64 {
 	}
 	return m
 }
-
-func itoa(n int) string { return strconv.Itoa(n) + "-clients" }

@@ -13,7 +13,6 @@
 //	rate   — empirical O(1/R) convergence-rate validation (DESIGN.md X9)
 //	fidelity — Theorem-1 bound vs training rank agreement (DESIGN.md X6)
 //	bayes  — Bayesian incomplete-information pricing (DESIGN.md X1)
-//	fleet  — priced rounds at synthesized fleet scale (10^4–10^6 clients)
 //	all    — everything above (paper artifacts only)
 //
 // Usage:
@@ -21,7 +20,6 @@
 //	flbench -experiment all [-setup 1] [-clients 12] [-rounds 120] [-runs 3]
 //	flbench -experiment fig4 -setup 2 -paper   # full paper scale (slow)
 //	flbench -experiment fig4 -cpuprofile cpu.pprof -memprofile mem.pprof
-//	flbench -experiment fleet -fleet 10000,100000 -group 100 -fleet-backends local,cluster -bench-out BENCH_PR10.json
 package main
 
 import (
@@ -49,7 +47,7 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		exp     = flag.String("experiment", "all", "experiment id (fig4..fig7, table2..table5, all)")
+		exp     = flag.String("experiment", "all", "experiment id (fig4..fig7, table2..table5, rate, fidelity, bayes, all)")
 		setup   = flag.Int("setup", 0, "restrict to one setup (0 = the paper's setup for that artifact)")
 		clients = flag.Int("clients", 12, "number of clients")
 		rounds  = flag.Int("rounds", 120, "training rounds R")
@@ -60,12 +58,6 @@ func run(ctx context.Context) error {
 		paper   = flag.Bool("paper", false, "use the paper's full scale (40 clients, R=1000, E=100, 20 runs)")
 		cpuprof = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprof = flag.String("memprofile", "", "write a heap profile to this file on exit")
-
-		fleets    = flag.String("fleet", "10000", "fleet experiment: comma-separated synthesized fleet sizes, benchmarked in ascending order")
-		group     = flag.Int("group", 100, "fleet experiment: hierarchical aggregation group size K (⌈fleet/K⌉ partials and, on cluster, sockets)")
-		fleetBk   = flag.String("fleet-backends", "local,cluster", "fleet experiment: comma-separated backends to benchmark")
-		fleetRnds = flag.Int("fleet-rounds", 1, "fleet experiment: priced training rounds per point")
-		benchOut  = flag.String("bench-out", "", "fleet experiment: write the measured points as JSON to this file")
 	)
 	flag.Parse()
 
@@ -136,8 +128,6 @@ func run(ctx context.Context) error {
 		return h.fidelity()
 	case "bayes":
 		return h.bayes()
-	case "fleet":
-		return h.fleet(*fleets, *group, *fleetBk, *fleetRnds, *seed, *benchOut)
 	case "all":
 		if err := h.comparisons(); err != nil {
 			return err

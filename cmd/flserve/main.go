@@ -12,14 +12,6 @@
 //	flserve [-addr 127.0.0.1:8080] [-cache-size 4096] [-max-sessions 2]
 //	        [-max-queued 8] [-max-body 1048576] [-quote-timeout 10s]
 //	        [-drain-timeout 15s]
-//
-//	flserve -load [-url http://127.0.0.1:8080] [-conns 4] [-duration 5s]
-//	        [-distinct 32] [-clients 12] [-scheme proposed]
-//
-// The -load mode is the closed-loop benchmark client used to produce
-// BENCH_PR7.json: it primes the daemon's cache with every distinct game,
-// then measures cached-quote throughput, latency percentiles, and the
-// cache hit rate over the timed window, printing a JSON report.
 package main
 
 import (
@@ -44,8 +36,6 @@ func main() {
 
 func run(ctx context.Context) error {
 	var (
-		load = flag.Bool("load", false, "run the load-generator client instead of the daemon")
-
 		addr         = flag.String("addr", "127.0.0.1:8080", "daemon listen address")
 		cacheSize    = flag.Int("cache-size", 4096, "quote cache capacity (distinct games)")
 		maxSessions  = flag.Int("max-sessions", 2, "concurrently running federation sessions")
@@ -53,32 +43,8 @@ func run(ctx context.Context) error {
 		maxBody      = flag.Int64("max-body", 1<<20, "request body limit in bytes")
 		quoteTimeout = flag.Duration("quote-timeout", 10*time.Second, "per-request quote/solve deadline")
 		drainTimeout = flag.Duration("drain-timeout", 15*time.Second, "graceful shutdown budget")
-
-		url      = flag.String("url", "http://127.0.0.1:8080", "load: daemon base URL")
-		conns    = flag.Int("conns", 4, "load: concurrent connections")
-		duration = flag.Duration("duration", 5*time.Second, "load: timed window")
-		distinct = flag.Int("distinct", 32, "load: distinct games cycled through")
-		clients  = flag.Int("clients", 12, "load: fleet size per quoted game")
-		scheme   = flag.String("scheme", "proposed", "load: pricing scheme to quote")
-		batch    = flag.Int("batch", 0, "load: games per request via /v1/quotes (0 = single-quote endpoint)")
 	)
 	flag.Parse()
-
-	if *load {
-		rep, err := serve.RunLoad(ctx, serve.LoadOptions{
-			BaseURL:  *url,
-			Conns:    *conns,
-			Duration: *duration,
-			Distinct: *distinct,
-			Clients:  *clients,
-			Scheme:   *scheme,
-			Batch:    *batch,
-		})
-		if err != nil {
-			return err
-		}
-		return cli.WriteJSON(os.Stdout, rep)
-	}
 
 	srv := serve.New(serve.Config{
 		Addr:         *addr,

@@ -157,18 +157,6 @@ func checkHeader(b []byte, magic string) error {
 	return nil
 }
 
-// EncodeSnapshot serializes a snapshot into its on-disk byte form.
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(s); err != nil {
-		return nil, fmt.Errorf("checkpoint: encode snapshot: %w", err)
-	}
-	out := make([]byte, 0, headerLen+8+payload.Len())
-	out = append(out, snapshotMagic...)
-	out = append(out, FormatVersion)
-	return appendFrame(out, payload.Bytes()), nil
-}
-
 // crcWriter streams bytes through to w while summing them, so a frame's CRC
 // and length can be computed without holding the payload.
 type crcWriter struct {
@@ -197,14 +185,13 @@ func (cr *crcReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// WriteSnapshot streams s to w in exactly the byte form EncodeSnapshot
-// produces — header, frame length (patched back once the payload's size is
-// known), gob payload, CRC — without ever materializing the encoded
-// snapshot: the gob stream goes straight to w through the CRC summer. The
-// client-cursor table dominates a large fleet's snapshot, so this bounds
-// commit memory at one encoder buffer instead of the three whole-snapshot
-// copies of encode-then-write; at 10^6 cursors that is the difference
-// between one ~50MB resident copy and ~150MB per snapshot cadence.
+// WriteSnapshot streams s to w in its on-disk byte form — header, frame
+// length (patched back once the payload's size is known), gob payload, CRC —
+// without ever materializing the encoded snapshot: the gob stream goes
+// straight to w through the CRC summer. The client-cursor table dominates a
+// large fleet's snapshot, so this bounds commit memory at one encoder buffer
+// instead of whole-snapshot copies; at 10^6 cursors that is one ~50MB
+// resident copy, not ~150MB, per snapshot cadence.
 func WriteSnapshot(w io.WriteSeeker, s *Snapshot) error {
 	start, err := w.Seek(0, io.SeekCurrent)
 	if err != nil {
@@ -241,11 +228,12 @@ func WriteSnapshot(w io.WriteSeeker, s *Snapshot) error {
 	return nil
 }
 
-// ReadSnapshot is DecodeSnapshot over a stream: the client-cursor table
-// decodes directly from r (CRC verified behind the decoder), so resuming a
-// million-cursor fleet never holds the raw file alongside the decoded
-// state. It accepts exactly the inputs DecodeSnapshot accepts, trailing-byte
-// check included, and never panics on hostile input.
+// ReadSnapshot parses and validates a snapshot from a stream: the
+// client-cursor table decodes directly from r (CRC verified behind the
+// decoder), so resuming a million-cursor fleet never holds the raw file
+// alongside the decoded state. A frame followed by trailing bytes is
+// rejected. It never panics on hostile input: corrupt, truncated, or
+// wrong-version bytes return an error.
 func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	var hdr [headerLen]byte
 	n, err := io.ReadFull(r, hdr[:])
@@ -271,8 +259,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	if err := gob.NewDecoder(cr).Decode(&s); err != nil {
 		return nil, fmt.Errorf("%w: snapshot gob: %v", ErrCorrupt, err)
 	}
-	// Finish the CRC over any payload bytes the decoder left behind, then
-	// hold the frame to the same standard the in-memory path does.
+	// Finish the CRC over any payload bytes the decoder left behind before
+	// holding the frame to its declared length and checksum.
 	if _, err := io.Copy(io.Discard, cr); err != nil {
 		return nil, fmt.Errorf("checkpoint: drain snapshot payload: %w", err)
 	}
@@ -294,31 +282,8 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 	return &s, nil
 }
 
-// DecodeSnapshot parses and validates snapshot bytes. It never panics on
-// hostile input: corrupt, truncated, or wrong-version bytes return an error.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	if err := checkHeader(b, snapshotMagic); err != nil {
-		return nil, err
-	}
-	payload, n, err := readFrame(b[headerLen:])
-	if err != nil {
-		return nil, err
-	}
-	if headerLen+n != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after snapshot frame", ErrCorrupt, len(b)-headerLen-n)
-	}
-	var s Snapshot
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&s); err != nil {
-		return nil, fmt.Errorf("%w: snapshot gob: %v", ErrCorrupt, err)
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
-	return &s, nil
-}
-
 // validate applies the structural invariants every decoded snapshot must
-// satisfy, whichever path decoded it.
+// satisfy.
 func (s *Snapshot) validate() error {
 	if s.NextRound < 1 || s.NextRound > s.Meta.Rounds {
 		return fmt.Errorf("%w: snapshot at round boundary %d of a %d-round run", ErrCorrupt, s.NextRound, s.Meta.Rounds)

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -169,25 +170,28 @@ func TestResumeRejectsMetaMismatch(t *testing.T) {
 	}
 }
 
-func TestDecodeSnapshotRejectsDamage(t *testing.T) {
-	raw, err := EncodeSnapshot(&Snapshot{Meta: testMeta, NextRound: 3,
+// TestReadSnapshotRejectsDamage: every kind of damage to a snapshot file is
+// an error of the matching class, never a panic or a silent success.
+func TestReadSnapshotRejectsDamage(t *testing.T) {
+	raw := snapshotBytes(t, &Snapshot{Meta: testMeta, NextRound: 3,
 		Model: []float64{1, 2}, Sampler: []uint64{1}, Clients: fakeState(3).Clients})
-	if err != nil {
-		t.Fatal(err)
-	}
 	for name, tc := range map[string]struct {
 		mutate func([]byte) []byte
 		want   error
 	}{
-		"bad-magic":     {func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
-		"bad-version":   {func(b []byte) []byte { b[4] = FormatVersion + 1; return b }, ErrBadVersion},
-		"flipped-bit":   {func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, ErrCorrupt},
-		"truncated":     {func(b []byte) []byte { return b[:len(b)-3] }, ErrCorrupt},
-		"trailing-junk": {func(b []byte) []byte { return append(b, 0xFF) }, ErrCorrupt},
-		"empty":         {func(b []byte) []byte { return nil }, ErrBadMagic},
+		"empty":           {func(b []byte) []byte { return nil }, ErrBadMagic},
+		"bad-magic":       {func(b []byte) []byte { b[0] = 'X'; return b }, ErrBadMagic},
+		"next-version":    {func(b []byte) []byte { b[4] = FormatVersion + 1; return b }, ErrBadVersion},
+		"far-version":     {func(b []byte) []byte { b[4] = 99; return b }, ErrBadVersion},
+		"flipped-middle":  {func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b }, ErrCorrupt},
+		"flipped-byte-20": {func(b []byte) []byte { b[20] ^= 0x40; return b }, ErrCorrupt},
+		"truncated-crc":   {func(b []byte) []byte { return b[:len(b)-3] }, ErrCorrupt},
+		"truncated-frame": {func(b []byte) []byte { return b[:len(b)-6] }, ErrCorrupt},
+		"trailing-junk":   {func(b []byte) []byte { return append(b, 0xFF) }, ErrCorrupt},
+		"trailing-zero":   {func(b []byte) []byte { return append(b, 0) }, ErrCorrupt},
 	} {
 		b := tc.mutate(append([]byte(nil), raw...))
-		if _, err := DecodeSnapshot(b); !errors.Is(err, tc.want) {
+		if _, err := ReadSnapshot(bytes.NewReader(b)); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", name, err, tc.want)
 		}
 	}

@@ -1,6 +1,7 @@
 package checkpoint
 
 import (
+	"bytes"
 	"testing"
 
 	"unbiasedfl/internal/engine"
@@ -10,16 +11,13 @@ import (
 // contract under fuzz: corrupt, truncated, or wrong-version input returns an
 // error (or, for a WAL, a clean valid prefix) — and never panics.
 func FuzzDecodeCheckpoint(f *testing.F) {
-	snap, err := EncodeSnapshot(&Snapshot{
+	snap := snapshotBytes(f, &Snapshot{
 		Meta:      Meta{Label: "fuzz", Seed: 3, Clients: 1, Rounds: 4},
 		NextRound: 2,
 		Model:     []float64{0.5, -1.5},
 		Sampler:   []uint64{9},
 		Clients:   []engine.ClientCursor{{RNG: [4]uint64{1, 2, 3, 4}, SqCount: 2, SqMean: 0.25}},
 	})
-	if err != nil {
-		f.Fatal(err)
-	}
 	f.Add(snap)
 
 	wal := EncodeWALHeader()
@@ -37,7 +35,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(func() []byte { b := append([]byte(nil), snap...); b[len(b)-1] ^= 0xFF; return b }())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
-		if s, err := DecodeSnapshot(b); err == nil {
+		if s, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
 			// Anything that decodes cleanly must satisfy the invariants the
 			// resume path relies on.
 			if s == nil || s.NextRound < 1 || s.NextRound > s.Meta.Rounds ||

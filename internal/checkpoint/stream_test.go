@@ -2,7 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"errors"
+	"encoding/gob"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,8 +12,18 @@ import (
 	"unbiasedfl/internal/engine"
 )
 
-// streamSnapshot builds a snapshot with n client cursors for the streaming
-// tests.
+// gob numbers a process's types in order of first use and writes the numbers
+// into the stream, so snapshot bytes are only reproducible from a fixed
+// order: number Snapshot's types before any test encodes or decodes anything
+// else. (A decoder accepts any numbering — only the golden comparison needs
+// this.)
+func init() {
+	if err := gob.NewEncoder(io.Discard).Encode(&Snapshot{}); err != nil {
+		panic(err)
+	}
+}
+
+// streamSnapshot builds a snapshot with n client cursors.
 func streamSnapshot(n int) *Snapshot {
 	cursors := make([]engine.ClientCursor, n)
 	for i := range cursors {
@@ -30,77 +41,70 @@ func streamSnapshot(n int) *Snapshot {
 	}
 }
 
-// TestWriteSnapshotByteIdentical pins the streaming writer's contract: the
-// bytes it lands on disk are exactly EncodeSnapshot's, at small and at
-// large cursor counts — no format change rode along with the streaming.
+// snapshotBytes returns the file WriteSnapshot lands on disk for s.
+func snapshotBytes(tb testing.TB, s *Snapshot) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "snap")
+	f, err := os.Create(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := WriteSnapshot(f, s); err != nil {
+		tb.Fatalf("%d cursors: %v", len(s.Clients), err)
+	}
+	if err := f.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return raw
+}
+
+// goldenSnapshotFile holds the committed bytes of streamSnapshot(3) in format
+// version 2.
+const goldenSnapshotFile = "testdata/snapshot_v2.golden"
+
+// TestWriteSnapshotByteIdentical pins the on-disk snapshot format: the file
+// written for a fixed snapshot equals the committed one byte for byte. A
+// difference is a format change — it needs a FormatVersion bump and a new
+// fixture (the failure prints the new bytes in hex).
 func TestWriteSnapshotByteIdentical(t *testing.T) {
-	for _, n := range []int{1, 3, 10_000} {
-		snap := streamSnapshot(n)
-		want, err := EncodeSnapshot(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "snap")
-		f, err := os.Create(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteSnapshot(f, snap); err != nil {
-			t.Fatalf("%d cursors: %v", n, err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		got, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Fatalf("%d cursors: streamed snapshot differs from EncodeSnapshot (%d vs %d bytes)",
-				n, len(got), len(want))
-		}
+	want, err := os.ReadFile(goldenSnapshotFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := snapshotBytes(t, streamSnapshot(3)); !bytes.Equal(got, want) {
+		t.Fatalf("snapshot bytes differ from %s (%d vs %d bytes); written now:\n%x",
+			goldenSnapshotFile, len(got), len(want), got)
 	}
 }
 
-// TestReadSnapshotEquivalent: the streaming reader accepts exactly what
-// DecodeSnapshot accepts and rejects exactly what it rejects.
+// TestReadSnapshotEquivalent: the committed file, and what WriteSnapshot
+// writes at small and large cursor counts, read back equal to the snapshot
+// they were written from.
 func TestReadSnapshotEquivalent(t *testing.T) {
-	snap := streamSnapshot(5)
-	raw, err := EncodeSnapshot(snap)
+	f, err := os.Open(goldenSnapshotFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSnapshot(bytes.NewReader(raw))
+	defer f.Close()
+	got, err := ReadSnapshot(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := DecodeSnapshot(raw)
-	if err != nil {
-		t.Fatal(err)
+	if want := streamSnapshot(3); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s reads back as %+v, want %+v", goldenSnapshotFile, got, want)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("streamed decode differs from DecodeSnapshot")
-	}
-
-	damage := []struct {
-		name string
-		mut  func([]byte) []byte
-		want error
-	}{
-		{"empty", func(b []byte) []byte { return nil }, ErrBadMagic},
-		{"bad magic", func(b []byte) []byte { c := append([]byte(nil), b...); c[0] = 'X'; return c }, ErrBadMagic},
-		{"bad version", func(b []byte) []byte { c := append([]byte(nil), b...); c[4] = 99; return c }, ErrBadVersion},
-		{"truncated frame", func(b []byte) []byte { return b[:len(b)-6] }, ErrCorrupt},
-		{"flipped payload", func(b []byte) []byte { c := append([]byte(nil), b...); c[20] ^= 0x40; return c }, ErrCorrupt},
-		{"trailing byte", func(b []byte) []byte { return append(append([]byte(nil), b...), 0) }, ErrCorrupt},
-	}
-	for _, tc := range damage {
-		mutated := tc.mut(raw)
-		if _, err := ReadSnapshot(bytes.NewReader(mutated)); !errors.Is(err, tc.want) {
-			t.Errorf("%s: ReadSnapshot err %v, want %v", tc.name, err, tc.want)
+	for _, n := range []int{1, 10_000} {
+		want := streamSnapshot(n)
+		got, err := ReadSnapshot(bytes.NewReader(snapshotBytes(t, want)))
+		if err != nil {
+			t.Fatalf("%d cursors: %v", n, err)
 		}
-		if _, err := DecodeSnapshot(mutated); !errors.Is(err, tc.want) {
-			t.Errorf("%s: DecodeSnapshot err %v, want %v — the two paths disagree", tc.name, err, tc.want)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%d cursors: snapshot does not survive a write and a read", n)
 		}
 	}
 }

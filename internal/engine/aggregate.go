@@ -9,14 +9,14 @@ import (
 
 func checkUpdateShapes(global tensor.Vec, updates []ClientUpdate, weights, q []float64) error {
 	if len(weights) != len(q) {
-		return errors.New("fl: weights/q length mismatch")
+		return errors.New("engine: weights/q length mismatch")
 	}
 	for _, u := range updates {
 		if u.Client < 0 || u.Client >= len(weights) {
-			return fmt.Errorf("fl: update from unknown client %d", u.Client)
+			return fmt.Errorf("engine: update from unknown client %d", u.Client)
 		}
 		if len(u.Delta) != len(global) {
-			return fmt.Errorf("fl: client %d delta length %d, want %d",
+			return fmt.Errorf("engine: client %d delta length %d, want %d",
 				u.Client, len(u.Delta), len(global))
 		}
 	}
@@ -47,7 +47,7 @@ func (UnbiasedAggregator) Aggregate(global tensor.Vec, updates []ClientUpdate, w
 	for _, u := range updates {
 		qn := q[u.Client]
 		if qn <= 0 {
-			return fmt.Errorf("fl: participant %d has non-positive q", u.Client)
+			return fmt.Errorf("engine: participant %d has non-positive q", u.Client)
 		}
 		if err := acc.AddScaled(weights[u.Client]/qn, u.Delta); err != nil {
 			return err
@@ -75,7 +75,7 @@ func (ProportionalAggregator) Aggregate(global tensor.Vec, updates []ClientUpdat
 		total += weights[u.Client]
 	}
 	if total <= 0 {
-		return errors.New("fl: zero total weight among participants")
+		return errors.New("engine: zero total weight among participants")
 	}
 	for _, u := range updates {
 		if err := global.AddScaled(weights[u.Client]/total, u.Delta); err != nil {
@@ -103,7 +103,7 @@ func (NaiveInverseAggregator) Aggregate(global tensor.Vec, updates []ClientUpdat
 	for _, u := range updates {
 		qn := q[u.Client]
 		if qn <= 0 {
-			return fmt.Errorf("fl: participant %d has non-positive q", u.Client)
+			return fmt.Errorf("engine: participant %d has non-positive q", u.Client)
 		}
 		if err := global.AddScaled(weights[u.Client]/(k*qn), u.Delta); err != nil {
 			return err

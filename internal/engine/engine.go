@@ -50,10 +50,9 @@
 // not ride it at all. transport's TestWireBytesPerParam computes all three
 // figures from the encoder.
 //
-// Layers above compile into a Spec and pick a backend: internal/fl.Runner
-// is a thin compatibility shim over Orchestrator+LocalBackend, and
-// internal/experiment and internal/scenario select backends through the
-// same seam.
+// Layers above compile into a Spec and pick a backend: internal/fl's
+// calibration, internal/experiment, internal/scenario and cmd/flnode all
+// hand their Spec to Run through this one seam.
 package engine
 
 import (

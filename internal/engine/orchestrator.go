@@ -214,7 +214,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			if useHier {
 				qn := q[n]
 				if qn <= 0 {
-					return nil, fmt.Errorf("fl: participant %d has non-positive q", n)
+					return nil, fmt.Errorf("engine: participant %d has non-positive q", n)
 				}
 				tasks[i].Scale = weights[n] / qn
 			}

@@ -133,23 +133,22 @@ func RunAdaptive(ctx context.Context, env *Environment, epochs int, seed uint64)
 // Each segment restarts from w0; the comparison is between pricing policies
 // over equal-length segments, the regime where the bound's variance term
 // dominates.
-func trainWithQ(ctx context.Context, env *Environment, q []float64, rounds int, seed uint64) (*fl.RunResult, error) {
+func trainWithQ(ctx context.Context, env *Environment, q []float64, rounds int, seed uint64) (*engine.RunResult, error) {
 	qc := env.Params.ClampQ(q)
 	sampler, err := fl.NewBernoulliSampler(qc, stats.NewRNG(seed))
 	if err != nil {
 		return nil, err
 	}
-	cfg := fl.Config{
+	return engine.Run(ctx, engine.Spec{
+		Model:      env.Model,
+		Fed:        env.Fed,
 		Rounds:     rounds,
 		LocalSteps: env.Opts.LocalSteps,
 		BatchSize:  env.Opts.BatchSize,
 		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
 		EvalEvery:  rounds,
 		Seed:       seed ^ 0xABCD,
-	}
-	runner := &fl.Runner{
-		Model: env.Model, Fed: env.Fed, Config: cfg,
-		Sampler: sampler, Aggregator: fl.UnbiasedAggregator{},
-	}
-	return engine.Run(ctx, runner.Spec(), env.newBackend(true))
+		Sampler:    sampler,
+		Aggregator: engine.UnbiasedAggregator{},
+	}, env.newBackend(true))
 }

@@ -66,19 +66,18 @@ func BoundFidelity(ctx context.Context, env *Environment, profiles int, seed uin
 			if err != nil {
 				return nil, err
 			}
-			cfg := fl.Config{
+			out, err := engine.Run(ctx, engine.Spec{
+				Model:      env.Model,
+				Fed:        env.Fed,
 				Rounds:     env.Opts.Rounds,
 				LocalSteps: env.Opts.LocalSteps,
 				BatchSize:  env.Opts.BatchSize,
 				Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
 				EvalEvery:  env.Opts.Rounds, // final evaluation only
 				Seed:       seed + uint64(7000*i+run),
-			}
-			runner := &fl.Runner{
-				Model: env.Model, Fed: env.Fed, Config: cfg,
-				Sampler: sampler, Aggregator: fl.UnbiasedAggregator{},
-			}
-			out, err := engine.Run(ctx, runner.Spec(), env.newBackend(true))
+				Sampler:    sampler,
+				Aggregator: engine.UnbiasedAggregator{},
+			}, env.newBackend(true))
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, ctxErr

@@ -73,39 +73,3 @@ func TestFleetShardsValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestFleetBenchSmoke runs the fleet benchmark end to end at toy scale on
-// both backends, checking the scale signals it exists to record: a priced
-// round completes, participants flow, and the cluster multiplexes the fleet
-// onto at most ⌈fleet/K⌉ sockets.
-func TestFleetBenchSmoke(t *testing.T) {
-	res, err := FleetBench(context.Background(), FleetBenchConfig{
-		Fleet: 96, Shards: 8, GroupSize: 12, Backend: BackendLocal, Rounds: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Participants == 0 {
-		t.Fatal("local fleet round carried no participants")
-	}
-	if res.Sockets != 0 {
-		t.Fatalf("local backend reported %d sockets", res.Sockets)
-	}
-	if res.PeakRSSMB <= 0 {
-		t.Fatalf("peak RSS %v not recorded", res.PeakRSSMB)
-	}
-
-	cres, err := FleetBench(context.Background(), FleetBenchConfig{
-		Fleet: 96, Shards: 8, GroupSize: 12, Backend: BackendCluster, Rounds: 2, Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.Participants != res.Participants {
-		t.Fatalf("cluster carried %d participants, local %d — the backends diverged",
-			cres.Participants, res.Participants)
-	}
-	if cres.Sockets == 0 || cres.Sockets > 8 {
-		t.Fatalf("cluster used %d sockets for a 96-client fleet at K=12, want 1..8", cres.Sockets)
-	}
-}

@@ -62,21 +62,20 @@ func ConvergenceRate(ctx context.Context, env *Environment, horizons []int, seed
 		if err != nil {
 			return nil, err
 		}
-		cfg := fl.Config{
+		res, err := engine.Run(ctx, engine.Spec{
+			Model:      env.Model,
+			Fed:        env.Fed,
 			Rounds:     r,
 			LocalSteps: env.Opts.LocalSteps,
 			BatchSize:  env.Opts.BatchSize,
 			Schedule: fl.TheoremDecay{
 				L: env.Cal.L, Mu: env.Cal.Mu, E: env.Opts.LocalSteps,
 			},
-			EvalEvery: r, // final evaluation only
-			Seed:      seed,
-		}
-		runner := &fl.Runner{
-			Model: env.Model, Fed: env.Fed, Config: cfg,
-			Sampler: sampler, Aggregator: fl.UnbiasedAggregator{},
-		}
-		res, err := engine.Run(ctx, runner.Spec(), env.newBackend(true))
+			EvalEvery:  r, // final evaluation only
+			Seed:       seed,
+			Sampler:    sampler,
+			Aggregator: engine.UnbiasedAggregator{},
+		}, env.newBackend(true))
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr

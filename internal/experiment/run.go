@@ -112,27 +112,25 @@ func runPricedParallel(
 		if err != nil {
 			return nil, err
 		}
-		cfg := fl.Config{
+		spec := engine.Spec{
+			Model:      env.Model,
+			Fed:        env.Fed,
 			Rounds:     env.Opts.Rounds,
 			LocalSteps: env.Opts.LocalSteps,
 			BatchSize:  env.Opts.BatchSize,
 			Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
 			EvalEvery:  env.Opts.EvalEvery,
 			Seed:       seed ^ 0xDEADBEEF,
-		}
-		runner := &fl.Runner{
-			Model:      env.Model,
-			Fed:        env.Fed,
-			Config:     cfg,
 			Sampler:    sampler,
-			Aggregator: fl.UnbiasedAggregator{},
+			Aggregator: engine.UnbiasedAggregator{},
+			GroupSize:  env.GroupSize,
 		}
 		if obs != nil {
 			run := run
-			runner.OnRoundStart = func(round int) {
+			spec.OnRoundStart = func(round int) {
 				obs.OnEvent(RoundStart{Scheme: scheme, Run: run, Round: round})
 			}
-			runner.OnRound = func(m fl.RoundMetrics) {
+			spec.OnRound = func(m engine.RoundMetrics) {
 				obs.OnEvent(RoundEnd{
 					Scheme:       scheme,
 					Run:          run,
@@ -144,8 +142,6 @@ func runPricedParallel(
 				})
 			}
 		}
-		spec := runner.Spec()
-		spec.GroupSize = env.GroupSize
 		if env.Membership != nil {
 			rp, err := game.NewRepricer(env.Params, epochScheme)
 			if err != nil {

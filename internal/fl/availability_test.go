@@ -1,9 +1,11 @@
 package fl
 
 import (
+	"context"
 	"math"
 	"testing"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 )
@@ -81,12 +83,12 @@ func TestAvailabilityUnbiasedAggregation(t *testing.T) {
 	}
 	const trials = 150000
 	mean := tensor.NewVec(1)
-	agg := UnbiasedAggregator{}
+	agg := engine.UnbiasedAggregator{}
 	for trial := 0; trial < trials; trial++ {
 		global := tensor.NewVec(1)
-		var updates []Update
+		var updates []engine.ClientUpdate
 		for _, n := range s.Sample(trial) {
-			updates = append(updates, Update{Client: n, Delta: deltas[n]})
+			updates = append(updates, engine.ClientUpdate{Client: n, Delta: deltas[n]})
 		}
 		if err := agg.Aggregate(global, updates, weights, eff); err != nil {
 			t.Fatal(err)
@@ -114,11 +116,7 @@ func TestRunnerWithAvailabilitySampler(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 60
 	cfg.LocalSteps = 8
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-	}
-	res, err := runner.Run()
+	res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 	"math"
 
 	"unbiasedfl/internal/data"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/model"
 )
 
@@ -45,18 +46,18 @@ func Calibrate(
 	if err != nil {
 		return nil, err
 	}
-	calCfg := cfg
-	calCfg.Rounds = rounds
-	calCfg.EvalEvery = rounds // single evaluation at the end
-	runner := &Runner{
+	res, err := engine.Run(ctx, engine.Spec{
 		Model:      m,
 		Fed:        fed,
-		Config:     calCfg,
+		Rounds:     rounds,
+		LocalSteps: cfg.LocalSteps,
+		BatchSize:  cfg.BatchSize,
+		Schedule:   cfg.Schedule,
+		EvalEvery:  rounds, // single evaluation at the end
+		Seed:       cfg.Seed,
 		Sampler:    full,
-		Aggregator: UnbiasedAggregator{},
-		Parallel:   true,
-	}
-	res, err := runner.RunContext(ctx)
+		Aggregator: engine.UnbiasedAggregator{},
+	}, engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr

@@ -6,13 +6,14 @@ import (
 	"testing"
 	"time"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/testutil"
 )
 
-// cancelRunner builds a parallel runner big enough that a run takes long
-// enough to be cancelled mid-flight.
-func cancelRunner(t *testing.T) *Runner {
+// cancelSpec builds a run big enough that it takes long enough to be
+// cancelled mid-flight.
+func cancelSpec(t *testing.T) engine.Spec {
 	t.Helper()
 	fed := testFederation(t, 3, 8)
 	m := testModel(t, fed)
@@ -27,27 +28,24 @@ func cancelRunner(t *testing.T) *Runner {
 	cfg := DefaultConfig()
 	cfg.Rounds = 100000 // far more than any test will let finish
 	cfg.LocalSteps = 8
-	return &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-	}
+	return specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
 }
 
 // TestRunContextCancelMidRound cancels a run in flight and asserts that it
 // returns ctx.Err() promptly and leaves no pool goroutines behind.
 func TestRunContextCancelMidRound(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
-	runner := cancelRunner(t)
+	spec := cancelSpec(t)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	type result struct {
-		res *RunResult
+		res *engine.RunResult
 		err error
 	}
 	done := make(chan result, 1)
 	start := time.Now()
 	go func() {
-		res, err := runner.RunContext(ctx)
+		res, err := runLocal(ctx, spec, true)
 		done <- result{res, err}
 	}()
 	time.Sleep(30 * time.Millisecond) // let training get into its rounds
@@ -71,10 +69,10 @@ func TestRunContextCancelMidRound(t *testing.T) {
 
 // TestRunContextPreCancelled never starts training at all.
 func TestRunContextPreCancelled(t *testing.T) {
-	runner := cancelRunner(t)
+	spec := cancelSpec(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := runner.RunContext(ctx); !errors.Is(err, context.Canceled) {
+	if _, err := runLocal(ctx, spec, true); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -82,18 +80,18 @@ func TestRunContextPreCancelled(t *testing.T) {
 // TestRunContextDeadline exercises the deadline flavor of cancellation.
 func TestRunContextDeadline(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
-	runner := cancelRunner(t)
+	spec := cancelSpec(t)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	_, err := runner.RunContext(ctx)
+	_, err := runLocal(ctx, spec, true)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 	testutil.WaitNoLeaks(t, baseline, 5*time.Second)
 }
 
-// TestRunBackwardCompatible keeps the context-free Run path identical to a
-// background-context run.
+// TestRunBackwardCompatible keeps the context-free path — a nil context —
+// identical to a background-context run.
 func TestRunBackwardCompatible(t *testing.T) {
 	fed := testFederation(t, 5, 4)
 	m := testModel(t, fed)
@@ -104,22 +102,18 @@ func TestRunBackwardCompatible(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 10
 	cfg.LocalSteps = 3
-	mk := func() *Runner {
-		return &Runner{
-			Model: m, Fed: fed, Config: cfg,
-			Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-		}
-	}
-	a, err := mk().Run()
+	spec := specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
+	var none context.Context
+	a, err := runLocal(none, spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := mk().RunContext(context.Background())
+	b, err := runLocal(context.Background(), spec, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.FinalLoss != b.FinalLoss {
-		t.Fatalf("Run and RunContext diverge: %v vs %v", a.FinalLoss, b.FinalLoss)
+		t.Fatalf("nil-context and background-context runs diverge: %v vs %v", a.FinalLoss, b.FinalLoss)
 	}
 }
 
@@ -136,13 +130,10 @@ func TestOnRoundStartHook(t *testing.T) {
 	cfg.Rounds = 7
 	cfg.LocalSteps = 2
 	var events []int // +round for starts, -(round+1) for ends
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{},
-		OnRoundStart: func(round int) { events = append(events, round) },
-		OnRound:      func(mtr RoundMetrics) { events = append(events, -(mtr.Round + 1)) },
-	}
-	if _, err := runner.Run(); err != nil {
+	spec := specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
+	spec.OnRoundStart = func(round int) { events = append(events, round) }
+	spec.OnRound = func(mtr engine.RoundMetrics) { events = append(events, -(mtr.Round + 1)) }
+	if _, err := runLocal(context.Background(), spec, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2*cfg.Rounds {

@@ -1,9 +1,11 @@
-// Package fl implements the federated-learning engine of the reproduction:
-// FedAvg-style local SGD with E local steps per round, randomized
-// independent client participation (each client joins round r with its own
-// probability q_n), and the paper's unbiased aggregation rule (Lemma 1)
-// alongside biased baselines. It also estimates the per-client gradient-norm
-// bounds G_n that the convergence bound and the pricing mechanism consume.
+// Package fl holds the federated-learning inputs the round engine
+// (internal/engine) is configured with: the training-loop hyperparameters
+// (Config), the randomized independent client participation samplers (each
+// client joins round r with its own probability q_n), and the calibration
+// run that estimates the per-client gradient-norm bounds G_n that the
+// convergence bound and the pricing mechanism consume. The round protocol
+// itself — FedAvg-style local SGD and the paper's unbiased aggregation rule
+// (Lemma 1) — lives in internal/engine; callers compile an engine.Spec.
 package fl
 
 import (

@@ -1,9 +1,11 @@
 package fl
 
 import (
+	"context"
 	"strings"
 	"testing"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 )
 
@@ -21,11 +23,7 @@ func TestRunnerDetectsDivergence(t *testing.T) {
 	cfg.Rounds = 50
 	cfg.LocalSteps = 10
 	cfg.Schedule = ExpDecay{Eta0: 1e9, Decay: 1}
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{},
-	}
-	_, err = runner.Run()
+	_, err = runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), false)
 	if err == nil {
 		t.Fatal("expected divergence error")
 	}
@@ -48,11 +46,7 @@ func TestRunnerZeroParticipationRounds(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 30
 	cfg.LocalSteps = 2
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{},
-	}
-	res, err := runner.Run()
+	res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unbiasedfl/internal/data"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
@@ -34,6 +35,28 @@ func testModel(t testing.TB, fed *data.Federated) *model.LogisticRegression {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// specOf compiles a Config plus sampler and aggregator into the engine's run
+// description — the one way this package's tests describe a run.
+func specOf(m model.Model, fed *data.Federated, cfg Config, s Sampler, agg engine.Aggregator) engine.Spec {
+	return engine.Spec{
+		Model:      m,
+		Fed:        fed,
+		Rounds:     cfg.Rounds,
+		LocalSteps: cfg.LocalSteps,
+		BatchSize:  cfg.BatchSize,
+		Schedule:   cfg.Schedule,
+		EvalEvery:  cfg.EvalEvery,
+		Seed:       cfg.Seed,
+		Sampler:    s,
+		Aggregator: agg,
+	}
+}
+
+// runLocal runs spec on the in-process backend, pooled or sequential.
+func runLocal(ctx context.Context, spec engine.Spec, parallel bool) (*engine.RunResult, error) {
+	return engine.Run(ctx, spec, engine.NewLocalBackend(engine.LocalOptions{Parallel: parallel}))
 }
 
 func TestSchedules(t *testing.T) {
@@ -183,13 +206,13 @@ func TestUnbiasedAggregationLemma1(t *testing.T) {
 
 	const trials = 200000
 	mean := tensor.NewVec(2)
-	agg := UnbiasedAggregator{}
+	agg := engine.UnbiasedAggregator{}
 	for trial := 0; trial < trials; trial++ {
 		global := tensor.NewVec(2)
-		var updates []Update
+		var updates []engine.ClientUpdate
 		for n := range deltas {
 			if rng.Bernoulli(q[n]) {
-				updates = append(updates, Update{Client: n, Delta: deltas[n]})
+				updates = append(updates, engine.ClientUpdate{Client: n, Delta: deltas[n]})
 			}
 		}
 		if err := agg.Aggregate(global, updates, weights, q); err != nil {
@@ -218,13 +241,13 @@ func TestProportionalAggregationBiased(t *testing.T) {
 
 	const trials = 100000
 	mean := tensor.NewVec(1)
-	agg := ProportionalAggregator{}
+	agg := engine.ProportionalAggregator{}
 	for trial := 0; trial < trials; trial++ {
 		global := tensor.NewVec(1)
-		var updates []Update
+		var updates []engine.ClientUpdate
 		for n := range deltas {
 			if rng.Bernoulli(q[n]) {
-				updates = append(updates, Update{Client: n, Delta: deltas[n]})
+				updates = append(updates, engine.ClientUpdate{Client: n, Delta: deltas[n]})
 			}
 		}
 		if err := agg.Aggregate(global, updates, weights, q); err != nil {
@@ -241,29 +264,29 @@ func TestProportionalAggregationBiased(t *testing.T) {
 }
 
 func TestAggregatorErrors(t *testing.T) {
-	agg := UnbiasedAggregator{}
+	agg := engine.UnbiasedAggregator{}
 	global := tensor.NewVec(2)
-	if err := agg.Aggregate(global, []Update{{Client: 5, Delta: tensor.NewVec(2)}},
+	if err := agg.Aggregate(global, []engine.ClientUpdate{{Client: 5, Delta: tensor.NewVec(2)}},
 		[]float64{1}, []float64{1}); err == nil {
 		t.Fatal("expected unknown-client error")
 	}
-	if err := agg.Aggregate(global, []Update{{Client: 0, Delta: tensor.NewVec(3)}},
+	if err := agg.Aggregate(global, []engine.ClientUpdate{{Client: 0, Delta: tensor.NewVec(3)}},
 		[]float64{1}, []float64{1}); err == nil {
 		t.Fatal("expected shape error")
 	}
-	if err := agg.Aggregate(global, []Update{{Client: 0, Delta: tensor.NewVec(2)}},
+	if err := agg.Aggregate(global, []engine.ClientUpdate{{Client: 0, Delta: tensor.NewVec(2)}},
 		[]float64{1}, []float64{0}); err == nil {
 		t.Fatal("expected non-positive q error")
 	}
 	if err := agg.Aggregate(global, nil, []float64{1}, []float64{1, 1}); err == nil {
 		t.Fatal("expected weights/q mismatch error")
 	}
-	prop := ProportionalAggregator{}
+	prop := engine.ProportionalAggregator{}
 	if err := prop.Aggregate(global, nil, []float64{1}, []float64{1}); err != nil {
 		t.Fatalf("empty round should be a no-op: %v", err)
 	}
-	naive := NaiveInverseAggregator{}
-	if err := naive.Aggregate(global, []Update{{Client: 0, Delta: tensor.NewVec(2)}},
+	naive := engine.NaiveInverseAggregator{}
+	if err := naive.Aggregate(global, []engine.ClientUpdate{{Client: 0, Delta: tensor.NewVec(2)}},
 		[]float64{1}, []float64{0}); err == nil {
 		t.Fatal("expected non-positive q error from naive aggregator")
 	}
@@ -283,11 +306,7 @@ func TestRunnerTrainsToUsefulModel(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Rounds = 60
 	cfg.LocalSteps = 8
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-	}
-	res, err := runner.Run()
+	res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,11 +343,7 @@ func TestRunnerDeterministicAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		runner := &Runner{
-			Model: m, Fed: fed, Config: cfg,
-			Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: parallel,
-		}
-		res, err := runner.Run()
+		res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), parallel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -356,12 +371,9 @@ func TestRunnerOnRoundHook(t *testing.T) {
 	cfg.Rounds = 10
 	cfg.LocalSteps = 2
 	var seen []int
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: sampler, Aggregator: UnbiasedAggregator{},
-		OnRound: func(rm RoundMetrics) { seen = append(seen, rm.Round) },
-	}
-	if _, err := runner.Run(); err != nil {
+	spec := specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
+	spec.OnRound = func(rm engine.RoundMetrics) { seen = append(seen, rm.Round) }
+	if _, err := runLocal(context.Background(), spec, false); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != cfg.Rounds {
@@ -381,33 +393,36 @@ func TestRunnerValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := &Runner{Model: m, Fed: fed, Config: DefaultConfig(),
-		Sampler: sampler, Aggregator: UnbiasedAggregator{}}
-	if err := good.Spec().Validate(); err != nil {
+	good := specOf(m, fed, DefaultConfig(), sampler, engine.UnbiasedAggregator{})
+	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bad := *good
+	run := func(spec engine.Spec) error {
+		_, err := runLocal(context.Background(), spec, false)
+		return err
+	}
+	bad := good
 	bad.Model = nil
-	if _, err := bad.Run(); err == nil {
+	if run(bad) == nil {
 		t.Fatal("expected nil-model error")
 	}
-	bad = *good
+	bad = good
 	bad.Sampler = nil
-	if _, err := bad.Run(); err == nil {
+	if run(bad) == nil {
 		t.Fatal("expected nil-sampler error")
 	}
-	bad = *good
+	bad = good
 	wrong, err := NewFullSampler(7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bad.Sampler = wrong
-	if _, err := bad.Run(); err == nil {
+	if run(bad) == nil {
 		t.Fatal("expected client-count mismatch error")
 	}
-	bad = *good
+	bad = good
 	bad.Aggregator = nil
-	if _, err := bad.Run(); err == nil {
+	if run(bad) == nil {
 		t.Fatal("expected nil-aggregator error")
 	}
 }
@@ -459,7 +474,7 @@ func TestUnbiasedBeatsBiasedUnderSkewedQ(t *testing.T) {
 	// Highly skewed participation correlated with shard index.
 	q := []float64{1.0, 0.9, 0.15, 0.1, 0.1, 0.1}
 
-	finalLoss := func(agg Aggregator, seed uint64) float64 {
+	finalLoss := func(agg engine.Aggregator, seed uint64) float64 {
 		m := testModel(t, fed)
 		sampler, err := NewBernoulliSampler(q, stats.NewRNG(seed))
 		if err != nil {
@@ -469,9 +484,7 @@ func TestUnbiasedBeatsBiasedUnderSkewedQ(t *testing.T) {
 		cfg.Rounds = 80
 		cfg.LocalSteps = 8
 		cfg.Seed = seed
-		runner := &Runner{Model: m, Fed: fed, Config: cfg,
-			Sampler: sampler, Aggregator: agg, Parallel: true}
-		res, err := runner.Run()
+		res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, agg), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -481,8 +494,8 @@ func TestUnbiasedBeatsBiasedUnderSkewedQ(t *testing.T) {
 	var unbiased, biased float64
 	const reps = 3
 	for s := uint64(0); s < reps; s++ {
-		unbiased += finalLoss(UnbiasedAggregator{}, 10+s) / reps
-		biased += finalLoss(ProportionalAggregator{}, 10+s) / reps
+		unbiased += finalLoss(engine.UnbiasedAggregator{}, 10+s) / reps
+		biased += finalLoss(engine.ProportionalAggregator{}, 10+s) / reps
 	}
 	if unbiased >= biased {
 		t.Fatalf("unbiased loss %v not better than biased %v", unbiased, biased)

@@ -1,20 +1,21 @@
 package fl
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 )
 
 // The localUpdate-level hot-path gates (zero allocations in steady state,
-// BenchmarkLocalUpdate) moved to internal/engine with the execution code;
-// this file keeps the Runner-level guarantees that the compatibility shim
-// must preserve.
+// BenchmarkLocalUpdate) live in internal/engine with the execution code;
+// this file keeps the run-level guarantees.
 
 // TestRunnerDeterministicAcrossWorkerCounts complements
-// TestRunnerDeterministicAcrossParallelism: the pooled runner must produce a
+// TestRunnerDeterministicAcrossParallelism: the pooled backend must produce a
 // bit-identical model whether the pool has one worker or several.
 func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 	run := func(procs int) tensor.Vec {
@@ -30,11 +31,7 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.Rounds = 12
 		cfg.LocalSteps = 4
-		runner := &Runner{
-			Model: m, Fed: fed, Config: cfg,
-			Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-		}
-		res, err := runner.Run()
+		res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,38 +60,8 @@ func TestRunnerRejectsDuplicateParticipants(t *testing.T) {
 	m := testModel(t, fed)
 	cfg := DefaultConfig()
 	cfg.Rounds = 2
-	runner := &Runner{
-		Model: m, Fed: fed, Config: cfg,
-		Sampler: dupSampler{n: 3}, Aggregator: UnbiasedAggregator{},
-	}
-	if _, err := runner.Run(); err == nil {
+	spec := specOf(m, fed, cfg, dupSampler{n: 3}, engine.UnbiasedAggregator{})
+	if _, err := runLocal(context.Background(), spec, false); err == nil {
 		t.Fatal("expected duplicate-participant error")
-	}
-}
-
-// BenchmarkRunnerRound measures whole training rounds through the pooled
-// runner shim, aggregation included — the baseline the engine's
-// BenchmarkOrchestratorRound is compared against.
-func BenchmarkRunnerRound(b *testing.B) {
-	fed := testFederation(b, 21, 8)
-	m := testModel(b, fed)
-	sampler, err := NewFullSampler(fed.NumClients())
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.LocalSteps = 8
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg.Rounds = 1
-		cfg.EvalEvery = 2 // skip evaluation; this measures the update path
-		runner := &Runner{
-			Model: m, Fed: fed, Config: cfg,
-			Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-		}
-		if _, err := runner.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 )
@@ -39,11 +40,7 @@ func TestRunnerModelAgnostic(t *testing.T) {
 			cfg.Rounds = 60
 			cfg.LocalSteps = 8
 			cfg.Schedule = ExpDecay{Eta0: 0.05, Decay: 0.996}
-			runner := &Runner{
-				Model: m, Fed: fed, Config: cfg,
-				Sampler: sampler, Aggregator: UnbiasedAggregator{}, Parallel: true,
-			}
-			res, err := runner.Run()
+			res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), true)
 			if err != nil {
 				t.Fatal(err)
 			}

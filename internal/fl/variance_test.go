@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 )
@@ -48,13 +49,13 @@ func TestLemma2VarianceFormula(t *testing.T) {
 	// Monte-Carlo variance of the unbiased aggregate around the mean.
 	const trials = 300000
 	var mc float64
-	agg := UnbiasedAggregator{}
+	agg := engine.UnbiasedAggregator{}
 	for trial := 0; trial < trials; trial++ {
 		global := tensor.NewVec(dim)
-		var updates []Update
+		var updates []engine.ClientUpdate
 		for n := range deltas {
 			if rng.Bernoulli(q[n]) {
-				updates = append(updates, Update{Client: n, Delta: deltas[n]})
+				updates = append(updates, engine.ClientUpdate{Client: n, Delta: deltas[n]})
 			}
 		}
 		if err := agg.Aggregate(global, updates, weights, q); err != nil {

@@ -8,12 +8,13 @@ import (
 	"unbiasedfl/internal/stats"
 )
 
-// This file is the solver-performance harness behind BENCH_PR3.json: run
+// This file holds the solver's kernel micro-benchmarks: run
 //
 //	go test -run '^$' -bench 'SolveKKT|WarmSweep|BayesianParallel|Sensitivity|MSearch' ./internal/game/
 //
-// and compare against the checked-in snapshot before landing solver
-// changes. CI runs the same set at -benchtime 1x as a smoke gate.
+// on both commits before landing solver changes. End to end the solver is
+// timed by benchmark/ (game.solve_kkt_s, game.solve_warm_s, quote-cold); CI's
+// bench smoke runs this set at -benchtime 1x.
 
 // benchGame builds a synthetic fleet-scale game with the heterogeneity
 // shape of the Table-I setups.

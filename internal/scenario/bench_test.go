@@ -9,7 +9,8 @@ import (
 // benchScenarioRun measures full large-fleet scenario runs (20 clients, 10
 // rounds, the library's biggest world) through RunWith under the given
 // config. Comparing the checkpointed variant against the plain one yields
-// the end-to-end durability overhead — the BENCH_PR6 <5% round-time gate.
+// the end-to-end durability overhead (budget: under 5% of round time);
+// benchmark/ times the same commit path as checkpoint.commit_s_per_round.
 func benchScenarioRun(b *testing.B, cfg func(i int) RunConfig) {
 	sc, err := ByName("large-fleet")
 	if err != nil {

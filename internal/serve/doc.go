@@ -8,8 +8,9 @@
 //     registered pricing scheme, and POST /v1/solve returns the raw
 //     Stackelberg equilibrium. Both are backed by the sharded game.Cache,
 //     so repeated questions are answered from memory at tens of thousands
-//     of quotes per second on one core (see BENCH_PR7.json); the solver
-//     runs only on first sight of a game.
+//     of quotes per second on one core (the quote-hot workload of
+//     benchmark/ measures it); the solver runs only on first sight of a
+//     game.
 //
 //   - Sessions: POST /v1/sessions starts a federation run — a library or
 //     custom scenario through the facade's RunScenarioWith, or a setup +

@@ -115,7 +115,7 @@ func TestTimelineAlignment(t *testing.T) {
 		Clients:        []ClientTiming{{ComputePerStep: time.Millisecond, CommPerRound: 10 * time.Millisecond}},
 		ServerOverhead: time.Millisecond,
 	}
-	history := []fl.RoundMetrics{
+	history := []engine.RoundMetrics{
 		{Round: 0, Evaluated: false},
 		{Round: 1, Evaluated: true, GlobalLoss: 0.7, TestAccuracy: 0.5},
 	}
@@ -157,17 +157,23 @@ func TestTimedRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	runCfg := fl.DefaultConfig()
-	runCfg.Rounds = 20
-	runCfg.LocalSteps = 5
-	runner := &fl.Runner{
-		Model: m, Fed: fed, Config: runCfg,
-		Sampler: sampler, Aggregator: fl.UnbiasedAggregator{},
+	spec := engine.Spec{
+		Model:      m,
+		Fed:        fed,
+		Rounds:     20,
+		LocalSteps: 5,
+		BatchSize:  runCfg.BatchSize,
+		Schedule:   runCfg.Schedule,
+		EvalEvery:  runCfg.EvalEvery,
+		Seed:       runCfg.Seed,
+		Sampler:    sampler,
+		Aggregator: engine.UnbiasedAggregator{},
 	}
 	tm, err := HeterogeneousTimings(stats.NewRNG(4), DefaultTimingConfig(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TimedRun(context.Background(), runner.Spec(), engine.NewLocalBackend(engine.LocalOptions{}), tm)
+	res, err := TimedRun(context.Background(), spec, engine.NewLocalBackend(engine.LocalOptions{}), tm)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,14 +193,14 @@ func TestTimedRunEndToEnd(t *testing.T) {
 	if res.Points[len(res.Points)-1].Elapsed > res.Total {
 		t.Fatal("last point beyond total duration")
 	}
-	if _, err := TimedRun(context.Background(), runner.Spec(), nil, tm); err == nil {
+	if _, err := TimedRun(context.Background(), spec, nil, tm); err == nil {
 		t.Fatal("expected nil backend error")
 	}
 	wrong, err := HeterogeneousTimings(stats.NewRNG(5), DefaultTimingConfig(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TimedRun(context.Background(), runner.Spec(), engine.NewLocalBackend(engine.LocalOptions{}), wrong); err == nil {
+	if _, err := TimedRun(context.Background(), spec, engine.NewLocalBackend(engine.LocalOptions{}), wrong); err == nil {
 		t.Fatal("expected fleet-size mismatch error")
 	}
 }

@@ -82,6 +82,7 @@ package unbiasedfl
 import (
 	"context"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
@@ -222,11 +223,8 @@ const (
 type (
 	// TrainConfig is the FL loop configuration.
 	TrainConfig = fl.Config
-	// Runner executes federated training (Runner.RunContext for
-	// cancellable runs).
-	Runner = fl.Runner
 	// UnbiasedAggregator implements Lemma 1's aggregation rule.
-	UnbiasedAggregator = fl.UnbiasedAggregator
+	UnbiasedAggregator = engine.UnbiasedAggregator
 	// TimedPoint is a wall-clock-stamped loss/accuracy sample.
 	TimedPoint = sim.TimedPoint
 )
