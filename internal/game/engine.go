@@ -15,24 +15,32 @@ import (
 // state), warm-started multiplier brackets for sequences of nearby games,
 // and a fixed-order worker pool for batch solves.
 //
-// Determinism contract: every bisection in the engine runs on the IEEE-754
-// bit lattice until it pins the unique adjacent-float boundary pair
-// (lo, hi) with pred(lo) && !pred(hi). Because the pair is a property of
-// the predicate alone — not of the starting bracket or the midpoint
-// sequence — a warm-started solve is bit-identical to a cold one, and
-// SolveMany is bit-identical to a sequential loop for any worker count.
+// Determinism contract: every multiplier search in the engine ends on the
+// IEEE-754 bit lattice, at an adjacent pair of floats (lo, hi) with
+// f(lo) > 0 >= f(hi). A monotone f has exactly one such pair, so the pair is
+// a property of f alone: not of the bracket the search started from, and
+// not of the method that picked the probes in between. Hence a warm-started
+// solve is bit-identical to a cold one, SolveMany is bit-identical to a
+// sequential loop for any worker count, and crossingPair's probe strategy
+// can change without moving an output bit (the tests hold it against the
+// search it replaced, crossingPairRef, on 10^5 games). The spend predicate
+// is monotone in exact arithmetic and, on every game family of the tests,
+// in floating point; where rounding does break it — the fuzzer finds such
+// games far outside the paper's regime, see
+// FuzzCrossingPairMatchesReference — any search returns one of several
+// crossings, and which one depends on where it started.
 
-// lambdaBracket is a saved boundary pair from a previous bisection, used to
-// seed the next solve's bracket.
+// lambdaBracket is a candidate bracket for a multiplier search: the boundary
+// pair a previous search ended on, or SolveInto's analytic cold bracket.
 type lambdaBracket struct {
 	lo, hi float64
 	ok     bool
 }
 
 // Solver is a reusable equilibrium engine. It owns scratch buffers for the
-// bisection iterations and remembers the multiplier brackets of the
-// previous solve, so a sequence of nearby games (sweep points, sensitivity
-// probes, repriced epochs) skips most of the bracket search. A Solver is
+// spend probes and remembers the multiplier pairs of the previous solve, so
+// a sequence of nearby games (sweep points, sensitivity probes, repriced
+// epochs) starts its searches a few ulps from where they end. A Solver is
 // not safe for concurrent use; SolveMany gives each worker its own.
 //
 // Results are bit-identical to Params.SolveKKT regardless of what the
@@ -43,6 +51,7 @@ type Solver struct {
 	gain []float64 // per-client intrinsic gain K_n = v_n (α/R) a²G²
 
 	warmLambda lambdaBracket // λ boundary pair from the previous solve
+	probes     int           // spendOfLambda passes so far, for tests and benchmarks
 
 	// M-search state: inner-problem scratch and the ψ/θ multiplier pairs
 	// carried across grid steps (see SolveMSearch).
@@ -90,7 +99,11 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 	}
 
 	f := func(lambda float64) float64 { return s.spendOfLambda(p, lambda) - p.B }
-	lo, hi, flo, fhi, ok := seekBracket(s.warmLambda, f, math.MaxFloat64)
+	seed := s.warmLambda
+	if !seed.ok {
+		seed = s.coldBracket(p)
+	}
+	lo, hi, flo, fhi, ok := seekBracket(seed, f, math.MaxFloat64)
 	if !ok {
 		return errors.New("game: failed to bracket budget multiplier")
 	}
@@ -102,6 +115,45 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 	return s.finishInto(p, eq, hi, true)
 }
 
+// coldBracket brackets the budget multiplier of a binding budget from the
+// per-client constants alone, in u = 1/λ where eq. 22 reads
+// q_n³ = coef_n (u − v_n):
+//
+//   - every client sits at QMax once u >= max_n (v_n + QMax³/coef_n), where
+//     spend equals the slack probe's and so exceeds B;
+//   - every client sits at QMin once u <= min_n (v_n + QMin³/coef_n); and,
+//     far closer to the crossing unless the budget is near that floor,
+//     spend <= Σ 2 c_n q_n² <= 2 QMin² Σc + 2 (Σc)^(1/3) (u Σ c_n coef_n)^(2/3)
+//     (Jensen on the concave x^(2/3)) fits B once
+//     u <= β √(β/Σc) / Σ c_n coef_n with β = B/2 − QMin² Σc.
+//
+// The ends are claims in exact arithmetic: seekBracket probes both and
+// gallops outward from whichever one rounding has defeated. A degenerate
+// pair (overflowed or underflowed constants) reports !ok and leaves the
+// search to seekBracket's cold start.
+func (s *Solver) coldBracket(p *Params) lambdaBracket {
+	qMax3, qMin3 := p.QMax*p.QMax*p.QMax, p.QMin*p.QMin*p.QMin
+	uCeil, uFloor := 0.0, math.Inf(1)
+	var sumC, sumCK float64
+	for i, k := range s.coef {
+		inv := 1 / k
+		if u := p.V[i] + qMax3*inv; u > uCeil {
+			uCeil = u
+		}
+		if u := p.V[i] + qMin3*inv; u < uFloor {
+			uFloor = u
+		}
+		sumC += p.C[i]
+		sumCK += p.C[i] * k
+	}
+	beta := p.B/2 - p.QMin*p.QMin*sumC
+	if u := beta * math.Sqrt(beta/sumC) / sumCK; u > uFloor { // false for NaN: β < 0
+		uFloor = u
+	}
+	lo, hi := 1/uCeil, math.Min(1/uFloor, math.MaxFloat64)
+	return lambdaBracket{lo: lo, hi: hi, ok: lo < hi}
+}
+
 // spendOfLambda writes the KKT stationarity solution q(λ) (eq. 22) into
 // the scratch vector and returns the induced spend Σ P_n(q_n) q_n at the
 // eq.-17 prices, in one allocation-free pass. Interior optima satisfy
@@ -109,38 +161,39 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 // q_n(λ) = cbrt( (α a_n²G_n² / (4R c_n)) · (1/λ − v_n) ), clamped to the
 // box; the precomputed coef/gain arrays hold the per-client constants.
 func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
-	var spend float64
+	s.probes++
 	q := s.q
+	coef, gain, c, v := s.coef[:len(q)], s.gain[:len(q)], p.C[:len(q)], p.V[:len(q)]
+	qMin, qMax := p.QMin, p.QMax
+	u := 1 / lambda
+	var spend float64
 	for i := range q {
 		var qi float64
-		switch {
-		case lambda <= 0:
-			qi = p.QMax
-		default:
-			slack := 1/lambda - p.V[i]
-			if slack <= 0 {
-				qi = p.QMin
-			} else {
-				qi = clamp(cbrt(s.coef[i]*slack), p.QMin, p.QMax)
-			}
+		if lambda <= 0 {
+			qi = qMax
+		} else if slack := u - v[i]; slack <= 0 {
+			qi = qMin
+		} else {
+			qi = clamp(cbrt(coef[i]*slack), qMin, qMax)
 		}
 		q[i] = qi
-		spend += (2*p.C[i]*qi - s.gain[i]/(qi*qi)) * qi
+		spend += (2*c[i]*qi - gain[i]/(qi*qi)) * qi
 	}
 	return spend
 }
 
 // seekBracket establishes f(lo) > 0 >= f(hi) for a function that is
-// positive below its crossing and nonpositive above it. A previous
-// boundary pair seeds the search when available — still valid it is reused
-// verbatim; invalidated it is galloped outward ×4 — and a cold start grows
-// the bracket geometrically from [0, 1], like the historical solvers. hi
-// is capped at limit: an f still positive there returns ok=false with
-// hi=limit, letting each caller decide whether saturation is an error. An
-// f that is nonpositive all the way down to 0 also reports ok=false.
-func seekBracket(warm lambdaBracket, f func(float64) float64, limit float64) (lo, hi, flo, fhi float64, ok bool) {
-	if warm.ok {
-		lo, hi = warm.lo, warm.hi
+// positive below its crossing and nonpositive above it. A seed pair — the
+// previous search's boundary pair, or an analytic bracket — is probed at
+// both ends: still valid it is used as it is; invalidated it is galloped
+// outward ×4 from the end the crossing moved past. Without a seed the
+// bracket grows geometrically from [0, 1]. hi is capped at limit: an f still
+// positive there returns ok=false with hi=limit, letting each caller decide
+// whether saturation is an error. An f that is nonpositive all the way down
+// to 0 also reports ok=false.
+func seekBracket(seed lambdaBracket, f func(float64) float64, limit float64) (lo, hi, flo, fhi float64, ok bool) {
+	if seed.ok {
+		lo, hi = seed.lo, seed.hi
 		fhi = f(hi)
 		switch {
 		case fhi > 0: // the crossing moved above the pair
@@ -213,41 +266,96 @@ func (s *Solver) finishInto(p *Params, eq *Equilibrium, lambda float64, tight bo
 	return nil
 }
 
+// crossingBudget is how many probes of one crossingPair search may be
+// interpolated. Every later probe is the lattice midpoint, and no bracket
+// of nonnegative floats survives more than 63 of those, so a search costs
+// at most 64 + 63 probes for any f whatsoever — non-monotone, noisy, NaN or
+// ±Inf valued. The bound is the loop counter's, not an argument about f.
+const crossingBudget = 64
+
 // crossingPair narrows a valid bracket (f(lo) > 0 >= f(hi), flo/fhi the
-// values at its ends) to the unique adjacent pair of nonnegative floats
-// straddling f's sign crossing. Candidates come from linear interpolation
-// (regula falsi), which converges superlinearly on the narrow brackets a
-// warm start produces; every step that fails to halve the bracket's
-// bit-lattice width forces the next candidate onto the lattice midpoint —
-// a geometric probe that crosses hundreds of orders of magnitude in a few
-// steps — so the search is never worse than twice a pure lattice
-// bisection (~63 probes) and is typically an order of magnitude cheaper.
+// values at its ends) to an adjacent pair of nonnegative floats with
+// f(lo) > 0 >= f(hi): every probe lies strictly inside the bracket and
+// replaces the end on its side, so that much holds for any f, and for a
+// monotone f the pair is the only one there is (see the determinism
+// contract above: neither the bracket nor the probe strategy can move it).
 //
-// The returned pair is a property of f alone, not of the starting bracket
-// or the candidate sequence: as long as f crosses zero once, any valid
-// bracket converges to the same two floats. That bracket-independence is
-// what makes warm-started solves bit-identical to cold ones.
+// The strategy works in lattice coordinates — a nonnegative float's bit
+// pattern read as an integer, which orders the floats and spaces them
+// logarithmically, so a step crosses hundreds of orders of magnitude as
+// readily as one ulp. Each candidate is the root of the secant through the
+// newest iterate and its nearest known neighbour: the end that iterate
+// displaced or the opposite end, whichever is closer. On the smooth spend
+// curves of a game that converges superlinearly from one side, without
+// waiting for the far end to move. Three safeguards do the rest:
+//
+//   - a secant root outside the bracket, or an undefined one (equal or
+//     non-finite values), gives way to the lattice midpoint;
+//   - a step shorter than minStep lattice points is raised to it; minStep
+//     starts at 1, doubles while such steps keep landing on the iterate's
+//     own side and halves otherwise. This gallop is what collapses the far
+//     end onto the 1-ulp pair once the secant has converged, and what walks
+//     off a plateau of exact zeros (near the crossing spend − B moves in
+//     steps of ulp(B)) in 2 log₂(width) probes instead of bisecting the
+//     whole bracket;
+//   - past crossingBudget probes every candidate is the midpoint.
+//
+// A cold SolveInto spends 12–16 spendOfLambda passes on average, the slack
+// probe, both bracket ends and the final evaluation included, and at most
+// 26 (TestColdSolveProbeBudget; the one-sided regula falsi this replaces:
+// 50–58 and 83); one seeded with a nearby game's pair 10–13, with the same
+// game's pair 4.
 func crossingPair(lo, hi, flo, fhi float64, f func(float64) float64) (float64, float64) {
 	blo, bhi := math.Float64bits(lo), math.Float64bits(hi)
-	forceLattice := false
-	for bhi-blo > 1 {
-		width := bhi - blo
-		var mid float64
-		ok := false
-		if !forceLattice {
-			t := flo / (flo - fhi)
-			mid = lo + t*(hi-lo)
-			ok = mid > lo && mid < hi // also rejects NaN and degenerate t
+	// (xn, fn) is the newest iterate, always one of the bracket's ends;
+	// (xs, fs) the second point of the secant.
+	xn, fn, xs, fs := bhi, fhi, blo, flo
+	minStep := 1.0
+	for probes := 0; bhi-blo > 1; probes++ {
+		w := bhi - blo
+		d := w / 2 // the candidate's offset from blo
+		galloped := false
+		if probes < crossingBudget {
+			// Lattice distance from xn into the bracket to the secant's root.
+			s := -fn * float64(int64(xn-xs)) / (fn - fs)
+			if xn == bhi {
+				s = -s
+			}
+			if fn == 0 {
+				s = 0 // also when fs == 0: on a zero plateau the only way is down
+			}
+			if s < minStep {
+				s, galloped = minStep, true
+			}
+			if s < float64(w) { // false for NaN
+				d = uint64(s)
+				if xn == bhi {
+					d = w - d
+				}
+			} else {
+				galloped = false
+			}
 		}
-		if !ok {
-			mid = math.Float64frombits(blo + width/2)
-		}
-		if fm := f(mid); fm > 0 {
-			lo, flo, blo = mid, fm, math.Float64bits(mid)
+		x := blo + d
+		fx := f(math.Float64frombits(x))
+		// The probe displaces the end on its side, near lattice points away,
+		// and faces the opposite end (xo, fo), far lattice points away.
+		near, far, xo, fo := d, w-d, bhi, fhi
+		if fx > 0 {
+			xs, fs, blo, flo = blo, flo, x, fx
 		} else {
-			hi, fhi, bhi = mid, fm, math.Float64bits(mid)
+			near, far, xo, fo = far, near, blo, flo
+			xs, fs, bhi, fhi = bhi, fhi, x, fx
 		}
-		forceLattice = bhi-blo > width/2
+		if galloped && xs == xn {
+			minStep *= 2
+		} else {
+			minStep = math.Max(1, minStep/2)
+		}
+		if far <= near {
+			xs, fs = xo, fo
+		}
+		xn, fn = x, fx
 	}
 	return math.Float64frombits(blo), math.Float64frombits(bhi)
 }

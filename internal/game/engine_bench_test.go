@@ -51,7 +51,7 @@ func benchGame(tb testing.TB, n int) *Params {
 // BenchmarkSolveKKT measures a steady-state equilibrium solve across fleet
 // sizes through a warm Solver arena (0 allocs/op).
 func BenchmarkSolveKKT(b *testing.B) {
-	for _, n := range []int{1000, 100000, 1000000} {
+	for _, n := range []int{256, 1000, 100000, 1000000} {
 		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
 			p := benchGame(b, n)
 			s := NewSolver()
@@ -59,15 +59,17 @@ func BenchmarkSolveKKT(b *testing.B) {
 			if err := s.SolveInto(p, &eq); err != nil {
 				b.Fatal(err)
 			}
-			s.warmLambda = lambdaBracket{} // keep the bisection cold; only arenas warm
+			s.warmLambda = lambdaBracket{} // keep the search cold; only arenas warm
 			b.ReportAllocs()
 			b.ResetTimer()
+			s.probes = 0
 			for i := 0; i < b.N; i++ {
 				s.warmLambda = lambdaBracket{}
 				if err := s.SolveInto(p, &eq); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(s.probes)/float64(b.N), "probes/op")
 		})
 	}
 }

@@ -42,6 +42,36 @@ func engineGame(tb testing.TB, seed uint64, n int) *Params {
 	}
 }
 
+// crossingPairRef is the search crossingPair ran until it was replaced, kept
+// verbatim as the oracle of the replacement's bit-identity tests
+// (crossing_test.go): one-sided regula falsi on the floats' values, every
+// step that fails to halve the bracket's lattice width forcing the next
+// candidate onto the lattice midpoint.
+func crossingPairRef(lo, hi, flo, fhi float64, f func(float64) float64) (float64, float64) {
+	blo, bhi := math.Float64bits(lo), math.Float64bits(hi)
+	forceLattice := false
+	for bhi-blo > 1 {
+		width := bhi - blo
+		var mid float64
+		ok := false
+		if !forceLattice {
+			t := flo / (flo - fhi)
+			mid = lo + t*(hi-lo)
+			ok = mid > lo && mid < hi // also rejects NaN and degenerate t
+		}
+		if !ok {
+			mid = math.Float64frombits(blo + width/2)
+		}
+		if fm := f(mid); fm > 0 {
+			lo, flo, blo = mid, fm, math.Float64bits(mid)
+		} else {
+			hi, fhi, bhi = mid, fm, math.Float64bits(mid)
+		}
+		forceLattice = bhi-blo > width/2
+	}
+	return math.Float64frombits(blo), math.Float64frombits(bhi)
+}
+
 func equalEquilibria(tb testing.TB, label string, a, b *Equilibrium) {
 	tb.Helper()
 	if a.Lambda != b.Lambda || a.Spent != b.Spent || a.ServerObj != b.ServerObj ||
@@ -164,6 +194,40 @@ func TestSolveKKTZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state SolveInto allocates %v times per run", allocs)
+	}
+}
+
+// TestColdSolveProbeBudget counts every spendOfLambda pass of a cold
+// SolveInto — slack probe, both ends of the analytic bracket, the search,
+// the final evaluation — over 200 seeded games per size of the quote-cold
+// and Table-I families. The one-sided regula falsi from the [0, 1] cold
+// bracket that this search replaced spent 50–58 passes on average on the
+// same games and up to 83; a plain lattice bisection spends 64.
+func TestColdSolveProbeBudget(t *testing.T) {
+	const games, meanLimit, maxLimit = 200, 18.0, 40
+	for _, n := range []int{40, 256, 4096} {
+		for _, family := range []string{"quote-cold", "table-1"} {
+			total, worst := 0, 0
+			for seed := uint64(1); seed <= games; seed++ {
+				p := engineGame(t, seed, n)
+				if family == "quote-cold" {
+					p = quoteColdGame(seed, n)
+				}
+				var s Solver
+				var eq Equilibrium
+				if err := s.SolveInto(p, &eq); err != nil {
+					t.Fatalf("%s N=%d seed %d: %v", family, n, seed, err)
+				}
+				total += s.probes
+				worst = max(worst, s.probes)
+			}
+			mean := float64(total) / games
+			t.Logf("%s N=%d: mean %.1f passes, worst %d", family, n, mean, worst)
+			if mean > meanLimit || worst > maxLimit {
+				t.Errorf("%s N=%d: mean %.1f passes (limit %v), worst %d (limit %d)",
+					family, n, mean, meanLimit, worst, maxLimit)
+			}
+		}
 	}
 }
 

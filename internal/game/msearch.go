@@ -30,7 +30,7 @@ const msearchMultiplierCap = 1e18
 //	min_q Σ (1−q_n) a_n²G_n²/q_n
 //	s.t.  2M − (α/R) Σ v_n a_n²G_n²/q_n ≤ B,   Σ c_n q_n² = M,   q ∈ box
 //
-// exactly via its KKT system (nested bisection over the two multipliers),
+// exactly via its KKT system (nested lattice searches for its two multipliers),
 // then line-searches M and prices the winner via eq. 17. The paper invokes
 // CVX for the inner solve; the closed-form KKT structure makes a dedicated
 // solver both exact and dependency-free. SolveMSearch exists primarily as
@@ -45,9 +45,14 @@ func (p *Params) SolveMSearch(opts MSearchOptions) (*Equilibrium, error) {
 // participation vectors live in the Solver's scratch arena, and the ψ/θ
 // multiplier boundary pairs are warm-started across the line-search grid
 // steps (consecutive M values have nearby multipliers, so most inner
-// bisections collapse to a handful of probes). Results are bit-identical to
-// a cold solve: every bisection pins the bracket-independent boundary pair
-// on the float lattice, exactly like SolveInto.
+// searches start a few ulps from where they end). Both searches are
+// crossingPair's, like SolveInto's. ψ's predicate is a monotone sum, so its
+// pair is the same from any bracket. θ's re-solves ψ inside every probe and
+// is monotone only down to that re-solve's last-bit jitter: in a few games
+// per thousand it changes sign more than once within some ulps of the
+// crossing, and there a warm solve may end on another of those crossings
+// than a cold one — any search would; everywhere else results are
+// bit-identical to a cold solve.
 func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -142,10 +147,10 @@ func (p *Params) innerQ(theta, psi float64, q []float64) float64 {
 
 // innerSolve solves the fixed-M inner problem exactly through its KKT
 // system, leaving the solution in s.msQ. For fixed θ, Σ c q(θ,ψ)² is
-// nonincreasing in ψ, so ψ is pinned by a lattice bisection; the budget
-// slack is then monotone in θ, so θ is pinned by an outer lattice
-// bisection. Both bisections seed their brackets from the previous call's
-// boundary pairs. Reports false when no feasible point exists for this M.
+// nonincreasing in ψ, so ψ is pinned by a lattice search (crossingPair);
+// the budget slack is then monotone in θ, so θ is pinned by an outer one.
+// Both searches seed their brackets from the previous call's boundary
+// pairs. Reports false when no feasible point exists for this M.
 func (s *Solver) innerSolve(p *Params, m float64) bool {
 	q := s.msQ
 

@@ -37,8 +37,8 @@
 // Every engine path is bit-identical to its cold sequential counterpart.
 // The mechanism: each multiplier search terminates at the unique adjacent
 // pair of floats straddling its monotone predicate's sign crossing — a
-// property of the game alone, not of the search's starting bracket or
-// probe sequence. Hence a warm-started Solver equals a cold SolveKKT no
+// property of the game alone, not of the search's starting bracket, probe
+// sequence or method. Hence a warm-started Solver equals a cold SolveKKT no
 // matter what it solved before, SolveMany equals a sequential loop for any
 // worker count, and SolveBayesianParallel (common random numbers drawn up
 // front, per-client slots, index-ordered reductions) equals its

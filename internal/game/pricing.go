@@ -77,20 +77,14 @@ func (p *Params) SolveScheme(s Scheme) (*Outcome, error) {
 }
 
 // solveProposed prices the market with the paper's mechanism: the
-// Stackelberg-equilibrium customized prices from SolveKKT.
+// Stackelberg-equilibrium customized prices from SolveKKT, which validates
+// the game and evaluates the server objective itself.
 func (p *Params) solveProposed() (*Outcome, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
 	eq, err := p.SolveKKT()
 	if err != nil {
 		return nil, err
 	}
-	obj, err := p.ServerObjective(eq.Q)
-	if err != nil {
-		return nil, err
-	}
-	return &Outcome{P: eq.P, Q: eq.Q, Spent: eq.Spent, ServerObj: obj}, nil
+	return &Outcome{P: eq.P, Q: eq.Q, Spent: eq.Spent, ServerObj: eq.ServerObj}, nil
 }
 
 // solveUniformPricing pays every client the same unit price, scaled to
@@ -99,12 +93,10 @@ func (p *Params) solveUniformPricing() (*Outcome, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p.solveScaled(func(scale float64) []float64 {
-		prices := make([]float64, p.N())
+	return p.solveScaled(func(scale float64, prices []float64) {
 		for i := range prices {
 			prices[i] = scale
 		}
-		return prices
 	})
 }
 
@@ -114,40 +106,40 @@ func (p *Params) solveWeightedPricing() (*Outcome, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return p.solveScaled(func(scale float64) []float64 {
-		prices := make([]float64, p.N())
+	return p.solveScaled(func(scale float64, prices []float64) {
 		for i := range prices {
 			prices[i] = scale * p.A[i] * float64(p.N())
 		}
-		return prices
 	})
 }
 
 // solveScaled finds the largest nonnegative price scale whose induced spend
-// stays within budget, by bisection. Spend is nondecreasing in the scale:
-// higher prices induce (weakly) higher best responses and higher payments.
-func (p *Params) solveScaled(priceAt func(scale float64) []float64) (*Outcome, error) {
-	spend := func(scale float64) (float64, []float64, []float64, error) {
-		prices := priceAt(scale)
-		q, err := p.BestResponseAll(prices)
-		if err != nil {
-			return 0, nil, nil, err
+// stays within budget, by bisection on the scale's arithmetic midpoint.
+// Spend is nondecreasing in the scale: higher prices induce (weakly) higher
+// best responses and higher payments. Every probe posts its prices and the
+// clients' best responses into the same two vectors, which end up in the
+// Outcome.
+//
+// The crossing is deliberately not crossingPair's: the boundary here keeps
+// spend == B on the feasible side, and the best responses come out of a
+// Newton fixed point whose last bit is not monotone in the price, so a
+// different probe sequence could end one ulp elsewhere.
+func (p *Params) solveScaled(priceAt func(scale float64, prices []float64)) (*Outcome, error) {
+	prices, q := make([]float64, p.N()), make([]float64, p.N())
+	spend := func(scale float64) float64 {
+		priceAt(scale, prices)
+		var total float64
+		for n, price := range prices {
+			q[n] = p.bestResponse(n, price)
+			total += price * q[n]
 		}
-		total, err := TotalPayment(prices, q)
-		if err != nil {
-			return 0, nil, nil, err
-		}
-		return total, prices, q, nil
+		return total
 	}
 
 	// At scale 0 the spend is 0 <= B. Expand until over budget or saturated.
 	hi := 1.0
 	for i := 0; ; i++ {
-		total, _, q, err := spend(hi)
-		if err != nil {
-			return nil, err
-		}
-		if total > p.B {
+		if spend(hi) > p.B {
 			break
 		}
 		saturated := true
@@ -159,7 +151,7 @@ func (p *Params) solveScaled(priceAt func(scale float64) []float64) (*Outcome, e
 		}
 		if saturated {
 			// Everyone participates fully; no reason to raise prices more.
-			return p.outcomeAt(priceAt(hi), q)
+			return p.outcomeAt(prices, q)
 		}
 		hi *= 4
 		if i > 200 {
@@ -172,21 +164,13 @@ func (p *Params) solveScaled(priceAt func(scale float64) []float64) (*Outcome, e
 		if mid == lo || mid == hi {
 			break
 		}
-		total, _, _, err := spend(mid)
-		if err != nil {
-			return nil, err
-		}
-		if total > p.B {
+		if spend(mid) > p.B {
 			hi = mid
 		} else {
 			lo = mid
 		}
 	}
-	total, prices, q, err := spend(lo)
-	if err != nil {
-		return nil, err
-	}
-	if total > p.B+1e-6*math.Max(1, p.B) {
+	if spend(lo) > p.B+1e-6*math.Max(1, p.B) {
 		return nil, errors.New("game: scaled pricing exceeded budget")
 	}
 	return p.outcomeAt(prices, q)

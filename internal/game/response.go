@@ -20,13 +20,18 @@ func (p *Params) BestResponse(n int, price float64) (float64, error) {
 	if n < 0 || n >= p.N() {
 		return 0, fmt.Errorf("game: client index %d out of range", n)
 	}
+	return p.bestResponse(n, price), nil
+}
+
+// bestResponse is BestResponse for an index known to be in range.
+func (p *Params) bestResponse(n int, price float64) float64 {
 	k := p.intrinsicGain(n)
 	if k == 0 {
 		// No intrinsic value: U = Pq − cq², maximized at P/(2c).
 		q := price / (2 * p.C[n])
-		return clamp(q, 0, p.QMax), nil
+		return clamp(q, 0, p.QMax)
 	}
-	return positiveRoot(price, k, 2*p.C[n], p.QMax), nil
+	return positiveRoot(price, k, 2*p.C[n], p.QMax)
 }
 
 // positiveRoot solves the Stage-II first-order condition
@@ -66,11 +71,7 @@ func (p *Params) BestResponseAll(prices []float64) ([]float64, error) {
 	}
 	q := make([]float64, p.N())
 	for n := range q {
-		qn, err := p.BestResponse(n, prices[n])
-		if err != nil {
-			return nil, err
-		}
-		q[n] = qn
+		q[n] = p.bestResponse(n, prices[n])
 	}
 	return q, nil
 }

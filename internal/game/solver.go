@@ -57,12 +57,14 @@ func (p *Params) spendAt(q []float64) (float64, error) {
 	return s, nil
 }
 
-// SolveKKT computes the Stackelberg equilibrium by bisecting the budget
-// multiplier λ in the KKT system of Problem P1′. Client payments
-// P_n(q) q = 2 c_n q² − (α/R) v_n a_n²G_n²/q are strictly increasing in q
-// and q_n(λ) is nonincreasing in λ, so total spend is monotone in λ and the
-// bisection is exact up to floating-point resolution: λ* is the smallest
-// representable multiplier whose induced spend fits the budget.
+// SolveKKT computes the Stackelberg equilibrium by pinning the budget
+// multiplier λ of Problem P1′'s KKT system on the float lattice. Client
+// payments P_n(q) q = 2 c_n q² − (α/R) v_n a_n²G_n²/q are strictly
+// increasing in q and q_n(λ) is nonincreasing in λ, so total spend is
+// monotone in λ and the search is exact up to floating-point resolution: λ*
+// is the smallest representable multiplier whose induced spend fits the
+// budget, reached in about a dozen O(N) spend passes from an analytic
+// bracket (see crossingPair).
 //
 // SolveKKT is the cold entry point; it delegates to a fresh Solver. Callers
 // solving many games (sweeps, sensitivity probes, Monte-Carlo scenarios)

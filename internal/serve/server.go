@@ -233,6 +233,13 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = cli.WriteJSON(w, v)
 }
 
+// quoteError counts a failed quote, batch or solve request in
+// flserve_quote_errors_total and writes its error envelope.
+func (s *Server) quoteError(w http.ResponseWriter, status int, code, msg string) {
+	s.metrics.quoteErrors.Add(1)
+	cli.WriteHTTPError(w, status, code, msg)
+}
+
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	s.metrics.quoteRequests.Add(1)
 	var req QuoteRequest
@@ -246,14 +253,12 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, err := game.SchemeByName(name)
 	if err != nil {
-		s.metrics.quoteErrors.Add(1)
-		cli.WriteHTTPError(w, http.StatusNotFound, "unknown_scheme", err.Error())
+		s.quoteError(w, http.StatusNotFound, "unknown_scheme", err.Error())
 		return
 	}
 	p, err := req.Params.ToGame()
 	if err != nil {
-		s.metrics.quoteErrors.Add(1)
-		cli.WriteHTTPError(w, http.StatusBadRequest, "invalid_params", err.Error())
+		s.quoteError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
 	// The solve is a bounded closed-form KKT computation (no I/O, no
@@ -268,12 +273,11 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		err = context.DeadlineExceeded
 	}
 	if err != nil {
-		s.metrics.quoteErrors.Add(1)
 		status, code := http.StatusInternalServerError, "solve_failed"
 		if errors.Is(err, context.DeadlineExceeded) {
 			status, code = http.StatusGatewayTimeout, "deadline_exceeded"
 		}
-		cli.WriteHTTPError(w, status, code, err.Error())
+		s.quoteError(w, status, code, err.Error())
 		return
 	}
 	writeFastJSON(w, QuoteResponse{
@@ -301,15 +305,19 @@ func writeFastJSON(w http.ResponseWriter, v any) {
 
 // handleBatchQuote prices a batch of games under one scheme, each through
 // the shared cache. The whole batch either succeeds or reports the first
-// failing game's error, so clients never have to merge partial results.
+// failing game's error, so clients never have to merge partial results. The
+// deadline and the request's context are checked before every game and once
+// after the last, so an expired or abandoned batch costs at most one solve
+// past its limit.
 func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchRequests.Add(1)
 	var req BatchQuoteRequest
 	if !s.decodeBody(w, r, &req) {
+		s.metrics.quoteErrors.Add(1)
 		return
 	}
 	if len(req.Params) == 0 {
-		cli.WriteHTTPError(w, http.StatusBadRequest, "invalid_params", "empty batch")
+		s.quoteError(w, http.StatusBadRequest, "invalid_params", "empty batch")
 		return
 	}
 	name := req.Scheme
@@ -318,22 +326,29 @@ func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 	}
 	ps, err := game.SchemeByName(name)
 	if err != nil {
-		cli.WriteHTTPError(w, http.StatusNotFound, "unknown_scheme", err.Error())
+		s.quoteError(w, http.StatusNotFound, "unknown_scheme", err.Error())
 		return
 	}
 	start := time.Now()
 	resp := BatchQuoteResponse{Quotes: make([]QuoteResponse, len(req.Params))}
-	for i := range req.Params {
+	for i := 0; ; i++ {
+		if elapsed := time.Since(start); elapsed > s.cfg.QuoteTimeout || r.Context().Err() != nil {
+			s.quoteError(w, http.StatusGatewayTimeout, "deadline_exceeded",
+				fmt.Sprintf("batch stopped after %d of %d games and %s, limit %s",
+					i, len(req.Params), elapsed, s.cfg.QuoteTimeout))
+			return
+		}
+		if i == len(req.Params) {
+			break
+		}
 		p, err := req.Params[i].ToGame()
 		if err != nil {
-			cli.WriteHTTPError(w, http.StatusBadRequest, "invalid_params",
-				fmt.Sprintf("game %d: %v", i, err))
+			s.quoteError(w, http.StatusBadRequest, "invalid_params", fmt.Sprintf("game %d: %v", i, err))
 			return
 		}
 		out, err := s.cache.Price(ps, p)
 		if err != nil {
-			cli.WriteHTTPError(w, http.StatusInternalServerError, "solve_failed",
-				fmt.Sprintf("game %d: %v", i, err))
+			s.quoteError(w, http.StatusInternalServerError, "solve_failed", fmt.Sprintf("game %d: %v", i, err))
 			return
 		}
 		resp.Quotes[i] = QuoteResponse{
@@ -345,12 +360,6 @@ func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.metrics.batchQuotes.Add(uint64(len(req.Params)))
-	if elapsed := time.Since(start); elapsed > s.cfg.QuoteTimeout {
-		s.metrics.quoteErrors.Add(1)
-		cli.WriteHTTPError(w, http.StatusGatewayTimeout, "deadline_exceeded",
-			fmt.Sprintf("batch took %s, limit %s", elapsed, s.cfg.QuoteTimeout))
-		return
-	}
 	writeFastJSON(w, resp)
 }
 
@@ -358,16 +367,17 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveRequests.Add(1)
 	var req SolveRequest
 	if !s.decodeBody(w, r, &req) {
+		s.metrics.quoteErrors.Add(1)
 		return
 	}
 	p, err := req.Params.ToGame()
 	if err != nil {
-		cli.WriteHTTPError(w, http.StatusBadRequest, "invalid_params", err.Error())
+		s.quoteError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
 	eq, err := s.cache.Solve(p)
 	if err != nil {
-		cli.WriteHTTPError(w, http.StatusInternalServerError, "solve_failed", err.Error())
+		s.quoteError(w, http.StatusInternalServerError, "solve_failed", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusOK, SolveResponse{

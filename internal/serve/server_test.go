@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"unbiasedfl/internal/cli"
 	"unbiasedfl/internal/game"
@@ -156,7 +157,11 @@ func TestQuoteCaching(t *testing.T) {
 // TestHandlerErrorEnvelope pins the typed error envelope for every
 // rejection class the API can produce.
 func TestHandlerErrorEnvelope(t *testing.T) {
-	_, ts := newTestServer(t, Config{MaxBody: 2048})
+	s, ts := newTestServer(t, Config{MaxBody: 2048})
+	// A budget below what even the all-QMin profile costs validates and
+	// then fails in the solver.
+	const unaffordableGame = `{"a":[1],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":-1e9}`
+	const unaffordable = `{"params":` + unaffordableGame + `}`
 
 	bigA := make([]float64, 4096)
 	bigBody, _ := json.Marshal(QuoteRequest{Params: ParamsJSON{A: bigA}})
@@ -175,6 +180,14 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 		{"invalid params", "POST", "/v1/quote", `{"params":{"a":[2],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10}}`, http.StatusBadRequest, "invalid_params"},
 		{"oversized body", "POST", "/v1/quote", string(bigBody), http.StatusRequestEntityTooLarge, "body_too_large"},
 		{"invalid solve params", "POST", "/v1/solve", `{"params":{"a":[1],"g":[1],"c":[-1],"v":[1],"alpha":1,"r":10,"b":10}}`, http.StatusBadRequest, "invalid_params"},
+		{"bad solve json", "POST", "/v1/solve", `{"params":`, http.StatusBadRequest, "bad_json"},
+		{"unaffordable floor", "POST", "/v1/solve", unaffordable, http.StatusInternalServerError, "solve_failed"},
+		{"unaffordable floor quote", "POST", "/v1/quote", unaffordable, http.StatusInternalServerError, "solve_failed"},
+		{"bad batch json", "POST", "/v1/quotes", `{"params":[`, http.StatusBadRequest, "bad_json"},
+		{"empty batch", "POST", "/v1/quotes", `{"params":[]}`, http.StatusBadRequest, "invalid_params"},
+		{"unknown batch scheme", "POST", "/v1/quotes", `{"scheme":"nope","params":[{"a":[1],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10}]}`, http.StatusNotFound, "unknown_scheme"},
+		{"invalid batch params", "POST", "/v1/quotes", `{"params":[{"a":[2],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10}]}`, http.StatusBadRequest, "invalid_params"},
+		{"unaffordable batch game", "POST", "/v1/quotes", `{"params":[` + unaffordableGame + `]}`, http.StatusInternalServerError, "solve_failed"},
 		{"no workload", "POST", "/v1/sessions", `{}`, http.StatusBadRequest, "invalid_session"},
 		{"two workloads", "POST", "/v1/sessions", `{"scenario":"baseline","run":{"setup":1}}`, http.StatusBadRequest, "invalid_session"},
 		{"unknown scenario", "POST", "/v1/sessions", `{"scenario":"nope"}`, http.StatusBadRequest, "invalid_session"},
@@ -206,6 +219,17 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 				t.Fatal("error envelope has no message")
 			}
 		})
+	}
+	// Every rejection of the three pricing endpoints is counted, none of
+	// the session ones.
+	pricing := 0
+	for _, tc := range cases {
+		if strings.HasPrefix(tc.path, "/v1/quote") || tc.path == "/v1/solve" {
+			pricing++
+		}
+	}
+	if got := s.metrics.quoteErrors.Load(); got != uint64(pricing) {
+		t.Fatalf("flserve_quote_errors_total %d after %d rejected pricing requests", got, pricing)
 	}
 }
 
@@ -274,6 +298,21 @@ func TestMetricsExposition(t *testing.T) {
 		resp := postJSON(t, ts.URL+"/v1/quote", QuoteRequest{Params: testParams()})
 		resp.Body.Close()
 	}
+	// One good batch of two (one of them the cached game), one rejected
+	// batch and one rejected solve.
+	other := testParams()
+	other.B = 150
+	for _, req := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/quotes", BatchQuoteRequest{Params: []ParamsJSON{testParams(), other}}},
+		{"/v1/quotes", BatchQuoteRequest{}},
+		{"/v1/solve", SolveRequest{}},
+	} {
+		resp := postJSON(t, ts.URL+req.path, req.body)
+		resp.Body.Close()
+	}
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
@@ -287,8 +326,12 @@ func TestMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		"flserve_quote_latency_seconds_bucket{le=\"+Inf\"} 3",
 		"flserve_quote_requests_total 3",
-		"flserve_cache_hits_total 2",
-		"flserve_cache_misses_total 1",
+		"flserve_quote_errors_total 2",
+		"flserve_batch_requests_total 2",
+		"flserve_batch_quotes_total 2",
+		"flserve_solve_requests_total 1",
+		"flserve_cache_hits_total 3",
+		"flserve_cache_misses_total 2",
 		"flserve_sessions_active 0",
 		"flserve_sessions_queued 0",
 		"flserve_rounds_committed_total 0",
@@ -353,6 +396,39 @@ func TestBatchQuoteMatchesSingle(t *testing.T) {
 		if env.Error.Code != tc.code {
 			t.Fatalf("batch error code %q, want %q", env.Error.Code, tc.code)
 		}
+	}
+}
+
+// TestBatchQuoteDeadline pins that a batch which outlives QuoteTimeout stops
+// pricing: a 504, counted as an error and not as served quotes, with fewer
+// cold solves behind it than the batch has games.
+func TestBatchQuoteDeadline(t *testing.T) {
+	s, ts := newTestServer(t, Config{QuoteTimeout: time.Millisecond, MaxBody: 64 << 20})
+	const games, clients = 48, 2048 // ~0.5 ms per cold solve: dozens of limits in all
+	batch := BatchQuoteRequest{Params: make([]ParamsJSON, games)}
+	for i := range batch.Params {
+		pj := ParamsJSON{Alpha: 1, Beta: 1, R: 100}
+		for j := 0; j < clients; j++ {
+			pj.A = append(pj.A, 1.0/clients)
+			pj.G = append(pj.G, 0.5+float64(j%7)/7)
+			pj.C = append(pj.C, 41+float64((i+j)%16))
+			pj.V = append(pj.V, 3000+float64(j%2000))
+			pj.B += pj.C[j] / 3
+		}
+		batch.Params[i] = pj
+	}
+	resp := postJSON(t, ts.URL+"/v1/quotes", batch)
+	if resp.StatusCode != http.StatusGatewayTimeout {
+		t.Fatalf("status %d, want 504", resp.StatusCode)
+	}
+	if env := decodeResp[cli.ErrorEnvelope](t, resp); env.Error.Code != "deadline_exceeded" {
+		t.Fatalf("error code %q, want deadline_exceeded (%s)", env.Error.Code, env.Error.Message)
+	}
+	if misses := s.cache.Snapshot().Misses; misses >= games {
+		t.Fatalf("%d cold solves behind an expired batch of %d games", misses, games)
+	}
+	if errs, served := s.metrics.quoteErrors.Load(), s.metrics.batchQuotes.Load(); errs != 1 || served != 0 {
+		t.Fatalf("quote errors %d, batch quotes %d after one expired batch, want 1 and 0", errs, served)
 	}
 }
 
