@@ -308,9 +308,9 @@ type updatePool struct {
 	ctx      context.Context
 	roundNum int
 	global   tensor.Vec
-	tasks   []ClientTask
-	updates []ClientUpdate
-	errs    []error
+	tasks    []ClientTask
+	updates  []ClientUpdate
+	errs     []error
 
 	// Hierarchical-round context.
 	hier    bool

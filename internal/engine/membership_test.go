@@ -29,10 +29,10 @@ func TestMembershipPlanValidate(t *testing.T) {
 	}
 
 	bad := map[string]*MembershipPlan{
-		"empty initial roster": {Initial: []int{}},
-		"initial out of range": {Initial: []int{0, 5}},
+		"empty initial roster":  {Initial: []int{}},
+		"initial out of range":  {Initial: []int{0, 5}},
 		"initial not ascending": {Initial: []int{2, 1}},
-		"initial duplicate":    {Initial: []int{1, 1}},
+		"initial duplicate":     {Initial: []int{1, 1}},
 		"event at round 0": {Events: []MembershipEvent{
 			{Round: 0, Leave: []int{0}}}},
 		"event past horizon": {Events: []MembershipEvent{

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -309,12 +310,25 @@ func TestStochasticGradientScratchZeroAllocs(t *testing.T) {
 	}
 }
 
-// benchTask is the MNIST-like shape of the paper's Setup 2.
-func benchTask(b *testing.B) (*LogisticRegression, *data.Dataset, tensor.Vec) {
+// benchShapes are the MNIST-like shape of the paper's Setup 2 at full size
+// and the three shapes the benchmark workloads actually step on — the twins
+// of their model.sgd_step_us: paper-train (Setup 2 at laptop scale),
+// fleet-local/fleet-cluster (Setup 1) and session-durable (Setup 3).
+var benchShapes = []struct {
+	name                string
+	dim, classes, batch int
+}{
+	{"784x10_b24", 784, 10, 24},
+	{"64x10_b24", 64, 10, 24},
+	{"60x10_b8", 60, 10, 8},
+	{"64x26_b8", 64, 26, 8},
+}
+
+func benchTask(b *testing.B, dim, classes int) (*LogisticRegression, *data.Dataset, tensor.Vec) {
 	b.Helper()
 	r := stats.NewRNG(1)
-	ds := randomDataset(r, 1600, 784, 10)
-	m, err := NewLogisticRegression(784, 10, 0.01)
+	ds := randomDataset(r, 1600, dim, classes)
+	m, err := NewLogisticRegression(dim, classes, 0.01)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -324,7 +338,7 @@ func benchTask(b *testing.B) (*LogisticRegression, *data.Dataset, tensor.Vec) {
 // BenchmarkBatchGradient measures the batched mini-batch gradient kernel at
 // the paper's batch size (24) on the MNIST-like shape.
 func BenchmarkBatchGradient(b *testing.B) {
-	m, ds, w := benchTask(b)
+	m, ds, w := benchTask(b, 784, 10)
 	grad := m.ZeroParams()
 	scratch := new(Scratch)
 	rng := stats.NewRNG(2)
@@ -339,26 +353,34 @@ func BenchmarkBatchGradient(b *testing.B) {
 
 // BenchmarkSGDStep measures the fused step the FL hot loop actually runs.
 func BenchmarkSGDStep(b *testing.B) {
-	m, ds, w := benchTask(b)
-	scratch := new(Scratch)
-	rng := stats.NewRNG(2)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.SGDStep(w, ds, 24, 1e-6, rng, scratch); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			m, ds, w := benchTask(b, shape.dim, shape.classes)
+			scratch := new(Scratch)
+			rng := stats.NewRNG(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.SGDStep(w, ds, shape.batch, 1e-6, rng, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
 // BenchmarkEvalLoss measures the sharded full-dataset evaluation.
 func BenchmarkEvalLoss(b *testing.B) {
-	m, ds, w := benchTask(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Loss(w, ds); err != nil {
-			b.Fatal(err)
-		}
+	for _, shape := range benchShapes {
+		b.Run(fmt.Sprintf("%dx%d", shape.dim, shape.classes), func(b *testing.B) {
+			m, ds, w := benchTask(b, shape.dim, shape.classes)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := m.Loss(w, ds); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -194,11 +194,11 @@ type Scenario struct {
 	// training sets. 0 materializes every client's shard individually.
 	FleetShards int
 	Rounds      int
-	LocalSteps   int
-	BatchSize    int
-	EvalEvery    int
-	Calibration  int
-	Seed         uint64
+	LocalSteps  int
+	BatchSize   int
+	EvalEvery   int
+	Calibration int
+	Seed        uint64
 
 	// CostScale multiplies every client's cost parameter c_n (0 = 1).
 	CostScale float64

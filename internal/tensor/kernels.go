@@ -5,13 +5,25 @@ import (
 	"math"
 )
 
-// This file implements the blocked, unrolled kernels behind the batched
-// gradient path: X·Wᵀ products over row-sliced inputs, row-wise softmax, and
-// the Pᵀ·X gradient accumulation. The micro-kernels process four matrix rows
-// per pass and keep four independent accumulators per output, which breaks
-// the floating-point add latency chain that limits a naive dot-product loop
-// and reuses each loaded input element across four rows. All kernels are
-// allocation-free: callers provide every buffer.
+// This file implements the kernels behind the batched gradient path: X·Wᵀ
+// products over row-sliced inputs, row-wise softmax, and the Pᵀ·X gradient
+// accumulation. All kernels are allocation-free: callers provide every buffer.
+//
+// The order of floating-point operations behind each output element of
+// LogitsBatch and AddScaledTMul is a contract, stated in their comments: the
+// golden traces, the bit-identity of the two backends and of a federation
+// whose hosts have different CPUs all rest on it. Two implementations honour
+// it. The portable Go kernels below run everywhere; they process four matrix
+// rows and two samples per pass, which reuses each loaded element and keeps
+// several independent add chains in flight. On amd64 with AVX2 (detected once
+// from CPUID, no switch) the regular region of both kernels — everything but
+// an odd last class and, for LogitsBatch, an odd last sample — runs on the
+// micro-kernels of simd_amd64.s instead, whose vector lanes carry four
+// independent outputs and perform, per lane, exactly the portable kernels'
+// multiplications and additions in the portable kernels' order: no fused
+// multiply-add, no sum split across lanes. The portable kernels are the
+// reference the vector ones are tested against, bit for bit. MatMulT has no
+// vector kernel.
 
 // dotUnrolled returns the inner product of a and b (equal lengths) using four
 // independent accumulators.
@@ -116,6 +128,16 @@ func MatMulT(a, b, out *Mat) error {
 // out[i*classes+c] = dot(w[c*dim:(c+1)*dim], xs[i]) + bias[c]. The rows of X
 // are the (possibly non-contiguous) slices xs, which lets datasets keep
 // per-sample feature vectors without a packing copy. bias may be nil.
+//
+// Operation order, per output: in the regular region — samples below
+// len(xs)&^1, classes below classes&^1 — the products w[c*dim+j]·xs[i][j] are
+// added one at a time, j ascending, into a single sum that starts at +0, and
+// bias[c] is added last (not at all when bias is nil). An odd last class sums
+// into four partial sums by j mod 4 (the remainder of dim into the first),
+// combined as (s0+s1)+(s2+s3), then + bias; an odd last sample takes the
+// single sum for classes below classes&^3 and the four partial sums for the
+// rest. The regular region runs on the vector kernel when dim is a multiple
+// of 4 and it holds at least 8 samples and 4 classes.
 func LogitsBatch(xs [][]float64, w, bias Vec, dim, classes int, out Vec) error {
 	if dim <= 0 || classes <= 0 {
 		return errors.New("tensor: non-positive shape in LogitsBatch")
@@ -134,20 +156,32 @@ func LogitsBatch(xs [][]float64, w, bias Vec, dim, classes int, out Vec) error {
 			return errors.New("tensor: input row length mismatch in LogitsBatch")
 		}
 	}
-	i := 0
-	for ; i+1 < len(xs); i += 2 {
-		mulRows2T(w, bias, dim, classes, xs[i], xs[i+1],
-			out[i*classes:(i+1)*classes], out[(i+1)*classes:(i+2)*classes])
+	from := 0
+	if logitsVector(xs, w, bias, dim, classes, out) {
+		from = classes &^ 1
 	}
-	if i < len(xs) {
-		mulRowsT(w, bias, dim, classes, xs[i], out[i*classes:(i+1)*classes])
-	}
+	logitsPortable(xs, w, bias, dim, from, classes, out)
 	return nil
 }
 
-// mulRows2T scores two samples per pass through the weight rows.
-func mulRows2T(w, bias Vec, k, rows int, x, y, outX, outY []float64) {
-	c := 0
+// logitsPortable is LogitsBatch on the Go kernels, scoring the sample pairs
+// against classes [from, classes) only (from even) and an odd last sample
+// against every class.
+func logitsPortable(xs [][]float64, w, bias Vec, dim, from, classes int, out Vec) {
+	n := len(xs) &^ 1
+	if from < classes {
+		for i := 0; i < n; i += 2 {
+			mulRows2T(w, bias, dim, from, classes, xs[i], xs[i+1],
+				out[i*classes:(i+1)*classes], out[(i+1)*classes:(i+2)*classes])
+		}
+	}
+	if n < len(xs) {
+		mulRowsT(w, bias, dim, classes, xs[n], out[n*classes:(n+1)*classes])
+	}
+}
+
+// mulRows2T scores two samples per pass through the weight rows from c on.
+func mulRows2T(w, bias Vec, k, c, rows int, x, y, outX, outY []float64) {
 	for ; c+3 < rows; c += 4 {
 		base := c * k
 		s0, s1, s2, s3, t0, t1, t2, t3 := dot4Rows2(
@@ -239,12 +273,18 @@ func SoftmaxRows(p Vec, rows, cols int) error {
 }
 
 // AddScaledTMul accumulates the batched outer-product gradient G += s·Pᵀ·X:
-// g[c*dim:(c+1)*dim] += s · Σ_i p[i*classes+c] · xs[i]. Classes are blocked
-// four at a time so each sample row is loaded once per block, and samples
-// two (or four) at a time to halve the read-modify-write traffic on g. For
-// every class the samples accumulate in ascending i order with a fixed
-// grouping, so results are fully deterministic (the pairwise grouping can
-// differ from a naive per-sample loop by ~1 ulp per term).
+// g[c*dim:(c+1)*dim] += s · Σ_i p[i*classes+c] · xs[i].
+//
+// Operation order, per element g[c*dim+j], with sp_i = s·p[i*classes+c]
+// rounded once: for classes below classes&^1 the samples are taken in
+// ascending pairs, g += sp_i·xs[i][j] + sp_{i+1}·xs[i+1][j] (the two products
+// added to each other first, then to g), and an odd last sample as
+// g += sp_i·xs[i][j]. An odd last class takes the samples four at a time,
+// g += ((sp_i·x_i + sp_{i+1}·x_{i+1}) + sp_{i+2}·x_{i+2}) + sp_{i+3}·x_{i+3},
+// and the remaining ones singly. The grouping can differ from a naive
+// per-sample loop by ~1 ulp per term; it is fixed, so results are fully
+// deterministic. The classes below classes&^1 run on the vector kernels when
+// dim is a multiple of 4.
 func AddScaledTMul(s float64, xs [][]float64, p Vec, classes, dim int, g Vec) error {
 	if dim <= 0 || classes <= 0 {
 		return errors.New("tensor: non-positive shape in AddScaledTMul")
@@ -260,7 +300,17 @@ func AddScaledTMul(s float64, xs [][]float64, p Vec, classes, dim int, g Vec) er
 			return errors.New("tensor: input row length mismatch in AddScaledTMul")
 		}
 	}
-	c := 0
+	from := 0
+	if addScaledTMulVector(s, xs, p, classes, dim, g) {
+		from = classes &^ 1
+	}
+	addScaledTMulPortable(s, xs, p, from, classes, dim, g)
+	return nil
+}
+
+// addScaledTMulPortable is AddScaledTMul on the Go kernels for the gradient
+// rows of classes [c, classes), c even.
+func addScaledTMulPortable(s float64, xs [][]float64, p Vec, c, classes, dim int, g Vec) {
 	for ; c+3 < classes; c += 4 {
 		g0 := g[c*dim : (c+1)*dim]
 		g1 := g[(c+1)*dim : (c+2)*dim]
@@ -315,7 +365,6 @@ func AddScaledTMul(s float64, xs [][]float64, p Vec, classes, dim int, g Vec) er
 			}
 		}
 	}
-	return nil
 }
 
 // axpy4 performs four simultaneous axpy updates sharing one x load stream.

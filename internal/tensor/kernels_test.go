@@ -122,6 +122,19 @@ func TestLogitsBatchMatchesPerSample(t *testing.T) {
 	}
 }
 
+// rowsWithOne returns n zero rows of dim floats, except that row odd (when
+// not negative) has the given length instead.
+func rowsWithOne(n, dim, odd, length int) [][]float64 {
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = make([]float64, dim)
+	}
+	if odd >= 0 {
+		xs[odd] = make([]float64, length)
+	}
+	return xs
+}
+
 func TestLogitsBatchErrors(t *testing.T) {
 	xs := [][]float64{{1, 2}}
 	if err := LogitsBatch(xs, NewVec(4), nil, 2, 2, NewVec(2)); err != nil {
@@ -141,6 +154,36 @@ func TestLogitsBatchErrors(t *testing.T) {
 	}
 	if err := LogitsBatch(xs, NewVec(0), nil, 0, 2, NewVec(2)); err == nil {
 		t.Fatal("expected shape error")
+	}
+
+	// On a shape the vector kernel takes, the length checks are all that
+	// stands between a wrong argument and an unchecked load or store.
+	const n, classes, dim = 16, 8, 12
+	rows := func(odd, length int) [][]float64 { return rowsWithOne(n, dim, odd, length) }
+	w, bias, out := NewVec(classes*dim), NewVec(classes), NewVec(n*classes)
+	if err := LogitsBatch(rows(-1, 0), w, bias, dim, classes, out); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"short row in the middle": func() error { return LogitsBatch(rows(n/2, dim-1), w, bias, dim, classes, out) },
+		"short last row":          func() error { return LogitsBatch(rows(n-1, dim-4), w, bias, dim, classes, out) },
+		"empty row":               func() error { return LogitsBatch(rows(3, 0), w, bias, dim, classes, out) },
+		"long row":                func() error { return LogitsBatch(rows(0, dim+4), w, bias, dim, classes, out) },
+		"short w":                 func() error { return LogitsBatch(rows(-1, 0), w[:len(w)-1], bias, dim, classes, out) },
+		"long w":                  func() error { return LogitsBatch(rows(-1, 0), NewVec(len(w)+dim), bias, dim, classes, out) },
+		"short bias":              func() error { return LogitsBatch(rows(-1, 0), w, bias[:classes-1], dim, classes, out) },
+		"long bias":               func() error { return LogitsBatch(rows(-1, 0), w, NewVec(classes+4), dim, classes, out) },
+		"empty bias":              func() error { return LogitsBatch(rows(-1, 0), w, Vec{}, dim, classes, out) },
+		"short out":               func() error { return LogitsBatch(rows(-1, 0), w, bias, dim, classes, out[:len(out)-1]) },
+		"long out":                func() error { return LogitsBatch(rows(-1, 0), w, bias, dim, classes, NewVec(len(out)+classes)) },
+		"out for no rows":         func() error { return LogitsBatch(nil, w, bias, dim, classes, out) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	if err := LogitsBatch(nil, w, bias, dim, classes, nil); err != nil {
+		t.Fatalf("zero rows: %v", err)
 	}
 }
 
@@ -233,5 +276,96 @@ func TestAddScaledTMulErrors(t *testing.T) {
 	}
 	if err := AddScaledTMul(1, xs, NewVec(0), 0, 2, NewVec(0)); err == nil {
 		t.Fatal("expected shape error")
+	}
+
+	// The same on a shape the vector kernels take (see TestLogitsBatchErrors).
+	const n, classes, dim = 16, 6, 12
+	rows := func(odd, length int) [][]float64 { return rowsWithOne(n, dim, odd, length) }
+	p, g := NewVec(n*classes), NewVec(classes*dim)
+	if err := AddScaledTMul(1, rows(-1, 0), p, classes, dim, g); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"short row in the middle": func() error { return AddScaledTMul(1, rows(n/2, dim-1), p, classes, dim, g) },
+		"short last row":          func() error { return AddScaledTMul(1, rows(n-1, dim-4), p, classes, dim, g) },
+		"empty row":               func() error { return AddScaledTMul(1, rows(3, 0), p, classes, dim, g) },
+		"long row":                func() error { return AddScaledTMul(1, rows(0, dim+4), p, classes, dim, g) },
+		"short p":                 func() error { return AddScaledTMul(1, rows(-1, 0), p[:len(p)-1], classes, dim, g) },
+		"long p":                  func() error { return AddScaledTMul(1, rows(-1, 0), NewVec(len(p)+classes), classes, dim, g) },
+		"short g":                 func() error { return AddScaledTMul(1, rows(-1, 0), p, classes, dim, g[:len(g)-1]) },
+		"long g":                  func() error { return AddScaledTMul(1, rows(-1, 0), p, classes, dim, NewVec(len(g)+dim)) },
+		"p for no rows":           func() error { return AddScaledTMul(1, nil, p, classes, dim, g) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s: expected an error", name)
+		}
+	}
+	g[5] = 7
+	if err := AddScaledTMul(1, nil, nil, classes, dim, g); err != nil || g[5] != 7 {
+		t.Fatalf("zero rows must be a no-op: err %v, g[5] = %v", err, g[5])
+	}
+}
+
+// kernelBenchShapes are the benchmark workloads' SGD-step shapes, the 784×10
+// benchTask and one 512-row evaluation chunk.
+var kernelBenchShapes = []struct {
+	name            string
+	n, classes, dim int
+}{
+	{"64x10_b24", 24, 10, 64},
+	{"60x10_b8", 8, 10, 60},
+	{"64x26_b8", 8, 26, 64},
+	{"784x10_b24", 24, 10, 784},
+	{"64x10_b512", 512, 10, 64},
+}
+
+func benchKernelInputs(n, classes, dim int) (xs [][]float64, w, bias, p, g Vec) {
+	r := &kernelRNG{s: 5}
+	xs = make([][]float64, n)
+	for i := range xs {
+		xs[i] = make([]float64, dim)
+		r.fill(xs[i])
+	}
+	w, bias, p, g = NewVec(classes*dim), NewVec(classes), NewVec(n*classes), NewVec(classes*dim)
+	r.fill(w)
+	r.fill(bias)
+	r.fill(p)
+	return xs, w, bias, p, g
+}
+
+func reportMACs(b *testing.B, n, classes, dim int) {
+	b.ReportMetric(float64(n*classes*dim)*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "MAC/ns")
+}
+
+func BenchmarkLogitsBatch(b *testing.B) {
+	for _, shape := range kernelBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			xs, w, bias, out, _ := benchKernelInputs(shape.n, shape.classes, shape.dim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := LogitsBatch(xs, w, bias, shape.dim, shape.classes, out); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportMACs(b, shape.n, shape.classes, shape.dim)
+		})
+	}
+}
+
+func BenchmarkAddScaledTMul(b *testing.B) {
+	for _, shape := range kernelBenchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			xs, _, _, p, g := benchKernelInputs(shape.n, shape.classes, shape.dim)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if i&1023 == 0 {
+					g.Zero() // keep the accumulated gradient finite
+				}
+				if err := AddScaledTMul(1/float64(shape.n), xs, p, shape.classes, shape.dim, g); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportMACs(b, shape.n, shape.classes, shape.dim)
+		})
 	}
 }
