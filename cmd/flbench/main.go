@@ -295,7 +295,11 @@ func (h *harness) bayes() error {
 	if err != nil {
 		return err
 	}
-	uni, err := env.Params.SolveScheme(game.SchemeUniform)
+	uniform, err := game.SchemeByName(game.SchemeNameUniform)
+	if err != nil {
+		return err
+	}
+	uni, err := uniform.Price(env.Params)
 	if err != nil {
 		return err
 	}

@@ -4,11 +4,11 @@
 // from a shared seed, so each client owns its own shard without any data
 // exchange, exactly like physically-distributed devices.
 //
-// The server is the engine's one coordinator (engine.Run on a cluster
-// backend listening at -addr) and a client is the engine's one device loop
-// (engine.ServeNode): the server prices the market, samples participants
-// and folds the unbiased aggregate; a device only answers the round starts
-// it is sent.
+// The server is the engine's one coordinator (experiment.Launch on a
+// cluster backend listening at -addr) and a client is the engine's one
+// device loop (engine.ServeNode): the server prices the market, samples
+// participants and folds the unbiased aggregate; a device only answers the
+// round starts it is sent.
 //
 // Usage:
 //
@@ -103,11 +103,12 @@ func run(ctx context.Context) error {
 	switch *role {
 	case "server":
 		fmt.Printf("server listening on %s, waiting for %d clients\n", *addr, *clients)
-		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves),
-			engine.NewClusterBackend(engine.ClusterOptions{Addr: *addr, Timeout: *timeout, RoundTimeout: *roundTO}))
+		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves), experiment.RunConfig{
+			Backend: experiment.BackendCluster,
+			Cluster: experiment.ClusterConfig{Addr: *addr, Timeout: *timeout, RoundTimeout: *roundTO},
+		})
 	case "local":
-		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves),
-			engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
+		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves), experiment.RunConfig{})
 	case "client":
 		if *id < 0 || *id >= *clients {
 			return fmt.Errorf("client id %d out of range [0,%d)", *id, *clients)
@@ -130,11 +131,10 @@ func run(ctx context.Context) error {
 	}
 }
 
-// coordinate prices the market with the proposed mechanism, compiles the
-// run into an engine spec — Bernoulli(q*) participation, Lemma-1 unbiased
-// aggregation, the market re-priced at every membership epoch — and runs it
-// on the given backend.
-func coordinate(ctx context.Context, env *experiment.Environment, plan *engine.MembershipPlan, backend engine.ExecutionBackend) error {
+// coordinate prices the market with the proposed mechanism and launches the
+// run — Bernoulli(q*) participation, Lemma-1 unbiased aggregation, the
+// market re-priced at every membership epoch — under cfg.
+func coordinate(ctx context.Context, env *experiment.Environment, plan *engine.MembershipPlan, cfg experiment.RunConfig) error {
 	scheme, err := game.SchemeByName(game.SchemeNameProposed)
 	if err != nil {
 		return err
@@ -150,28 +150,18 @@ func coordinate(ctx context.Context, env *experiment.Environment, plan *engine.M
 	if err != nil {
 		return err
 	}
-	spec := engine.Spec{
-		Model: env.Model, Fed: env.Fed,
-		Rounds: env.Opts.Rounds, LocalSteps: env.Opts.LocalSteps, BatchSize: env.Opts.BatchSize,
-		Schedule: engine.ExpDecay{Eta0: 0.1, Decay: 0.996}, EvalEvery: env.Opts.Rounds,
-		Seed: env.Opts.Seed, Sampler: sampler, Aggregator: engine.UnbiasedAggregator{},
-	}
-	if plan != nil {
-		rp, err := game.NewRepricer(env.Params, scheme)
-		if err != nil {
-			return err
-		}
-		spec.Membership = plan
-		spec.OnEpoch = func(r engine.Roster) error {
-			if _, err := rp.Reprice(r.Active, q, nil); err != nil {
-				return fmt.Errorf("epoch %d re-pricing: %w", r.Epoch, err)
-			}
+	res, err := experiment.Launch(ctx, env, experiment.Leg{
+		Scheme:     scheme.Name(),
+		EvalEvery:  env.Opts.Rounds,
+		Seed:       env.Opts.Seed,
+		Sampler:    sampler,
+		Membership: plan,
+		Q:          q, // re-priced in place; the summary below prints the final levels
+		OnEpoch: func(r engine.Roster, _ game.EpochPricing) {
 			fmt.Printf("epoch %d at round %d: %d active, joined %v, left %v\n",
 				r.Epoch, r.Round, r.NumActive(), r.Joined, r.Left)
-			return sampler.SetQ(q)
-		}
-	}
-	res, err := engine.Run(ctx, spec, backend)
+		},
+	}, cfg)
 	if err != nil {
 		return err
 	}

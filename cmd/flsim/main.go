@@ -12,11 +12,11 @@
 // and runs it. The seed is taken literally, as hex after a "hex:" prefix, or
 // from a Go fuzz corpus file with "@path".
 //
-// Durability: -checkpoint commits the run state every round; a process
-// killed mid-run (even with SIGKILL — try -kill-after) rerun with -resume
-// finishes from the last committed round and prints a trace byte-identical
-// to an uninterrupted run. -round-timeout puts cluster rounds under a
-// self-healing deadline.
+// Durability, in every mode: -checkpoint commits the run state every round;
+// a process killed mid-run (even with SIGKILL — try -kill-after) rerun with
+// -resume finishes from the last committed round and prints output
+// byte-identical to an uninterrupted run. -round-timeout puts cluster rounds
+// under a self-healing deadline.
 //
 // Usage:
 //
@@ -26,6 +26,7 @@
 //	flsim -generate @internal/scenario/testdata/fuzz/FuzzScenario/seed-ascii
 //	flsim -scenario baseline -checkpoint run.ckpt [-kill-after 5]
 //	flsim -scenario baseline -checkpoint run.ckpt -resume -json
+//	flsim -setup 1 -runs 2 -checkpoint leg [-kill-after 5 | -resume -json]
 //	flsim -scenario list
 package main
 
@@ -119,6 +120,18 @@ func run(ctx context.Context) error {
 	if err != nil {
 		return fmt.Errorf("-leave: %w", err)
 	}
+	// One run configuration for all three modes; in scheme mode -checkpoint
+	// is the per-leg path prefix.
+	cfg := unbiasedfl.RunConfig{
+		Backend:   exec,
+		Cluster:   unbiasedfl.ClusterConfig{RoundTimeout: *roundTO},
+		GroupSize: *group,
+		Checkpoint: unbiasedfl.CheckpointConfig{
+			Path:        *ckpt,
+			Resume:      *resume,
+			AfterCommit: killAfterHook(*killAfter),
+		},
+	}
 
 	if *generate != "" {
 		// A generated world is fully determined by its seed: like -scenario,
@@ -142,11 +155,6 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("-generate: %w", err)
 		}
 		sc := unbiasedfl.GenerateScenario(seedBytes)
-		cfg := unbiasedfl.ScenarioRunConfig{
-			Backend:   exec,
-			Cluster:   unbiasedfl.ClusterConfig{RoundTimeout: *roundTO},
-			GroupSize: *group,
-		}
 		trace, err := unbiasedfl.RunScenarioWith(ctx, sc, cfg)
 		if err != nil {
 			return err
@@ -170,23 +178,10 @@ func run(ctx context.Context) error {
 			return fmt.Errorf("-scenario replays a self-contained world; %s do(es) not apply (only -json, -backend, -group, and the durability flags combine)",
 				strings.Join(conflicting, ", "))
 		}
-		cfg := unbiasedfl.ScenarioRunConfig{
-			Backend:   exec,
-			Cluster:   unbiasedfl.ClusterConfig{RoundTimeout: *roundTO},
-			GroupSize: *group,
-			Checkpoint: unbiasedfl.CheckpointConfig{
-				Path:        *ckpt,
-				Resume:      *resume,
-				AfterCommit: killAfterHook(*killAfter),
-			},
-		}
 		return runScenario(ctx, *scenario, cfg, joins, leaves, *jsonFlag)
 	}
 
 	name := *scheme
-	if name == "optimal" { // historical alias for the proposed mechanism
-		name = unbiasedfl.SchemeNameProposed
-	}
 	if _, err := unbiasedfl.SchemeByName(name); err != nil {
 		return err
 	}
@@ -197,9 +192,7 @@ func run(ctx context.Context) error {
 		unbiasedfl.WithLocalSteps(*steps),
 		unbiasedfl.WithRuns(*runs),
 		unbiasedfl.WithSeed(*seed),
-		unbiasedfl.WithBackend(exec),
-		unbiasedfl.WithRoundTimeout(*roundTO),
-		unbiasedfl.WithGroupSize(*group),
+		unbiasedfl.WithRunConfig(cfg),
 	}
 	if *fleet > 0 {
 		if *fleet < *clients {
@@ -217,16 +210,6 @@ func run(ctx context.Context) error {
 	}
 	if plan := cli.ChurnPlan(numClients, joins, leaves); plan != nil {
 		options = append(options, unbiasedfl.WithMembership(plan))
-	}
-	if *ckpt != "" {
-		if *resume {
-			options = append(options, unbiasedfl.WithCheckpointResume(*ckpt))
-		} else {
-			options = append(options, unbiasedfl.WithCheckpoint(*ckpt))
-		}
-	}
-	if *killAfter > 0 {
-		return fmt.Errorf("-kill-after only applies to -scenario runs")
 	}
 	if *progress {
 		options = append(options, unbiasedfl.WithObserver(
@@ -321,7 +304,7 @@ func churnFaults(joins, leaves []cli.ChurnEvent) []unbiasedfl.ClientFault {
 
 // runScenario replays one named scenario under the given run configuration
 // and prints its canonical trace (identical whichever backend carried it).
-func runScenario(ctx context.Context, name string, cfg unbiasedfl.ScenarioRunConfig, joins, leaves []cli.ChurnEvent, jsonOut bool) error {
+func runScenario(ctx context.Context, name string, cfg unbiasedfl.RunConfig, joins, leaves []cli.ChurnEvent, jsonOut bool) error {
 	if name == "list" {
 		if jsonOut {
 			type entry struct {

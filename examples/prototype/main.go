@@ -34,10 +34,13 @@ func run() error {
 		unbiasedfl.WithRounds(30),
 		unbiasedfl.WithLocalSteps(5),
 		unbiasedfl.WithRuns(1),
-		unbiasedfl.WithBackend(unbiasedfl.BackendCluster),
-		// A device that crashes or stalls past the deadline forfeits its
-		// round — which the unbiased estimator already prices — and is revived.
-		unbiasedfl.WithRoundTimeout(time.Minute),
+		unbiasedfl.WithRunConfig(unbiasedfl.RunConfig{
+			Backend: unbiasedfl.BackendCluster,
+			// A device that crashes or stalls past the deadline forfeits its
+			// round — which the unbiased estimator already prices — and is
+			// revived.
+			Cluster: unbiasedfl.ClusterConfig{RoundTimeout: time.Minute},
+		}),
 		unbiasedfl.WithObserver(unbiasedfl.ObserverFunc(func(e unbiasedfl.Event) {
 			if r, ok := e.(unbiasedfl.RoundEnd); ok {
 				fmt.Printf("round %2d: %d of 8 devices joined", r.Round, r.Participants)

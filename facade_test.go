@@ -85,8 +85,8 @@ func TestSessionCompareAndSweep(t *testing.T) {
 	}
 }
 
-// TestDeprecatedFacade keeps the v0 entry points (ctx-threaded now, enum
-// constants deprecated) working against the registry-backed internals.
+// TestDeprecatedFacade keeps the v0 package-level entry points (ctx-threaded
+// now) working against the registry-backed internals.
 func TestDeprecatedFacade(t *testing.T) {
 	ctx := context.Background()
 	opts := unbiasedfl.Options{
@@ -104,15 +104,18 @@ func TestDeprecatedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The deprecated enum still prices through the registry shim.
-	out, err := env.Params.SolveScheme(unbiasedfl.SchemeOptimal)
+	ps, err := unbiasedfl.SchemeByName(unbiasedfl.SchemeNameProposed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ps.Price(env.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != unbiasedfl.SchemeNameProposed {
-		t.Fatalf("enum mapped to %q", out.Name)
+		t.Fatalf("outcome labelled %q", out.Name)
 	}
-	run, err := unbiasedfl.RunScheme(ctx, env, unbiasedfl.SchemeOptimal.String())
+	run, err := unbiasedfl.RunScheme(ctx, env, unbiasedfl.SchemeNameProposed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +130,7 @@ func TestFacadeDefaults(t *testing.T) {
 	if d.NumClients <= 1 || p.NumClients != 40 || p.Rounds != 1000 {
 		t.Fatalf("unexpected defaults: %+v %+v", d, p)
 	}
-	if unbiasedfl.Setup1.String() == "" || unbiasedfl.SchemeOptimal.String() != "proposed" {
+	if unbiasedfl.Setup1.String() == "" || unbiasedfl.BackendCluster.String() != "cluster" {
 		t.Fatal("stringers broken")
 	}
 	names := unbiasedfl.SchemeNames()

@@ -66,8 +66,6 @@ type ClusterOptions struct {
 	// Retry tunes node dialing, both at boot and when a healing cluster
 	// revives a dead node (zero value: DefaultNodeRetry).
 	Retry transport.RetryPolicy
-	// MaxRespawns bounds per-node revivals (0 = DefaultMaxRespawns).
-	MaxRespawns int
 }
 
 // healing reports whether self-healing mode is on.
@@ -193,9 +191,6 @@ func NewClusterBackend(opts ClusterOptions) *ClusterBackend {
 	}
 	if opts.Retry.HandshakeTimeout <= 0 {
 		opts.Retry.HandshakeTimeout = opts.HandshakeTimeout
-	}
-	if opts.MaxRespawns <= 0 {
-		opts.MaxRespawns = DefaultMaxRespawns
 	}
 	b := &ClusterBackend{opts: opts, external: external}
 	b.cond = sync.NewCond(&b.mu)
@@ -723,7 +718,7 @@ func (b *ClusterBackend) fail(unit int, tasked []ClientTask, cause error) {
 		retired = b.retired[unit]
 	}
 	respawn := !b.external && !b.closed && !slot.ready && !slot.pending && !retired &&
-		b.runCtx.Err() == nil && b.respawns[lo] < b.opts.MaxRespawns
+		b.runCtx.Err() == nil && b.respawns[lo] < DefaultMaxRespawns
 	if respawn {
 		slot.pending = true
 		for n := lo; n < hi; n++ {

@@ -50,9 +50,11 @@
 // not ride it at all. transport's TestWireBytesPerParam computes all three
 // figures from the encoder.
 //
-// Layers above compile into a Spec and pick a backend: internal/fl's
-// calibration, internal/experiment, internal/scenario and cmd/flnode all
-// hand their Spec to Run through this one seam.
+// Above this package one function compiles a Spec, picks a backend and calls
+// Run: experiment.Launch, the launch path of every priced run (sessions and
+// sweeps, scenarios, cmd/flnode, flserve). internal/fl's calibration sits a
+// layer below it and hands Run its own Spec; the benchmark module builds its
+// specs itself by contract.
 package engine
 
 import (

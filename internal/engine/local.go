@@ -13,13 +13,11 @@ import (
 // LocalOptions tunes the in-process backend.
 type LocalOptions struct {
 	// Parallel enables concurrent local updates across participants via a
-	// persistent worker pool sized to GOMAXPROCS. Results are identical
-	// either way: every client owns a private RNG, each worker owns a
-	// private scratch arena, and the fixed-point aggregation makes the sum
-	// independent of scheduling.
+	// persistent worker pool sized to GOMAXPROCS, capped to the fleet.
+	// Results are identical either way: every client owns a private RNG,
+	// each worker owns a private scratch arena, and the fixed-point
+	// aggregation makes the sum independent of scheduling.
 	Parallel bool
-	// Workers overrides the pool size (0 = GOMAXPROCS, capped to the fleet).
-	Workers int
 }
 
 // LocalBackend executes local updates in-process. Per-client state is two
@@ -91,10 +89,7 @@ func (b *LocalBackend) Open(_ context.Context, spec *Spec) error {
 		b.states = newClientExecs(spec.Seed, nClients)
 	}
 	if b.opts.Parallel {
-		workers := b.opts.Workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
+		workers := runtime.GOMAXPROCS(0)
 		if workers > nClients {
 			workers = nClients
 		}

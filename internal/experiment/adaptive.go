@@ -139,16 +139,10 @@ func trainWithQ(ctx context.Context, env *Environment, q []float64, rounds int, 
 	if err != nil {
 		return nil, err
 	}
-	return engine.Run(ctx, engine.Spec{
-		Model:      env.Model,
-		Fed:        env.Fed,
-		Rounds:     rounds,
-		LocalSteps: env.Opts.LocalSteps,
-		BatchSize:  env.Opts.BatchSize,
-		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-		EvalEvery:  rounds,
-		Seed:       seed ^ 0xABCD,
-		Sampler:    sampler,
-		Aggregator: engine.UnbiasedAggregator{},
-	}, env.newBackend(true))
+	return Launch(ctx, env, Leg{
+		Rounds:    rounds,
+		EvalEvery: rounds,
+		Seed:      seed ^ 0xABCD,
+		Sampler:   sampler,
+	}, env.Run.execution())
 }

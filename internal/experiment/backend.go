@@ -1,14 +1,10 @@
 package experiment
 
-import (
-	"fmt"
+import "fmt"
 
-	"unbiasedfl/internal/engine"
-)
-
-// Backend selects the execution substrate every training run launched from
-// an Environment uses. The orchestrated round protocol is identical either
-// way, so results are bit-identical across backends.
+// Backend selects the execution substrate of a run (RunConfig.Backend). The
+// orchestrated round protocol is identical either way, so results are
+// bit-identical across backends.
 type Backend int
 
 const (
@@ -42,15 +38,4 @@ func ParseBackend(name string) (Backend, error) {
 	default:
 		return 0, fmt.Errorf("experiment: unknown backend %q (want local or cluster)", name)
 	}
-}
-
-// newBackend builds a fresh execution backend for one run. parallel applies
-// to the local backend only: callers that already saturate the CPU at a
-// coarser grain (parallel sweep points) pass false to avoid oversubscribing
-// GOMAXPROCS with nested pools. Results are identical either way.
-func (e *Environment) newBackend(parallel bool) engine.ExecutionBackend {
-	if e.Exec == BackendCluster {
-		return engine.NewClusterBackend(engine.ClusterOptions{RoundTimeout: e.RoundTimeout})
-	}
-	return engine.NewLocalBackend(engine.LocalOptions{Parallel: parallel})
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 
-	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/stats"
 )
@@ -66,18 +65,11 @@ func BoundFidelity(ctx context.Context, env *Environment, profiles int, seed uin
 			if err != nil {
 				return nil, err
 			}
-			out, err := engine.Run(ctx, engine.Spec{
-				Model:      env.Model,
-				Fed:        env.Fed,
-				Rounds:     env.Opts.Rounds,
-				LocalSteps: env.Opts.LocalSteps,
-				BatchSize:  env.Opts.BatchSize,
-				Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-				EvalEvery:  env.Opts.Rounds, // final evaluation only
-				Seed:       seed + uint64(7000*i+run),
-				Sampler:    sampler,
-				Aggregator: engine.UnbiasedAggregator{},
-			}, env.newBackend(true))
+			out, err := Launch(ctx, env, Leg{
+				EvalEvery: env.Opts.Rounds, // final evaluation only
+				Seed:      seed + uint64(7000*i+run),
+				Sampler:   sampler,
+			}, env.Run.execution())
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, ctxErr

@@ -7,7 +7,6 @@ import (
 	"math"
 	"sort"
 
-	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
@@ -62,20 +61,13 @@ func ConvergenceRate(ctx context.Context, env *Environment, horizons []int, seed
 		if err != nil {
 			return nil, err
 		}
-		res, err := engine.Run(ctx, engine.Spec{
-			Model:      env.Model,
-			Fed:        env.Fed,
-			Rounds:     r,
-			LocalSteps: env.Opts.LocalSteps,
-			BatchSize:  env.Opts.BatchSize,
-			Schedule: fl.TheoremDecay{
-				L: env.Cal.L, Mu: env.Cal.Mu, E: env.Opts.LocalSteps,
-			},
-			EvalEvery:  r, // final evaluation only
-			Seed:       seed,
-			Sampler:    sampler,
-			Aggregator: engine.UnbiasedAggregator{},
-		}, env.newBackend(true))
+		res, err := Launch(ctx, env, Leg{
+			Rounds:    r,
+			EvalEvery: r, // final evaluation only
+			Schedule:  fl.TheoremDecay{L: env.Cal.L, Mu: env.Cal.Mu, E: env.Opts.LocalSteps},
+			Seed:      seed,
+			Sampler:   sampler,
+		}, env.Run.execution())
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr

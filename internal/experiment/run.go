@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"time"
 
-	"unbiasedfl/internal/checkpoint"
-	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/sim"
@@ -72,12 +70,12 @@ func runRegistered(ctx context.Context, env *Environment, ps game.PricingScheme,
 	return run, nil
 }
 
-// runPricedParallel trains under a fixed priced outcome on the
-// environment's selected execution backend. The parallel flag makes the
-// local backend's worker pool explicit; callers that already saturate the
-// CPU at a coarser grain (parallel sweep points) pass false to avoid
-// oversubscribing GOMAXPROCS with nested pools. Results are identical
-// either way.
+// runPricedParallel trains Opts.Runs legs under a fixed priced outcome and
+// averages their timed trajectories. Each leg is one Launch under the
+// environment's RunConfig, with the event stream pointed at obs and — when
+// the config carries a checkpoint prefix — its own checkpoint file,
+// "<prefix>-<scheme>-run<i>.ckpt". parallel false keeps the local backend
+// off its worker pool (see Leg.Serial).
 func runPricedParallel(
 	ctx context.Context, env *Environment, scheme string, outcome *game.Outcome,
 	parallel bool, obs Observer,
@@ -86,18 +84,8 @@ func runPricedParallel(
 	// game's floor (they almost never participate but remain reachable).
 	q := env.Params.ClampQ(outcome.Q)
 
-	// Elastic runs re-price the sub-game over each epoch's active fleet. The
-	// scheme is resolved once here; each run gets its own warm repricer so
-	// run legs stay independent.
-	var epochScheme game.PricingScheme
-	if env.Membership != nil {
-		ps, err := game.SchemeByName(scheme)
-		if err != nil {
-			return nil, err
-		}
-		epochScheme = ps
-	}
-
+	cfg := env.Run
+	cfg.Events = obs
 	var (
 		times  [][]float64
 		losses [][]float64
@@ -112,64 +100,30 @@ func runPricedParallel(
 		if err != nil {
 			return nil, err
 		}
-		spec := engine.Spec{
-			Model:      env.Model,
-			Fed:        env.Fed,
-			Rounds:     env.Opts.Rounds,
-			LocalSteps: env.Opts.LocalSteps,
-			BatchSize:  env.Opts.BatchSize,
-			Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-			EvalEvery:  env.Opts.EvalEvery,
-			Seed:       seed ^ 0xDEADBEEF,
-			Sampler:    sampler,
-			Aggregator: engine.UnbiasedAggregator{},
-			GroupSize:  env.GroupSize,
+		if prefix := env.Run.Checkpoint.Path; prefix != "" {
+			cfg.Checkpoint.Path = fmt.Sprintf("%s-%s-run%d.ckpt", prefix, scheme, run)
 		}
-		if obs != nil {
-			run := run
-			spec.OnRoundStart = func(round int) {
-				obs.OnEvent(RoundStart{Scheme: scheme, Run: run, Round: round})
-			}
-			spec.OnRound = func(m engine.RoundMetrics) {
-				obs.OnEvent(RoundEnd{
-					Scheme:       scheme,
-					Run:          run,
-					Round:        m.Round,
-					Participants: m.Participants,
-					Evaluated:    m.Evaluated,
-					Loss:         m.GlobalLoss,
-					Accuracy:     m.TestAccuracy,
-				})
-			}
-		}
-		if env.Membership != nil {
-			rp, err := game.NewRepricer(env.Params, epochScheme)
-			if err != nil {
-				return nil, err
-			}
-			liveQ := append([]float64(nil), q...)
-			spec.Membership = env.Membership
-			spec.OnEpoch = func(r engine.Roster) error {
-				if _, err := rp.Reprice(r.Active, liveQ, nil); err != nil {
-					return fmt.Errorf("epoch %d re-pricing: %w", r.Epoch, err)
-				}
-				return sampler.SetQ(liveQ)
-			}
-		}
-		mgr, err := env.openRunCheckpoint(&spec, scheme, run, seed)
-		if err != nil {
-			return nil, err
-		}
-		timed, err := sim.TimedRun(ctx, spec, env.newBackend(parallel), env.Timing)
-		if mgr != nil {
-			if cerr := mgr.Close(); cerr != nil && err == nil {
-				err = cerr
-			}
-		}
+		// Every elastic leg re-prices into its own copy of q, so legs stay
+		// independent.
+		res, err := Launch(ctx, env, Leg{
+			Scheme:          scheme,
+			Run:             run,
+			Seed:            seed ^ 0xDEADBEEF,
+			Sampler:         sampler,
+			Membership:      env.Membership,
+			Q:               append([]float64(nil), q...),
+			CheckpointLabel: fmt.Sprintf("%s/run%d", scheme, run),
+			CheckpointSeed:  seed,
+			Serial:          !parallel,
+		}, cfg)
 		if err != nil {
 			if ctxErr := ctx.Err(); ctxErr != nil {
 				return nil, ctxErr
 			}
+			return nil, fmt.Errorf("%v run %d: %w", scheme, run, err)
+		}
+		timed, err := sim.Timestamp(res, env.Timing, env.Opts.LocalSteps)
+		if err != nil {
 			return nil, fmt.Errorf("%v run %d: %w", scheme, run, err)
 		}
 		ts := make([]float64, len(timed.Points))
@@ -225,60 +179,25 @@ func runPricedParallel(
 	return sr, nil
 }
 
-// openRunCheckpoint wires durability into one (scheme, run) training leg
-// when the environment carries a checkpoint prefix: the spec commits every
-// round boundary to "<prefix>-<scheme>-run<i>.ckpt", and — in resume mode —
-// picks up from whatever that file already holds. Returns nil with no error
-// when checkpointing is off.
-func (e *Environment) openRunCheckpoint(spec *engine.Spec, scheme string, run int, seed uint64) (*checkpoint.Manager, error) {
-	if e.Checkpoint == "" {
-		return nil, nil
-	}
-	path := fmt.Sprintf("%s-%s-run%d.ckpt", e.Checkpoint, scheme, run)
-	meta := checkpoint.Meta{
-		Label:   fmt.Sprintf("%s/run%d", scheme, run),
-		Seed:    seed,
-		Clients: e.Opts.NumClients,
-		Rounds:  e.Opts.Rounds,
-	}
-	var (
-		mgr *checkpoint.Manager
-		st  *engine.RunState
-		err error
-	)
-	if e.CheckpointResume {
-		mgr, st, err = checkpoint.Attach(path, meta, checkpoint.Options{})
-	} else {
-		mgr, err = checkpoint.Create(path, meta, checkpoint.Options{})
-	}
-	if err != nil {
-		return nil, err
-	}
-	spec.Resume = st
-	spec.OnRoundCommit = mgr.Commit
-	return mgr, nil
-}
-
-// schemeSeedSalt keeps per-scheme training seeds distinct, matching the
-// historical enum-based salt for the built-ins so trajectories are
-// bit-identical with the pre-registry code, and hashing names for
-// third-party schemes.
+// schemeSeedSalt keeps per-scheme training seeds distinct. The built-ins'
+// salts are fixed literals — every committed trajectory depends on them —
+// and third-party schemes hash their name.
 func schemeSeedSalt(scheme string) uint64 {
 	switch scheme {
 	case game.SchemeNameProposed:
-		return uint64(game.SchemeOptimal) << 24
+		return 1 << 24
 	case game.SchemeNameUniform:
-		return uint64(game.SchemeUniform) << 24
+		return 2 << 24
 	case game.SchemeNameWeighted:
-		return uint64(game.SchemeWeighted) << 24
+		return 3 << 24
 	}
-	// FNV-1a over the name, shifted onto the same byte as the enum salt.
+	// FNV-1a over the name, shifted onto the same byte as the built-in salts.
 	var h uint64 = 14695981039346656037
 	for i := 0; i < len(scheme); i++ {
 		h ^= uint64(scheme[i])
 		h *= 1099511628211
 	}
-	return (h | 0x04) << 24 // | 0x04 keeps clear of the builtin enum values
+	return (h | 0x04) << 24 // | 0x04 keeps clear of the built-in salts
 }
 
 func countNegative(prices []float64) int {

@@ -13,7 +13,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/engine"
@@ -150,7 +149,10 @@ func (o Options) validate() error {
 	return nil
 }
 
-// Environment is a fully-prepared experimental world for one setup.
+// Environment is a fully-prepared experimental world for one setup: what a
+// run computes on (data, model, calibration, game, timing, and in Membership
+// who is in the fleet when) plus, in Run, how runs launched from it execute.
+// Every training run an experiment makes from it is one Launch.
 type Environment struct {
 	ID     SetupID
 	Opts   Options
@@ -168,31 +170,11 @@ type Environment struct {
 	// repricing epochs with unchanged estimates) solve once. Nil disables
 	// memoization.
 	Cache *game.Cache
-	// Exec selects the execution backend for every training run launched
-	// from this environment (BackendLocal by default). Results are
-	// bit-identical across backends; see internal/engine.
-	Exec Backend
-	// GroupSize, when above one, makes every training run launched from
-	// this environment aggregate hierarchically: clients fold in groups of
-	// this size and only group partials reach the coordinator, whose memory
-	// stays O(model + fleet/GroupSize). On the cluster backend each group
-	// additionally multiplexes onto a single socket node. Purely an
-	// execution knob — results are bit-identical to flat aggregation (see
-	// internal/fixpoint).
-	GroupSize int
-	// Checkpoint, when non-empty, is a path prefix under which every
-	// training run launched from this environment persists a per-run
-	// checkpoint ("<prefix>-<scheme>-run<i>.ckpt" plus its trace WAL); a
-	// rerun with CheckpointResume picks each run up at its last committed
-	// round and produces bit-identical results (see internal/checkpoint).
-	Checkpoint string
-	// CheckpointResume resumes runs from existing checkpoints under the
-	// prefix instead of discarding them.
-	CheckpointResume bool
-	// RoundTimeout, when positive and Exec is BackendCluster, runs every
-	// round under this deadline with self-healing degradation (see
-	// engine.ClusterOptions.RoundTimeout).
-	RoundTimeout time.Duration
+	// Run is how every training run launched from this environment executes
+	// (see RunConfig): backend, cluster knobs, group size, and — with
+	// Checkpoint.Path as a per-leg prefix — durability. The zero value is the
+	// flat in-process backend with no checkpoint.
+	Run RunConfig
 	// Membership, when non-nil, makes every training run launched from this
 	// environment elastic: clients join and leave at the plan's round
 	// boundaries, the market is re-priced over each epoch's active fleet

@@ -26,7 +26,9 @@ type Calibration struct {
 // Calibrate runs a short full-participation training phase and distills the
 // per-client gradient statistics into G_n estimates, plus the smoothness and
 // α constants. rounds controls the calibration length. Cancelling ctx stops
-// the calibration run promptly with ctx.Err().
+// the calibration run promptly with ctx.Err(). It compiles its own
+// engine.Spec: the launch path of priced runs, experiment.Launch, imports
+// this package and cannot be called from here.
 func Calibrate(
 	ctx context.Context, m model.Model, fed *data.Federated, cfg Config, rounds int,
 ) (*Calibration, error) {

@@ -510,22 +510,27 @@ func TestSolveMSearchMatchesKKT(t *testing.T) {
 	}
 }
 
-func TestSolveSchemeOrdering(t *testing.T) {
+// priceBy prices p under the named registered scheme.
+func priceBy(t *testing.T, p *Params, name string) *Outcome {
+	t.Helper()
+	ps, err := SchemeByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := ps.Price(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+func TestSchemeOrdering(t *testing.T) {
 	// The proposed scheme must dominate both baselines on the server
 	// objective under the same budget (the headline comparison of Fig. 4).
 	p := testParams(t, 18, 30, 50, 4000, 200)
-	opt, err := p.SolveScheme(SchemeOptimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := p.SolveScheme(SchemeUniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wtd, err := p.SolveScheme(SchemeWeighted)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := priceBy(t, p, SchemeNameProposed)
+	uni := priceBy(t, p, SchemeNameUniform)
+	wtd := priceBy(t, p, SchemeNameWeighted)
 	if opt.ServerObj > uni.ServerObj+1e-9 {
 		t.Fatalf("optimal %v worse than uniform %v", opt.ServerObj, uni.ServerObj)
 	}
@@ -534,22 +539,19 @@ func TestSolveSchemeOrdering(t *testing.T) {
 	}
 	for _, o := range []*Outcome{opt, uni, wtd} {
 		if o.Spent > p.B*(1+1e-6) {
-			t.Fatalf("%v overspent: %v > %v", o.Scheme, o.Spent, p.B)
+			t.Fatalf("%v overspent: %v > %v", o.Name, o.Spent, p.B)
 		}
-	}
-	if _, err := p.SolveScheme(Scheme(99)); err == nil {
-		t.Fatal("expected error for unknown scheme")
 	}
 }
 
+// TestSchemeString pins the built-ins' registry names to their literal
+// spellings: command-line flags, checkpoint file names and the per-scheme
+// training seeds are all derived from them.
 func TestSchemeString(t *testing.T) {
-	if SchemeOptimal.String() != "proposed" ||
-		SchemeUniform.String() != "uniform" ||
-		SchemeWeighted.String() != "weighted" {
+	if SchemeNameProposed != "proposed" ||
+		SchemeNameUniform != "uniform" ||
+		SchemeNameWeighted != "weighted" {
 		t.Fatal("scheme names wrong")
-	}
-	if Scheme(42).String() == "" {
-		t.Fatal("unknown scheme should still print")
 	}
 }
 
@@ -557,14 +559,8 @@ func TestClientUtilityHigherUnderOptimal(t *testing.T) {
 	// Table IV's behaviour: total client utility under the proposed pricing
 	// exceeds the baselines.
 	p := testParams(t, 19, 30, 50, 4000, 200)
-	opt, err := p.SolveScheme(SchemeOptimal)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uni, err := p.SolveScheme(SchemeUniform)
-	if err != nil {
-		t.Fatal(err)
-	}
+	opt := priceBy(t, p, SchemeNameProposed)
+	uni := priceBy(t, p, SchemeNameUniform)
 	uOpt, err := p.TotalClientUtility(opt.P, opt.Q, nil)
 	if err != nil {
 		t.Fatal(err)

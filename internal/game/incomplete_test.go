@@ -81,10 +81,7 @@ func TestBayesianCostOfIncompleteInformation(t *testing.T) {
 	}
 	// But it should not be catastrophically worse than uniform posted
 	// pricing, which uses even less structure.
-	uni, err := p.SolveScheme(SchemeUniform)
-	if err != nil {
-		t.Fatal(err)
-	}
+	uni := priceBy(t, p, SchemeNameUniform)
 	if realizedObj > 20*uni.ServerObj {
 		t.Fatalf("bayesian %v collapsed versus uniform %v", realizedObj, uni.ServerObj)
 	}

@@ -6,74 +6,16 @@ import (
 	"math"
 )
 
-// Scheme identifies a built-in pricing strategy for the Stage-I server
-// decision.
-//
-// Deprecated: the closed enum only covers the paper's three benchmarks. New
-// code should address schemes by registry name (PricingScheme, SchemeByName,
-// RegisterScheme); the constants below remain as aliases for the built-ins.
-type Scheme int
-
-// Pricing schemes compared in Section VI.
-const (
-	// SchemeOptimal is the paper's mechanism: the Stackelberg-equilibrium
-	// customized prices from SolveKKT.
-	//
-	// Deprecated: use SchemeNameProposed with the registry.
-	SchemeOptimal Scheme = iota + 1
-	// SchemeUniform sets one common price for every client (benchmark P^u).
-	//
-	// Deprecated: use SchemeNameUniform with the registry.
-	SchemeUniform
-	// SchemeWeighted sets prices proportional to client data size
-	// (benchmark P^w).
-	//
-	// Deprecated: use SchemeNameWeighted with the registry.
-	SchemeWeighted
-)
-
-// String implements fmt.Stringer; for the built-ins it returns the scheme's
-// registry name.
-func (s Scheme) String() string {
-	switch s {
-	case SchemeOptimal:
-		return SchemeNameProposed
-	case SchemeUniform:
-		return SchemeNameUniform
-	case SchemeWeighted:
-		return SchemeNameWeighted
-	default:
-		return fmt.Sprintf("scheme(%d)", int(s))
-	}
-}
-
 // Outcome is a priced market state: the prices posted by the server and the
 // clients' best-response participation levels, with spend diagnostics.
 type Outcome struct {
 	// Name is the registry name of the scheme that produced this outcome.
-	Name string
-	// Scheme is the built-in enum identity, zero for third-party schemes.
-	//
-	// Deprecated: use Name.
-	Scheme Scheme
-	P      []float64
-	Q      []float64
-	Spent  float64
+	Name  string
+	P     []float64
+	Q     []float64
+	Spent float64
 	// ServerObj is the Theorem-1 bound term attained by Q; lower is better.
 	ServerObj float64
-}
-
-// SolveScheme prices the market under the given built-in scheme.
-//
-// Deprecated: resolve the scheme through the registry instead:
-// SchemeByName(name).Price(p). This shim maps the enum to its registry name
-// and delegates.
-func (p *Params) SolveScheme(s Scheme) (*Outcome, error) {
-	ps, err := SchemeByName(s.String())
-	if err != nil {
-		return nil, fmt.Errorf("game: unknown scheme %v", s)
-	}
-	return ps.Price(p)
 }
 
 // solveProposed prices the market with the paper's mechanism: the

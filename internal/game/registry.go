@@ -104,10 +104,9 @@ func SchemeNames() []string {
 	return append([]string(nil), schemeRegistry.order...)
 }
 
-// builtinScheme adapts the paper's enum-era solvers to the registry.
+// builtinScheme adapts the paper's three solvers to the registry.
 type builtinScheme struct {
 	name  string
-	enum  Scheme
 	solve func(*Params) (*Outcome, error)
 }
 
@@ -118,7 +117,6 @@ func (b builtinScheme) Price(p *Params) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	out.Scheme = b.enum
 	out.Name = b.name
 	return out, nil
 }
@@ -127,9 +125,9 @@ func init() {
 	// Registration order fixes the canonical comparison order used by the
 	// paper's Fig. 4: proposed, weighted, uniform.
 	for _, b := range []builtinScheme{
-		{SchemeNameProposed, SchemeOptimal, (*Params).solveProposed},
-		{SchemeNameWeighted, SchemeWeighted, (*Params).solveWeightedPricing},
-		{SchemeNameUniform, SchemeUniform, (*Params).solveUniformPricing},
+		{SchemeNameProposed, (*Params).solveProposed},
+		{SchemeNameWeighted, (*Params).solveWeightedPricing},
+		{SchemeNameUniform, (*Params).solveUniformPricing},
 	} {
 		if err := RegisterScheme(b); err != nil {
 			panic(err)

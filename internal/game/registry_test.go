@@ -1,6 +1,7 @@
 package game
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -78,33 +79,23 @@ func TestSchemeByNameErrorListsKnown(t *testing.T) {
 	}
 }
 
-// TestEnumShimMatchesRegistry pins the deprecated enum path to the
-// registry path.
+// TestEnumShimMatchesRegistry pins the registry's adapter around the paper's
+// three solvers: a built-in priced by name is exactly what its solver
+// computes, labelled with the registry name and nothing else.
 func TestEnumShimMatchesRegistry(t *testing.T) {
 	p := testParams(t, 1, 6, 50, 4000, 200)
-	for _, s := range []Scheme{SchemeOptimal, SchemeUniform, SchemeWeighted} {
-		viaEnum, err := p.SolveScheme(s)
+	for name, solve := range map[string]func(*Params) (*Outcome, error){
+		SchemeNameProposed: (*Params).solveProposed,
+		SchemeNameUniform:  (*Params).solveUniformPricing,
+		SchemeNameWeighted: (*Params).solveWeightedPricing,
+	} {
+		want, err := solve(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := SchemeByName(s.String())
-		if err != nil {
-			t.Fatal(err)
-		}
-		viaRegistry, err := ps.Price(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if viaEnum.Name != s.String() || viaEnum.Scheme != s {
-			t.Fatalf("outcome identity: name=%q scheme=%v", viaEnum.Name, viaEnum.Scheme)
-		}
-		if viaEnum.Spent != viaRegistry.Spent || viaEnum.ServerObj != viaRegistry.ServerObj {
-			t.Fatalf("%v: enum and registry disagree", s)
-		}
-		for i := range viaEnum.P {
-			if viaEnum.P[i] != viaRegistry.P[i] || viaEnum.Q[i] != viaRegistry.Q[i] {
-				t.Fatalf("%v: price/response mismatch at %d", s, i)
-			}
+		want.Name = name
+		if got := priceBy(t, p, name); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s through the registry: %+v, solver: %+v", name, got, want)
 		}
 	}
 }
@@ -119,8 +110,8 @@ func TestOutcomeFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != "custom" || out.Scheme != 0 {
-		t.Fatalf("identity: %q %v", out.Name, out.Scheme)
+	if out.Name != "custom" {
+		t.Fatalf("identity: %q", out.Name)
 	}
 	if len(out.Q) != p.N() || out.Spent < 0 {
 		t.Fatalf("outcome malformed: %+v", out)

@@ -7,7 +7,6 @@ import (
 	"math"
 
 	"unbiasedfl/internal/adversary"
-	"unbiasedfl/internal/checkpoint"
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/game"
@@ -27,56 +26,14 @@ const (
 	BackendCluster = experiment.BackendCluster
 )
 
-// RunConfig tunes a scenario run beyond the scenario itself: which execution
-// backend carries the local updates, the cluster harness knobs when it is
-// BackendCluster, and the durability configuration.
-type RunConfig struct {
-	Backend    Backend
-	Cluster    ClusterConfig
-	Checkpoint CheckpointConfig
-	// GroupSize, when above one, aggregates hierarchically: clients fold
-	// their weighted deltas in groups of this size and only group partials
-	// reach the coordinator (on the cluster backend each group also
-	// multiplexes onto one socket node). Purely an execution knob: the
-	// produced Trace is byte-identical to a flat run — the fixed-point fold
-	// (internal/fixpoint) is grouping-invariant — which the hierarchical
-	// axis of the backend-equivalence matrix pins.
-	GroupSize int
-	// Events, when non-nil, receives the run's typed progress stream:
-	// SchemeSolved once the market is priced, then RoundStart/RoundEnd per
-	// training round (Run is always 0 — a scenario is a single repetition).
-	// Events are delivered serially on the orchestration goroutine in an
-	// order that is deterministic for a fixed scenario — the same contract
-	// Session observers carry — and attaching an observer never perturbs the
-	// trace. This is the seam the serving daemon's SSE streams tap.
-	Events experiment.Observer
-}
-
-// CheckpointConfig makes a scenario run durable: with a non-empty Path the
-// run commits a checkpoint at every round boundary, and a resumed run
-// replays to a Trace byte-identical to the uninterrupted one (the invariant
-// internal/checkpoint states and the resume sweep tests pin) — on either
-// backend, and even across backends.
-type CheckpointConfig struct {
-	// Path is the snapshot file location ("" disables checkpointing); the
-	// trace WAL lives beside it at Path+".wal".
-	Path string
-	// Resume continues from an existing checkpoint at Path when one exists
-	// (and starts fresh when none does). False discards any prior
-	// checkpoint there.
-	Resume bool
-	// Sync fsyncs every commit — machine-crash durability at real per-round
-	// I/O cost. Off, commits still survive a process kill (SIGKILL
-	// included); see checkpoint.Options.
-	Sync bool
-	// Interval snapshots every k-th boundary (0 = every round). The WAL
-	// gets every round regardless.
-	Interval int
-	// AfterCommit, when non-nil, runs after each boundary becomes durable
-	// with the number of committed rounds — the seam the crash/resume
-	// harness uses to kill the process at an exact boundary.
-	AfterCommit func(rounds int)
-}
+// RunConfig, ClusterConfig and CheckpointConfig are the one run
+// configuration every launcher fills (see experiment.RunConfig): a scenario
+// adds nothing to it.
+type (
+	RunConfig        = experiment.RunConfig
+	ClusterConfig    = experiment.ClusterConfig
+	CheckpointConfig = experiment.CheckpointConfig
+)
 
 // Run compiles the scenario and executes it in-process through the full
 // pipeline — data generation, bound calibration, game assembly, pricing via
@@ -89,10 +46,23 @@ func Run(ctx context.Context, sc Scenario) (*Trace, error) {
 	return RunWith(ctx, sc, RunConfig{})
 }
 
+// RunCluster executes the scenario as a real multi-node federation — the
+// engine's cluster backend boots a TCP coordinator plus one socket node per
+// device on loopback — and returns the same canonical Trace as Run,
+// byte-identical to the in-process result. Participation (including
+// dropouts and flaky availability) is decided by the orchestrator's
+// fault-composed sampler exactly as in-process; straggler factors
+// additionally stall the affected nodes for real wall-clock time at the
+// socket layer. All goroutines and sockets are torn down before RunCluster
+// returns.
+func RunCluster(ctx context.Context, sc Scenario, cfg ClusterConfig) (*Trace, error) {
+	return RunWith(ctx, sc, RunConfig{Backend: BackendCluster, Cluster: cfg})
+}
+
 // RunWith is the single scenario entry point behind Run and RunCluster: it
-// compiles the scenario into an engine spec, points the orchestrator at the
-// selected execution backend, and folds the run into the canonical Trace.
-// The trace is byte-identical for every backend.
+// compiles the scenario into its priced world and one training leg, hands
+// the leg to experiment.Launch under cfg, and folds the run into the
+// canonical Trace. The trace is byte-identical for every backend.
 func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -102,127 +72,40 @@ func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	env, outcome, q, sch := w.env, w.outcome, w.q, w.sch
-	for n, factor := range sch.Delay {
+	for n, factor := range w.sch.Delay {
 		if factor == 1 {
 			continue
 		}
-		if err := env.Timing.Scale(n, factor); err != nil {
+		if err := w.env.Timing.Scale(n, factor); err != nil {
 			return nil, err
 		}
 	}
-
-	// One root stream feeds the sampler and the per-client executors so the
-	// whole run is a pure function of the scenario seed, whatever the
-	// backend.
-	root := stats.NewRNG(sc.Seed ^ 0x9E3779B97F4A7C15)
-	sampler := engine.NewFaultSampler(q, sch, root.Split(), root.Split())
 	if cfg.Events != nil {
-		cfg.Events.OnEvent(experiment.SchemeSolved{Scheme: sc.Scheme, Outcome: outcome})
+		cfg.Events.OnEvent(experiment.SchemeSolved{Scheme: sc.Scheme, Outcome: w.outcome})
 	}
-	spec := engine.Spec{
-		Model:      env.Model,
-		Fed:        env.Fed,
-		Rounds:     sc.Rounds,
-		LocalSteps: sc.LocalSteps,
-		BatchSize:  sc.BatchSize,
-		Schedule:   expDecaySchedule(),
-		EvalEvery:  sc.EvalEvery,
-		Seed:       root.Uint64(),
-		Sampler:    sampler,
-		Aggregator: engine.UnbiasedAggregator{},
-		GroupSize:  cfg.GroupSize,
-	}
-	// Gradient poisoning rides the orchestrator's tamper seam, so it is
-	// byte-identical on every execution backend and replays exactly on
-	// resume.
-	spec.Tamper, err = adversary.Tamper(sc.Clients, w.adv.poisons)
-	if err != nil {
-		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
-
-	// Elastic membership: compile the join/leave faults into a round-boundary
-	// plan and hang the re-pricing hook on it. At every epoch (including the
-	// initial roster, and including epochs replayed on resume) the hook
-	// re-solves the sub-game over the active clients — through one persistent
-	// warm solver whose results are bit-identical to cold solves — pushes the
-	// new participation levels into the sampler's thresholds, and appends a
-	// ledger row. The headline Equilibrium stays the full-fleet pricing; the
-	// ledger carries the per-epoch economics.
-	var ledger []TraceEpoch
-	if plan := compileMembership(sc.Clients, sc.Faults); plan != nil {
-		ps, err := game.SchemeByName(sc.Scheme)
-		if err != nil {
-			return nil, err
-		}
-		// The repricer works from the market the server believes in — the
-		// reported params when someone misreports — so a Stage-I lie keeps
-		// distorting every epoch's sub-game, exactly as it would in the field.
-		rp, err := game.NewRepricer(w.pricing, ps)
-		if err != nil {
-			return nil, fmt.Errorf("scenario %q repricer: %w", sc.Name, err)
-		}
-		liveQ := append([]float64(nil), q...)
-		spec.Membership = plan
-		spec.OnEpoch = func(r engine.Roster) error {
-			ep, err := rp.Reprice(r.Active, liveQ, nil)
-			if err != nil {
-				return fmt.Errorf("epoch %d re-pricing: %w", r.Epoch, err)
-			}
-			if err := sampler.SetQ(liveQ); err != nil {
-				return err
-			}
-			ledger = append(ledger, TraceEpoch{
-				Epoch:     r.Epoch,
-				Round:     r.Round,
-				Joined:    append([]int(nil), r.Joined...),
-				Left:      append([]int(nil), r.Left...),
-				Active:    r.NumActive(),
-				Spent:     ep.Spent,
-				ServerObj: ep.ServerObj,
-			})
-			return nil
-		}
-	}
-	if obs := cfg.Events; obs != nil {
-		scheme := sc.Scheme
-		spec.OnRoundStart = func(round int) {
-			obs.OnEvent(experiment.RoundStart{Scheme: scheme, Round: round})
-		}
-		spec.OnRound = func(m engine.RoundMetrics) {
-			obs.OnEvent(experiment.RoundEnd{
-				Scheme:       scheme,
-				Round:        m.Round,
-				Participants: m.Participants,
-				Evaluated:    m.Evaluated,
-				Loss:         m.GlobalLoss,
-				Accuracy:     m.TestAccuracy,
-			})
-		}
-	}
-	if cfg.Checkpoint.Path != "" {
-		mgr, st, err := openCheckpoint(sc, cfg.Checkpoint)
-		if err != nil {
-			return nil, err
-		}
-		defer func() { _ = mgr.Close() }()
-		spec.Resume = st
-		after := cfg.Checkpoint.AfterCommit
-		spec.OnRoundCommit = func(st *engine.RunState) error {
-			if err := mgr.Commit(st); err != nil {
-				return err
-			}
-			if after != nil {
-				after(st.NextRound)
-			}
-			return nil
-		}
-	}
-	backend, err := newBackend(cfg, sch)
+	// The repricer works from the market the server believes in — the
+	// reported params when someone misreports — so a Stage-I lie keeps
+	// distorting every epoch's sub-game, exactly as it would in the field.
+	leg, err := compileLeg(sc, sc.Faults, w.q, w.pricing)
 	if err != nil {
 		return nil, err
 	}
-	res, err := engine.Run(ctx, spec, backend)
+	// Every membership epoch (the initial roster and epochs replayed on
+	// resume included) appends a ledger row. The headline Equilibrium stays
+	// the full-fleet pricing; the ledger carries the per-epoch economics.
+	var ledger []TraceEpoch
+	leg.OnEpoch = func(r engine.Roster, ep game.EpochPricing) {
+		ledger = append(ledger, TraceEpoch{
+			Epoch:     r.Epoch,
+			Round:     r.Round,
+			Joined:    append([]int(nil), r.Joined...),
+			Left:      append([]int(nil), r.Left...),
+			Active:    r.NumActive(),
+			Spent:     ep.Spent,
+			ServerObj: ep.ServerObj,
+		})
+	}
+	res, err := experiment.Launch(ctx, w.env, leg, cfg)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
@@ -230,7 +113,7 @@ func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
 
-	trace, err := assembleTrace(sc, env, outcome, q, sch, res, ledger)
+	trace, err := assembleTrace(sc, w.env, w.outcome, w.q, w.sch, res, ledger)
 	if err != nil {
 		return nil, err
 	}
@@ -240,6 +123,38 @@ func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 		}
 	}
 	return trace, nil
+}
+
+// compileLeg compiles one training leg of the scenario: the fault list
+// decides the schedule, the membership plan and the tamper hook, q is the
+// priced participation, and pricing the game membership epochs re-price
+// from. The realized run and its honest twin both come from here, so they
+// differ by exactly these three arguments and never by stream displacement:
+// one root stream feeds the sampler's two coin streams and the executor
+// seed, so a run is a pure function of the scenario seed on any backend.
+func compileLeg(sc Scenario, faults []ClientFault, q []float64, pricing *game.Params) (experiment.Leg, error) {
+	sch := compileSchedule(sc.Clients, faults)
+	root := stats.NewRNG(sc.Seed ^ 0x9E3779B97F4A7C15)
+	sampler := engine.NewFaultSampler(q, sch, root.Split(), root.Split())
+	// Gradient poisoning rides the orchestrator's tamper seam, so it is
+	// byte-identical on every execution backend and replays exactly on
+	// resume.
+	tamper, err := adversary.Tamper(sc.Clients, compileAdversary(faults).poisons)
+	if err != nil {
+		return experiment.Leg{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
+	}
+	return experiment.Leg{
+		Scheme:          sc.Scheme,
+		Seed:            root.Uint64(),
+		Sampler:         sampler,
+		Tamper:          tamper,
+		Membership:      compileMembership(sc.Clients, faults),
+		Pricing:         pricing,
+		Q:               append([]float64(nil), q...),
+		CheckpointLabel: sc.Name,
+		CheckpointSeed:  sc.Seed,
+		Delay:           sch.Delay,
+	}, nil
 }
 
 // adversaryImpact scores the realized (adversarial) run against its truthful
@@ -272,45 +187,14 @@ func adversaryImpact(ctx context.Context, sc Scenario, w *world, realized *Trace
 
 // runHonestTwin replays the scenario with every adversarial behaviour
 // stripped — truthful pricing, obedient participation, clean updates — on the
-// already-built environment. The twin re-derives the root stream exactly as
-// the realized run did, so the two runs differ only by the adversary, never
-// by stream displacement.
+// already-built environment, in-process and without the realized run's
+// checkpoint or event stream.
 func runHonestTwin(ctx context.Context, sc Scenario, w *world, truthQ []float64) (loss, acc float64, err error) {
-	faults := honestFaults(sc.Faults)
-	sch := compileSchedule(sc.Clients, faults)
-	root := stats.NewRNG(sc.Seed ^ 0x9E3779B97F4A7C15)
-	sampler := engine.NewFaultSampler(append([]float64(nil), truthQ...), sch, root.Split(), root.Split())
-	spec := engine.Spec{
-		Model:      w.env.Model,
-		Fed:        w.env.Fed,
-		Rounds:     sc.Rounds,
-		LocalSteps: sc.LocalSteps,
-		BatchSize:  sc.BatchSize,
-		Schedule:   expDecaySchedule(),
-		EvalEvery:  sc.EvalEvery,
-		Seed:       root.Uint64(),
-		Sampler:    sampler,
-		Aggregator: engine.UnbiasedAggregator{},
+	leg, err := compileLeg(sc, honestFaults(sc.Faults), truthQ, w.env.Params)
+	if err != nil {
+		return 0, 0, err
 	}
-	if plan := compileMembership(sc.Clients, faults); plan != nil {
-		ps, err := game.SchemeByName(sc.Scheme)
-		if err != nil {
-			return 0, 0, err
-		}
-		rp, err := game.NewRepricer(w.env.Params, ps)
-		if err != nil {
-			return 0, 0, err
-		}
-		liveQ := append([]float64(nil), truthQ...)
-		spec.Membership = plan
-		spec.OnEpoch = func(r engine.Roster) error {
-			if _, err := rp.Reprice(r.Active, liveQ, nil); err != nil {
-				return fmt.Errorf("honest twin epoch %d re-pricing: %w", r.Epoch, err)
-			}
-			return sampler.SetQ(liveQ)
-		}
-	}
-	res, err := engine.Run(ctx, spec, engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
+	res, err := experiment.Launch(ctx, w.env, leg, RunConfig{})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return 0, 0, ctxErr
@@ -318,40 +202,6 @@ func runHonestTwin(ctx context.Context, sc Scenario, w *world, truthQ []float64)
 		return 0, 0, fmt.Errorf("honest twin: %w", err)
 	}
 	return res.FinalLoss, res.FinalAcc, nil
-}
-
-// openCheckpoint attaches or creates the run's checkpoint. The scenario's
-// identity (name, seed, fleet, horizon) guards against resuming a
-// checkpoint into a different world.
-func openCheckpoint(sc Scenario, cc CheckpointConfig) (*checkpoint.Manager, *engine.RunState, error) {
-	meta := checkpoint.Meta{Label: sc.Name, Seed: sc.Seed, Clients: sc.Clients, Rounds: sc.Rounds}
-	opts := checkpoint.Options{Interval: cc.Interval, Sync: cc.Sync}
-	if cc.Resume {
-		return checkpoint.Attach(cc.Path, meta, opts)
-	}
-	mgr, err := checkpoint.Create(cc.Path, meta, opts)
-	return mgr, nil, err
-}
-
-// newBackend compiles the run configuration into an execution backend.
-func newBackend(cfg RunConfig, sch engine.FaultSchedule) (engine.ExecutionBackend, error) {
-	switch cfg.Backend {
-	case BackendLocal:
-		return engine.NewLocalBackend(engine.LocalOptions{Parallel: true}), nil
-	case BackendCluster:
-		return engine.NewClusterBackend(engine.ClusterOptions{
-			Timeout:      cfg.Cluster.Timeout,
-			NodeDelay:    cfg.Cluster.nodeDelay(sch),
-			RoundTimeout: cfg.Cluster.RoundTimeout,
-		}), nil
-	default:
-		return nil, fmt.Errorf("scenario: unknown backend %v", cfg.Backend)
-	}
-}
-
-// expDecaySchedule is the training schedule every scenario runs under.
-func expDecaySchedule() engine.Schedule {
-	return engine.ExpDecay{Eta0: 0.1, Decay: 0.996}
 }
 
 // world is a scenario compiled to its priced market: the built environment

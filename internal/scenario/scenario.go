@@ -6,9 +6,11 @@
 // of the full data → calibration → game → pricing → engine pipeline, emitting
 // a canonical Trace.
 //
-// Two execution substrates share every Scenario, behind one entry point
-// (RunWith) that compiles the scenario into an engine.Spec and points the
-// engine's orchestrator at a backend:
+// Two execution substrates share every Scenario, behind one entry point:
+// RunWith compiles the scenario into its priced world and one training leg
+// and hands it to experiment.Launch — the launch path every run in the
+// repository takes — under an experiment.RunConfig (aliased here), which
+// selects the backend:
 //
 //   - Run executes in-process on engine.LocalBackend with the sim timing
 //     model, producing a bit-reproducible Trace for the golden-trace

@@ -171,7 +171,8 @@ func ReplayAggregate(ctx context.Context, sc Scenario, cfg ReplayConfig) (*Repla
 
 	// Every active client's delta at the round, computed exactly once from
 	// the fixed model w^0 — the same executors (the n-th Split of the run
-	// seed) every real backend derives.
+	// seed) every real backend derives. This is the reference oracle: it
+	// drives Dispatch by hand, outside experiment.Launch, on purpose.
 	root := stats.NewRNG(sc.Seed ^ 0x9E3779B97F4A7C15)
 	root.Split() // will stream, unused here
 	root.Split() // avail stream, unused here
@@ -181,7 +182,7 @@ func ReplayAggregate(ctx context.Context, sc Scenario, cfg ReplayConfig) (*Repla
 		Rounds:     sc.Rounds,
 		LocalSteps: sc.LocalSteps,
 		BatchSize:  sc.BatchSize,
-		Schedule:   expDecaySchedule(),
+		Schedule:   engine.ExpDecay{Eta0: 0.1, Decay: 0.996},
 		EvalEvery:  sc.EvalEvery,
 		Seed:       root.Uint64(),
 	}

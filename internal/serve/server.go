@@ -494,15 +494,6 @@ func (s *Server) runSession(sess *serveSession) {
 	defer s.registry.release()
 	defer sess.cancel()
 
-	// A queued session can be cancelled (DELETE) before its slot frees up;
-	// finish already ran, so only hand the slot back.
-	sess.mu.Lock()
-	already := terminalState(sess.state)
-	sess.mu.Unlock()
-	if already {
-		return
-	}
-
 	s.metrics.sessionsStarted.Add(1)
 	sess.publish(eventStarted, []byte(fmt.Sprintf(`{"id":%q,"label":%q}`, sess.id, sess.label)))
 	s.cfg.Logf("flserve: session %s started (%s %s)", sess.id, sess.kind, sess.label)
@@ -546,11 +537,27 @@ func (s *Server) runSession(sess *serveSession) {
 	}
 }
 
-func (sess *serveSession) runConfigBackend() scenario.Backend {
+// runConfig compiles the request's execution settings, the same for both
+// session kinds. The caller attaches the event stream: a scenario session
+// through Events, a run session through the facade's WithObserver.
+func (sess *serveSession) runConfig() experiment.RunConfig {
+	var cfg experiment.RunConfig
 	if sess.req.Backend == "cluster" {
-		return scenario.BackendCluster
+		cfg.Backend = experiment.BackendCluster
 	}
-	return scenario.BackendLocal
+	if sess.req.RoundTimeout != "" {
+		d, _ := time.ParseDuration(sess.req.RoundTimeout) // validated at admission
+		cfg.Cluster.RoundTimeout = d
+	}
+	if cp := sess.req.Checkpoint; cp != nil {
+		cfg.Checkpoint = experiment.CheckpointConfig{
+			Path:     cp.Path,
+			Resume:   cp.Resume,
+			Sync:     cp.Sync,
+			Interval: cp.Interval,
+		}
+	}
+	return cfg
 }
 
 func (s *Server) runScenarioSession(sess *serveSession) ([]byte, error) {
@@ -564,22 +571,8 @@ func (s *Server) runScenarioSession(sess *serveSession) ([]byte, error) {
 	} else {
 		sc = *sess.req.Spec
 	}
-	cfg := scenario.RunConfig{
-		Backend: sess.runConfigBackend(),
-		Events:  sess.observer(s.metrics),
-	}
-	if sess.req.RoundTimeout != "" {
-		d, _ := time.ParseDuration(sess.req.RoundTimeout) // validated at admission
-		cfg.Cluster.RoundTimeout = d
-	}
-	if cp := sess.req.Checkpoint; cp != nil {
-		cfg.Checkpoint = scenario.CheckpointConfig{
-			Path:     cp.Path,
-			Resume:   cp.Resume,
-			Sync:     cp.Sync,
-			Interval: cp.Interval,
-		}
-	}
+	cfg := sess.runConfig()
+	cfg.Events = sess.observer(s.metrics)
 	trace, err := scenario.RunWith(sess.ctx, sc, cfg)
 	if err != nil {
 		return nil, err
@@ -596,7 +589,10 @@ func (s *Server) runSchemeSession(sess *serveSession) ([]byte, error) {
 	if scheme == "" {
 		scheme = "proposed"
 	}
-	opts := []unbiasedfl.Option{unbiasedfl.WithObserver(sess.observer(s.metrics))}
+	opts := []unbiasedfl.Option{
+		unbiasedfl.WithObserver(sess.observer(s.metrics)),
+		unbiasedfl.WithRunConfig(sess.runConfig()),
+	}
 	if run.Clients > 0 {
 		opts = append(opts, unbiasedfl.WithClients(run.Clients))
 	}
@@ -620,13 +616,6 @@ func (s *Server) runSchemeSession(sess *serveSession) ([]byte, error) {
 	}
 	if run.Seed != 0 {
 		opts = append(opts, unbiasedfl.WithSeed(run.Seed))
-	}
-	if sess.req.Backend == "cluster" {
-		opts = append(opts, unbiasedfl.WithBackend(unbiasedfl.BackendCluster))
-	}
-	if sess.req.RoundTimeout != "" {
-		d, _ := time.ParseDuration(sess.req.RoundTimeout) // validated at admission
-		opts = append(opts, unbiasedfl.WithRoundTimeout(d))
 	}
 	fs, err := unbiasedfl.NewSession(sess.ctx, unbiasedfl.SetupID(run.Setup), opts...)
 	if err != nil {

@@ -126,12 +126,17 @@ func (s *serveSession) publish(typ string, data []byte) {
 // time.
 func (s *serveSession) finish(state, typ string, data []byte, result []byte, errMsg string) {
 	s.mu.Lock()
+	s.finishLocked(state, typ, data, result, errMsg)
+	s.mu.Unlock()
+}
+
+// finishLocked is finish for callers that hold s.mu.
+func (s *serveSession) finishLocked(state, typ string, data []byte, result []byte, errMsg string) {
 	s.state = state
 	s.result = result
 	s.errMsg = errMsg
 	s.events = append(s.events, sessionEvent{seq: len(s.events) + 1, typ: typ, data: data})
 	s.wakeLocked()
-	s.mu.Unlock()
 }
 
 func (s *serveSession) wakeLocked() {
@@ -141,12 +146,6 @@ func (s *serveSession) wakeLocked() {
 		default:
 		}
 	}
-}
-
-func (s *serveSession) setState(state string) {
-	s.mu.Lock()
-	s.state = state
-	s.mu.Unlock()
 }
 
 // subscribe registers an SSE subscriber wake channel; the returned cancel
@@ -353,18 +352,17 @@ func (r *sessionRegistry) trimFinishedLocked() {
 // cancelQueued handles DELETE on a still-queued session: it flips it to
 // cancelled without consuming a running slot. Returns false when the
 // session was not in the queued state (the caller then cancels the context
-// of the running session instead).
+// of the running session instead). The test and the transition are one
+// critical section under the lock release takes to promote a queued
+// session, so exactly one of the two wins: a session reported cancelled
+// here is never launched.
 func (r *sessionRegistry) cancelQueued(s *serveSession) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.state != StateQueued {
-		s.mu.Unlock()
 		return false
 	}
-	s.mu.Unlock()
-	// finish re-locks; the small race window (release promoting the session
-	// between the check and here) is handled by re-checking inside finish
-	// via the launch path, which skips sessions already terminal.
-	s.finish(StateCancelled, eventCancelled, []byte(`{"reason":"deleted while queued"}`), nil, "cancelled while queued")
+	s.finishLocked(StateCancelled, eventCancelled, []byte(`{"reason":"deleted while queued"}`), nil, "cancelled while queued")
 	return true
 }
 

@@ -4,7 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -342,4 +344,73 @@ func TestResultBeforeFinish(t *testing.T) {
 	}
 	dresp.Body.Close()
 	waitState(t, ts.URL, st.ID, StateCancelled, 5*time.Second)
+}
+
+// TestDeleteQueuedRacesPromotion races DELETE on a queued session against
+// the release that would promote it, a couple of thousand times: whichever
+// wins, the session must end with exactly one terminal event, and a DELETE
+// answered "cancelled" must mean it was never started.
+func TestDeleteQueuedRacesPromotion(t *testing.T) {
+	s := New(Config{MaxSessions: 1, MaxQueued: 1})
+	var (
+		holder *serveSession // the session occupying the one slot
+		gate   chan struct{} // closed to let holder finish
+	)
+	s.runOverride = func(sess *serveSession) {
+		if sess == holder {
+			<-gate
+		}
+		sess.finish(StateDone, eventDone, nil, nil, "")
+	}
+	build := func() *serveSession {
+		sess, err := s.buildSession(SessionRequest{Scenario: "baseline"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+	for i := 0; i < 2000; i++ {
+		a, b := build(), build()
+		// Both are read by the goroutine admitting a starts: set them first.
+		holder, gate = a, make(chan struct{})
+		for _, sess := range []*serveSession{a, b} {
+			if err := s.registry.admit(sess); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		start := make(chan struct{})
+		go func() {
+			<-start
+			close(gate) // a finishes; its release promotes b unless DELETE won
+		}()
+		close(start)
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodDelete, "/v1/sessions/"+b.id, nil))
+		var st SessionStatus
+		if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+			t.Fatalf("iteration %d: DELETE answered %d %q", i, rec.Code, rec.Body)
+		}
+		s.wg.Wait()
+
+		for _, sess := range []*serveSession{a, b} {
+			evs, _, done := sess.eventsSince(0)
+			terminal, started := 0, false
+			for _, e := range evs {
+				switch e.typ {
+				case eventStarted:
+					started = true
+				case eventDone, eventError, eventCancelled:
+					terminal++
+				}
+			}
+			if !done || terminal != 1 {
+				t.Fatalf("iteration %d: session %s ended with %d terminal events (terminated: %v)", i, sess.id, terminal, done)
+			}
+			if sess == b && st.State == StateCancelled && (started || sess.status().State != StateCancelled) {
+				t.Fatalf("iteration %d: DELETE answered cancelled, yet the session started (%v) and is now %s",
+					i, started, sess.status().State)
+			}
+		}
+	}
 }

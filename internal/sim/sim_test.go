@@ -173,7 +173,11 @@ func TestTimedRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := TimedRun(context.Background(), spec, engine.NewLocalBackend(engine.LocalOptions{}), tm)
+	run, err := engine.Run(context.Background(), spec, engine.NewLocalBackend(engine.LocalOptions{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Timestamp(run, tm, spec.LocalSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,14 +197,14 @@ func TestTimedRunEndToEnd(t *testing.T) {
 	if res.Points[len(res.Points)-1].Elapsed > res.Total {
 		t.Fatal("last point beyond total duration")
 	}
-	if _, err := TimedRun(context.Background(), spec, nil, tm); err == nil {
-		t.Fatal("expected nil backend error")
+	if _, err := Timestamp(run, nil, spec.LocalSteps); err == nil {
+		t.Fatal("expected nil timing model error")
 	}
-	wrong, err := HeterogeneousTimings(stats.NewRNG(5), DefaultTimingConfig(9))
+	small, err := HeterogeneousTimings(stats.NewRNG(5), DefaultTimingConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := TimedRun(context.Background(), spec, engine.NewLocalBackend(engine.LocalOptions{}), wrong); err == nil {
-		t.Fatal("expected fleet-size mismatch error")
+	if _, err := Timestamp(run, small, spec.LocalSteps); err == nil {
+		t.Fatal("expected an error for a timing model smaller than the fleet")
 	}
 }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"context"
 	"errors"
 	"time"
 
@@ -13,29 +12,6 @@ type TimedResult struct {
 	Run    *engine.RunResult
 	Points []TimedPoint
 	Total  time.Duration
-}
-
-// TimedRun executes the spec on the backend through the engine's
-// orchestrator and stamps its trajectory with simulated wall-clock time
-// from the timing model. Cancelling ctx stops the underlying training
-// promptly with ctx.Err().
-func TimedRun(
-	ctx context.Context, spec engine.Spec, backend engine.ExecutionBackend, tm *TimingModel,
-) (*TimedResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if backend == nil || tm == nil {
-		return nil, errors.New("sim: nil backend or timing model")
-	}
-	if spec.Fed == nil || len(tm.Clients) != spec.Fed.NumClients() {
-		return nil, errors.New("sim: timing model covers a different fleet size")
-	}
-	res, err := engine.Run(ctx, spec, backend)
-	if err != nil {
-		return nil, err
-	}
-	return Timestamp(res, tm, spec.LocalSteps)
 }
 
 // Timestamp folds an already-finished run into the timed shape: per-round

@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"unbiasedfl/internal/engine"
+	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/scenario"
 )
 
@@ -50,16 +51,18 @@ type (
 	MembershipPlan = engine.MembershipPlan
 	// MembershipEvent is one epoch boundary of a MembershipPlan.
 	MembershipEvent = engine.MembershipEvent
-	// ScenarioRunConfig selects the execution backend (and its knobs) for
-	// RunScenarioWith.
-	ScenarioRunConfig = scenario.RunConfig
+	// RunConfig is the one execution configuration: backend, cluster knobs,
+	// group size, durability and event stream, for a scenario
+	// (RunScenarioWith) and a session (WithRunConfig) alike. None of it can
+	// change a result.
+	RunConfig = experiment.RunConfig
 	// ClusterConfig tunes the multi-node loopback harness, including the
 	// self-healing RoundTimeout.
-	ClusterConfig = scenario.ClusterConfig
-	// CheckpointConfig makes a scenario run durable: commit a checkpoint at
-	// every round boundary and resume a killed run to a byte-identical
-	// trace. See internal/checkpoint for the invariant.
-	CheckpointConfig = scenario.CheckpointConfig
+	ClusterConfig = experiment.ClusterConfig
+	// CheckpointConfig makes a run durable: commit a checkpoint at every
+	// round boundary and resume a killed run to a byte-identical result. See
+	// internal/checkpoint for the invariant.
+	CheckpointConfig = experiment.CheckpointConfig
 )
 
 // The fault kinds a schedule can inject.
@@ -100,7 +103,7 @@ func RunScenario(ctx context.Context, sc Scenario) (*Trace, error) {
 // RunScenarioWith is the single scenario entry point behind RunScenario and
 // RunScenarioCluster: the same orchestrated run, pointed at the execution
 // backend the config selects. The trace is byte-identical across backends.
-func RunScenarioWith(ctx context.Context, sc Scenario, cfg ScenarioRunConfig) (*Trace, error) {
+func RunScenarioWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	return scenario.RunWith(ctx, sc, cfg)
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
@@ -47,15 +46,11 @@ func newSessionID() string {
 // sessionConfig collects functional options before the environment is
 // built.
 type sessionConfig struct {
-	opts             Options
-	observer         Observer
-	sweepScheme      string
-	backend          Backend
-	checkpoint       string
-	checkpointResume bool
-	roundTimeout     time.Duration
-	membership       *engine.MembershipPlan
-	groupSize        int
+	opts        Options
+	observer    Observer
+	sweepScheme string
+	run         RunConfig
+	membership  *engine.MembershipPlan
 }
 
 // Option configures a Session at construction time.
@@ -83,14 +78,6 @@ func WithTotalSamples(n int) Option { return func(c *sessionConfig) { c.opts.Tot
 // trajectories (each owns a private RNG cursor) and are priced individually.
 // 0 (the default) materializes every client's shard.
 func WithFleetShards(n int) Option { return func(c *sessionConfig) { c.opts.FleetShards = n } }
-
-// WithGroupSize makes every training run launched from the session aggregate
-// hierarchically: clients fold their weighted deltas in groups of k and only
-// group partials reach the coordinator, whose memory stays
-// O(model + fleet/k); on the cluster backend each group multiplexes onto a
-// single socket node. Purely an execution knob — results are bit-identical
-// to flat aggregation at any k. 0 or 1 aggregates flat.
-func WithGroupSize(k int) Option { return func(c *sessionConfig) { c.groupSize = k } }
 
 // WithRounds sets the training horizon R.
 func WithRounds(n int) Option { return func(c *sessionConfig) { c.opts.Rounds = n } }
@@ -125,28 +112,14 @@ func WithObserver(obs Observer) Option { return func(c *sessionConfig) { c.obser
 // registered via RegisterScheme is valid.
 func WithSweepScheme(name string) Option { return func(c *sessionConfig) { c.sweepScheme = name } }
 
-// WithBackend selects the execution backend every training run launched
-// from the session uses: BackendLocal (the default in-process worker pool)
-// or BackendCluster (one real TCP socket node per client on loopback).
-// Results are bit-identical across backends — the unified federation
-// engine runs the same orchestrated round protocol on both.
-func WithBackend(b Backend) Option { return func(c *sessionConfig) { c.backend = b } }
-
-// WithCheckpoint makes every training run launched from the session durable:
-// each (scheme, run) leg commits a checkpoint under the given path prefix at
-// every round boundary, discarding any prior checkpoints there. A killed
-// process rerun with WithCheckpointResume finishes each leg from its last
-// committed round with bit-identical results. See internal/checkpoint for
-// the invariant and the file format.
-func WithCheckpoint(prefix string) Option {
-	return func(c *sessionConfig) { c.checkpoint = prefix; c.checkpointResume = false }
-}
-
-// WithCheckpointResume is WithCheckpoint resuming from whatever checkpoints
-// already exist under the prefix (legs without one start fresh).
-func WithCheckpointResume(prefix string) Option {
-	return func(c *sessionConfig) { c.checkpoint = prefix; c.checkpointResume = true }
-}
+// WithRunConfig sets how every training run launched from the session
+// executes: backend, self-healing round deadline, group size, durability —
+// the RunConfig RunScenarioWith takes. A session uses Checkpoint.Path as a
+// prefix: every (scheme, run) leg commits to "<Path>-<scheme>-run<i>.ckpt",
+// and a killed process rerun with Checkpoint.Resume finishes every leg from
+// its last committed round. Execution only: results are bit-identical for
+// any setting. Events is ignored — a session streams to its WithObserver.
+func WithRunConfig(cfg RunConfig) Option { return func(c *sessionConfig) { c.run = cfg } }
 
 // WithMembership makes every training run launched from the session elastic:
 // clients join and leave the federation at the plan's round boundaries. At
@@ -159,16 +132,6 @@ func WithCheckpointResume(prefix string) Option {
 // fleet size and horizon at construction time.
 func WithMembership(plan *MembershipPlan) Option {
 	return func(c *sessionConfig) { c.membership = plan }
-}
-
-// WithRoundTimeout puts every cluster-backend round under a deadline with
-// self-healing degradation: a node that crashes, disconnects, or misses the
-// deadline is recorded as unavailable for that round (which the unbiased
-// estimator already prices) and revived in the background, instead of
-// failing or hanging the run. Zero (the default) keeps strict behaviour. It
-// has no effect on the local backend.
-func WithRoundTimeout(d time.Duration) Option {
-	return func(c *sessionConfig) { c.roundTimeout = d }
 }
 
 // NewSession generates data, calibrates the convergence-bound constants,
@@ -194,11 +157,7 @@ func NewSession(ctx context.Context, id SetupID, options ...Option) (*Session, e
 	if err != nil {
 		return nil, err
 	}
-	env.Exec = cfg.backend
-	env.GroupSize = cfg.groupSize
-	env.Checkpoint = cfg.checkpoint
-	env.CheckpointResume = cfg.checkpointResume
-	env.RoundTimeout = cfg.roundTimeout
+	env.Run = cfg.run
 	env.Membership = cfg.membership
 	return &Session{id: newSessionID(), env: env, observer: cfg.observer, sweepScheme: cfg.sweepScheme}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
 	"testing"
 	"time"
@@ -166,7 +167,7 @@ func TestSessionBackendEquivalence(t *testing.T) {
 			unbiasedfl.WithRounds(8),
 			unbiasedfl.WithLocalSteps(2),
 			unbiasedfl.WithRuns(1),
-			unbiasedfl.WithBackend(b),
+			unbiasedfl.WithRunConfig(unbiasedfl.RunConfig{Backend: b}),
 		)
 		if err != nil {
 			t.Fatal(err)
@@ -185,5 +186,106 @@ func TestSessionBackendEquivalence(t *testing.T) {
 	}
 	if !reflect.DeepEqual(local.Points, cluster.Points) {
 		t.Fatal("timed trajectories differ across backends")
+	}
+}
+
+// TestSessionDurableElasticEquivalence pins the scheme-run side of the one
+// launch path: a two-leg session under a checkpoint prefix, cancelled from
+// the observer part-way through the second leg and rerun with Resume, must
+// return exactly what the uninterrupted session returns — for a fixed roster
+// and for a plan with one join and one leave, flat and in groups of two —
+// and the elastic run must not depend on the backend.
+func TestSessionDurableElasticEquivalence(t *testing.T) {
+	churn := &unbiasedfl.MembershipPlan{
+		Initial: []int{0, 1, 2, 3, 5},
+		Events: []unbiasedfl.MembershipEvent{
+			{Round: 3, Join: []int{4}},
+			{Round: 6, Leave: []int{1}},
+		},
+	}
+	const rounds, cancelAt = 10, 5
+	// run launches one session and returns its scheme run and how many
+	// rounds it executed; with interrupt set it cancels the session when
+	// round cancelAt of the second leg ends.
+	run := func(t *testing.T, cfg unbiasedfl.RunConfig, plan *unbiasedfl.MembershipPlan, interrupt bool) (*unbiasedfl.SchemeRun, int, error) {
+		t.Helper()
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		executed := 0
+		sess, err := unbiasedfl.NewSession(ctx, unbiasedfl.Setup1,
+			unbiasedfl.WithClients(6),
+			unbiasedfl.WithTotalSamples(600),
+			unbiasedfl.WithRounds(rounds),
+			unbiasedfl.WithLocalSteps(2),
+			unbiasedfl.WithEvalEvery(2),
+			unbiasedfl.WithCalibrationRounds(2),
+			unbiasedfl.WithRuns(2),
+			unbiasedfl.WithMembership(plan),
+			unbiasedfl.WithRunConfig(cfg),
+			unbiasedfl.WithObserver(unbiasedfl.ObserverFunc(func(e unbiasedfl.Event) {
+				if r, ok := e.(unbiasedfl.RoundEnd); ok {
+					executed++
+					if interrupt && r.Run == 1 && r.Round == cancelAt {
+						cancel()
+					}
+				}
+			})))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sr, err := sess.RunScheme(ctx, unbiasedfl.SchemeNameProposed)
+		return sr, executed, err
+	}
+
+	var elastic []*unbiasedfl.SchemeRun
+	for _, tc := range []struct {
+		name    string
+		plan    *unbiasedfl.MembershipPlan
+		backend unbiasedfl.Backend
+		group   int
+	}{
+		{"fixed/flat", nil, unbiasedfl.BackendLocal, 0},
+		{"fixed/group2", nil, unbiasedfl.BackendLocal, 2},
+		{"elastic/flat", churn, unbiasedfl.BackendLocal, 0},
+		{"elastic/group2", churn, unbiasedfl.BackendLocal, 2},
+		{"elastic/cluster/flat", churn, unbiasedfl.BackendCluster, 0},
+		{"elastic/cluster/group2", churn, unbiasedfl.BackendCluster, 2},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := unbiasedfl.RunConfig{Backend: tc.backend, GroupSize: tc.group}
+			want, _, err := run(t, cfg, tc.plan, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Checkpoint.Path = filepath.Join(t.TempDir(), "leg")
+			if _, _, err := run(t, cfg, tc.plan, true); !errors.Is(err, context.Canceled) {
+				t.Fatalf("interrupted session: got %v, want context.Canceled", err)
+			}
+			cfg.Checkpoint.Resume = true
+			got, executed, err := run(t, cfg, tc.plan, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The finished first leg replays from its checkpoint and the second
+			// picks up where it was cut: a rerun from scratch would execute
+			// 2·rounds and prove nothing.
+			if executed < 1 || executed > rounds-cancelAt {
+				t.Fatalf("resumed session executed %d rounds, want the second leg's last %d or %d",
+					executed, rounds-cancelAt-1, rounds-cancelAt)
+			}
+			if got.FinalLoss != want.FinalLoss || !reflect.DeepEqual(got.Points, want.Points) {
+				t.Fatalf("resumed session differs from the uninterrupted one:\n got %v %v\nwant %v %v",
+					got.FinalLoss, got.Points, want.FinalLoss, want.Points)
+			}
+			if tc.plan != nil {
+				elastic = append(elastic, got)
+			}
+		})
+	}
+	for _, r := range elastic[1:] {
+		if r.FinalLoss != elastic[0].FinalLoss || !reflect.DeepEqual(r.Points, elastic[0].Points) {
+			t.Fatal("the elastic run depends on the backend or the group size")
+		}
 	}
 }

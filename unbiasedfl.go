@@ -36,6 +36,13 @@
 // training mid-round and sweeps mid-point, returning ctx.Err() promptly
 // with no leaked goroutines.
 //
+// # Execution
+//
+// How a run executes — backend (in-process pool or real TCP sockets), group
+// size, self-healing round deadline, checkpoint/resume — is one RunConfig,
+// given to a session with WithRunConfig and to a scenario with
+// RunScenarioWith. None of it can change a result.
+//
 // # Observers
 //
 // An Observer attached with WithObserver receives typed events — RoundStart
@@ -69,10 +76,8 @@
 //
 // The original blocking entry points remain, now context-aware: NewSetup,
 // RunScheme, CompareSchemes, RunSweep, EquilibriumSweep, BoundFidelity, and
-// ConvergenceRate take a context.Context as their first argument. The
-// Scheme enum constants (SchemeOptimal, SchemeUniform, SchemeWeighted) are
-// deprecated aliases of the built-in registry entries; new code should
-// address schemes by name (SchemeNameProposed, ...) through a Session.
+// ConvergenceRate take a context.Context as their first argument. Schemes
+// are addressed by registry name (SchemeNameProposed, ...).
 //
 // See examples/ for runnable programs and README.md for the mapping from
 // the paper's tables and figures to the benchmark harness (bench_test.go
@@ -95,11 +100,6 @@ type (
 	GameParams = game.Params
 	// Equilibrium is a solved Stackelberg equilibrium (Section V).
 	Equilibrium = game.Equilibrium
-	// Scheme identifies a built-in pricing strategy.
-	//
-	// Deprecated: address schemes by registry name (SchemeNameProposed,
-	// SchemeNameUniform, SchemeNameWeighted, or any RegisterScheme name).
-	Scheme = game.Scheme
 	// Outcome is a priced market state under some scheme.
 	Outcome = game.Outcome
 	// Prior is the server's belief over private client parameters for the
@@ -140,23 +140,6 @@ func SolveMany(games []*GameParams, workers int) ([]*Equilibrium, error) {
 	return game.SolveMany(games, workers)
 }
 
-// Deprecated enum aliases for the built-in pricing schemes. They keep old
-// call sites compiling; the registry names are the canonical identities.
-const (
-	// SchemeOptimal is the paper's customized equilibrium pricing.
-	//
-	// Deprecated: use SchemeNameProposed.
-	SchemeOptimal = game.SchemeOptimal
-	// SchemeUniform pays every client the same unit price.
-	//
-	// Deprecated: use SchemeNameUniform.
-	SchemeUniform = game.SchemeUniform
-	// SchemeWeighted pays proportionally to data size.
-	//
-	// Deprecated: use SchemeNameWeighted.
-	SchemeWeighted = game.SchemeWeighted
-)
-
 // Experiment-layer types: the paper's evaluation section.
 type (
 	// SetupID selects one of the paper's three experimental setups.
@@ -180,8 +163,8 @@ type (
 	GapPoint = experiment.GapPoint
 	// Backend selects the execution substrate for training runs — the
 	// unified federation engine runs the same round protocol on all of
-	// them, bit-identically. Configure it per session via WithBackend or
-	// per scenario via RunScenarioWith.
+	// them, bit-identically. It is RunConfig.Backend, for sessions
+	// (WithRunConfig) and scenarios (RunScenarioWith) alike.
 	Backend = experiment.Backend
 )
 
