@@ -37,6 +37,21 @@
 // below half a grid step — every subnormal and ±0 among them — is an exact
 // zero, and the sign is applied as a two's-complement negate. The one float
 // rounding per addend is the product fl(scale·delta[j]) itself.
+//
+// Two tiers. The fold is one operation sequence per element, written down on
+// AddScaled as the contract, and it comes in two implementations that produce
+// the same limbs and the same saturation verdict. addScaledPortable is that
+// sequence as a Go loop: the whole implementation on every platform but one,
+// and the reference. On amd64 with AVX2 (tensor.HasAVX2, the module's one CPU
+// probe: no option, environment variable or build tag) an assembly kernel,
+// fold_amd64.s, takes the leading len &^ 3 parameters, four consecutive ones
+// to a vector: each lane runs the sequence on its own parameter with the
+// loop's branches replaced by variable shifts, whose result is 0 once the
+// count reaches 64. The last ≤ 3 parameters go through the Go loop; blocks
+// never overlap, because accumulating twice is not accumulating once. Nothing
+// crosses lanes and nothing is reassociated, so which tier ran — per host,
+// per group node — cannot be told from the result. MergeLimbs and AddTo have
+// one tier.
 package fixpoint
 
 import (
@@ -112,9 +127,13 @@ func (a *Acc) Reset() {
 // 2^23 in magnitude (2^23 itself is accepted) is skipped and latches the
 // saturation flag; a subnormal or ±0 product adds exactly 0.
 //
-// The quantizer works on the product's bits. With s = e − fixExpBias the
-// addend's magnitude is m·2^s for the 53-bit significand m, s running from
-// 51 at the cap down to −995:
+// The per-element operation sequence is the contract; both tiers (package
+// comment, "Two tiers") implement it step for step. The product is one IEEE
+// multiply — there is nothing to fuse it with — and b is its bits. With the
+// sign cleared, b compares against fixCapBits as an integer: above it is NaN,
+// ±Inf or over the cap. Otherwise, with m the 53-bit significand (implicit
+// bit ORed in), e the biased exponent and s = e − fixExpBias, the addend's
+// magnitude is m·2^s, s running from 51 at the cap down to −995:
 //
 //   - s ≥ 0 (|x| ≥ 2^-28, most of what a fleet folds): m shifted left by s
 //     across the two limbs, exactly.
@@ -128,16 +147,28 @@ func (a *Acc) Reset() {
 // A negative product is added as ^x + 1: the limbs are complemented and the
 // sign bit rides in as the carry of the 128-bit add, so the sign costs no
 // branch.
+//
+// Vectorised region: the leading len &^ 3 parameters, where the CPU has AVX2.
+// The last ≤ 3, and every parameter on any other host, run the Go loop.
 func (a *Acc) AddScaled(scale float64, delta tensor.Vec) error {
 	if len(delta) != len(a.lo) {
 		return errFixLen
 	}
-	// Same-length reslices of hoisted locals let the compiler drop the
-	// bounds checks from the loop.
-	lo := a.lo
-	hi := a.hi[:len(lo)]
+	n, sat := foldVector(scale, delta, a.lo, a.hi)
+	tail := addScaledPortable(scale, delta[n:], a.lo[n:], a.hi[n:])
+	a.sat = a.sat || sat || tail
+	return nil
+}
+
+// addScaledPortable is AddScaled's contract as a Go loop over three slices of
+// one length: the whole implementation without a vector kernel, the ragged
+// tail with one, and the oracle the kernel's tests hold it to. It reports
+// whether an addend saturated.
+func addScaledPortable(scale float64, delta tensor.Vec, lo, hi []uint64) (sat bool) {
+	// Same-length reslices let the compiler drop the bounds checks from the
+	// loop.
+	hi = hi[:len(lo)]
 	delta = delta[:len(lo)]
-	sat := false
 	for j := range lo {
 		b := math.Float64bits(scale * delta[j])
 		mag := b &^ f64SignBit
@@ -163,10 +194,7 @@ func (a *Acc) AddScaled(scale float64, delta tensor.Vec) error {
 		lo[j], c = bits.Add64(lo[j], xlo^-sign, sign)
 		hi[j], _ = bits.Add64(hi[j], xhi^-sign, c)
 	}
-	if sat {
-		a.sat = true
-	}
-	return nil
+	return sat
 }
 
 // Merge folds another accumulator into a (exact integer addition; the

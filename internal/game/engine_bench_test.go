@@ -10,7 +10,7 @@ import (
 
 // This file holds the solver's kernel micro-benchmarks: run
 //
-//	go test -run '^$' -bench 'SolveKKT|WarmSweep|BayesianParallel|Sensitivity|MSearch' ./internal/game/
+//	go test -run '^$' -bench 'SolveKKT|WarmSweep|BayesianParallel|Sensitivity|MSearch|TotalClientUtility' ./internal/game/
 //
 // on both commits before landing solver changes. End to end the solver is
 // timed by benchmark/ (game.solve_kkt_s, game.solve_warm_s, quote-cold); CI's
@@ -189,4 +189,23 @@ func BenchmarkCacheHit(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTotalClientUtility sums the priced fleet's utilities at the size
+// the fleet workloads run: one pass over the clients, where evaluating the
+// bound per client took N of them.
+func BenchmarkTotalClientUtility(b *testing.B) {
+	p := benchGame(b, 100000)
+	var eq Equilibrium
+	if err := NewSolver().SolveInto(p, &eq); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := p.TotalClientUtility(eq.P, eq.Q, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p.N()), "ns/client")
 }

@@ -574,6 +574,46 @@ func TestClientUtilityHigherUnderOptimal(t *testing.T) {
 	}
 }
 
+// TestTotalClientUtilityIsTheSumOfClientUtilities: evaluating the bound once
+// must not move a bit of the total — it is Σ ClientUtility in index order,
+// with and without improvements.
+func TestTotalClientUtilityIsTheSumOfClientUtilities(t *testing.T) {
+	for seed := uint64(1); seed <= 8; seed++ {
+		p := testParams(t, seed, 5+int(seed)*37, 50, 4000, 200)
+		out := priceBy(t, p, SchemeNameProposed)
+		r := stats.NewRNG(seed)
+		imps := make([]float64, p.N())
+		for i := range imps {
+			imps[i] = r.Float64()
+		}
+		for _, improvements := range [][]float64{nil, imps} {
+			var want float64
+			for n := 0; n < p.N(); n++ {
+				imp := 0.0
+				if improvements != nil {
+					imp = improvements[n]
+				}
+				u, err := p.ClientUtility(n, out.P[n], out.Q, imp)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want += u
+			}
+			got, err := p.TotalClientUtility(out.P, out.Q, improvements)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("seed %d, improvements %v: total %v (%#x), Σ ClientUtility %v (%#x)",
+					seed, improvements != nil, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+		if _, err := p.TotalClientUtility(out.P, out.Q[:p.N()-1], nil); err == nil {
+			t.Fatal("expected the bound's q-length error")
+		}
+	}
+}
+
 func TestUtilityErrors(t *testing.T) {
 	p := testParams(t, 20, 3, 50, 4000, 200)
 	q := []float64{0.5, 0.5, 0.5}

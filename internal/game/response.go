@@ -116,15 +116,26 @@ func (p *Params) ClientUtility(n int, price float64, q []float64, improvement fl
 	if err != nil {
 		return 0, err
 	}
-	qn := q[n]
-	return price*qn - p.C[n]*qn*qn + p.V[n]*(improvement-bound), nil
+	return p.clientUtility(n, price, q[n], improvement, bound), nil
 }
 
-// TotalClientUtility sums ClientUtility over all clients with improvements
-// (nil means zero for everyone).
+// clientUtility is U_n given the convergence bound at the profile q_n is
+// part of.
+func (p *Params) clientUtility(n int, price, qn, improvement, bound float64) float64 {
+	return price*qn - p.C[n]*qn*qn + p.V[n]*(improvement-bound)
+}
+
+// TotalClientUtility sums ClientUtility over all clients, in index order,
+// with improvements (nil means zero for everyone). The bound is the same for
+// every client and is evaluated once: the sum is O(N), and equal bit for bit
+// to adding up N ClientUtility calls.
 func (p *Params) TotalClientUtility(prices, q, improvements []float64) (float64, error) {
 	if improvements != nil && len(improvements) != p.N() {
 		return 0, fmt.Errorf("game: %d improvements for %d clients", len(improvements), p.N())
+	}
+	bound, err := p.Bound(q)
+	if err != nil {
+		return 0, err
 	}
 	var total float64
 	for n := 0; n < p.N(); n++ {
@@ -132,11 +143,7 @@ func (p *Params) TotalClientUtility(prices, q, improvements []float64) (float64,
 		if improvements != nil {
 			imp = improvements[n]
 		}
-		u, err := p.ClientUtility(n, prices[n], q, imp)
-		if err != nil {
-			return 0, err
-		}
-		total += u
+		total += p.clientUtility(n, prices[n], q[n], imp, bound)
 	}
 	return total, nil
 }

@@ -1,8 +1,10 @@
 package tensor
 
-// useAVX2 selects the vector kernels in simd_amd64.s. It is decided once, from
-// what the CPU and OS report; there is no switch.
-var useAVX2 = cpuHasAVX2()
+// HasAVX2 selects the vector kernels in simd_amd64.s — and, read from there,
+// internal/fixpoint's fold kernel: it is the module's one CPU-feature probe.
+// It is decided once, from what the CPU and OS report; there is no switch, and
+// nothing may assign to it.
+var HasAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
 
@@ -27,7 +29,7 @@ const tmulSamples = 64
 // neighbour are computed twice, identically.
 func logitsVector(xs [][]float64, w, bias Vec, dim, classes int, out Vec) bool {
 	n, nc := len(xs)&^1, classes&^1
-	if !useAVX2 || n < 8 || nc < 4 || dim%4 != 0 {
+	if !HasAVX2 || n < 8 || nc < 4 || dim%4 != 0 {
 		return false
 	}
 	var b *float64
@@ -49,7 +51,7 @@ func logitsVector(xs [][]float64, w, bias Vec, dim, classes int, out Vec) bool {
 // have passed AddScaledTMul's checks.
 func addScaledTMulVector(s float64, xs [][]float64, p Vec, classes, dim int, g Vec) bool {
 	nc := classes &^ 1
-	if !useAVX2 || nc == 0 || dim%4 != 0 {
+	if !HasAVX2 || nc == 0 || dim%4 != 0 {
 		return false
 	}
 	for lo := 0; lo < len(xs); lo += tmulSamples {

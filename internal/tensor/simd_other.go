@@ -2,9 +2,9 @@
 
 package tensor
 
-// Only amd64 has vector kernels; everywhere else the portable kernels are the
-// implementation.
-const useAVX2 = false
+// HasAVX2 is false off amd64: only amd64 has vector kernels, everywhere else
+// the portable kernels are the implementation.
+const HasAVX2 = false
 
 func logitsVector(xs [][]float64, w, bias Vec, dim, classes int, out Vec) bool { return false }
 

@@ -161,7 +161,7 @@ func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 	// re-deriving its rule, is what catches a dispatch that always declines.
 	vecLogits = logitsVector(kc.xs, kc.w, kc.bias, dim, classes, want)
 	vecGrad = addScaledTMulVector(kc.s, kc.xs, kc.p, classes, dim, probe)
-	if useAVX2 {
+	if HasAVX2 {
 		// The shapes the kernels' comments promise to vectorise.
 		wantLogits := dim%4 == 0 && n&^1 >= 8 && classes&^1 >= 4
 		wantGrad := dim%4 == 0 && classes >= 2
@@ -174,7 +174,7 @@ func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 }
 
 func skipWithoutAVX2(t testing.TB) {
-	if !useAVX2 {
+	if !HasAVX2 {
 		t.Skip("no vector kernels to compare: the CPU lacks AVX2, the OS does not save YMM state, or GOARCH is not amd64")
 	}
 }
