@@ -72,7 +72,7 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 	// Shared coordinate scales Σ_jj = j^{-1.2}.
 	scales := make([]float64, cfg.Dim)
 	for j := range scales {
-		scales[j] = math.Pow(float64(j+1), -1.2)
+		scales[j] = tensor.Exp(-1.2 * tensor.Log(float64(j+1)))
 	}
 
 	clients := make([]*Dataset, cfg.NumClients)

@@ -67,7 +67,8 @@ type CheckpointConfig struct {
 	// Path is the snapshot file location ("" disables checkpointing); the
 	// trace WAL lives beside it at Path+".wal". Runs launched from an
 	// Environment use it as a prefix: every (scheme, run) leg gets its own
-	// "<Path>-<scheme>-run<i>.ckpt".
+	// "<Path>-<scheme>-run<i>.ckpt", and the legs of sweep point j
+	// "<Path>-point<j>-<scheme>-run<i>.ckpt".
 	Path string
 	// Resume continues from an existing checkpoint at Path when one exists
 	// (and starts fresh when none does). False discards any prior

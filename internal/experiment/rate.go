@@ -4,15 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
-
-func logf(x float64) float64 { return math.Log(x) }
 
 // GapPoint is the measured optimality gap E[F(w^R)] − F* after R rounds.
 type GapPoint struct {
@@ -90,8 +88,8 @@ func FitRateExponent(points []GapPoint) (float64, error) {
 	var xs, ys []float64
 	for _, pt := range points {
 		if pt.Gap > 0 {
-			xs = append(xs, logf(float64(pt.Rounds)))
-			ys = append(ys, logf(pt.Gap))
+			xs = append(xs, tensor.Log(float64(pt.Rounds)))
+			ys = append(ys, tensor.Log(pt.Gap))
 		}
 	}
 	if len(xs) < 2 {

@@ -3,6 +3,8 @@ package experiment
 import (
 	"context"
 	"errors"
+	"fmt"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"strings"
@@ -124,5 +126,55 @@ func TestSweepParallelPropagatesError(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "non-positive mean cost") {
 		t.Fatalf("expected the originating point error, got: %v", err)
+	}
+}
+
+// TestCheckpointedSweepKeepsPointsApart pins that the points of a sweep run
+// under a checkpoint prefix commit to files of their own, so that concurrent
+// points never write one file, and that checkpointing changes no result: the
+// checkpointed sweep on four workers equals the checkpointed sequential one
+// and the uncheckpointed one.
+func TestCheckpointedSweepKeepsPointsApart(t *testing.T) {
+	ctx := context.Background()
+	opts := tinyOptions()
+	opts.Rounds = 10
+	opts.Runs = 1
+	env, err := BuildSetup(ctx, Setup1, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	values := []float64{1000, 4000, 8000}
+	plain, err := sweepParallel(ctx, env, game.SchemeNameProposed, SweepV, values, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	durable := *env
+	durable.Run.Checkpoint.Path = filepath.Join(dir, "sweep")
+	seq, err := sweepParallel(ctx, &durable, game.SchemeNameProposed, SweepV, values, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prev := runtime.GOMAXPROCS(4)
+	par, err := sweepParallel(ctx, &durable, game.SchemeNameProposed, SweepV, values, 4, nil)
+	runtime.GOMAXPROCS(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(plain, seq) || !reflect.DeepEqual(plain, par) {
+		t.Fatalf("checkpointing changed the sweep:\nplain:       %+v\nsequential:  %+v\nfour workers: %+v", plain, seq, par)
+	}
+
+	files, err := filepath.Glob(filepath.Join(dir, "*.ckpt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for i := range values {
+		want = append(want, filepath.Join(dir, fmt.Sprintf("sweep-point%d-%s-run0.ckpt", i, game.SchemeNameProposed)))
+	}
+	if !reflect.DeepEqual(files, want) {
+		t.Fatalf("checkpoint files %v, want one per point %v", files, want)
 	}
 }

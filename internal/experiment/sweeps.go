@@ -101,7 +101,7 @@ func sweepParallel(
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			p, err := sweepPoint(ctx, env, ps, kind, val, true)
+			p, err := sweepPoint(ctx, env, ps, kind, i, val, true)
 			if err != nil {
 				return nil, err
 			}
@@ -132,7 +132,7 @@ func sweepParallel(
 				}
 				// Sweep workers already saturate the CPU; keep each point's
 				// inner training sequential to avoid nested pools.
-				p, err := sweepPoint(sweepCtx, env, ps, kind, values[i], false)
+				p, err := sweepPoint(sweepCtx, env, ps, kind, i, values[i], false)
 				if err != nil {
 					errs[i] = err
 					stopSweep()
@@ -165,10 +165,12 @@ func sweepParallel(
 	return out, nil
 }
 
-// sweepPoint prices and retrains one sweep value.
+// sweepPoint prices and retrains sweep point i, of value val. Under a
+// checkpoint prefix the point's legs checkpoint under "<prefix>-point<i>", so
+// that concurrent points never share a file.
 func sweepPoint(
 	ctx context.Context, env *Environment, ps game.PricingScheme, kind SweepKind,
-	val float64, innerParallel bool,
+	i int, val float64, innerParallel bool,
 ) (SweepPoint, error) {
 	params, err := perturbedParams(env, kind, val)
 	if err != nil {
@@ -184,6 +186,9 @@ func sweepPoint(
 	// non-deterministically, so sweeps stream SweepPointDone only.
 	sub := *env
 	sub.Params = params
+	if prefix := env.Run.Checkpoint.Path; prefix != "" {
+		sub.Run.Checkpoint.Path = fmt.Sprintf("%s-point%d", prefix, i)
+	}
 	run, err := runPricedParallel(ctx, &sub, ps.Name(), outcome, innerParallel, nil)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -7,6 +7,7 @@ import (
 
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
+	"unbiasedfl/internal/testutil"
 )
 
 // TestFixQuantizeRoundTrips: quantize → dequantize is exact for values on
@@ -437,36 +438,6 @@ const (
 	guardFloat = -0x1.deadbeefcafep+700
 )
 
-// carved is a slice cut out of a larger backing array filled with guards.
-type carved[T comparable] struct {
-	backing []T
-	lo, n   int
-	guard   T
-}
-
-// carve returns n elements starting at an odd index of their backing array,
-// so they are 8- but not 32-byte aligned within the allocation, with guards on
-// both sides — or, with toEnd, ending exactly where the backing array does.
-func carve[T comparable](n int, toEnd bool, guard T) ([]T, carved[T]) {
-	c := carved[T]{backing: make([]T, n+6), lo: 3, n: n, guard: guard}
-	if toEnd {
-		c.backing, c.lo = c.backing[:n+1], 1
-	}
-	for i := range c.backing {
-		c.backing[i] = guard
-	}
-	return c.backing[c.lo : c.lo+n : c.lo+n], c
-}
-
-func (c carved[T]) intact() bool {
-	for i, v := range c.backing {
-		if (i < c.lo || i >= c.lo+c.n) && v != c.guard {
-			return false
-		}
-	}
-	return true
-}
-
 // TestVectorFoldMatchesPortable holds AddScaled's vector tier to the Go loop
 // limb for limb: every length from 0 to 70 (whole blocks and all four tail
 // sizes), scales of both signs, addends on both sides of every shift, edges
@@ -475,20 +446,15 @@ func (c carved[T]) intact() bool {
 // allocation ends, because the kernel stores through raw pointers.
 func TestVectorFoldMatchesPortable(t *testing.T) {
 	requireVectorTier(t)
-	_, c := carve(4, false, guardWord)
-	c.backing[c.lo+c.n] = 0
-	if c.intact() {
-		t.Fatal("a write after the slice went unnoticed")
-	}
 
 	rng := stats.NewRNG(31)
 	edges := quantizeEdges()
 	const cases = 20000
 	for i := 0; i < cases; i++ {
 		n := i % 71
-		delta, deltaCarved := carve(n, i%3 == 2, guardFloat)
-		lo, loCarved := carve(n, i%5 == 4, guardWord)
-		hi, hiCarved := carve(n, i%7 == 6, guardWord)
+		delta, deltaCarved := testutil.Carve(n, i%3 == 2, guardFloat)
+		lo, loCarved := testutil.Carve(n, i%5 == 4, guardWord)
+		hi, hiCarved := testutil.Carve(n, i%7 == 6, guardWord)
 		scale := math.Exp(6 * (rng.Float64() - 0.5))
 		special := []float64{0, 0, 0.02, 0.3}[i%4]
 		if special > 0 && rng.Bernoulli(0.5) {
@@ -528,9 +494,9 @@ func TestVectorFoldMatchesPortable(t *testing.T) {
 				t.Fatalf("case %d, n=%d: the fold changed delta[%d]", i, n, j)
 			}
 		}
-		if !deltaCarved.intact() || !loCarved.intact() || !hiCarved.intact() {
+		if !deltaCarved.Intact() || !loCarved.Intact() || !hiCarved.Intact() {
 			t.Fatalf("case %d, n=%d: the fold wrote outside its slices (delta %v, lo %v, hi %v intact)",
-				i, n, deltaCarved.intact(), loCarved.intact(), hiCarved.intact())
+				i, n, deltaCarved.Intact(), loCarved.Intact(), hiCarved.Intact())
 		}
 	}
 

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+
+	"unbiasedfl/internal/tensor"
 )
 
 // Interior reports whether client n's equilibrium level is strictly inside
@@ -46,8 +48,8 @@ func (p *Params) PriceEq18(n int, lambda float64) (float64, error) {
 	}
 	front := cbrt(2 * p.Alpha * p.C[n] * p.C[n] * p.DataQuality(n) / p.R)
 	v := p.V[n]
-	second := math.Pow(v, 1.5) / slack
-	return front * (cbrt(slack) - 2*math.Pow(second, 2.0/3.0)), nil
+	second := tensor.Exp(1.5*tensor.Log(v)) / slack
+	return front * (cbrt(slack) - 2*tensor.Exp(2.0/3.0*tensor.Log(second))), nil
 }
 
 // VerifyTheorem2 checks that the invariant agrees across interior clients

@@ -46,7 +46,7 @@ func perSampleLogregGradient(m *LogisticRegression, w tensor.Vec, ds *data.Datas
 		if err := m.Logits(w, x, probs); err != nil {
 			return err
 		}
-		if err := tensor.SoftmaxInPlace(probs); err != nil {
+		if err := tensor.SoftmaxRows(probs, 1, m.Classes); err != nil {
 			return err
 		}
 		probs[ds.Y[i]] -= 1

@@ -77,18 +77,21 @@ func (m *LogisticRegression) Loss(w tensor.Vec, ds *data.Dataset) (float64, erro
 	bias := w[classes*dim:]
 	sum, err := chunkSum(ds.Len(), func(lo, hi int, s *Scratch) (float64, error) {
 		b := hi - lo
-		logits := s.ensureProbs(b * classes)
+		buf := s.ensureProbs((classes + 2) * b)
+		logits, lse, label := buf[:classes*b], buf[classes*b:(classes+1)*b], buf[(classes+1)*b:]
 		if err := tensor.LogitsBatch(ds.X[lo:hi], wRows, bias, dim, classes, logits); err != nil {
 			return 0, err
 		}
+		// LogSumExp overwrites the logits: take each row's label score first.
+		for i := range label {
+			label[i] = logits[i*classes+ds.Y[lo+i]]
+		}
+		if err := tensor.LogSumExp(logits, b, classes, lse); err != nil {
+			return 0, err
+		}
 		var part float64
-		for i := 0; i < b; i++ {
-			row := logits[i*classes : (i+1)*classes]
-			lse, err := tensor.LogSumExp(row)
-			if err != nil {
-				return 0, err
-			}
-			part += lse - row[ds.Y[lo+i]]
+		for i := range lse {
+			part += lse[i] - label[i]
 		}
 		return part, nil
 	})

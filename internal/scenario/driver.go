@@ -4,13 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 
 	"unbiasedfl/internal/adversary"
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
 
 // Backend selects the execution substrate a scenario runs on — the same
@@ -288,7 +288,7 @@ func applyEconomics(p *game.Params, sc Scenario) error {
 	for i := 0; i < n; i++ {
 		ramp := 1.0
 		if sc.CostSpread > 0 && n > 1 {
-			ramp = math.Exp(sc.CostSpread * (2*float64(i)/float64(n-1) - 1))
+			ramp = tensor.Exp(sc.CostSpread * (2*float64(i)/float64(n-1) - 1))
 		}
 		p.C[i] *= sc.CostScale * ramp
 		p.V[i] *= sc.ValueScale

@@ -674,11 +674,12 @@ func (s *Server) handleDeleteSession(w http.ResponseWriter, r *http.Request) {
 	if sess == nil {
 		return
 	}
-	if !s.registry.cancelQueued(sess) {
-		sess.cancel() // running (or already terminal — then this is a no-op)
-	} else {
+	if s.registry.cancelQueued(sess) {
 		s.metrics.sessionsCancelled.Add(1)
 	}
+	// Stops a running session; releases a cancelled queued one's context; a
+	// no-op on one already terminal.
+	sess.cancel()
 	writeJSON(w, http.StatusOK, sess.status())
 }
 

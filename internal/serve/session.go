@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"unbiasedfl/internal/experiment"
@@ -289,22 +290,14 @@ func (r *sessionRegistry) release() {
 	r.mu.Lock()
 	r.active--
 	var next *serveSession
-	// Skip queue entries that were cancelled while waiting.
-	for len(r.queue) > 0 {
-		cand := r.queue[0]
+	// Every queued entry is still waiting: cancelQueued removes the ones it
+	// cancels under this lock.
+	if len(r.queue) > 0 {
+		next = r.queue[0]
 		r.queue = r.queue[1:]
-		cand.mu.Lock()
-		waiting := cand.state == StateQueued
-		if waiting {
-			cand.state = StateRunning
-		}
-		cand.mu.Unlock()
-		if waiting {
-			next = cand
-			break
-		}
-	}
-	if next != nil {
+		next.mu.Lock()
+		next.state = StateRunning
+		next.mu.Unlock()
 		r.active++
 	}
 	r.trimFinishedLocked()
@@ -350,18 +343,22 @@ func (r *sessionRegistry) trimFinishedLocked() {
 }
 
 // cancelQueued handles DELETE on a still-queued session: it flips it to
-// cancelled without consuming a running slot. Returns false when the
-// session was not in the queued state (the caller then cancels the context
-// of the running session instead). The test and the transition are one
-// critical section under the lock release takes to promote a queued
-// session, so exactly one of the two wins: a session reported cancelled
-// here is never launched.
+// cancelled and takes it out of the queue, so that it no longer counts
+// against admission or the queued gauge. Returns false when the session was
+// not in the queued state. The test, the transition and the removal are one
+// critical section under the locks release takes, in release's order, to
+// promote a queued session, so exactly one of the two wins: a session
+// reported cancelled here is never launched. The caller cancels the
+// session's context either way.
 func (r *sessionRegistry) cancelQueued(s *serveSession) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.state != StateQueued {
 		return false
 	}
+	r.queue = slices.DeleteFunc(r.queue, func(q *serveSession) bool { return q == s })
 	s.finishLocked(StateCancelled, eventCancelled, []byte(`{"reason":"deleted while queued"}`), nil, "cancelled while queued")
 	return true
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -317,6 +318,73 @@ func TestDeleteQueuedSession(t *testing.T) {
 	}
 	dresp.Body.Close()
 	waitState(t, ts.URL, running.ID, StateCancelled, 5*time.Second)
+}
+
+// TestDeleteQueuedFreesItsSlot pins that a session deleted while queued
+// gives its queue slot back and has its context cancelled: with one running
+// slot and one queue slot, run A, queue B, delete B — C must then queue
+// (not 429), the queued gauge must read 1, and B's context must be done.
+func TestDeleteQueuedFreesItsSlot(t *testing.T) {
+	s, ts := newTestServer(t, Config{MaxSessions: 1, MaxQueued: 1})
+	blockingOverride(s)
+
+	a := createSession(t, ts.URL, SessionRequest{Scenario: "baseline"})
+	b := createSession(t, ts.URL, SessionRequest{Scenario: "baseline"})
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+b.ID, nil)
+	dresp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := decodeResp[SessionStatus](t, dresp); st.State != StateCancelled {
+		t.Fatalf("deleted queued session state %s, want cancelled", st.State)
+	}
+	select {
+	case <-s.registry.get(b.ID).ctx.Done():
+	default:
+		t.Fatal("the deleted queued session's context is still live")
+	}
+
+	resp := postJSON(t, ts.URL+"/v1/sessions", SessionRequest{Scenario: "baseline"})
+	if resp.StatusCode != http.StatusAccepted {
+		resp.Body.Close()
+		t.Fatalf("session after a deleted queued one: status %d, want 202", resp.StatusCode)
+	}
+	c := decodeResp[SessionStatus](t, resp)
+	if c.State != StateQueued {
+		t.Fatalf("session after a deleted queued one: state %s, want queued", c.State)
+	}
+	if active, queued := s.registry.gauges(); active != 1 || queued != 1 {
+		t.Fatalf("gauges read active %d, queued %d; want 1 and 1", active, queued)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	metrics, err := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(metrics), "flserve_sessions_queued 1\n") {
+		t.Fatalf("metrics do not read one queued session:\n%s", metrics)
+	}
+
+	// Freeing A's slot starts C, never B.
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+a.ID, nil)
+	if dresp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	waitState(t, ts.URL, c.ID, StateRunning, 5*time.Second)
+	if st, _ := waitStatus(t, ts.URL, b.ID); st.State != StateCancelled {
+		t.Fatalf("deleted session B is now %s", st.State)
+	}
+	req, _ = http.NewRequest(http.MethodDelete, ts.URL+"/v1/sessions/"+c.ID, nil)
+	if dresp, err = http.DefaultClient.Do(req); err != nil {
+		t.Fatal(err)
+	}
+	dresp.Body.Close()
+	waitState(t, ts.URL, c.ID, StateCancelled, 5*time.Second)
 }
 
 // TestResultBeforeFinish pins the 409 for early result fetches.

@@ -2,7 +2,8 @@ package stats
 
 import (
 	"errors"
-	"math"
+
+	"unbiasedfl/internal/tensor"
 )
 
 // Exponential draws n samples from an exponential distribution with the
@@ -42,7 +43,7 @@ func PowerLawSizes(r *RNG, n, total, minPer int, s float64) ([]int, error) {
 	weights := make([]float64, n)
 	var sum float64
 	for i := range weights {
-		weights[i] = math.Pow(float64(i+1), -s)
+		weights[i] = tensor.Exp(-s * tensor.Log(float64(i+1)))
 		sum += weights[i]
 	}
 	// Shuffle so the heavy clients are at random indices.
@@ -76,10 +77,10 @@ func LogNormal(r *RNG, n int, median, sigma float64) ([]float64, error) {
 	if median <= 0 {
 		return nil, errors.New("stats: non-positive median")
 	}
-	mu := math.Log(median)
+	mu := tensor.Log(median)
 	out := make([]float64, n)
 	for i := range out {
-		out[i] = math.Exp(mu + sigma*r.NormFloat64())
+		out[i] = tensor.Exp(mu + float64(sigma*r.NormFloat64()))
 	}
 	return out, nil
 }

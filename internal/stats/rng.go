@@ -11,6 +11,8 @@ package stats
 import (
 	"errors"
 	"math"
+
+	"unbiasedfl/internal/tensor"
 )
 
 // RNG is a deterministic pseudo-random number generator based on
@@ -126,7 +128,7 @@ func (r *RNG) NormFloat64() float64 {
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*math.Log(s)/s)
+			return u * math.Sqrt(-2*tensor.Log(s)/s)
 		}
 	}
 }
@@ -138,7 +140,7 @@ func (r *RNG) ExpFloat64() float64 {
 	if u >= 1 {
 		u = math.Nextafter(1, 0)
 	}
-	return -math.Log(1 - u)
+	return -tensor.Log(1 - u)
 }
 
 // Perm returns a pseudo-random permutation of [0, n).

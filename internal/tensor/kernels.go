@@ -1,29 +1,27 @@
 package tensor
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
 // This file implements the kernels behind the batched gradient path: X·Wᵀ
 // products over row-sliced inputs, row-wise softmax, and the Pᵀ·X gradient
 // accumulation. All kernels are allocation-free: callers provide every buffer.
 //
 // The order of floating-point operations behind each output element of
-// LogitsBatch and AddScaledTMul is a contract, stated in their comments: the
-// golden traces, the bit-identity of the two backends and of a federation
-// whose hosts have different CPUs all rest on it. Two implementations honour
-// it. The portable Go kernels below run everywhere; they process four matrix
-// rows and two samples per pass, which reuses each loaded element and keeps
-// several independent add chains in flight. On amd64 with AVX2 (detected once
-// from CPUID, no switch) the regular region of both kernels — everything but
-// an odd last class and, for LogitsBatch, an odd last sample — runs on the
-// micro-kernels of simd_amd64.s instead, whose vector lanes carry four
-// independent outputs and perform, per lane, exactly the portable kernels'
-// multiplications and additions in the portable kernels' order: no fused
-// multiply-add, no sum split across lanes. The portable kernels are the
-// reference the vector ones are tested against, bit for bit. MatMulT has no
-// vector kernel.
+// LogitsBatch, SoftmaxRows and AddScaledTMul is a contract, stated in their
+// comments (and, for the exponentials of SoftmaxRows, on Exp): the golden
+// traces, the bit-identity of the two backends and of a federation whose
+// hosts have different CPUs all rest on it. Two implementations honour it.
+// The portable Go kernels below run everywhere; they process four matrix rows
+// and two samples per pass, which reuses each loaded element and keeps several
+// independent add chains in flight. On amd64 with AVX2 (detected once from
+// CPUID, no switch) the regular region of LogitsBatch and AddScaledTMul —
+// everything but an odd last class and, for LogitsBatch, an odd last sample —
+// and the exponentials of SoftmaxRows run on the kernels of simd_amd64.s
+// instead, whose vector lanes carry four independent outputs and perform, per
+// lane, exactly the portable code's operations in the portable code's order:
+// no fused multiply-add, no sum split across lanes. The portable kernels are
+// the reference the vector ones are tested against, bit for bit. MatMulT has
+// no vector kernel.
 
 // dotUnrolled returns the inner product of a and b (equal lengths) using four
 // independent accumulators.
@@ -243,6 +241,12 @@ func dot2Rows2(w0, w1, x, y []float64) (s0, s1, t0, t1 float64) {
 
 // SoftmaxRows applies a stable softmax to each row of the rows×cols matrix
 // stored row-major in p, in place.
+//
+// Operation order, per row: m is the row's maximum (the first element, then
+// replaced by each later one that is greater); e_j = Exp(p_j − m); the e_j are
+// summed one at a time, j ascending, from +0; every e_j is multiplied by
+// 1/sum. The exponentials run as one pass over the whole matrix, on the
+// vector kernel where HasAVX2.
 func SoftmaxRows(p Vec, rows, cols int) error {
 	if rows < 0 || cols <= 0 {
 		return errors.New("tensor: non-positive shape in SoftmaxRows")
@@ -251,25 +255,41 @@ func SoftmaxRows(p Vec, rows, cols int) error {
 		return errors.New("tensor: length mismatch in SoftmaxRows")
 	}
 	for i := 0; i < rows; i++ {
+		shiftByMax(p[i*cols : (i+1)*cols])
+	}
+	expInPlace(p)
+	for i := 0; i < rows; i++ {
 		row := p[i*cols : (i+1)*cols]
-		m := row[0]
-		for _, v := range row[1:] {
-			if v > m {
-				m = v
-			}
-		}
-		var sum float64
-		for j, v := range row {
-			e := math.Exp(v - m)
-			row[j] = e
-			sum += e
-		}
-		inv := 1 / sum
+		inv := 1 / sumAscending(row)
 		for j := range row {
 			row[j] *= inv
 		}
 	}
 	return nil
+}
+
+// shiftByMax subtracts the maximum of row from each of its elements and
+// returns the maximum.
+func shiftByMax(row []float64) float64 {
+	m := row[0]
+	for _, v := range row[1:] {
+		if v > m {
+			m = v
+		}
+	}
+	for j, v := range row {
+		row[j] = v - m
+	}
+	return m
+}
+
+// sumAscending returns the sum of row, added one element at a time from +0.
+func sumAscending(row []float64) float64 {
+	var sum float64
+	for _, v := range row {
+		sum += v
+	}
+	return sum
 }
 
 // AddScaledTMul accumulates the batched outer-product gradient G += s·Pᵀ·X:

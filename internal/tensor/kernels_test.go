@@ -187,7 +187,24 @@ func TestLogitsBatchErrors(t *testing.T) {
 	}
 }
 
-func TestSoftmaxRowsMatchesSoftmaxInPlace(t *testing.T) {
+// softmaxReference is the textbook stable softmax on the standard library:
+// p_j = exp(x_j − lse) with lse = m + log Σ exp(x_j − m).
+func softmaxReference(row []float64) {
+	m := row[0]
+	for _, x := range row {
+		m = math.Max(m, x)
+	}
+	var s float64
+	for _, x := range row {
+		s += math.Exp(x - m)
+	}
+	lse := m + math.Log(s)
+	for j, x := range row {
+		row[j] = math.Exp(x - lse)
+	}
+}
+
+func TestSoftmaxRowsMatchesReference(t *testing.T) {
 	r := &kernelRNG{s: 3}
 	for _, shape := range kernelShapes {
 		b, c := shape.batch, shape.classes
@@ -202,9 +219,7 @@ func TestSoftmaxRowsMatchesSoftmaxInPlace(t *testing.T) {
 		}
 		for i := 0; i < b; i++ {
 			row := reference[i*c : (i+1)*c]
-			if err := SoftmaxInPlace(row); err != nil {
-				t.Fatal(err)
-			}
+			softmaxReference(row)
 			var sum float64
 			for j := 0; j < c; j++ {
 				got := batched[i*c+j]

@@ -1,36 +1,25 @@
 package tensor
 
-import (
-	"errors"
-	"math"
-)
+import "errors"
 
-// LogSumExp returns log(sum(exp(xs))) computed stably.
-func LogSumExp(xs Vec) (float64, error) {
-	if len(xs) == 0 {
-		return 0, errors.New("tensor: LogSumExp of empty vector")
+// LogSumExp writes log Σ_j exp(p[i*cols+j]) of each row i of the rows×cols
+// matrix stored row-major in p into out[i], computed stably, and leaves p
+// overwritten with the shifted exponentials. Operation order, per row: m and
+// the shifted exponentials e_j = Exp(p_j − m) exactly as in SoftmaxRows, and
+// out[i] = m + Log(Σ_j e_j) with the sum taken j ascending from +0.
+func LogSumExp(p Vec, rows, cols int, out Vec) error {
+	if rows < 0 || cols <= 0 {
+		return errors.New("tensor: non-positive shape in LogSumExp")
 	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
+	if len(p) != rows*cols || len(out) != rows {
+		return errors.New("tensor: length mismatch in LogSumExp")
 	}
-	var s float64
-	for _, x := range xs {
-		s += math.Exp(x - m)
+	for i := range out {
+		out[i] = shiftByMax(p[i*cols : (i+1)*cols])
 	}
-	return m + math.Log(s), nil
-}
-
-// SoftmaxInPlace converts logits into probabilities in place, stably.
-func SoftmaxInPlace(xs Vec) error {
-	lse, err := LogSumExp(xs)
-	if err != nil {
-		return err
-	}
-	for i, x := range xs {
-		xs[i] = math.Exp(x - lse)
+	expInPlace(p)
+	for i := range out {
+		out[i] += Log(sumAscending(p[i*cols : (i+1)*cols]))
 	}
 	return nil
 }

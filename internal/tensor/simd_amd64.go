@@ -2,8 +2,8 @@ package tensor
 
 // HasAVX2 selects the vector kernels in simd_amd64.s — and, read from there,
 // internal/fixpoint's fold kernel: it is the module's one CPU-feature probe.
-// It is decided once, from what the CPU and OS report; there is no switch, and
-// nothing may assign to it.
+// It is decided once, from what the CPU and OS report; there is no switch.
+// Only tests assign to it, false, to run the portable tiers on this host.
 var HasAVX2 = cpuHasAVX2()
 
 func cpuHasAVX2() bool
@@ -17,9 +17,33 @@ func addTMul4AVX2(s float64, p *float64, classes int, xs *[]float64, n, dim int,
 //go:noescape
 func addTMul2AVX2(s float64, p *float64, classes int, xs *[]float64, n, dim int, gr *float64)
 
+//go:noescape
+func expAVX2(p *float64, n int) int
+
 // tmulSamples is how many samples one addTMul call takes: its frame holds
 // their scaled probabilities.
 const tmulSamples = 64
+
+// expVector replaces the leading len(v)&^3 elements of v by their Exp on the
+// vector kernel and returns how many it replaced: len(v)&^3, or 0 without
+// AVX2. A block of four that the kernel stops at (a lane beyond |x| ≤ 708, or
+// NaN) goes through Exp, and the kernel resumes after it.
+func expVector(v []float64) int {
+	n := len(v) &^ 3
+	if !HasAVX2 {
+		return 0
+	}
+	for i := 0; i < n; i += 4 {
+		i += expAVX2(&v[i], n-i)
+		if i == n {
+			break
+		}
+		for j := i; j < i+4; j++ {
+			v[j] = Exp(v[j])
+		}
+	}
+	return n
+}
 
 // logitsVector computes the regular region of LogitsBatch — the sample pairs
 // and the classes below classes&^1 — on the vector kernel and reports whether

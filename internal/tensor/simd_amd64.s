@@ -2,12 +2,13 @@
 #include "funcdata.h"
 
 // AVX2 micro-kernels behind LogitsBatch and AddScaledTMul (see kernels.go for
-// the per-output operation order they must reproduce). Vector lanes carry four
-// independent outputs; every lane performs the portable kernel's own sequence
-// of IEEE multiplications and additions — VMULPD then VADDPD, never a fused
-// multiply-add, never a reduction across lanes — so results are bit-identical
-// to the Go kernels. Pointers are not bounds-checked here: the length checks
-// in the exported functions are the only guard.
+// the per-output operation order they must reproduce) and the exp pass under
+// SoftmaxRows and LogSumExp (see Exp in exp.go). Vector lanes carry four
+// independent outputs; every lane performs the portable code's own sequence
+// of IEEE operations — VMULPD then VADDPD, never a fused multiply-add, never a
+// reduction across lanes — so results are bit-identical to the Go code.
+// Pointers are not bounds-checked here: the length checks in the exported
+// functions are the only guard.
 
 // func cpuHasAVX2() bool
 //
@@ -334,5 +335,100 @@ store2:
 	CMPQ R8, R15
 	JLT  tile2
 
+	VZEROUPPER
+	RET
+
+// LANES writes one float64 bit pattern to the four lanes of a 32-byte entry
+// of a constant table.
+#define LANES(name, off, bits) \
+	DATA name<>+(off)(SB)/8, $bits; \
+	DATA name<>+(off+8)(SB)/8, $bits; \
+	DATA name<>+(off+16)(SB)/8, $bits; \
+	DATA name<>+(off+24)(SB)/8, $bits
+
+// The constants of Exp (exp.go), in the order the kernel uses them.
+LANES(expc, 0, 0x7fffffffffffffff)   // |x| mask
+LANES(expc, 32, 0x4086200000000000)  // 708
+LANES(expc, 64, 0x3e30000000000000)  // 2^-28
+LANES(expc, 96, 0x3fe0000000000000)  // 0.5
+LANES(expc, 128, 0x3ff71547652b82fe) // Log2e
+LANES(expc, 160, 0x3fe62e42fee00000) // Ln2Hi
+LANES(expc, 192, 0x3dea39ef35793c76) // Ln2Lo
+LANES(expc, 224, 0x3e66376972bea4d0) // P5
+LANES(expc, 256, 0xbebbbd41c5d26bf1) // P4
+LANES(expc, 288, 0x3f11566aaf25de2c) // P3
+LANES(expc, 320, 0xbf66c16c16bebd93) // P2
+LANES(expc, 352, 0x3fc5555555555555) // P1
+LANES(expc, 384, 0x3ff0000000000000) // 1
+LANES(expc, 416, 0x4000000000000000) // 2
+GLOBL expc<>(SB), RODATA|NOPTR, $448
+
+// func expAVX2(p *float64, n int) int
+//
+// Replaces p[i] by Exp(p[i]) for i in [0, n) (n a multiple of 4), four
+// independent elements per pass, each lane performing Exp's own sequence (see
+// exp.go): k truncated from Log2e·x ± 0.5, the hi/lo reduction, Horner's rule
+// for P5…P1, y = 1 − ((lo − r·c/(2 − c)) − hi), y·2^k by an integer add of
+// k<<52 to y's bits, and 1 + x in the lanes where |x| < 2^-28. It stops before
+// the first block that has a lane with |x| > 708 or NaN, which the sequence
+// does not cover, and returns how many elements it replaced.
+TEXT ·expAVX2(SB), NOSPLIT, $0-24
+	MOVQ p+0(FP), DI
+	MOVQ n+8(FP), CX
+	XORQ AX, AX
+	VMOVUPD expc<>+0(SB), Y15
+	VMOVUPD expc<>+384(SB), Y13
+	VMOVUPD expc<>+416(SB), Y14
+	TESTQ CX, CX
+	JZ   expdone
+
+expblock:
+	VMOVUPD (DI)(AX*8), Y0
+	VANDPD Y15, Y0, Y1                   // |x|
+	VCMPPD $0x16, expc<>+32(SB), Y1, Y2  // !(|x| <= 708): beyond the range, or NaN
+	VMOVMSKPD Y2, DX
+	TESTL DX, DX
+	JNZ  expdone
+	VCMPPD $0x11, expc<>+64(SB), Y1, Y1  // |x| < 2^-28: the lanes that return 1 + x
+
+	VANDNPD Y0, Y15, Y2                  // x's sign bit
+	VORPD expc<>+96(SB), Y2, Y2          // ±0.5, with x's sign
+	VMULPD expc<>+128(SB), Y0, Y3        // Log2e·x
+	VADDPD Y2, Y3, Y3                    // Log2e·x ± 0.5
+	VCVTTPD2DQY Y3, X4                   // k, truncated
+	VCVTDQ2PD X4, Y5                     // float64(k)
+	VMULPD expc<>+160(SB), Y5, Y6        // k·Ln2Hi
+	VSUBPD Y6, Y0, Y6                    // hi = x − k·Ln2Hi
+	VMULPD expc<>+192(SB), Y5, Y7        // lo = k·Ln2Lo
+	VSUBPD Y7, Y6, Y8                    // r = hi − lo
+	VMULPD Y8, Y8, Y9                    // t = r·r
+	VMULPD expc<>+224(SB), Y9, Y10       // t·P5
+	VADDPD expc<>+256(SB), Y10, Y10      // P4 + t·P5
+	VMULPD Y10, Y9, Y10
+	VADDPD expc<>+288(SB), Y10, Y10      // P3 + t·(…)
+	VMULPD Y10, Y9, Y10
+	VADDPD expc<>+320(SB), Y10, Y10      // P2 + t·(…)
+	VMULPD Y10, Y9, Y10
+	VADDPD expc<>+352(SB), Y10, Y10      // P1 + t·(…)
+	VMULPD Y10, Y9, Y10
+	VSUBPD Y10, Y8, Y10                  // c = r − t·(…)
+	VMULPD Y10, Y8, Y11                  // r·c
+	VSUBPD Y10, Y14, Y12                 // 2 − c
+	VDIVPD Y12, Y11, Y11                 // r·c/(2 − c)
+	VSUBPD Y11, Y7, Y11                  // lo − r·c/(2 − c)
+	VSUBPD Y6, Y11, Y11                  // (…) − hi
+	VSUBPD Y11, Y13, Y11                 // y = 1 − (…)
+	VPMOVSXDQ X4, Y4
+	VPSLLQ $52, Y4, Y4
+	VPADDQ Y4, Y11, Y11                  // y·2^k: k added to the exponent field
+	VADDPD Y13, Y0, Y0                   // 1 + x
+	VBLENDVPD Y1, Y0, Y11, Y11
+	VMOVUPD Y11, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  expblock
+
+expdone:
+	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"testing"
+
+	"unbiasedfl/internal/testutil"
 )
 
 // The vector kernels are held to the portable ones bit for bit: every case
@@ -11,39 +13,10 @@ import (
 // shape allow) and the portable kernels called directly, and compares the
 // results with math.Float64bits.
 
-// guard is the word written around every carved slice; a kernel that stores
-// past its output, or a test that carves wrongly, changes one.
-var guard = math.Float64frombits(0x7ff8dead_beef_cafe)
-
-// carved is a slice cut out of a larger backing array filled with guard
-// words.
-type carved struct {
-	backing []float64
-	lo, n   int
-}
-
-// carve returns n floats starting at an odd index of their backing array, so
-// they are 8- but not 32-byte aligned within the allocation, with guard words
-// on both sides — or, with toEnd, ending exactly where the backing array does.
-func carve(n int, toEnd bool) ([]float64, carved) {
-	c := carved{backing: make([]float64, n+6), lo: 3, n: n}
-	if toEnd {
-		c = carved{backing: make([]float64, n+1), lo: 1, n: n}
-	}
-	for i := range c.backing {
-		c.backing[i] = guard
-	}
-	return c.backing[c.lo : c.lo+n : c.lo+n], c
-}
-
-func (c carved) intact() bool {
-	for i, v := range c.backing {
-		if (i < c.lo || i >= c.lo+c.n) && math.Float64bits(v) != math.Float64bits(guard) {
-			return false
-		}
-	}
-	return true
-}
+// guard is the value written around every carved slice (see
+// testutil.Carve): a kernel that stores past its output, or a test that
+// carves wrongly, changes one.
+const guard = -0x1.deadbeefcafep+700
 
 // kernelCase is one input to both kernels, every buffer carved.
 type kernelCase struct {
@@ -51,7 +24,7 @@ type kernelCase struct {
 	s               float64
 	xs              [][]float64
 	w, bias, p, g   Vec
-	carved          []carved
+	carved          []testutil.Carved[float64]
 }
 
 var specials = []float64{
@@ -72,7 +45,7 @@ func (r *kernelRNG) value(special float64) float64 {
 func newKernelCase(r *kernelRNG, n, classes, dim int, withBias bool, special float64) *kernelCase {
 	kc := &kernelCase{n: n, classes: classes, dim: dim, s: r.value(0), xs: make([][]float64, n)}
 	cut := func(n int, toEnd bool) []float64 {
-		v, c := carve(n, toEnd)
+		v, c := testutil.Carve(n, toEnd, guard)
 		for i := range v {
 			v[i] = r.value(special)
 		}
@@ -127,7 +100,7 @@ func sameBits(got, want []float64) (int, bool) {
 func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 	t.Helper()
 	n, classes, dim := kc.n, kc.classes, kc.dim
-	out, outCarved := carve(n*classes, false)
+	out, outCarved := testutil.Carve(n*classes, false, guard)
 	want := NewVec(n * classes)
 	if err := LogitsBatch(kc.xs, kc.w, kc.bias, dim, classes, out); err != nil {
 		t.Fatal(err)
@@ -137,7 +110,7 @@ func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 		t.Fatalf("LogitsBatch n=%d classes=%d dim=%d bias=%v: out[%d] = %x (%v), portable %x (%v)",
 			n, classes, dim, kc.bias != nil, i, math.Float64bits(out[i]), out[i], math.Float64bits(want[i]), want[i])
 	}
-	if !outCarved.intact() {
+	if !outCarved.Intact() {
 		t.Fatalf("LogitsBatch n=%d classes=%d dim=%d wrote outside out", n, classes, dim)
 	}
 
@@ -152,7 +125,7 @@ func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 			n, classes, dim, i, math.Float64bits(kc.g[i]), kc.g[i], math.Float64bits(wantG[i]), wantG[i])
 	}
 	for i, c := range kc.carved {
-		if !c.intact() {
+		if !c.Intact() {
 			t.Fatalf("n=%d classes=%d dim=%d: a kernel wrote outside buffer %d (xs rows, w, p, g, bias)", n, classes, dim, i)
 		}
 	}
@@ -228,24 +201,9 @@ func TestVectorKernelsBitIdentical(t *testing.T) {
 // TestVectorKernelsStayInBounds walks every small shape around the kernels'
 // block edges (8 samples, 4 and 2 classes, 4 columns, 64-sample chunks): the
 // assembly stores through raw pointers, so each case's buffers are carved out
-// of guard words (see carve) and check fails on a disturbed neighbour as well
+// of guard words (see testutil.Carve) and check fails on a disturbed neighbour as well
 // as on a differing bit. It runs, trivially, on the portable path too.
 func TestVectorKernelsStayInBounds(t *testing.T) {
-	for _, toEnd := range []bool{false, true} {
-		_, c := carve(4, toEnd)
-		if !c.intact() {
-			t.Fatal("fresh carve reads as disturbed")
-		}
-		c.backing[c.lo-1] = 0
-		if c.intact() {
-			t.Fatal("a write before the slice went unnoticed")
-		}
-	}
-	_, c := carve(4, false)
-	c.backing[c.lo+c.n] = 0
-	if c.intact() {
-		t.Fatal("a write after the slice went unnoticed")
-	}
 	r := &kernelRNG{s: 19}
 	for _, dim := range []int{4, 8, 12, 5} {
 		for classes := 1; classes <= 9; classes++ {

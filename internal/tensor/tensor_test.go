@@ -174,20 +174,21 @@ func TestMatAddOuterScaledAndClone(t *testing.T) {
 }
 
 func TestSoftmaxLogSumExp(t *testing.T) {
-	v := Vec{1000, 1000, 1000}
-	lse, err := LogSumExp(v)
-	if err != nil {
+	v := Vec{1000, 1000, 1000, -1, 0, 1}
+	lse := NewVec(2)
+	if err := LogSumExp(v.Clone(), 2, 3, lse); err != nil {
 		t.Fatal(err)
 	}
-	want := 1000 + math.Log(3)
-	if math.Abs(lse-want) > 1e-9 {
-		t.Fatalf("lse %v want %v", lse, want)
+	for i, want := range []float64{1000 + math.Log(3), math.Log(math.Exp(-1) + 1 + math.E)} {
+		if math.Abs(lse[i]-want) > 1e-9 {
+			t.Fatalf("lse[%d] %v want %v", i, lse[i], want)
+		}
 	}
-	if err := SoftmaxInPlace(v); err != nil {
+	if err := SoftmaxRows(v, 2, 3); err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, x := range v {
+	for _, x := range v[:3] {
 		if math.Abs(x-1.0/3) > 1e-9 {
 			t.Fatalf("softmax %v", v)
 		}
@@ -196,8 +197,14 @@ func TestSoftmaxLogSumExp(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("softmax sum %v", sum)
 	}
-	if _, err := LogSumExp(nil); err == nil {
-		t.Fatal("expected empty error")
+	if err := LogSumExp(NewVec(3), 1, 0, NewVec(1)); err == nil {
+		t.Fatal("expected shape error")
+	}
+	if err := LogSumExp(NewVec(3), 1, 3, NewVec(2)); err == nil {
+		t.Fatal("expected length mismatch error")
+	}
+	if err := LogSumExp(NewVec(4), 1, 3, NewVec(1)); err == nil {
+		t.Fatal("expected length mismatch error")
 	}
 }
 
@@ -222,7 +229,7 @@ func TestQuickSoftmaxSumsToOne(t *testing.T) {
 			}
 		}
 		v := Vec{a, b, c}
-		if err := SoftmaxInPlace(v); err != nil {
+		if err := SoftmaxRows(v, 1, 3); err != nil {
 			return false
 		}
 		var sum float64

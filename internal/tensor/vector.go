@@ -1,7 +1,21 @@
 // Package tensor provides the dense linear-algebra substrate for the
 // reproduction: float64 vectors and row-major matrices with the operations
-// the logistic-regression model and the federated averaging steps need.
-// It is deliberately small, allocation-conscious, and stdlib-only.
+// the logistic-regression model and the federated averaging steps need, and
+// the module's exponential and logarithm. It is deliberately small,
+// allocation-conscious, and stdlib-only.
+//
+// Its results are the same bits on every amd64 host. The batched kernels
+// (kernels.go) and Exp and Log (exp.go) state their per-element operation
+// sequences as contracts, and each contract has two tiers that honour it:
+// portable Go, which runs everywhere and is the reference, and, where
+// HasAVX2 (the module's one CPU probe), assembly whose four lanes each
+// perform the same operations on an independent output, never a fused
+// multiply-add. Exp and Log exist because math.Exp and math.Log are
+// host-dependent assembly — everything in the module that feeds a model, a
+// game or a trace calls them instead — and they round every product that
+// feeds an addition explicitly, so that no compiler on any platform may fuse
+// it. The portable kernels rely on the compiler: Go never fuses on amd64, at
+// any GOAMD64 level, but does on arm64.
 package tensor
 
 import (

@@ -127,3 +127,27 @@ func TestWaitNoLeaksSettles(t *testing.T) {
 	close(done)
 	WaitNoLeaks(t, base, 5*time.Second)
 }
+
+// TestCarveDetectsStrayWrites pins the guard check the kernel tests rely on:
+// a fresh carve reads intact, and a write just before or just after the
+// slice does not.
+func TestCarveDetectsStrayWrites(t *testing.T) {
+	for _, toEnd := range []bool{false, true} {
+		v, c := Carve(4, toEnd, uint64(0x7ff8deadbeefcafe))
+		if len(v) != 4 || cap(v) != 4 || !c.Intact() {
+			t.Fatalf("toEnd %v: fresh carve has len %d cap %d, intact %v", toEnd, len(v), cap(v), c.Intact())
+		}
+		if toEnd != (c.Lo+c.N == len(c.Backing)) {
+			t.Fatalf("toEnd %v: the slice ends at %d of %d", toEnd, c.Lo+c.N, len(c.Backing))
+		}
+		c.Backing[c.Lo-1] = 0
+		if c.Intact() {
+			t.Fatalf("toEnd %v: a write before the slice went unnoticed", toEnd)
+		}
+	}
+	_, c := Carve(4, false, -0x1.deadbeefcafep+700)
+	c.Backing[c.Lo+c.N] = 0
+	if c.Intact() {
+		t.Fatal("a write after the slice went unnoticed")
+	}
+}

@@ -115,8 +115,9 @@ func WithSweepScheme(name string) Option { return func(c *sessionConfig) { c.swe
 // WithRunConfig sets how every training run launched from the session
 // executes: backend, self-healing round deadline, group size, durability —
 // the RunConfig RunScenarioWith takes. A session uses Checkpoint.Path as a
-// prefix: every (scheme, run) leg commits to "<Path>-<scheme>-run<i>.ckpt",
-// and a killed process rerun with Checkpoint.Resume finishes every leg from
+// prefix: every (scheme, run) leg commits to "<Path>-<scheme>-run<i>.ckpt"
+// ("<Path>-point<j>-<scheme>-run<i>.ckpt" at sweep point j), and a killed
+// process rerun with Checkpoint.Resume finishes every leg from
 // its last committed round. Execution only: results are bit-identical for
 // any setting. Events is ignored — a session streams to its WithObserver.
 func WithRunConfig(cfg RunConfig) Option { return func(c *sessionConfig) { c.run = cfg } }
