@@ -108,7 +108,7 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 		x := make([]float64, cfg.Dim)
 		p := protos[class]
 		for j := range x {
-			x[j] = p[j] + cfg.NoiseStd*rr.NormFloat64()
+			x[j] = p[j] + float64(cfg.NoiseStd*rr.NormFloat64())
 		}
 		return x
 	}

@@ -79,8 +79,8 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 	var testParts []*Dataset
 	for k := 0; k < cfg.NumClients; k++ {
 		cr := r.Split()
-		uk := math.Sqrt(cfg.Alpha) * cr.NormFloat64()
-		bk := math.Sqrt(cfg.Beta) * cr.NormFloat64()
+		uk := float64(math.Sqrt(cfg.Alpha) * cr.NormFloat64())
+		bk := float64(math.Sqrt(cfg.Beta) * cr.NormFloat64())
 
 		wk, err := tensor.NewMat(cfg.Classes, cfg.Dim)
 		if err != nil {
@@ -106,7 +106,7 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 			for i := 0; i < n; i++ {
 				x := make([]float64, cfg.Dim)
 				for j := range x {
-					x[j] = vk[j] + math.Sqrt(scales[j])*cr.NormFloat64()
+					x[j] = vk[j] + float64(math.Sqrt(scales[j])*cr.NormFloat64())
 				}
 				if err := wk.MulVec(tensor.Vec(x), logits); err != nil {
 					return nil, err

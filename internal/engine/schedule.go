@@ -22,7 +22,7 @@ type TheoremDecay struct {
 
 // LR implements Schedule.
 func (s TheoremDecay) LR(round int) float64 {
-	return 2 / (math.Max(8*s.L, s.Mu*float64(s.E)) + s.Mu*float64(round))
+	return 2 / (math.Max(8*s.L, s.Mu*float64(s.E)) + float64(s.Mu*float64(round)))
 }
 
 var (

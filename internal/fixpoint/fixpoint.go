@@ -266,7 +266,7 @@ func fixToFloat(lo, hi uint64) float64 {
 	}
 	// Scaling by a power of two is exact (neither product is anywhere near
 	// the subnormal range), so the sum is the conversion's one rounding.
-	f := float64(hi)*fixHiStep + float64(lo)*fixStep
+	f := float64(float64(hi)*fixHiStep) + float64(float64(lo)*fixStep)
 	if neg {
 		f = -f
 	}

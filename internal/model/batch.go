@@ -96,9 +96,9 @@ func fusedStep(w, g tensor.Vec, mu, lr float64) float64 {
 	g = g[:len(w)]
 	var sq float64
 	for j := range w {
-		gj := g[j] + mu*w[j]
-		sq += gj * gj
-		w[j] -= lr * gj
+		gj := g[j] + float64(mu*w[j])
+		sq += float64(gj * gj)
+		w[j] -= float64(lr * gj)
 	}
 	return sq
 }
@@ -185,7 +185,7 @@ func linearDataGradient(
 			for i := 0; i < b; i++ {
 				sum += probs[i*classes+c]
 			}
-			gBias[c] += inv * sum
+			gBias[c] += float64(inv * sum)
 		}
 	}
 	return nil

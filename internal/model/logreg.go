@@ -98,7 +98,7 @@ func (m *LogisticRegression) Loss(w tensor.Vec, ds *data.Dataset) (float64, erro
 	if err != nil {
 		return 0, err
 	}
-	return sum/float64(ds.Len()) + 0.5*m.Mu*w.SqNorm(), nil
+	return sum/float64(ds.Len()) + float64(0.5*m.Mu*w.SqNorm()), nil
 }
 
 // Gradient computes the full-batch gradient of Loss at w into grad.
@@ -204,11 +204,11 @@ func (m *LogisticRegression) EstimateSmoothness(ds *data.Dataset) (float64, erro
 	for _, x := range ds.X {
 		var s float64
 		for _, xi := range x {
-			s += xi * xi
+			s += float64(xi * xi)
 		}
 		if s > maxSq {
 			maxSq = s
 		}
 	}
-	return 0.5*(maxSq+1) + m.Mu, nil
+	return float64(0.5*(maxSq+1)) + m.Mu, nil
 }

@@ -8,9 +8,9 @@ import (
 
 // TestPortableTiersReplayGoldens replays the golden, backend-equivalence and
 // resume suites with the vector kernels declined: tensor.HasAVX2 is false for
-// its duration, so the SGD kernels, the softmax exponentials and the
-// fixed-point fold all run their portable Go tiers — what a host without AVX2
-// computes. The committed traces must come out byte for byte.
+// its duration, so the SGD kernels, the softmax and the fixed-point fold all
+// run their portable Go tiers — what a host without AVX2 computes. The
+// committed traces must come out byte for byte.
 func TestPortableTiersReplayGoldens(t *testing.T) {
 	prev := tensor.HasAVX2
 	tensor.HasAVX2 = false

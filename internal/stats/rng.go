@@ -100,7 +100,7 @@ func (r *RNG) Restore(state [4]uint64) error {
 
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0, matching
@@ -124,11 +124,11 @@ func (r *RNG) Intn(n int) int {
 // NormFloat64 returns a standard normal variate (Marsaglia polar method).
 func (r *RNG) NormFloat64() float64 {
 	for {
-		u := 2*r.Float64() - 1
-		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		u := float64(2*r.Float64()) - 1
+		v := float64(2*r.Float64()) - 1
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return u * math.Sqrt(-2*tensor.Log(s)/s)
+			return float64(u * math.Sqrt(-2*tensor.Log(s)/s))
 		}
 	}
 }

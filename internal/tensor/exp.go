@@ -156,12 +156,3 @@ func logSplit(f1 float64, ki int) float64 {
 	hfsq := float64(0.5 * f * f)
 	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*ln2Lo))) - f)
 }
-
-// expInPlace sets every element of v to its Exp. Where HasAVX2, the leading
-// len(v)&^3 elements go through the vector kernel, four lanes per pass, and
-// the rest through Exp; the bits are the same either way.
-func expInPlace(v []float64) {
-	for i := expVector(v); i < len(v); i++ {
-		v[i] = Exp(v[i])
-	}
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/big"
+	"slices"
 	"sync"
 	"testing"
 
@@ -216,95 +217,218 @@ func TestLogAccuracy(t *testing.T) {
 	t.Logf("%d inputs against math/big: within 1 ulp; against math.Log: %d differ, by at most %d ulp", len(inputs), differ, worst)
 }
 
-// expValue draws an input for the vector differential: mostly the softmax
-// range, the normal range and the neighbourhood of the 2^-28 switch to 1 + x,
-// the rest edges and raw bit patterns.
-func expValue(r *kernelRNG, edges []float64, special float64) float64 {
+// expEdgeValues is expEdges, computed once.
+var expEdgeValues = expEdges()
+
+// softmaxEdge draws an edge for softmaxRow: one of expEdges (±0, ±Inf,
+// subnormals, NaN, Exp's branch points and their neighbours), a NaN with a
+// payload and sign of its own, quiet or signalling, or a raw bit pattern.
+func softmaxEdge(r *kernelRNG) float64 {
 	unit := (r.next() + 1) / 2
+	r.next()
 	switch {
-	case unit < special/2:
-		return edges[int((r.next()+1)/2*float64(len(edges)))%len(edges)]
-	case unit < special:
-		r.next()
-		return math.Float64frombits(r.s)
-	case unit < 0.5:
-		return -40 * (r.next() + 1) / 2
+	case unit < 0.4:
+		return expEdgeValues[r.s>>11%uint64(len(expEdgeValues))]
 	case unit < 0.7:
-		return math.Ldexp(r.next(), -25-int(7*(r.next()+1)/2))
+		return math.Float64frombits(r.s&(1<<63) | 0x7ff<<52 | (r.s>>12 | 1))
 	default:
-		return 720 * r.next()
+		return math.Float64frombits(r.s)
 	}
 }
 
-// checkExpPass runs the dispatched exp pass over a carved copy of in and
-// fails t unless every element has Exp's bits and nothing outside the slice
-// moved. It returns how many elements sat in whole blocks the kernel takes.
-func checkExpPass(t testing.TB, in []float64, toEnd bool) int {
-	t.Helper()
-	v, c := testutil.Carve(len(in), toEnd, guard)
-	copy(v, in)
-	expInPlace(v)
-	for i, x := range in {
-		if want := Exp(x); math.Float64bits(v[i]) != math.Float64bits(want) {
-			t.Fatalf("len %d, element %d: Exp(%v = %#x) = %#x on the pass, %#x portable",
-				len(in), i, x, math.Float64bits(x), math.Float64bits(v[i]), math.Float64bits(want))
+// softmaxRow fills row with one of the value classes the softmax kernel must
+// reproduce or decline, around an integer offset c:
+//   - logits of a few units' spread;
+//   - elements within 2^-28 of the row's maximum, where Exp returns 1 + t;
+//   - ±0 ties at the maximum, beside negative elements;
+//   - a maximum c and elements at c − 708 plus or minus as little as an ulp:
+//     spreads on both sides of the bound where the kernel declines a group;
+//   - a maximum c and elements spread over [c − 710, c], the whole range the
+//     kernel exponentiates;
+//
+// and, with probability special per element, an edge (softmaxEdge).
+func softmaxRow(r *kernelRNG, row []float64, special float64) {
+	unit := func() float64 { return (r.next() + 1) / 2 }
+	c := math.Round(8 * r.next())
+	top := int(unit() * float64(len(row)))
+	class := unit()
+	for j := range row {
+		switch {
+		case class < 0.4:
+			row[j] = c + 4*r.next()
+		case class < 0.55:
+			row[j] = c + math.Ldexp(r.next(), -25-int(7*unit()))
+		case class < 0.7:
+			row[j] = math.Copysign(0, r.next())
+			if unit() < 0.3 {
+				row[j] = -4 * unit()
+			}
+		case j == top:
+			row[j] = c
+		case class < 0.85:
+			row[j] = c - 708 + math.Ldexp(r.next(), -int(52*unit()))
+		default:
+			row[j] = c - 710*unit()
+		}
+		if unit() < special {
+			row[j] = softmaxEdge(r)
 		}
 	}
-	if !c.Intact() {
-		t.Fatalf("len %d: the exp pass wrote outside its slice", len(in))
-	}
-	vectorised := 0
-	for b := 0; b+4 <= len(in); b += 4 {
-		inRange := true
-		for _, x := range in[b : b+4] {
-			inRange = inRange && math.Abs(x) <= expNormal
-		}
-		if inRange {
-			vectorised += 4
-		}
-	}
-	return vectorised
 }
 
-// requireExpVector skips t, naming what is missing, on a host without the
-// vector exp pass, and fails it where the CPU has one and the dispatch
-// declines it.
-func requireExpVector(t testing.TB) {
+func softmaxMatrix(r *kernelRNG, rows, cols int, special float64) []float64 {
+	m := make([]float64, rows*cols)
+	for i := 0; i < rows; i++ {
+		softmaxRow(r, m[i*cols:(i+1)*cols], special)
+	}
+	return m
+}
+
+// kernelRows is how many rows the softmax kernel must take from the rows×cols
+// matrix in: the groups of four before the first holding a NaN or a row whose
+// minimum minus maximum is not ≥ −708.
+func kernelRows(in []float64, rows, cols int) int {
+	for i := 0; i < rows&^3; i++ {
+		row := in[i*cols : (i+1)*cols]
+		m, lo := row[0], row[0]
+		for _, v := range row {
+			if math.IsNaN(v) {
+				return i &^ 3
+			}
+			m, lo = max(m, v), min(lo, v)
+		}
+		if !(lo-m >= -expNormal) {
+			return i &^ 3
+		}
+	}
+	return rows &^ 3
+}
+
+// checkSoftmax runs SoftmaxRows and LogSumExp on carved copies of the
+// rows×cols matrix in and fails t unless both give the Go code's bits
+// (softmaxPortable, logSumExpPortable) in every output and in p, NaNs
+// included, and write nothing outside their slices. It also asks the dispatch
+// itself, from each group of four rows on as the callers resume it after a
+// group it declines: it must take exactly the rows kernelRows names, leave the
+// others untouched, and hand back, for each row it took, the Go code's
+// exponentials, maximum and sum — the maximum's sign of zero is the one place
+// a VMAXPD with swapped operands shows. It returns how many rows the kernel
+// took.
+func checkSoftmax(t testing.TB, in []float64, rows, cols int, toEnd bool) int {
 	t.Helper()
+	same := func(what string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%dx%d, %s[%d] = %#x (%v), Go code %#x (%v)", rows, cols, what, i,
+					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			}
+		}
+	}
+	// carve returns n guard words carved out of more, src copied over them.
+	var carved []testutil.Carved[float64]
+	carve := func(n int, src []float64, toEnd bool) []float64 {
+		v, c := testutil.Carve(n, toEnd, guard)
+		copy(v, src)
+		carved = append(carved, c)
+		return v
+	}
+
+	want := slices.Clone(in)
+	softmaxPortable(want, cols)
+	p := carve(len(in), in, toEnd)
+	if err := SoftmaxRows(p, rows, cols); err != nil {
+		t.Fatal(err)
+	}
+	same("SoftmaxRows", p, want)
+
+	wantOut := make([]float64, rows)
+	copy(want, in)
+	logSumExpPortable(want, cols, wantOut)
+	p, out := carve(len(in), in, !toEnd), carve(rows, nil, toEnd)
+	if err := LogSumExp(p, rows, cols, out); err != nil {
+		t.Fatal(err)
+	}
+	same("LogSumExp p", p, want)
+	same("LogSumExp out", out, wantOut)
+
+	p, maxes, sums := carve(len(in), in, toEnd), carve(rows, nil, !toEnd), carve(rows, nil, toEnd)
+	copy(want, in)
+	wantMax, wantSum := make([]float64, rows), make([]float64, rows)
+	for i := range wantMax {
+		wantMax[i], wantSum[i] = guard, guard
+	}
+	taken := 0
+	for i := 0; i < rows; i += 4 {
+		k := 0
+		if HasAVX2 {
+			k = kernelRows(in[i*cols:], rows-i, cols)
+		}
+		if got := softmaxVector(p[i*cols:], rows-i, cols, maxes[i:], sums[i:]); got != k {
+			t.Fatalf("%dx%d: from row %d the kernel took %d rows, want %d", rows, cols, i, got, k)
+		}
+		taken += k
+		for end := i + k; i < end; i++ {
+			wantMax[i], wantSum[i] = shiftExpSum(want[i*cols : (i+1)*cols])
+		}
+	}
+	same("kernel exponentials", p, want)
+	same("kernel maxima", maxes, wantMax)
+	same("kernel sums", sums, wantSum)
+	for i, c := range carved {
+		if !c.Intact() {
+			t.Fatalf("%dx%d: buffer %d (SoftmaxRows p; LogSumExp p, out; kernel p, maxes, sums) was written outside its slice", rows, cols, i)
+		}
+	}
+	return taken
+}
+
+// TestSoftmaxVectorMatchesPortable holds the softmax kernel to the Go code
+// bit for bit (checkSoftmax): 20 000 matrices of 0–40 rows × 1–30 columns,
+// carved out of guard words (some ending where their allocation ends), each
+// row of one of softmaxRow's value classes; half without edges, the rest with
+// edges on 0.3 % or 3 % of the elements — so that declined groups fall in
+// every position, between groups the kernel takes.
+func TestSoftmaxVectorMatchesPortable(t *testing.T) {
 	skipWithoutAVX2(t)
-	if n := expVector(NewVec(7)); n != 4 {
-		t.Fatalf("the CPU has AVX2, but the dispatch took %d of 7 elements to the vector kernel, want 4", n)
-	}
-}
-
-// TestExpVectorMatchesPortable holds the vector exp pass to Exp bit for bit:
-// 20 000 buffers of every length from 0 to 70, carved out of guard words at
-// odd offsets (some ending where their allocation ends), holding softmax-range
-// and normal-range values among edges (±0, ±708 and its neighbours, ±745,
-// subnormals, ±Inf, NaN) and raw bit patterns — so that out-of-range blocks
-// fall back in every position, between blocks the kernel takes.
-func TestExpVectorMatchesPortable(t *testing.T) {
-	requireExpVector(t)
 	r := &kernelRNG{s: 23}
-	edges := expEdges()
 	const cases = 20000
-	var elements, vectorised int
+	var total, taken int
 	for i := 0; i < cases; i++ {
-		in := make([]float64, i%71)
-		special := []float64{0, 0, 0.02, 0.3}[i%4]
-		for j := range in {
-			in[j] = expValue(r, edges, special)
-		}
-		elements += len(in)
-		vectorised += checkExpPass(t, in, i%3 == 2)
+		unit := func() float64 { return (r.next() + 1) / 2 }
+		rows, cols := int(41*unit()), 1+int(30*unit())
+		special := []float64{0, 0, 0.003, 0.03}[i%4]
+		total += rows
+		taken += checkSoftmax(t, softmaxMatrix(r, rows, cols, special), rows, cols, i%3 == 2)
 	}
-	t.Logf("%d buffers, %d elements: %d in blocks the kernel took", cases, elements, vectorised)
-	if vectorised < elements/2 {
-		t.Fatalf("the kernel took only %d of %d elements", vectorised, elements)
+	t.Logf("%d matrices, %d rows: the kernel took %d", cases, total, taken)
+	if taken < total/3 {
+		t.Fatalf("the kernel took only %d of %d rows", taken, total)
 	}
 }
 
-// FuzzExpMatchesPortable: fuzzed raw bit patterns, the same comparison.
+// FuzzSoftmaxRowsMatchesPortable: a fuzzed shape (up to evaluation's 512
+// rows), softmaxRow classes from a fuzzed seed, raw bit patterns over them,
+// the same comparison.
+func FuzzSoftmaxRowsMatchesPortable(f *testing.F) {
+	for i, shape := range softmaxBenchShapes {
+		f.Add(uint16(shape.rows), uint8(shape.cols), uint64(i), []byte(nil), i%2 == 0)
+	}
+	f.Add(uint16(9), uint8(3), uint64(99), binary.LittleEndian.AppendUint64(nil, 0x7ff8dead00000001), true)
+	f.Fuzz(func(t *testing.T, rows uint16, cols uint8, seed uint64, raw []byte, toEnd bool) {
+		skipWithoutAVX2(t)
+		n, c := int(rows)%513, 1+int(cols)%64
+		in := softmaxMatrix(&kernelRNG{s: seed}, n, c, float64(seed%4)/40)
+		for i := 0; i < len(in) && 8*i+8 <= len(raw); i++ {
+			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		}
+		checkSoftmax(t, in, n, c, toEnd)
+	})
+}
+
+// FuzzExpMatchesPortable: every fuzzed bit pattern x as a row [0, x] — which
+// the kernel exponentiates as −|x| and 0, or declines — in groups of four
+// rows padded with [0, 0], through checkSoftmax.
 func FuzzExpMatchesPortable(f *testing.F) {
 	for i, x := range expEdges() {
 		f.Add(binary.LittleEndian.AppendUint64(nil, math.Float64bits(x)), i%2 == 0)
@@ -315,18 +439,20 @@ func FuzzExpMatchesPortable(f *testing.F) {
 	}
 	f.Add(seed, false)
 	f.Fuzz(func(t *testing.T, raw []byte, toEnd bool) {
-		requireExpVector(t)
-		in := make([]float64, len(raw)/8)
-		for i := range in {
-			in[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
+		skipWithoutAVX2(t)
+		rows := (len(raw)/8 + 3) &^ 3
+		in := make([]float64, 2*rows)
+		for i := 0; 8*i+8 <= len(raw); i++ {
+			in[2*i+1] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		checkExpPass(t, in, toEnd)
+		checkSoftmax(t, in, rows, 2, toEnd)
 	})
 }
 
-// softmaxBenchShapes are the benchmark workloads' SGD-step shapes: batch ×
-// classes of paper-train, fleet-local/fleet-cluster and session-durable.
-var softmaxBenchShapes = []struct{ rows, cols int }{{24, 10}, {8, 10}, {8, 26}}
+// softmaxBenchShapes are the benchmark workloads' softmax shapes: the SGD
+// steps' batch × classes of paper-train, fleet-local/fleet-cluster and
+// session-durable, and evaluation's 512-row chunk.
+var softmaxBenchShapes = []struct{ rows, cols int }{{24, 10}, {8, 10}, {8, 26}, {512, 10}}
 
 // tiers runs bench once as dispatched and once, under name+"-portable", with
 // the vector kernels declined.
@@ -351,42 +477,55 @@ func logitsLike(v []float64) {
 	}
 }
 
+// softmaxBenchPool holds BenchmarkSoftmaxRows's inputs: 2^20 logitsLike
+// values, read as consecutive rows×cols windows — over a million distinct
+// matrices of each benchmarked shape, so that, as in training, no branch
+// predictor has seen the next input. On one input repeated, the Go code's
+// maximum reads as if it never mispredicted.
+var softmaxBenchPool = sync.OnceValue(func() []float64 {
+	v := NewVec(1 << 20)
+	logitsLike(v)
+	return v
+})
+
 func BenchmarkSoftmaxRows(b *testing.B) {
+	pool := softmaxBenchPool()
 	for _, shape := range softmaxBenchShapes {
+		n := shape.rows * shape.cols
 		tiers(b, fmt.Sprintf("%dx%d", shape.rows, shape.cols), func(b *testing.B) {
-			src, p := NewVec(shape.rows*shape.cols), NewVec(shape.rows*shape.cols)
-			logitsLike(src)
-			b.ResetTimer()
+			p := NewVec(n)
+			off := 0
 			for i := 0; i < b.N; i++ {
-				copy(p, src)
+				copy(p, pool[off:off+n])
+				off = (off + n) % (len(pool) - n + 1)
 				if err := SoftmaxRows(p, shape.rows, shape.cols); err != nil {
 					b.Fatal(err)
 				}
 			}
-			reportPerElement(b, len(p))
+			reportPerElement(b, n)
 		})
 	}
 }
 
-// BenchmarkExp times the exp pass over paper-train's 240 shifted logits, and
-// the same loop on math.Exp for scale.
+// BenchmarkExp times Exp over paper-train's 240 shifted logits, and the same
+// loop on math.Exp for scale.
 func BenchmarkExp(b *testing.B) {
 	src, v := NewVec(240), NewVec(240)
 	logitsLike(src)
 	for i := range src {
 		src[i] -= 4 // shifted by the row maximum: all ≤ 0
 	}
-	tiers(b, "240", func(b *testing.B) {
+	b.Run("240", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			copy(v, src)
-			expInPlace(v)
+			for j, x := range src {
+				v[j] = Exp(x)
+			}
 		}
 		reportPerElement(b, len(v))
 	})
 	b.Run("240-math", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			copy(v, src)
-			for j, x := range v {
+			for j, x := range src {
 				v[j] = math.Exp(x)
 			}
 		}

@@ -13,15 +13,21 @@ import "errors"
 // hosts have different CPUs all rest on it. Two implementations honour it.
 // The portable Go kernels below run everywhere; they process four matrix rows
 // and two samples per pass, which reuses each loaded element and keeps several
-// independent add chains in flight. On amd64 with AVX2 (detected once from
-// CPUID, no switch) the regular region of LogitsBatch and AddScaledTMul —
-// everything but an odd last class and, for LogitsBatch, an odd last sample —
-// and the exponentials of SoftmaxRows run on the kernels of simd_amd64.s
-// instead, whose vector lanes carry four independent outputs and perform, per
-// lane, exactly the portable code's operations in the portable code's order:
-// no fused multiply-add, no sum split across lanes. The portable kernels are
-// the reference the vector ones are tested against, bit for bit. MatMulT has
-// no vector kernel.
+// independent add chains in flight. Every product in them that feeds an
+// addition is rounded by an explicit float64 conversion, which forbids the
+// compiler to fuse the two (Go fuses x*y + z on arm64, never on amd64). On
+// amd64 with AVX2 (detected once from CPUID, no switch) the regular region of
+// LogitsBatch and AddScaledTMul — everything but an odd last class and, for
+// LogitsBatch, an odd last sample — and every group of four rows of
+// SoftmaxRows run on the kernels of simd_amd64.s instead, whose vector lanes
+// carry four independent outputs and perform, per lane, exactly the portable
+// code's operations in the portable code's order: no fused multiply-add, no
+// sum split across lanes. For the GEMM kernels the lanes are four classes or
+// four columns; for SoftmaxRows they are four rows, so that a row's maximum
+// and sum stay in one lane, and its maximum is VMAXPD(x, m) — x > m ? x : m,
+// the portable comparison, NaN and ±0 included. The portable kernels are the
+// reference the vector ones are tested against, bit for bit. MatMulT has no
+// vector kernel.
 
 // dotUnrolled returns the inner product of a and b (equal lengths) using four
 // independent accumulators.
@@ -31,13 +37,13 @@ func dotUnrolled(a, b []float64) float64 {
 	b = b[:n]
 	i := 0
 	for ; i+3 < n; i += 4 {
-		s0 += a[i] * b[i]
-		s1 += a[i+1] * b[i+1]
-		s2 += a[i+2] * b[i+2]
-		s3 += a[i+3] * b[i+3]
+		s0 += float64(a[i] * b[i])
+		s1 += float64(a[i+1] * b[i+1])
+		s2 += float64(a[i+2] * b[i+2])
+		s3 += float64(a[i+3] * b[i+3])
 	}
 	for ; i < n; i++ {
-		s0 += a[i] * b[i]
+		s0 += float64(a[i] * b[i])
 	}
 	return (s0 + s1) + (s2 + s3)
 }
@@ -49,10 +55,10 @@ func dot4Rows(w0, w1, w2, w3, x []float64) (s0, s1, s2, s3 float64) {
 	w0, w1, w2, w3 = w0[:n], w1[:n], w2[:n], w3[:n]
 	for j := 0; j < n; j++ {
 		xv := x[j]
-		s0 += w0[j] * xv
-		s1 += w1[j] * xv
-		s2 += w2[j] * xv
-		s3 += w3[j] * xv
+		s0 += float64(w0[j] * xv)
+		s1 += float64(w1[j] * xv)
+		s2 += float64(w2[j] * xv)
+		s3 += float64(w3[j] * xv)
 	}
 	return
 }
@@ -66,14 +72,14 @@ func dot4Rows2(w0, w1, w2, w3, x, y []float64) (s0, s1, s2, s3, t0, t1, t2, t3 f
 	for j := 0; j < n; j++ {
 		xv, yv := x[j], y[j]
 		r0, r1, r2, r3 := w0[j], w1[j], w2[j], w3[j]
-		s0 += r0 * xv
-		s1 += r1 * xv
-		s2 += r2 * xv
-		s3 += r3 * xv
-		t0 += r0 * yv
-		t1 += r1 * yv
-		t2 += r2 * yv
-		t3 += r3 * yv
+		s0 += float64(r0 * xv)
+		s1 += float64(r1 * xv)
+		s2 += float64(r2 * xv)
+		s3 += float64(r3 * xv)
+		t0 += float64(r0 * yv)
+		t1 += float64(r1 * yv)
+		t2 += float64(r2 * yv)
+		t3 += float64(r3 * yv)
 	}
 	return
 }
@@ -224,17 +230,17 @@ func mulRows2T(w, bias Vec, k, c, rows int, x, y, outX, outY []float64) {
 	}
 }
 
-// dot2Rows2 is the 2×2 tail micro-kernel of mulRows2T.
+// dot2Rows2 is the 2×2 tail micro-kernel of mulRows2T. Its loop is written to
+// stay within the compiler's inlining budget.
 func dot2Rows2(w0, w1, x, y []float64) (s0, s1, t0, t1 float64) {
-	n := len(x)
-	w0, w1, y = w0[:n], w1[:n], y[:n]
-	for j := 0; j < n; j++ {
-		xv, yv := x[j], y[j]
+	w0, w1, y = w0[:len(x)], w1[:len(x)], y[:len(x)]
+	for j, xv := range x {
+		yv := y[j]
 		r0, r1 := w0[j], w1[j]
-		s0 += r0 * xv
-		s1 += r1 * xv
-		t0 += r0 * yv
-		t1 += r1 * yv
+		s0 += float64(r0 * xv)
+		s1 += float64(r1 * xv)
+		t0 += float64(r0 * yv)
+		t1 += float64(r1 * yv)
 	}
 	return
 }
@@ -245,8 +251,9 @@ func dot2Rows2(w0, w1, x, y []float64) (s0, s1, t0, t1 float64) {
 // Operation order, per row: m is the row's maximum (the first element, then
 // replaced by each later one that is greater); e_j = Exp(p_j − m); the e_j are
 // summed one at a time, j ascending, from +0; every e_j is multiplied by
-// 1/sum. The exponentials run as one pass over the whole matrix, on the
-// vector kernel where HasAVX2.
+// 1/sum. Where HasAVX2, groups of four rows run on the vector kernel, one row
+// per lane; the rows below a multiple of 4 and any group the kernel declines
+// (a NaN, or a spread beyond 708) run on the Go code.
 func SoftmaxRows(p Vec, rows, cols int) error {
 	if rows < 0 || cols <= 0 {
 		return errors.New("tensor: non-positive shape in SoftmaxRows")
@@ -254,42 +261,44 @@ func SoftmaxRows(p Vec, rows, cols int) error {
 	if len(p) != rows*cols {
 		return errors.New("tensor: length mismatch in SoftmaxRows")
 	}
-	for i := 0; i < rows; i++ {
-		shiftByMax(p[i*cols : (i+1)*cols])
-	}
-	expInPlace(p)
-	for i := 0; i < rows; i++ {
-		row := p[i*cols : (i+1)*cols]
-		inv := 1 / sumAscending(row)
-		for j := range row {
-			row[j] *= inv
-		}
+	for i := 0; i < rows; i += 4 {
+		// The kernel, up to a group it declines or the last rows mod 4; then
+		// the Go code on those (at most four) rows.
+		i += softmaxVector(p[i*cols:], rows-i, cols, nil, nil)
+		softmaxPortable(p[i*cols:min(i+4, rows)*cols], cols)
 	}
 	return nil
 }
 
-// shiftByMax subtracts the maximum of row from each of its elements and
-// returns the maximum.
-func shiftByMax(row []float64) float64 {
-	m := row[0]
+// softmaxPortable is SoftmaxRows on the Go code, for every row of p.
+func softmaxPortable(p Vec, cols int) {
+	for i := 0; i < len(p); i += cols {
+		row := p[i : i+cols]
+		_, sum := shiftExpSum(row)
+		inv := 1 / sum
+		for j := range row {
+			row[j] *= inv
+		}
+	}
+}
+
+// shiftExpSum replaces each element x_j of row by Exp(x_j − m), m the row's
+// maximum (the first element, then each later one that is greater), and
+// returns m and the sum of the new elements, added j ascending from +0: the
+// sequence SoftmaxRows and LogSumExp share.
+func shiftExpSum(row []float64) (m, sum float64) {
+	m = row[0]
 	for _, v := range row[1:] {
 		if v > m {
 			m = v
 		}
 	}
 	for j, v := range row {
-		row[j] = v - m
+		e := Exp(v - m)
+		row[j] = e
+		sum += e
 	}
-	return m
-}
-
-// sumAscending returns the sum of row, added one element at a time from +0.
-func sumAscending(row []float64) float64 {
-	var sum float64
-	for _, v := range row {
-		sum += v
-	}
-	return sum
+	return m, sum
 }
 
 // AddScaledTMul accumulates the batched outer-product gradient G += s·Pᵀ·X:
@@ -363,8 +372,8 @@ func addScaledTMulPortable(s float64, xs [][]float64, p Vec, c, classes, dim int
 			p0, p1 := s*p[off], s*p[off+1]
 			x := xs[i]
 			for j, xv := range x {
-				g0[j] += p0 * xv
-				g1[j] += p1 * xv
+				g0[j] += float64(p0 * xv)
+				g1[j] += float64(p1 * xv)
 			}
 		}
 	}
@@ -381,7 +390,7 @@ func addScaledTMulPortable(s float64, xs [][]float64, p Vec, c, classes, dim int
 		for ; i < len(xs); i++ {
 			pc := s * p[i*classes+c]
 			for j, xv := range xs[i] {
-				gr[j] += pc * xv
+				gr[j] += float64(pc * xv)
 			}
 		}
 	}
@@ -393,10 +402,10 @@ func axpy4(p0, p1, p2, p3 float64, x, g0, g1, g2, g3 []float64) {
 	g0, g1, g2, g3 = g0[:n], g1[:n], g2[:n], g3[:n]
 	for j := 0; j < n; j++ {
 		xv := x[j]
-		g0[j] += p0 * xv
-		g1[j] += p1 * xv
-		g2[j] += p2 * xv
-		g3[j] += p3 * xv
+		g0[j] += float64(p0 * xv)
+		g1[j] += float64(p1 * xv)
+		g2[j] += float64(p2 * xv)
+		g3[j] += float64(p3 * xv)
 	}
 }
 
@@ -408,10 +417,10 @@ func axpy4x2(p0, p1, p2, p3, q0, q1, q2, q3 float64, x, y, g0, g1, g2, g3 []floa
 	y, g0, g1, g2, g3 = y[:n], g0[:n], g1[:n], g2[:n], g3[:n]
 	for j := 0; j < n; j++ {
 		xv, yv := x[j], y[j]
-		g0[j] += p0*xv + q0*yv
-		g1[j] += p1*xv + q1*yv
-		g2[j] += p2*xv + q2*yv
-		g3[j] += p3*xv + q3*yv
+		g0[j] += float64(p0*xv) + float64(q0*yv)
+		g1[j] += float64(p1*xv) + float64(q1*yv)
+		g2[j] += float64(p2*xv) + float64(q2*yv)
+		g3[j] += float64(p3*xv) + float64(q3*yv)
 	}
 }
 
@@ -421,8 +430,8 @@ func axpy2x2(p0, p1, q0, q1 float64, x, y, g0, g1 []float64) {
 	y, g0, g1 = y[:n], g0[:n], g1[:n]
 	for j := 0; j < n; j++ {
 		xv, yv := x[j], y[j]
-		g0[j] += p0*xv + q0*yv
-		g1[j] += p1*xv + q1*yv
+		g0[j] += float64(p0*xv) + float64(q0*yv)
+		g1[j] += float64(p1*xv) + float64(q1*yv)
 	}
 }
 
@@ -431,6 +440,6 @@ func axpy1x4(p0, p1, p2, p3 float64, x0, x1, x2, x3, g []float64) {
 	n := len(g)
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for j := 0; j < n; j++ {
-		g[j] += ((p0*x0[j] + p1*x1[j]) + p2*x2[j]) + p3*x3[j]
+		g[j] += ((float64(p0*x0[j]) + float64(p1*x1[j])) + float64(p2*x2[j])) + float64(p3*x3[j])
 	}
 }

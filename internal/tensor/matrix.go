@@ -35,7 +35,7 @@ func (m *Mat) MulVec(x, out Vec) error {
 		row := m.Data[i*m.Cols : (i+1)*m.Cols]
 		var s float64
 		for j, rj := range row {
-			s += rj * x[j]
+			s += float64(rj * x[j])
 		}
 		out[i] = s
 	}

@@ -18,31 +18,27 @@ func addTMul4AVX2(s float64, p *float64, classes int, xs *[]float64, n, dim int,
 func addTMul2AVX2(s float64, p *float64, classes int, xs *[]float64, n, dim int, gr *float64)
 
 //go:noescape
-func expAVX2(p *float64, n int) int
+func softmaxAVX2(p *float64, cols, groups int, maxes, sums *float64) int
 
 // tmulSamples is how many samples one addTMul call takes: its frame holds
 // their scaled probabilities.
 const tmulSamples = 64
 
-// expVector replaces the leading len(v)&^3 elements of v by their Exp on the
-// vector kernel and returns how many it replaced: len(v)&^3, or 0 without
-// AVX2. A block of four that the kernel stops at (a lane beyond |x| ≤ 708, or
-// NaN) goes through Exp, and the kernel resumes after it.
-func expVector(v []float64) int {
-	n := len(v) &^ 3
-	if !HasAVX2 {
+// softmaxVector runs the leading groups of four rows of the rows×cols matrix
+// p through the vector kernel, up to the first group it declines (one with a
+// NaN, or a spread beyond 708 — ±Inf included), and returns how many rows it
+// finished: a multiple of 4, and 0 without AVX2. With sums nil it completes
+// their SoftmaxRows; otherwise it leaves their shifted exponentials in p and
+// writes each row's maximum to maxes and its sum to sums, for LogSumExp.
+func softmaxVector(p Vec, rows, cols int, maxes, sums Vec) int {
+	if !HasAVX2 || rows < 4 {
 		return 0
 	}
-	for i := 0; i < n; i += 4 {
-		i += expAVX2(&v[i], n-i)
-		if i == n {
-			break
-		}
-		for j := i; j < i+4; j++ {
-			v[j] = Exp(v[j])
-		}
+	var m, s *float64
+	if sums != nil {
+		m, s = &maxes[0], &sums[0]
 	}
-	return n
+	return 4 * softmaxAVX2(&p[0], cols, rows/4, m, s)
 }
 
 // logitsVector computes the regular region of LogitsBatch — the sample pairs

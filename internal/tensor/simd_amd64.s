@@ -1,11 +1,11 @@
 #include "textflag.h"
 #include "funcdata.h"
 
-// AVX2 micro-kernels behind LogitsBatch and AddScaledTMul (see kernels.go for
-// the per-output operation order they must reproduce) and the exp pass under
-// SoftmaxRows and LogSumExp (see Exp in exp.go). Vector lanes carry four
-// independent outputs; every lane performs the portable code's own sequence
-// of IEEE operations — VMULPD then VADDPD, never a fused multiply-add, never a
+// AVX2 micro-kernels behind LogitsBatch, AddScaledTMul and SoftmaxRows (see
+// kernels.go for the per-output operation order they must reproduce, and Exp
+// in exp.go for the exponential's). Vector lanes carry four independent
+// outputs; every lane performs the portable code's own sequence of IEEE
+// operations — VMULPD then VADDPD, never a fused multiply-add, never a
 // reduction across lanes — so results are bit-identical to the Go code.
 // Pointers are not bounds-checked here: the length checks in the exported
 // functions are the only guard.
@@ -346,9 +346,10 @@ store2:
 	DATA name<>+(off+16)(SB)/8, $bits; \
 	DATA name<>+(off+24)(SB)/8, $bits
 
-// The constants of Exp (exp.go), in the order the kernel uses them.
+// The constants of the softmax kernel: its range bound and those of Exp
+// (exp.go).
 LANES(expc, 0, 0x7fffffffffffffff)   // |x| mask
-LANES(expc, 32, 0x4086200000000000)  // 708
+LANES(expc, 32, 0xc086200000000000)  // -708
 LANES(expc, 64, 0x3e30000000000000)  // 2^-28
 LANES(expc, 96, 0x3fe0000000000000)  // 0.5
 LANES(expc, 128, 0x3ff71547652b82fe) // Log2e
@@ -363,72 +364,154 @@ LANES(expc, 384, 0x3ff0000000000000) // 1
 LANES(expc, 416, 0x4000000000000000) // 2
 GLOBL expc<>(SB), RODATA|NOPTR, $448
 
-// func expAVX2(p *float64, n int) int
+// LOADCOL gathers the element at ptr of four consecutive rows (R9 bytes
+// apart, R10 = 3·R9) into the lanes of y, whose low half is x; xt is scratch.
+#define LOADCOL(ptr, x, y, xt) \
+	VMOVSD (ptr), x; \
+	VMOVHPD (ptr)(R9*1), x, x; \
+	VMOVSD (ptr)(R9*2), xt; \
+	VMOVHPD (ptr)(R10*1), xt, xt; \
+	VINSERTF128 $1, xt, y, y
+
+// STORECOL scatters the lanes of y (low half x) back to where LOADCOL
+// gathered them from.
+#define STORECOL(ptr, x, y, xt) \
+	VMOVSD x, (ptr); \
+	VMOVHPD x, (ptr)(R9*1); \
+	VEXTRACTF128 $1, y, xt; \
+	VMOVSD xt, (ptr)(R9*2); \
+	VMOVHPD xt, (ptr)(R10*1)
+
+// func softmaxAVX2(p *float64, cols, groups int, maxes, sums *float64) int
 //
-// Replaces p[i] by Exp(p[i]) for i in [0, n) (n a multiple of 4), four
-// independent elements per pass, each lane performing Exp's own sequence (see
-// exp.go): k truncated from Log2e·x ± 0.5, the hi/lo reduction, Horner's rule
-// for P5…P1, y = 1 − ((lo − r·c/(2 − c)) − hi), y·2^k by an integer add of
-// k<<52 to y's bits, and 1 + x in the lanes where |x| < 2^-28. It stops before
-// the first block that has a lane with |x| > 708 or NaN, which the sequence
-// does not cover, and returns how many elements it replaced.
-TEXT ·expAVX2(SB), NOSPLIT, $0-24
+// Runs the softmax of groups × 4 consecutive rows of cols elements at p, four
+// rows per pass, one row per lane, each lane performing SoftmaxRows's own
+// sequence (kernels.go) in three passes over the columns:
+//
+//  1. m = VMAXPD(x_j, m), j ascending from m = x_0: x_j > m ? x_j : m, which
+//     is the portable comparison, NaN and ±0 included. The same pass keeps
+//     the row minimum and whether any element is NaN.
+//  2. e_j = Exp(x_j − m) by Exp's own sequence (exp.go), stored over x_j, and
+//     sum += e_j from +0, j ascending.
+//  3. With sums nil, e_j·(1/sum) stored over e_j. Otherwise the rows' m and
+//     sum go to maxes and sums, four per group, for LogSumExp to finish.
+//
+// A group where any element is NaN or min − m is not ≥ −708 (a spread beyond
+// 708, ±Inf) is left untouched: the kernel stops before it and returns how
+// many groups it finished. In every group it does run, t = x − m lies in
+// [−708, 0], where Exp's result is a normal number and its k is
+// trunc(Log2e·t − 0.5) — the lanes where t is ±0 take 1 + t — so the
+// exponential needs no range check and no sign.
+TEXT ·softmaxAVX2(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
-	MOVQ n+8(FP), CX
+	MOVQ cols+8(FP), R9
+	SHLQ $3, R9                          // row bytes
+	LEAQ (R9)(R9*2), R10
+	MOVQ groups+16(FP), BX
+	MOVQ maxes+24(FP), R12
+	MOVQ sums+32(FP), R13
 	XORQ AX, AX
-	VMOVUPD expc<>+0(SB), Y15
-	VMOVUPD expc<>+384(SB), Y13
-	VMOVUPD expc<>+416(SB), Y14
-	TESTQ CX, CX
-	JZ   expdone
+	VMOVUPD expc<>+384(SB), Y15          // 1
+	VMOVUPD expc<>+416(SB), Y14          // 2
 
-expblock:
-	VMOVUPD (DI)(AX*8), Y0
-	VANDPD Y15, Y0, Y1                   // |x|
-	VCMPPD $0x16, expc<>+32(SB), Y1, Y2  // !(|x| <= 708): beyond the range, or NaN
-	VMOVMSKPD Y2, DX
+group:
+	LEAQ (DI)(R9*1), R11                 // end of the group's first row
+	LOADCOL(DI, X0, Y0, X13)             // m
+	VMOVAPD Y0, Y1                       // min
+	VCMPPD $3, Y0, Y0, Y2                // NaN lanes
+	LEAQ 8(DI), R8
+	CMPQ R8, R11
+	JAE  bounds
+
+maxcol:
+	LOADCOL(R8, X3, Y3, X13)
+	VMAXPD Y0, Y3, Y0                    // m = x > m ? x : m
+	VMINPD Y1, Y3, Y1
+	VCMPPD $3, Y3, Y3, Y4
+	VORPD Y4, Y2, Y2
+	ADDQ $8, R8
+	CMPQ R8, R11
+	JB   maxcol
+
+bounds:
+	VSUBPD Y0, Y1, Y1                    // min − m
+	VCMPPD $0x19, expc<>+32(SB), Y1, Y1  // !(min − m >= −708): beyond the range, or NaN
+	VORPD Y2, Y1, Y1
+	VMOVMSKPD Y1, DX
 	TESTL DX, DX
-	JNZ  expdone
-	VCMPPD $0x11, expc<>+64(SB), Y1, Y1  // |x| < 2^-28: the lanes that return 1 + x
+	JNZ  done
 
-	VANDNPD Y0, Y15, Y2                  // x's sign bit
-	VORPD expc<>+96(SB), Y2, Y2          // ±0.5, with x's sign
-	VMULPD expc<>+128(SB), Y0, Y3        // Log2e·x
-	VADDPD Y2, Y3, Y3                    // Log2e·x ± 0.5
-	VCVTTPD2DQY Y3, X4                   // k, truncated
+	VXORPD Y1, Y1, Y1                    // sum = +0
+	MOVQ DI, R8
+
+expcol:
+	LOADCOL(R8, X2, Y2, X13)
+	VSUBPD Y0, Y2, Y2                    // t = x − m
+	VANDPD expc<>+0(SB), Y2, Y3          // |t|
+	VCMPPD $0x11, expc<>+64(SB), Y3, Y3  // |t| < 2^-28: the lanes that return 1 + t
+	VMULPD expc<>+128(SB), Y2, Y4        // Log2e·t
+	VSUBPD expc<>+96(SB), Y4, Y4         // Log2e·t − 0.5
+	VCVTTPD2DQY Y4, X4                   // k, truncated
 	VCVTDQ2PD X4, Y5                     // float64(k)
 	VMULPD expc<>+160(SB), Y5, Y6        // k·Ln2Hi
-	VSUBPD Y6, Y0, Y6                    // hi = x − k·Ln2Hi
+	VSUBPD Y6, Y2, Y6                    // hi = t − k·Ln2Hi
 	VMULPD expc<>+192(SB), Y5, Y7        // lo = k·Ln2Lo
 	VSUBPD Y7, Y6, Y8                    // r = hi − lo
-	VMULPD Y8, Y8, Y9                    // t = r·r
-	VMULPD expc<>+224(SB), Y9, Y10       // t·P5
-	VADDPD expc<>+256(SB), Y10, Y10      // P4 + t·P5
+	VMULPD Y8, Y8, Y9                    // r·r
+	VMULPD expc<>+224(SB), Y9, Y10       // r·r·P5
+	VADDPD expc<>+256(SB), Y10, Y10      // P4 + r·r·P5
 	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+288(SB), Y10, Y10      // P3 + t·(…)
+	VADDPD expc<>+288(SB), Y10, Y10      // P3 + r·r·(…)
 	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+320(SB), Y10, Y10      // P2 + t·(…)
+	VADDPD expc<>+320(SB), Y10, Y10      // P2 + r·r·(…)
 	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+352(SB), Y10, Y10      // P1 + t·(…)
+	VADDPD expc<>+352(SB), Y10, Y10      // P1 + r·r·(…)
 	VMULPD Y10, Y9, Y10
-	VSUBPD Y10, Y8, Y10                  // c = r − t·(…)
+	VSUBPD Y10, Y8, Y10                  // c = r − r·r·(…)
 	VMULPD Y10, Y8, Y11                  // r·c
 	VSUBPD Y10, Y14, Y12                 // 2 − c
 	VDIVPD Y12, Y11, Y11                 // r·c/(2 − c)
 	VSUBPD Y11, Y7, Y11                  // lo − r·c/(2 − c)
 	VSUBPD Y6, Y11, Y11                  // (…) − hi
-	VSUBPD Y11, Y13, Y11                 // y = 1 − (…)
+	VSUBPD Y11, Y15, Y11                 // y = 1 − (…)
 	VPMOVSXDQ X4, Y4
 	VPSLLQ $52, Y4, Y4
 	VPADDQ Y4, Y11, Y11                  // y·2^k: k added to the exponent field
-	VADDPD Y13, Y0, Y0                   // 1 + x
-	VBLENDVPD Y1, Y0, Y11, Y11
-	VMOVUPD Y11, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  expblock
+	VADDPD Y15, Y2, Y2                   // 1 + t
+	VBLENDVPD Y3, Y2, Y11, Y11           // e
+	VADDPD Y11, Y1, Y1                   // sum += e
+	STORECOL(R8, X11, Y11, X13)
+	ADDQ $8, R8
+	CMPQ R8, R11
+	JB   expcol
 
-expdone:
-	MOVQ AX, ret+16(FP)
+	TESTQ R13, R13
+	JZ   scale
+	VMOVUPD Y0, (R12)
+	VMOVUPD Y1, (R13)
+	ADDQ $32, R12
+	ADDQ $32, R13
+	JMP  next
+
+scale:
+	VDIVPD Y1, Y15, Y1                   // 1/sum
+	MOVQ DI, R8
+
+scalecol:
+	LOADCOL(R8, X2, Y2, X13)
+	VMULPD Y1, Y2, Y2                    // e·(1/sum)
+	STORECOL(R8, X2, Y2, X13)
+	ADDQ $8, R8
+	CMPQ R8, R11
+	JB   scalecol
+
+next:
+	LEAQ (DI)(R9*4), DI                  // the next four rows
+	INCQ AX
+	CMPQ AX, BX
+	JB   group
+
+done:
+	MOVQ AX, ret+40(FP)
 	VZEROUPPER
 	RET

@@ -12,4 +12,4 @@ func addScaledTMulVector(s float64, xs [][]float64, p Vec, classes, dim int, g V
 	return false
 }
 
-func expVector(v []float64) int { return 0 }
+func softmaxVector(p Vec, rows, cols int, maxes, sums Vec) int { return 0 }

@@ -66,7 +66,7 @@ func (v Vec) AddScaled(s float64, u Vec) error {
 		return errors.New("tensor: length mismatch in AddScaled")
 	}
 	for i := range v {
-		v[i] += s * u[i]
+		v[i] += float64(s * u[i])
 	}
 	return nil
 }
@@ -85,7 +85,7 @@ func Dot(v, u Vec) (float64, error) {
 	}
 	var s float64
 	for i := range v {
-		s += v[i] * u[i]
+		s += float64(v[i] * u[i])
 	}
 	return s, nil
 }
@@ -94,7 +94,7 @@ func Dot(v, u Vec) (float64, error) {
 func (v Vec) Norm2() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return math.Sqrt(s)
 }
@@ -103,7 +103,7 @@ func (v Vec) Norm2() float64 {
 func (v Vec) SqNorm() float64 {
 	var s float64
 	for _, x := range v {
-		s += x * x
+		s += float64(x * x)
 	}
 	return s
 }
