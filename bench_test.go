@@ -35,22 +35,27 @@ func benchOptions() unbiasedfl.Options {
 	}
 }
 
-func buildEnv(b *testing.B, id unbiasedfl.SetupID) *unbiasedfl.Environment {
+func buildSession(b *testing.B, id unbiasedfl.SetupID, opts unbiasedfl.Options) *unbiasedfl.Session {
 	b.Helper()
-	env, err := unbiasedfl.NewSetup(context.Background(), id, benchOptions())
+	sess, err := unbiasedfl.NewSession(context.Background(), id, unbiasedfl.WithBaseOptions(opts))
 	if err != nil {
 		b.Fatal(err)
 	}
-	return env
+	return sess
+}
+
+func buildEnv(b *testing.B, id unbiasedfl.SetupID) *unbiasedfl.Environment {
+	b.Helper()
+	return buildSession(b, id, benchOptions()).Environment()
 }
 
 // benchFig4 regenerates one setup's Fig. 4 panel: all three pricing schemes
 // trained under the same budget. Reports the proposed scheme's final loss.
 func benchFig4(b *testing.B, id unbiasedfl.SetupID) {
-	env := buildEnv(b, id)
+	sess := buildSession(b, id, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := unbiasedfl.CompareSchemes(context.Background(), env)
+		cmp, err := sess.CompareSchemes(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -67,10 +72,10 @@ func BenchmarkFig4Setup3(b *testing.B) { benchFig4(b, unbiasedfl.Setup3) }
 // proposed scheme's saving over uniform pricing as a percentage (the paper
 // reports 21–53% at its scale).
 func BenchmarkTable2(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup2)
+	sess := buildSession(b, unbiasedfl.Setup2, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := unbiasedfl.CompareSchemes(context.Background(), env)
+		cmp, err := sess.CompareSchemes(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -87,10 +92,10 @@ func BenchmarkTable2(b *testing.B) {
 // the MNIST-like task saturates too quickly to separate schemes, so the
 // bench uses the harder EMNIST-like setup; see README.md.
 func BenchmarkTable3(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup3)
+	sess := buildSession(b, unbiasedfl.Setup3, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := unbiasedfl.CompareSchemes(context.Background(), env)
+		cmp, err := sess.CompareSchemes(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -104,10 +109,10 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkTable4 regenerates the total client-utility gains.
 func BenchmarkTable4(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup1)
+	sess := buildSession(b, unbiasedfl.Setup1, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cmp, err := unbiasedfl.CompareSchemes(context.Background(), env)
+		cmp, err := sess.CompareSchemes(context.Background())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -123,10 +128,10 @@ func BenchmarkTable4(b *testing.B) {
 // BenchmarkTable5 regenerates the negative-payment counts vs mean intrinsic
 // value on Setup 1.
 func BenchmarkTable5(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup1)
+	sess := buildSession(b, unbiasedfl.Setup1, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := unbiasedfl.EquilibriumSweep(context.Background(), env, unbiasedfl.SweepV,
+		points, err := sess.EquilibriumSweep(context.Background(), unbiasedfl.SweepV,
 			[]float64{0, 4000, 80000})
 		if err != nil {
 			b.Fatal(err)
@@ -139,10 +144,10 @@ func BenchmarkTable5(b *testing.B) {
 
 // BenchmarkFig5 regenerates the intrinsic-value impact study (Setup 1).
 func BenchmarkFig5(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup1)
+	sess := buildSession(b, unbiasedfl.Setup1, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := unbiasedfl.RunSweep(context.Background(), env, unbiasedfl.SweepV,
+		points, err := sess.RunSweep(context.Background(), unbiasedfl.SweepV,
 			[]float64{1000, 4000, 16000})
 		if err != nil {
 			b.Fatal(err)
@@ -154,10 +159,10 @@ func BenchmarkFig5(b *testing.B) {
 
 // BenchmarkFig6 regenerates the local-cost impact study (Setup 2).
 func BenchmarkFig6(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup2)
+	sess := buildSession(b, unbiasedfl.Setup2, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := unbiasedfl.RunSweep(context.Background(), env, unbiasedfl.SweepC,
+		points, err := sess.RunSweep(context.Background(), unbiasedfl.SweepC,
 			[]float64{10, 20, 60})
 		if err != nil {
 			b.Fatal(err)
@@ -169,10 +174,10 @@ func BenchmarkFig6(b *testing.B) {
 
 // BenchmarkFig7 regenerates the budget impact study (Setup 3).
 func BenchmarkFig7(b *testing.B) {
-	env := buildEnv(b, unbiasedfl.Setup3)
+	sess := buildSession(b, unbiasedfl.Setup3, benchOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := unbiasedfl.RunSweep(context.Background(), env, unbiasedfl.SweepB,
+		points, err := sess.RunSweep(context.Background(), unbiasedfl.SweepB,
 			[]float64{125, 500, 2000})
 		if err != nil {
 			b.Fatal(err)
@@ -386,14 +391,11 @@ func BenchmarkExtensionBayesian(b *testing.B) {
 func BenchmarkBoundFidelity(b *testing.B) {
 	opts := benchOptions()
 	opts.Rounds = 30
-	env, err := unbiasedfl.NewSetup(context.Background(), unbiasedfl.Setup2, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sess := buildSession(b, unbiasedfl.Setup2, opts)
 	b.ResetTimer()
 	var tauSum float64
 	for i := 0; i < b.N; i++ {
-		res, err := experiment.BoundFidelity(context.Background(), env, 6, 123)
+		res, err := sess.BoundFidelity(context.Background(), 6)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -408,13 +410,10 @@ func BenchmarkBoundFidelity(b *testing.B) {
 func BenchmarkConvergenceRate(b *testing.B) {
 	opts := benchOptions()
 	opts.Rounds = 40
-	env, err := unbiasedfl.NewSetup(context.Background(), unbiasedfl.Setup2, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sess := buildSession(b, unbiasedfl.Setup2, opts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		points, err := experiment.ConvergenceRate(context.Background(), env, []int{10, 40, 160}, uint64(i)+5)
+		points, err := sess.ConvergenceRate(context.Background(), []int{10, 40, 160})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -423,29 +422,6 @@ func BenchmarkConvergenceRate(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(p, "rate-exponent")
-	}
-}
-
-// BenchmarkExtensionAdaptiveRepricing measures static vs per-epoch adaptive
-// pricing as the G_n estimates drift during training (DESIGN.md X10). The
-// static arm's realized spend drifts off budget; the adaptive arm's stays on
-// it by construction.
-func BenchmarkExtensionAdaptiveRepricing(b *testing.B) {
-	opts := benchOptions()
-	opts.Rounds = 40
-	env, err := unbiasedfl.NewSetup(context.Background(), unbiasedfl.Setup2, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := experiment.RunAdaptive(context.Background(), env, 4, 9)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(res.StaticSpend, "static-drifted-spend")
-		b.ReportMetric(res.AdaptiveSpend, "adaptive-spend")
-		b.ReportMetric(res.AdaptiveLoss, "adaptive-final-loss")
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 
+	"unbiasedfl"
 	"unbiasedfl/internal/cli"
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/game"
@@ -162,15 +163,20 @@ func (h *harness) setups() []experiment.SetupID {
 	return []experiment.SetupID{experiment.Setup1, experiment.Setup2, experiment.Setup3}
 }
 
+// session prepares one setup's world at the harness's scale.
+func (h *harness) session(id experiment.SetupID) (*unbiasedfl.Session, error) {
+	return unbiasedfl.NewSession(h.ctx, id, unbiasedfl.WithBaseOptions(h.opts))
+}
+
 // comparisons produces Fig. 4 plus Tables II, III, and IV for each setup.
 func (h *harness) comparisons() error {
 	for _, id := range h.setups() {
 		fmt.Fprintln(h.out, experiment.Banner(id.String()))
-		env, err := experiment.BuildSetup(h.ctx, id, h.opts)
+		sess, err := h.session(id)
 		if err != nil {
 			return err
 		}
-		cmp, err := experiment.Compare(h.ctx, env)
+		cmp, err := sess.CompareSchemes(h.ctx)
 		if err != nil {
 			return err
 		}
@@ -190,11 +196,11 @@ func (h *harness) comparisons() error {
 // table5 reproduces the negative-payment counts of Table V on Setup 1.
 func (h *harness) table5() error {
 	fmt.Fprintln(h.out, experiment.Banner("Table V — negative payments vs v (Setup 1)"))
-	env, err := experiment.BuildSetup(h.ctx, experiment.Setup1, h.opts)
+	sess, err := h.session(experiment.Setup1)
 	if err != nil {
 		return err
 	}
-	points, err := experiment.EquilibriumSweep(h.ctx, env, experiment.SweepV, []float64{0, 4000, 80000})
+	points, err := sess.EquilibriumSweep(h.ctx, experiment.SweepV, []float64{0, 4000, 80000})
 	if err != nil {
 		return err
 	}
@@ -213,11 +219,11 @@ func (h *harness) table5() error {
 // sweep produces one of Figs. 5–7 with full retraining at each point.
 func (h *harness) sweep(id experiment.SetupID, kind experiment.SweepKind, values []float64) error {
 	fmt.Fprintf(h.out, "%s\n", experiment.Banner(fmt.Sprintf("%v — %v", id, kind)))
-	env, err := experiment.BuildSetup(h.ctx, id, h.opts)
+	sess, err := h.session(id)
 	if err != nil {
 		return err
 	}
-	points, err := experiment.Sweep(h.ctx, env, kind, values)
+	points, err := sess.RunSweep(h.ctx, kind, values)
 	if err != nil {
 		return err
 	}
@@ -234,12 +240,12 @@ func (h *harness) sweep(id experiment.SetupID, kind experiment.SweepKind, values
 // rate validates the O(1/R) decay of Theorem 1 empirically.
 func (h *harness) rate() error {
 	fmt.Fprintln(h.out, experiment.Banner("Convergence rate — empirical O(1/R) check"))
-	env, err := experiment.BuildSetup(h.ctx, experiment.Setup2, h.opts)
+	sess, err := h.session(experiment.Setup2)
 	if err != nil {
 		return err
 	}
 	horizons := []int{h.opts.Rounds / 4, h.opts.Rounds, h.opts.Rounds * 4}
-	points, err := experiment.ConvergenceRate(h.ctx, env, horizons, h.opts.Seed)
+	points, err := sess.ConvergenceRate(h.ctx, horizons)
 	if err != nil {
 		return err
 	}
@@ -257,11 +263,11 @@ func (h *harness) rate() error {
 // fidelity reports the rank agreement between the bound and training.
 func (h *harness) fidelity() error {
 	fmt.Fprintln(h.out, experiment.Banner("Bound fidelity — surrogate vs training"))
-	env, err := experiment.BuildSetup(h.ctx, experiment.Setup2, h.opts)
+	sess, err := h.session(experiment.Setup2)
 	if err != nil {
 		return err
 	}
-	res, err := experiment.BoundFidelity(h.ctx, env, 6, h.opts.Seed+99)
+	res, err := sess.BoundFidelity(h.ctx, 6)
 	if err != nil {
 		return err
 	}
@@ -278,14 +284,15 @@ func (h *harness) fidelity() error {
 // bayes contrasts complete-information pricing with the Bayesian design.
 func (h *harness) bayes() error {
 	fmt.Fprintln(h.out, experiment.Banner("Bayesian incomplete information"))
-	env, err := experiment.BuildSetup(h.ctx, experiment.Setup1, h.opts)
+	sess, err := h.session(experiment.Setup1)
 	if err != nil {
 		return err
 	}
-	complete, err := env.Params.SolveKKT()
+	complete, err := sess.Equilibrium()
 	if err != nil {
 		return err
 	}
+	env := sess.Environment()
 	prior := game.Prior{MeanC: env.MeanC, MeanV: env.MeanV}
 	bayes, err := env.Params.SolveBayesian(prior, 800, stats.NewRNG(h.opts.Seed+7))
 	if err != nil {

@@ -103,12 +103,12 @@ func run(ctx context.Context) error {
 	switch *role {
 	case "server":
 		fmt.Printf("server listening on %s, waiting for %d clients\n", *addr, *clients)
-		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves), experiment.RunConfig{
+		return coordinate(ctx, env, engine.NewMembershipPlan(*clients, joins, leaves), experiment.RunConfig{
 			Backend: experiment.BackendCluster,
 			Cluster: experiment.ClusterConfig{Addr: *addr, Timeout: *timeout, RoundTimeout: *roundTO},
 		})
 	case "local":
-		return coordinate(ctx, env, cli.ChurnPlan(*clients, joins, leaves), experiment.RunConfig{})
+		return coordinate(ctx, env, engine.NewMembershipPlan(*clients, joins, leaves), experiment.RunConfig{})
 	case "client":
 		if *id < 0 || *id >= *clients {
 			return fmt.Errorf("client id %d out of range [0,%d)", *id, *clients)

@@ -41,6 +41,7 @@ import (
 
 	"unbiasedfl"
 	"unbiasedfl/internal/cli"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
 )
 
@@ -208,7 +209,7 @@ func run(ctx context.Context) error {
 	if *fleet > 0 {
 		numClients = *fleet
 	}
-	if plan := cli.ChurnPlan(numClients, joins, leaves); plan != nil {
+	if plan := engine.NewMembershipPlan(numClients, joins, leaves); plan != nil {
 		options = append(options, unbiasedfl.WithMembership(plan))
 	}
 	if *progress {
@@ -291,7 +292,7 @@ func killAfterHook(n int) func(int) {
 // churnFaults lowers parsed -join/-leave events onto a scenario's fault
 // schedule, where membership churn is declared as FaultJoin/FaultLeave
 // entries.
-func churnFaults(joins, leaves []cli.ChurnEvent) []unbiasedfl.ClientFault {
+func churnFaults(joins, leaves []engine.MembershipChange) []unbiasedfl.ClientFault {
 	var out []unbiasedfl.ClientFault
 	for _, j := range joins {
 		out = append(out, unbiasedfl.ClientFault{Client: j.Client, Kind: unbiasedfl.FaultJoin, Round: j.Round})
@@ -304,7 +305,7 @@ func churnFaults(joins, leaves []cli.ChurnEvent) []unbiasedfl.ClientFault {
 
 // runScenario replays one named scenario under the given run configuration
 // and prints its canonical trace (identical whichever backend carried it).
-func runScenario(ctx context.Context, name string, cfg unbiasedfl.RunConfig, joins, leaves []cli.ChurnEvent, jsonOut bool) error {
+func runScenario(ctx context.Context, name string, cfg unbiasedfl.RunConfig, joins, leaves []engine.MembershipChange, jsonOut bool) error {
 	if name == "list" {
 		if jsonOut {
 			type entry struct {

@@ -13,7 +13,6 @@ import (
 	"os"
 
 	"unbiasedfl"
-	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
 )
 
@@ -41,7 +40,7 @@ func run() error {
 	}
 
 	// Incomplete information: Bayesian posted prices from the prior only.
-	prior := game.Prior{MeanC: env.MeanC, MeanV: env.MeanV}
+	prior := unbiasedfl.Prior{MeanC: env.MeanC, MeanV: env.MeanV}
 	bayes, err := p.SolveBayesian(prior, 800, stats.NewRNG(42))
 	if err != nil {
 		return err

@@ -39,11 +39,11 @@ func run() error {
 	}
 	clean := faulted
 	clean.Faults = nil
-	ft, err := unbiasedfl.RunScenario(ctx, faulted)
+	ft, err := unbiasedfl.RunScenarioWith(ctx, faulted, unbiasedfl.RunConfig{})
 	if err != nil {
 		return err
 	}
-	ct, err := unbiasedfl.RunScenario(ctx, clean)
+	ct, err := unbiasedfl.RunScenarioWith(ctx, clean, unbiasedfl.RunConfig{})
 	if err != nil {
 		return err
 	}
@@ -73,7 +73,7 @@ func run() error {
 			{Client: 3, Kind: unbiasedfl.FaultStraggler, DelayFactor: 5},
 		},
 	}
-	trace, err := unbiasedfl.RunScenario(ctx, custom)
+	trace, err := unbiasedfl.RunScenarioWith(ctx, custom, unbiasedfl.RunConfig{})
 	if err != nil {
 		return err
 	}
@@ -84,8 +84,9 @@ func run() error {
 	// identical orchestrated run at its cluster backend — a TCP coordinator
 	// and five socket nodes on loopback — and the resulting trace is
 	// byte-identical to the in-process one.
-	res, err := unbiasedfl.RunScenarioCluster(ctx, custom, unbiasedfl.ClusterConfig{
-		Timeout: 30 * time.Second,
+	res, err := unbiasedfl.RunScenarioWith(ctx, custom, unbiasedfl.RunConfig{
+		Backend: unbiasedfl.BackendCluster,
+		Cluster: unbiasedfl.ClusterConfig{Timeout: 30 * time.Second},
 	})
 	if err != nil {
 		return err

@@ -30,7 +30,7 @@ func TestSessionEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sess.Options().NumClients; got != 5 {
+	if got := sess.Environment().Opts.NumClients; got != 5 {
 		t.Fatalf("functional options not applied: clients %d", got)
 	}
 	eq, err := sess.Equilibrium()
@@ -85,22 +85,11 @@ func TestSessionCompareAndSweep(t *testing.T) {
 	}
 }
 
-// TestDeprecatedFacade keeps the v0 package-level entry points (ctx-threaded
-// now) working against the registry-backed internals.
-func TestDeprecatedFacade(t *testing.T) {
+// TestRegistryPricingThroughSession prices the proposed scheme through the
+// façade's registry lookup on a session's game and trains under it.
+func TestRegistryPricingThroughSession(t *testing.T) {
 	ctx := context.Background()
-	opts := unbiasedfl.Options{
-		NumClients:   5,
-		TotalSamples: 600,
-		Rounds:       25,
-		LocalSteps:   5,
-		BatchSize:    16,
-		EvalEvery:    5,
-		Calibration:  2,
-		Seed:         2,
-		Runs:         1,
-	}
-	env, err := unbiasedfl.NewSetup(ctx, unbiasedfl.Setup1, opts)
+	sess, err := unbiasedfl.NewSession(ctx, unbiasedfl.Setup1, tinyFacadeOptions()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,14 +97,14 @@ func TestDeprecatedFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := ps.Price(env.Params)
+	out, err := ps.Price(sess.Environment().Params)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Name != unbiasedfl.SchemeNameProposed {
 		t.Fatalf("outcome labelled %q", out.Name)
 	}
-	run, err := unbiasedfl.RunScheme(ctx, env, unbiasedfl.SchemeNameProposed)
+	run, err := sess.RunScheme(ctx, unbiasedfl.SchemeNameProposed)
 	if err != nil {
 		t.Fatal(err)
 	}

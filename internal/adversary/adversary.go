@@ -10,7 +10,7 @@
 //     exist. Compiled via ReportedParams into the game the pricing scheme
 //     solves, while the true Params keep scoring utilities.
 //   - Deviation (Stage-II): a client participates with Factor·q_n instead of
-//     the q_n its price induced. Compiled via QFactors into
+//     the q_n its price induced. The scenario layer writes the factor into
 //     engine.FaultSchedule.QFactor, where the sampler realizes it without
 //     disturbing any other client's coin stream.
 //   - Poison (training): a client scales (e.g. sign-flips) the model delta
@@ -77,29 +77,6 @@ func ReportedParams(truth *game.Params, reps []Misreport) (*game.Params, error) 
 		return nil, fmt.Errorf("adversary: misreported game invalid: %w", err)
 	}
 	return p, nil
-}
-
-// QFactors compiles deviations into the engine's per-client willingness
-// multiplier vector (nil when every client is obedient, the zero-cost honest
-// path).
-func QFactors(n int, devs []Deviation) ([]float64, error) {
-	if len(devs) == 0 {
-		return nil, nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = 1
-	}
-	for _, d := range devs {
-		if d.Client < 0 || d.Client >= n {
-			return nil, fmt.Errorf("adversary: deviating client %d out of range [0,%d)", d.Client, n)
-		}
-		if d.Factor < 0 || math.IsNaN(d.Factor) || math.IsInf(d.Factor, 0) {
-			return nil, fmt.Errorf("adversary: client %d deviation factor %v must be finite and non-negative", d.Client, d.Factor)
-		}
-		out[d.Client] = d.Factor
-	}
-	return out, nil
 }
 
 // Tamper compiles poisons into the orchestrator's update-tampering hook (nil

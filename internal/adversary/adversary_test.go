@@ -78,32 +78,6 @@ func TestReportedParamsErrors(t *testing.T) {
 	}
 }
 
-func TestQFactors(t *testing.T) {
-	if out, err := QFactors(4, nil); out != nil || err != nil {
-		t.Fatalf("obedient fleet must compile to (nil, nil), got (%v, %v)", out, err)
-	}
-	out, err := QFactors(4, []Deviation{{Client: 2, Factor: 0.5}, {Client: 3, Factor: 0}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 1, 0.5, 0}
-	for n, f := range out {
-		if f != want[n] {
-			t.Errorf("QFactor[%d] = %v, want %v", n, f, want[n])
-		}
-	}
-	for _, bad := range []Deviation{
-		{Client: 4, Factor: 1},
-		{Client: 0, Factor: -0.1},
-		{Client: 0, Factor: math.NaN()},
-		{Client: 0, Factor: math.Inf(1)},
-	} {
-		if _, err := QFactors(4, []Deviation{bad}); err == nil {
-			t.Errorf("QFactors accepted %+v", bad)
-		}
-	}
-}
-
 func TestTamperScalesOnlyThePoisonerFromItsRound(t *testing.T) {
 	hook, err := Tamper(3, []Poison{{Client: 1, Factor: -2, FromRound: 4}})
 	if err != nil {

@@ -20,13 +20,13 @@ func TestParseChurnAndPlan(t *testing.T) {
 		Initial: []int{0, 1, 2, 3},
 		Events:  []engine.MembershipEvent{{Round: 3, Join: []int{4, 5}}, {Round: 6, Leave: []int{2}}},
 	}
-	if got := ChurnPlan(6, joins, leaves); !reflect.DeepEqual(got, want) {
+	if got := engine.NewMembershipPlan(6, joins, leaves); !reflect.DeepEqual(got, want) {
 		t.Fatalf("plan %+v, want %+v", got, want)
 	}
 	if err := want.Validate(6, 10); err != nil {
 		t.Fatalf("compiled plan does not validate: %v", err)
 	}
-	if ChurnPlan(6, nil, nil) != nil {
+	if engine.NewMembershipPlan(6, nil, nil) != nil {
 		t.Fatal("no churn must compile to no plan")
 	}
 	for _, bad := range []string{"5", "a@b", "5@3,,"} {

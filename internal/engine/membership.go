@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"sort"
 )
 
 // MembershipEvent is one round-boundary churn event: the listed clients join
@@ -30,6 +31,57 @@ type MembershipPlan struct {
 	Initial []int
 	// Events holds the churn schedule in strictly increasing Round order.
 	Events []MembershipEvent
+}
+
+// MembershipChange is one client's join or leave, effective from round Round.
+type MembershipChange struct {
+	Client, Round int
+}
+
+// NewMembershipPlan compiles per-client joins and leaves into a plan (nil
+// when there are neither): the initial roster is every client of the fleet
+// not scheduled to join, and one event per distinct round lists that round's
+// joins and leaves in ascending client order, so the plan does not depend on
+// the order of the input. Validate checks the rest.
+func NewMembershipPlan(clients int, joins, leaves []MembershipChange) *MembershipPlan {
+	if len(joins) == 0 && len(leaves) == 0 {
+		return nil
+	}
+	events := map[int]*MembershipEvent{}
+	var rounds []int
+	at := func(r int) *MembershipEvent {
+		ev, ok := events[r]
+		if !ok {
+			ev = &MembershipEvent{Round: r}
+			events[r] = ev
+			rounds = append(rounds, r)
+		}
+		return ev
+	}
+	joiner := map[int]bool{}
+	for _, j := range joins {
+		ev := at(j.Round)
+		ev.Join = append(ev.Join, j.Client)
+		joiner[j.Client] = true
+	}
+	for _, l := range leaves {
+		ev := at(l.Round)
+		ev.Leave = append(ev.Leave, l.Client)
+	}
+	sort.Ints(rounds)
+	plan := &MembershipPlan{}
+	for n := 0; n < clients; n++ {
+		if !joiner[n] {
+			plan.Initial = append(plan.Initial, n)
+		}
+	}
+	for _, r := range rounds {
+		ev := events[r]
+		sort.Ints(ev.Join)
+		sort.Ints(ev.Leave)
+		plan.Events = append(plan.Events, *ev)
+	}
+	return plan
 }
 
 // Roster is the fleet's composition during one membership epoch, as handed

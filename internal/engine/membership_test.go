@@ -18,6 +18,27 @@ func churnPlan() *MembershipPlan {
 	}
 }
 
+// TestNewMembershipPlan compiles the fixture from changes given out of
+// order: the plan is the same.
+func TestNewMembershipPlan(t *testing.T) {
+	joins := []MembershipChange{{Client: 4, Round: 3}}
+	leaves := []MembershipChange{{Client: 1, Round: 6}}
+	if got := NewMembershipPlan(5, joins, leaves); !reflect.DeepEqual(got, churnPlan()) {
+		t.Fatalf("plan %+v, want %+v", got, churnPlan())
+	}
+	got := NewMembershipPlan(6, []MembershipChange{{5, 7}, {4, 2}, {3, 7}}, []MembershipChange{{0, 7}, {1, 2}})
+	want := &MembershipPlan{
+		Initial: []int{0, 1, 2},
+		Events:  []MembershipEvent{{Round: 2, Join: []int{4}, Leave: []int{1}}, {Round: 7, Join: []int{3, 5}, Leave: []int{0}}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("plan %+v, want %+v", got, want)
+	}
+	if NewMembershipPlan(6, nil, nil) != nil {
+		t.Fatal("no changes must compile to no plan")
+	}
+}
+
 func TestMembershipPlanValidate(t *testing.T) {
 	if err := churnPlan().Validate(5, 10); err != nil {
 		t.Fatalf("valid plan rejected: %v", err)

@@ -55,16 +55,6 @@ func (s FaultSchedule) Dropped(n, round int) bool {
 	return s.DropRound[n] >= 0 && round >= s.DropRound[n]
 }
 
-// HasFaults reports whether any client deviates from the clean fleet.
-func (s FaultSchedule) HasFaults() bool {
-	for n := range s.Delay {
-		if s.DropRound[n] >= 0 || s.Availability[n] != 1 || s.Delay[n] != 1 || s.qFactor(n) != 1 {
-			return true
-		}
-	}
-	return false
-}
-
 // WillingProb returns the exact acceptance probability of client n's
 // willingness coin when priced at qn — including any strategic deviation
 // factor. It mirrors FaultSampler's draw rules, so it is the analytic truth

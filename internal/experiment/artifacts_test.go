@@ -17,11 +17,11 @@ func TestArtifactsRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(context.Background(), env)
+	cmp, err := Compare(context.Background(), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000})
+	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

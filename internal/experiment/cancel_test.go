@@ -47,7 +47,7 @@ func TestCancelMidScheme(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancelDuring(t, 50*time.Millisecond, func(ctx context.Context) error {
-		_, err := RunScheme(ctx, env, "proposed")
+		_, err := RunScheme(ctx, env, "proposed", nil)
 		return err
 	})
 }
@@ -59,7 +59,7 @@ func TestCancelMidCompare(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancelDuring(t, 50*time.Millisecond, func(ctx context.Context) error {
-		_, err := Compare(ctx, env)
+		_, err := Compare(ctx, env, nil)
 		return err
 	})
 }
@@ -71,7 +71,7 @@ func TestCancelMidSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	cancelDuring(t, 50*time.Millisecond, func(ctx context.Context) error {
-		_, err := Sweep(ctx, env, SweepV, []float64{1000, 2000, 4000, 8000, 16000, 32000})
+		_, err := Sweep(ctx, env, "proposed", SweepV, []float64{1000, 2000, 4000, 8000, 16000, 32000}, nil)
 		return err
 	})
 }
@@ -96,16 +96,16 @@ func TestPreCancelledEverywhere(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScheme(ctx, env, "proposed"); !errors.Is(err, context.Canceled) {
+	if _, err := RunScheme(ctx, env, "proposed", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunScheme: %v", err)
 	}
-	if _, err := Compare(ctx, env); !errors.Is(err, context.Canceled) {
+	if _, err := Compare(ctx, env, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Compare: %v", err)
 	}
-	if _, err := Sweep(ctx, env, SweepV, []float64{1000, 2000}); !errors.Is(err, context.Canceled) {
+	if _, err := Sweep(ctx, env, "proposed", SweepV, []float64{1000, 2000}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Sweep: %v", err)
 	}
-	if _, err := EquilibriumSweep(ctx, env, SweepV, []float64{1000}); !errors.Is(err, context.Canceled) {
+	if _, err := EquilibriumSweep(ctx, env, SweepV, []float64{1000}, nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("EquilibriumSweep: %v", err)
 	}
 	if _, err := BoundFidelity(ctx, env, 3, 1); !errors.Is(err, context.Canceled) {

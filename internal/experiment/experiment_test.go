@@ -137,7 +137,7 @@ func TestRunSchemeAndCompare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(context.Background(), env)
+	cmp, err := Compare(context.Background(), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestEquilibriumSweepTableV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000, 80000})
+	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000, 80000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +218,7 @@ func TestEquilibriumSweepBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := EquilibriumSweep(context.Background(), env, SweepB, []float64{100, 500, 2000})
+	points, err := EquilibriumSweep(context.Background(), env, SweepB, []float64{100, 500, 2000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestEquilibriumSweepCost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := EquilibriumSweep(context.Background(), env, SweepC, []float64{10, 20, 80})
+	points, err := EquilibriumSweep(context.Background(), env, SweepC, []float64{10, 20, 80}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func TestSweepWithTraining(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	points, err := Sweep(context.Background(), env, SweepV, []float64{1000, 8000})
+	points, err := Sweep(context.Background(), env, game.SchemeNameProposed, SweepV, []float64{1000, 8000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,19 +275,19 @@ func TestSweepErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := EquilibriumSweep(context.Background(), nil, SweepV, []float64{1}); err == nil {
+	if _, err := EquilibriumSweep(context.Background(), nil, SweepV, []float64{1}, nil); err == nil {
 		t.Fatal("expected nil env error")
 	}
-	if _, err := EquilibriumSweep(context.Background(), env, SweepV, nil); err == nil {
+	if _, err := EquilibriumSweep(context.Background(), env, SweepV, nil, nil); err == nil {
 		t.Fatal("expected empty sweep error")
 	}
-	if _, err := EquilibriumSweep(context.Background(), env, SweepKind(9), []float64{1}); err == nil {
+	if _, err := EquilibriumSweep(context.Background(), env, SweepKind(9), []float64{1}, nil); err == nil {
 		t.Fatal("expected unknown kind error")
 	}
-	if _, err := EquilibriumSweep(context.Background(), env, SweepC, []float64{0}); err == nil {
+	if _, err := EquilibriumSweep(context.Background(), env, SweepC, []float64{0}, nil); err == nil {
 		t.Fatal("expected non-positive cost error")
 	}
-	if _, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{-1}); err == nil {
+	if _, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{-1}, nil); err == nil {
 		t.Fatal("expected negative value error")
 	}
 }
@@ -300,7 +300,7 @@ func TestReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cmp, err := Compare(context.Background(), env)
+	cmp, err := Compare(context.Background(), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestReports(t *testing.T) {
 		}
 	}
 
-	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000})
+	points, err := EquilibriumSweep(context.Background(), env, SweepV, []float64{0, 4000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -147,8 +147,8 @@ type Leg struct {
 // calls engine.Run; RunScheme and the sweeps, the validation probes,
 // scenario.RunWith with its honest twin and cmd/flnode's coordinator build a
 // sampler and seeds and call it. Outside it on purpose: fl.Calibrate (a
-// layer below this package) and scenario.ReplayAggregate (the Lemma-1
-// oracle, which drives Dispatch by hand). Errors come back unwrapped.
+// layer below this package) and the scenario tests' Lemma-1 replay oracle,
+// which drives Dispatch by hand. Errors come back unwrapped.
 func Launch(ctx context.Context, env *Environment, leg Leg, cfg RunConfig) (*engine.RunResult, error) {
 	spec := engine.Spec{
 		Model:      env.Model,

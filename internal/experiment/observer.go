@@ -80,28 +80,6 @@ type ObserverFunc func(Event)
 // OnEvent implements Observer.
 func (f ObserverFunc) OnEvent(e Event) { f(e) }
 
-// combineObservers flattens a variadic observer list into one observer (nil
-// when empty, the sole element when singular), dropping nil entries.
-func combineObservers(obs []Observer) Observer {
-	var live []Observer
-	for _, o := range obs {
-		if o != nil {
-			live = append(live, o)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return ObserverFunc(func(e Event) {
-		for _, o := range live {
-			o.OnEvent(e)
-		}
-	})
-}
-
 // emit delivers e to obs when obs is non-nil.
 func emit(obs Observer, e Event) {
 	if obs != nil {

@@ -89,7 +89,7 @@ func TestObserverDeterministicOrder(t *testing.T) {
 		if _, err := Compare(context.Background(), env, rec); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Sweep(context.Background(), env, SweepV,
+		if _, err := Sweep(context.Background(), env, game.SchemeNameProposed, SweepV,
 			[]float64{1000, 2000, 4000, 8000}, rec); err != nil {
 			t.Fatal(err)
 		}
@@ -181,7 +181,7 @@ func TestThirdPartySchemeParticipates(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cmp, err := Compare(context.Background(), env)
+	cmp, err := Compare(context.Background(), env, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestThirdPartySchemeParticipates(t *testing.T) {
 	}
 
 	// The custom scheme drives a retraining sweep too.
-	points, err := SweepScheme(context.Background(), env, "const-test",
-		SweepB, []float64{20, 80})
+	points, err := Sweep(context.Background(), env, "const-test",
+		SweepB, []float64{20, 80}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,11 +216,11 @@ func TestThirdPartySchemeParticipates(t *testing.T) {
 	}
 
 	// Unknown names fail cleanly.
-	if _, err := RunScheme(context.Background(), env, "no-such-scheme"); err == nil {
+	if _, err := RunScheme(context.Background(), env, "no-such-scheme", nil); err == nil {
 		t.Fatal("expected unknown-scheme error")
 	}
-	if _, err := SweepScheme(context.Background(), env, "no-such-scheme",
-		SweepB, []float64{20}); err == nil {
+	if _, err := Sweep(context.Background(), env, "no-such-scheme",
+		SweepB, []float64{20}, nil); err == nil {
 		t.Fatal("expected unknown-scheme error")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
@@ -62,7 +63,7 @@ func ConvergenceRate(ctx context.Context, env *Environment, horizons []int, seed
 		res, err := Launch(ctx, env, Leg{
 			Rounds:    r,
 			EvalEvery: r, // final evaluation only
-			Schedule:  fl.TheoremDecay{L: env.Cal.L, Mu: env.Cal.Mu, E: env.Opts.LocalSteps},
+			Schedule:  engine.TheoremDecay{L: env.Cal.L, Mu: env.Cal.Mu, E: env.Opts.LocalSteps},
 			Seed:      seed,
 			Sampler:   sampler,
 		}, env.Run.execution())

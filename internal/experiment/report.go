@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-	"time"
 )
 
 // WriteComparisonReport renders a Fig.-4-style report for one setup: the
@@ -121,11 +120,6 @@ func WriteSeriesCSV(w io.Writer, s *SchemeRun) error {
 		}
 	}
 	return nil
-}
-
-// FormatDuration renders a duration in the paper's style (whole seconds).
-func FormatDuration(d time.Duration) string {
-	return fmt.Sprintf("%.0f s", d.Seconds())
 }
 
 // Banner renders a section separator for CLI output.

@@ -36,9 +36,9 @@ type SchemeRun struct {
 // RunScheme prices the environment's market with the named scheme (resolved
 // through the pricing registry), trains the model Opts.Runs times with the
 // induced participation levels, and averages the trajectories. Cancelling
-// ctx aborts promptly with ctx.Err(). Observers receive SchemeSolved, then
-// per-round RoundStart/RoundEnd streams, then SchemeDone.
-func RunScheme(ctx context.Context, env *Environment, scheme string, obs ...Observer) (*SchemeRun, error) {
+// ctx aborts promptly with ctx.Err(). A non-nil obs receives SchemeSolved,
+// then per-round RoundStart/RoundEnd streams, then SchemeDone.
+func RunScheme(ctx context.Context, env *Environment, scheme string, obs Observer) (*SchemeRun, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -49,7 +49,7 @@ func RunScheme(ctx context.Context, env *Environment, scheme string, obs ...Obse
 	if err != nil {
 		return nil, err
 	}
-	return runRegistered(ctx, env, ps, combineObservers(obs))
+	return runRegistered(ctx, env, ps, obs)
 }
 
 // runRegistered solves and trains one resolved scheme. Pricing flows
@@ -57,7 +57,7 @@ func RunScheme(ctx context.Context, env *Environment, scheme string, obs ...Obse
 // on the same environment (repeated Compare calls, RunScheme after
 // Compare) prices once.
 func runRegistered(ctx context.Context, env *Environment, ps game.PricingScheme, obs Observer) (*SchemeRun, error) {
-	outcome, err := env.priceScheme(ps, env.Params)
+	outcome, err := env.Price(ps, env.Params)
 	if err != nil {
 		return nil, fmt.Errorf("%v pricing: %w", ps.Name(), err)
 	}
@@ -122,14 +122,14 @@ func runPricedParallel(
 			}
 			return nil, fmt.Errorf("%v run %d: %w", scheme, run, err)
 		}
-		timed, err := sim.Timestamp(res, env.Timing, env.Opts.LocalSteps)
+		timed, err := env.Timing.Timeline(res.History, env.Opts.LocalSteps)
 		if err != nil {
 			return nil, fmt.Errorf("%v run %d: %w", scheme, run, err)
 		}
-		ts := make([]float64, len(timed.Points))
-		ls := make([]float64, len(timed.Points))
-		as := make([]float64, len(timed.Points))
-		for i, pt := range timed.Points {
+		ts := make([]float64, len(timed))
+		ls := make([]float64, len(timed))
+		as := make([]float64, len(timed))
+		for i, pt := range timed {
 			ts[i] = pt.Elapsed.Seconds()
 			ls[i] = pt.Loss
 			as[i] = pt.Accuracy
@@ -223,14 +223,13 @@ type Comparison struct {
 // Compare runs every pricing scheme in the registry on env — the paper's
 // built-in trio plus any scheme added via game.RegisterScheme. Cancelling
 // ctx aborts promptly with ctx.Err().
-func Compare(ctx context.Context, env *Environment, obs ...Observer) (*Comparison, error) {
+func Compare(ctx context.Context, env *Environment, obs Observer) (*Comparison, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	if env == nil {
 		return nil, errors.New("experiment: nil environment")
 	}
-	o := combineObservers(obs)
 	names := game.SchemeNames()
 	out := &Comparison{Env: env, Schemes: make([]*SchemeRun, 0, len(names))}
 	for _, name := range names {
@@ -242,7 +241,7 @@ func Compare(ctx context.Context, env *Environment, obs ...Observer) (*Compariso
 			// Unregistered between listing and lookup; skip rather than fail.
 			continue
 		}
-		run, err := runRegistered(ctx, env, ps, o)
+		run, err := runRegistered(ctx, env, ps, obs)
 		if err != nil {
 			return nil, err
 		}

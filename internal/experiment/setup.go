@@ -166,9 +166,9 @@ type Environment struct {
 	MeanC, MeanV float64
 	// Cache memoizes equilibrium solves and scheme pricings on this
 	// environment's games, so repeated queries (the same scheme re-priced
-	// inside Compare, repeated Session.Equilibrium calls, adaptive
-	// repricing epochs with unchanged estimates) solve once. Nil disables
-	// memoization.
+	// inside Compare, repeated Session.Equilibrium calls, a scenario's
+	// truthful and reported pricings of an honest fleet) solve once. Nil
+	// disables memoization.
 	Cache *game.Cache
 	// Run is how every training run launched from this environment executes
 	// (see RunConfig): backend, cluster knobs, group size, and — with
@@ -192,9 +192,9 @@ func (e *Environment) Equilibrium() (*game.Equilibrium, error) {
 	return e.Cache.Solve(e.Params)
 }
 
-// priceScheme prices params under ps through the environment's memo-cache
-// when one is attached.
-func (e *Environment) priceScheme(ps game.PricingScheme, params *game.Params) (*game.Outcome, error) {
+// Price prices params under ps through the environment's memo-cache when
+// one is attached.
+func (e *Environment) Price(ps game.PricingScheme, params *game.Params) (*game.Outcome, error) {
 	if e.Cache == nil {
 		return ps.Price(params)
 	}

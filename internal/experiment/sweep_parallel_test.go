@@ -43,7 +43,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	}
 
 	// The public entry point must agree with both.
-	pub, err := Sweep(context.Background(), env, SweepV, values)
+	pub, err := Sweep(context.Background(), env, game.SchemeNameProposed, SweepV, values, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -50,31 +50,24 @@ func (k SweepKind) String() string {
 	}
 }
 
-// Sweep reruns the proposed mechanism across values of one parameter on a
-// prepared environment, retraining the model at each point — the paper's
-// Figs. 5–7 configuration. See SweepScheme for the general registry-driven
-// form.
-func Sweep(ctx context.Context, env *Environment, kind SweepKind, values []float64, obs ...Observer) ([]SweepPoint, error) {
-	return SweepScheme(ctx, env, game.SchemeNameProposed, kind, values, obs...)
-}
-
-// SweepScheme is Sweep under any registered pricing scheme: it reruns the
-// named mechanism (with retraining) at each value. α stays at the
-// environment's calibrated value throughout, as in the paper. Points are
+// Sweep reruns the named registered pricing scheme across values of one
+// parameter on a prepared environment, retraining the model at each point —
+// the paper's Figs. 5–7 configuration under the proposed scheme. α stays at
+// the environment's calibrated value throughout, as in the paper. Points are
 // independent — each owns its perturbed game, seeds, and runners over the
 // shared read-only environment — so they execute concurrently across
 // GOMAXPROCS workers; the returned order and values match a sequential run
-// exactly, and observers see SweepPointDone events in ascending index
+// exactly, and a non-nil obs sees SweepPointDone events in ascending index
 // order. Cancelling ctx aborts promptly with ctx.Err() and no leaked
 // workers.
-func SweepScheme(
+func Sweep(
 	ctx context.Context, env *Environment, scheme string, kind SweepKind,
-	values []float64, obs ...Observer,
+	values []float64, obs Observer,
 ) ([]SweepPoint, error) {
-	return sweepParallel(ctx, env, scheme, kind, values, runtime.GOMAXPROCS(0), combineObservers(obs))
+	return sweepParallel(ctx, env, scheme, kind, values, runtime.GOMAXPROCS(0), obs)
 }
 
-// sweepParallel is SweepScheme with an explicit worker count (1 = sequential).
+// sweepParallel is Sweep with an explicit worker count (1 = sequential).
 func sweepParallel(
 	ctx context.Context, env *Environment, scheme string, kind SweepKind,
 	values []float64, workers int, obs Observer,
@@ -176,7 +169,7 @@ func sweepPoint(
 	if err != nil {
 		return SweepPoint{}, err
 	}
-	outcome, err := env.priceScheme(ps, params)
+	outcome, err := env.Price(ps, params)
 	if err != nil {
 		return SweepPoint{}, fmt.Errorf("%v=%v: %w", kind, val, err)
 	}
@@ -215,10 +208,10 @@ func sweepPoint(
 // Table V needs and is orders of magnitude faster. The points are
 // batch-solved through the equilibrium engine (game.SolveMany): a
 // fixed-order worker pool with per-worker scratch and warm-started
-// multiplier brackets, bit-identical to solving each point cold. Observers
-// receive SweepPointDone events in ascending index order.
+// multiplier brackets, bit-identical to solving each point cold. A non-nil
+// obs receives SweepPointDone events in ascending index order.
 func EquilibriumSweep(
-	ctx context.Context, env *Environment, kind SweepKind, values []float64, obs ...Observer,
+	ctx context.Context, env *Environment, kind SweepKind, values []float64, obs Observer,
 ) ([]SweepPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -229,7 +222,6 @@ func EquilibriumSweep(
 	if len(values) == 0 {
 		return nil, errors.New("experiment: empty sweep")
 	}
-	o := combineObservers(obs)
 	games := make([]*game.Params, len(values))
 	for i, val := range values {
 		params, err := perturbedParams(env, kind, val)
@@ -273,7 +265,7 @@ func EquilibriumSweep(
 				NegativePayments: eq.NegativePayments(),
 			}
 			out = append(out, p)
-			emit(o, SweepPointDone{Kind: kind, Index: i, Value: values[i], Point: p})
+			emit(obs, SweepPointDone{Kind: kind, Index: i, Value: values[i], Point: p})
 		}
 	}
 	return out, nil

@@ -14,26 +14,18 @@ import (
 	"unbiasedfl/internal/engine"
 )
 
-// Schedule produces the learning rate for a given round. It is the engine's
-// schedule seam re-exported for compatibility, as are the two concrete
-// schedules below.
-type Schedule = engine.Schedule
-
-// ExpDecay is the experimental schedule from Section VI: η_r = Eta0·Decay^r.
+// ExpDecay is the experimental schedule from Section VI: η_r = Eta0·Decay^r
+// (engine.ExpDecay, named here for the calibration configs built beside it).
 type ExpDecay = engine.ExpDecay
-
-// TheoremDecay is the analytical schedule from Theorem 1:
-// η_r = 2 / (max{8L, μE} + μr).
-type TheoremDecay = engine.TheoremDecay
 
 // Config holds the training-loop hyperparameters shared by all setups.
 type Config struct {
-	Rounds     int      // R
-	LocalSteps int      // E local SGD iterations per round
-	BatchSize  int      // SGD mini-batch size (paper: 24)
-	Schedule   Schedule // learning-rate schedule
-	EvalEvery  int      // evaluate global loss/accuracy every this many rounds
-	Seed       uint64   // run seed; every client derives a private stream
+	Rounds     int             // R
+	LocalSteps int             // E local SGD iterations per round
+	BatchSize  int             // SGD mini-batch size (paper: 24)
+	Schedule   engine.Schedule // learning-rate schedule
+	EvalEvery  int             // evaluate global loss/accuracy every this many rounds
+	Seed       uint64          // run seed; every client derives a private stream
 }
 
 // Validate checks the configuration.

@@ -67,7 +67,7 @@ func TestSchedules(t *testing.T) {
 	if exp.LR(10) >= exp.LR(0) {
 		t.Fatal("exp decay not decreasing")
 	}
-	thm := TheoremDecay{L: 10, Mu: 0.1, E: 100}
+	thm := engine.TheoremDecay{L: 10, Mu: 0.1, E: 100}
 	if thm.LR(100) >= thm.LR(0) {
 		t.Fatal("theorem decay not decreasing")
 	}

@@ -87,14 +87,14 @@ func TestClusterFaultedThreeNode(t *testing.T) {
 		{Client: 1, Kind: FaultFlaky, Availability: 0.5},
 		{Client: 2, Kind: FaultDropout, Round: 2},
 	})
-	cluster, err := RunCluster(context.Background(), sc, ClusterConfig{
+	cluster, err := RunWith(context.Background(), sc, RunConfig{Backend: BackendCluster, Cluster: ClusterConfig{
 		Timeout:       20 * time.Second,
 		StragglerUnit: time.Millisecond,
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	local, err := Run(context.Background(), sc)
+	local, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +132,10 @@ func TestClusterHonorsCancellation(t *testing.T) {
 	sc.Rounds = 50
 	done := make(chan error, 1)
 	go func() {
-		_, err := RunCluster(ctx, sc, ClusterConfig{
+		_, err := RunWith(ctx, sc, RunConfig{Backend: BackendCluster, Cluster: ClusterConfig{
 			Timeout:       20 * time.Second,
 			StragglerUnit: 20 * time.Millisecond,
-		})
+		}})
 		done <- err
 	}()
 	time.Sleep(150 * time.Millisecond)

@@ -35,34 +35,18 @@ type (
 	CheckpointConfig = experiment.CheckpointConfig
 )
 
-// Run compiles the scenario and executes it in-process through the full
-// pipeline — data generation, bound calibration, game assembly, pricing via
-// the scheme registry, fault-composed participation sampling, the engine's
-// local backend, and the sim timing model — returning the canonical Trace.
-// Everything derives from Scenario.Seed: two Runs of the same scenario are
-// bit-identical, for any GOMAXPROCS. Cancelling ctx aborts promptly with
-// ctx.Err().
-func Run(ctx context.Context, sc Scenario) (*Trace, error) {
-	return RunWith(ctx, sc, RunConfig{})
-}
-
-// RunCluster executes the scenario as a real multi-node federation — the
-// engine's cluster backend boots a TCP coordinator plus one socket node per
-// device on loopback — and returns the same canonical Trace as Run,
-// byte-identical to the in-process result. Participation (including
-// dropouts and flaky availability) is decided by the orchestrator's
-// fault-composed sampler exactly as in-process; straggler factors
-// additionally stall the affected nodes for real wall-clock time at the
-// socket layer. All goroutines and sockets are torn down before RunCluster
-// returns.
-func RunCluster(ctx context.Context, sc Scenario, cfg ClusterConfig) (*Trace, error) {
-	return RunWith(ctx, sc, RunConfig{Backend: BackendCluster, Cluster: cfg})
-}
-
-// RunWith is the single scenario entry point behind Run and RunCluster: it
-// compiles the scenario into its priced world and one training leg, hands
-// the leg to experiment.Launch under cfg, and folds the run into the
-// canonical Trace. The trace is byte-identical for every backend.
+// RunWith is the one scenario entry point: it compiles the scenario into its
+// priced world — data generation, bound calibration, game assembly, pricing
+// via the scheme registry — and one training leg with its fault-composed
+// participation sampler, hands the leg to experiment.Launch under cfg, and
+// folds the run and the sim timing model into the canonical Trace.
+// Everything derives from Scenario.Seed: the trace is byte-identical for
+// every backend, group size and GOMAXPROCS. On the cluster backend
+// participation (dropouts and flaky availability included) is still decided
+// by the orchestrator's sampler; straggler factors additionally stall the
+// affected nodes for real wall-clock time at the socket layer, and every
+// goroutine and socket is torn down before RunWith returns. Cancelling ctx
+// aborts promptly with ctx.Err().
 func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -248,13 +232,13 @@ func prepare(ctx context.Context, sc Scenario) (*world, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q: %w", sc.Name, err)
 	}
-	truthful, err := priceThrough(env, ps, env.Params)
+	truthful, err := env.Price(ps, env.Params)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %q pricing: %w", sc.Name, err)
 	}
 	outcome := truthful
 	if pricing != env.Params {
-		if outcome, err = priceThrough(env, ps, pricing); err != nil {
+		if outcome, err = env.Price(ps, pricing); err != nil {
 			return nil, fmt.Errorf("scenario %q misreported pricing: %w", sc.Name, err)
 		}
 	}
@@ -267,15 +251,6 @@ func prepare(ctx context.Context, sc Scenario) (*world, error) {
 		sch:      compileSchedule(sc.Clients, sc.Faults),
 		adv:      adv,
 	}, nil
-}
-
-// priceThrough resolves the outcome through the environment's memo-cache
-// when one is attached.
-func priceThrough(env *experiment.Environment, ps game.PricingScheme, params *game.Params) (*game.Outcome, error) {
-	if env.Cache != nil {
-		return env.Cache.Price(ps, params)
-	}
-	return ps.Price(params)
 }
 
 // applyEconomics rescales the generated cost/valuation draws and the budget

@@ -99,54 +99,20 @@ func honestFaults(faults []ClientFault) []ClientFault {
 }
 
 // compileMembership lowers the join/leave faults into the engine's
-// round-boundary membership plan: the initial roster is the fleet minus the
-// joiners, and one epoch event per distinct round carries that round's joins
-// and leaves (clients in ascending order, so the plan — and everything
-// downstream of it — is deterministic in the fault list's order). Returns
-// nil when the schedule has no membership faults, so a fixed-roster scenario
-// pays nothing for the elasticity machinery and its trace is unchanged.
+// round-boundary membership plan (engine.NewMembershipPlan: the plan does
+// not depend on the fault list's order). Returns nil when the schedule
+// has no membership faults, so a fixed-roster scenario pays nothing for the
+// elasticity machinery and its trace is unchanged. Validate has range-checked
+// every fault before any caller gets here.
 func compileMembership(numClients int, faults []ClientFault) *engine.MembershipPlan {
-	joins := map[int][]int{}
-	leaves := map[int][]int{}
-	joiner := make([]bool, numClients)
+	var joins, leaves []engine.MembershipChange
 	for _, f := range faults {
-		if f.Client < 0 || f.Client >= numClients {
-			continue // Validate reports the range error with context
-		}
 		switch f.Kind {
 		case FaultJoin:
-			joins[f.Round] = append(joins[f.Round], f.Client)
-			joiner[f.Client] = true
+			joins = append(joins, engine.MembershipChange{Client: f.Client, Round: f.Round})
 		case FaultLeave:
-			leaves[f.Round] = append(leaves[f.Round], f.Client)
+			leaves = append(leaves, engine.MembershipChange{Client: f.Client, Round: f.Round})
 		}
 	}
-	if len(joins) == 0 && len(leaves) == 0 {
-		return nil
-	}
-	roundSet := make(map[int]bool, len(joins)+len(leaves))
-	for r := range joins {
-		roundSet[r] = true
-	}
-	for r := range leaves {
-		roundSet[r] = true
-	}
-	rounds := make([]int, 0, len(roundSet))
-	for r := range roundSet {
-		rounds = append(rounds, r)
-	}
-	sort.Ints(rounds)
-	plan := &engine.MembershipPlan{}
-	for n := 0; n < numClients; n++ {
-		if !joiner[n] {
-			plan.Initial = append(plan.Initial, n)
-		}
-	}
-	for _, r := range rounds {
-		ev := engine.MembershipEvent{Round: r, Join: joins[r], Leave: leaves[r]}
-		sort.Ints(ev.Join)
-		sort.Ints(ev.Leave)
-		plan.Events = append(plan.Events, ev)
-	}
-	return plan
+	return engine.NewMembershipPlan(numClients, joins, leaves)
 }

@@ -25,7 +25,7 @@ func TestGroupSizeExecutionOnly(t *testing.T) {
 		Rounds: 5, LocalSteps: 2, BatchSize: 6,
 		Seed: 91,
 	}
-	flat, err := Run(context.Background(), sc)
+	flat, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFleetShardsScenario(t *testing.T) {
 	if err := sc.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	flat, err := Run(context.Background(), sc)
+	flat, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestHierarchicalFlatProperty(t *testing.T) {
 	for i := 0; i < worlds; i++ {
 		t.Run(fmt.Sprintf("world-%03d", i), func(t *testing.T) {
 			sc := GenerateWith(genSeed(5000+i), GenOptions{MaxClients: 9, MaxRounds: 12})
-			flat, err := Run(ctx, sc)
+			flat, err := RunWith(ctx, sc, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}

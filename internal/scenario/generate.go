@@ -191,3 +191,12 @@ func GenerateWith(seed []byte, opts GenOptions) Scenario {
 	}
 	return sc
 }
+
+// splitmix is one splitmix64 scramble step — the same finalizer the stats
+// package seeds with, reused to fold seed words into the generator state.
+func splitmix(x uint64) uint64 {
+	x += 0x9E3779B97F4A7C15
+	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
+	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
+	return x ^ (x >> 31)
+}

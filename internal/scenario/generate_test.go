@@ -246,11 +246,11 @@ func TestGeneratedFaultFreeTwinRelation(t *testing.T) {
 			}
 			twin := sc
 			twin.Faults = nil
-			got, err := Run(ctx, sc)
+			got, err := RunWith(ctx, sc, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := Run(ctx, twin)
+			want, err := RunWith(ctx, twin, RunConfig{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -272,7 +272,7 @@ func TestGeneratedFaultFreeTwinRelation(t *testing.T) {
 func traceAtParallelism(t *testing.T, ctx context.Context, sc Scenario, procs int) []byte {
 	t.Helper()
 	prev := runtime.GOMAXPROCS(procs)
-	trace, err := Run(ctx, sc)
+	trace, err := RunWith(ctx, sc, RunConfig{})
 	runtime.GOMAXPROCS(prev)
 	if err != nil {
 		t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
@@ -311,7 +311,7 @@ func TestGeneratedBackendEquality(t *testing.T) {
 	ctx := context.Background()
 	for i := 0; i < 2; i++ {
 		sc := GenerateWith(genSeed(4000+i), GenOptions{MaxClients: 5, MaxRounds: 8})
-		local, err := Run(ctx, sc)
+		local, err := RunWith(ctx, sc, RunConfig{})
 		if err != nil {
 			t.Fatalf("world %d local: %v", i, err)
 		}

@@ -12,16 +12,17 @@
 // repository takes — under an experiment.RunConfig (aliased here), which
 // selects the backend:
 //
-//   - Run executes in-process on engine.LocalBackend with the sim timing
-//     model, producing a bit-reproducible Trace for the golden-trace
-//     regression suite (testdata/golden). Replays are bit-identical for any
-//     GOMAXPROCS because every layer underneath (kernels, worker pool,
-//     equilibrium engine) is order-fixed by construction.
-//   - RunCluster executes on engine.ClusterBackend — a TCP coordinator plus
-//     one engine.ServeNode socket node per device over loopback — and stalls
-//     stragglers for real wall-clock time at the socket layer; the Trace is
-//     byte-identical to Run's. It is the standing multi-node integration
-//     harness.
+//   - the zero RunConfig executes in-process on engine.LocalBackend with the
+//     sim timing model, producing a bit-reproducible Trace for the
+//     golden-trace regression suite (testdata/golden). Replays are
+//     bit-identical for any GOMAXPROCS because every layer underneath
+//     (kernels, worker pool, equilibrium engine) is order-fixed by
+//     construction.
+//   - BackendCluster executes on engine.ClusterBackend — a TCP coordinator
+//     plus one engine.ServeNode socket node per device over loopback — and
+//     stalls stragglers for real wall-clock time at the socket layer; the
+//     Trace is byte-identical to the in-process one. It is the standing
+//     multi-node integration harness.
 //
 // The named library (Names, ByName) covers the regimes the paper's claims
 // must survive: clean baselines, straggler-heavy fleets, churn, adversarial

@@ -3,6 +3,7 @@ package scenario
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"runtime"
 	"strings"
@@ -27,7 +28,7 @@ func TestGoldenTraces(t *testing.T) {
 			traces := make(map[int][]byte, 2)
 			for _, procs := range []int{1, 4} {
 				prev := runtime.GOMAXPROCS(procs)
-				trace, err := Run(context.Background(), sc)
+				trace, err := RunWith(context.Background(), sc, RunConfig{})
 				runtime.GOMAXPROCS(prev)
 				if err != nil {
 					t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
@@ -53,7 +54,7 @@ func TestTraceRoundTripsThroughJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := Run(context.Background(), sc)
+	trace, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +62,8 @@ func TestTraceRoundTripsThroughJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ParseTrace(b)
-	if err != nil {
+	var back Trace
+	if err := json.Unmarshal(b, &back); err != nil {
 		t.Fatal(err)
 	}
 	b2, err := back.Canonical()
@@ -86,11 +87,11 @@ func TestStragglersStretchTimeNotParticipation(t *testing.T) {
 	clean := faulted
 	clean.Faults = nil
 
-	ft, err := Run(context.Background(), faulted)
+	ft, err := RunWith(context.Background(), faulted, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ct, err := Run(context.Background(), clean)
+	ct, err := RunWith(context.Background(), clean, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +118,7 @@ func TestDropoutSilencesClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := Run(context.Background(), sc)
+	trace, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +143,7 @@ func TestDropoutSilencesClient(t *testing.T) {
 	// dropped clients (they had q near qmax in this scenario).
 	clean := sc
 	clean.Faults = nil
-	ct, err := Run(context.Background(), clean)
+	ct, err := RunWith(context.Background(), clean, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +163,13 @@ func TestChurnDepressesEmpiricalQ(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace, err := Run(context.Background(), sc)
+	trace, err := RunWith(context.Background(), sc, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clean := sc
 	clean.Faults = nil
-	ct, err := Run(context.Background(), clean)
+	ct, err := RunWith(context.Background(), clean, RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -140,12 +140,3 @@ func (t *Trace) Canonical() ([]byte, error) {
 	}
 	return buf.Bytes(), nil
 }
-
-// ParseTrace decodes a canonical trace, e.g. a committed golden file.
-func ParseTrace(b []byte) (*Trace, error) {
-	var t Trace
-	if err := json.Unmarshal(b, &t); err != nil {
-		return nil, fmt.Errorf("scenario: decode trace: %w", err)
-	}
-	return &t, nil
-}

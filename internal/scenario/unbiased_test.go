@@ -93,14 +93,16 @@ type Replay struct {
 	Samples [][]float64
 }
 
-// ReplayAggregate compiles the scenario's world once, computes every active
-// client's round-Round model delta exactly once, and then replays the round's
-// participation sampling Reps times on fresh coin streams, aggregating the
-// fixed deltas under the rule under test. Because the deltas are fixed, the
-// sample mean of each probe projection converges on the estimator's true
-// expectation — which the unbiasedness theorem pins at TargetProj — and a
-// z-test against it becomes a direct falsification attempt on Lemma 1 for
-// this scenario's exact fault and membership schedule.
+// ReplayAggregate is the Lemma-1 oracle the property and fuzz tests judge the
+// engine by; it lives with them, since nothing else runs it. It compiles the
+// scenario's world once, computes every active client's round-Round model
+// delta exactly once, and then replays the round's participation sampling
+// Reps times on fresh coin streams, aggregating the fixed deltas under the
+// rule under test. Because the deltas are fixed, the sample mean of each
+// probe projection converges on the estimator's true expectation — which the
+// unbiasedness theorem pins at TargetProj — and a z-test against it becomes a
+// direct falsification attempt on Lemma 1 for this scenario's exact fault
+// and membership schedule.
 func ReplayAggregate(ctx context.Context, sc Scenario, cfg ReplayConfig) (*Replay, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -311,13 +313,4 @@ func ReplayAggregate(ctx context.Context, sc Scenario, cfg ReplayConfig) (*Repla
 func mustDot(v, u tensor.Vec) float64 {
 	s, _ := tensor.Dot(v, u)
 	return s
-}
-
-// splitmix is one splitmix64 scramble step — the same finalizer the stats
-// package seeds with, reused to derive well-separated per-rep stream seeds.
-func splitmix(x uint64) uint64 {
-	x += 0x9E3779B97F4A7C15
-	x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9
-	x = (x ^ (x >> 27)) * 0x94D049BB133111EB
-	return x ^ (x >> 31)
 }

@@ -573,7 +573,7 @@ func (s *Server) runScenarioSession(sess *serveSession) ([]byte, error) {
 	}
 	cfg := sess.runConfig()
 	cfg.Events = sess.observer(s.metrics)
-	trace, err := scenario.RunWith(sess.ctx, sc, cfg)
+	trace, err := unbiasedfl.RunScenarioWith(sess.ctx, sc, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -581,8 +581,9 @@ func (s *Server) runScenarioSession(sess *serveSession) ([]byte, error) {
 }
 
 // runSchemeSession drives a setup+scheme training run through the public
-// Session facade — the same path library callers take — so the daemon
-// exercises the facade's ID/Close seam rather than bypassing it.
+// Session facade — the same path library callers take, as scenario sessions
+// take RunScenarioWith — so the daemon exercises the facade's ID/Close seam
+// rather than bypassing it.
 func (s *Server) runSchemeSession(sess *serveSession) ([]byte, error) {
 	run := sess.req.Run
 	scheme := run.Scheme

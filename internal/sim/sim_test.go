@@ -116,11 +116,10 @@ func TestTimelineAlignment(t *testing.T) {
 		ServerOverhead: time.Millisecond,
 	}
 	history := []engine.RoundMetrics{
-		{Round: 0, Evaluated: false},
-		{Round: 1, Evaluated: true, GlobalLoss: 0.7, TestAccuracy: 0.5},
+		{Round: 0, Evaluated: false, ParticipantIDs: []int{0}},
+		{Round: 1, Evaluated: true, GlobalLoss: 0.7, TestAccuracy: 0.5, ParticipantIDs: []int{0}},
 	}
-	parts := [][]int{{0}, {0}}
-	points, err := tm.Timeline(history, parts, 5)
+	points, err := tm.Timeline(history, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,8 +130,9 @@ func TestTimelineAlignment(t *testing.T) {
 	if points[0].Elapsed != 32*time.Millisecond {
 		t.Fatalf("elapsed %v", points[0].Elapsed)
 	}
-	if _, err := tm.Timeline(history, parts[:1], 5); err == nil {
-		t.Fatal("expected alignment error")
+	history[1].ParticipantIDs = []int{1}
+	if _, err := tm.Timeline(history, 5); err == nil {
+		t.Fatal("expected an error for a participant outside the timing model")
 	}
 }
 
@@ -177,34 +177,36 @@ func TestTimedRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Timestamp(run, tm, spec.LocalSteps)
+	points, err := tm.Timeline(run.History, spec.LocalSteps)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Points) == 0 {
+	if len(points) == 0 {
 		t.Fatal("no timed points")
 	}
-	if res.Total <= 0 {
-		t.Fatalf("total %v", res.Total)
+	var total time.Duration
+	for _, m := range run.History {
+		d, err := tm.RoundDuration(m.ParticipantIDs, spec.LocalSteps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += d
 	}
 	prev := time.Duration(0)
-	for _, pt := range res.Points {
+	for _, pt := range points {
 		if pt.Elapsed <= prev {
 			t.Fatal("timeline not strictly increasing")
 		}
 		prev = pt.Elapsed
 	}
-	if res.Points[len(res.Points)-1].Elapsed > res.Total {
+	if points[len(points)-1].Elapsed > total {
 		t.Fatal("last point beyond total duration")
-	}
-	if _, err := Timestamp(run, nil, spec.LocalSteps); err == nil {
-		t.Fatal("expected nil timing model error")
 	}
 	small, err := HeterogeneousTimings(stats.NewRNG(5), DefaultTimingConfig(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Timestamp(run, small, spec.LocalSteps); err == nil {
+	if _, err := small.Timeline(run.History, spec.LocalSteps); err == nil {
 		t.Fatal("expected an error for a timing model smaller than the fleet")
 	}
 }

@@ -134,16 +134,14 @@ type TimedPoint struct {
 	Accuracy float64
 }
 
-// Timeline converts an fl training history into wall-clock-stamped points
-// using the timing model. participantsPerRound must align with the history.
-func (t *TimingModel) Timeline(history []engine.RoundMetrics, participants [][]int, localSteps int) ([]TimedPoint, error) {
-	if len(history) != len(participants) {
-		return nil, errors.New("sim: history and participants lengths differ")
-	}
+// Timeline stamps a finished run's evaluated rounds with simulated
+// wall-clock time since training start: each round lasts RoundDuration of
+// its participants.
+func (t *TimingModel) Timeline(history []engine.RoundMetrics, localSteps int) ([]TimedPoint, error) {
 	var clock time.Duration
 	var out []TimedPoint
-	for i, m := range history {
-		d, err := t.RoundDuration(participants[i], localSteps)
+	for _, m := range history {
+		d, err := t.RoundDuration(m.ParticipantIDs, localSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -6,8 +6,7 @@ import (
 
 // Streaming-observer types: typed progress events delivered serially and in
 // deterministic order while a Session method is in flight. Attach an
-// observer with WithObserver (or pass one to the package-level functions'
-// variadic observer parameter where available).
+// observer with WithObserver.
 type (
 	// Event is any typed progress notification; switch on the concrete
 	// types below.

@@ -37,13 +37,6 @@ type (
 	// TraceAdversary records a scenario's adversarial roster and the
 	// equilibrium/accuracy degradation against truthful counterfactuals.
 	TraceAdversary = scenario.TraceAdversary
-	// GenOptions bounds the worlds GenerateScenario draws.
-	GenOptions = scenario.GenOptions
-	// Replay is the evidence ReplayScenarioAggregate collects for the
-	// metamorphic unbiasedness check.
-	Replay = scenario.Replay
-	// ReplayConfig tunes the metamorphic unbiasedness replay.
-	ReplayConfig = scenario.ReplayConfig
 	// MembershipPlan schedules mid-run membership churn for a session: an
 	// initial roster plus join/leave events at round boundaries. Pass it to
 	// WithMembership. Scenario runs express churn as FaultJoin/FaultLeave
@@ -91,35 +84,20 @@ const (
 	FaultPoison = scenario.FaultPoison
 )
 
-// RunScenario compiles and executes the scenario through the full data →
-// calibration → game → pricing → training pipeline on the in-process
-// backend and returns its canonical trace. Replays of the same scenario are
-// bit-identical for any GOMAXPROCS; cancelling ctx aborts promptly with
-// ctx.Err().
-func RunScenario(ctx context.Context, sc Scenario) (*Trace, error) {
-	return scenario.Run(ctx, sc)
-}
-
-// RunScenarioWith is the single scenario entry point behind RunScenario and
-// RunScenarioCluster: the same orchestrated run, pointed at the execution
-// backend the config selects. The trace is byte-identical across backends.
+// RunScenarioWith is the one scenario entry point: it compiles the scenario
+// and executes it through the full data → calibration → game → pricing →
+// training pipeline on the execution backend cfg selects (the zero
+// RunConfig is the in-process backend; BackendCluster is a TCP coordinator
+// plus one socket node per device on loopback), returning its canonical
+// trace. The trace is byte-identical across backends, group sizes, an
+// interrupted and resumed run, and any GOMAXPROCS; cancelling ctx aborts
+// promptly with ctx.Err().
 func RunScenarioWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	return scenario.RunWith(ctx, sc, cfg)
 }
 
-// RunScenarioCluster executes the scenario as a real multi-node federation —
-// a TCP coordinator plus one socket node per device on loopback — and
-// returns the same canonical *Trace as RunScenario, byte-identical to the
-// in-process result. (Before the unified engine it returned a separate
-// ClusterResult shape; the trace now is the cross-backend contract.)
-func RunScenarioCluster(ctx context.Context, sc Scenario, cfg ClusterConfig) (*Trace, error) {
-	return scenario.RunCluster(ctx, sc, cfg)
-}
-
-// ScenarioNames lists the named scenario library in canonical order.
-func ScenarioNames() []string { return scenario.Names() }
-
-// Scenarios returns a fresh copy of every library scenario.
+// Scenarios returns a fresh copy of every library scenario, in canonical
+// order.
 func Scenarios() []Scenario { return scenario.All() }
 
 // ScenarioByName fetches a library scenario, e.g. "baseline" or
@@ -128,18 +106,5 @@ func ScenarioByName(name string) (Scenario, error) { return scenario.ByName(name
 
 // GenerateScenario derives a valid scenario from an arbitrary byte seed with
 // the default bounds — the property-based generation entry point. The same
-// seed always yields the same world; see GenerateScenarioWith for bounds.
+// seed always yields the same world.
 func GenerateScenario(seed []byte) Scenario { return scenario.Generate(seed) }
-
-// GenerateScenarioWith is GenerateScenario under explicit bounds.
-func GenerateScenarioWith(seed []byte, opts GenOptions) Scenario {
-	return scenario.GenerateWith(seed, opts)
-}
-
-// ReplayScenarioAggregate replays one round's participation sampling many
-// times on fresh coin streams and returns the evidence for the metamorphic
-// unbiasedness check: sampled aggregate projections next to Lemma 1's
-// analytic expectation.
-func ReplayScenarioAggregate(ctx context.Context, sc Scenario, cfg ReplayConfig) (*Replay, error) {
-	return scenario.ReplayAggregate(ctx, sc, cfg)
-}

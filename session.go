@@ -57,13 +57,9 @@ type sessionConfig struct {
 type Option func(*sessionConfig)
 
 // WithBaseOptions replaces the whole experiment Options struct (laptop
-// defaults otherwise). Field-level options applied after it override its
-// fields.
+// defaults otherwise; PaperOptions is the paper's full scale). Field-level
+// options applied after it override its fields.
 func WithBaseOptions(o Options) Option { return func(c *sessionConfig) { c.opts = o } }
-
-// WithPaperScale starts from the paper's full scale (40 devices, R=1000,
-// E=100, 20 runs) instead of the laptop defaults.
-func WithPaperScale() Option { return func(c *sessionConfig) { c.opts = PaperOptions() } }
 
 // WithClients sets the number of federated clients.
 func WithClients(n int) Option { return func(c *sessionConfig) { c.opts.NumClients = n } }
@@ -197,12 +193,9 @@ func (s *Session) guard() error {
 }
 
 // Environment exposes the session's prepared world (game parameters,
-// federated data, timing model) for direct inspection and custom
-// pipelines.
+// federated data, timing model, the Options it was built with) for direct
+// inspection and custom pipelines.
 func (s *Session) Environment() *Environment { return s.env }
-
-// Options returns the experiment options the session was built with.
-func (s *Session) Options() Options { return s.env.Opts }
 
 // Equilibrium solves the paper's Stackelberg equilibrium (Theorem 2 prices
 // and best responses) on the session's game. The result is memoized in the
@@ -242,7 +235,7 @@ func (s *Session) RunSweep(ctx context.Context, kind SweepKind, values []float64
 	if err := s.guard(); err != nil {
 		return nil, err
 	}
-	return experiment.SweepScheme(ctx, s.env, s.sweepScheme, kind, values, s.observer)
+	return experiment.Sweep(ctx, s.env, s.sweepScheme, kind, values, s.observer)
 }
 
 // EquilibriumSweep is RunSweep without retraining: equilibrium economics

@@ -12,8 +12,8 @@
 //
 // # Sessions
 //
-// The primary entry point is the Session API: build one prepared world,
-// then launch cancellable, observable experiments from it.
+// Experiments go through the Session API: build one prepared world, then
+// launch cancellable, observable experiments from it.
 //
 //	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 //	defer stop()
@@ -72,12 +72,13 @@
 //	unbiasedfl.RegisterScheme(flat{})
 //	cmp, err := sess.CompareSchemes(ctx) // now four schemes
 //
-// # Migration from the v0 API
+// # One entry point per capability
 //
-// The original blocking entry points remain, now context-aware: NewSetup,
-// RunScheme, CompareSchemes, RunSweep, EquilibriumSweep, BoundFidelity, and
-// ConvergenceRate take a context.Context as their first argument. Schemes
-// are addressed by registry name (SchemeNameProposed, ...).
+// Each capability has exactly one way in: a prepared world is NewSession;
+// its equilibrium, scheme runs, the Fig. 4 comparison, the Figs. 5–7 sweeps
+// and the Theorem-1 probes are Session methods; a scenario runs through
+// RunScenarioWith; how either executes is one RunConfig. Schemes are
+// addressed by registry name (SchemeNameProposed, ...).
 //
 // See examples/ for runnable programs and README.md for the mapping from
 // the paper's tables and figures to the benchmark harness (bench_test.go
@@ -85,11 +86,7 @@
 package unbiasedfl
 
 import (
-	"context"
-
-	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/sim"
 )
@@ -114,31 +111,7 @@ type (
 	CostComponents = game.CostComponents
 	// DeviceProfile is a device's measured per-round resource usage.
 	DeviceProfile = game.DeviceProfile
-	// Solver is the reusable fleet-scale equilibrium engine: caller-owned
-	// scratch (zero allocations per solve in steady state) and warm-started
-	// multiplier brackets, bit-identical to cold SolveKKT solves.
-	Solver = game.Solver
-	// EquilibriumCache memoizes equilibrium solves and scheme pricings by
-	// game fingerprint; every Session environment carries one.
-	EquilibriumCache = game.Cache
-	// BatchError reports which game of a SolveMany batch failed.
-	BatchError = game.BatchError
 )
-
-// NewSolver returns a reusable equilibrium engine; see Solver.
-func NewSolver() *Solver { return game.NewSolver() }
-
-// NewEquilibriumCache returns an equilibrium memo-cache holding at most max
-// solved games (max <= 0 selects the default capacity).
-func NewEquilibriumCache(max int) *EquilibriumCache { return game.NewCache(max) }
-
-// SolveMany batch-solves a slice of games across a fixed-order worker pool
-// with per-worker scratch and warm starts (workers <= 0 means GOMAXPROCS).
-// Results are bit-identical to a sequential SolveKKT loop for any worker
-// count.
-func SolveMany(games []*GameParams, workers int) ([]*Equilibrium, error) {
-	return game.SolveMany(games, workers)
-}
 
 // Experiment-layer types: the paper's evaluation section.
 type (
@@ -202,64 +175,11 @@ const (
 	SweepB = experiment.SweepB
 )
 
-// Training-layer types re-exported for custom pipelines.
-type (
-	// TrainConfig is the FL loop configuration.
-	TrainConfig = fl.Config
-	// UnbiasedAggregator implements Lemma 1's aggregation rule.
-	UnbiasedAggregator = engine.UnbiasedAggregator
-	// TimedPoint is a wall-clock-stamped loss/accuracy sample.
-	TimedPoint = sim.TimedPoint
-)
+// TimedPoint is a wall-clock-stamped loss/accuracy sample (SchemeRun.Points).
+type TimedPoint = sim.TimedPoint
 
 // DefaultOptions returns the laptop-scale experiment configuration.
 func DefaultOptions() Options { return experiment.DefaultOptions() }
 
 // PaperOptions returns the paper's full scale (40 devices, R=1000, E=100).
 func PaperOptions() Options { return experiment.PaperOptions() }
-
-// NewSetup generates data, calibrates the convergence-bound constants, and
-// assembles the CPL game for one of the paper's setups. Prefer NewSession,
-// which wraps the Environment with observers and functional options.
-func NewSetup(ctx context.Context, id SetupID, opts Options) (*Environment, error) {
-	return experiment.BuildSetup(ctx, id, opts)
-}
-
-// RunScheme prices the market with the named registered scheme and trains
-// the model under the induced participation levels. Optional observers
-// stream per-round progress.
-func RunScheme(ctx context.Context, env *Environment, scheme string, obs ...Observer) (*SchemeRun, error) {
-	return experiment.RunScheme(ctx, env, scheme, obs...)
-}
-
-// CompareSchemes runs every registered pricing scheme on one environment —
-// the paper's Fig. 4 comparison (proposed, weighted, uniform) plus any
-// scheme added via RegisterScheme.
-func CompareSchemes(ctx context.Context, env *Environment, obs ...Observer) (*Comparison, error) {
-	return experiment.Compare(ctx, env, obs...)
-}
-
-// RunSweep reruns the proposed mechanism (with retraining) across values of
-// one parameter — the paper's Figs. 5–7. Use Session.RunSweep with
-// WithSweepScheme to sweep under a different registered scheme.
-func RunSweep(ctx context.Context, env *Environment, kind SweepKind, values []float64, obs ...Observer) ([]SweepPoint, error) {
-	return experiment.Sweep(ctx, env, kind, values, obs...)
-}
-
-// EquilibriumSweep is RunSweep without retraining: equilibrium economics
-// only (Table V).
-func EquilibriumSweep(ctx context.Context, env *Environment, kind SweepKind, values []float64, obs ...Observer) ([]SweepPoint, error) {
-	return experiment.EquilibriumSweep(ctx, env, kind, values, obs...)
-}
-
-// BoundFidelity measures how faithfully the Theorem-1 surrogate ranks real
-// training outcomes across random participation profiles (DESIGN.md X6).
-func BoundFidelity(ctx context.Context, env *Environment, profiles int, seed uint64) (*FidelityResult, error) {
-	return experiment.BoundFidelity(ctx, env, profiles, seed)
-}
-
-// ConvergenceRate measures the empirical optimality gap across training
-// horizons, validating Theorem 1's O(1/R) shape (DESIGN.md X9).
-func ConvergenceRate(ctx context.Context, env *Environment, horizons []int, seed uint64) ([]GapPoint, error) {
-	return experiment.ConvergenceRate(ctx, env, horizons, seed)
-}
