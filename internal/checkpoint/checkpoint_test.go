@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"os"
 	"path/filepath"
@@ -77,10 +78,7 @@ func TestResumeAfterCrashBetweenWALAndSnapshot(t *testing.T) {
 	commitThrough(t, path, 3, Options{})
 
 	orphan := fakeState(4)
-	rec, err := EncodeWALRecord(&orphan.History[3])
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := appendWALRecord(nil, &orphan.History[3])
 	wal, err := os.OpenFile(WALPath(path), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -368,4 +366,234 @@ func TestAttachWALEndingInBareTrailer(t *testing.T) {
 		t.Fatalf("commit after truncation: %v", err)
 	}
 	_ = m.Close()
+}
+
+// slotBoundaries reads both snapshot slots of path; a missing or invalid
+// slot reads as boundary 0.
+func slotBoundaries(t *testing.T, path string) [2]int {
+	t.Helper()
+	var out [2]int
+	for i := range out {
+		f, err := os.Open(slotPath(path, i))
+		if err != nil {
+			continue
+		}
+		if s, err := ReadSnapshot(f); err == nil {
+			out[i] = s.NextRound
+		}
+		_ = f.Close()
+	}
+	return out
+}
+
+// tearCommit leaves what a kill in the middle of boundary b's snapshot write
+// leaves: round b-1's WAL record appended, and the first half of boundary
+// b's frame written in place over the older slot.
+func tearCommit(t *testing.T, path string, b int) {
+	t.Helper()
+	st := fakeState(b)
+	wal, err := os.OpenFile(WALPath(path), os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wal.Write(appendWALRecord(nil, &st.History[b-1])); err != nil {
+		t.Fatal(err)
+	}
+	_ = wal.Close()
+	at := slotBoundaries(t, path)
+	older := 0
+	if at[1] < at[0] {
+		older = 1
+	}
+	f, err := os.OpenFile(slotPath(path, older), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := snapshotBytes(t, &Snapshot{Meta: testMeta, NextRound: st.NextRound, Epoch: st.Epoch,
+		Model: st.Model, Sampler: st.Sampler, Clients: st.Clients})
+	if _, err := f.WriteAt(frame[:len(frame)/2], 0); err != nil {
+		t.Fatal(err)
+	}
+	_ = f.Close()
+}
+
+// TestSlotsAlternate: snapshots alternate between <path> and <path>.1, each
+// slot a complete frame one boundary apart, and no temp file is left behind.
+func TestSlotsAlternate(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 5, Options{})
+	if got := slotBoundaries(t, path); got != [2]int{5, 4} {
+		t.Fatalf("slot boundaries %v, want [5 4]", got)
+	}
+	if tmp, _ := filepath.Glob(path + "*.tmp"); len(tmp) != 0 {
+		t.Fatalf("temp files left behind: %v", tmp)
+	}
+}
+
+// TestResumeFallsBackFromTornSlot: a kill in the middle of the newest
+// slot's write leaves it failing its CRC. Resume takes the other slot, one
+// boundary older, truncates the WAL to it, and the next commit overwrites
+// the torn slot cleanly.
+func TestResumeFallsBackFromTornSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 4, Options{})
+	tearCommit(t, path, 5)
+	if got := slotBoundaries(t, path); got != [2]int{0, 4} {
+		t.Fatalf("after the torn write slots read %v, want [0 4]", got)
+	}
+
+	m, st, err := Resume(path, testMeta, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, fakeState(4)) {
+		t.Fatalf("resumed state differs from boundary 4: %+v", st)
+	}
+	raw, err := os.ReadFile(WALPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if records, _, tail, err := parseWAL(raw); err != nil || tail != nil || len(records) != 4 {
+		t.Fatalf("WAL holds %d records (tail %v, err %v), want exactly 4", len(records), tail, err)
+	}
+	if err := m.Commit(fakeState(5)); err != nil {
+		t.Fatalf("commit over the torn slot: %v", err)
+	}
+	_ = m.Close()
+	if got := slotBoundaries(t, path); got != [2]int{5, 4} {
+		t.Fatalf("after the recommit slots read %v, want [5 4]", got)
+	}
+	m, st, err = Resume(path, testMeta, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Close()
+	if !reflect.DeepEqual(st, fakeState(5)) {
+		t.Fatalf("re-resumed state differs from boundary 5: %+v", st)
+	}
+}
+
+// TestResumeRefusesBothSlotsDamaged: with neither slot intact there is no
+// state to resume from, and no fresh start either — the checkpoint is
+// corrupt.
+func TestResumeRefusesBothSlotsDamaged(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 4, Options{})
+	for i := range 2 {
+		raw, err := os.ReadFile(slotPath(path, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw[len(raw)/2] ^= 0x10
+		if err := os.WriteFile(slotPath(path, i), raw, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Resume: got %v, want ErrCorrupt", err)
+	}
+	if _, _, err := Attach(path, testMeta, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Attach: got %v, want ErrCorrupt", err)
+	}
+}
+
+// TestResumeRejectsForeignSlot: every slot that decodes is held to the
+// run's Meta, not just the one resume would pick.
+func TestResumeRejectsForeignSlot(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "run.ckpt")
+	commitThrough(t, path, 4, Options{})
+	foreign := Meta{Label: "other-run", Seed: 7, Clients: 2, Rounds: 8}
+	st := fakeState(3)
+	raw := snapshotBytes(t, &Snapshot{Meta: foreign, NextRound: st.NextRound,
+		Model: st.Model, Sampler: st.Sampler, Clients: st.Clients})
+	if err := os.WriteFile(slotPath(path, 1), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrMetaMismatch) {
+		t.Fatalf("got %v, want ErrMetaMismatch", err)
+	}
+}
+
+// v2Header is the start of a format-2 snapshot: its header and the first
+// bytes of its gob payload.
+const v2Header = "55464c4b020000019e5c7f03010108536e617073686f7401ff8000010601044d"
+
+// TestResumeRejectsV2Snapshot: a snapshot in the gob format of version 2 is
+// refused by version, never parsed, and never mistaken for no checkpoint.
+func TestResumeRejectsV2Snapshot(t *testing.T) {
+	raw, err := hex.DecodeString(v2Header)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("ReadSnapshot: got %v, want ErrBadVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 1, Options{})
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("Resume: got %v, want ErrBadVersion", err)
+	}
+	if _, _, err := Attach(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
+		t.Fatalf("Attach: got %v, want ErrBadVersion", err)
+	}
+}
+
+// TestResumeWithoutPathIsNoCheckpoint: a checkpoint exists only once
+// <path> does. A kill during a run's first snapshot leaves just a temp file
+// (and the WAL), and Attach starts the run afresh.
+func TestResumeWithoutPathIsNoCheckpoint(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("empty directory: got %v, want ErrNoCheckpoint", err)
+	}
+	commitThrough(t, path, 1, Options{})
+	if err := os.Rename(path, path+".tmp"); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrNoCheckpoint) {
+		t.Fatalf("temp file only: got %v, want ErrNoCheckpoint", err)
+	}
+	m, st, err := Attach(path, testMeta, Options{})
+	if err != nil || st != nil {
+		t.Fatalf("attach: state %+v, err %v; want a fresh start", st, err)
+	}
+	if err := m.Commit(fakeState(1)); err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Close()
+	if got := slotBoundaries(t, path); got != [2]int{1, 0} {
+		t.Fatalf("slots after the fresh start read %v, want [1 0]", got)
+	}
+}
+
+// TestCommitShrinkingSnapshotTruncatesSlot: a frame shorter than the slot it
+// overwrites leaves no stale tail behind.
+func TestCommitShrinkingSnapshotTruncatesSlot(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	m, err := Create(path, testMeta, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 1; b <= 3; b++ {
+		st := fakeState(b)
+		if b < 3 {
+			st.Sampler = append(st.Sampler, 1, 2, 3, 4, 5)
+		}
+		if err := m.Commit(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_ = m.Close()
+	m, st, err := Resume(path, testMeta, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = m.Close()
+	if !reflect.DeepEqual(st, fakeState(3)) {
+		t.Fatalf("resumed state differs: %+v", st)
+	}
 }

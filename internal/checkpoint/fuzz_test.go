@@ -9,7 +9,9 @@ import (
 
 // FuzzDecodeCheckpoint throws arbitrary bytes at both decoders. The
 // contract under fuzz: corrupt, truncated, or wrong-version input returns an
-// error (or, for a WAL, a clean valid prefix) — and never panics.
+// error (or, for a WAL, a clean valid prefix) and never panics; and the
+// format is canonical — whatever decodes cleanly, snapshot or WAL,
+// re-encodes to the input byte for byte.
 func FuzzDecodeCheckpoint(f *testing.F) {
 	snap := snapshotBytes(f, &Snapshot{
 		Meta:      Meta{Label: "fuzz", Seed: 3, Clients: 1, Rounds: 4},
@@ -20,49 +22,49 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	})
 	f.Add(snap)
 
-	wal := EncodeWALHeader()
+	wal := walHeader()
 	for r := 0; r < 3; r++ {
-		rec, err := EncodeWALRecord(&engine.RoundMetrics{Round: r, Participants: 1, ParticipantIDs: []int{0}})
-		if err != nil {
-			f.Fatal(err)
-		}
-		wal = append(wal, rec...)
+		wal = appendWALRecord(wal, &engine.RoundMetrics{Round: r, Participants: 1, ParticipantIDs: []int{0}})
 	}
 	f.Add(wal)
 	f.Add([]byte(nil))
 	f.Add([]byte(snapshotMagic))
 	f.Add(append([]byte(walMagic), FormatVersion, 0, 0, 0, 200))
 	f.Add(func() []byte { b := append([]byte(nil), snap...); b[len(b)-1] ^= 0xFF; return b }())
+	f.Add(goldenWAL())
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, err := ReadSnapshot(bytes.NewReader(b)); err == nil {
 			// Anything that decodes cleanly must satisfy the invariants the
-			// resume path relies on.
+			// resume path relies on, and be the one encoding of itself.
 			if s == nil || s.NextRound < 1 || s.NextRound > s.Meta.Rounds ||
 				len(s.Model) == 0 || len(s.Clients) != s.Meta.Clients {
 				t.Fatalf("decoded snapshot violates invariants: %+v", s)
 			}
+			var out appendOnly
+			if err := WriteSnapshot(&out, s); err != nil {
+				t.Fatalf("re-encode snapshot: %v", err)
+			}
+			if !bytes.Equal(out.Bytes(), b) {
+				t.Fatalf("snapshot re-encodes to different bytes:\n got %x\nwant %x", out.Bytes(), b)
+			}
 		}
-		records, tail, err := DecodeWAL(b)
-		if err == nil && tail == nil {
-			// Clean decode: re-encoding the records must reproduce the input.
-			out := EncodeWALHeader()
-			for i := range records {
-				rec, err := EncodeWALRecord(&records[i])
-				if err != nil {
-					t.Fatalf("re-encode record %d: %v", i, err)
-				}
-				out = append(out, rec...)
-			}
-			if len(out) != len(b) {
-				// gob is not canonical byte-for-byte for arbitrary inputs, so
-				// only check that the record count survives a second decode.
-				records2, tail2, err2 := DecodeWAL(out)
-				if err2 != nil || tail2 != nil || len(records2) != len(records) {
-					t.Fatalf("re-encoded WAL does not round-trip: %d vs %d records (%v, %v)",
-						len(records2), len(records), err2, tail2)
-				}
-			}
+		records, offsets, tail, err := parseWAL(b)
+		if err != nil {
+			return
+		}
+		// The valid prefix re-encodes to the bytes it was read from, whether
+		// or not a damaged tail follows it.
+		out := walHeader()
+		for i := range records {
+			out = appendWALRecord(out, &records[i])
+		}
+		clean := b[:offsets[len(offsets)-1]]
+		if !bytes.Equal(out, clean) {
+			t.Fatalf("WAL prefix of %d records re-encodes to different bytes:\n got %x\nwant %x", len(records), out, clean)
+		}
+		if tail == nil && len(clean) != len(b) {
+			t.Fatalf("clean WAL parse stopped at byte %d of %d", len(clean), len(b))
 		}
 	})
 }

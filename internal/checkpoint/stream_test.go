@@ -2,8 +2,8 @@ package checkpoint
 
 import (
 	"bytes"
-	"encoding/gob"
-	"io"
+	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -11,17 +11,6 @@ import (
 
 	"unbiasedfl/internal/engine"
 )
-
-// gob numbers a process's types in order of first use and writes the numbers
-// into the stream, so snapshot bytes are only reproducible from a fixed
-// order: number Snapshot's types before any test encodes or decodes anything
-// else. (A decoder accepts any numbering — only the golden comparison needs
-// this.)
-func init() {
-	if err := gob.NewEncoder(io.Discard).Encode(&Snapshot{}); err != nil {
-		panic(err)
-	}
-}
 
 // streamSnapshot builds a snapshot with n client cursors.
 func streamSnapshot(n int) *Snapshot {
@@ -35,6 +24,7 @@ func streamSnapshot(n int) *Snapshot {
 	return &Snapshot{
 		Meta:      Meta{Label: "stream", Seed: 9, Clients: n, Rounds: 12},
 		NextRound: 3,
+		Epoch:     1,
 		Model:     []float64{1.5, -2.25, 0.75},
 		Sampler:   []uint64{11, 22, 33, 44},
 		Clients:   cursors,
@@ -62,22 +52,80 @@ func snapshotBytes(tb testing.TB, s *Snapshot) []byte {
 	return raw
 }
 
-// goldenSnapshotFile holds the committed bytes of streamSnapshot(3) in format
-// version 2.
-const goldenSnapshotFile = "testdata/snapshot_v2.golden"
+// appendOnly is an in-memory io.WriteSeeker that refuses to seek: WriteSnapshot
+// writes front to back, once.
+type appendOnly struct{ bytes.Buffer }
 
-// TestWriteSnapshotByteIdentical pins the on-disk snapshot format: the file
-// written for a fixed snapshot equals the committed one byte for byte. A
-// difference is a format change — it needs a FormatVersion bump and a new
-// fixture (the failure prints the new bytes in hex).
+func (*appendOnly) Seek(int64, int) (int64, error) {
+	return 0, errors.New("seek on an append-only buffer")
+}
+
+// Committed fixtures: the bytes of streamSnapshot(3), and of goldenWAL(), in
+// format version 3.
+const (
+	goldenSnapshotFile = "testdata/snapshot_v3.golden"
+	goldenWALFile      = "testdata/wal_v3.golden"
+)
+
+// goldenWAL is a WAL of three rounds covering every field: an evaluated and
+// an unevaluated round, an empty and a non-empty participant list, a
+// negative zero and a NaN payload among the floats.
+func goldenWAL() []byte {
+	wal := walHeader()
+	for _, m := range []engine.RoundMetrics{
+		{Round: 0, Participants: 2, ParticipantIDs: []int{0, 2}, Evaluated: true, GlobalLoss: 2.25, TestAccuracy: 0.5},
+		{Round: 1, Participants: 0, GlobalLoss: math.Copysign(0, -1), TestAccuracy: math.Float64frombits(0x7ff8000000000abc)},
+		{Round: 2, Participants: 3, ParticipantIDs: []int{1, 2, 3}, Evaluated: true, GlobalLoss: 1e-300, TestAccuracy: 1},
+	} {
+		wal = appendWALRecord(wal, &m)
+	}
+	return wal
+}
+
+// TestWriteSnapshotByteIdentical pins the on-disk snapshot and WAL formats:
+// the bytes written for a fixed snapshot and a fixed WAL equal the committed
+// ones byte for byte, in any process and any test order. A difference is a
+// format change — it needs a FormatVersion bump and new fixtures (the
+// failure prints the new bytes in hex).
 func TestWriteSnapshotByteIdentical(t *testing.T) {
-	want, err := os.ReadFile(goldenSnapshotFile)
+	for file, got := range map[string][]byte{
+		goldenSnapshotFile: snapshotBytes(t, streamSnapshot(3)),
+		goldenWALFile:      goldenWAL(),
+	} {
+		want, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("bytes differ from %s (%d vs %d bytes); written now:\n%x", file, len(got), len(want), got)
+		}
+	}
+}
+
+// TestReadWALEquivalent: the committed WAL parses cleanly, record for
+// record and bit for bit, into the rounds it was written from.
+func TestReadWALEquivalent(t *testing.T) {
+	raw, err := os.ReadFile(goldenWALFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := snapshotBytes(t, streamSnapshot(3)); !bytes.Equal(got, want) {
-		t.Fatalf("snapshot bytes differ from %s (%d vs %d bytes); written now:\n%x",
-			goldenSnapshotFile, len(got), len(want), got)
+	records, offsets, tail, err := parseWAL(raw)
+	if err != nil || tail != nil {
+		t.Fatalf("parse %s: %v, tail %v", goldenWALFile, err, tail)
+	}
+	if len(offsets) != 4 || offsets[3] != int64(len(raw)) {
+		t.Fatalf("offsets %v for a %d-byte file", offsets, len(raw))
+	}
+	again := walHeader()
+	for i := range records {
+		again = appendWALRecord(again, &records[i])
+	}
+	if !bytes.Equal(again, raw) {
+		t.Fatalf("%s does not survive a parse and a re-encode", goldenWALFile)
+	}
+	if records[1].ParticipantIDs != nil || math.Float64bits(records[1].GlobalLoss) != 1<<63 ||
+		math.Float64bits(records[1].TestAccuracy) != 0x7ff8000000000abc || !records[2].Evaluated {
+		t.Fatalf("records read back as %+v", records)
 	}
 }
 

@@ -64,8 +64,9 @@ type ClusterConfig struct {
 // states and the resume sweep tests pin) — on either backend, and even
 // across backends.
 type CheckpointConfig struct {
-	// Path is the snapshot file location ("" disables checkpointing); the
-	// trace WAL lives beside it at Path+".wal". Runs launched from an
+	// Path is the first snapshot slot's location ("" disables
+	// checkpointing); the second slot lives beside it at Path+".1" and the
+	// trace WAL at Path+".wal". Runs launched from an
 	// Environment use it as a prefix: every (scheme, run) leg gets its own
 	// "<Path>-<scheme>-run<i>.ckpt", and the legs of sweep point j
 	// "<Path>-point<j>-<scheme>-run<i>.ckpt".
@@ -74,9 +75,9 @@ type CheckpointConfig struct {
 	// (and starts fresh when none does). False discards any prior
 	// checkpoint there.
 	Resume bool
-	// Sync fsyncs every commit — machine-crash durability at real per-round
-	// I/O cost. Off, commits still survive a process kill (SIGKILL
-	// included); see checkpoint.Options.
+	// Sync flushes every commit to stable storage — machine-crash
+	// durability at real per-round I/O cost. Off, commits still survive a
+	// process kill (SIGKILL included); see checkpoint.Options.
 	Sync bool
 	// Interval snapshots every k-th boundary (0 = every round). The WAL
 	// gets every round regardless.

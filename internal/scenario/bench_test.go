@@ -31,7 +31,7 @@ func BenchmarkLargeFleetRun(b *testing.B) {
 }
 
 // BenchmarkLargeFleetRunCheckpointed is the worst-case durability config: a
-// full atomic snapshot rewrite at EVERY round boundary (Interval 1, the
+// full snapshot written into a slot at EVERY round boundary (Interval 1, the
 // default — finest resume granularity).
 func BenchmarkLargeFleetRunCheckpointed(b *testing.B) {
 	dir := b.TempDir()

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"unbiasedfl/internal/checkpoint"
 )
 
 // goldenBytes loads a committed golden trace — the resume tests compare
@@ -77,6 +79,61 @@ func TestResumeSweepMatchesGolden(t *testing.T) {
 				resumeToGolden(t, sc, cfg, k)
 			}
 		})
+	}
+}
+
+// tearNewestSlot damages the newer of the checkpoint's two snapshot slots
+// the way a kill in the middle of its in-place write does: the first half
+// holds the new frame, the rest never arrived. It returns the boundary of
+// the slot left intact.
+func tearNewestSlot(t *testing.T, path string) int {
+	t.Helper()
+	var at [2]int
+	slots := [2]string{path, path + ".1"}
+	for i, name := range slots {
+		f, err := os.Open(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, err := checkpoint.ReadSnapshot(f)
+		_ = f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		at[i] = s.NextRound
+	}
+	newest, older := 0, 1
+	if at[1] > at[0] {
+		newest, older = 1, 0
+	}
+	raw, err := os.ReadFile(slots[newest])
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear(raw[len(raw)/2:])
+	if err := os.WriteFile(slots[newest], raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return at[older]
+}
+
+// TestResumeFromTornSlotMatchesGolden: a run killed in the middle of
+// writing boundary k's snapshot resumes from the other slot, boundary k-1,
+// recomputes round k-1 from it, and still finishes byte-identical to the
+// committed golden — at every boundary where two slots exist.
+func TestResumeFromTornSlotMatchesGolden(t *testing.T) {
+	sc, err := ByName("baseline")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 2; k < sc.Rounds; k++ {
+		path := filepath.Join(t.TempDir(), "run.ckpt")
+		cfg := RunConfig{Checkpoint: CheckpointConfig{Path: path}}
+		killAt(t, sc, cfg, k)
+		if got := tearNewestSlot(t, path); got != k-1 {
+			t.Fatalf("kill at %d: intact slot at boundary %d, want %d", k, got, k-1)
+		}
+		resumeToGolden(t, sc, cfg, k)
 	}
 }
 
