@@ -293,6 +293,13 @@ func encodeSnapshot(w io.Writer, chunk []byte, s *Snapshot) (int64, error) {
 	return headerLen + 4 + size + 4, nil
 }
 
+// putCursor stores one 56-byte cursor. The layout matches the transport
+// wire cursor, and so do the decoder's count, flag and int checks, but the
+// code is deliberately not shared: the disk format is versioned by
+// FormatVersion and the wire by transport.ProtocolVersion, and a file written
+// today must stay readable, or be refused by version, whatever the wire
+// protocol becomes. Sharing the helpers would make a wire change a silent
+// disk-format change.
 func putCursor(b []byte, c *engine.ClientCursor) {
 	le := binary.LittleEndian
 	for i, w := range c.RNG {

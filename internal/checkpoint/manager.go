@@ -18,7 +18,7 @@ type Options struct {
 	// weakening the byte-identical-resume invariant.
 	Interval int
 	// Sync flushes the WAL append and the snapshot slot write to stable
-	// storage (fdatasync) at every commit, and the directory when a file is
+	// storage (fsync) at every commit, and the directory when a file is
 	// first created there. Off by default: the data reaches the page cache
 	// at commit, which a process kill (the failure this package defends
 	// against, SIGKILL included) cannot lose — only a machine crash can, and
@@ -251,7 +251,7 @@ func (m *Manager) Commit(st *engine.RunState) error {
 		return fmt.Errorf("checkpoint: append WAL: %w", err)
 	}
 	if m.opts.Sync {
-		if err := datasync(m.wal); err != nil {
+		if err := m.wal.Sync(); err != nil {
 			return fmt.Errorf("checkpoint: sync WAL: %w", err)
 		}
 	}
@@ -292,7 +292,7 @@ func (m *Manager) writeSnapshot(s *Snapshot) error {
 		}
 		m.size[i] = n
 		if m.opts.Sync {
-			if err := datasync(m.slots[i]); err != nil {
+			if err := m.slots[i].Sync(); err != nil {
 				return fmt.Errorf("checkpoint: sync snapshot: %w", err)
 			}
 		}
@@ -313,7 +313,7 @@ func (m *Manager) createSlot(i int, s *Snapshot) error {
 	}
 	n, err := encodeSnapshot(f, m.chunk, s)
 	if err == nil && m.opts.Sync {
-		if err = datasync(f); err != nil {
+		if err = f.Sync(); err != nil {
 			err = fmt.Errorf("checkpoint: sync snapshot: %w", err)
 		}
 	}
