@@ -1,6 +1,5 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (Section VI), plus ablations of the design choices called out in
-// DESIGN.md. Each benchmark reports the headline metric of its artifact via
+// (Section VI), plus ablations of the design choices. Each benchmark reports the headline metric of its artifact via
 // b.ReportMetric, so `go test -bench=. -benchmem` doubles as a compact
 // reproduction run; README.md maps the paper's artifacts to this harness.
 //

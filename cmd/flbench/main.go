@@ -10,9 +10,9 @@
 //	fig5   — impact of mean intrinsic value v (Setup 1)
 //	fig6   — impact of mean local cost c (Setup 2)
 //	fig7   — impact of budget B (Setup 3)
-//	rate   — empirical O(1/R) convergence-rate validation (DESIGN.md X9)
-//	fidelity — Theorem-1 bound vs training rank agreement (DESIGN.md X6)
-//	bayes  — Bayesian incomplete-information pricing (DESIGN.md X1)
+//	rate   — empirical O(1/R) convergence-rate validation
+//	fidelity — Theorem-1 bound vs training rank agreement
+//	bayes  — Bayesian incomplete-information pricing
 //	all    — everything above (paper artifacts only)
 //
 // Usage:

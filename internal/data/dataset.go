@@ -4,10 +4,9 @@
 // datasets, all partitioned across clients in the unbalanced (power-law) and
 // non-i.i.d. (restricted label set per client) fashion the paper describes.
 //
-// The real image datasets cannot be downloaded in this offline environment;
-// DESIGN.md §4 documents why class-conditional Gaussians preserve the
-// behaviours the mechanism depends on (per-client sizes a_n and gradient-norm
-// heterogeneity G_n under a convex multinomial logistic regression model).
+// The module ships no image datasets. Class-conditional Gaussians preserve the
+// behaviours the mechanism depends on: per-client sizes a_n and gradient-norm
+// heterogeneity G_n under a convex multinomial logistic regression model.
 package data
 
 import (
@@ -24,6 +23,23 @@ type Dataset struct {
 	Y       []int
 	Dim     int
 	Classes int
+}
+
+// newDataset allocates an n-sample dataset for a generator to fill. Its rows
+// share one block, each capped at dim so that an append to a row reallocates
+// instead of writing into the next; an empty dataset keeps nil X and Y.
+func newDataset(n, dim, classes int) *Dataset {
+	ds := &Dataset{Dim: dim, Classes: classes}
+	if n == 0 {
+		return ds
+	}
+	block := make([]float64, n*dim)
+	ds.X = make([][]float64, n)
+	for i := range ds.X {
+		ds.X[i] = block[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	ds.Y = make([]int, n)
+	return ds
 }
 
 // Len returns the number of samples.

@@ -111,3 +111,38 @@ func TestGeneratedDataMatchesGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestGeneratedRowsAreCapped checks the storage layout the generators share:
+// every row has capacity Dim, so appending to one row cannot overwrite the
+// next row in the same block.
+func TestGeneratedRowsAreCapped(t *testing.T) {
+	syn := DefaultSyntheticConfig()
+	syn.NumClients, syn.TotalSamples = 5, 400
+	img := MNISTLikeConfig()
+	img.NumClients, img.TotalSamples, img.TestSamples = 5, 400, 50
+	synFed, err := GenerateSynthetic(stats.NewRNG(1), syn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	imgFed, err := GenerateImageLike(stats.NewRNG(1), img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fed := range []*Federated{synFed, imgFed} {
+		for _, ds := range append(fed.Clients, fed.Test) {
+			for i, x := range ds.X {
+				if cap(x) != ds.Dim {
+					t.Fatalf("row %d has capacity %d, want %d", i, cap(x), ds.Dim)
+				}
+			}
+			next := ds.X[1][0]
+			_ = append(ds.X[0], 42)
+			if ds.X[1][0] != next {
+				t.Fatal("appending to a row overwrote the next row")
+			}
+		}
+	}
+	if empty := newDataset(0, 3, 2); empty.X != nil || empty.Y != nil {
+		t.Fatalf("empty dataset has X %v, Y %v, want nil", empty.X, empty.Y)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"unbiasedfl/internal/stats"
 )
@@ -30,7 +31,7 @@ type ImageLikeConfig struct {
 
 // MNISTLikeConfig mirrors the paper's Setup 2: 14,463 samples, 10 classes,
 // each device holding 1–6 classes, unbalanced power-law sizes. Feature
-// dimension is 64 instead of 784 for laptop-scale runs (DESIGN.md §4).
+// dimension is 64 instead of 784 for laptop-scale runs.
 func MNISTLikeConfig() ImageLikeConfig {
 	return ImageLikeConfig{
 		NumClients:   40,
@@ -85,6 +86,14 @@ func (c ImageLikeConfig) validate() error {
 
 // GenerateImageLike builds a federated class-conditional Gaussian dataset
 // per cfg.
+//
+// Generation contract: the shard sizes and then the class prototypes come
+// from r first; client k then draws its label set and samples from the k-th
+// Split of r, and the i.i.d. test set from one more Split taken after the
+// clients'. The shards and the test set are filled in parallel, on at most
+// GOMAXPROCS workers, into storage allocated beforehand; each dataset keeps
+// its rows in one block, every row capped at Dim. The bits are those of
+// filling them one after another, for any worker count.
 func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -104,42 +113,43 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 		protos[c] = p
 	}
 
-	sample := func(rr *stats.RNG, class int) []float64 {
-		x := make([]float64, cfg.Dim)
+	// Stream k < NumClients fills client k; the last fills the test set.
+	streams := make([]*stats.RNG, cfg.NumClients+1)
+	for k := range streams {
+		streams[k] = r.Split()
+	}
+	clients := make([]*Dataset, cfg.NumClients)
+	for k := range clients {
+		clients[k] = newDataset(sizes[k], cfg.Dim, cfg.Classes)
+	}
+	// I.i.d. test set over all classes, as the server-side evaluation set.
+	test := newDataset(cfg.TestSamples, cfg.Dim, cfg.Classes)
+	allClasses := make([]int, cfg.Classes)
+	for c := range allClasses {
+		allClasses[c] = c
+	}
+	stats.ParallelFor(len(streams), runtime.GOMAXPROCS(0), func(k int) {
+		if k == cfg.NumClients {
+			fillImageLike(streams[k], cfg, protos, allClasses, test)
+			return
+		}
+		labels := classesForClient(streams[k], cfg.Classes, cfg.MinClasses, cfg.MaxClasses)
+		fillImageLike(streams[k], cfg, protos, labels, clients[k])
+	})
+	return assemble(clients, test)
+}
+
+// fillImageLike fills ds from rr: each sample's class is uniform over labels,
+// its features that class's prototype plus Gaussian noise.
+func fillImageLike(rr *stats.RNG, cfg ImageLikeConfig, protos [][]float64, labels []int, ds *Dataset) {
+	for i, x := range ds.X {
+		class := labels[rr.Intn(len(labels))]
 		p := protos[class]
 		for j := range x {
 			x[j] = p[j] + float64(cfg.NoiseStd*rr.NormFloat64())
 		}
-		return x
+		ds.Y[i] = class
 	}
-
-	clients := make([]*Dataset, cfg.NumClients)
-	for k := 0; k < cfg.NumClients; k++ {
-		cr := r.Split()
-		labels := classesForClient(cr, cfg.Classes, cfg.MinClasses, cfg.MaxClasses)
-		ds := &Dataset{Dim: cfg.Dim, Classes: cfg.Classes}
-		for i := 0; i < sizes[k]; i++ {
-			class := labels[cr.Intn(len(labels))]
-			ds.X = append(ds.X, sample(cr, class))
-			ds.Y = append(ds.Y, class)
-		}
-		clients[k] = ds
-	}
-
-	// I.i.d. test set over all classes, as the server-side evaluation set.
-	tr := r.Split()
-	test := &Dataset{Dim: cfg.Dim, Classes: cfg.Classes}
-	for i := 0; i < cfg.TestSamples; i++ {
-		class := tr.Intn(cfg.Classes)
-		test.X = append(test.X, sample(tr, class))
-		test.Y = append(test.Y, class)
-	}
-	// Guard against a configured-but-empty test set downstream; generation
-	// above always matches cfg.TestSamples but keep the invariant explicit.
-	if test.Len() == 0 && cfg.TestSamples > 0 {
-		return nil, errors.New("data: empty test set")
-	}
-	return assemble(clients, test)
 }
 
 // LabelHistogram counts samples per class; useful for verifying the

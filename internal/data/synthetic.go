@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
@@ -60,6 +61,14 @@ func (c SyntheticConfig) validate() error {
 // coordinate variances j^{-1.2} and labels come from the client's own model,
 // so both the features and the conditional label distribution are non-i.i.d.
 // across clients.
+//
+// Generation contract: the shard sizes come from r first; client k then
+// draws everything — model, input mean, train samples, test samples — from
+// the k-th Split of r. The shards are filled in parallel, on at most
+// GOMAXPROCS workers, into storage allocated beforehand; each of a client's
+// train and test parts keeps its rows in one block, every row capped at Dim.
+// The bits are those of filling the clients one after another, for any
+// worker count.
 func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -69,74 +78,80 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 		return nil, fmt.Errorf("synthetic sizes: %w", err)
 	}
 
-	// Shared coordinate scales Σ_jj = j^{-1.2}.
-	scales := make([]float64, cfg.Dim)
-	for j := range scales {
-		scales[j] = tensor.Exp(-1.2 * tensor.Log(float64(j+1)))
+	// Shared coordinate standard deviations √Σ_jj, Σ_jj = j^{-1.2}.
+	stddev := make([]float64, cfg.Dim)
+	for j := range stddev {
+		stddev[j] = math.Sqrt(tensor.Exp(-1.2 * tensor.Log(float64(j+1))))
 	}
 
+	streams := make([]*stats.RNG, cfg.NumClients)
+	for k := range streams {
+		streams[k] = r.Split()
+	}
 	clients := make([]*Dataset, cfg.NumClients)
-	var testParts []*Dataset
-	for k := 0; k < cfg.NumClients; k++ {
-		cr := r.Split()
-		uk := float64(math.Sqrt(cfg.Alpha) * cr.NormFloat64())
-		bk := float64(math.Sqrt(cfg.Beta) * cr.NormFloat64())
-
-		wk, err := tensor.NewMat(cfg.Classes, cfg.Dim)
-		if err != nil {
-			return nil, err
-		}
-		for i := range wk.Data {
-			wk.Data[i] = uk + cr.NormFloat64()
-		}
-		bias := make(tensor.Vec, cfg.Classes)
-		for i := range bias {
-			bias[i] = uk + cr.NormFloat64()
-		}
-		vk := make([]float64, cfg.Dim)
-		for j := range vk {
-			vk[j] = bk + cr.NormFloat64()
-		}
-
+	tests := make([]*Dataset, cfg.NumClients)
+	for k := range clients {
 		nTest := int(float64(sizes[k]) * cfg.TestFraction)
-		nTrain := sizes[k] - nTest
-		gen := func(n int) (*Dataset, error) {
-			ds := &Dataset{Dim: cfg.Dim, Classes: cfg.Classes}
-			logits := make(tensor.Vec, cfg.Classes)
-			for i := 0; i < n; i++ {
-				x := make([]float64, cfg.Dim)
-				for j := range x {
-					x[j] = vk[j] + float64(math.Sqrt(scales[j])*cr.NormFloat64())
-				}
-				if err := wk.MulVec(tensor.Vec(x), logits); err != nil {
-					return nil, err
-				}
-				for c := range logits {
-					logits[c] += bias[c]
-				}
-				y, err := tensor.ArgMax(logits)
-				if err != nil {
-					return nil, err
-				}
-				ds.X = append(ds.X, x)
-				ds.Y = append(ds.Y, y)
-			}
-			return ds, nil
-		}
-		train, err := gen(nTrain)
-		if err != nil {
-			return nil, err
-		}
-		test, err := gen(nTest)
-		if err != nil {
-			return nil, err
-		}
-		clients[k] = train
-		testParts = append(testParts, test)
+		clients[k] = newDataset(sizes[k]-nTest, cfg.Dim, cfg.Classes)
+		tests[k] = newDataset(nTest, cfg.Dim, cfg.Classes)
 	}
-	test, err := Concat(testParts)
+	errs := make([]error, cfg.NumClients)
+	stats.ParallelFor(cfg.NumClients, runtime.GOMAXPROCS(0), func(k int) {
+		errs[k] = fillSynthetic(streams[k], cfg, stddev, clients[k], tests[k])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	test, err := Concat(tests)
 	if err != nil {
 		return nil, err
 	}
 	return assemble(clients, test)
+}
+
+// fillSynthetic draws one client's model and input mean from cr, then fills
+// its train and test parts, in that order, with samples labelled by that
+// model.
+func fillSynthetic(cr *stats.RNG, cfg SyntheticConfig, stddev []float64, train, test *Dataset) error {
+	uk := float64(math.Sqrt(cfg.Alpha) * cr.NormFloat64())
+	bk := float64(math.Sqrt(cfg.Beta) * cr.NormFloat64())
+
+	wk, err := tensor.NewMat(cfg.Classes, cfg.Dim)
+	if err != nil {
+		return err
+	}
+	for i := range wk.Data {
+		wk.Data[i] = uk + cr.NormFloat64()
+	}
+	bias := make(tensor.Vec, cfg.Classes)
+	for i := range bias {
+		bias[i] = uk + cr.NormFloat64()
+	}
+	vk := make([]float64, cfg.Dim)
+	for j := range vk {
+		vk[j] = bk + cr.NormFloat64()
+	}
+
+	logits := make(tensor.Vec, cfg.Classes)
+	for _, ds := range [2]*Dataset{train, test} {
+		for i, x := range ds.X {
+			for j := range x {
+				x[j] = vk[j] + float64(stddev[j]*cr.NormFloat64())
+			}
+			if err := wk.MulVec(tensor.Vec(x), logits); err != nil {
+				return err
+			}
+			for c := range logits {
+				logits[c] += bias[c]
+			}
+			y, err := tensor.ArgMax(logits)
+			if err != nil {
+				return err
+			}
+			ds.Y[i] = y
+		}
+	}
+	return nil
 }

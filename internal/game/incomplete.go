@@ -146,7 +146,7 @@ func (p *Params) SolveBayesianParallel(prior Prior, scenarios int, rng *stats.RN
 	qMeans := make([]float64, n)
 	pays := make([]float64, n)
 	evalAll := func(scale float64) {
-		parallelFor(n, workers, func(i int) {
+		stats.ParallelFor(n, workers, func(i int) {
 			qMeans[i], pays[i] = p.expectedResponse(i, scale*ceEq.P[i], cs[i], vs[i])
 		})
 	}

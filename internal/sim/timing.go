@@ -1,6 +1,6 @@
 // Package sim models the wall-clock behaviour of the paper's hardware
-// prototype (40 Raspberry Pis and a laptop server on enterprise Wi-Fi). Per
-// DESIGN.md §4, the prototype is substituted by a parametric timing model:
+// prototype (40 Raspberry Pis and a laptop server on enterprise Wi-Fi). The
+// prototype is substituted by a parametric timing model:
 // every client has a compute time per local SGD iteration and a
 // communication time per round, both drawn from heterogeneous lognormal
 // distributions; a round lasts as long as its slowest participant plus the

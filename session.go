@@ -248,7 +248,7 @@ func (s *Session) EquilibriumSweep(ctx context.Context, kind SweepKind, values [
 }
 
 // BoundFidelity measures how faithfully the Theorem-1 surrogate ranks real
-// training outcomes across random participation profiles (DESIGN.md X6).
+// training outcomes across random participation profiles.
 func (s *Session) BoundFidelity(ctx context.Context, profiles int) (*FidelityResult, error) {
 	if err := s.guard(); err != nil {
 		return nil, err
@@ -257,7 +257,7 @@ func (s *Session) BoundFidelity(ctx context.Context, profiles int) (*FidelityRes
 }
 
 // ConvergenceRate measures the empirical optimality gap across training
-// horizons, validating Theorem 1's O(1/R) shape (DESIGN.md X9).
+// horizons, validating Theorem 1's O(1/R) shape.
 func (s *Session) ConvergenceRate(ctx context.Context, horizons []int) ([]GapPoint, error) {
 	if err := s.guard(); err != nil {
 		return nil, err

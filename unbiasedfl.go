@@ -100,14 +100,13 @@ type (
 	// Outcome is a priced market state under some scheme.
 	Outcome = game.Outcome
 	// Prior is the server's belief over private client parameters for the
-	// Bayesian incomplete-information extension (DESIGN.md X1).
+	// Bayesian incomplete-information extension.
 	Prior = game.Prior
 	// BayesianOutcome is a posted-price design under incomplete information.
 	BayesianOutcome = game.BayesianOutcome
-	// Sensitivity holds the equilibrium's comparative statics (DESIGN.md X5).
+	// Sensitivity holds the equilibrium's comparative statics.
 	Sensitivity = game.Sensitivity
-	// CostComponents prices device resources for the decoupled cost model
-	// (DESIGN.md X2).
+	// CostComponents prices device resources for the decoupled cost model.
 	CostComponents = game.CostComponents
 	// DeviceProfile is a device's measured per-round resource usage.
 	DeviceProfile = game.DeviceProfile
