@@ -1,8 +1,10 @@
 // Package stats provides the deterministic randomness and statistics
 // substrate used throughout the reproduction: a seedable, splittable PRNG,
 // the distributions the paper's experiments draw from (exponential local
-// costs and intrinsic values, power-law data sizes), and streaming summary
-// statistics for averaging repeated runs.
+// costs and intrinsic values, power-law data sizes), streaming summary
+// statistics for averaging repeated runs, and ParallelFor, the worker loop
+// whose callers own one index each so that results do not depend on the
+// worker count.
 //
 // Everything in this package is pure computation with no global state, so
 // every experiment in the repository is reproducible bit-for-bit from a seed.
