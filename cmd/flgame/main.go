@@ -14,6 +14,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -71,6 +72,14 @@ func run(ctx context.Context) error {
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"budget", *budget}, {"meanv", *meanV}} {
+		if f.v != -1 && !(f.v >= 0 && f.v <= math.MaxFloat64) { // NaN fails both
+			return fmt.Errorf("-%s %v: want a finite value >= 0, or -1 for the Table I value", f.name, f.v)
+		}
+	}
 
 	if *cpuprof != "" {
 		f, err := os.Create(*cpuprof)

@@ -9,8 +9,8 @@ import (
 
 // TestCmdFlagParsing builds every binary under cmd/ and exercises its flag
 // parsing: -h must print a usage listing the binary's signature flags and
-// exit 0, and an unknown flag — or a flag the binary has retired — must be
-// rejected with a non-zero status. This is the smoke net that catches a cmd whose flag wiring silently breaks —
+// exit 0, and an unknown flag — or a flag the binary has retired, or a value
+// the binary refuses — must be rejected with a non-zero status. This is the smoke net that catches a cmd whose flag wiring silently breaks —
 // the library tests never execute package main.
 func TestCmdFlagParsing(t *testing.T) {
 	if testing.Short() {
@@ -27,14 +27,18 @@ func TestCmdFlagParsing(t *testing.T) {
 		bin     string
 		flags   []string // flags whose presence in the usage text is the contract
 		retired []string // flags that must be rejected like any unknown one
+		refused []string // flag=value arguments that must fail naming the flag
 	}{
-		{"flsim", []string{"-setup", "-scheme", "-scenario", "-clients", "-rounds", "-json", "-progress"}, nil},
-		{"flgame", []string{"-setup", "-budget", "-clients", "-json"}, nil},
+		{"flsim", []string{"-setup", "-scheme", "-scenario", "-clients", "-rounds", "-json", "-progress"}, nil, nil},
+		// -budget and -meanv take a finite value >= 0 or the -1 "Table I"
+		// sentinel; any other value must not fall back to Table I silently.
+		{"flgame", []string{"-setup", "-budget", "-clients", "-json"}, nil,
+			[]string{"-budget=-5", "-budget=NaN", "-budget=Inf", "-meanv=-3", "-meanv=NaN"}},
 		// Membership is the coordinator's plan (-join/-leave n@r, as in
 		// flsim); the device-initiated -leave-after went with the
 		// uncoordinated prototype session.
-		{"flnode", []string{"-role", "-addr", "-id", "-clients", "-rounds", "-round-timeout", "-join", "-leave"}, []string{"-leave-after"}},
-		{"flbench", []string{"-setup"}, nil},
+		{"flnode", []string{"-role", "-addr", "-id", "-clients", "-rounds", "-round-timeout", "-join", "-leave"}, []string{"-leave-after"}, nil},
+		{"flbench", []string{"-setup"}, nil, nil},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -62,6 +66,15 @@ func TestCmdFlagParsing(t *testing.T) {
 				}
 				if !strings.Contains(string(out), "flag provided but not defined") {
 					t.Errorf("%s %s diagnostics drifted:\n%s", tc.bin, f, out)
+				}
+			}
+			for _, arg := range tc.refused {
+				out, err = exec.Command(path, arg).CombinedOutput()
+				if err == nil {
+					t.Fatalf("%s accepted %s:\n%s", tc.bin, arg, out)
+				}
+				if name, _, _ := strings.Cut(arg, "="); !strings.Contains(string(out), name+" ") {
+					t.Errorf("%s %s: diagnostic does not name the flag:\n%s", tc.bin, arg, out)
 				}
 			}
 		})

@@ -61,25 +61,6 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// Subset returns a view of d restricted to the given indices. The feature
-// vectors are shared, not copied.
-func (d *Dataset) Subset(idx []int) (*Dataset, error) {
-	out := &Dataset{
-		X:       make([][]float64, len(idx)),
-		Y:       make([]int, len(idx)),
-		Dim:     d.Dim,
-		Classes: d.Classes,
-	}
-	for i, j := range idx {
-		if j < 0 || j >= d.Len() {
-			return nil, fmt.Errorf("data: subset index %d out of range", j)
-		}
-		out.X[i] = d.X[j]
-		out.Y[i] = d.Y[j]
-	}
-	return out, nil
-}
-
 // Concat merges several datasets with identical shape metadata.
 func Concat(parts []*Dataset) (*Dataset, error) {
 	if len(parts) == 0 {

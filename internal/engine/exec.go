@@ -25,12 +25,11 @@ type clientExec struct {
 }
 
 // execArena is the reusable model-sized scratch a worker lends to whichever
-// client it is currently running: the parameter clone, the gradient buffer,
-// and the model's batch buffers. One arena serves any number of clients
-// sequentially; the hot path stays allocation-free once the arena is warm.
+// client it is currently running: the parameter clone and the model's batch
+// buffers. One arena serves any number of clients sequentially; the hot path
+// stays allocation-free once the arena is warm.
 type execArena struct {
 	w       tensor.Vec // working copy of the global model
-	grad    tensor.Vec // gradient buffer
 	scratch model.Scratch
 }
 
@@ -38,17 +37,14 @@ type execArena struct {
 func (ar *execArena) ensure(p int) {
 	if len(ar.w) != p {
 		ar.w = tensor.NewVec(p)
-		ar.grad = tensor.NewVec(p)
 	}
 }
 
 // localUpdate copies the global model into the arena and performs steps
 // mini-batch SGD steps on the client's shard, recording squared gradient
-// norms for G_n estimation. Models implementing model.LocalStepper run the
-// fused step; otherwise the generic StochasticGradient + axpy path applies.
-// The delta w − global is written into the caller-provided buffer (sized
-// like global). In steady state (arena warm) the update performs no heap
-// allocations.
+// norms for G_n estimation. The delta w − global is written into the
+// caller-provided buffer (sized like global). In steady state (arena warm)
+// the update performs no heap allocations.
 func (st *clientExec) localUpdate(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
 	global tensor.Vec, steps, batch int, lr float64,
@@ -60,7 +56,6 @@ func (st *clientExec) localUpdate(
 	ar.ensure(len(global))
 	w := ar.w
 	copy(w, global)
-	stepper, hasStep := m.(model.LocalStepper)
 	for e := 0; e < steps; e++ {
 		// Re-check cancellation every few steps so paper-scale E (100 local
 		// steps) still cancels mid-update, without putting the ctx mutex on
@@ -70,22 +65,11 @@ func (st *clientExec) localUpdate(
 				return err
 			}
 		}
-		if hasStep {
-			sq, err := stepper.SGDStep(w, shard, batch, lr, st.rng, &ar.scratch)
-			if err != nil {
-				return fmt.Errorf("client %d: %w", n, err)
-			}
-			st.sqNorms.Add(sq)
-			continue
-		}
-		grad := ar.grad
-		if err := m.StochasticGradient(w, shard, batch, st.rng, grad); err != nil {
+		sq, err := m.SGDStep(w, shard, batch, lr, st.rng, &ar.scratch)
+		if err != nil {
 			return fmt.Errorf("client %d: %w", n, err)
 		}
-		st.sqNorms.Add(grad.SqNorm())
-		if err := w.AddScaled(-lr, grad); err != nil {
-			return err
-		}
+		st.sqNorms.Add(sq)
 	}
 	if len(delta) != len(global) {
 		return fmt.Errorf("client %d: delta buffer length %d, want %d", n, len(delta), len(global))

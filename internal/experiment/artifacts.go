@@ -112,15 +112,6 @@ func (a *Artifacts) SaveSweep(name string, setup SetupID, kind SweepKind, points
 	return nil
 }
 
-// createArtifactFile opens a file inside the artifact root.
-func createArtifactFile(a *Artifacts, rel string) (*os.File, error) {
-	f, err := os.Create(filepath.Join(a.dir, rel))
-	if err != nil {
-		return nil, fmt.Errorf("experiment: create %s: %w", rel, err)
-	}
-	return f, nil
-}
-
 // Finalize writes the manifest; call it once after all saves.
 func (a *Artifacts) Finalize() error {
 	raw, err := json.MarshalIndent(a.manifest, "", "  ")

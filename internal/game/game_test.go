@@ -2,6 +2,7 @@ package game
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -53,26 +54,60 @@ func TestParamsValidate(t *testing.T) {
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	cases := map[string]func(*Params){
-		"no clients":   func(p *Params) { p.A = nil },
-		"len mismatch": func(p *Params) { p.G = p.G[:1] },
-		"neg a":        func(p *Params) { p.A[0] = -1 },
-		"zero g":       func(p *Params) { p.G[0] = 0 },
-		"zero c":       func(p *Params) { p.C[0] = 0 },
-		"neg v":        func(p *Params) { p.V[0] = -1 },
-		"bad alpha":    func(p *Params) { p.Alpha = 0 },
-		"neg beta":     func(p *Params) { p.Beta = -1 },
-		"bad R":        func(p *Params) { p.R = 0 },
-		"bad qmax":     func(p *Params) { p.QMax = 1.5 },
-		"bad qmin":     func(p *Params) { p.QMin = 0 },
-		"qmin>=qmax":   func(p *Params) { p.QMin = p.QMax },
-		"a not normed": func(p *Params) { p.A[0] += 0.5 },
+	// want is a fragment the error must contain: it names what is wrong.
+	cases := map[string]struct {
+		mutate func(*Params)
+		want   string
+	}{
+		"no clients":   {func(p *Params) { p.A = nil }, "no clients"},
+		"len mismatch": {func(p *Params) { p.G = p.G[:1] }, "lengths differ"},
+		"neg a":        {func(p *Params) { p.A[0] = -1 }, "a[0]"},
+		"zero g":       {func(p *Params) { p.G[0] = 0 }, "G[0]"},
+		"zero c":       {func(p *Params) { p.C[0] = 0 }, "c[0]"},
+		"neg v":        {func(p *Params) { p.V[0] = -1 }, "v[0]"},
+		"bad alpha":    {func(p *Params) { p.Alpha = 0 }, "alpha"},
+		"neg beta":     {func(p *Params) { p.Beta = -1 }, "beta"},
+		"bad R":        {func(p *Params) { p.R = 0 }, "R must"},
+		"bad qmax":     {func(p *Params) { p.QMax = 1.5 }, "qmax"},
+		"bad qmin":     {func(p *Params) { p.QMin = 0 }, "qmin"},
+		"qmin>=qmax":   {func(p *Params) { p.QMin = p.QMax }, "qmin"},
+		"a not normed": {func(p *Params) { p.A[0] += 0.5 }, "sum to"},
+		"NaN a":        {func(p *Params) { p.A[1] = math.NaN() }, "client 1 has a non-finite"},
+		"Inf a":        {func(p *Params) { p.A[1] = math.Inf(1) }, "client 1 has a non-finite"},
+		"NaN g":        {func(p *Params) { p.G[0] = math.NaN() }, "client 0 has a non-finite"},
+		"Inf g":        {func(p *Params) { p.G[0] = math.Inf(1) }, "client 0 has a non-finite"},
+		"NaN c":        {func(p *Params) { p.C[2] = math.NaN() }, "client 2 has a non-finite"},
+		"Inf c":        {func(p *Params) { p.C[2] = math.Inf(1) }, "client 2 has a non-finite"},
+		"NaN v":        {func(p *Params) { p.V[0] = math.NaN() }, "client 0 has a non-finite"},
+		"Inf v":        {func(p *Params) { p.V[0] = math.Inf(1) }, "client 0 has a non-finite"},
+		"NaN alpha":    {func(p *Params) { p.Alpha = math.NaN() }, "alpha = NaN is not finite"},
+		"Inf alpha":    {func(p *Params) { p.Alpha = math.Inf(1) }, "alpha = +Inf is not finite"},
+		"NaN beta":     {func(p *Params) { p.Beta = math.NaN() }, "beta = NaN is not finite"},
+		"Inf beta":     {func(p *Params) { p.Beta = math.Inf(1) }, "beta = +Inf is not finite"},
+		"NaN R":        {func(p *Params) { p.R = math.NaN() }, "R = NaN is not finite"},
+		"Inf R":        {func(p *Params) { p.R = math.Inf(1) }, "R = +Inf is not finite"},
+		"NaN budget":   {func(p *Params) { p.B = math.NaN() }, "budget B = NaN is not finite"},
+		"+Inf budget":  {func(p *Params) { p.B = math.Inf(1) }, "budget B = +Inf is not finite"},
+		"-Inf budget":  {func(p *Params) { p.B = math.Inf(-1) }, "budget B = -Inf is not finite"},
+		"NaN qmax":     {func(p *Params) { p.QMax = math.NaN() }, "qmax = NaN is not finite"},
+		"NaN qmin":     {func(p *Params) { p.QMin = math.NaN() }, "qmin = NaN is not finite"},
+		"-Inf qmin":    {func(p *Params) { p.QMin = math.Inf(-1) }, "qmin = -Inf is not finite"},
 	}
-	for name, mutate := range cases {
+	for name, tc := range cases {
 		bad := p.Clone()
-		mutate(bad)
-		if err := bad.Validate(); err == nil {
-			t.Fatalf("%s: expected validation error", name)
+		tc.mutate(bad)
+		err := bad.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: got error %v, want one containing %q", name, err, tc.want)
+		}
+	}
+	// The budget carries no sign rule: payments can be negative (Table V),
+	// so whether a budget of zero or less is feasible is the solver's call.
+	for _, b := range []float64{0, -5} {
+		ok := p.Clone()
+		ok.B = b
+		if err := ok.Validate(); err != nil {
+			t.Fatalf("budget %v: %v", b, err)
 		}
 	}
 }

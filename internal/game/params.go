@@ -49,6 +49,7 @@ package game
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // Params collects every constant of the CPL game. Slices are indexed by
@@ -69,7 +70,9 @@ type Params struct {
 // N returns the number of clients.
 func (p *Params) N() int { return len(p.A) }
 
-// Validate checks dimensions and ranges.
+// Validate checks dimensions and ranges, and that every value is finite.
+// It sets no sign on the budget B: payments can be negative, so whether a
+// budget is feasible is the solver's decision.
 func (p *Params) Validate() error {
 	n := p.N()
 	if n == 0 {
@@ -80,6 +83,10 @@ func (p *Params) Validate() error {
 	}
 	var asum float64
 	for i := 0; i < n; i++ {
+		a, g, c, v := p.A[i], p.G[i], p.C[i], p.V[i]
+		if !finite(a) || !finite(g) || !finite(c) || !finite(v) {
+			return fmt.Errorf("game: client %d has a non-finite value (a=%v G=%v c=%v v=%v)", i, a, g, c, v)
+		}
 		switch {
 		case p.A[i] <= 0:
 			return fmt.Errorf("game: a[%d] = %v must be positive", i, p.A[i])
@@ -95,6 +102,14 @@ func (p *Params) Validate() error {
 	if asum < 0.999 || asum > 1.001 {
 		return fmt.Errorf("game: data weights sum to %v, want 1", asum)
 	}
+	for _, s := range [...]struct {
+		name string
+		x    float64
+	}{{"alpha", p.Alpha}, {"beta", p.Beta}, {"R", p.R}, {"budget B", p.B}, {"qmax", p.QMax}, {"qmin", p.QMin}} {
+		if !finite(s.x) {
+			return fmt.Errorf("game: %s = %v is not finite", s.name, s.x)
+		}
+	}
 	switch {
 	case p.Alpha <= 0:
 		return errors.New("game: alpha must be positive")
@@ -109,6 +124,9 @@ func (p *Params) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // DataQuality returns D_n = a_n² G_n², the combined data-quality term that
 // drives both the convergence bound and the pricing formulas.

@@ -71,15 +71,7 @@ func (s *Scratch) ensureChunk(n, classes int) {
 	s.probs = s.probs[:n*classes]
 }
 
-// BatchGradienter is the allocation-free fast path the FL engine uses when a
-// model supports it: identical semantics to Model.StochasticGradient, but
-// every buffer the step needs comes from the caller-owned Scratch.
-type BatchGradienter interface {
-	StochasticGradientScratch(w tensor.Vec, ds *data.Dataset, batchSize int,
-		r *stats.RNG, grad tensor.Vec, s *Scratch) error
-}
-
-// LocalStepper is the fused local-SGD fast path: draw a mini-batch, take one
+// LocalStepper is the fused local-SGD step: draw a mini-batch, take one
 // in-place step w ← w − lr·∇F_B(w), and report ‖∇F_B(w)‖². Fusing the L2
 // term, the squared-norm reduction, and the parameter update into a single
 // pass over the parameters saves two full read-modify-write sweeps per step
@@ -103,12 +95,6 @@ func fusedStep(w, g tensor.Vec, mu, lr float64) float64 {
 	return sq
 }
 
-// Both model families are linear score models sharing the flattened
-// (weights row-major, then biases) layout, so the whole gradient path —
-// batch draw, chunked batched kernels, fused step — is shared below and
-// parameterized only by whether scores pass through a softmax (logistic
-// regression) or are used raw as residuals (ridge).
-
 // drawBatch validates the mini-batch arguments and fills the scratch index
 // buffer with batchSize uniform draws (with replacement).
 func drawBatch(ds *data.Dataset, batchSize int, r *stats.RNG, s *Scratch) ([]int, error) {
@@ -128,16 +114,15 @@ func drawBatch(ds *data.Dataset, batchSize int, r *stats.RNG, s *Scratch) ([]int
 	return idx, nil
 }
 
-// linearDataGradient accumulates the average data gradient (no L2 term)
-// over n sample indices (the identity permutation when idx is nil). The
-// mini-batch is processed through the batched kernels in gradChunk-sized
-// blocks: one X·Wᵀ+b logits pass, an optional row-wise softmax, the onehot
-// subtraction, and one Pᵀ·X accumulation per block, instead of per-sample
-// dot products.
-func linearDataGradient(
-	w tensor.Vec, ds *data.Dataset, idx []int, n, dim, classes int,
-	softmax bool, grad tensor.Vec, s *Scratch,
+// dataGradient accumulates the average data gradient (no L2 term) over n
+// sample indices (the identity permutation when idx is nil). The samples are
+// processed through the batched kernels in gradChunk-sized blocks: one
+// X·Wᵀ+b logits pass, a row-wise softmax, the onehot subtraction, and one
+// Pᵀ·X accumulation per block, instead of per-sample dot products.
+func (m *LogisticRegression) dataGradient(
+	w tensor.Vec, ds *data.Dataset, idx []int, n int, grad tensor.Vec, s *Scratch,
 ) error {
+	dim, classes := m.Dim, m.Classes
 	params := classes*dim + classes
 	if len(grad) != params {
 		return errors.New("model: gradient buffer size mismatch")
@@ -169,13 +154,11 @@ func linearDataGradient(
 		if err := tensor.LogitsBatch(rows, wRows, bias, dim, classes, probs); err != nil {
 			return err
 		}
-		if softmax {
-			if err := tensor.SoftmaxRows(probs, b, classes); err != nil {
-				return err
-			}
+		if err := tensor.SoftmaxRows(probs, b, classes); err != nil {
+			return err
 		}
 		for i := 0; i < b; i++ {
-			probs[i*classes+labels[i]] -= 1 // scores (or softmax) - onehot
+			probs[i*classes+labels[i]] -= 1 // softmax - onehot
 		}
 		if err := tensor.AddScaledTMul(inv, rows, probs, classes, dim, gRows); err != nil {
 			return err
@@ -191,58 +174,15 @@ func linearDataGradient(
 	return nil
 }
 
-// linearBatchGradient is linearDataGradient plus the L2 term.
-func linearBatchGradient(
-	w tensor.Vec, ds *data.Dataset, idx []int, n, dim, classes int,
-	mu float64, softmax bool, grad tensor.Vec, s *Scratch,
+// batchGradient is dataGradient plus the L2 term.
+func (m *LogisticRegression) batchGradient(
+	w tensor.Vec, ds *data.Dataset, idx []int, n int, grad tensor.Vec, s *Scratch,
 ) error {
-	if err := linearDataGradient(w, ds, idx, n, dim, classes, softmax, grad, s); err != nil {
+	if err := m.dataGradient(w, ds, idx, n, grad, s); err != nil {
 		return err
 	}
-	if mu > 0 {
-		return grad.AddScaled(mu, w)
+	if m.Mu > 0 {
+		return grad.AddScaled(m.Mu, w)
 	}
 	return nil
 }
-
-// linearStochasticGradient draws a batch and computes its full gradient.
-func linearStochasticGradient(
-	w tensor.Vec, ds *data.Dataset, batchSize int, r *stats.RNG,
-	dim, classes int, mu float64, softmax bool, grad tensor.Vec, s *Scratch,
-) error {
-	if s == nil {
-		s = new(Scratch)
-	}
-	idx, err := drawBatch(ds, batchSize, r, s)
-	if err != nil {
-		return err
-	}
-	return linearBatchGradient(w, ds, idx, len(idx), dim, classes, mu, softmax, grad, s)
-}
-
-// linearSGDStep draws a batch and takes one fused in-place SGD step,
-// returning ‖∇F_B(w)‖².
-func linearSGDStep(
-	w tensor.Vec, ds *data.Dataset, batchSize int, lr float64, r *stats.RNG,
-	dim, classes int, mu float64, softmax bool, s *Scratch,
-) (float64, error) {
-	if s == nil {
-		s = new(Scratch)
-	}
-	idx, err := drawBatch(ds, batchSize, r, s)
-	if err != nil {
-		return 0, err
-	}
-	grad := s.ensureGrad(classes*dim + classes)
-	if err := linearDataGradient(w, ds, idx, len(idx), dim, classes, softmax, grad, s); err != nil {
-		return 0, err
-	}
-	return fusedStep(w, grad, mu, lr), nil
-}
-
-var (
-	_ BatchGradienter = (*LogisticRegression)(nil)
-	_ BatchGradienter = (*RidgeRegression)(nil)
-	_ LocalStepper    = (*LogisticRegression)(nil)
-	_ LocalStepper    = (*RidgeRegression)(nil)
-)

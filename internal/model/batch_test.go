@@ -65,35 +65,6 @@ func perSampleLogregGradient(m *LogisticRegression, w tensor.Vec, ds *data.Datas
 	return nil
 }
 
-// perSampleRidgeGradient is the ridge analogue of the retired path.
-func perSampleRidgeGradient(m *RidgeRegression, w tensor.Vec, ds *data.Dataset, idx []int, grad tensor.Vec) error {
-	grad.Zero()
-	scores := make(tensor.Vec, m.Classes)
-	inv := 1.0 / float64(len(idx))
-	for _, i := range idx {
-		x := ds.X[i]
-		if err := m.scores(w, x, scores); err != nil {
-			return err
-		}
-		for c := 0; c < m.Classes; c++ {
-			target := 0.0
-			if c == ds.Y[i] {
-				target = 1.0
-			}
-			rc := inv * (scores[c] - target)
-			row := grad[c*m.Dim : (c+1)*m.Dim]
-			for j := range row {
-				row[j] += rc * x[j]
-			}
-			grad[m.Classes*m.Dim+c] += rc
-		}
-	}
-	if m.Mu > 0 {
-		return grad.AddScaled(m.Mu, w)
-	}
-	return nil
-}
-
 const batchTol = 1e-12
 
 // gradShapes covers the blocking tails: class counts off the 4/2 blocks,
@@ -136,70 +107,62 @@ func TestLogregBatchedGradientMatchesPerSample(t *testing.T) {
 	}
 }
 
-func TestRidgeBatchedGradientMatchesPerSample(t *testing.T) {
-	r := stats.NewRNG(12)
-	for _, shape := range gradShapes {
-		ds := randomDataset(r, shape.n, shape.dim, shape.classes)
-		m, err := NewRidgeRegression(shape.dim, shape.classes, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := randomParams(r, m)
-		idx := make([]int, shape.batch)
-		for i := range idx {
-			idx[i] = r.Intn(ds.Len())
-		}
-		got := m.ZeroParams()
-		if err := m.batchGradient(w, ds, idx, len(idx), got, new(Scratch)); err != nil {
-			t.Fatal(err)
-		}
-		want := m.ZeroParams()
-		if err := perSampleRidgeGradient(m, w, ds, idx, want); err != nil {
-			t.Fatal(err)
-		}
-		for j := range got {
-			if math.Abs(got[j]-want[j]) > batchTol {
-				t.Fatalf("%v: grad[%d] = %v, want %v", shape, j, got[j], want[j])
-			}
-		}
-	}
+// sgdStepShapes are (n, dim, classes, batch) for TestSGDStepMatchesUnfusedStep.
+// The dim-24 and dim-28 shapes take the vector logits tier where there is
+// one; the other two decline it.
+var sgdStepShapes = []struct{ n, dim, classes, batch int }{
+	{120, 10, 4, 8},
+	{200, 24, 10, 24},
+	{300, 28, 62, 8},
+	{90, 7, 3, 5},
 }
 
-// TestSGDStepMatchesUnfusedStep pins the fused LocalStepper path to the
-// generic StochasticGradient + SqNorm + AddScaled sequence: same RNG seed,
-// same batch draw, same resulting parameters and gradient norm.
+// TestSGDStepMatchesUnfusedStep pins the fused step the engine runs to the
+// textbook StochasticGradient + AddScaled sequence, bit for bit: same RNG
+// seed, same batch draw, the same bits in every parameter and in ‖g‖², on
+// the vector and on the portable kernel tier, with and without L2.
 func TestSGDStepMatchesUnfusedStep(t *testing.T) {
-	root := stats.NewRNG(13)
-	ds := randomDataset(root, 120, 10, 4)
-	for _, mdl := range []Model{
-		mustLogreg(t, 10, 4, 0.02),
-		mustRidge(t, 10, 4, 0.02),
-	} {
-		stepper := mdl.(LocalStepper)
-		w := randomParams(root, mdl)
-		const lr = 0.05
+	for _, shape := range sgdStepShapes {
+		for _, mu := range []float64{0, 0.02} {
+			for _, vector := range []bool{true, false} {
+				name := fmt.Sprintf("%dx%dx%d_b%d/mu%g/vector=%t",
+					shape.n, shape.dim, shape.classes, shape.batch, mu, vector)
+				t.Run(name, func(t *testing.T) {
+					if !vector {
+						declineVector(t)
+					} else if !tensor.HasAVX2 {
+						t.Skip("no AVX2: the vector tier does not exist on this host")
+					}
+					root := stats.NewRNG(13)
+					ds := randomDataset(root, shape.n, shape.dim, shape.classes)
+					m := mustLogreg(t, shape.dim, shape.classes, mu)
+					w := randomParams(root, m)
+					const lr = 0.05
 
-		wFused := w.Clone()
-		sq, err := stepper.SGDStep(wFused, ds, 8, lr, stats.NewRNG(99), new(Scratch))
-		if err != nil {
-			t.Fatal(err)
-		}
+					wFused := w.Clone()
+					sq, err := m.SGDStep(wFused, ds, shape.batch, lr, stats.NewRNG(99), new(Scratch))
+					if err != nil {
+						t.Fatal(err)
+					}
 
-		wRef := w.Clone()
-		grad := mdl.ZeroParams()
-		if err := mdl.StochasticGradient(wRef, ds, 8, stats.NewRNG(99), grad); err != nil {
-			t.Fatal(err)
-		}
-		if err := wRef.AddScaled(-lr, grad); err != nil {
-			t.Fatal(err)
-		}
+					wRef := w.Clone()
+					grad := m.ZeroParams()
+					if err := m.StochasticGradient(wRef, ds, shape.batch, stats.NewRNG(99), grad); err != nil {
+						t.Fatal(err)
+					}
+					if err := wRef.AddScaled(-lr, grad); err != nil {
+						t.Fatal(err)
+					}
 
-		if math.Abs(sq-grad.SqNorm()) > batchTol*math.Max(1, grad.SqNorm()) {
-			t.Fatalf("%T: fused ||g||² = %v, unfused %v", mdl, sq, grad.SqNorm())
-		}
-		for j := range wFused {
-			if math.Abs(wFused[j]-wRef[j]) > batchTol {
-				t.Fatalf("%T: w[%d] = %v, want %v", mdl, j, wFused[j], wRef[j])
+					if want := grad.SqNorm(); math.Float64bits(sq) != math.Float64bits(want) {
+						t.Fatalf("fused ||g||² = %v, unfused %v", sq, want)
+					}
+					for j := range wFused {
+						if math.Float64bits(wFused[j]) != math.Float64bits(wRef[j]) {
+							t.Fatalf("w[%d] = %v, want %v", j, wFused[j], wRef[j])
+						}
+					}
+				})
 			}
 		}
 	}
@@ -208,15 +171,6 @@ func TestSGDStepMatchesUnfusedStep(t *testing.T) {
 func mustLogreg(t *testing.T, dim, classes int, mu float64) *LogisticRegression {
 	t.Helper()
 	m, err := NewLogisticRegression(dim, classes, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-func mustRidge(t *testing.T, dim, classes int, mu float64) *RidgeRegression {
-	t.Helper()
-	m, err := NewRidgeRegression(dim, classes, mu)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,26 +219,21 @@ func TestEvalDeterministicAcrossWorkers(t *testing.T) {
 func TestSGDStepZeroAllocs(t *testing.T) {
 	r := stats.NewRNG(15)
 	ds := randomDataset(r, 200, 24, 10)
-	for _, mdl := range []Model{
-		mustLogreg(t, 24, 10, 0.01),
-		mustRidge(t, 24, 10, 0.01),
-	} {
-		stepper := mdl.(LocalStepper)
-		w := randomParams(r, mdl)
-		scratch := new(Scratch)
-		rng := stats.NewRNG(7)
-		// Warm the arena.
-		if _, err := stepper.SGDStep(w, ds, 16, 1e-3, rng, scratch); err != nil {
+	m := mustLogreg(t, 24, 10, 0.01)
+	w := randomParams(r, m)
+	scratch := new(Scratch)
+	rng := stats.NewRNG(7)
+	// Warm the arena.
+	if _, err := m.SGDStep(w, ds, 16, 1e-3, rng, scratch); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := m.SGDStep(w, ds, 16, 1e-3, rng, scratch); err != nil {
 			t.Fatal(err)
 		}
-		allocs := testing.AllocsPerRun(200, func() {
-			if _, err := stepper.SGDStep(w, ds, 16, 1e-3, rng, scratch); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if allocs != 0 {
-			t.Fatalf("%T: steady-state SGD step allocates %v times per run", mdl, allocs)
-		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state SGD step allocates %v times per run", allocs)
 	}
 }
 

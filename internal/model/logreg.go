@@ -110,44 +110,46 @@ func (m *LogisticRegression) Gradient(w tensor.Vec, ds *data.Dataset, grad tenso
 }
 
 // StochasticGradient computes an unbiased mini-batch gradient at w using
-// batchSize samples drawn uniformly with replacement from ds.
+// batchSize samples drawn uniformly with replacement from ds. It is the
+// textbook form of SGDStep's gradient, which the tests pin SGDStep to.
 func (m *LogisticRegression) StochasticGradient(
 	w tensor.Vec, ds *data.Dataset, batchSize int, r *stats.RNG, grad tensor.Vec,
 ) error {
 	return m.StochasticGradientScratch(w, ds, batchSize, r, grad, new(Scratch))
 }
 
-// StochasticGradientScratch implements BatchGradienter: the same mini-batch
-// gradient, with every buffer drawn from the caller-owned scratch so the
-// steady-state training step performs no heap allocations.
+// StochasticGradientScratch is StochasticGradient with every buffer drawn
+// from the caller-owned scratch, so a steady-state call allocates nothing.
 func (m *LogisticRegression) StochasticGradientScratch(
 	w tensor.Vec, ds *data.Dataset, batchSize int, r *stats.RNG, grad tensor.Vec, s *Scratch,
 ) error {
-	return linearStochasticGradient(w, ds, batchSize, r, m.Dim, m.Classes, m.Mu, true, grad, s)
+	if s == nil {
+		s = new(Scratch)
+	}
+	idx, err := drawBatch(ds, batchSize, r, s)
+	if err != nil {
+		return err
+	}
+	return m.batchGradient(w, ds, idx, len(idx), grad, s)
 }
 
-// SGDStep implements LocalStepper: one fused, allocation-free local SGD step.
+// SGDStep implements LocalStepper: draw a batch and take one fused,
+// allocation-free in-place SGD step, returning ‖∇F_B(w)‖².
 func (m *LogisticRegression) SGDStep(
 	w tensor.Vec, ds *data.Dataset, batchSize int, lr float64, r *stats.RNG, s *Scratch,
 ) (float64, error) {
-	return linearSGDStep(w, ds, batchSize, lr, r, m.Dim, m.Classes, m.Mu, true, s)
-}
-
-// batchGradient runs the shared batched kernel path (see batch.go) with the
-// cross-entropy softmax transform.
-func (m *LogisticRegression) batchGradient(
-	w tensor.Vec, ds *data.Dataset, idx []int, n int, grad tensor.Vec, s *Scratch,
-) error {
-	return linearBatchGradient(w, ds, idx, n, m.Dim, m.Classes, m.Mu, true, grad, s)
-}
-
-// Predict returns the argmax class for x.
-func (m *LogisticRegression) Predict(w tensor.Vec, x []float64) (int, error) {
-	logits := make(tensor.Vec, m.Classes)
-	if err := m.Logits(w, x, logits); err != nil {
+	if s == nil {
+		s = new(Scratch)
+	}
+	idx, err := drawBatch(ds, batchSize, r, s)
+	if err != nil {
 		return 0, err
 	}
-	return tensor.ArgMax(logits)
+	grad := s.ensureGrad(m.NumParams())
+	if err := m.dataGradient(w, ds, idx, len(idx), grad, s); err != nil {
+		return 0, err
+	}
+	return fusedStep(w, grad, m.Mu, lr), nil
 }
 
 // Accuracy returns the fraction of ds classified correctly by w, evaluated
@@ -166,9 +168,8 @@ func (m *LogisticRegression) Accuracy(w tensor.Vec, ds *data.Dataset) (float64, 
 	return correct / float64(ds.Len()), nil
 }
 
-// countCorrect is the shared sharded argmax-accuracy kernel: score each
-// shard with one batched X·Wᵀ+b pass and count argmax hits. Both model
-// families use linear scores, so they share it verbatim.
+// countCorrect is the sharded argmax-accuracy kernel: score each shard with
+// one batched X·Wᵀ+b pass and count argmax hits.
 func countCorrect(w tensor.Vec, ds *data.Dataset, dim, classes int) (float64, error) {
 	wRows := w[:classes*dim]
 	bias := w[classes*dim:]

@@ -2,18 +2,16 @@ package model
 
 import (
 	"unbiasedfl/internal/data"
-	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 )
 
 // Model is the contract the FL engine, the calibration pass, and the TCP
-// prototype require of a learning model. Both model families in this
-// package — multinomial logistic regression and ridge (one-hot least
-// squares) regression — satisfy the paper's Assumption 1 (μ-strong
-// convexity and L-smoothness) when their regularization is positive; these
-// are exactly the examples the paper cites ("ℓ2-norm regularized linear
-// regression, logistic regression").
+// prototype require of a learning model. Multinomial logistic regression
+// satisfies the paper's Assumption 1 (μ-strong convexity and L-smoothness)
+// when its regularization is positive.
 type Model interface {
+	// LocalStepper is the one local-SGD step the engine runs.
+	LocalStepper
 	// NumParams returns the flattened parameter length.
 	NumParams() int
 	// ZeroParams returns the w0 = 0 initialization.
@@ -22,8 +20,6 @@ type Model interface {
 	Loss(w tensor.Vec, ds *data.Dataset) (float64, error)
 	// Gradient computes the full-batch gradient into grad.
 	Gradient(w tensor.Vec, ds *data.Dataset, grad tensor.Vec) error
-	// StochasticGradient computes an unbiased mini-batch gradient.
-	StochasticGradient(w tensor.Vec, ds *data.Dataset, batchSize int, r *stats.RNG, grad tensor.Vec) error
 	// Accuracy returns the classification accuracy of w on ds.
 	Accuracy(w tensor.Vec, ds *data.Dataset) (float64, error)
 	// EstimateSmoothness upper-bounds the smoothness constant L on ds.
@@ -33,10 +29,7 @@ type Model interface {
 	StrongConvexity() float64
 }
 
-var (
-	_ Model = (*LogisticRegression)(nil)
-	_ Model = (*RidgeRegression)(nil)
-)
+var _ Model = (*LogisticRegression)(nil)
 
 // StrongConvexity implements Model.
 func (m *LogisticRegression) StrongConvexity() float64 { return m.Mu }

@@ -126,7 +126,7 @@ func TestSolveReachesLowGradient(t *testing.T) {
 	r := stats.NewRNG(4)
 	ds := twoBlobs(r, 100)
 	m, _ := NewLogisticRegression(2, 2, 0.1)
-	w, err := Solve(m, ds, nil, DefaultSolveOptions())
+	w, err := Solve(m, ds, nil, SolveOptions{MaxIters: 2000, Tolerance: 1e-6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestPredictAccuracyErrors(t *testing.T) {
 	if err := m.StochasticGradient(m.ZeroParams(), ds, 0, stats.NewRNG(1), m.ZeroParams()); err == nil {
 		t.Fatal("expected error for zero batch")
 	}
-	if _, err := m.Predict(m.ZeroParams(), []float64{1}); err == nil {
+	if err := m.Logits(m.ZeroParams(), []float64{1}, tensor.NewVec(2)); err == nil {
 		t.Fatal("expected error for wrong input dim")
 	}
 	if err := m.Logits(tensor.NewVec(3), []float64{1, 1}, tensor.NewVec(2)); err == nil {
@@ -222,53 +222,6 @@ func TestEstimateSmoothness(t *testing.T) {
 	}
 	if _, err := m.EstimateSmoothness(&data.Dataset{Dim: 2, Classes: 2}); err == nil {
 		t.Fatal("expected error for empty dataset")
-	}
-}
-
-func TestComputeReferenceOptima(t *testing.T) {
-	r := stats.NewRNG(6)
-	shard1 := twoBlobs(r.Split(), 40)
-	shard2 := twoBlobs(r.Split(), 20)
-	weights, err := data.ComputeWeights([]*data.Dataset{shard1, shard2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	train, err := data.Concat([]*data.Dataset{shard1, shard2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed := &data.Federated{
-		Clients: []*data.Dataset{shard1, shard2},
-		Train:   train,
-		Test:    train,
-		Weights: weights,
-	}
-	m, _ := NewLogisticRegression(2, 2, 0.2)
-	ref, err := ComputeReferenceOptima(m, fed, DefaultSolveOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for n := range fed.Clients {
-		// F(w*_n) >= F* by optimality of the global solution.
-		if ref.ImprovementOf[n] < -1e-6 {
-			t.Fatalf("client %d: F(w*_n)-F* = %v < 0", n, ref.ImprovementOf[n])
-		}
-		// F*_n <= F evaluated at the global optimum restricted to the shard.
-		lossAtGlobal, err := m.Loss(ref.GlobalOpt, fed.Clients[n])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ref.LocalOptLoss[n] > lossAtGlobal+1e-6 {
-			t.Fatalf("client %d: local opt loss %v above global-at-shard %v",
-				n, ref.LocalOptLoss[n], lossAtGlobal)
-		}
-	}
-	// Γ = F* − Σ a_n F*_n >= 0 (heterogeneity gap is nonnegative).
-	if ref.Gamma < -1e-9 {
-		t.Fatalf("gamma %v < 0", ref.Gamma)
-	}
-	if _, err := ComputeReferenceOptima(m, nil, DefaultSolveOptions()); err == nil {
-		t.Fatal("expected error for nil federation")
 	}
 }
 

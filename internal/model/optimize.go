@@ -9,18 +9,12 @@ import (
 )
 
 // SolveOptions controls the deterministic gradient-descent solver used to
-// compute reference optima: the global F* and each client's local optimum
-// w*_n = argmin F_n (needed by the intrinsic-value model, eq. (7)).
+// compute a reference optimum, such as the global F* of the convergence-rate
+// experiment.
 type SolveOptions struct {
 	MaxIters  int
 	Tolerance float64 // stop when the gradient norm falls below this
 	StepSize  float64 // 0 means use 1/L from EstimateSmoothness
-}
-
-// DefaultSolveOptions returns a conservative configuration that converges on
-// every dataset in the repository.
-func DefaultSolveOptions() SolveOptions {
-	return SolveOptions{MaxIters: 2000, Tolerance: 1e-6}
 }
 
 // Solve runs full-batch gradient descent from init (or zero when nil) and
@@ -64,60 +58,4 @@ func Solve(m Model, ds *data.Dataset, init tensor.Vec, opts SolveOptions) (tenso
 		}
 	}
 	return w, nil
-}
-
-// ReferenceOptima bundles the quantities the game model needs from actual
-// training data: the global optimal loss F*, the per-client local optima
-// losses F(w*_n) evaluated on the *global* objective, and Γ = F* − Σ a_n F*_n
-// from Theorem 1's β term.
-type ReferenceOptima struct {
-	GlobalOpt     tensor.Vec
-	FStar         float64
-	LocalGlobalF  []float64 // F(w*_n): global loss at client n's local optimum
-	LocalOptLoss  []float64 // F*_n: client n's own minimal local loss
-	Gamma         float64
-	ImprovementOf []float64 // F(w*_n) − F*: the value headroom in eq. (7)
-}
-
-// ComputeReferenceOptima solves the global and all local problems.
-func ComputeReferenceOptima(m Model, fed *data.Federated, opts SolveOptions) (*ReferenceOptima, error) {
-	if fed == nil || fed.NumClients() == 0 {
-		return nil, errors.New("model: nil or empty federation")
-	}
-	global, err := Solve(m, fed.Train, nil, opts)
-	if err != nil {
-		return nil, err
-	}
-	fstar, err := m.Loss(global, fed.Train)
-	if err != nil {
-		return nil, err
-	}
-	out := &ReferenceOptima{
-		GlobalOpt:     global,
-		FStar:         fstar,
-		LocalGlobalF:  make([]float64, fed.NumClients()),
-		LocalOptLoss:  make([]float64, fed.NumClients()),
-		ImprovementOf: make([]float64, fed.NumClients()),
-	}
-	var gamma float64
-	for n, shard := range fed.Clients {
-		local, err := Solve(m, shard, nil, opts)
-		if err != nil {
-			return nil, err
-		}
-		fn, err := m.Loss(local, shard)
-		if err != nil {
-			return nil, err
-		}
-		fg, err := m.Loss(local, fed.Train)
-		if err != nil {
-			return nil, err
-		}
-		out.LocalOptLoss[n] = fn
-		out.LocalGlobalF[n] = fg
-		out.ImprovementOf[n] = fg - fstar
-		gamma += fed.Weights[n] * fn
-	}
-	out.Gamma = fstar - gamma
-	return out, nil
 }

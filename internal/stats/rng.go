@@ -173,14 +173,3 @@ func (r *RNG) Bernoulli(p float64) bool {
 	}
 	return r.Float64() < p
 }
-
-// SampleWithoutReplacement draws k distinct indices from [0, n).
-func (r *RNG) SampleWithoutReplacement(n, k int) ([]int, error) {
-	if k < 0 || k > n {
-		return nil, errors.New("stats: sample size out of range")
-	}
-	p := r.Perm(n)
-	out := make([]int, k)
-	copy(out, p[:k])
-	return out, nil
-}

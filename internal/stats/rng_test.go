@@ -175,30 +175,6 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
-func TestSampleWithoutReplacement(t *testing.T) {
-	r := NewRNG(41)
-	got, err := r.SampleWithoutReplacement(10, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 4 {
-		t.Fatalf("length %d", len(got))
-	}
-	seen := map[int]bool{}
-	for _, v := range got {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("invalid sample %v", got)
-		}
-		seen[v] = true
-	}
-	if _, err := r.SampleWithoutReplacement(3, 5); err == nil {
-		t.Fatal("expected error for k > n")
-	}
-	if _, err := r.SampleWithoutReplacement(3, -1); err == nil {
-		t.Fatal("expected error for negative k")
-	}
-}
-
 func TestQuickFloat64AlwaysInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

@@ -36,32 +36,6 @@ func Variance(xs []float64) float64 {
 // Std returns the sample standard deviation.
 func Std(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	var s float64
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// MinMax returns the minimum and maximum of xs.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, errors.New("stats: min/max of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // Quantile returns the p-quantile (0 <= p <= 1) of xs using linear
 // interpolation between order statistics.
 func Quantile(xs []float64, p float64) (float64, error) {

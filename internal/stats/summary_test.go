@@ -16,24 +16,11 @@ func TestMeanVarianceKnownValues(t *testing.T) {
 	if got := Variance(xs); !almostEqual(got, 32.0/7, 1e-12) {
 		t.Fatalf("variance %v", got)
 	}
-	if got := Sum(xs); !almostEqual(got, 40, 1e-12) {
-		t.Fatalf("sum %v", got)
-	}
 }
 
 func TestMeanEmpty(t *testing.T) {
 	if Mean(nil) != 0 || Variance(nil) != 0 || Std([]float64{1}) != 0 {
 		t.Fatal("degenerate inputs should yield zero")
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Fatalf("min=%v max=%v err=%v", lo, hi, err)
-	}
-	if _, _, err := MinMax(nil); err == nil {
-		t.Fatal("expected error for empty slice")
 	}
 }
 

@@ -58,14 +58,3 @@ func ArgMax(xs Vec) (int, error) {
 	}
 	return best, nil
 }
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}

@@ -42,23 +42,6 @@ func (m *Mat) MulVec(x, out Vec) error {
 	return nil
 }
 
-// AddOuterScaled accumulates M += s * a * bᵀ; a must have length Rows and b
-// length Cols. This is the gradient accumulation kernel for the softmax
-// weight matrix.
-func (m *Mat) AddOuterScaled(s float64, a, b Vec) error {
-	if len(a) != m.Rows || len(b) != m.Cols {
-		return errors.New("tensor: shape mismatch in AddOuterScaled")
-	}
-	for i := 0; i < m.Rows; i++ {
-		sa := s * a[i]
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j := range row {
-			row[j] += sa * b[j]
-		}
-	}
-	return nil
-}
-
 // Clone returns a deep copy of m.
 func (m *Mat) Clone() *Mat {
 	data := make([]float64, len(m.Data))

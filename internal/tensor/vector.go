@@ -44,13 +44,6 @@ func (v Vec) Zero() {
 	}
 }
 
-// Fill sets every element to x in place.
-func (v Vec) Fill(x float64) {
-	for i := range v {
-		v[i] = x
-	}
-}
-
 // CopyFrom copies src into v; the lengths must match.
 func (v Vec) CopyFrom(src Vec) error {
 	if len(v) != len(src) {
@@ -130,41 +123,6 @@ func Add(v, u Vec) (Vec, error) {
 		out[i] = v[i] + u[i]
 	}
 	return out, nil
-}
-
-// WeightedSum returns sum_i weights[i]*vecs[i]; all vectors must share one
-// length and len(weights) must equal len(vecs). It is the kernel of every
-// aggregation rule in the FL engine.
-func WeightedSum(weights []float64, vecs []Vec) (Vec, error) {
-	if len(weights) != len(vecs) {
-		return nil, errors.New("tensor: weights/vectors count mismatch")
-	}
-	if len(vecs) == 0 {
-		return nil, errors.New("tensor: empty weighted sum")
-	}
-	n := len(vecs[0])
-	out := make(Vec, n)
-	for i, v := range vecs {
-		if len(v) != n {
-			return nil, errors.New("tensor: ragged vectors in WeightedSum")
-		}
-		w := weights[i]
-		for j := range v {
-			out[j] += w * v[j]
-		}
-	}
-	return out, nil
-}
-
-// MaxAbs returns the largest absolute element of v (0 for an empty vector).
-func (v Vec) MaxAbs() float64 {
-	var m float64
-	for _, x := range v {
-		if a := math.Abs(x); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // IsFinite reports whether every element is finite (no NaN/Inf). Training

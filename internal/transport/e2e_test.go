@@ -250,22 +250,6 @@ func TestEndToEndTCP(t *testing.T) {
 	}
 }
 
-// TestEndToEndTCPWithRidge runs the second model family through the same
-// coordinator and device loop: the wire is model-agnostic.
-func TestEndToEndTCPWithRidge(t *testing.T) {
-	f := newFleet(t, 51, 4)
-	ridge, err := model.NewRidgeRegression(f.fed.Train.Dim, f.fed.Train.Classes, 0.01)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.m = ridge
-	spec := f.spec(t, 20, []float64{0.8, 0.8, 0.8, 0.8})
-	// Ridge has L ≈ max‖x̃‖² (no softmax ½ factor), so the step must be far
-	// smaller than the logistic runs use.
-	spec.Schedule = engine.ExpDecay{Eta0: 0.002, Decay: 0.996}
-	train(t, f, spec)
-}
-
 // TestEndToEndTCPMatchesInProcessRunner is the external-fleet equivalence
 // test: a coordinator on an explicit address plus devices that dial in must
 // produce the final model, gradient statistics and full history of an
