@@ -14,9 +14,11 @@
 //     engine.FaultSchedule.QFactor, where the sampler realizes it without
 //     disturbing any other client's coin stream.
 //   - Poison (training): a client scales (e.g. sign-flips) the model delta
-//     it returns from FromRound onward. Compiled via Tamper into
-//     engine.Spec.Tamper, orchestrator-side, so the attack is identical on
-//     every execution backend.
+//     it returns from FromRound onward. Compiled via PoisonTable into the
+//     data table engine.Spec.Poison, which the engine validates and stamps
+//     into every task as its factor, so the attack is identical on every
+//     execution backend — an external group node in another process
+//     included, which receives the factors in its batch.
 //
 // The scenario layer composes these from FaultMisreport / FaultDeviate /
 // FaultPoison schedule entries and records the resulting equilibrium and
@@ -79,31 +81,17 @@ func ReportedParams(truth *game.Params, reps []Misreport) (*game.Params, error) 
 	return p, nil
 }
 
-// Tamper compiles poisons into the orchestrator's update-tampering hook (nil
-// when there are no poisoners). The hook scales a poisoner's delta in place
-// from its FromRound onward; honest participants pass through untouched.
-func Tamper(n int, poisons []Poison) (func(round int, u *engine.ClientUpdate), error) {
+// PoisonTable compiles poisons into the engine's poison table (nil when
+// there are no poisoners). engine.Spec.Validate checks the table before a
+// run: clients in range and listed once, factors finite, rounds
+// non-negative.
+func PoisonTable(poisons []Poison) []engine.Poison {
 	if len(poisons) == 0 {
-		return nil, nil
+		return nil
 	}
-	byClient := make(map[int]Poison, len(poisons))
-	for _, p := range poisons {
-		if p.Client < 0 || p.Client >= n {
-			return nil, fmt.Errorf("adversary: poisoning client %d out of range [0,%d)", p.Client, n)
-		}
-		if math.IsNaN(p.Factor) || math.IsInf(p.Factor, 0) {
-			return nil, fmt.Errorf("adversary: client %d poison factor %v must be finite", p.Client, p.Factor)
-		}
-		if p.FromRound < 0 {
-			return nil, fmt.Errorf("adversary: client %d poison round %d must be non-negative", p.Client, p.FromRound)
-		}
-		byClient[p.Client] = p
+	table := make([]engine.Poison, len(poisons))
+	for i, p := range poisons {
+		table[i] = engine.Poison(p)
 	}
-	return func(round int, u *engine.ClientUpdate) {
-		p, ok := byClient[u.Client]
-		if !ok || round < p.FromRound {
-			return
-		}
-		u.Delta.Scale(p.Factor)
-	}, nil
+	return table
 }

@@ -2,12 +2,12 @@ package adversary
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/game"
-	"unbiasedfl/internal/tensor"
 )
 
 func truthParams() *game.Params {
@@ -78,47 +78,16 @@ func TestReportedParamsErrors(t *testing.T) {
 	}
 }
 
-func TestTamperScalesOnlyThePoisonerFromItsRound(t *testing.T) {
-	hook, err := Tamper(3, []Poison{{Client: 1, Factor: -2, FromRound: 4}})
-	if err != nil {
-		t.Fatal(err)
+// TestPoisonTableCompilesEveryPoisoner: an honest fleet compiles to no table,
+// and every poisoner becomes one engine row with its client, factor and start
+// round unchanged — the engine validates the rows and stamps the factors.
+func TestPoisonTableCompilesEveryPoisoner(t *testing.T) {
+	if table := PoisonTable(nil); table != nil {
+		t.Fatalf("honest fleet compiled to %+v, want no table", table)
 	}
-	upd := func(client int) *engine.ClientUpdate {
-		return &engine.ClientUpdate{Client: client, Delta: tensor.Vec{1, 2}}
-	}
-	if u := upd(1); true {
-		hook(3, u)
-		if u.Delta[0] != 1 || u.Delta[1] != 2 {
-			t.Fatalf("poison fired before FromRound: %v", u.Delta)
-		}
-	}
-	for _, round := range []int{4, 9} {
-		u := upd(1)
-		hook(round, u)
-		if u.Delta[0] != -2 || u.Delta[1] != -4 {
-			t.Fatalf("round %d: delta = %v, want [-2 -4]", round, u.Delta)
-		}
-	}
-	u := upd(0)
-	hook(7, u)
-	if u.Delta[0] != 1 || u.Delta[1] != 2 {
-		t.Fatalf("honest client tampered: %v", u.Delta)
-	}
-}
-
-func TestTamperErrors(t *testing.T) {
-	if hook, err := Tamper(3, nil); hook != nil || err != nil {
-		t.Fatalf("honest fleet must compile to a nil hook and nil error, got err %v", err)
-	}
-	for _, bad := range []Poison{
-		{Client: 3, Factor: 1},
-		{Client: -1, Factor: 1},
-		{Client: 0, Factor: math.NaN()},
-		{Client: 0, Factor: math.Inf(-1)},
-		{Client: 0, Factor: 1, FromRound: -1},
-	} {
-		if _, err := Tamper(3, []Poison{bad}); err == nil {
-			t.Errorf("Tamper accepted %+v", bad)
-		}
+	poisons := []Poison{{Client: 1, Factor: -2, FromRound: 4}, {Client: 0, Factor: 0}}
+	want := []engine.Poison{{Client: 1, Factor: -2, FromRound: 4}, {Client: 0, Factor: 0}}
+	if got := PoisonTable(poisons); !reflect.DeepEqual(got, want) {
+		t.Fatalf("PoisonTable = %+v, want %+v", got, want)
 	}
 }

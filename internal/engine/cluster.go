@@ -171,6 +171,7 @@ type ClusterBackend struct {
 	gcodecs  []*transport.Codec
 	bClients []int
 	bScales  []float64
+	bFactors []float64
 	bCursors []transport.Cursor
 }
 
@@ -256,11 +257,6 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	nClients := spec.Fed.NumClients()
 	if b.resume != nil && len(b.resume) != nClients {
 		return fmt.Errorf("engine: %d resume cursors for a %d-client fleet", len(b.resume), nClients)
-	}
-	if b.external && spec.GroupSize > 1 && spec.Tamper != nil {
-		// Group nodes apply Tamper before folding, and a hook cannot cross a
-		// process boundary: refuse rather than train a silently different model.
-		return errors.New("engine: Spec.Tamper cannot reach external group nodes")
 	}
 	ln, err := net.Listen("tcp", b.opts.Addr)
 	if err != nil {
@@ -406,7 +402,7 @@ func (b *ClusterBackend) spawnNode(n int, join bool) {
 	cfg := NodeConfig{
 		Addr: b.listener.Addr().String(), ID: n, Group: b.groupSize > 1, Join: join,
 		Model: b.spec.Model, Shards: b.spec.Fed.Clients, Retry: b.opts.Retry,
-		fault: b.opts.NodeFault, delay: b.opts.NodeDelay, tamper: b.spec.Tamper,
+		fault: b.opts.NodeFault, delay: b.opts.NodeDelay,
 	}
 	b.nodeWG.Add(1)
 	go func() {
@@ -780,13 +776,22 @@ func (b *ClusterBackend) DispatchPartials(
 		codec, up := b.slots[g.id].codec, b.slots[g.id].ready
 		b.bClients = b.bClients[:0]
 		b.bScales = b.bScales[:0]
+		b.bFactors = b.bFactors[:0]
 		b.bCursors = b.bCursors[:0]
+		poisoned := false
 		for _, t := range tasks[g.lo:g.hi] {
 			b.bClients = append(b.bClients, t.Client)
 			b.bScales = append(b.bScales, t.Scale)
+			b.bFactors = append(b.bFactors, t.Factor)
 			b.bCursors = append(b.bCursors, transport.Cursor(b.cursors[t.Client]))
+			poisoned = poisoned || t.Factor != 1
 		}
 		b.mu.Unlock()
+		// An honest batch ships no Factors section: its members fold at 1.
+		factors := b.bFactors
+		if !poisoned {
+			factors = nil
+		}
 		if !up {
 			gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, errNodeDown)
 			continue
@@ -794,7 +799,7 @@ func (b *ClusterBackend) DispatchPartials(
 		if err := codec.Send(&transport.Message{
 			Type: transport.MsgBatchStart, ClientID: g.id, Round: round,
 			Model: global, LR: tasks[g.lo].LR,
-			Clients: b.bClients, Scales: b.bScales, Cursors: b.bCursors,
+			Clients: b.bClients, Scales: b.bScales, Factors: factors, Cursors: b.bCursors,
 		}); err != nil {
 			gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, err)
 			continue
@@ -811,7 +816,6 @@ func (b *ClusterBackend) DispatchPartials(
 	if workers < 1 {
 		workers = 1
 	}
-	nClients := len(b.cursors)
 	var sinkMu sync.Mutex
 	var sinkErr error
 	var wg sync.WaitGroup
@@ -846,15 +850,14 @@ func (b *ClusterBackend) DispatchPartials(
 					gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, err)
 					continue
 				}
-				if err := checkPartial(reply, g, len(global), nClients, round); err != nil {
+				if err := checkPartial(reply, g.id, tasks[g.lo:g.hi], len(global), round); err != nil {
 					gerrs[gi] = err
 					continue
 				}
-				// Commit the batch members' post-update cursors, keyed by the
-				// dispatched tasks: tampering may relabel an update's client,
-				// never its executor. reply is the codec's until its next Recv:
-				// the cursors are copied here and the sink consumes the limbs,
-				// clients and statistics before it returns.
+				// Commit the batch members' post-update cursors. reply is the
+				// codec's until its next Recv: the cursors are copied here and
+				// the sink consumes the limbs, clients and statistics before it
+				// returns.
 				b.mu.Lock()
 				for i, t := range tasks[g.lo:g.hi] {
 					b.cursors[t.Client] = ClientCursor(reply.Cursors[i])
@@ -893,22 +896,25 @@ func (b *ClusterBackend) DispatchPartials(
 	return sinkErr
 }
 
-// checkPartial validates one group's reply against the batch it was sent.
-func checkPartial(reply *transport.Message, g taskGroup, p, nClients, round int) error {
-	batch := g.hi - g.lo
+// checkPartial validates group's reply against the batch it was sent: the
+// partial must name exactly the dispatched members, in dispatch order, so
+// that every gradient statistic and cursor is credited to the client that
+// produced it.
+func checkPartial(reply *transport.Message, group int, batch []ClientTask, p, round int) error {
 	switch {
-	case reply.Type != transport.MsgPartial || reply.ClientID != g.id || reply.Round != round:
+	case reply.Type != transport.MsgPartial || reply.ClientID != group || reply.Round != round:
 		return fmt.Errorf("group node %d: unexpected reply (type %v, id %d, round %d)",
-			g.id, reply.Type, reply.ClientID, reply.Round)
+			group, reply.Type, reply.ClientID, reply.Round)
 	case len(reply.Lo) != p || len(reply.Hi) != p:
-		return fmt.Errorf("group node %d: partial limbs %d/%d, want %d", g.id, len(reply.Lo), len(reply.Hi), p)
-	case len(reply.Clients) != batch || len(reply.GradSqs) != batch || len(reply.Cursors) != batch:
+		return fmt.Errorf("group node %d: partial limbs %d/%d, want %d", group, len(reply.Lo), len(reply.Hi), p)
+	case len(reply.Clients) != len(batch) || len(reply.GradSqs) != len(batch) || len(reply.Cursors) != len(batch):
 		return fmt.Errorf("group node %d: partial covers %d/%d/%d entries, batch had %d",
-			g.id, len(reply.Clients), len(reply.GradSqs), len(reply.Cursors), batch)
+			group, len(reply.Clients), len(reply.GradSqs), len(reply.Cursors), len(batch))
 	}
-	for _, n := range reply.Clients {
-		if n < 0 || n >= nClients {
-			return fmt.Errorf("group node %d: partial names unknown client %d", g.id, n)
+	for i, t := range batch {
+		if reply.Clients[i] != t.Client {
+			return fmt.Errorf("group node %d: partial names client %d at position %d, batch dispatched %d",
+				group, reply.Clients[i], i, t.Client)
 		}
 	}
 	return nil

@@ -2,10 +2,12 @@ package engine
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
 	"unbiasedfl/internal/testutil"
+	"unbiasedfl/internal/transport"
 )
 
 // TestClusterOpenCloseUnderCancellableContext is the regression test for the
@@ -31,16 +33,48 @@ func TestClusterOpenCloseUnderCancellableContext(t *testing.T) {
 	testutil.WaitNoLeaks(t, baseline, 5*time.Second)
 }
 
-// TestExternalGroupFleetRefusesTamper: a tamper hook runs where a group
-// folds, and cannot follow the fold into another process.
-func TestExternalGroupFleetRefusesTamper(t *testing.T) {
-	fed := testFederation(t, 59, 4)
-	spec := testSpec(t, fed, testModel(t, fed), 2, fullSampler{n: 4})
-	spec.GroupSize = 2
-	spec.Tamper = func(int, *ClientUpdate) {}
-	b := NewClusterBackend(ClusterOptions{Addr: "127.0.0.1:0"})
-	if err := b.Open(context.Background(), &spec); err == nil {
-		_ = b.Close()
-		t.Fatal("an external group fleet accepted a tamper hook it cannot deliver")
+// TestCheckPartial: a group partial is accepted only when it names exactly
+// the dispatched members, in dispatch order, with one statistic and cursor
+// each and one limb pair per parameter — a partial naming other in-range
+// clients would credit their gradient norms and cursors to the wrong members.
+func TestCheckPartial(t *testing.T) {
+	const p, round, group = 3, 5, 2
+	batch := []ClientTask{{Client: 4}, {Client: 5}}
+	good := func() *transport.Message {
+		return &transport.Message{
+			Type: transport.MsgPartial, ClientID: group, Round: round,
+			Clients: []int{4, 5}, GradSqs: []float64{1, 2}, Cursors: make([]transport.Cursor, 2),
+			Lo: make([]uint64, p), Hi: make([]uint64, p),
+		}
+	}
+	cases := []struct {
+		name string
+		edit func(m *transport.Message)
+		want string // "" when the partial is accepted
+	}{
+		{"exact batch", func(*transport.Message) {}, ""},
+		{"wrong type", func(m *transport.Message) { m.Type = transport.MsgUpdate }, "unexpected reply"},
+		{"wrong group", func(m *transport.Message) { m.ClientID = group + 1 }, "unexpected reply"},
+		{"wrong round", func(m *transport.Message) { m.Round = round - 1 }, "unexpected reply"},
+		{"short limbs", func(m *transport.Message) { m.Lo = m.Lo[:p-1] }, "partial limbs"},
+		{"missing member", func(m *transport.Message) { m.Clients = m.Clients[:1] }, "partial covers"},
+		{"missing statistic", func(m *transport.Message) { m.GradSqs = m.GradSqs[:1] }, "partial covers"},
+		{"members swapped", func(m *transport.Message) { m.Clients = []int{5, 4} }, "names client 5 at position 0"},
+		{"other in-range member", func(m *transport.Message) { m.Clients = []int{4, 3} }, "names client 3 at position 1"},
+		{"member twice", func(m *transport.Message) { m.Clients = []int{4, 4} }, "names client 4 at position 1"},
+		{"out-of-range member", func(m *transport.Message) { m.Clients = []int{-1, 5} }, "names client -1 at position 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := good()
+			tc.edit(m)
+			err := checkPartial(m, group, batch, p, round)
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

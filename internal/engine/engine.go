@@ -44,8 +44,8 @@
 // wire: the fixed layout carries an update's delta as one float64 per
 // parameter (8 B) and a partial's sum as two uint64 limbs (16 B), so at the
 // session-durable workload's model size, p = 1 690 — a round start is a
-// 13 611 B frame and an update 13 667 B — the K=1 partial replacing that
-// update would be 27 203 B: per-client return traffic doubles, and the
+// 13 615 B frame and an update 13 671 B — the K=1 partial replacing that
+// update would be 27 207 B: per-client return traffic doubles, and the
 // aggregators that need unscaled deltas (proportional, naive inverse) could
 // not ride it at all. transport's TestWireBytesPerParam computes all three
 // figures from the encoder.
@@ -61,6 +61,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/model"
@@ -100,6 +101,11 @@ type ClientTask struct {
 	// computed where the update runs. Zero in flat dispatch, where the
 	// coordinator-side aggregator applies the coefficient itself.
 	Scale float64
+	// Factor is the client's poisoning factor this round, stamped by the
+	// orchestrator from Spec.Poison: 1 when honest. A grouped executor folds
+	// fl(Scale·fl(Factor·(w − global))); in flat dispatch the backend ignores
+	// it and the orchestrator scales the returned delta by it.
+	Factor float64
 }
 
 // ClientUpdate is one participant's contribution to a round.
@@ -137,14 +143,15 @@ type ExecutionBackend interface {
 }
 
 // Partial is one sub-aggregator group's folded contribution to a round: the
-// fixed-point limbs of Σ_{n∈group∩S_r} (a_n/q_n)·delta_n together with the
-// members that actually contributed. Shipping partials instead of K full
-// updates is what cuts coordinator ingress from O(fleet·model) to
-// O(groups·model).
+// fixed-point limbs of Σ_{n∈group∩S_r} (a_n/q_n)·f_n·delta_n, f_n the
+// member's poisoning factor (1 when honest), together with the members that
+// contributed. Shipping partials instead of K full updates is what cuts
+// coordinator ingress from O(fleet·model) to O(groups·model).
 type Partial struct {
 	// Group is the group index (clients [Group·K, (Group+1)·K)).
 	Group int
-	// Clients lists the members whose updates landed, in ascending order.
+	// Clients lists the group's tasked members, exactly as dispatched and in
+	// dispatch (ascending) order: a group either lands whole or not at all.
 	Clients []int
 	// Lo and Hi are the 128-bit fixed-point limbs of the group sum, one pair
 	// per model parameter (see FixAcc).
@@ -158,13 +165,14 @@ type Partial struct {
 
 // PartialBackend is the hierarchical-dispatch seam: backends that can fold
 // group partials where the updates run implement it alongside
-// ExecutionBackend. DispatchPartials executes every task, folds each group's
-// weighted deltas (applying Spec.Tamper per update before folding, exactly
-// as the flat path does), and delivers one Partial per non-empty group via
-// sink. The backend must serialize sink calls; the sink must not retain a
-// partial's slices after returning (they may alias backend buffers). Partial
-// delivery order is unspecified — the fixed-point merge is commutative, so
-// order cannot affect the result.
+// ExecutionBackend. DispatchPartials executes every task, folds each member's
+// update straight from its trained parameters and global —
+// fixpoint.(*Acc).AddScaledDiff(task.Scale, task.Factor, w, global), no delta
+// buffer, the same addend the flat path's scaled delta gives — and delivers
+// one Partial per non-empty group via sink. The backend must serialize sink
+// calls; the sink must not retain a partial's slices after returning (they
+// may alias backend buffers). Partial delivery order is unspecified — the
+// fixed-point merge is commutative, so order cannot affect the result.
 type PartialBackend interface {
 	DispatchPartials(ctx context.Context, round int, global tensor.Vec,
 		tasks []ClientTask, groupSize int, sink func(Partial) error) error
@@ -224,15 +232,20 @@ type Spec struct {
 	// knob. 0 or 1 keeps classic flat dispatch.
 	GroupSize int
 
-	// Tamper, when non-nil, is applied to every participant update as soon
-	// as the backend returns it and before aggregation — the
-	// gradient-poisoning seam. It may mutate the update in place (backends
-	// rebuild deltas on every dispatch, so in-place scaling is safe). It runs
-	// on the orchestration goroutine, after the backend's work: a tampered
-	// run is therefore byte-identical across execution backends, and —
-	// being a pure function of (round, update) — replays identically on
-	// resume.
-	Tamper func(round int, u *ClientUpdate)
+	// Poison is the gradient-poisoning table: from round FromRound on, the
+	// listed client's update w − global is scaled by Factor before it is
+	// weighted and folded. It is data, not a hook, so it crosses every
+	// boundary an update does: the orchestrator stamps each task's
+	// ClientTask.Factor from it (1 when honest), a grouped executor — in
+	// process, a spawned group node, or another process, which receives the
+	// factors in its batch — folds with it, and on the flat path the
+	// orchestrator scales the returned delta. The addend is the same
+	// fl(scale·fl(factor·fl(w − global))) everywhere, so a poisoned run is
+	// byte-identical across backends and group sizes and, being a pure
+	// function of (client, round), replays identically on resume. Validate
+	// checks it: clients in range and listed once, factors finite, rounds
+	// non-negative. Nil or empty is an honest fleet.
+	Poison []Poison
 
 	// Membership, when non-nil, makes the roster elastic: clients join and
 	// permanently leave at the plan's round boundaries. The sampler still
@@ -273,6 +286,15 @@ type Spec struct {
 	Resume *RunState
 }
 
+// Poison is one row of Spec.Poison: from round FromRound on, Client's model
+// delta is scaled by Factor. Negative factors flip the update's direction,
+// magnitudes above one amplify it, zero suppresses it.
+type Poison struct {
+	Client    int
+	Factor    float64
+	FromRound int
+}
+
 // Validate checks the spec before a run.
 func (s Spec) Validate() error {
 	switch {
@@ -305,7 +327,50 @@ func (s Spec) Validate() error {
 			return err
 		}
 	}
+	return validatePoison(s.Poison, s.Fed.NumClients())
+}
+
+// validatePoison checks a poison table against an n-client fleet.
+func validatePoison(table []Poison, n int) error {
+	seen := make(map[int]bool, len(table))
+	for _, p := range table {
+		switch {
+		case p.Client < 0 || p.Client >= n:
+			return fmt.Errorf("engine: poisoning client %d out of range [0,%d)", p.Client, n)
+		case math.IsNaN(p.Factor) || math.IsInf(p.Factor, 0):
+			return fmt.Errorf("engine: client %d poison factor %v must be finite", p.Client, p.Factor)
+		case p.FromRound < 0:
+			return fmt.Errorf("engine: client %d poison round %d must be non-negative", p.Client, p.FromRound)
+		case seen[p.Client]:
+			return fmt.Errorf("engine: client %d appears twice in the poison table", p.Client)
+		}
+		seen[p.Client] = true
+	}
 	return nil
+}
+
+// poisonIndex is Spec.Poison keyed by client, built once per run; nil for an
+// honest fleet.
+type poisonIndex map[int]Poison
+
+func newPoisonIndex(table []Poison) poisonIndex {
+	if len(table) == 0 {
+		return nil
+	}
+	ix := make(poisonIndex, len(table))
+	for _, p := range table {
+		ix[p.Client] = p
+	}
+	return ix
+}
+
+// factor is client n's poisoning factor in round: 1 unless it is listed and
+// its attack has started.
+func (ix poisonIndex) factor(n, round int) float64 {
+	if p, ok := ix[n]; ok && round >= p.FromRound {
+		return p.Factor
+	}
+	return 1
 }
 
 // participationLevels exposes q to the aggregator. Samplers without explicit

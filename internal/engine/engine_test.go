@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +109,153 @@ func TestLocalDispatchZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("steady-state local dispatch allocates %v times per run", allocs)
 	}
+}
+
+// TestLocalDispatchPartialsZeroAllocs is the grouped twin of
+// TestLocalDispatchZeroAllocs, with a poison table in force: a round's
+// DispatchPartials — every member trained in a worker's arena and folded
+// straight from it, honest and poisoned factors alike — performs zero heap
+// allocations once the workers are warm, serial and pooled.
+func TestLocalDispatchPartialsZeroAllocs(t *testing.T) {
+	for name, opts := range map[string]LocalOptions{"serial": {}, "pooled": {Parallel: true}} {
+		t.Run(name, func(t *testing.T) {
+			fed := testFederation(t, 21, 6)
+			m := testModel(t, fed)
+			spec := testSpec(t, fed, m, 4, fullSampler{n: 6})
+			spec.GroupSize = 2
+			spec.Poison = []Poison{{Client: 1, Factor: -2}, {Client: 4, Factor: 0.5}}
+			b := NewLocalBackend(opts)
+			if err := b.Open(context.Background(), &spec); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = b.Close() }()
+			global := m.ZeroParams()
+			tasks := make([]ClientTask, fed.NumClients())
+			ix := newPoisonIndex(spec.Poison)
+			for n := range tasks {
+				tasks[n] = ClientTask{Client: n, LR: 0.01, Scale: 1.5, Factor: ix.factor(n, 0)}
+			}
+			merged := 0
+			sink := func(p Partial) error { merged += len(p.Clients); return nil }
+			dispatch := func() {
+				if err := b.DispatchPartials(context.Background(), 0, global, tasks, spec.GroupSize, sink); err != nil {
+					t.Fatal(err)
+				}
+			}
+			dispatch()
+			if merged != len(tasks) {
+				t.Fatalf("partials named %d members, %d were tasked", merged, len(tasks))
+			}
+			if allocs := testing.AllocsPerRun(100, dispatch); allocs != 0 {
+				t.Fatalf("steady-state grouped dispatch allocates %v times per run", allocs)
+			}
+		})
+	}
+}
+
+// TestSpecValidatePoisonTable: Validate refuses a poison table naming a
+// client outside the fleet or twice, a non-finite factor, or a negative start
+// round, and accepts the rest — zero, negative and amplifying factors
+// included.
+func TestSpecValidatePoisonTable(t *testing.T) {
+	fed := testFederation(t, 21, 4)
+	spec := testSpec(t, fed, testModel(t, fed), 4, fullSampler{n: 4})
+	cases := []struct {
+		name  string
+		table []Poison
+		want  string // "" when the table is valid
+	}{
+		{"none", nil, ""},
+		{"sign flip, suppression and amplification", []Poison{{Client: 0, Factor: -2, FromRound: 3}, {Client: 1}, {Client: 3, Factor: 1e6}}, ""},
+		{"start past the horizon", []Poison{{Client: 2, Factor: 2, FromRound: 99}}, ""},
+		{"client past the fleet", []Poison{{Client: 4, Factor: 1}}, "out of range"},
+		{"negative client", []Poison{{Client: -1, Factor: 1}}, "out of range"},
+		{"NaN factor", []Poison{{Client: 0, Factor: math.NaN()}}, "must be finite"},
+		{"infinite factor", []Poison{{Client: 0, Factor: math.Inf(-1)}}, "must be finite"},
+		{"negative round", []Poison{{Client: 0, Factor: 1, FromRound: -1}}, "non-negative"},
+		{"client twice", []Poison{{Client: 2, Factor: -1}, {Client: 2, Factor: 3, FromRound: 2}}, "appears twice"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := spec
+			s.Poison = tc.table
+			err := s.Validate()
+			switch {
+			case tc.want == "" && err != nil:
+				t.Fatalf("refused: %v", err)
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Fatalf("error %v, want one containing %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// factorRecorder is a flat LocalBackend that records, per round, the factor
+// the orchestrator stamped into each task, keyed by client.
+type factorRecorder struct {
+	*LocalBackend
+	factors []map[int]float64
+}
+
+func (r *factorRecorder) Dispatch(ctx context.Context, round int, global tensor.Vec, tasks []ClientTask) ([]ClientUpdate, error) {
+	seen := make(map[int]float64, len(tasks))
+	for _, t := range tasks {
+		seen[t.Client] = t.Factor
+	}
+	r.factors = append(r.factors, seen)
+	return r.LocalBackend.Dispatch(ctx, round, global, tasks)
+}
+
+// TestPoisonFactorsStampOnlyThePoisonerFromItsRound: the orchestrator stamps
+// a poisoner's factor into its task from FromRound on and 1 everywhere else,
+// and the flat path scales exactly those deltas: the run equals one whose
+// backend scales the poisoner's returned delta itself.
+func TestPoisonFactorsStampOnlyThePoisonerFromItsRound(t *testing.T) {
+	fed := testFederation(t, 21, 3)
+	m := testModel(t, fed)
+	spec := testSpec(t, fed, m, 6, fullSampler{n: 3})
+	spec.Poison = []Poison{{Client: 1, Factor: -2, FromRound: 4}}
+	rec := &factorRecorder{LocalBackend: NewLocalBackend(LocalOptions{})}
+	poisoned, err := Run(context.Background(), spec, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, seen := range rec.factors {
+		for n, f := range seen {
+			want := 1.0
+			if n == 1 && round >= 4 {
+				want = -2
+			}
+			if f != want {
+				t.Fatalf("round %d, client %d: factor %v, want %v", round, n, f, want)
+			}
+		}
+	}
+	spec.Poison = nil
+	byHand, err := Run(context.Background(), spec, &scalingBackend{NewLocalBackend(LocalOptions{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range poisoned.FinalModel {
+		if math.Float64bits(poisoned.FinalModel[j]) != math.Float64bits(byHand.FinalModel[j]) {
+			t.Fatalf("parameter %d: poison table %v, delta scaled by hand %v", j, poisoned.FinalModel[j], byHand.FinalModel[j])
+		}
+	}
+}
+
+// scalingBackend scales client 1's returned delta by −2 from round 4 on: the
+// poisoning the table in TestPoisonFactorsStampOnlyThePoisonerFromItsRound
+// describes, done by hand.
+type scalingBackend struct{ *LocalBackend }
+
+func (b *scalingBackend) Dispatch(ctx context.Context, round int, global tensor.Vec, tasks []ClientTask) ([]ClientUpdate, error) {
+	updates, err := b.LocalBackend.Dispatch(ctx, round, global, tasks)
+	for _, u := range updates {
+		if u.Client == 1 && round >= 4 {
+			u.Delta.Scale(-2)
+		}
+	}
+	return updates, err
 }
 
 // TestOrchestratorDeterministicAcrossWorkerCounts: the pooled local backend

@@ -40,15 +40,15 @@ func (ar *execArena) ensure(p int) {
 	}
 }
 
-// localUpdate copies the global model into the arena and performs steps
-// mini-batch SGD steps on the client's shard, recording squared gradient
-// norms for G_n estimation. The delta w − global is written into the
-// caller-provided buffer (sized like global). In steady state (arena warm)
-// the update performs no heap allocations.
-func (st *clientExec) localUpdate(
+// train copies the global model into the arena and performs steps mini-batch
+// SGD steps on the client's shard, recording squared gradient norms for G_n
+// estimation. The trained parameters are left in ar.w: a grouped executor
+// folds them against global directly (FixAcc.AddScaledDiff), the flat path
+// writes the delta with localUpdate. In steady state (arena warm) it
+// performs no heap allocations.
+func (st *clientExec) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
-	global tensor.Vec, steps, batch int, lr float64,
-	ar *execArena, delta tensor.Vec,
+	global tensor.Vec, steps, batch int, lr float64, ar *execArena,
 ) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -71,11 +71,25 @@ func (st *clientExec) localUpdate(
 		}
 		st.sqNorms.Add(sq)
 	}
+	return nil
+}
+
+// localUpdate is the flat path's update: train, then write the delta
+// w − global into the caller-provided buffer (sized like global), where it
+// travels to the coordinator-side aggregator.
+func (st *clientExec) localUpdate(
+	ctx context.Context, m model.Model, shard *data.Dataset, n int,
+	global tensor.Vec, steps, batch int, lr float64,
+	ar *execArena, delta tensor.Vec,
+) error {
 	if len(delta) != len(global) {
 		return fmt.Errorf("client %d: delta buffer length %d, want %d", n, len(delta), len(global))
 	}
-	for j := range delta {
-		delta[j] = w[j] - global[j]
+	if err := st.train(ctx, m, shard, n, global, steps, batch, lr, ar); err != nil {
+		return err
+	}
+	for j, w := range ar.w {
+		delta[j] = w - global[j]
 	}
 	return nil
 }

@@ -102,9 +102,11 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestHierarchicalTamperMatchesFlat: tampering is applied inside the group
-// fold node-side, and being a pure function of (round, update) it must leave
-// hierarchical runs bit-identical to flat ones.
+// TestHierarchicalTamperMatchesFlat: a poison table is folded inside the
+// group where the update runs — from the trained parameters, by the task's
+// factor — and on the flat path by scaling the returned delta; being a pure
+// function of (client, round) it must leave hierarchical runs, in process and
+// over sockets, bit-identical to flat ones.
 func TestHierarchicalTamperMatchesFlat(t *testing.T) {
 	fed := testFederation(t, 31, 6)
 	m := testModel(t, fed)
@@ -112,13 +114,7 @@ func TestHierarchicalTamperMatchesFlat(t *testing.T) {
 		sampler := &bernoulliSampler{q: []float64{0.9, 0.7, 0.8, 0.6, 0.5, 0.95}, rng: stats.NewRNG(41)}
 		spec := testSpec(t, fed, m, 6, sampler)
 		spec.GroupSize = groupSize
-		spec.Tamper = func(round int, u *ClientUpdate) {
-			if u.Client == 2 {
-				for j := range u.Delta {
-					u.Delta[j] *= -3
-				}
-			}
-		}
+		spec.Poison = []Poison{{Client: 2, Factor: -3}, {Client: 5, Factor: 2.5, FromRound: 3}}
 		return spec
 	}
 	flat, err := Run(context.Background(), mk(0), NewLocalBackend(LocalOptions{Parallel: true}))
@@ -129,12 +125,21 @@ func TestHierarchicalTamperMatchesFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRun(t, "tampered", flat, hier)
+	requireSameRun(t, "poisoned", flat, hier)
+	honest := mk(0)
+	honest.Poison = nil
+	clean, err := Run(context.Background(), honest, NewLocalBackend(LocalOptions{Parallel: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(clean.FinalModel[0]) == math.Float64bits(flat.FinalModel[0]) {
+		t.Fatal("the poison table left the model as the honest run's")
+	}
 	cluster, err := Run(context.Background(), mk(2), NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameRun(t, "tampered cluster", flat, cluster)
+	requireSameRun(t, "poisoned cluster", flat, cluster)
 }
 
 // TestHierarchicalNeedsCapableBackend pins the orchestrator's gating: a

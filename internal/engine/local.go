@@ -25,8 +25,9 @@ type LocalOptions struct {
 // belongs to the workers (O(workers·model)), so fleets of 10^6 virtual
 // clients fit in memory. Flat dispatch additionally buffers one delta per
 // participant for the coordinator-side aggregator; hierarchical dispatch
-// (DispatchPartials) folds each group's deltas in place and keeps memory at
-// O(workers·model) regardless of fleet size.
+// (DispatchPartials) folds each member straight from its trained parameters
+// and the global model, writes no delta, and keeps memory at O(workers·model)
+// regardless of fleet size.
 type LocalBackend struct {
 	opts   LocalOptions
 	spec   *Spec
@@ -49,12 +50,11 @@ type LocalBackend struct {
 // tasks[lo:hi], all belonging to group id.
 type taskGroup struct{ id, lo, hi int }
 
-// poolWorker is one worker's private execution state: the scratch arena, a
-// reusable delta buffer for group folding, the group accumulator, and the
-// participant bookkeeping of the group it is currently folding.
+// poolWorker is one worker's private execution state: the scratch arena, the
+// group accumulator, and the participant bookkeeping of the group it is
+// currently folding.
 type poolWorker struct {
 	arena   execArena
-	delta   tensor.Vec
 	acc     *FixAcc
 	clients []int
 	gradSq  []float64
@@ -160,13 +160,13 @@ func (b *LocalBackend) runTask(
 }
 
 // DispatchPartials implements PartialBackend: tasks are partitioned into
-// contiguous client-index groups, each group's weighted deltas are folded
-// into a fixed-point partial where they execute (tampering applied per
-// update, exactly as the flat path does), and one Partial per group is
-// delivered to sink. Workers reuse one delta buffer each, so round memory is
-// O(workers·model) independent of fleet size.
+// contiguous client-index groups, each member's update is folded into its
+// group's fixed-point partial straight from the worker's arena —
+// fl(Scale·fl(Factor·(w − global))), no delta written — and one Partial per
+// group is delivered to sink. Round memory is O(workers·model) independent
+// of fleet size.
 func (b *LocalBackend) DispatchPartials(
-	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
+	ctx context.Context, _ int, global tensor.Vec, tasks []ClientTask,
 	groupSize int, sink func(Partial) error,
 ) error {
 	if b.spec == nil {
@@ -178,7 +178,7 @@ func (b *LocalBackend) DispatchPartials(
 	b.groups = splitGroups(b.groups[:0], tasks, groupSize)
 	if b.pool == nil || len(b.groups) < 2 {
 		for _, g := range b.groups {
-			part, err := b.foldGroup(ctx, round, global, tasks[g.lo:g.hi], g.id, &b.serial)
+			part, err := b.foldGroup(ctx, global, tasks[g.lo:g.hi], g.id, &b.serial)
 			if err != nil {
 				return err
 			}
@@ -188,7 +188,7 @@ func (b *LocalBackend) DispatchPartials(
 		}
 		return nil
 	}
-	return b.pool.roundPartials(ctx, round, global, tasks, sink)
+	return b.pool.roundPartials(ctx, global, tasks, sink)
 }
 
 // splitGroups splits the (ascending-by-client) task list into contiguous
@@ -207,11 +207,12 @@ func splitGroups(dst []taskGroup, tasks []ClientTask, groupSize int) []taskGroup
 	return dst
 }
 
-// foldGroup runs one group's tasks through the worker's arena and folds the
-// weighted deltas into the worker's accumulator. The returned Partial's
-// slices alias the worker's buffers: consume before the worker's next group.
+// foldGroup trains one group's tasks in the worker's arena and folds each
+// member's weighted, factored update into the worker's accumulator. The
+// returned Partial's slices alias the worker's buffers: consume before the
+// worker's next group.
 func (b *LocalBackend) foldGroup(
-	ctx context.Context, round int, global tensor.Vec,
+	ctx context.Context, global tensor.Vec,
 	gtasks []ClientTask, groupID int, w *poolWorker,
 ) (Partial, error) {
 	p := len(global)
@@ -220,29 +221,22 @@ func (b *LocalBackend) foldGroup(
 	} else {
 		w.acc.Reset()
 	}
-	if len(w.delta) != p {
-		w.delta = tensor.NewVec(p)
-	}
 	w.clients = w.clients[:0]
 	w.gradSq = w.gradSq[:0]
 	spec := b.spec
 	for _, task := range gtasks {
 		st := b.states[task.Client]
-		if err := st.localUpdate(
+		if err := st.train(
 			ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client,
-			global, spec.LocalSteps, spec.BatchSize, task.LR, &w.arena, w.delta,
+			global, spec.LocalSteps, spec.BatchSize, task.LR, &w.arena,
 		); err != nil {
 			return Partial{}, err
 		}
-		u := ClientUpdate{Client: task.Client, Delta: w.delta, GradSqNorm: st.sqNorms.Mean()}
-		if spec.Tamper != nil {
-			spec.Tamper(round, &u)
-		}
-		if err := w.acc.AddScaled(task.Scale, u.Delta); err != nil {
+		if err := w.acc.AddScaledDiff(task.Scale, task.Factor, w.arena.w, global); err != nil {
 			return Partial{}, err
 		}
-		w.clients = append(w.clients, u.Client)
-		w.gradSq = append(w.gradSq, u.GradSqNorm)
+		w.clients = append(w.clients, task.Client)
+		w.gradSq = append(w.gradSq, st.sqNorms.Mean())
 	}
 	lo, hi, sat := w.acc.Limbs()
 	return Partial{Group: groupID, Clients: w.clients, Lo: lo, Hi: hi, Sat: sat, GradSq: w.gradSq}, nil
@@ -300,12 +294,11 @@ type updatePool struct {
 
 	// Per-round context: written by the orchestration goroutine before
 	// dispatch, read-only while workers run.
-	ctx      context.Context
-	roundNum int
-	global   tensor.Vec
-	tasks    []ClientTask
-	updates  []ClientUpdate
-	errs     []error
+	ctx     context.Context
+	global  tensor.Vec
+	tasks   []ClientTask
+	updates []ClientUpdate
+	errs    []error
 
 	// Hierarchical-round context.
 	hier    bool
@@ -327,7 +320,7 @@ func newUpdatePool(b *LocalBackend, workers int) *updatePool {
 
 func (p *updatePool) worker() {
 	// Worker-private state persists across rounds for the life of the pool:
-	// the arena, delta buffer, and accumulator warm up once.
+	// the arena and accumulator warm up once.
 	w := &poolWorker{}
 	for i := range p.jobs {
 		if p.hier {
@@ -346,7 +339,7 @@ func (p *updatePool) worker() {
 // runGroupJob folds group i and delivers its partial under the sink lock.
 func (p *updatePool) runGroupJob(w *poolWorker, i int) {
 	g := p.b.groups[i]
-	part, err := p.b.foldGroup(p.ctx, p.roundNum, p.global, p.tasks[g.lo:g.hi], g.id, w)
+	part, err := p.b.foldGroup(p.ctx, p.global, p.tasks[g.lo:g.hi], g.id, w)
 	p.sinkMu.Lock()
 	defer p.sinkMu.Unlock()
 	if p.sinkErr != nil {
@@ -388,11 +381,10 @@ func (p *updatePool) round(
 // roundPartials runs one hierarchical round: each job is one group from
 // b.groups, folded by a worker and streamed to sink under the pool's lock.
 func (p *updatePool) roundPartials(
-	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
+	ctx context.Context, global tensor.Vec, tasks []ClientTask,
 	sink func(Partial) error,
 ) error {
 	p.ctx = ctx
-	p.roundNum = round
 	p.global = global
 	p.tasks = tasks
 	p.hier = true

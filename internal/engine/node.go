@@ -38,11 +38,9 @@ type NodeConfig struct {
 	Retry transport.RetryPolicy
 
 	// In-process hooks, set only by ClusterBackend for the nodes it spawns:
-	// fault and straggler injection, and the update-tampering seam a group
-	// node applies before folding.
-	fault  func(client, round int) transport.RoundFault
-	delay  func(client int) time.Duration
-	tamper func(round int, u *ClientUpdate)
+	// fault and straggler injection.
+	fault func(client, round int) transport.RoundFault
+	delay func(client int) time.Duration
 }
 
 // shard returns client n's training shard.
@@ -105,8 +103,10 @@ type node struct {
 	steps, batch int
 	// st is a per-client device's persistent executor; on a group node, whose
 	// batches carry the cursors, it is restored at each tasked member's in turn.
-	st      *clientExec
-	arena   execArena
+	st    *clientExec
+	arena execArena
+	// delta is a per-client device's outgoing update; a group node folds from
+	// the arena and writes none.
 	delta   tensor.Vec
 	acc     *FixAcc
 	clients []int
@@ -236,19 +236,6 @@ func (nd *node) stall(ctx context.Context, round int, clients ...int) error {
 	}
 }
 
-// update runs client n's local steps from global on executor st, leaving
-// the delta in nd.delta.
-func (nd *node) update(ctx context.Context, st *clientExec, n int, global tensor.Vec, lr float64) error {
-	shard, err := nd.cfg.shard(n)
-	if err != nil {
-		return err
-	}
-	if len(nd.delta) != len(global) {
-		nd.delta = tensor.NewVec(len(global))
-	}
-	return st.localUpdate(ctx, nd.cfg.Model, shard, n, global, nd.steps, nd.batch, lr, &nd.arena, nd.delta)
-}
-
 // serveRound answers one invitation of a per-client device with its delta
 // and post-update cursor.
 func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
@@ -259,7 +246,14 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 	if err := nd.stall(ctx, msg.Round, id); err != nil {
 		return err
 	}
-	if err := nd.update(ctx, nd.st, id, msg.Model, msg.LR); err != nil {
+	shard, err := nd.cfg.shard(id)
+	if err != nil {
+		return err
+	}
+	if len(nd.delta) != len(msg.Model) {
+		nd.delta = tensor.NewVec(len(msg.Model))
+	}
+	if err := nd.st.localUpdate(ctx, nd.cfg.Model, shard, id, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena, nd.delta); err != nil {
 		return err
 	}
 	cursor := transport.Cursor(nd.st.cursor())
@@ -271,15 +265,17 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 
 // serveBatch answers one round's batch of a group node: for each tasked
 // member it restores the node's one executor at the cursor the batch
-// carries, runs the local update in the node's one scratch arena, folds the
-// weighted delta into the node's fixed-point accumulator, and ships back a
-// single MsgPartial — O(model) per node, no per-client state kept between
-// rounds.
+// carries, trains in the node's one scratch arena, folds the member's update
+// straight from the arena — fl(scale·fl(factor·(w − global))), the factor 1
+// when the batch carries no Factors section — into the node's fixed-point
+// accumulator, and ships back a single MsgPartial: O(model) per node, no
+// delta buffer, no per-client state kept between rounds.
 func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 	if !nd.cfg.Group || msg.ClientID != nd.cfg.ID ||
-		len(msg.Scales) != len(msg.Clients) || len(msg.Cursors) != len(msg.Clients) {
-		return fmt.Errorf("malformed batch (id %d, %d clients, %d scales, %d cursors)",
-			msg.ClientID, len(msg.Clients), len(msg.Scales), len(msg.Cursors))
+		len(msg.Scales) != len(msg.Clients) || len(msg.Cursors) != len(msg.Clients) ||
+		(len(msg.Factors) != 0 && len(msg.Factors) != len(msg.Clients)) {
+		return fmt.Errorf("malformed batch (id %d, %d clients, %d scales, %d factors, %d cursors)",
+			msg.ClientID, len(msg.Clients), len(msg.Scales), len(msg.Factors), len(msg.Cursors))
 	}
 	if err := nd.stall(ctx, msg.Round, msg.Clients...); err != nil {
 		return err
@@ -297,18 +293,22 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 		if err := st.restore(ClientCursor(msg.Cursors[i])); err != nil {
 			return fmt.Errorf("client %d cursor: %w", n, err)
 		}
-		if err := nd.update(ctx, st, n, msg.Model, msg.LR); err != nil {
+		shard, err := nd.cfg.shard(n)
+		if err != nil {
 			return err
 		}
-		u := ClientUpdate{Client: n, Delta: nd.delta, GradSqNorm: st.sqNorms.Mean()}
-		if nd.cfg.tamper != nil {
-			nd.cfg.tamper(msg.Round, &u)
-		}
-		if err := nd.acc.AddScaled(msg.Scales[i], u.Delta); err != nil {
+		if err := st.train(ctx, nd.cfg.Model, shard, n, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena); err != nil {
 			return err
 		}
-		nd.clients = append(nd.clients, u.Client)
-		nd.gradSqs = append(nd.gradSqs, u.GradSqNorm)
+		factor := 1.0
+		if len(msg.Factors) > 0 {
+			factor = msg.Factors[i]
+		}
+		if err := nd.acc.AddScaledDiff(msg.Scales[i], factor, nd.arena.w, msg.Model); err != nil {
+			return err
+		}
+		nd.clients = append(nd.clients, n)
+		nd.gradSqs = append(nd.gradSqs, st.sqNorms.Mean())
 		nd.cursors = append(nd.cursors, transport.Cursor(st.cursor()))
 	}
 	lo, hi, sat := nd.acc.Limbs()

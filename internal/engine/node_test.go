@@ -15,8 +15,11 @@ import (
 // in place, so: each member's update and returned cursor must equal, bit for
 // bit, those of a fresh executor built at that member's cursor (nothing of
 // the previous member — here one with a long gradient history — leaks into
-// the next), and a malformed cursor in the middle of a batch fails the whole
-// batch naming the client, after which the node still serves a good batch.
+// the next; member 1 is poisoned, and its update must fold as its delta
+// scaled by the batch's factor), a malformed cursor in the middle of a batch
+// fails the whole batch naming the client, and so does a Factors section
+// that is neither empty nor one per member, after which the node still
+// serves a good batch.
 func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	const steps, batch, lr = 3, 8, 0.05
 	ctx := context.Background()
@@ -38,6 +41,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	}
 	cursors[0] = warm.cursor()
 	scales := []float64{1.5, 0.25, 3}
+	factors := []float64{1, -2, 1}
 
 	// What the batch must come to: every member on an executor of its own.
 	want := NewFixAcc(len(global))
@@ -51,6 +55,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, &arena, delta); err != nil {
 			t.Fatal(err)
 		}
+		delta.Scale(factors[n])
 		if err := want.AddScaled(scales[n], delta); err != nil {
 			t.Fatal(err)
 		}
@@ -77,7 +82,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	batchMsg := func(cs []ClientCursor) *transport.Message {
 		msg := &transport.Message{
 			Type: transport.MsgBatchStart, ClientID: 0, Round: 0, Model: global, LR: lr,
-			Clients: []int{0, 1, 2}, Scales: scales,
+			Clients: []int{0, 1, 2}, Scales: scales, Factors: factors,
 		}
 		for _, c := range cs {
 			msg.Cursors = append(msg.Cursors, transport.Cursor(c))
@@ -96,6 +101,12 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	bad[1].SqCount = -1
 	if err := nd.serveBatch(ctx, batchMsg(bad)); err == nil || !strings.Contains(err.Error(), "client 1 cursor") {
 		t.Fatalf("batch with a negative sample count for client 1: error %v", err)
+	}
+
+	short := batchMsg(cursors)
+	short.Factors = factors[:2]
+	if err := nd.serveBatch(ctx, short); err == nil || !strings.Contains(err.Error(), "2 factors") {
+		t.Fatalf("batch with 2 factors for 3 members: error %v", err)
 	}
 
 	// The same node, left by the failed batches at client 0's post-update

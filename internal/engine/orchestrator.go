@@ -52,6 +52,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	gradSq := make([]float64, nClients)
 	q := s.participationLevels()
 	weights := s.Fed.Weights
+	poison := newPoisonIndex(s.Poison)
 
 	// Resume restoration happens before Open: a cluster backend hands each
 	// node its cursor inside the welcome message, so the backend must know
@@ -209,8 +210,13 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			o.tasks = make([]ClientTask, len(participants))
 		}
 		tasks := o.tasks[:len(participants)]
+		poisoned := false
 		for i, n := range participants {
-			tasks[i] = ClientTask{Client: n, LR: lr}
+			tasks[i] = ClientTask{Client: n, LR: lr, Factor: 1}
+			if poison != nil {
+				tasks[i].Factor = poison.factor(n, round)
+				poisoned = poisoned || tasks[i].Factor != 1
+			}
 			if useHier {
 				qn := q[n]
 				if qn <= 0 {
@@ -246,9 +252,13 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 				}
 				return nil, fmt.Errorf("round %d: %w", round, err)
 			}
-			if s.Tamper != nil {
+			if poisoned {
+				// The flat path's poisoning: fl(factor·delta[j]), the addend a
+				// grouped executor folds, before the aggregator weighs it.
 				for i := range updates {
-					s.Tamper(round, &updates[i])
+					if f := poison.factor(updates[i].Client, round); f != 1 {
+						updates[i].Delta.Scale(f)
+					}
 				}
 			}
 			for _, u := range updates {

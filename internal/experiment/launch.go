@@ -113,7 +113,7 @@ type Leg struct {
 
 	Seed    uint64 // executor seed: client n's SGD stream is its n-th Split
 	Sampler engine.Sampler
-	Tamper  func(round int, u *engine.ClientUpdate) // see engine.Spec.Tamper
+	Poison  []engine.Poison // see engine.Spec.Poison
 
 	// Membership, when non-nil, makes the leg elastic. At every epoch —
 	// those replayed on resume included — Launch re-solves Scheme over the
@@ -163,7 +163,7 @@ func Launch(ctx context.Context, env *Environment, leg Leg, cfg RunConfig) (*eng
 		Sampler:    leg.Sampler,
 		Aggregator: engine.UnbiasedAggregator{},
 		GroupSize:  cfg.GroupSize,
-		Tamper:     leg.Tamper,
+		Poison:     leg.Poison,
 	}
 	if spec.Rounds == 0 {
 		spec.Rounds = env.Opts.Rounds

@@ -8,16 +8,16 @@
 // chained float fold depends on the fold tree, so hierarchical (grouped)
 // aggregation could never be bit-identical to the flat fold. The fix is to
 // move the summation into exact integer arithmetic: each addend
-// x = fl(scale·delta[j]) is computed in float exactly once per client
-// (grouping-independent), quantized exactly onto a 2^-fixShift grid, and
-// summed as a 128-bit two's-complement integer. Integer addition IS
-// associative and commutative, so any grouping, any merge order, any worker
-// count, and any backend produce the same limbs — and therefore, after one
-// deterministic conversion back to float64, the same global model bit for
-// bit. This is what lets a sub-aggregator group fold K members node-side and
-// ship only its partial (two uint64 limbs per parameter) while the
-// coordinator's merge of group partials stays provably identical to the flat
-// per-client fold.
+// x = fl(scale·delta[j]) ("One fold" below gives the full sequence) is
+// computed in float exactly once per client (grouping-independent), quantized
+// exactly onto a 2^-fixShift grid, and summed as a 128-bit two's-complement
+// integer. Integer addition IS associative and commutative, so any grouping,
+// any merge order, any worker count, and any backend produce the same limbs —
+// and therefore, after one deterministic conversion back to float64, the same
+// global model bit for bit. This is what lets a sub-aggregator group fold K
+// members node-side and ship only its partial (two uint64 limbs per
+// parameter) while the coordinator's merge of group partials stays provably
+// identical to the flat per-client fold.
 //
 // Precision and range: the grid step is 2^-80 ≈ 8.3e-25 — far below the
 // float64 ulp of any parameter the models here produce — and a single addend
@@ -29,29 +29,39 @@
 // one sign before the signed 128-bit range could overflow — comfortably above
 // the 1e6-client fleets this engine targets.
 //
-// The quantizer is integer arithmetic on the product's IEEE-754 bits, not a
+// The quantizer is integer arithmetic on the addend's IEEE-754 bits, not a
 // chain of math-library calls: a float with biased exponent e and 53-bit
 // significand m is m·2^(e−1075), so on the grid it is m·2^(e−995) — the
 // significand shifted left into the two limbs when e ≥ 995, and shifted
 // right with round-half-to-even on the dropped bits when e < 995. Anything
 // below half a grid step — every subnormal and ±0 among them — is an exact
-// zero, and the sign is applied as a two's-complement negate. The one float
-// rounding per addend is the product fl(scale·delta[j]) itself.
+// zero, and the sign is applied as a two's-complement negate. The float
+// roundings per addend are those that compute it, and no others.
+//
+// One fold. AddScaledDiff folds a client's update straight from the two
+// models it is the difference of: the addend is fl(scale·fl(factor·fl(w − g)))
+// per parameter, w the client's trained parameters, g the round's global
+// model and factor its poisoning factor (1 when honest, and multiplying by 1
+// is exact). That is, bit for bit, the addend of writing the delta w − g,
+// scaling it by factor and folding it at scale, so a caller that never
+// materialises the delta folds the same limbs as one that does. AddScaled(s, d)
+// is AddScaledDiff(s, 1, d, zero) over a read-only row of +0 the accumulator
+// owns: d − (+0) is d exactly, −0 included.
 //
 // Two tiers. The fold is one operation sequence per element, written down on
-// AddScaled as the contract, and it comes in two implementations that produce
-// the same limbs and the same saturation verdict. addScaledPortable is that
-// sequence as a Go loop: the whole implementation on every platform but one,
-// and the reference. On amd64 with AVX2 (tensor.HasAVX2, the module's one CPU
-// probe: no option, environment variable or build tag) an assembly kernel,
-// fold_amd64.s, takes the leading len &^ 3 parameters, four consecutive ones
-// to a vector: each lane runs the sequence on its own parameter with the
-// loop's branches replaced by variable shifts, whose result is 0 once the
-// count reaches 64. The last ≤ 3 parameters go through the Go loop; blocks
-// never overlap, because accumulating twice is not accumulating once. Nothing
-// crosses lanes and nothing is reassociated, so which tier ran — per host,
-// per group node — cannot be told from the result. MergeLimbs and AddTo have
-// one tier.
+// AddScaledDiff as the contract, and it comes in two implementations that
+// produce the same limbs and the same saturation verdict.
+// addScaledDiffPortable is that sequence as a Go loop: the whole
+// implementation on every platform but one, and the reference. On amd64 with
+// AVX2 (tensor.HasAVX2, the module's one CPU probe: no option, environment
+// variable or build tag) an assembly kernel, fold_amd64.s, takes the leading
+// len &^ 3 parameters, four consecutive ones to a vector: each lane runs the
+// sequence on its own parameter with the loop's branches replaced by variable
+// shifts, whose result is 0 once the count reaches 64. The last ≤ 3
+// parameters go through the Go loop; blocks never overlap, because
+// accumulating twice is not accumulating once. Nothing crosses lanes and
+// nothing is reassociated, so which tier ran — per host, per group node —
+// cannot be told from the result. MergeLimbs and AddTo have one tier.
 package fixpoint
 
 import (
@@ -70,7 +80,7 @@ const fixShift = 80
 // larger (or non-finite) saturates the accumulator. The cap itself is allowed.
 const fixMaxAddend = 1 << 23
 
-// The IEEE-754 binary64 layout the quantizer reads a product through.
+// The IEEE-754 binary64 layout the quantizer reads an addend through.
 const (
 	f64SignBit  = 1 << 63
 	f64FracBits = 52
@@ -100,12 +110,14 @@ var errFixLen = errors.New("fixpoint: accumulator length mismatch")
 // usable; construct with New.
 type Acc struct {
 	lo, hi []uint64
-	sat    bool
+	// zero is the read-only row of +0 AddScaled folds its delta against.
+	zero tensor.Vec
+	sat  bool
 }
 
 // New returns a zeroed accumulator for n parameters.
 func New(n int) *Acc {
-	return &Acc{lo: make([]uint64, n), hi: make([]uint64, n)}
+	return &Acc{lo: make([]uint64, n), hi: make([]uint64, n), zero: tensor.NewVec(n)}
 }
 
 // Len returns the number of parameters the accumulator covers.
@@ -118,22 +130,31 @@ func (a *Acc) Reset() {
 	a.sat = false
 }
 
-// AddScaled folds one client's weighted delta into the accumulator:
-// for each parameter j it quantizes fl(scale·delta[j]) onto the 2^-fixShift
-// grid — round to nearest, ties to even — and adds the exact integer. The
-// float product is the only float rounding step and depends solely on
-// (scale, delta[j]) — never on what is already accumulated — which is the
-// key grouping-invariance property. A product that is NaN, ±Inf or above
-// 2^23 in magnitude (2^23 itself is accepted) is skipped and latches the
-// saturation flag; a subnormal or ±0 product adds exactly 0.
+// AddScaled folds one client's weighted delta into the accumulator: it is
+// AddScaledDiff(scale, 1, delta, zero), whose subtraction of +0 and multiply
+// by 1 are exact, so for each parameter j the addend is fl(scale·delta[j]).
+// That one rounding depends solely on (scale, delta[j]) — never on what is
+// already accumulated — the key grouping-invariance property.
+func (a *Acc) AddScaled(scale float64, delta tensor.Vec) error {
+	return a.AddScaledDiff(scale, 1, delta, a.zero)
+}
+
+// AddScaledDiff folds one client's update without a delta buffer: for each
+// parameter j it quantizes x = fl(scale·fl(factor·fl(w[j] − g[j]))) onto the
+// 2^-fixShift grid — round to nearest, ties to even — and adds the exact
+// integer. An addend that is NaN, ±Inf or above 2^23 in magnitude (2^23
+// itself is accepted) is skipped and latches the saturation flag; a
+// subnormal or ±0 addend adds exactly 0. w and g are only read.
 //
 // The per-element operation sequence is the contract; both tiers (package
-// comment, "Two tiers") implement it step for step. The product is one IEEE
-// multiply — there is nothing to fuse it with — and b is its bits. With the
-// sign cleared, b compares against fixCapBits as an integer: above it is NaN,
-// ±Inf or over the cap. Otherwise, with m the 53-bit significand (implicit
-// bit ORed in), e the biased exponent and s = e − fixExpBias, the addend's
-// magnitude is m·2^s, s running from 51 at the cap down to −995:
+// comment, "Two tiers") implement it step for step. The subtraction and the
+// two multiplies are three IEEE roundings in that order — factor first, then
+// scale; fl(fl(scale·factor)·d) is a different number — and b is the bits of
+// x. With the sign cleared, b compares against fixCapBits as an integer:
+// above it is NaN, ±Inf or over the cap. Otherwise, with m the 53-bit
+// significand (implicit bit ORed in), e the biased exponent and
+// s = e − fixExpBias, the addend's magnitude is m·2^s, s running from 51 at
+// the cap down to −995:
 //
 //   - s ≥ 0 (|x| ≥ 2^-28, most of what a fleet folds): m shifted left by s
 //     across the two limbs, exactly.
@@ -144,33 +165,34 @@ func (a *Acc) Reset() {
 //     of 0 — subnormals, ±0 — lands here too, so the implicit bit ORed into
 //     m without looking is harmless.
 //
-// A negative product is added as ^x + 1: the limbs are complemented and the
+// A negative addend is added as ^x + 1: the limbs are complemented and the
 // sign bit rides in as the carry of the 128-bit add, so the sign costs no
 // branch.
 //
 // Vectorised region: the leading len &^ 3 parameters, where the CPU has AVX2.
 // The last ≤ 3, and every parameter on any other host, run the Go loop.
-func (a *Acc) AddScaled(scale float64, delta tensor.Vec) error {
-	if len(delta) != len(a.lo) {
+func (a *Acc) AddScaledDiff(scale, factor float64, w, g tensor.Vec) error {
+	if len(w) != len(a.lo) || len(g) != len(a.lo) {
 		return errFixLen
 	}
-	n, sat := foldVector(scale, delta, a.lo, a.hi)
-	tail := addScaledPortable(scale, delta[n:], a.lo[n:], a.hi[n:])
+	n, sat := foldVector(scale, factor, w, g, a.lo, a.hi)
+	tail := addScaledDiffPortable(scale, factor, w[n:], g[n:], a.lo[n:], a.hi[n:])
 	a.sat = a.sat || sat || tail
 	return nil
 }
 
-// addScaledPortable is AddScaled's contract as a Go loop over three slices of
-// one length: the whole implementation without a vector kernel, the ragged
-// tail with one, and the oracle the kernel's tests hold it to. It reports
-// whether an addend saturated.
-func addScaledPortable(scale float64, delta tensor.Vec, lo, hi []uint64) (sat bool) {
+// addScaledDiffPortable is AddScaledDiff's contract as a Go loop over four
+// slices of one length: the whole implementation without a vector kernel, the
+// ragged tail with one, and the oracle the kernel's tests hold it to. It
+// reports whether an addend saturated.
+func addScaledDiffPortable(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) (sat bool) {
 	// Same-length reslices let the compiler drop the bounds checks from the
 	// loop.
 	hi = hi[:len(lo)]
-	delta = delta[:len(lo)]
+	w = w[:len(lo)]
+	g = g[:len(lo)]
 	for j := range lo {
-		b := math.Float64bits(scale * delta[j])
+		b := math.Float64bits(scale * float64(factor*float64(w[j]-g[j])))
 		mag := b &^ f64SignBit
 		if mag > fixCapBits {
 			sat = true

@@ -171,15 +171,15 @@ func fixQuantizeRef(x float64) (lo, hi uint64, ok bool) {
 	return lo, hi, true
 }
 
-// foldFunc is one tier of AddScaled's contract, with addScaledPortable's
-// signature.
-type foldFunc func(scale float64, delta tensor.Vec, lo, hi []uint64) (sat bool)
+// foldFunc is one tier of AddScaledDiff's contract, with
+// addScaledDiffPortable's signature.
+type foldFunc func(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) (sat bool)
 
-// dispatched is the tier AddScaled runs on this host — the vector kernel plus
-// the Go tail with AVX2, the Go loop alone without — on the caller's limbs.
-func dispatched(scale float64, delta tensor.Vec, lo, hi []uint64) bool {
+// dispatched is the tier AddScaledDiff runs on this host — the vector kernel
+// plus the Go tail with AVX2, the Go loop alone without — on the caller's limbs.
+func dispatched(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) bool {
 	a := Acc{lo: lo, hi: hi}
-	if err := a.AddScaled(scale, delta); err != nil {
+	if err := a.AddScaledDiff(scale, factor, w, g); err != nil {
 		panic(err)
 	}
 	return a.sat
@@ -195,7 +195,7 @@ func requireVectorTier(t testing.TB) {
 	}
 	// The dispatch itself says how much it vectorises; asking it, not
 	// re-deriving its rule, is what catches a dispatch that always declines.
-	if n, _ := foldVector(1, tensor.NewVec(7), make([]uint64, 7), make([]uint64, 7)); n != 4 {
+	if n, _ := foldVector(1, 1, tensor.NewVec(7), tensor.NewVec(7), make([]uint64, 7), make([]uint64, 7)); n != 4 {
 		t.Fatalf("the CPU has AVX2, but the dispatch took %d of 7 parameters to the vector kernel, want 4", n)
 	}
 }
@@ -266,13 +266,14 @@ var prefill = [4][2]uint64{
 // addend passes through every lane position and meets every prefill, its
 // neighbours being the other three — each held to the reference like it.
 type quantizeCheck struct {
-	fold   foldFunc
-	delta  tensor.Vec
-	lo, hi []uint64
+	fold        foldFunc
+	delta, zero tensor.Vec
+	lo, hi      []uint64
 }
 
 func newQuantizeCheck(fold foldFunc) *quantizeCheck {
-	return &quantizeCheck{fold: fold, delta: tensor.NewVec(4), lo: make([]uint64, 4), hi: make([]uint64, 4)}
+	return &quantizeCheck{fold: fold, delta: tensor.NewVec(4), zero: tensor.NewVec(4),
+		lo: make([]uint64, 4), hi: make([]uint64, 4)}
 }
 
 func (q *quantizeCheck) check(t testing.TB, xs [4]float64) {
@@ -289,7 +290,7 @@ func (q *quantizeCheck) check(t testing.TB, xs [4]float64) {
 			q.delta[lane] = xs[(lane+rot)&3]
 			q.lo[lane], q.hi[lane] = prefill[lane][0], prefill[lane][1]
 		}
-		sat := q.fold(1, q.delta, q.lo, q.hi)
+		sat := q.fold(1, 1, q.delta, q.zero, q.lo, q.hi)
 		wantSat := false
 		for lane, x := range q.delta {
 			r := ref[(lane+rot)&3]
@@ -318,7 +319,7 @@ func (q *quantizeCheck) check(t testing.TB, xs [4]float64) {
 // for the Go loop on every host, and through AddScaled's vector kernel, in
 // every lane position, wherever there is one.
 func TestQuantizeMatchesReference(t *testing.T) {
-	t.Run("portable", func(t *testing.T) { quantizeDifferential(t, addScaledPortable) })
+	t.Run("portable", func(t *testing.T) { quantizeDifferential(t, addScaledDiffPortable) })
 	t.Run("vector", func(t *testing.T) {
 		requireVectorTier(t)
 		quantizeDifferential(t, dispatched)
@@ -370,7 +371,7 @@ func FuzzQuantizeMatchesReference(f *testing.F) {
 			math.Float64frombits(b), math.Float64frombits(b ^ f64SignBit),
 			math.Float64frombits(b ^ 1), math.Float64frombits(b ^ f64FracMask),
 		}
-		newQuantizeCheck(addScaledPortable).check(t, xs)
+		newQuantizeCheck(addScaledDiffPortable).check(t, xs)
 		requireVectorTier(t)
 		newQuantizeCheck(dispatched).check(t, xs)
 	})
@@ -480,9 +481,10 @@ func TestVectorFoldMatchesPortable(t *testing.T) {
 			}
 		}
 		before := tensor.Vec(delta).Clone()
+		zero := tensor.NewVec(n)
 		wantLo, wantHi := append([]uint64(nil), lo...), append([]uint64(nil), hi...)
-		wantSat := addScaledPortable(scale, delta, wantLo, wantHi)
-		if sat := dispatched(scale, delta, lo, hi); sat != wantSat {
+		wantSat := addScaledDiffPortable(scale, 1, delta, zero, wantLo, wantHi)
+		if sat := dispatched(scale, 1, delta, zero, lo, hi); sat != wantSat {
 			t.Fatalf("case %d, n=%d scale=%v: sat = %v, portable %v", i, n, scale, sat, wantSat)
 		}
 		for j := range lo {
@@ -572,15 +574,20 @@ func TestAccHeadroom(t *testing.T) {
 	}
 }
 
-// TestFoldAllocs: a group's fold — Reset, AddScaled per member, Limbs, AddTo —
-// runs once per round per group on buffers made at New and allocates nothing.
+// TestFoldAllocs: a group's fold — Reset, AddScaledDiff per member (or
+// AddScaled per stored delta), Limbs, AddTo — runs once per round per group on
+// buffers made at New and allocates nothing.
 func TestFoldAllocs(t *testing.T) {
 	const p = 610
 	delta, v := benchDelta(p, 0.37, 3), tensor.NewVec(p)
+	w, g := benchDelta(p, 0.37, 4), benchDelta(p, 0.37, 5)
 	a := New(p)
 	allocs := testing.AllocsPerRun(100, func() {
 		a.Reset()
 		if err := a.AddScaled(0.37, delta); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.AddScaledDiff(0.37, -2, w, g); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, sat := a.Limbs(); sat {
@@ -591,7 +598,7 @@ func TestFoldAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Reset+AddScaled+Limbs+AddTo allocates %v times per fold, want 0", allocs)
+		t.Fatalf("Reset+AddScaled+AddScaledDiff+Limbs+AddTo allocates %v times per fold, want 0", allocs)
 	}
 }
 
@@ -632,13 +639,13 @@ func BenchmarkAddScaled(b *testing.B) {
 		for _, tier := range []struct {
 			name string
 			fold foldFunc
-		}{{size.name, dispatched}, {size.name + "-portable", addScaledPortable}} {
+		}{{size.name, dispatched}, {size.name + "-portable", addScaledDiffPortable}} {
 			b.Run(tier.name, func(b *testing.B) {
 				b.SetBytes(int64(8 * size.p))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if tier.fold(0.37, deltas[i%len(deltas)], a.lo, a.hi) {
+					if tier.fold(0.37, 1, deltas[i%len(deltas)], a.zero, a.lo, a.hi) {
 						b.Fatal("saturated")
 					}
 				}

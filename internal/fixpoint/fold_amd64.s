@@ -1,12 +1,13 @@
 #include "textflag.h"
 #include "go_asm.h"
 
-// AVX2 tier of (*Acc).AddScaled (see fixpoint.go for the per-element operation
-// sequence both tiers implement). Four lanes are four consecutive parameters;
-// every lane performs addScaledPortable's own integer operations on its own
-// product, with the loop's branches replaced by what a variable shift does
-// with a count of 64 or more — it yields 0 — so no lane ever looks at another
-// and the limbs are bit-identical to the Go loop's. The constants are the Go
+// AVX2 tier of (*Acc).AddScaledDiff (see fixpoint.go for the per-element
+// operation sequence both tiers implement). Four lanes are four consecutive
+// parameters; every lane performs addScaledDiffPortable's own float and
+// integer operations on its own parameter, with the loop's branches replaced
+// by what a variable shift does with a count of 64 or more — it yields 0 — so
+// no lane ever looks at another and the limbs are bit-identical to the Go
+// loop's. The constants are the Go
 // constants of fixpoint.go, read through go_asm.h. Pointers are not
 // bounds-checked here: foldVector's slicing is the only guard.
 
@@ -18,19 +19,23 @@
 	VMOVQ AX, xreg; \
 	VPBROADCASTQ xreg, reg
 
-// func foldAVX2(scale float64, delta *float64, lo, hi *uint64, n int) bool
+// func foldAVX2(scale, factor float64, w, base *float64, lo, hi *uint64, n int) bool
 //
 // Folds n parameters (a positive multiple of 4): lo[j]:hi[j] += the 128-bit
-// two's-complement quantization of fl(scale·delta[j]) onto the 2^-fixShift
-// grid, round half to even. A lane whose product is NaN, ±Inf or above the cap
-// adds nothing and sets the result. Writes only lo[0:n] and hi[0:n].
-TEXT ·foldAVX2(SB), NOSPLIT, $0-41
-	MOVQ delta+8(FP), DI
-	MOVQ lo+16(FP), SI
-	MOVQ hi+24(FP), DX
-	MOVQ n+32(FP), CX
-	SHLQ $3, CX                   // bytes of delta, lo and hi to cover
+// two's-complement quantization of fl(scale·fl(factor·fl(w[j] − base[j])))
+// onto the 2^-fixShift grid, round half to even. A lane whose addend is NaN,
+// ±Inf or above the cap adds nothing and sets the result. Reads only w[0:n]
+// and base[0:n], writes only lo[0:n] and hi[0:n]. (The Go side calls base g;
+// g names a register in Go assembly.)
+TEXT ·foldAVX2(SB), NOSPLIT, $0-57
+	MOVQ w+16(FP), DI
+	MOVQ base+24(FP), R8
+	MOVQ lo+32(FP), SI
+	MOVQ hi+40(FP), DX
+	MOVQ n+48(FP), CX
+	SHLQ $3, CX                   // bytes of w, base, lo and hi to cover
 	VBROADCASTSD scale+0(FP), Y15
+	VBROADCASTSD factor+8(FP), Y6
 	VPXOR Y14, Y14, Y14           // lanes that saturated so far
 	BROADCAST($1, X13, Y13)
 	BROADCAST($const_f64SignBit, X12, Y12)
@@ -42,7 +47,10 @@ TEXT ·foldAVX2(SB), NOSPLIT, $0-41
 	XORQ AX, AX                   // byte offset of the current four parameters
 
 block:
-	VMULPD   (DI)(AX*1), Y15, Y0  // b = fl(scale·delta): the one float rounding
+	VMOVUPD  (DI)(AX*1), Y0
+	VSUBPD   (R8)(AX*1), Y0, Y0   // fl(w − base)
+	VMULPD   Y6, Y0, Y0           // fl(factor·…)
+	VMULPD   Y15, Y0, Y0          // b = fl(scale·…): the last float rounding
 	VPANDN   Y0, Y12, Y1          // mag = b &^ sign
 	VPCMPGTQ Y0, Y1, Y0           // sign mask: mag > b (signed) only where b's top bit is set
 	VPCMPGTQ Y11, Y1, Y2          // mag > cap; signed compare is right, mag ≥ 0
@@ -59,9 +67,9 @@ block:
 	VPSUBQ   Y13, Y3, Y2          // r − 1
 	VPSRLVQ  Y3, Y1, Y3
 	VPANDN   Y13, Y3, Y3          // 1 − parity of the kept part m >> r
-	VPSLLVQ  Y2, Y13, Y6          // half = 1 << (r−1)
-	VPADDQ   Y6, Y1, Y1
-	VPSUBQ   Y3, Y1, Y1           // m + half − 1 + parity
+	VPSUBQ   Y3, Y1, Y1           // m − 1 + parity
+	VPSLLVQ  Y2, Y13, Y3          // half = 1 << (r−1)
+	VPADDQ   Y3, Y1, Y1           // m + half − 1 + parity (mod 2^64, any order)
 	VPSRLVQ  Y2, Y1, Y1           // >> r in two steps, so that r = 0 (count −1)
 	VPSRLQ   $1, Y1, Y1           // and r > 54 both come out 0
 	VPOR     Y1, Y4, Y4           // x.lo: at most one of the two shifts is non-zero
@@ -84,6 +92,6 @@ block:
 	JLT  block
 
 	VPTEST Y14, Y14
-	SETNE  ret+40(FP)
+	SETNE  ret+56(FP)
 	VZEROUPPER
 	RET

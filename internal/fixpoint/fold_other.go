@@ -4,8 +4,8 @@ package fixpoint
 
 import "unbiasedfl/internal/tensor"
 
-// Only amd64 has a vector fold; everywhere else addScaledPortable is the
+// Only amd64 has a vector fold; everywhere else addScaledDiffPortable is the
 // implementation.
-func foldVector(scale float64, delta tensor.Vec, lo, hi []uint64) (n int, sat bool) {
+func foldVector(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) (n int, sat bool) {
 	return 0, false
 }

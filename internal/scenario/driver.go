@@ -70,10 +70,7 @@ func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 	// The repricer works from the market the server believes in — the
 	// reported params when someone misreports — so a Stage-I lie keeps
 	// distorting every epoch's sub-game, exactly as it would in the field.
-	leg, err := compileLeg(sc, sc.Faults, w.q, w.pricing)
-	if err != nil {
-		return nil, err
-	}
+	leg := compileLeg(sc, sc.Faults, w.q, w.pricing)
 	// Every membership epoch (the initial roster and epochs replayed on
 	// resume included) appends a ledger row. The headline Equilibrium stays
 	// the full-fleet pricing; the ledger carries the per-epoch economics.
@@ -110,35 +107,31 @@ func RunWith(ctx context.Context, sc Scenario, cfg RunConfig) (*Trace, error) {
 }
 
 // compileLeg compiles one training leg of the scenario: the fault list
-// decides the schedule, the membership plan and the tamper hook, q is the
+// decides the schedule, the membership plan and the poison table, q is the
 // priced participation, and pricing the game membership epochs re-price
 // from. The realized run and its honest twin both come from here, so they
 // differ by exactly these three arguments and never by stream displacement:
 // one root stream feeds the sampler's two coin streams and the executor
 // seed, so a run is a pure function of the scenario seed on any backend.
-func compileLeg(sc Scenario, faults []ClientFault, q []float64, pricing *game.Params) (experiment.Leg, error) {
+func compileLeg(sc Scenario, faults []ClientFault, q []float64, pricing *game.Params) experiment.Leg {
 	sch := compileSchedule(sc.Clients, faults)
 	root := stats.NewRNG(sc.Seed ^ 0x9E3779B97F4A7C15)
 	sampler := engine.NewFaultSampler(q, sch, root.Split(), root.Split())
-	// Gradient poisoning rides the orchestrator's tamper seam, so it is
-	// byte-identical on every execution backend and replays exactly on
-	// resume.
-	tamper, err := adversary.Tamper(sc.Clients, compileAdversary(faults).poisons)
-	if err != nil {
-		return experiment.Leg{}, fmt.Errorf("scenario %q: %w", sc.Name, err)
-	}
 	return experiment.Leg{
-		Scheme:          sc.Scheme,
-		Seed:            root.Uint64(),
-		Sampler:         sampler,
-		Tamper:          tamper,
+		Scheme:  sc.Scheme,
+		Seed:    root.Uint64(),
+		Sampler: sampler,
+		// Gradient poisoning is a table every backend folds the same way, so
+		// it is byte-identical on every execution backend and replays exactly
+		// on resume.
+		Poison:          adversary.PoisonTable(compileAdversary(faults).poisons),
 		Membership:      compileMembership(sc.Clients, faults),
 		Pricing:         pricing,
 		Q:               append([]float64(nil), q...),
 		CheckpointLabel: sc.Name,
 		CheckpointSeed:  sc.Seed,
 		Delay:           sch.Delay,
-	}, nil
+	}
 }
 
 // adversaryImpact scores the realized (adversarial) run against its truthful
@@ -174,10 +167,7 @@ func adversaryImpact(ctx context.Context, sc Scenario, w *world, realized *Trace
 // already-built environment, in-process and without the realized run's
 // checkpoint or event stream.
 func runHonestTwin(ctx context.Context, sc Scenario, w *world, truthQ []float64) (loss, acc float64, err error) {
-	leg, err := compileLeg(sc, honestFaults(sc.Faults), truthQ, w.env.Params)
-	if err != nil {
-		return 0, 0, err
-	}
+	leg := compileLeg(sc, honestFaults(sc.Faults), truthQ, w.env.Params)
 	res, err := experiment.Launch(ctx, w.env, leg, RunConfig{})
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -31,7 +31,7 @@ func compileSchedule(numClients int, faults []ClientFault) engine.FaultSchedule 
 
 // adversarySpec is the compiled adversarial slice of a fault schedule: the
 // Stage-I misreports, Stage-II deviations, and training-time poisons that the
-// driver threads through the pricing, sampling, and tampering seams.
+// driver threads through the pricing and sampling seams and the poison table.
 type adversarySpec struct {
 	misreports []adversary.Misreport
 	deviations []adversary.Deviation

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"math"
 	"net"
 	"strings"
 	"testing"
@@ -76,6 +77,7 @@ func TestBatchMessagesRoundTrip(t *testing.T) {
 		Model:   []float64{0.25, -1.5, 3.75},
 		Clients: []int{9, 10, 11},
 		Scales:  []float64{0.5, 1.25, 2},
+		Factors: []float64{1, -2, 1},
 		Cursors: []Cursor{{RNG: [4]uint64{1, 2, 3, 4}, SqCount: 5, SqMean: 0.5, SqM2: 0.25}, {}, {}},
 	}
 	partial := &Message{
@@ -89,9 +91,9 @@ func TestBatchMessagesRoundTrip(t *testing.T) {
 	}
 	want := []*Message{batch, partial}
 	wire := encodeFramed(t, want...)
-	// The layout's arithmetic: 4 B prefix, 87 B of header, counts and Sat,
+	// The layout's arithmetic: 4 B prefix, 91 B of header, counts and Sat,
 	// 8 B per float/int/limb, 56 B per cursor.
-	if n, sum := len(wire), (4+87+8*9+56*3)+(4+87+8*12+56*3); n != sum {
+	if n, sum := len(wire), (4+91+8*12+56*3)+(4+91+8*12+56*3); n != sum {
 		t.Fatalf("batch + partial take %d wire bytes, layout says %d", n, sum)
 	}
 	seen := 0
@@ -187,10 +189,16 @@ var fuzzBatch = &Message{
 // path — every message type, not only the group pair its name dates from:
 // any byte string is either rejected with an error or decodes to a message
 // that re-encodes to the identical bytes, it never panics, and what the
-// decoder sizes from a frame never exceeds that frame's own length.
+// decoder sizes from a frame never exceeds that frame's own length. The
+// seeds include version-8 batches with and without a Factors section.
 func FuzzDecodeBatch(f *testing.F) {
 	valid := encodeFramed(f, fuzzBatch)
 	f.Add(valid)
+	poisoned := *fuzzBatch
+	poisoned.Factors = []float64{-2, 1}
+	f.Add(encodeFramed(f, &poisoned))
+	poisoned.Factors = []float64{math.NaN()} // a length the node refuses, the codec carries
+	f.Add(encodeFramed(f, &poisoned))
 	f.Add(encodeFramed(f, &Message{
 		Type: MsgPartial, ClientID: 1, Round: 2,
 		Clients: []int{3}, GradSqs: []float64{9},
@@ -299,6 +307,6 @@ func TestRecvRejectsMalformedFrames(t *testing.T) {
 
 // decodedBytes is the storage a decoded message's sections hold.
 func decodedBytes(m *Message) int {
-	return 8*(cap(m.Model)+cap(m.Scales)+cap(m.GradSqs)+cap(m.Clients)+cap(m.Lo)+cap(m.Hi)) +
+	return 8*(cap(m.Model)+cap(m.Scales)+cap(m.Factors)+cap(m.GradSqs)+cap(m.Clients)+cap(m.Lo)+cap(m.Hi)) +
 		cursorSize*cap(m.Cursors)
 }

@@ -55,6 +55,7 @@ func requireSameBits(t testing.TB, got, want *Message) {
 	}
 	floats("Model", got.Model, want.Model)
 	floats("Scales", got.Scales, want.Scales)
+	floats("Factors", got.Factors, want.Factors)
 	floats("GradSqs", got.GradSqs, want.GradSqs)
 	words("Lo", got.Lo, want.Lo)
 	words("Hi", got.Hi, want.Hi)
@@ -74,7 +75,7 @@ func requireSameBits(t testing.TB, got, want *Message) {
 
 var goldenCursor = Cursor{RNG: [4]uint64{0x0102030405060708, 2, 3, 1 << 63}, SqCount: 9, SqMean: 0.25, SqM2: -0.5}
 
-// goldenMessages pins the version-7 layout: one message of each type with
+// goldenMessages pins the version-8 layout: one message of each type with
 // its committed frame (length prefix included). A change to any of these
 // bytes is a wire-format change and needs a ProtocolVersion bump with it.
 var goldenMessages = []struct {
@@ -82,29 +83,29 @@ var goldenMessages = []struct {
 	hex string
 }{
 	{&Message{Type: MsgHello, ClientID: 3},
-		"00000057010300000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b01030000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgWelcome, ClientID: 3, LocalSteps: 5, BatchSize: 24, Rounds: 40, Cursor: &goldenCursor},
-		"0000008f0203000000000000000000000000000000050000000000000018000000000000002800000000000000000000000000000000000000000000000108070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf0000000000000000000000000000000000000000000000000000000000"},
+		"000000930203000000000000000000000000000000050000000000000018000000000000002800000000000000000000000000000000000000000000000108070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgRoundStart, Round: 7, Model: []float64{0.25, -1.5}, LR: 0.05},
-		"0000006703000000000000000007000000000000000000000000000000000000000000000000000000000000009a9999999999a93f00000000000000000002000000000000000000d03f000000000000f8bf00000000000000000000000000000000000000000000000000"},
+		"0000006b03000000000000000007000000000000000000000000000000000000000000000000000000000000009a9999999999a93f00000000000000000002000000000000000000d03f000000000000f8bf0000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgUpdate, ClientID: 3, Round: 7, Model: []float64{math.Copysign(0, -1), 1e-310}, GradSqNorm: 9.5, Cursor: &goldenCursor},
-		"0000009f0403000000000000000700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000023400108070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf0200000000000000000000802be6708b6812000000000000000000000000000000000000000000000000000000"},
+		"000000a30403000000000000000700000000000000000000000000000000000000000000000000000000000000000000000000000000000000000023400108070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf0200000000000000000000802be6708b681200000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgDone},
-		"00000057050000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b05000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgJoin, ClientID: 5},
-		"00000057060500000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b06050000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgLeave},
-		"00000057070000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b07000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgBye, ClientID: 2},
-		"00000057080200000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b08020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgGroupHello, ClientID: 1},
-		"00000057090100000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		"0000005b09010000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgBatchStart, ClientID: 1, Round: 2, LR: 0.1, Model: []float64{1, 2},
-		Clients: []int{3, 4}, Scales: []float64{0.5, 0.75}, Cursors: []Cursor{goldenCursor, {}}},
-		"000000f70a010000000000000002000000000000000000000000000000000000000000000000000000000000009a9999999999b93f00000000000000000002000000000000000000f03f000000000000004002000000000000000000e03f000000000000e83f0000000002000000030000000000000004000000000000000200000008070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
+		Clients: []int{3, 4}, Scales: []float64{0.5, 0.75}, Factors: []float64{1, -2}, Cursors: []Cursor{goldenCursor, {}}},
+		"0000010b0a010000000000000002000000000000000000000000000000000000000000000000000000000000009a9999999999b93f00000000000000000002000000000000000000f03f000000000000004002000000000000000000e03f000000000000e83f02000000000000000000f03f00000000000000c00000000002000000030000000000000004000000000000000200000008070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000"},
 	{&Message{Type: MsgPartial, ClientID: 1, Round: 2, Clients: []int{3, -1}, GradSqs: []float64{9, math.Inf(1)},
 		Cursors: []Cursor{{}, goldenCursor}, Lo: []uint64{1, ^uint64(0)}, Hi: []uint64{2, 1 << 63}, Sat: true},
-		"000001070b0100000000000000020000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020000000000000000002240000000000000f07f020000000300000000000000ffffffffffffffff02000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000008070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf020000000100000000000000ffffffffffffffff020000000200000000000000000000000000008001"},
+		"0000010b0b010000000000000002000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000020000000000000000002240000000000000f07f020000000300000000000000ffffffffffffffff02000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000008070605040302010200000000000000030000000000000000000000000000800900000000000000000000000000d03f000000000000e0bf020000000100000000000000ffffffffffffffff020000000200000000000000000000000000008001"},
 }
 
 func TestGoldenWireBytes(t *testing.T) {
@@ -185,7 +186,7 @@ func randomMessage(rng *rand.Rand) *Message {
 		Type:     MsgHello + MsgType(rng.Intn(int(MsgPartial))),
 		ClientID: integer(), Round: integer(), LocalSteps: integer(), BatchSize: integer(), Rounds: integer(),
 		LR: float(), GradSqNorm: float(), Sat: rng.Intn(2) == 1,
-		Model: floats(), Scales: floats(), GradSqs: floats(), Lo: words(), Hi: words(),
+		Model: floats(), Scales: floats(), Factors: floats(), GradSqs: floats(), Lo: words(), Hi: words(),
 	}
 	if rng.Intn(2) == 1 {
 		c := cursor()
@@ -233,7 +234,7 @@ func TestRandomMessagesRoundTrip(t *testing.T) {
 	}
 
 	// Nil and empty sections are one encoding.
-	empty := &Message{Type: MsgPartial, Model: []float64{}, Scales: []float64{}, GradSqs: []float64{},
+	empty := &Message{Type: MsgPartial, Model: []float64{}, Scales: []float64{}, Factors: []float64{}, GradSqs: []float64{},
 		Clients: []int{}, Cursors: []Cursor{}, Lo: []uint64{}, Hi: []uint64{}}
 	if a, b := encodeFramed(t, empty), encodeFramed(t, &Message{Type: MsgPartial}); string(a) != string(b) {
 		t.Fatalf("empty sections encode to %x, nil sections to %x", a, b)
@@ -261,8 +262,8 @@ func TestWireBytesPerParam(t *testing.T) {
 	if got := partial(p) - partial(0); got != 16*p {
 		t.Errorf("K=1 partial grows %d bytes over %d parameters, want 16 each", got, p)
 	}
-	if start != 13611 || update(p) != 13667 || partial(p) != 27203 {
-		t.Errorf("at p=%d: round start %d B, update %d B, K=1 partial %d B; engine.go quotes 13611, 13667, 27203",
+	if start != 13615 || update(p) != 13671 || partial(p) != 27207 {
+		t.Errorf("at p=%d: round start %d B, update %d B, K=1 partial %d B; engine.go quotes 13615, 13671, 27207",
 			p, start, update(p), partial(p))
 	}
 }

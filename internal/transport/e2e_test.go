@@ -256,15 +256,26 @@ func TestEndToEndTCP(t *testing.T) {
 // in-process LocalBackend run of the same elastic spec, bit for bit, and
 // leave nothing behind — flat, with one ServeNode per client (one of them a
 // prospective member admitted mid-run, one retired mid-run), and at
-// GroupSize 2, with one ServeNode per group.
+// GroupSize 2, with one ServeNode per group: honest, and with a poison table
+// whose factors reach the group nodes in their batches.
 func TestEndToEndTCPMatchesInProcessRunner(t *testing.T) {
-	for name, groupSize := range map[string]int{"flat": 0, "grouped": 2} {
-		t.Run(name, func(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		groupSize int
+		poison    []engine.Poison
+	}{
+		{"flat", 0, nil},
+		{"grouped", 2, nil},
+		{"grouped-poisoned", 2, []engine.Poison{{Client: 0, Factor: -2, FromRound: 2}, {Client: 3, Factor: 2.5}}},
+	} {
+		groupSize := tc.groupSize
+		t.Run(tc.name, func(t *testing.T) {
 			baseline := testutil.GoroutineBaseline()
 			f := newFleet(t, 99, 4)
 			mk := func() engine.Spec {
 				spec := f.spec(t, 8, []float64{0.9, 0.5, 0.7, 0.6})
 				spec.GroupSize = groupSize
+				spec.Poison = tc.poison
 				spec.Membership = &engine.MembershipPlan{
 					Initial: []int{0, 1, 2},
 					Events:  []engine.MembershipEvent{{Round: 3, Join: []int{3}}, {Round: 6, Leave: []int{1}}},

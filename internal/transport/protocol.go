@@ -22,10 +22,10 @@
 //	ClientID, Round, LocalSteps, BatchSize, Rounds    5 × int64
 //	LR, GradSqNorm                                    2 × float64 bits
 //	cursor flag 1 byte (0 or 1), then the 56-byte Cursor when 1
-//	Model, Scales, GradSqs    uint32 count + count × float64 bits, each
-//	Clients                   uint32 count + count × int64
-//	Cursors                   uint32 count + count × 56-byte Cursor
-//	Lo, Hi                    uint32 count + count × uint64, each
+//	Model, Scales, Factors, GradSqs   uint32 count + count × float64 bits, each
+//	Clients                           uint32 count + count × int64
+//	Cursors                           uint32 count + count × 56-byte Cursor
+//	Lo, Hi                            uint32 count + count × uint64, each
 //	Sat         1 byte (0 or 1)
 //
 // A Cursor is RNG[0..3] (uint64), SqCount (int64), SqMean, SqM2 (float64
@@ -35,6 +35,12 @@
 // empty sections both have count 0), trailing bytes are refused, and every
 // declared count is checked against the bytes left in the frame before
 // anything is sized from it.
+//
+// Version 8 added the Factors section: a MsgBatchStart carries its members'
+// poisoning factors there, aligned with Clients, when any member is poisoned,
+// and an empty section — one 4-byte count word, on every message type — when
+// all are honest. A node refuses a batch whose Factors is neither empty nor
+// as long as Clients.
 //
 // A session is: hello (MsgHello for a member, MsgJoin for a prospective
 // member, MsgGroupHello for a node hosting a whole group of virtual clients)
@@ -63,8 +69,9 @@ const (
 	// ProtocolVersion is the wire-protocol version, bumped on every
 	// incompatible change; peers of different versions refuse each other in
 	// the handshake. Version 7 replaced the gob message encoding with the
-	// fixed little-endian layout in the package comment.
-	ProtocolVersion byte = 7
+	// fixed little-endian layout in the package comment; version 8 added its
+	// Factors section.
+	ProtocolVersion byte = 8
 	// MaxFrameSize bounds a single frame's payload. The largest legitimate
 	// frame is a MsgRoundStart carrying the flattened global model; at 8
 	// bytes a parameter 64 MiB covers ~8.3M float64 parameters.
@@ -192,10 +199,11 @@ const (
 	MsgGroupHello
 	// MsgBatchStart carries one round's work for an entire group over a
 	// single socket: the global model plus parallel Clients/Scales/Cursors
-	// slices, one entry per tasked member.
+	// slices, one entry per tasked member, and Factors when a member is
+	// poisoned.
 	MsgBatchStart
 	// MsgPartial carries a group's folded contribution back: the 128-bit
-	// fixed-point limbs of Σ (a_n/q_n)·delta_n over the batch, plus
+	// fixed-point limbs of Σ (a_n/q_n)·f_n·delta_n over the batch, plus
 	// per-member gradient statistics and post-update cursors.
 	MsgPartial
 )
@@ -228,14 +236,16 @@ type Message struct {
 
 	// Multiplexed-group fields. On MsgBatchStart, Clients lists the tasked
 	// members of the group, Scales their Lemma-1 a_n/q_n fold coefficients,
-	// and Cursors their authoritative executor positions — the node keeps no
-	// per-client state between rounds. On MsgPartial, Clients echoes the
-	// batch, Lo/Hi carry the fixed-point limbs of the group sum (one pair per
-	// model parameter), Sat reports fixed-point saturation, and
-	// GradSqs/Cursors report per-member statistics and post-update positions
-	// aligned with Clients.
+	// Factors their poisoning factors — empty when every member is honest,
+	// else aligned with Clients — and Cursors their authoritative executor
+	// positions: the node keeps no per-client state between rounds. On
+	// MsgPartial, Clients echoes the batch, Lo/Hi carry the fixed-point limbs
+	// of the group sum (one pair per model parameter), Sat reports
+	// fixed-point saturation, and GradSqs/Cursors report per-member statistics
+	// and post-update positions aligned with Clients.
 	Clients []int
 	Scales  []float64
+	Factors []float64
 	Cursors []Cursor
 	Lo, Hi  []uint64
 	Sat     bool
@@ -257,14 +267,14 @@ const (
 	cursorSize = 7 * 8
 	// headerSize covers the type byte, the seven scalars and the cursor flag.
 	headerSize = 1 + 7*8 + 1
-	// minMessageSize is a message with no cursor and seven empty sections.
-	minMessageSize = headerSize + 7*4 + 1
+	// minMessageSize is a message with no cursor and eight empty sections.
+	minMessageSize = headerSize + 8*4 + 1
 )
 
 // encodedSize is the exact payload length of m.
 func encodedSize(m *Message) int {
 	n := minMessageSize + cursorSize*len(m.Cursors) +
-		8*(len(m.Model)+len(m.Scales)+len(m.GradSqs)+len(m.Clients)+len(m.Lo)+len(m.Hi))
+		8*(len(m.Model)+len(m.Scales)+len(m.Factors)+len(m.GradSqs)+len(m.Clients)+len(m.Lo)+len(m.Hi))
 	if m.Cursor != nil {
 		n += cursorSize
 	}
@@ -287,6 +297,7 @@ func (m *Message) encode(b []byte) {
 	}
 	b = putFloats(b, m.Model)
 	b = putFloats(b, m.Scales)
+	b = putFloats(b, m.Factors)
 	b = putFloats(b, m.GradSqs)
 	b = putCount(b, len(m.Clients))
 	for _, v := range m.Clients {
@@ -467,6 +478,7 @@ func (m *Message) decode(payload []byte, cur *Cursor) error {
 	}
 	m.Model = f.floats("Model", m.Model)
 	m.Scales = f.floats("Scales", m.Scales)
+	m.Factors = f.floats("Factors", m.Factors)
 	m.GradSqs = f.floats("GradSqs", m.GradSqs)
 	b, n := f.section("Clients", 8)
 	m.Clients = resize(m.Clients, n)
