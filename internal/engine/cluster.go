@@ -104,7 +104,7 @@ type clusterSlot struct {
 //
 // Participation is decided centrally by the orchestrator: a round start is
 // itself the invitation, so a node never draws willingness coins. Each node
-// owns the same clientExec — fused local steps, private RNG as the n-th
+// owns the same clientExec — the training step, private RNG as the n-th
 // Split of the spec seed — that LocalBackend uses in-process, and the wire
 // carries float64 slices as their bits, so a cluster run's trace is
 // byte-identical to the local backend's.
@@ -253,6 +253,11 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	}
 	if ctx == nil {
 		ctx = context.Background()
+	}
+	if spec.GradNorms {
+		// A node trains with Step: nothing reports gradient norms over the
+		// wire.
+		return errors.New("engine: the cluster backend does not compute gradient norms (Spec.GradNorms)")
 	}
 	nClients := spec.Fed.NumClients()
 	if b.resume != nil && len(b.resume) != nClients {

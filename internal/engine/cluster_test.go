@@ -33,6 +33,24 @@ func TestClusterOpenCloseUnderCancellableContext(t *testing.T) {
 	testutil.WaitNoLeaks(t, baseline, 5*time.Second)
 }
 
+// TestClusterOpenRefusesGradNorms: a node trains with Step and no frame
+// carries a norm it computed, so the cluster backend refuses a spec that
+// asks for gradient norms, before it listens on anything.
+func TestClusterOpenRefusesGradNorms(t *testing.T) {
+	baseline := testutil.GoroutineBaseline()
+	fed := testFederation(t, 59, 2)
+	spec := testSpec(t, fed, testModel(t, fed), 2, fullSampler{n: 2})
+	spec.GradNorms = true
+	b := NewClusterBackend(ClusterOptions{})
+	if err := b.Open(context.Background(), &spec); err == nil || !strings.Contains(err.Error(), "GradNorms") {
+		t.Fatalf("Open with GradNorms: error %v", err)
+	}
+	if _, err := Run(context.Background(), spec, NewClusterBackend(ClusterOptions{})); err == nil {
+		t.Fatal("Run with GradNorms on the cluster backend succeeded")
+	}
+	testutil.WaitNoLeaks(t, baseline, 5*time.Second)
+}
+
 // TestCheckPartial: a group partial is accepted only when it names exactly
 // the dispatched members, in dispatch order, with one statistic and cursor
 // each and one limb pair per parameter — a partial naming other in-range

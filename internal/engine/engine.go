@@ -25,7 +25,7 @@
 // rates, deterministic index-ordered aggregation, divergence checks, and
 // evaluation. A backend owns only the execution of local updates. Both
 // built-in backends derive client n's private SGD stream as the n-th Split
-// of the spec seed and run the same fused local-update code, so a run is
+// of the spec seed and run the same local-update code, so a run is
 // bit-identical across backends and for any GOMAXPROCS — the property the
 // golden-trace backend-equivalence matrix in internal/scenario pins. There is
 // no other coordinator: the TCP prototype (cmd/flnode, examples/prototype)
@@ -116,7 +116,8 @@ type ClientUpdate struct {
 	// the orchestrator consumes it before the next Dispatch.
 	Delta tensor.Vec
 	// GradSqNorm is the client's running mean squared stochastic gradient
-	// norm after this update — the paper's G_n estimation channel.
+	// norm after this update — the paper's G_n estimation channel. Zero
+	// unless Spec.GradNorms.
 	GradSqNorm float64
 }
 
@@ -159,7 +160,7 @@ type Partial struct {
 	// Sat reports fixed-point saturation anywhere in the group fold.
 	Sat bool
 	// GradSq holds each contributing member's running mean squared gradient
-	// norm, aligned with Clients.
+	// norm, aligned with Clients. Zeros unless Spec.GradNorms.
 	GradSq []float64
 }
 
@@ -192,13 +193,14 @@ type RoundMetrics struct {
 	TestAccuracy   float64
 }
 
-// RunResult bundles the full training trajectory with the final model and
-// the per-client mean squared stochastic gradient norms observed along the
-// way (the empirical basis for the G_n estimates of Section IV-A).
+// RunResult bundles the full training trajectory with the final model and,
+// when Spec.GradNorms, the per-client mean squared stochastic gradient norms
+// observed along the way (the empirical basis for the G_n estimates of
+// Section IV-A).
 type RunResult struct {
 	History    []RoundMetrics
 	FinalModel tensor.Vec
-	GradSqNorm []float64 // mean ||stochastic gradient||² per client
+	GradSqNorm []float64 // mean ||stochastic gradient||² per client; zeros unless Spec.GradNorms
 	FinalLoss  float64
 	FinalAcc   float64
 }
@@ -219,6 +221,15 @@ type Spec struct {
 
 	Sampler    Sampler
 	Aggregator Aggregator
+
+	// GradNorms makes every local step also compute ‖g‖² and add it to the
+	// client's running mean (model.LocalStepper.SGDStep), which ClientUpdate,
+	// Partial, RunResult and the cursors then report. Calibration
+	// (fl.Calibrate) sets it; training runs do not, and take the step with
+	// no reduction (Step), so those fields carry zeros. The model bits are
+	// the same either way. Only LocalBackend supports it: ClusterBackend.Open
+	// refuses it.
+	GradNorms bool
 
 	// GroupSize, when > 1, turns on hierarchical aggregation: participants
 	// are partitioned into sub-aggregator groups of this many consecutive

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -82,32 +83,38 @@ func testSpec(t testing.TB, fed *data.Federated, m model.Model, rounds int, samp
 
 // TestLocalDispatchZeroAllocs is the end-to-end allocation gate on the FL
 // hot path: with the per-client scratch arenas warm, a full round dispatch
-// through the local backend (batch draws, fused SGD steps, gradient-norm
-// stats, deltas for every participant) must perform zero heap allocations.
+// through the local backend (batch draws, SGD steps, deltas for every
+// participant) must perform zero heap allocations — training's steps, and
+// calibration's with the gradient-norm statistics (Spec.GradNorms).
 func TestLocalDispatchZeroAllocs(t *testing.T) {
-	fed := testFederation(t, 21, 4)
-	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 4, fullSampler{n: 4})
-	b := NewLocalBackend(LocalOptions{})
-	if err := b.Open(context.Background(), &spec); err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = b.Close() }()
-	global := m.ZeroParams()
-	tasks := make([]ClientTask, fed.NumClients())
-	for n := range tasks {
-		tasks[n] = ClientTask{Client: n, LR: 0.01}
-	}
-	if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state local dispatch allocates %v times per run", allocs)
+	for _, norms := range []bool{false, true} {
+		t.Run(fmt.Sprintf("GradNorms=%t", norms), func(t *testing.T) {
+			fed := testFederation(t, 21, 4)
+			m := testModel(t, fed)
+			spec := testSpec(t, fed, m, 4, fullSampler{n: 4})
+			spec.GradNorms = norms
+			b := NewLocalBackend(LocalOptions{})
+			if err := b.Open(context.Background(), &spec); err != nil {
+				t.Fatal(err)
+			}
+			defer func() { _ = b.Close() }()
+			global := m.ZeroParams()
+			tasks := make([]ClientTask, fed.NumClients())
+			for n := range tasks {
+				tasks[n] = ClientTask{Client: n, LR: 0.01}
+			}
+			if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(100, func() {
+				if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state local dispatch allocates %v times per run", allocs)
+			}
+		})
 	}
 }
 
@@ -380,8 +387,8 @@ type dupSampler struct{ n int }
 func (d dupSampler) Sample(int) []int { return []int{0, 1, 0} }
 func (d dupSampler) NumClients() int  { return d.n }
 
-// BenchmarkLocalUpdate measures one participant's full local update (E=4
-// fused SGD steps at batch 8) through the shared client executor.
+// BenchmarkLocalUpdate measures one participant's full local update (E=10
+// training steps at batch 16) through the shared client executor.
 func BenchmarkLocalUpdate(b *testing.B) {
 	fed := testFederation(b, 21, 4)
 	m := testModel(b, fed)
@@ -390,13 +397,13 @@ func BenchmarkLocalUpdate(b *testing.B) {
 	delta := tensor.NewVec(len(global))
 	var arena execArena
 	ctx := context.Background()
-	if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
+	if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, false, &arena, delta); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
+		if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, false, &arena, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -11,7 +11,9 @@ import (
 )
 
 // clientExec holds one client's per-run mutable state: the private RNG and
-// the gradient-norm statistics. It deliberately owns no model-sized buffers —
+// the gradient-norm statistics, which only a Spec.GradNorms run (calibration)
+// adds to; in training runs they stay at the cursor's values, zero from a
+// fresh start. It deliberately owns no model-sized buffers —
 // those live in an execArena owned by whichever worker (or socket node) runs
 // the update — so a fleet of 10^6 virtual clients costs O(fleet) scalars,
 // not O(fleet·model) vectors.
@@ -41,14 +43,15 @@ func (ar *execArena) ensure(p int) {
 }
 
 // train copies the global model into the arena and performs steps mini-batch
-// SGD steps on the client's shard, recording squared gradient norms for G_n
-// estimation. The trained parameters are left in ar.w: a grouped executor
-// folds them against global directly (FixAcc.AddScaledDiff), the flat path
-// writes the delta with localUpdate. In steady state (arena warm) it
-// performs no heap allocations.
+// SGD steps on the client's shard: with norms, SGDStep, recording squared
+// gradient norms for G_n estimation; otherwise Step, which computes none.
+// Both leave the same parameters in ar.w: a grouped executor folds them
+// against global directly (FixAcc.AddScaledDiff), the flat path writes the
+// delta with localUpdate. In steady state (arena warm) it performs no heap
+// allocations.
 func (st *clientExec) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
-	global tensor.Vec, steps, batch int, lr float64, ar *execArena,
+	global tensor.Vec, steps, batch int, lr float64, norms bool, ar *execArena,
 ) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -65,6 +68,12 @@ func (st *clientExec) train(
 				return err
 			}
 		}
+		if !norms {
+			if err := m.Step(w, shard, batch, lr, st.rng, &ar.scratch); err != nil {
+				return fmt.Errorf("client %d: %w", n, err)
+			}
+			continue
+		}
 		sq, err := m.SGDStep(w, shard, batch, lr, st.rng, &ar.scratch)
 		if err != nil {
 			return fmt.Errorf("client %d: %w", n, err)
@@ -79,13 +88,13 @@ func (st *clientExec) train(
 // travels to the coordinator-side aggregator.
 func (st *clientExec) localUpdate(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
-	global tensor.Vec, steps, batch int, lr float64,
+	global tensor.Vec, steps, batch int, lr float64, norms bool,
 	ar *execArena, delta tensor.Vec,
 ) error {
 	if len(delta) != len(global) {
 		return fmt.Errorf("client %d: delta buffer length %d, want %d", n, len(delta), len(global))
 	}
-	if err := st.train(ctx, m, shard, n, global, steps, batch, lr, ar); err != nil {
+	if err := st.train(ctx, m, shard, n, global, steps, batch, lr, norms, ar); err != nil {
 		return err
 	}
 	for j, w := range ar.w {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -100,6 +101,90 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 	if maxSockets == 0 || maxSockets > 3 {
 		t.Fatalf("cluster used %d sockets for a 7-client fleet at K=3, want 1..3", maxSockets)
 	}
+}
+
+// TestTrainingRunsReportNoGradNorms is the contract of a run without
+// Spec.GradNorms: on both backends, flat and grouped, every client's
+// GradSqNorm and every cursor's Sq fields at every committed round are zero,
+// and the model is the same bits everywhere.
+func TestTrainingRunsReportNoGradNorms(t *testing.T) {
+	fed := testFederation(t, 37, 7)
+	m := testModel(t, fed)
+	run := func(name string, groupSize int, backend ExecutionBackend) *RunResult {
+		sampler := &bernoulliSampler{q: append([]float64(nil), hierQ...), rng: stats.NewRNG(43)}
+		spec := testSpec(t, fed, m, 6, sampler)
+		spec.GroupSize = groupSize
+		commits := 0
+		spec.OnRoundCommit = func(st *RunState) error {
+			commits++
+			for n, c := range st.Clients {
+				if c.SqCount != 0 || c.SqMean != 0 || c.SqM2 != 0 {
+					return fmt.Errorf("round %d: client %d cursor carries gradient statistics %+v", st.NextRound-1, n, c)
+				}
+			}
+			return nil
+		}
+		res, err := Run(context.Background(), spec, backend)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if commits != spec.Rounds {
+			t.Fatalf("%s: %d commits, want %d", name, commits, spec.Rounds)
+		}
+		for n, g := range res.GradSqNorm {
+			if g != 0 {
+				t.Fatalf("%s: client %d GradSqNorm %v from a training run", name, n, g)
+			}
+		}
+		return res
+	}
+	flat := run("local flat", 0, NewLocalBackend(LocalOptions{Parallel: true}))
+	requireSameRun(t, "local grouped", flat, run("local grouped", 3, NewLocalBackend(LocalOptions{Parallel: true})))
+	requireSameRun(t, "cluster flat", flat, run("cluster flat", 0, NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second})))
+	requireSameRun(t, "cluster grouped", flat, run("cluster grouped", 3, NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second})))
+}
+
+// TestGradNormsLeaveTheModelAlone: with Spec.GradNorms the local backend
+// takes the summing step and reports a positive GradSqNorm for every client
+// that took part, flat and grouped alike, and trains the same model bits and
+// history as the run without it.
+func TestGradNormsLeaveTheModelAlone(t *testing.T) {
+	fed := testFederation(t, 37, 7)
+	m := testModel(t, fed)
+	mk := func(groupSize int, norms bool) Spec {
+		sampler := &bernoulliSampler{q: append([]float64(nil), hierQ...), rng: stats.NewRNG(43)}
+		spec := testSpec(t, fed, m, 6, sampler)
+		spec.GroupSize = groupSize
+		spec.GradNorms = norms
+		return spec
+	}
+	plain, err := Run(context.Background(), mk(0, false), NewLocalBackend(LocalOptions{Parallel: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	norms, err := Run(context.Background(), mk(0, true), NewLocalBackend(LocalOptions{Parallel: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := make([]bool, fed.NumClients())
+	for _, h := range norms.History {
+		for _, n := range h.ParticipantIDs {
+			took[n] = true
+		}
+	}
+	for n, g := range norms.GradSqNorm {
+		if took[n] && !(g > 0) {
+			t.Fatalf("client %d took part but reports GradSqNorm %v", n, g)
+		}
+	}
+	zeroed := *norms
+	zeroed.GradSqNorm = plain.GradSqNorm
+	requireSameRun(t, "norms vs plain", plain, &zeroed)
+	grouped, err := Run(context.Background(), mk(3, true), NewLocalBackend(LocalOptions{Parallel: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRun(t, "norms grouped", norms, grouped)
 }
 
 // TestHierarchicalTamperMatchesFlat: a poison table is folded inside the

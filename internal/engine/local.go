@@ -149,7 +149,7 @@ func (b *LocalBackend) runTask(
 	st := b.states[task.Client]
 	if err := st.localUpdate(
 		ctx, b.spec.Model, b.spec.Fed.Clients[task.Client], task.Client,
-		global, b.spec.LocalSteps, b.spec.BatchSize, task.LR, ar, delta,
+		global, b.spec.LocalSteps, b.spec.BatchSize, task.LR, b.spec.GradNorms, ar, delta,
 	); err != nil {
 		return err
 	}
@@ -228,7 +228,7 @@ func (b *LocalBackend) foldGroup(
 		st := b.states[task.Client]
 		if err := st.train(
 			ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client,
-			global, spec.LocalSteps, spec.BatchSize, task.LR, &w.arena,
+			global, spec.LocalSteps, spec.BatchSize, task.LR, spec.GradNorms, &w.arena,
 		); err != nil {
 			return Partial{}, err
 		}

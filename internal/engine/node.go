@@ -253,7 +253,7 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 	if len(nd.delta) != len(msg.Model) {
 		nd.delta = tensor.NewVec(len(msg.Model))
 	}
-	if err := nd.st.localUpdate(ctx, nd.cfg.Model, shard, id, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena, nd.delta); err != nil {
+	if err := nd.st.localUpdate(ctx, nd.cfg.Model, shard, id, msg.Model, nd.steps, nd.batch, msg.LR, false, &nd.arena, nd.delta); err != nil {
 		return err
 	}
 	cursor := transport.Cursor(nd.st.cursor())
@@ -297,7 +297,7 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 		if err != nil {
 			return err
 		}
-		if err := st.train(ctx, nd.cfg.Model, shard, n, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena); err != nil {
+		if err := st.train(ctx, nd.cfg.Model, shard, n, msg.Model, nd.steps, nd.batch, msg.LR, false, &nd.arena); err != nil {
 			return err
 		}
 		factor := 1.0

@@ -27,8 +27,10 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	m := testModel(t, fed)
 	global := m.ZeroParams()
 
-	// Member 0 arrives with gradient statistics from earlier rounds, members
-	// 1 and 2 fresh: a leak would show as member 1 inheriting them.
+	// Member 0 arrives with gradient statistics from earlier rounds (a run
+	// with norms), members 1 and 2 fresh: a leak would show as member 1
+	// inheriting them. The node itself trains without norms, so the
+	// statistics only ride through.
 	cursors := initialCursors(5, 3)
 	warm, err := newClientExecAt(cursors[0])
 	if err != nil {
@@ -36,7 +38,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	}
 	delta := m.ZeroParams()
 	var arena execArena
-	if err := warm.localUpdate(ctx, m, fed.Clients[0], 0, global, 7, batch, lr, &arena, delta); err != nil {
+	if err := warm.localUpdate(ctx, m, fed.Clients[0], 0, global, 7, batch, lr, true, &arena, delta); err != nil {
 		t.Fatal(err)
 	}
 	cursors[0] = warm.cursor()
@@ -52,7 +54,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, &arena, delta); err != nil {
+		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, false, &arena, delta); err != nil {
 			t.Fatal(err)
 		}
 		delta.Scale(factors[n])

@@ -10,7 +10,8 @@ import (
 
 // ClientCursor is one client's resumable execution state at a round
 // boundary: the xoshiro cursor of its private SGD stream plus the Welford
-// accumulator behind its G_n estimate. A client's stream after k rounds
+// accumulator behind its G_n estimate, which only a Spec.GradNorms run adds
+// to — training cursors carry zeros there. A client's stream after k rounds
 // depends on its whole participation history, so cursors — not a re-derived
 // seed Split — are what a checkpoint must carry for bit-exact resume.
 type ClientCursor struct {

@@ -28,7 +28,9 @@ type Calibration struct {
 // α constants. rounds controls the calibration length. Cancelling ctx stops
 // the calibration run promptly with ctx.Err(). It compiles its own
 // engine.Spec: the launch path of priced runs, experiment.Launch, imports
-// this package and cannot be called from here.
+// this package and cannot be called from here. It is the one Spec that sets
+// GradNorms, so it runs on the local backend, whose steps then add each
+// ‖g‖² to the client's running mean.
 func Calibrate(
 	ctx context.Context, m model.Model, fed *data.Federated, cfg Config, rounds int,
 ) (*Calibration, error) {
@@ -59,6 +61,7 @@ func Calibrate(
 		Seed:       cfg.Seed,
 		Sampler:    full,
 		Aggregator: engine.UnbiasedAggregator{},
+		GradNorms:  true,
 	}, engine.NewLocalBackend(engine.LocalOptions{Parallel: true}))
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {

@@ -323,9 +323,11 @@ func TestRunnerTrainsToUsefulModel(t *testing.T) {
 	if res.FinalAcc < 0.5 {
 		t.Fatalf("final accuracy %v too low", res.FinalAcc)
 	}
+	// A training run takes the step without the norm: it reports none
+	// (calibration, which does, is TestCalibrate's).
 	for n, g := range res.GradSqNorm {
-		if g <= 0 {
-			t.Fatalf("client %d recorded no gradient stats", n)
+		if g != 0 {
+			t.Fatalf("client %d reported gradient stats %v from a training run", n, g)
 		}
 	}
 }

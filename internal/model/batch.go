@@ -71,19 +71,24 @@ func (s *Scratch) ensureChunk(n, classes int) {
 	s.probs = s.probs[:n*classes]
 }
 
-// LocalStepper is the fused local-SGD step: draw a mini-batch, take one
-// in-place step w ← w − lr·∇F_B(w), and report ‖∇F_B(w)‖². Fusing the L2
-// term, the squared-norm reduction, and the parameter update into a single
-// pass over the parameters saves two full read-modify-write sweeps per step
-// relative to composing StochasticGradient + SqNorm + AddScaled.
+// LocalStepper is the local-SGD step: draw a mini-batch and take one
+// in-place step w ← w − lr·∇F_B(w). It comes in two forms that leave the
+// same bits in w. Step is the training step: the update is one pass with no
+// reduction (tensor.SGDUpdate), with a vector tier. SGDStep is calibration's
+// step: it also reports ‖∇F_B(w)‖², fusing the L2 term, the squared-norm
+// reduction and the update into a single pass, which saves two full
+// read-modify-write sweeps relative to composing StochasticGradient + SqNorm
+// + AddScaled; the serial sum keeps it scalar.
 type LocalStepper interface {
+	Step(w tensor.Vec, ds *data.Dataset, batchSize int, lr float64,
+		r *stats.RNG, s *Scratch) error
 	SGDStep(w tensor.Vec, ds *data.Dataset, batchSize int, lr float64,
 		r *stats.RNG, s *Scratch) (gradSqNorm float64, err error)
 }
 
 // fusedStep applies gj = g[j] + mu·w[j]; w[j] -= lr·gj element-wise and
 // returns Σ gj², in the same per-element operation order as the unfused
-// AddScaled/SqNorm/AddScaled sequence.
+// AddScaled/SqNorm/AddScaled sequence and as tensor.SGDUpdate.
 func fusedStep(w, g tensor.Vec, mu, lr float64) float64 {
 	g = g[:len(w)]
 	var sq float64

@@ -9,6 +9,7 @@ import (
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
+	"unbiasedfl/internal/testutil"
 )
 
 // randomDataset builds a dataset with standard-normal features and uniform
@@ -117,10 +118,11 @@ var sgdStepShapes = []struct{ n, dim, classes, batch int }{
 	{90, 7, 3, 5},
 }
 
-// TestSGDStepMatchesUnfusedStep pins the fused step the engine runs to the
-// textbook StochasticGradient + AddScaled sequence, bit for bit: same RNG
-// seed, same batch draw, the same bits in every parameter and in ‖g‖², on
-// the vector and on the portable kernel tier, with and without L2.
+// TestSGDStepMatchesUnfusedStep pins both local steps to the textbook
+// StochasticGradient + AddScaled sequence, bit for bit: same RNG seed, same
+// batch draw, the same bits in every parameter — SGDStep's and Step's — and
+// in SGDStep's ‖g‖², on the vector and on the portable kernel tier, with and
+// without L2.
 func TestSGDStepMatchesUnfusedStep(t *testing.T) {
 	for _, shape := range sgdStepShapes {
 		for _, mu := range []float64{0, 0.02} {
@@ -160,6 +162,16 @@ func TestSGDStepMatchesUnfusedStep(t *testing.T) {
 					for j := range wFused {
 						if math.Float64bits(wFused[j]) != math.Float64bits(wRef[j]) {
 							t.Fatalf("w[%d] = %v, want %v", j, wFused[j], wRef[j])
+						}
+					}
+
+					wStep := w.Clone()
+					if err := m.Step(wStep, ds, shape.batch, lr, stats.NewRNG(99), new(Scratch)); err != nil {
+						t.Fatal(err)
+					}
+					for j := range wStep {
+						if math.Float64bits(wStep[j]) != math.Float64bits(wFused[j]) {
+							t.Fatalf("Step: w[%d] = %v, SGDStep %v", j, wStep[j], wFused[j])
 						}
 					}
 				})
@@ -214,8 +226,8 @@ func TestEvalDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestSGDStepZeroAllocs is the allocation regression gate for the training
-// hot path: once the scratch arena is warm, a local SGD step must not touch
-// the heap.
+// hot path: once the scratch arena is warm, neither local step — Step, which
+// training runs, nor SGDStep, which calibration runs — may touch the heap.
 func TestSGDStepZeroAllocs(t *testing.T) {
 	r := stats.NewRNG(15)
 	ds := randomDataset(r, 200, 24, 10)
@@ -233,7 +245,54 @@ func TestSGDStepZeroAllocs(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state SGD step allocates %v times per run", allocs)
+		t.Fatalf("steady-state SGDStep allocates %v times per run", allocs)
+	}
+	allocs = testing.AllocsPerRun(200, func() {
+		if err := m.Step(w, ds, 16, 1e-3, rng, scratch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Step allocates %v times per run", allocs)
+	}
+}
+
+// TestSGDUpdateMatchesFusedStep holds tensor.SGDUpdate, on both kernel
+// tiers, to the w that fusedStep leaves, bit for bit and NaN payloads
+// included: the table of the tensor package's kernel test — testutil's
+// UpdateSizes × both L2 coefficients × two learning rates — on operands that
+// pair every edge value with every other, carved inside guard words.
+func TestSGDUpdateMatchesFusedStep(t *testing.T) {
+	const guard = -0x1.deadbeefcafep+700
+	for _, vector := range []bool{true, false} {
+		t.Run(fmt.Sprintf("vector=%t", vector), func(t *testing.T) {
+			if !vector {
+				declineVector(t)
+			} else if !tensor.HasAVX2 {
+				t.Skip("no AVX2: the vector tier does not exist on this host")
+			}
+			for _, p := range testutil.UpdateSizes {
+				for _, mu := range []float64{0, 0.02} {
+					for _, lr := range []float64{0.1, 0x1.5p-9} {
+						w, g, cw, cg := testutil.UpdateOperands(p, uint64(p), guard)
+						want := tensor.Vec(w).Clone()
+						fusedStep(want, g, mu, lr)
+						if err := tensor.SGDUpdate(w, g, mu, lr); err != nil {
+							t.Fatal(err)
+						}
+						for j := range want {
+							if math.Float64bits(w[j]) != math.Float64bits(want[j]) {
+								t.Fatalf("p=%d mu=%v lr=%v: w[%d] = %x, fusedStep %x",
+									p, mu, lr, j, math.Float64bits(w[j]), math.Float64bits(want[j]))
+							}
+						}
+						if !cw.Intact() || !cg.Intact() {
+							t.Fatalf("p=%d: SGDUpdate wrote outside w or g", p)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -300,7 +359,27 @@ func BenchmarkBatchGradient(b *testing.B) {
 	}
 }
 
-// BenchmarkSGDStep measures the fused step the FL hot loop actually runs.
+// BenchmarkStep measures the training step: SGDStep's batch and gradient,
+// the update without the norm.
+func BenchmarkStep(b *testing.B) {
+	for _, shape := range benchShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			m, ds, w := benchTask(b, shape.dim, shape.classes)
+			scratch := new(Scratch)
+			rng := stats.NewRNG(2)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Step(w, ds, shape.batch, 1e-6, rng, scratch); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkSGDStep measures the fused step calibration runs, which also
+// reports ‖g‖².
 func BenchmarkSGDStep(b *testing.B) {
 	for _, shape := range benchShapes {
 		b.Run(shape.name, func(b *testing.B) {

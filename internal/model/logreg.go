@@ -138,18 +138,42 @@ func (m *LogisticRegression) StochasticGradientScratch(
 func (m *LogisticRegression) SGDStep(
 	w tensor.Vec, ds *data.Dataset, batchSize int, lr float64, r *stats.RNG, s *Scratch,
 ) (float64, error) {
+	grad, err := m.stepGradient(w, ds, batchSize, r, s)
+	if err != nil {
+		return 0, err
+	}
+	return fusedStep(w, grad, m.Mu, lr), nil
+}
+
+// Step implements LocalStepper: SGDStep's batch draw and gradient, then the
+// update alone, tensor.SGDUpdate, which leaves w with SGDStep's bits.
+func (m *LogisticRegression) Step(
+	w tensor.Vec, ds *data.Dataset, batchSize int, lr float64, r *stats.RNG, s *Scratch,
+) error {
+	grad, err := m.stepGradient(w, ds, batchSize, r, s)
+	if err != nil {
+		return err
+	}
+	return tensor.SGDUpdate(w, grad, m.Mu, lr)
+}
+
+// stepGradient draws a local step's batch and returns its data gradient (no
+// L2 term) in the scratch's gradient buffer.
+func (m *LogisticRegression) stepGradient(
+	w tensor.Vec, ds *data.Dataset, batchSize int, r *stats.RNG, s *Scratch,
+) (tensor.Vec, error) {
 	if s == nil {
 		s = new(Scratch)
 	}
 	idx, err := drawBatch(ds, batchSize, r, s)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	grad := s.ensureGrad(m.NumParams())
 	if err := m.dataGradient(w, ds, idx, len(idx), grad, s); err != nil {
-		return 0, err
+		return nil, err
 	}
-	return fusedStep(w, grad, m.Mu, lr), nil
+	return grad, nil
 }
 
 // Accuracy returns the fraction of ds classified correctly by w, evaluated

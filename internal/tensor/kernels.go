@@ -3,31 +3,33 @@ package tensor
 import "errors"
 
 // This file implements the kernels behind the batched gradient path: X·Wᵀ
-// products over row-sliced inputs, row-wise softmax, and the Pᵀ·X gradient
-// accumulation. All kernels are allocation-free: callers provide every buffer.
+// products over row-sliced inputs, row-wise softmax, the Pᵀ·X gradient
+// accumulation, and the SGD update the gradient feeds. All kernels are
+// allocation-free: callers provide every buffer.
 //
 // The order of floating-point operations behind each output element of
-// LogitsBatch, SoftmaxRows and AddScaledTMul is a contract, stated in their
-// comments (and, for the exponentials of SoftmaxRows, on Exp): the golden
-// traces, the bit-identity of the two backends and of a federation whose
-// hosts have different CPUs all rest on it. Two implementations honour it.
-// The portable Go kernels below run everywhere; they process four matrix rows
-// and two samples per pass, which reuses each loaded element and keeps several
-// independent add chains in flight. Every product in them that feeds an
-// addition is rounded by an explicit float64 conversion, which forbids the
+// LogitsBatch, SoftmaxRows, AddScaledTMul and SGDUpdate is a contract, stated
+// in their comments (and, for the exponentials of SoftmaxRows, on Exp): the
+// golden traces, the bit-identity of the two backends and of a federation
+// whose hosts have different CPUs all rest on it. Two implementations honour
+// it. The portable Go kernels below run everywhere; they process four matrix
+// rows and two samples per pass, which reuses each loaded element and keeps
+// several independent add chains in flight. Every product in them that feeds
+// an addition is rounded by an explicit float64 conversion, which forbids the
 // compiler to fuse the two (Go fuses x*y + z on arm64, never on amd64). On
 // amd64 with AVX2 (detected once from CPUID, no switch) the regular region of
 // LogitsBatch and AddScaledTMul — everything but an odd last class and, for
-// LogitsBatch, an odd last sample — and every group of four rows of
-// SoftmaxRows run on the kernels of simd_amd64.s instead, whose vector lanes
-// carry four independent outputs and perform, per lane, exactly the portable
-// code's operations in the portable code's order: no fused multiply-add, no
-// sum split across lanes. For the GEMM kernels the lanes are four classes or
-// four columns; for SoftmaxRows they are four rows, so that a row's maximum
-// and sum stay in one lane, and its maximum is VMAXPD(x, m) — x > m ? x : m,
-// the portable comparison, NaN and ±0 included. The portable kernels are the
-// reference the vector ones are tested against, bit for bit. MatMulT has no
-// vector kernel.
+// LogitsBatch, an odd last sample — every group of four rows of SoftmaxRows
+// and every group of four elements of SGDUpdate run on the kernels of
+// simd_amd64.s instead, whose vector lanes carry four independent outputs and
+// perform, per lane, exactly the portable code's operations in the portable
+// code's order: no fused multiply-add, no sum split across lanes. For the
+// GEMM kernels the lanes are four classes or four columns; for SoftmaxRows
+// they are four rows, so that a row's maximum and sum stay in one lane, and
+// its maximum is VMAXPD(x, m) — x > m ? x : m, the portable comparison, NaN
+// and ±0 included; for SGDUpdate they are four consecutive parameters. The
+// portable kernels are the reference the vector ones are tested against, bit
+// for bit. MatMulT has no vector kernel.
 
 // dotUnrolled returns the inner product of a and b (equal lengths) using four
 // independent accumulators.
@@ -441,5 +443,33 @@ func axpy1x4(p0, p1, p2, p3 float64, x0, x1, x2, x3, g []float64) {
 	x0, x1, x2, x3 = x0[:n], x1[:n], x2[:n], x3[:n]
 	for j := 0; j < n; j++ {
 		g[j] += ((float64(p0*x0[j]) + float64(p1*x1[j])) + float64(p2*x2[j])) + float64(p3*x3[j])
+	}
+}
+
+// SGDUpdate takes one SGD step on w in place, w ← w − lr·(g + mu·w): the
+// update of a local step whose gradient g holds the data term only and mu is
+// the L2 coefficient. The lengths must match.
+//
+// Operation order, per element: w[j] − fl(lr·fl(g[j] + fl(mu·w[j]))). Where
+// both operands of one of these operations are NaN, the result carries the
+// payload of the one the compiled Go loop puts first — w[j], fl(mu·w[j]), the
+// sum, w[j] — and the vector kernel puts the same ones first. No sum spans
+// elements, so each is independent: where HasAVX2 the leading len(w)&^3 run
+// on the vector kernel, four per pass, and the rest on the Go loop.
+func SGDUpdate(w, g Vec, mu, lr float64) error {
+	if len(g) != len(w) {
+		return errors.New("tensor: length mismatch in SGDUpdate")
+	}
+	j := sgdUpdateVector(w, g, mu, lr)
+	sgdUpdatePortable(w[j:], g[j:], mu, lr)
+	return nil
+}
+
+// sgdUpdatePortable is SGDUpdate on the Go loop.
+func sgdUpdatePortable(w, g Vec, mu, lr float64) {
+	g = g[:len(w)]
+	for j := range w {
+		gj := g[j] + float64(mu*w[j])
+		w[j] -= float64(lr * gj)
 	}
 }

@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -382,5 +383,32 @@ func BenchmarkAddScaledTMul(b *testing.B) {
 			}
 			reportMACs(b, shape.n, shape.classes, shape.dim)
 		})
+	}
+}
+
+// BenchmarkSGDUpdate times the training step's update at the three setups'
+// model sizes on both tiers, in ns per parameter.
+func BenchmarkSGDUpdate(b *testing.B) {
+	for _, p := range []int{610, 650, 1690} {
+		for _, vector := range []bool{true, false} {
+			b.Run(fmt.Sprintf("p%d/vector=%t", p, vector), func(b *testing.B) {
+				if !vector {
+					declineVector(b)
+				} else {
+					skipWithoutAVX2(b)
+				}
+				r := &kernelRNG{s: 6}
+				w, g := NewVec(p), NewVec(p)
+				r.fill(w)
+				r.fill(g)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if err := SGDUpdate(w, g, 0.02, 1e-9); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(p), "ns/param")
+			})
+		}
 	}
 }

@@ -20,6 +20,9 @@ func addTMul2AVX2(s float64, p *float64, classes int, xs *[]float64, n, dim int,
 //go:noescape
 func softmaxAVX2(p *float64, cols, groups int, maxes, sums *float64) int
 
+//go:noescape
+func sgdUpdateAVX2(w, grad *float64, n int, mu, lr float64)
+
 // tmulSamples is how many samples one addTMul call takes: its frame holds
 // their scaled probabilities.
 const tmulSamples = 64
@@ -85,4 +88,16 @@ func addScaledTMulVector(s float64, xs [][]float64, p Vec, classes, dim int, g V
 		}
 	}
 	return true
+}
+
+// sgdUpdateVector runs SGDUpdate's leading len(w)&^3 elements on the vector
+// kernel and returns how many it did: 0 without AVX2. The arguments have
+// passed SGDUpdate's checks.
+func sgdUpdateVector(w, g Vec, mu, lr float64) int {
+	n := len(w) &^ 3
+	if !HasAVX2 || n == 0 {
+		return 0
+	}
+	sgdUpdateAVX2(&w[0], &g[0], n, mu, lr)
+	return n
 }

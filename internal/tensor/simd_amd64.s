@@ -1,11 +1,11 @@
 #include "textflag.h"
 #include "funcdata.h"
 
-// AVX2 micro-kernels behind LogitsBatch, AddScaledTMul and SoftmaxRows (see
-// kernels.go for the per-output operation order they must reproduce, and Exp
-// in exp.go for the exponential's). Vector lanes carry four independent
-// outputs; every lane performs the portable code's own sequence of IEEE
-// operations — VMULPD then VADDPD, never a fused multiply-add, never a
+// AVX2 micro-kernels behind LogitsBatch, AddScaledTMul, SoftmaxRows and
+// SGDUpdate (see kernels.go for the per-output operation order they must
+// reproduce, and Exp in exp.go for the exponential's). Vector lanes carry four
+// independent outputs; every lane performs the portable code's own sequence of
+// IEEE operations — VMULPD then VADDPD, never a fused multiply-add, never a
 // reduction across lanes — so results are bit-identical to the Go code.
 // Pointers are not bounds-checked here: the length checks in the exported
 // functions are the only guard.
@@ -513,5 +513,35 @@ next:
 
 done:
 	MOVQ AX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func sgdUpdateAVX2(w, grad *float64, n int, mu, lr float64)
+//
+// SGDUpdate's step on the n elements at w (n a positive multiple of 4), four
+// per pass, one element per lane: w − fl(lr·fl(grad + fl(mu·w))) by the Go
+// loop's own VMULPD, VADDPD, VMULPD, VSUBPD. Each instruction's first source
+// operand is the one the compiled Go loop puts first — w, fl(mu·w), the sum,
+// w — because that operand's payload is what a NaN pair propagates.
+TEXT ·sgdUpdateAVX2(SB), NOSPLIT, $0-40
+	MOVQ w+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ n+16(FP), CX
+	VBROADCASTSD mu+24(FP), Y14
+	VBROADCASTSD lr+32(FP), Y15
+
+update:
+	VMOVUPD (DI), Y0
+	VMOVUPD (SI), Y2
+	VMULPD  Y14, Y0, Y1                  // w·mu
+	VADDPD  Y2, Y1, Y1                   // mu·w + grad
+	VMULPD  Y15, Y1, Y1                  // (mu·w + grad)·lr
+	VSUBPD  Y1, Y0, Y0                   // w − (mu·w + grad)·lr
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	SUBQ $4, CX
+	JNZ  update
+
 	VZEROUPPER
 	RET

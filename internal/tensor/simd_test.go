@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 
@@ -21,7 +22,7 @@ const guard = -0x1.deadbeefcafep+700
 // kernelCase is one input to both kernels, every buffer carved.
 type kernelCase struct {
 	n, classes, dim int
-	s               float64
+	s, mu, lr       float64
 	xs              [][]float64
 	w, bias, p, g   Vec
 	carved          []testutil.Carved[float64]
@@ -61,6 +62,7 @@ func newKernelCase(r *kernelRNG, n, classes, dim int, withBias bool, special flo
 	if withBias {
 		kc.bias = cut(classes, classes%2 == 1)
 	}
+	kc.mu, kc.lr = r.value(special), r.value(special)
 	return kc
 }
 
@@ -78,6 +80,17 @@ func (kc *kernelCase) overlay(raw []byte) {
 			raw = raw[8:]
 		}
 	}
+}
+
+// identicalBits is sameBits without the NaN allowance: SGDUpdate's lanes
+// keep the Go loop's operand order, so even NaN payloads must agree.
+func identicalBits(got, want []float64) (int, bool) {
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i, false
+		}
+	}
+	return 0, true
 }
 
 func sameBits(got, want []float64) (int, bool) {
@@ -123,6 +136,17 @@ func (kc *kernelCase) check(t *testing.T) (vecLogits, vecGrad bool) {
 	if i, ok := sameBits(kc.g, wantG); !ok {
 		t.Fatalf("AddScaledTMul n=%d classes=%d dim=%d: g[%d] = %x (%v), portable %x (%v)",
 			n, classes, dim, i, math.Float64bits(kc.g[i]), kc.g[i], math.Float64bits(wantG[i]), wantG[i])
+	}
+
+	// The SGD update of w by the gradient just accumulated, in place.
+	wantW := kc.w.Clone()
+	sgdUpdatePortable(wantW, kc.g, kc.mu, kc.lr)
+	if err := SGDUpdate(kc.w, kc.g, kc.mu, kc.lr); err != nil {
+		t.Fatal(err)
+	}
+	if i, ok := identicalBits(kc.w, wantW); !ok {
+		t.Fatalf("SGDUpdate p=%d mu=%v lr=%v: w[%d] = %x, Go loop %x",
+			len(kc.w), kc.mu, kc.lr, i, math.Float64bits(kc.w[i]), math.Float64bits(wantW[i]))
 	}
 	for i, c := range kc.carved {
 		if !c.Intact() {
@@ -215,7 +239,7 @@ func TestVectorKernelsStayInBounds(t *testing.T) {
 }
 
 // FuzzKernelsMatchPortable: fuzzed shape, seed and raw value bits, same
-// comparison.
+// comparison — LogitsBatch, AddScaledTMul and SGDUpdate.
 func FuzzKernelsMatchPortable(f *testing.F) {
 	for i, shape := range kernelTable {
 		f.Add(uint16(shape.n), uint16(shape.classes), uint16(shape.dim), i%2 == 0, uint64(i), []byte(nil))
@@ -231,4 +255,46 @@ func FuzzKernelsMatchPortable(f *testing.F) {
 		kc.overlay(raw)
 		kc.check(t)
 	})
+}
+
+// TestSGDUpdateMatchesPortable holds SGDUpdate to its Go loop bit for bit,
+// NaN payloads included, on every parameter of both tiers: testutil's
+// UpdateSizes × both L2 coefficients the engine uses × two learning rates,
+// on operands that pair every edge value with every other
+// (testutil.UpdateOperands) and are carved inside guard words.
+func TestSGDUpdateMatchesPortable(t *testing.T) {
+	for _, vector := range []bool{true, false} {
+		t.Run(fmt.Sprintf("vector=%t", vector), func(t *testing.T) {
+			if !vector {
+				declineVector(t)
+			} else {
+				skipWithoutAVX2(t)
+			}
+			for _, p := range testutil.UpdateSizes {
+				for _, mu := range []float64{0, 0.02} {
+					for _, lr := range []float64{0.1, 0x1.5p-9} {
+						w, g, cw, cg := testutil.UpdateOperands(p, uint64(p), guard)
+						want := Vec(w).Clone()
+						sgdUpdatePortable(want, g, mu, lr)
+						if took := sgdUpdateVector(Vec(w).Clone(), g, mu, lr); vector && took != p&^3 {
+							t.Fatalf("p=%d: the vector kernel took %d elements, want %d", p, took, p&^3)
+						}
+						if err := SGDUpdate(w, g, mu, lr); err != nil {
+							t.Fatal(err)
+						}
+						if i, ok := identicalBits(w, want); !ok {
+							t.Fatalf("p=%d mu=%v lr=%v: w[%d] = %x, Go loop %x",
+								p, mu, lr, i, math.Float64bits(w[i]), math.Float64bits(want[i]))
+						}
+						if !cw.Intact() || !cg.Intact() {
+							t.Fatalf("p=%d: SGDUpdate wrote outside w or g", p)
+						}
+					}
+				}
+			}
+		})
+	}
+	if err := SGDUpdate(NewVec(3), NewVec(4), 0, 1); err == nil {
+		t.Fatal("SGDUpdate accepted a gradient of another length")
+	}
 }

@@ -239,13 +239,14 @@ func train(t *testing.T, f *fleet, spec engine.Spec) *engine.RunResult {
 }
 
 // TestEndToEndTCP: an 8-client federation at heterogeneous q trains over real
-// sockets, and gradient statistics flow back for every participant.
+// sockets, and every participant's gradient statistics come back zero: the
+// devices train without the norm.
 func TestEndToEndTCP(t *testing.T) {
 	f := newFleet(t, 11, 8)
 	res := train(t, f, f.spec(t, 25, []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85}))
 	for id, g := range res.GradSqNorm {
-		if n := len(joined(res, id)); n > 0 && g <= 0 {
-			t.Fatalf("client %d joined %d rounds but reported no gradient stats", id, n)
+		if n := len(joined(res, id)); g != 0 {
+			t.Fatalf("client %d joined %d rounds and reported gradient stats %v", id, n, g)
 		}
 	}
 }

@@ -225,7 +225,9 @@ type Message struct {
 	// MsgBatchStart).
 	LR float64
 	// GradSqNorm reports the client's running mean squared gradient norm
-	// (MsgUpdate), feeding the server's G_n estimates.
+	// (MsgUpdate). Nodes train without the norm, so it carries zero in
+	// training runs; it stays in the layout until the statistic leaves the
+	// wire with the next protocol version.
 	GradSqNorm float64
 	// Cursor carries resumable executor state: on MsgWelcome the coordinator
 	// positions the node's SGD stream (fresh boot, resume, or reconnect after
@@ -242,7 +244,8 @@ type Message struct {
 	// MsgPartial, Clients echoes the batch, Lo/Hi carry the fixed-point limbs
 	// of the group sum (one pair per model parameter), Sat reports
 	// fixed-point saturation, and GradSqs/Cursors report per-member statistics
-	// and post-update positions aligned with Clients.
+	// and post-update positions aligned with Clients. GradSqs, like
+	// GradSqNorm, carries zeros in training runs.
 	Clients []int
 	Scales  []float64
 	Factors []float64
@@ -254,7 +257,8 @@ type Message struct {
 
 // Cursor is the wire form of one client executor's resumable state: the
 // xoshiro cursor of its private SGD stream and its Welford gradient-norm
-// accumulator.
+// accumulator. Training runs add nothing to the accumulator, so its three
+// Sq fields carry the zeros of a fresh executor.
 type Cursor struct {
 	RNG     [4]uint64
 	SqCount int
