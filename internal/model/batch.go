@@ -86,16 +86,17 @@ type LocalStepper interface {
 		r *stats.RNG, s *Scratch) (gradSqNorm float64, err error)
 }
 
-// fusedStep applies gj = g[j] + mu·w[j]; w[j] -= lr·gj element-wise and
+// fusedStep applies gj = w[j]·mu + g[j]; w[j] -= gj·lr element-wise and
 // returns Σ gj², in the same per-element operation order as the unfused
-// AddScaled/SqNorm/AddScaled sequence and as tensor.SGDUpdate.
+// AddScaled/SqNorm/AddScaled sequence and as tensor.SGDUpdate, whose
+// operand order it shares so that even NaN payloads agree.
 func fusedStep(w, g tensor.Vec, mu, lr float64) float64 {
 	g = g[:len(w)]
 	var sq float64
 	for j := range w {
-		gj := g[j] + float64(mu*w[j])
+		gj := float64(w[j]*mu) + g[j]
 		sq += float64(gj * gj)
-		w[j] -= float64(lr * gj)
+		w[j] -= float64(gj * lr)
 	}
 	return sq
 }

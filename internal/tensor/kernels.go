@@ -450,12 +450,14 @@ func axpy1x4(p0, p1, p2, p3 float64, x0, x1, x2, x3, g []float64) {
 // update of a local step whose gradient g holds the data term only and mu is
 // the L2 coefficient. The lengths must match.
 //
-// Operation order, per element: w[j] − fl(lr·fl(g[j] + fl(mu·w[j]))). Where
-// both operands of one of these operations are NaN, the result carries the
-// payload of the one the compiled Go loop puts first — w[j], fl(mu·w[j]), the
-// sum, w[j] — and the vector kernel puts the same ones first. No sum spans
-// elements, so each is independent: where HasAVX2 the leading len(w)&^3 run
-// on the vector kernel, four per pass, and the rest on the Go loop.
+// Operation order, per element: w[j] − fl(fl(fl(w[j]·mu) + g[j])·lr), each
+// operation's first operand written first. Where both operands of one are
+// NaN, x86 returns the first one's payload, so both tiers put the same
+// operand first: the Go loop is written in the one order that every amd64
+// build of it keeps (optimized, -race, -N, any GOAMD64 level), and the
+// vector kernel's operands match it. No sum spans elements, so each is
+// independent: where HasAVX2 the leading len(w)&^3 run on the vector
+// kernel, four per pass, and the rest on the Go loop.
 func SGDUpdate(w, g Vec, mu, lr float64) error {
 	if len(g) != len(w) {
 		return errors.New("tensor: length mismatch in SGDUpdate")
@@ -469,7 +471,7 @@ func SGDUpdate(w, g Vec, mu, lr float64) error {
 func sgdUpdatePortable(w, g Vec, mu, lr float64) {
 	g = g[:len(w)]
 	for j := range w {
-		gj := g[j] + float64(mu*w[j])
-		w[j] -= float64(lr * gj)
+		gj := float64(w[j]*mu) + g[j]
+		w[j] -= float64(gj * lr)
 	}
 }

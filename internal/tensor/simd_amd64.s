@@ -519,10 +519,10 @@ done:
 // func sgdUpdateAVX2(w, grad *float64, n int, mu, lr float64)
 //
 // SGDUpdate's step on the n elements at w (n a positive multiple of 4), four
-// per pass, one element per lane: w − fl(lr·fl(grad + fl(mu·w))) by the Go
+// per pass, one element per lane: w − fl(fl(fl(w·mu) + grad)·lr) by the Go
 // loop's own VMULPD, VADDPD, VMULPD, VSUBPD. Each instruction's first source
-// operand is the one the compiled Go loop puts first — w, fl(mu·w), the sum,
-// w — because that operand's payload is what a NaN pair propagates.
+// operand is the Go loop's first operand — w, fl(mu·w), the sum, w — because
+// that operand's payload is what a NaN pair propagates.
 TEXT ·sgdUpdateAVX2(SB), NOSPLIT, $0-40
 	MOVQ w+0(FP), DI
 	MOVQ grad+8(FP), SI
