@@ -35,9 +35,7 @@ func commitRun(tb testing.TB, dir string, sh commitShape, rounds int) (*Manager,
 	}
 	cursors := make([]engine.ClientCursor, sh.clients)
 	for i := range cursors {
-		cursors[i] = engine.ClientCursor{
-			RNG: [4]uint64{1, 2, 3, uint64(i + 1)}, SqCount: 5, SqMean: 0.5,
-		}
+		cursors[i] = engine.ClientCursor{RNG: [4]uint64{1, 2, 3, uint64(i + 1)}}
 	}
 	ids := make([]int, sh.members)
 	for i := range ids {
@@ -99,15 +97,12 @@ func TestCommitAllocs(t *testing.T) {
 }
 
 // millionCursorSnapshot builds the fleet-scale snapshot the streaming paths
-// exist for: 10^6 client cursors (~56MB of state).
+// exist for: 10^6 client cursors (~32MB of state).
 func millionCursorSnapshot() *Snapshot {
 	const clients = 1_000_000
 	cursors := make([]engine.ClientCursor, clients)
 	for i := range cursors {
-		cursors[i] = engine.ClientCursor{
-			RNG:     [4]uint64{uint64(i), 2, 3, 4},
-			SqCount: i % 11, SqMean: float64(i) * 0.5,
-		}
+		cursors[i] = engine.ClientCursor{RNG: [4]uint64{uint64(i), 2, 3, 4}}
 	}
 	return &Snapshot{
 		Meta:      Meta{Label: "fleet", Seed: 7, Clients: clients, Rounds: 8},

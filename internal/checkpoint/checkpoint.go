@@ -9,8 +9,8 @@
 // have produced. This holds because a checkpoint carries everything the
 // round loop folds forward and nothing that can be re-derived ambiguously:
 // the global model vector, the sampler's RNG stream cursors, every client's
-// executor cursor (SGD RNG state and gradient-norm accumulator), and the
-// accumulated round history. Determinism of the engine does the rest.
+// executor cursor (the state of its SGD RNG stream), and the accumulated
+// round history. Determinism of the engine does the rest.
 //
 // On disk a checkpoint is three files:
 //
@@ -35,17 +35,17 @@
 //	           NextRound, Epoch       2 × int64
 //	           Model                  uint32 count + count × float64 bits
 //	           Sampler                uint32 count + count × uint64
-//	           Clients                uint32 count + count × 56-byte cursor
+//	           Clients                uint32 count + count × 32-byte cursor
 //	WAL record Round, Participants    2 × int64
 //	           Evaluated              1 byte (0 or 1)
 //	           GlobalLoss, TestAcc.   2 × float64 bits
 //	           ParticipantIDs         uint32 count + count × int64
 //
-// A cursor is RNG[0..3] (uint64), SqCount (int64), SqMean, SqM2 (float64
-// bits). Floats are stored as math.Float64bits, so a resumed model is the
-// saved one bit for bit. The encoding is canonical: the decoders refuse
-// trailing bytes, non-0/1 flags and counts larger than the bytes left, so
-// whatever they accept re-encodes to the identical bytes (an empty section
+// A cursor is RNG[0..3] (uint64) — the 56-byte wire cursor's first 32 bytes
+// (see putCursor). Floats are stored as math.Float64bits, so a resumed model
+// is the saved one bit for bit. The encoding is canonical: the decoders
+// refuse trailing bytes, non-0/1 flags and counts larger than the bytes left,
+// so whatever they accept re-encodes to the identical bytes (an empty section
 // decodes as nil).
 //
 // Commit order is WAL, then snapshot, so a crash can leave the WAL at most
@@ -79,8 +79,11 @@ const (
 	// FormatVersion is the on-disk format version; decoding any other
 	// version fails with ErrBadVersion. Version 2 added the membership
 	// epoch counter to the snapshot; version 3 replaced gob payloads with
-	// the fixed little-endian layout in the package comment.
-	FormatVersion byte = 3
+	// the fixed little-endian layout in the package comment; version 4 cut
+	// the client cursor from 56 to 32 bytes, dropping its gradient-norm
+	// accumulator. The WAL record is unchanged since version 3, but a WAL
+	// carries the version of the snapshots it was written beside.
+	FormatVersion byte = 4
 	headerLen          = 5 // magic + version byte
 	// maxFrame bounds a single frame so corrupt length words cannot drive
 	// pathological allocations.
@@ -89,7 +92,7 @@ const (
 	// read, whatever the fleet size.
 	chunkSize = 64 << 10
 	// cursorSize is one encoded engine.ClientCursor.
-	cursorSize = 7 * 8
+	cursorSize = 4 * 8
 	// walRecordFixed is a WAL record payload without its participant ids.
 	walRecordFixed = 2*8 + 1 + 2*8 + 4
 )
@@ -293,21 +296,19 @@ func encodeSnapshot(w io.Writer, chunk []byte, s *Snapshot) (int64, error) {
 	return headerLen + 4 + size + 4, nil
 }
 
-// putCursor stores one 56-byte cursor. The layout matches the transport
-// wire cursor, and so do the decoder's count, flag and int checks, but the
-// code is deliberately not shared: the disk format is versioned by
-// FormatVersion and the wire by transport.ProtocolVersion, and a file written
-// today must stay readable, or be refused by version, whatever the wire
-// protocol becomes. Sharing the helpers would make a wire change a silent
-// disk-format change.
+// putCursor stores one 32-byte cursor: the RNG words, the first 32 bytes of
+// the 56-byte transport wire cursor, which goes on to carry gradient
+// statistics no snapshot stores. The decoder's count, flag and int checks
+// match the wire's, but the code is deliberately not shared: the disk format
+// is versioned by FormatVersion and the wire by transport.ProtocolVersion,
+// and a file written today must stay readable, or be refused by version,
+// whatever the wire protocol becomes. Sharing the helpers would make a wire
+// change a silent disk-format change.
 func putCursor(b []byte, c *engine.ClientCursor) {
 	le := binary.LittleEndian
 	for i, w := range c.RNG {
 		le.PutUint64(b[8*i:], w)
 	}
-	le.PutUint64(b[32:], uint64(c.SqCount))
-	le.PutUint64(b[40:], math.Float64bits(c.SqMean))
-	le.PutUint64(b[48:], math.Float64bits(c.SqM2))
 }
 
 // WriteSnapshot streams s to w in its on-disk byte form — header, length
@@ -422,16 +423,6 @@ func (d *decoder) flag(what string, b byte) bool {
 	return b == 1
 }
 
-func (d *decoder) cursor(b []byte) engine.ClientCursor {
-	le := binary.LittleEndian
-	return engine.ClientCursor{
-		RNG:     [4]uint64{le.Uint64(b), le.Uint64(b[8:]), le.Uint64(b[16:]), le.Uint64(b[24:])},
-		SqCount: d.int(le.Uint64(b[32:])),
-		SqMean:  math.Float64frombits(le.Uint64(b[40:])),
-		SqM2:    math.Float64frombits(le.Uint64(b[48:])),
-	}
-}
-
 // end refuses payload bytes left after the last field.
 func (d *decoder) end() {
 	if n := d.remaining(); n > 0 {
@@ -463,6 +454,9 @@ func section[T any](d *decoder, what string, size int, get func(b []byte) T) []T
 func getFloat(b []byte) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
 func getWord(b []byte) uint64   { return binary.LittleEndian.Uint64(b) }
 func getByte(b []byte) byte     { return b[0] }
+func getCursor(b []byte) engine.ClientCursor {
+	return engine.ClientCursor{RNG: [4]uint64{getWord(b), getWord(b[8:]), getWord(b[16:]), getWord(b[24:])}}
+}
 
 // decodeSnapshot reads a snapshot payload.
 func decodeSnapshot(d *decoder) *Snapshot {
@@ -478,7 +472,7 @@ func decodeSnapshot(d *decoder) *Snapshot {
 	}
 	s.Model = section(d, "Model", 8, getFloat)
 	s.Sampler = section(d, "Sampler", 8, getWord)
-	s.Clients = section(d, "Clients", cursorSize, d.cursor)
+	s.Clients = section(d, "Clients", cursorSize, getCursor)
 	d.end()
 	return &s
 }

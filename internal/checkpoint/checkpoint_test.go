@@ -22,8 +22,8 @@ func fakeState(boundary int) *engine.RunState {
 		Model:     []float64{1.5 * float64(boundary), -0.25, float64(boundary)},
 		Sampler:   []uint64{11, 22, 33, uint64(boundary)},
 		Clients: []engine.ClientCursor{
-			{RNG: [4]uint64{1, 2, 3, uint64(boundary + 1)}, SqCount: boundary, SqMean: 0.5, SqM2: 0.125},
-			{RNG: [4]uint64{5, 6, 7, uint64(boundary + 9)}, SqCount: 2 * boundary, SqMean: 1.5, SqM2: 0.25},
+			{RNG: [4]uint64{1, 2, 3, uint64(boundary + 1)}},
+			{RNG: [4]uint64{5, 6, 7, uint64(boundary + 9)}},
 		},
 	}
 	for r := 0; r < boundary; r++ {
@@ -519,26 +519,55 @@ func TestResumeRejectsForeignSlot(t *testing.T) {
 // bytes of its gob payload.
 const v2Header = "55464c4b020000019e5c7f03010108536e617073686f7401ff8000010601044d"
 
-// TestResumeRejectsV2Snapshot: a snapshot in the gob format of version 2 is
-// refused by version, never parsed, and never mistaken for no checkpoint.
-func TestResumeRejectsV2Snapshot(t *testing.T) {
-	raw, err := hex.DecodeString(v2Header)
+// TestResumeRejectsOldFormats: a snapshot or a WAL of an earlier format —
+// the gob payload of version 2, the 56-byte cursors of version 3 — is refused
+// by version: by its own reader, by Resume and by Attach. It is never parsed,
+// and never mistaken for no checkpoint.
+func TestResumeRejectsOldFormats(t *testing.T) {
+	v2, err := hex.DecodeString(v2Header)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadSnapshot(bytes.NewReader(raw)); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("ReadSnapshot: got %v, want ErrBadVersion", err)
+	read := func(file string) []byte {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
-	path := filepath.Join(t.TempDir(), "run.ckpt")
-	commitThrough(t, path, 1, Options{})
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("Resume: got %v, want ErrBadVersion", err)
-	}
-	if _, _, err := Attach(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
-		t.Fatalf("Attach: got %v, want ErrBadVersion", err)
+	for _, tc := range []struct {
+		name string
+		raw  []byte
+		wal  bool // the bytes replace the WAL, not the snapshot
+	}{
+		{"v2 snapshot", v2, false},
+		{"v3 snapshot", read(v3SnapshotFile), false},
+		{"v3 WAL", read(v3WALFile), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "run.ckpt")
+			target := path
+			var err error
+			if tc.wal {
+				target = WALPath(path)
+				_, _, _, err = parseWAL(tc.raw)
+			} else {
+				_, err = ReadSnapshot(bytes.NewReader(tc.raw))
+			}
+			if !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("reader: got %v, want ErrBadVersion", err)
+			}
+			commitThrough(t, path, 1, Options{})
+			if err := os.WriteFile(target, tc.raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("Resume: got %v, want ErrBadVersion", err)
+			}
+			if _, _, err := Attach(path, testMeta, Options{}); !errors.Is(err, ErrBadVersion) {
+				t.Fatalf("Attach: got %v, want ErrBadVersion", err)
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package checkpoint
 
 import (
 	"bytes"
+	"os"
 	"testing"
 
 	"unbiasedfl/internal/engine"
@@ -18,7 +19,7 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		NextRound: 2,
 		Model:     []float64{0.5, -1.5},
 		Sampler:   []uint64{9},
-		Clients:   []engine.ClientCursor{{RNG: [4]uint64{1, 2, 3, 4}, SqCount: 2, SqMean: 0.25}},
+		Clients:   []engine.ClientCursor{{RNG: [4]uint64{1, 2, 3, 4}}},
 	})
 	f.Add(snap)
 
@@ -32,6 +33,14 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 	f.Add(append([]byte(walMagic), FormatVersion, 0, 0, 0, 200))
 	f.Add(func() []byte { b := append([]byte(nil), snap...); b[len(b)-1] ^= 0xFF; return b }())
 	f.Add(goldenWAL())
+	// Version-3 files, whose cursors are 56 bytes: refused, never parsed.
+	for _, file := range []string{v3SnapshotFile, v3WALFile} {
+		raw, err := os.ReadFile(file)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
 
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if s, err := ReadSnapshot(bytes.NewReader(b)); err == nil {

@@ -16,10 +16,7 @@ import (
 func streamSnapshot(n int) *Snapshot {
 	cursors := make([]engine.ClientCursor, n)
 	for i := range cursors {
-		cursors[i] = engine.ClientCursor{
-			RNG:     [4]uint64{uint64(i + 1), 2, 3, 4},
-			SqCount: i % 7, SqMean: float64(i) * 0.25, SqM2: float64(i) * 0.125,
-		}
+		cursors[i] = engine.ClientCursor{RNG: [4]uint64{uint64(i + 1), 2, 3, 4}}
 	}
 	return &Snapshot{
 		Meta:      Meta{Label: "stream", Seed: 9, Clients: n, Rounds: 12},
@@ -61,10 +58,13 @@ func (*appendOnly) Seek(int64, int) (int64, error) {
 }
 
 // Committed fixtures: the bytes of streamSnapshot(3), and of goldenWAL(), in
-// format version 3.
+// format version 4. The version-3 files of the same two are kept as inputs
+// that every reader must refuse by version.
 const (
-	goldenSnapshotFile = "testdata/snapshot_v3.golden"
-	goldenWALFile      = "testdata/wal_v3.golden"
+	goldenSnapshotFile = "testdata/snapshot_v4.golden"
+	goldenWALFile      = "testdata/wal_v4.golden"
+	v3SnapshotFile     = "testdata/snapshot_v3.golden"
+	v3WALFile          = "testdata/wal_v3.golden"
 )
 
 // goldenWAL is a WAL of three rounds covering every field: an evaluated and

@@ -162,7 +162,7 @@ type ClusterBackend struct {
 	// Per-round buffers, reused across dispatches.
 	updates []ClientUpdate
 	errs    []error
-	staged  []transport.Cursor
+	staged  []ClientCursor
 	// Group-mode per-round buffers: the group partition, one error and codec
 	// slot per group, and the batch-building scratch reused across sequential
 	// sends.
@@ -543,7 +543,7 @@ func (b *ClusterBackend) welcome(id int, codec *transport.Codec, conn net.Conn) 
 	}
 	if b.groupSize <= 1 {
 		b.mu.Lock()
-		cursor := transport.Cursor(b.cursors[id])
+		cursor := transport.Cursor{RNG: b.cursors[id].RNG}
 		b.mu.Unlock()
 		msg.Cursor = &cursor
 	}
@@ -583,7 +583,7 @@ func (b *ClusterBackend) Dispatch(
 	if cap(b.updates) < len(tasks) {
 		b.updates = make([]ClientUpdate, len(tasks))
 		b.errs = make([]error, len(tasks))
-		b.staged = make([]transport.Cursor, len(tasks))
+		b.staged = make([]ClientCursor, len(tasks))
 	}
 	updates := b.updates[:len(tasks)]
 	errs := b.errs[:len(tasks)]
@@ -598,7 +598,7 @@ func (b *ClusterBackend) Dispatch(
 	for i, task := range tasks {
 		i, task := i, task
 		errs[i] = nil
-		staged[i] = transport.Cursor{}
+		staged[i] = ClientCursor{}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -635,13 +635,9 @@ func (b *ClusterBackend) Dispatch(
 			// round's at the earliest: the delta is used in place through this
 			// round's aggregation (ClientUpdate.Delta's contract) and the
 			// cursor is copied out.
-			updates[i] = ClientUpdate{
-				Client:     task.Client,
-				Delta:      tensor.Vec(reply.Model),
-				GradSqNorm: reply.GradSqNorm,
-			}
+			updates[i] = ClientUpdate{Client: task.Client, Delta: tensor.Vec(reply.Model)}
 			if reply.Cursor != nil {
-				staged[i] = *reply.Cursor
+				staged[i] = ClientCursor{RNG: reply.Cursor.RNG}
 			} else {
 				errs[i] = fmt.Errorf("node %d: update missing cursor", task.Client)
 			}
@@ -677,13 +673,13 @@ func (b *ClusterBackend) Dispatch(
 
 // commitCursors folds the round's successfully reported node cursors into
 // the coordinator's authoritative table.
-func (b *ClusterBackend) commitCursors(tasks []ClientTask, errs []error, staged []transport.Cursor) {
+func (b *ClusterBackend) commitCursors(tasks []ClientTask, errs []error, staged []ClientCursor) {
 	b.mu.Lock()
 	for i := range tasks {
 		if errs[i] != nil {
 			continue
 		}
-		b.cursors[tasks[i].Client] = ClientCursor(staged[i])
+		b.cursors[tasks[i].Client] = staged[i]
 	}
 	b.mu.Unlock()
 }
@@ -788,7 +784,7 @@ func (b *ClusterBackend) DispatchPartials(
 			b.bClients = append(b.bClients, t.Client)
 			b.bScales = append(b.bScales, t.Scale)
 			b.bFactors = append(b.bFactors, t.Factor)
-			b.bCursors = append(b.bCursors, transport.Cursor(b.cursors[t.Client]))
+			b.bCursors = append(b.bCursors, transport.Cursor{RNG: b.cursors[t.Client].RNG})
 			poisoned = poisoned || t.Factor != 1
 		}
 		b.mu.Unlock()
@@ -861,18 +857,17 @@ func (b *ClusterBackend) DispatchPartials(
 				}
 				// Commit the batch members' post-update cursors. reply is the
 				// codec's until its next Recv: the cursors are copied here and
-				// the sink consumes the limbs, clients and statistics before it
-				// returns.
+				// the sink consumes the limbs and clients before it returns.
 				b.mu.Lock()
 				for i, t := range tasks[g.lo:g.hi] {
-					b.cursors[t.Client] = ClientCursor(reply.Cursors[i])
+					b.cursors[t.Client] = ClientCursor{RNG: reply.Cursors[i].RNG}
 				}
 				b.mu.Unlock()
 				sinkMu.Lock()
 				if sinkErr == nil {
 					sinkErr = sink(Partial{
 						Group: g.id, Clients: reply.Clients,
-						Lo: reply.Lo, Hi: reply.Hi, Sat: reply.Sat, GradSq: reply.GradSqs,
+						Lo: reply.Lo, Hi: reply.Hi, Sat: reply.Sat,
 					})
 				}
 				sinkMu.Unlock()
@@ -903,8 +898,9 @@ func (b *ClusterBackend) DispatchPartials(
 
 // checkPartial validates group's reply against the batch it was sent: the
 // partial must name exactly the dispatched members, in dispatch order, so
-// that every gradient statistic and cursor is credited to the client that
-// produced it.
+// that every cursor is credited to the client that produced it. The reply
+// comes from outside the program, so every per-member section is checked —
+// GradSqs too, though the coordinator reads nothing from it.
 func checkPartial(reply *transport.Message, group int, batch []ClientTask, p, round int) error {
 	switch {
 	case reply.Type != transport.MsgPartial || reply.ClientID != group || reply.Round != round:

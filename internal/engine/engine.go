@@ -117,7 +117,7 @@ type ClientUpdate struct {
 	Delta tensor.Vec
 	// GradSqNorm is the client's running mean squared stochastic gradient
 	// norm after this update — the paper's G_n estimation channel. Zero
-	// unless Spec.GradNorms.
+	// unless Spec.GradNorms, which only the flat local path serves.
 	GradSqNorm float64
 }
 
@@ -159,9 +159,6 @@ type Partial struct {
 	Lo, Hi []uint64
 	// Sat reports fixed-point saturation anywhere in the group fold.
 	Sat bool
-	// GradSq holds each contributing member's running mean squared gradient
-	// norm, aligned with Clients. Zeros unless Spec.GradNorms.
-	GradSq []float64
 }
 
 // PartialBackend is the hierarchical-dispatch seam: backends that can fold
@@ -196,7 +193,8 @@ type RoundMetrics struct {
 // RunResult bundles the full training trajectory with the final model and,
 // when Spec.GradNorms, the per-client mean squared stochastic gradient norms
 // observed along the way (the empirical basis for the G_n estimates of
-// Section IV-A).
+// Section IV-A). A GradNorms run is flat and starts at round zero, so its
+// updates are the statistics' only channel.
 type RunResult struct {
 	History    []RoundMetrics
 	FinalModel tensor.Vec
@@ -223,12 +221,13 @@ type Spec struct {
 	Aggregator Aggregator
 
 	// GradNorms makes every local step also compute ‖g‖² and add it to the
-	// client's running mean (model.LocalStepper.SGDStep), which ClientUpdate,
-	// Partial, RunResult and the cursors then report. Calibration
-	// (fl.Calibrate) sets it; training runs do not, and take the step with
-	// no reduction (Step), so those fields carry zeros. The model bits are
-	// the same either way. Only LocalBackend supports it: ClusterBackend.Open
-	// refuses it.
+	// client's running mean (model.LocalStepper.SGDStep), which ClientUpdate
+	// and RunResult then report. Calibration (fl.Calibrate) sets it; training
+	// runs do not, and take the step with no reduction (Step), so those
+	// fields carry zeros. The model bits are the same either way. Only a flat
+	// LocalBackend run from round zero supports it: Validate refuses it with
+	// GroupSize > 1 or a Resume state, whose partials and cursors carry no
+	// statistics, and ClusterBackend.Open refuses it outright.
 	GradNorms bool
 
 	// GroupSize, when > 1, turns on hierarchical aggregation: participants
@@ -332,6 +331,10 @@ func (s Spec) Validate() error {
 		return errors.New("engine: eval interval must be positive")
 	case s.GroupSize < 0:
 		return errors.New("engine: group size must be non-negative")
+	case s.GradNorms && s.GroupSize > 1:
+		return errors.New("engine: GradNorms needs flat dispatch: group partials carry no gradient statistics")
+	case s.GradNorms && s.Resume != nil:
+		return errors.New("engine: GradNorms cannot resume: client cursors carry no gradient statistics")
 	}
 	if s.Membership != nil {
 		if err := s.Membership.Validate(s.Fed.NumClients(), s.Rounds); err != nil {

@@ -163,29 +163,41 @@ func TestLocalDispatchPartialsZeroAllocs(t *testing.T) {
 // TestSpecValidatePoisonTable: Validate refuses a poison table naming a
 // client outside the fleet or twice, a non-finite factor, or a negative start
 // round, and accepts the rest — zero, negative and amplifying factors
-// included.
+// included. It also refuses Spec.GradNorms where the statistics would be
+// lost: with GroupSize > 1 (partials carry none) or a Resume state (cursors
+// carry none), and accepts it with GroupSize 1, which is flat.
 func TestSpecValidatePoisonTable(t *testing.T) {
 	fed := testFederation(t, 21, 4)
 	spec := testSpec(t, fed, testModel(t, fed), 4, fullSampler{n: 4})
+	norms := func(groupSize int, resume *RunState) func(*Spec) {
+		return func(s *Spec) { s.GradNorms, s.GroupSize, s.Resume = true, groupSize, resume }
+	}
 	cases := []struct {
 		name  string
 		table []Poison
-		want  string // "" when the table is valid
+		edit  func(*Spec) // nil, or a change to the spec besides the table
+		want  string      // "" when the spec is valid
 	}{
-		{"none", nil, ""},
-		{"sign flip, suppression and amplification", []Poison{{Client: 0, Factor: -2, FromRound: 3}, {Client: 1}, {Client: 3, Factor: 1e6}}, ""},
-		{"start past the horizon", []Poison{{Client: 2, Factor: 2, FromRound: 99}}, ""},
-		{"client past the fleet", []Poison{{Client: 4, Factor: 1}}, "out of range"},
-		{"negative client", []Poison{{Client: -1, Factor: 1}}, "out of range"},
-		{"NaN factor", []Poison{{Client: 0, Factor: math.NaN()}}, "must be finite"},
-		{"infinite factor", []Poison{{Client: 0, Factor: math.Inf(-1)}}, "must be finite"},
-		{"negative round", []Poison{{Client: 0, Factor: 1, FromRound: -1}}, "non-negative"},
-		{"client twice", []Poison{{Client: 2, Factor: -1}, {Client: 2, Factor: 3, FromRound: 2}}, "appears twice"},
+		{"none", nil, nil, ""},
+		{"sign flip, suppression and amplification", []Poison{{Client: 0, Factor: -2, FromRound: 3}, {Client: 1}, {Client: 3, Factor: 1e6}}, nil, ""},
+		{"start past the horizon", []Poison{{Client: 2, Factor: 2, FromRound: 99}}, nil, ""},
+		{"client past the fleet", []Poison{{Client: 4, Factor: 1}}, nil, "out of range"},
+		{"negative client", []Poison{{Client: -1, Factor: 1}}, nil, "out of range"},
+		{"NaN factor", []Poison{{Client: 0, Factor: math.NaN()}}, nil, "must be finite"},
+		{"infinite factor", []Poison{{Client: 0, Factor: math.Inf(-1)}}, nil, "must be finite"},
+		{"negative round", []Poison{{Client: 0, Factor: 1, FromRound: -1}}, nil, "non-negative"},
+		{"client twice", []Poison{{Client: 2, Factor: -1}, {Client: 2, Factor: 3, FromRound: 2}}, nil, "appears twice"},
+		{"GradNorms flat", nil, norms(1, nil), ""},
+		{"GradNorms with GroupSize 3", nil, norms(3, nil), "GradNorms needs flat dispatch"},
+		{"GradNorms with Resume", nil, norms(0, &RunState{}), "GradNorms cannot resume"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			s := spec
 			s.Poison = tc.table
+			if tc.edit != nil {
+				tc.edit(&s)
+			}
 			err := s.Validate()
 			switch {
 			case tc.want == "" && err != nil:

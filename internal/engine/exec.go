@@ -10,10 +10,10 @@ import (
 	"unbiasedfl/internal/tensor"
 )
 
-// clientExec holds one client's per-run mutable state: the private RNG and
-// the gradient-norm statistics, which only a Spec.GradNorms run (calibration)
-// adds to; in training runs they stay at the cursor's values, zero from a
-// fresh start. It deliberately owns no model-sized buffers —
+// clientExec holds one client's per-run mutable state: the private RNG,
+// whose state is the client's cursor, and the gradient-norm statistics, which
+// only a Spec.GradNorms run (calibration, flat and from round zero) adds to
+// and no cursor carries. It deliberately owns no model-sized buffers —
 // those live in an execArena owned by whichever worker (or socket node) runs
 // the update — so a fleet of 10^6 virtual clients costs O(fleet) scalars,
 // not O(fleet·model) vectors.
@@ -43,12 +43,12 @@ func (ar *execArena) ensure(p int) {
 }
 
 // train copies the global model into the arena and performs steps mini-batch
-// SGD steps on the client's shard: with norms, SGDStep, recording squared
-// gradient norms for G_n estimation; otherwise Step, which computes none.
-// Both leave the same parameters in ar.w: a grouped executor folds them
-// against global directly (FixAcc.AddScaledDiff), the flat path writes the
-// delta with localUpdate. In steady state (arena warm) it performs no heap
-// allocations.
+// SGD steps on the client's shard: with norms (a Spec.GradNorms run on the
+// flat local path), SGDStep, recording squared gradient norms for G_n
+// estimation; otherwise Step, which computes none. Both leave the same
+// parameters in ar.w: a grouped executor folds them against global directly
+// (FixAcc.AddScaledDiff), the flat path writes the delta with localUpdate.
+// In steady state (arena warm) it performs no heap allocations.
 func (st *clientExec) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
 	global tensor.Vec, steps, batch int, lr float64, norms bool, ar *execArena,
@@ -137,31 +137,14 @@ func initialCursors(seed uint64, nClients int) []ClientCursor {
 // cursor captures the executor's resumable state. Valid only at a round
 // boundary, when no update is in flight on this executor.
 func (st *clientExec) cursor() ClientCursor {
-	count, mean, m2 := st.sqNorms.State()
-	return ClientCursor{RNG: st.rng.State(), SqCount: count, SqMean: mean, SqM2: m2}
+	return ClientCursor{RNG: st.rng.State()}
 }
 
 // newClientExecAt builds an executor positioned at a captured cursor.
 func newClientExecAt(c ClientCursor) (*clientExec, error) {
-	st := &clientExec{rng: new(stats.RNG)}
-	if err := st.restore(c); err != nil {
+	rng, err := stats.RestoreRNG(c.RNG)
+	if err != nil {
 		return nil, err
 	}
-	return st, nil
-}
-
-// restore repositions the executor in place at a captured cursor,
-// overwriting every field the cursor carries: a group node runs each tasked
-// member of a batch through one executor this way, and nothing of the
-// previous member survives. On error the executor must not be used.
-func (st *clientExec) restore(c ClientCursor) error {
-	if err := st.rng.Restore(c.RNG); err != nil {
-		return err
-	}
-	sq, err := stats.RestoreWelford(c.SqCount, c.SqMean, c.SqM2)
-	if err != nil {
-		return err
-	}
-	st.sqNorms = sq
-	return nil
+	return &clientExec{rng: rng}, nil
 }

@@ -57,7 +57,6 @@ type poolWorker struct {
 	arena   execArena
 	acc     *FixAcc
 	clients []int
-	gradSq  []float64
 }
 
 // NewLocalBackend constructs an unopened in-process backend.
@@ -222,13 +221,12 @@ func (b *LocalBackend) foldGroup(
 		w.acc.Reset()
 	}
 	w.clients = w.clients[:0]
-	w.gradSq = w.gradSq[:0]
 	spec := b.spec
 	for _, task := range gtasks {
-		st := b.states[task.Client]
-		if err := st.train(
+		// No norms: Spec.Validate refuses GradNorms with GroupSize > 1.
+		if err := b.states[task.Client].train(
 			ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client,
-			global, spec.LocalSteps, spec.BatchSize, task.LR, spec.GradNorms, &w.arena,
+			global, spec.LocalSteps, spec.BatchSize, task.LR, false, &w.arena,
 		); err != nil {
 			return Partial{}, err
 		}
@@ -236,10 +234,9 @@ func (b *LocalBackend) foldGroup(
 			return Partial{}, err
 		}
 		w.clients = append(w.clients, task.Client)
-		w.gradSq = append(w.gradSq, st.sqNorms.Mean())
 	}
 	lo, hi, sat := w.acc.Limbs()
-	return Partial{Group: groupID, Clients: w.clients, Lo: lo, Hi: hi, Sat: sat, GradSq: w.gradSq}, nil
+	return Partial{Group: groupID, Clients: w.clients, Lo: lo, Hi: hi, Sat: sat}, nil
 }
 
 // Close implements ExecutionBackend: it shuts down the worker pool.

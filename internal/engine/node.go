@@ -110,8 +110,10 @@ type node struct {
 	delta   tensor.Vec
 	acc     *FixAcc
 	clients []int
-	gradSqs []float64
 	cursors []transport.Cursor
+	// zeros is a partial's GradSqs section: a node computes no gradient
+	// norms, and the coordinator ignores the section.
+	zeros []float64
 }
 
 func serveNode(ctx context.Context, cfg *NodeConfig) error {
@@ -197,7 +199,7 @@ func (nd *node) hello() error {
 	if welcome.Cursor == nil {
 		return errors.New("welcome missing executor cursor")
 	}
-	nd.st, err = newClientExecAt(ClientCursor(*welcome.Cursor))
+	nd.st, err = newClientExecAt(ClientCursor{RNG: welcome.Cursor.RNG})
 	return err
 }
 
@@ -256,10 +258,10 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 	if err := nd.st.localUpdate(ctx, nd.cfg.Model, shard, id, msg.Model, nd.steps, nd.batch, msg.LR, false, &nd.arena, nd.delta); err != nil {
 		return err
 	}
-	cursor := transport.Cursor(nd.st.cursor())
+	cursor := transport.Cursor{RNG: nd.st.rng.State()}
 	return nd.codec.Send(&transport.Message{
 		Type: transport.MsgUpdate, ClientID: id, Round: msg.Round,
-		Model: nd.delta, GradSqNorm: nd.st.sqNorms.Mean(), Cursor: &cursor,
+		Model: nd.delta, Cursor: &cursor,
 	})
 }
 
@@ -286,11 +288,13 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 		nd.acc.Reset()
 	}
 	nd.clients = nd.clients[:0]
-	nd.gradSqs = nd.gradSqs[:0]
 	nd.cursors = nd.cursors[:0]
+	if cap(nd.zeros) < len(msg.Clients) {
+		nd.zeros = make([]float64, len(msg.Clients))
+	}
 	st := nd.st
 	for i, n := range msg.Clients {
-		if err := st.restore(ClientCursor(msg.Cursors[i])); err != nil {
+		if err := st.rng.Restore(msg.Cursors[i].RNG); err != nil {
 			return fmt.Errorf("client %d cursor: %w", n, err)
 		}
 		shard, err := nd.cfg.shard(n)
@@ -308,13 +312,12 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 			return err
 		}
 		nd.clients = append(nd.clients, n)
-		nd.gradSqs = append(nd.gradSqs, st.sqNorms.Mean())
-		nd.cursors = append(nd.cursors, transport.Cursor(st.cursor()))
+		nd.cursors = append(nd.cursors, transport.Cursor{RNG: st.rng.State()})
 	}
 	lo, hi, sat := nd.acc.Limbs()
 	return nd.codec.Send(&transport.Message{
 		Type: transport.MsgPartial, ClientID: nd.cfg.ID, Round: msg.Round,
-		Clients: nd.clients, GradSqs: nd.gradSqs, Cursors: nd.cursors,
+		Clients: nd.clients, GradSqs: nd.zeros[:len(nd.clients)], Cursors: nd.cursors,
 		Lo: lo, Hi: hi, Sat: sat,
 	})
 }

@@ -86,14 +86,6 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			if err := sb.RestoreClientCursors(r.Clients); err != nil {
 				return nil, fmt.Errorf("engine: restore client cursors: %w", err)
 			}
-			for n := range r.Clients {
-				// gradSq[n] only ever holds the client's running mean, which
-				// moves only when the client participates — so the cursor's
-				// mean reproduces it exactly.
-				if r.Clients[n].SqCount > 0 {
-					gradSq[n] = r.Clients[n].SqMean
-				}
-			}
 		}
 	}
 
@@ -235,7 +227,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		// aggregation rule already prices in.
 		var ids []int
 		if useHier {
-			hids, err := o.hierRound(ctx, hb, round, global, tasks, gradSq)
+			hids, err := o.hierRound(ctx, hb, round, global, tasks)
 			if err != nil {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					return nil, ctxErr
@@ -332,7 +324,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 // regardless of fleet size. The returned ids (ascending) alias o.ids.
 func (o *Orchestrator) hierRound(
 	ctx context.Context, hb PartialBackend, round int,
-	global tensor.Vec, tasks []ClientTask, gradSq []float64,
+	global tensor.Vec, tasks []ClientTask,
 ) ([]int, error) {
 	s := &o.Spec
 	if o.acc == nil || o.acc.Len() != len(global) {
@@ -342,15 +334,8 @@ func (o *Orchestrator) hierRound(
 	}
 	o.ids = o.ids[:0]
 	err := hb.DispatchPartials(ctx, round, global, tasks, s.GroupSize, func(p Partial) error {
-		if len(p.Clients) != len(p.GradSq) {
-			return fmt.Errorf("engine: group %d partial carries %d clients but %d gradient stats",
-				p.Group, len(p.Clients), len(p.GradSq))
-		}
 		if err := o.acc.MergeLimbs(p.Lo, p.Hi, p.Sat); err != nil {
 			return err
-		}
-		for i, n := range p.Clients {
-			gradSq[n] = p.GradSq[i]
 		}
 		o.ids = append(o.ids, p.Clients...)
 		return nil

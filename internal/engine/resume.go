@@ -9,16 +9,14 @@ import (
 )
 
 // ClientCursor is one client's resumable execution state at a round
-// boundary: the xoshiro cursor of its private SGD stream plus the Welford
-// accumulator behind its G_n estimate, which only a Spec.GradNorms run adds
-// to — training cursors carry zeros there. A client's stream after k rounds
-// depends on its whole participation history, so cursors — not a re-derived
-// seed Split — are what a checkpoint must carry for bit-exact resume.
+// boundary: the xoshiro cursor of its private SGD stream. A client's stream
+// after k rounds depends on its whole participation history, so cursors —
+// not a re-derived seed Split — are what a checkpoint must carry for
+// bit-exact resume. The gradient-norm statistics of a Spec.GradNorms run are
+// not part of it: that run starts at round zero, is never resumed, and reads
+// its statistics from RunResult.GradSqNorm.
 type ClientCursor struct {
-	RNG     [4]uint64
-	SqCount int
-	SqMean  float64
-	SqM2    float64
+	RNG [4]uint64
 }
 
 // RunState is the canonical resumable state of a run at a round boundary:

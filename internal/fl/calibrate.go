@@ -29,8 +29,10 @@ type Calibration struct {
 // the calibration run promptly with ctx.Err(). It compiles its own
 // engine.Spec: the launch path of priced runs, experiment.Launch, imports
 // this package and cannot be called from here. It is the one Spec that sets
-// GradNorms, so it runs on the local backend, whose steps then add each
-// ‖g‖² to the client's running mean.
+// GradNorms, so it runs flat on the local backend, from round zero and
+// without checkpoints — the only shape Spec.Validate accepts with it — and
+// its steps add each ‖g‖² to the client's running mean, which reaches it
+// through RunResult.GradSqNorm.
 func Calibrate(
 	ctx context.Context, m model.Model, fed *data.Federated, cfg Config, rounds int,
 ) (*Calibration, error) {

@@ -45,31 +45,3 @@ func TestRNGRestoreInPlace(t *testing.T) {
 		}
 	}
 }
-
-// TestWelfordStateRoundtrip: a restored accumulator must continue with
-// bit-identical mean/variance updates.
-func TestWelfordStateRoundtrip(t *testing.T) {
-	var w Welford
-	r := NewRNG(7)
-	for i := 0; i < 500; i++ {
-		w.Add(r.NormFloat64())
-	}
-	clone, err := RestoreWelford(w.State())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 500; i++ {
-		x := r.NormFloat64()
-		w.Add(x)
-		clone.Add(x)
-	}
-	if w.Mean() != clone.Mean() || w.Variance() != clone.Variance() || w.Count() != clone.Count() {
-		t.Fatalf("restored Welford diverged: %+v vs %+v", w, clone)
-	}
-}
-
-func TestRestoreWelfordRejectsNegativeCount(t *testing.T) {
-	if _, err := RestoreWelford(-1, 0, 0); err == nil {
-		t.Fatal("negative count accepted")
-	}
-}

@@ -94,19 +94,6 @@ func (w *Welford) Variance() float64 {
 // Std returns the running sample standard deviation.
 func (w *Welford) Std() float64 { return math.Sqrt(w.Variance()) }
 
-// State exposes the accumulator's full internal state (count, mean, sum of
-// squared deviations) so checkpoints can persist a stream of observations
-// mid-flight.
-func (w *Welford) State() (count int, mean, m2 float64) { return w.n, w.mean, w.m2 }
-
-// RestoreWelford reconstructs an accumulator from a State triple.
-func RestoreWelford(count int, mean, m2 float64) (Welford, error) {
-	if count < 0 {
-		return Welford{}, errors.New("stats: negative Welford count")
-	}
-	return Welford{n: count, mean: mean, m2: m2}, nil
-}
-
 // KendallTau returns the Kendall rank-correlation coefficient between two
 // paired samples in [-1, 1]: +1 means the orderings agree perfectly. Ties
 // count as discordant-neutral (tau-a). It is used to quantify how well the

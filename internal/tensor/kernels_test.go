@@ -53,10 +53,10 @@ func TestMatMulTMatchesNaive(t *testing.T) {
 			for j := 0; j < n; j++ {
 				var want float64
 				for l := 0; l < k; l++ {
-					want += a.At(i, l) * b.At(j, l)
+					want += a.Data[i*k+l] * b.Data[j*k+l]
 				}
-				if math.Abs(out.At(i, j)-want) > kernelTol {
-					t.Fatalf("%v: out[%d][%d] = %v, want %v", shape, i, j, out.At(i, j), want)
+				if got := out.Data[i*n+j]; math.Abs(got-want) > kernelTol {
+					t.Fatalf("%v: out[%d][%d] = %v, want %v", shape, i, j, got, want)
 				}
 			}
 		}

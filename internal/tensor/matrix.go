@@ -16,13 +16,6 @@ func NewMat(rows, cols int) (*Mat, error) {
 	return &Mat{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}, nil
 }
 
-// At returns the element at (i, j). Callers are responsible for bounds; the
-// slice access panics on violation as with any Go indexing.
-func (m *Mat) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at (i, j).
-func (m *Mat) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
-
 // Row returns row i as a Vec sharing the underlying storage.
 func (m *Mat) Row(i int) Vec { return Vec(m.Data[i*m.Cols : (i+1)*m.Cols]) }
 
@@ -40,11 +33,4 @@ func (m *Mat) MulVec(x, out Vec) error {
 		out[i] = s
 	}
 	return nil
-}
-
-// Clone returns a deep copy of m.
-func (m *Mat) Clone() *Mat {
-	data := make([]float64, len(m.Data))
-	copy(data, m.Data)
-	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: data}
 }

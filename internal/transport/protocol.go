@@ -225,9 +225,9 @@ type Message struct {
 	// MsgBatchStart).
 	LR float64
 	// GradSqNorm reports the client's running mean squared gradient norm
-	// (MsgUpdate). Nodes train without the norm, so it carries zero in
-	// training runs; it stays in the layout until the statistic leaves the
-	// wire with the next protocol version.
+	// (MsgUpdate). Nodes compute no norm and send zero, and the coordinator
+	// ignores it; it stays in the layout until the statistic leaves the wire
+	// with the next protocol version.
 	GradSqNorm float64
 	// Cursor carries resumable executor state: on MsgWelcome the coordinator
 	// positions the node's SGD stream (fresh boot, resume, or reconnect after
@@ -244,8 +244,8 @@ type Message struct {
 	// MsgPartial, Clients echoes the batch, Lo/Hi carry the fixed-point limbs
 	// of the group sum (one pair per model parameter), Sat reports
 	// fixed-point saturation, and GradSqs/Cursors report per-member statistics
-	// and post-update positions aligned with Clients. GradSqs, like
-	// GradSqNorm, carries zeros in training runs.
+	// and post-update positions aligned with Clients. Nodes send GradSqs, like
+	// GradSqNorm, as zeros; the coordinator checks only its length.
 	Clients []int
 	Scales  []float64
 	Factors []float64
@@ -256,9 +256,10 @@ type Message struct {
 }
 
 // Cursor is the wire form of one client executor's resumable state: the
-// xoshiro cursor of its private SGD stream and its Welford gradient-norm
-// accumulator. Training runs add nothing to the accumulator, so its three
-// Sq fields carry the zeros of a fresh executor.
+// xoshiro cursor of its private SGD stream and three words of a Welford
+// gradient-norm accumulator. Nodes send the Sq fields as zeros and the
+// coordinator ignores them: the engine's cursor, and a checkpoint's, is the
+// stream alone.
 type Cursor struct {
 	RNG     [4]uint64
 	SqCount int
