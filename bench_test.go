@@ -14,7 +14,6 @@ import (
 	"unbiasedfl"
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
 )
@@ -199,7 +198,7 @@ func ablationLoss(
 		Rounds:     50,
 		LocalSteps: 8,
 		BatchSize:  16,
-		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
+		Schedule:   engine.ExpDecay{Eta0: 0.1, Decay: 0.996},
 		EvalEvery:  50,
 		Seed:       seed,
 		Sampler:    sampler,
@@ -236,7 +235,7 @@ func BenchmarkAblationAggregation(b *testing.B) {
 				// Fixed seeds: the reported metric is an average over
 				// iterations of a deterministic configuration, not the last
 				// draw of a varying one.
-				sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(5))
+				sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(5))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -297,6 +296,16 @@ func BenchmarkAblationQuantityPricing(b *testing.B) {
 	}
 }
 
+// fixedSubset selects the same clients every round: the deterministic
+// selection of the incentive mechanisms the paper argues against ([7]–[14]).
+type fixedSubset struct {
+	ids []int // ascending, without duplicates
+	n   int
+}
+
+func (s fixedSubset) Sample(int) []int { return append([]int(nil), s.ids...) }
+func (s fixedSubset) NumClients() int  { return s.n }
+
 // BenchmarkAblationFixedSubset contrasts the paper's randomized full-fleet
 // participation with the deterministic fixed-subset mechanisms of prior
 // work: training only the top-K largest clients forever yields a biased
@@ -313,10 +322,7 @@ func BenchmarkAblationFixedSubset(b *testing.B) {
 	}
 	b.Run("fixed-subset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sampler, err := fl.NewFixedSubsetSampler(subset, n)
-			if err != nil {
-				b.Fatal(err)
-			}
+			sampler := fixedSubset{ids: subset, n: n}
 			b.ReportMetric(ablationLoss(b, env, sampler, engine.ProportionalAggregator{}, uint64(i)+3), "final-loss")
 		}
 	})
@@ -326,7 +332,7 @@ func BenchmarkAblationFixedSubset(b *testing.B) {
 			q[i] = float64(len(subset)) / float64(n) // same expected load
 		}
 		for i := 0; i < b.N; i++ {
-			sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(uint64(i)+17))
+			sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(uint64(i)+17))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -43,7 +43,6 @@ import (
 	"unbiasedfl/internal/cli"
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/transport"
@@ -146,7 +145,7 @@ func coordinate(ctx context.Context, env *experiment.Environment, plan *engine.M
 	// The unbiased estimator needs q > 0: priced-out clients sit at the
 	// game's floor.
 	q := env.Params.ClampQ(outcome.Q)
-	sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(env.Opts.Seed^0x5A17))
+	sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(env.Opts.Seed^0x5A17))
 	if err != nil {
 		return err
 	}

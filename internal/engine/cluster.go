@@ -254,11 +254,6 @@ func (b *ClusterBackend) Open(ctx context.Context, spec *Spec) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if spec.GradNorms {
-		// A node trains with Step: nothing reports gradient norms over the
-		// wire.
-		return errors.New("engine: the cluster backend does not compute gradient norms (Spec.GradNorms)")
-	}
 	nClients := spec.Fed.NumClients()
 	if b.resume != nil && len(b.resume) != nClients {
 		return fmt.Errorf("engine: %d resume cursors for a %d-client fleet", len(b.resume), nClients)

@@ -52,9 +52,9 @@
 //
 // Above this package one function compiles a Spec, picks a backend and calls
 // Run: experiment.Launch, the launch path of every priced run (sessions and
-// sweeps, scenarios, cmd/flnode, flserve). internal/fl's calibration sits a
-// layer below it and hands Run its own Spec; the benchmark module builds its
-// specs itself by contract.
+// sweeps, scenarios, cmd/flnode, flserve). experiment.Calibrate hands Run its
+// own Spec, because it runs before the environment Launch takes exists; the
+// benchmark module builds its specs itself by contract.
 package engine
 
 import (
@@ -115,10 +115,6 @@ type ClientUpdate struct {
 	// local SGD steps. Backends may reuse the backing array across rounds;
 	// the orchestrator consumes it before the next Dispatch.
 	Delta tensor.Vec
-	// GradSqNorm is the client's running mean squared stochastic gradient
-	// norm after this update — the paper's G_n estimation channel. Zero
-	// unless Spec.GradNorms, which only the flat local path serves.
-	GradSqNorm float64
 }
 
 // Aggregator folds participant updates into the global model in place.
@@ -190,15 +186,10 @@ type RoundMetrics struct {
 	TestAccuracy   float64
 }
 
-// RunResult bundles the full training trajectory with the final model and,
-// when Spec.GradNorms, the per-client mean squared stochastic gradient norms
-// observed along the way (the empirical basis for the G_n estimates of
-// Section IV-A). A GradNorms run is flat and starts at round zero, so its
-// updates are the statistics' only channel.
+// RunResult bundles the full training trajectory with the final model.
 type RunResult struct {
 	History    []RoundMetrics
 	FinalModel tensor.Vec
-	GradSqNorm []float64 // mean ||stochastic gradient||² per client; zeros unless Spec.GradNorms
 	FinalLoss  float64
 	FinalAcc   float64
 }
@@ -219,16 +210,6 @@ type Spec struct {
 
 	Sampler    Sampler
 	Aggregator Aggregator
-
-	// GradNorms makes every local step also compute ‖g‖² and add it to the
-	// client's running mean (model.LocalStepper.SGDStep), which ClientUpdate
-	// and RunResult then report. Calibration (fl.Calibrate) sets it; training
-	// runs do not, and take the step with no reduction (Step), so those
-	// fields carry zeros. The model bits are the same either way. Only a flat
-	// LocalBackend run from round zero supports it: Validate refuses it with
-	// GroupSize > 1 or a Resume state, whose partials and cursors carry no
-	// statistics, and ClusterBackend.Open refuses it outright.
-	GradNorms bool
 
 	// GroupSize, when > 1, turns on hierarchical aggregation: participants
 	// are partitioned into sub-aggregator groups of this many consecutive
@@ -331,10 +312,6 @@ func (s Spec) Validate() error {
 		return errors.New("engine: eval interval must be positive")
 	case s.GroupSize < 0:
 		return errors.New("engine: group size must be non-negative")
-	case s.GradNorms && s.GroupSize > 1:
-		return errors.New("engine: GradNorms needs flat dispatch: group partials carry no gradient statistics")
-	case s.GradNorms && s.Resume != nil:
-		return errors.New("engine: GradNorms cannot resume: client cursors carry no gradient statistics")
 	}
 	if s.Membership != nil {
 		if err := s.Membership.Validate(s.Fed.NumClients(), s.Rounds); err != nil {

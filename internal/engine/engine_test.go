@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -41,35 +40,27 @@ func testModel(t testing.TB, fed *data.Federated) *model.LogisticRegression {
 	return m
 }
 
-// fullSampler includes every client in every round.
-type fullSampler struct{ n int }
-
-func (s fullSampler) Sample(int) []int {
-	out := make([]int, s.n)
-	for i := range out {
-		out[i] = i
+// bernoulliSampler is the plain sampler over levels q, its coins drawn from
+// a stream seeded with seed.
+func bernoulliSampler(t testing.TB, q []float64, seed uint64) *BernoulliSampler {
+	t.Helper()
+	s, err := NewBernoulliSampler(q, stats.NewRNG(seed))
+	if err != nil {
+		t.Fatal(err)
 	}
-	return out
-}
-func (s fullSampler) NumClients() int { return s.n }
-
-// bernoulliSampler mirrors fl.BernoulliSampler for the engine tests.
-type bernoulliSampler struct {
-	q   []float64
-	rng *stats.RNG
+	return s
 }
 
-func (s *bernoulliSampler) Sample(int) []int {
-	var out []int
-	for n, qn := range s.q {
-		if s.rng.Bernoulli(qn) {
-			out = append(out, n)
-		}
+// fullSampler is full participation over n clients: the sampler at q ≡ 1,
+// which draws no coin.
+func fullSampler(t testing.TB, n int) *BernoulliSampler {
+	t.Helper()
+	q := make([]float64, n)
+	for i := range q {
+		q[i] = 1
 	}
-	return out
+	return bernoulliSampler(t, q, 1)
 }
-func (s *bernoulliSampler) NumClients() int       { return len(s.q) }
-func (s *bernoulliSampler) EffectiveQ() []float64 { return append([]float64(nil), s.q...) }
 
 func testSpec(t testing.TB, fed *data.Federated, m model.Model, rounds int, sampler Sampler) Spec {
 	t.Helper()
@@ -84,37 +75,31 @@ func testSpec(t testing.TB, fed *data.Federated, m model.Model, rounds int, samp
 // TestLocalDispatchZeroAllocs is the end-to-end allocation gate on the FL
 // hot path: with the per-client scratch arenas warm, a full round dispatch
 // through the local backend (batch draws, SGD steps, deltas for every
-// participant) must perform zero heap allocations — training's steps, and
-// calibration's with the gradient-norm statistics (Spec.GradNorms).
+// participant) must perform zero heap allocations.
 func TestLocalDispatchZeroAllocs(t *testing.T) {
-	for _, norms := range []bool{false, true} {
-		t.Run(fmt.Sprintf("GradNorms=%t", norms), func(t *testing.T) {
-			fed := testFederation(t, 21, 4)
-			m := testModel(t, fed)
-			spec := testSpec(t, fed, m, 4, fullSampler{n: 4})
-			spec.GradNorms = norms
-			b := NewLocalBackend(LocalOptions{})
-			if err := b.Open(context.Background(), &spec); err != nil {
-				t.Fatal(err)
-			}
-			defer func() { _ = b.Close() }()
-			global := m.ZeroParams()
-			tasks := make([]ClientTask, fed.NumClients())
-			for n := range tasks {
-				tasks[n] = ClientTask{Client: n, LR: 0.01}
-			}
-			if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
-				t.Fatal(err)
-			}
-			allocs := testing.AllocsPerRun(100, func() {
-				if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state local dispatch allocates %v times per run", allocs)
-			}
-		})
+	fed := testFederation(t, 21, 4)
+	m := testModel(t, fed)
+	spec := testSpec(t, fed, m, 4, fullSampler(t, 4))
+	b := NewLocalBackend(LocalOptions{})
+	if err := b.Open(context.Background(), &spec); err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = b.Close() }()
+	global := m.ZeroParams()
+	tasks := make([]ClientTask, fed.NumClients())
+	for n := range tasks {
+		tasks[n] = ClientTask{Client: n, LR: 0.01}
+	}
+	if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := b.Dispatch(context.Background(), 0, global, tasks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state local dispatch allocates %v times per run", allocs)
 	}
 }
 
@@ -128,7 +113,7 @@ func TestLocalDispatchPartialsZeroAllocs(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			fed := testFederation(t, 21, 6)
 			m := testModel(t, fed)
-			spec := testSpec(t, fed, m, 4, fullSampler{n: 6})
+			spec := testSpec(t, fed, m, 4, fullSampler(t, 6))
 			spec.GroupSize = 2
 			spec.Poison = []Poison{{Client: 1, Factor: -2}, {Client: 4, Factor: 0.5}}
 			b := NewLocalBackend(opts)
@@ -163,15 +148,10 @@ func TestLocalDispatchPartialsZeroAllocs(t *testing.T) {
 // TestSpecValidatePoisonTable: Validate refuses a poison table naming a
 // client outside the fleet or twice, a non-finite factor, or a negative start
 // round, and accepts the rest — zero, negative and amplifying factors
-// included. It also refuses Spec.GradNorms where the statistics would be
-// lost: with GroupSize > 1 (partials carry none) or a Resume state (cursors
-// carry none), and accepts it with GroupSize 1, which is flat.
+// included.
 func TestSpecValidatePoisonTable(t *testing.T) {
 	fed := testFederation(t, 21, 4)
-	spec := testSpec(t, fed, testModel(t, fed), 4, fullSampler{n: 4})
-	norms := func(groupSize int, resume *RunState) func(*Spec) {
-		return func(s *Spec) { s.GradNorms, s.GroupSize, s.Resume = true, groupSize, resume }
-	}
+	spec := testSpec(t, fed, testModel(t, fed), 4, fullSampler(t, 4))
 	cases := []struct {
 		name  string
 		table []Poison
@@ -187,9 +167,6 @@ func TestSpecValidatePoisonTable(t *testing.T) {
 		{"infinite factor", []Poison{{Client: 0, Factor: math.Inf(-1)}}, nil, "must be finite"},
 		{"negative round", []Poison{{Client: 0, Factor: 1, FromRound: -1}}, nil, "non-negative"},
 		{"client twice", []Poison{{Client: 2, Factor: -1}, {Client: 2, Factor: 3, FromRound: 2}}, nil, "appears twice"},
-		{"GradNorms flat", nil, norms(1, nil), ""},
-		{"GradNorms with GroupSize 3", nil, norms(3, nil), "GradNorms needs flat dispatch"},
-		{"GradNorms with Resume", nil, norms(0, &RunState{}), "GradNorms cannot resume"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -232,7 +209,7 @@ func (r *factorRecorder) Dispatch(ctx context.Context, round int, global tensor.
 func TestPoisonFactorsStampOnlyThePoisonerFromItsRound(t *testing.T) {
 	fed := testFederation(t, 21, 3)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 6, fullSampler{n: 3})
+	spec := testSpec(t, fed, m, 6, fullSampler(t, 3))
 	spec.Poison = []Poison{{Client: 1, Factor: -2, FromRound: 4}}
 	rec := &factorRecorder{LocalBackend: NewLocalBackend(LocalOptions{})}
 	poisoned, err := Run(context.Background(), spec, rec)
@@ -286,7 +263,7 @@ func TestOrchestratorDeterministicAcrossWorkerCounts(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 		fed := testFederation(t, 3, 5)
 		m := testModel(t, fed)
-		sampler := &bernoulliSampler{q: []float64{0.9, 0.6, 0.4, 0.8, 0.5}, rng: stats.NewRNG(5)}
+		sampler := bernoulliSampler(t, []float64{0.9, 0.6, 0.4, 0.8, 0.5}, 5)
 		spec := testSpec(t, fed, m, 12, sampler)
 		res, err := Run(context.Background(), spec, NewLocalBackend(LocalOptions{Parallel: true}))
 		if err != nil {
@@ -305,14 +282,14 @@ func TestOrchestratorDeterministicAcrossWorkerCounts(t *testing.T) {
 
 // TestClusterBackendMatchesLocalBackend is the engine-level half of the
 // backend-equivalence guarantee: the same spec through LocalBackend and
-// through a real TCP ClusterBackend must produce byte-identical models,
-// histories, and gradient statistics.
+// through a real TCP ClusterBackend must produce byte-identical models and
+// histories.
 func TestClusterBackendMatchesLocalBackend(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	fed := testFederation(t, 13, 4)
 	m := testModel(t, fed)
 	mk := func() Spec {
-		sampler := &bernoulliSampler{q: []float64{0.9, 0.7, 0.8, 0.6}, rng: stats.NewRNG(11)}
+		sampler := bernoulliSampler(t, []float64{0.9, 0.7, 0.8, 0.6}, 11)
 		return testSpec(t, fed, m, 8, sampler)
 	}
 	local, err := Run(context.Background(), mk(), NewLocalBackend(LocalOptions{Parallel: true}))
@@ -329,12 +306,6 @@ func TestClusterBackendMatchesLocalBackend(t *testing.T) {
 		if math.Float64bits(local.FinalModel[j]) != math.Float64bits(cluster.FinalModel[j]) {
 			t.Fatalf("model[%d]: local %v vs cluster %v — the wire changed the arithmetic",
 				j, local.FinalModel[j], cluster.FinalModel[j])
-		}
-	}
-	for n := range local.GradSqNorm {
-		if math.Float64bits(local.GradSqNorm[n]) != math.Float64bits(cluster.GradSqNorm[n]) {
-			t.Fatalf("client %d GradSqNorm: local %v vs cluster %v",
-				n, local.GradSqNorm[n], cluster.GradSqNorm[n])
 		}
 	}
 	if len(local.History) != len(cluster.History) {
@@ -357,7 +328,7 @@ func TestClusterBackendHonorsCancellation(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	fed := testFederation(t, 17, 3)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 500, fullSampler{n: 3})
+	spec := testSpec(t, fed, m, 500, fullSampler(t, 3))
 	// A real per-round node stall keeps the run alive long enough for the
 	// cancellation to land mid-flight.
 	backend := NewClusterBackend(ClusterOptions{
@@ -409,13 +380,13 @@ func BenchmarkLocalUpdate(b *testing.B) {
 	delta := tensor.NewVec(len(global))
 	var arena execArena
 	ctx := context.Background()
-	if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, false, &arena, delta); err != nil {
+	if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, false, &arena, delta); err != nil {
+		if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -427,6 +398,7 @@ func BenchmarkLocalUpdate(b *testing.B) {
 func BenchmarkOrchestratorRoundLocal(b *testing.B) {
 	fed := testFederation(b, 21, 8)
 	m := testModel(b, fed)
+	full := fullSampler(b, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -436,7 +408,7 @@ func BenchmarkOrchestratorRoundLocal(b *testing.B) {
 			Schedule:  ExpDecay{Eta0: 0.1, Decay: 0.996},
 			EvalEvery: 2, // skip evaluation; this measures the update path
 			Seed:      1,
-			Sampler:   fullSampler{n: 8}, Aggregator: UnbiasedAggregator{},
+			Sampler:   full, Aggregator: UnbiasedAggregator{},
 		}
 		if _, err := Run(context.Background(), spec, NewLocalBackend(LocalOptions{Parallel: true})); err != nil {
 			b.Fatal(err)
@@ -457,7 +429,7 @@ func BenchmarkOrchestratorRoundCluster(b *testing.B) {
 		Schedule:  ExpDecay{Eta0: 0.1, Decay: 0.996},
 		EvalEvery: 2,
 		Seed:      1,
-		Sampler:   fullSampler{n: 8}, Aggregator: UnbiasedAggregator{},
+		Sampler:   fullSampler(b, 8), Aggregator: UnbiasedAggregator{},
 	}
 	backend := NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second})
 	if err := backend.Open(context.Background(), &spec); err != nil {

@@ -11,19 +11,16 @@ import (
 )
 
 // clientExec holds one client's per-run mutable state: the private RNG,
-// whose state is the client's cursor, and the gradient-norm statistics, which
-// only a Spec.GradNorms run (calibration, flat and from round zero) adds to
-// and no cursor carries. It deliberately owns no model-sized buffers —
-// those live in an execArena owned by whichever worker (or socket node) runs
-// the update — so a fleet of 10^6 virtual clients costs O(fleet) scalars,
-// not O(fleet·model) vectors.
+// whose state is the client's cursor. It deliberately owns no model-sized
+// buffers — those live in an execArena owned by whichever worker (or socket
+// node) runs the update — so a fleet of 10^6 virtual clients costs O(fleet)
+// scalars, not O(fleet·model) vectors.
 //
 // Both backends execute local updates through this type — LocalBackend in
 // its worker pool, ClusterBackend inside each socket node — which is what
 // makes a round's arithmetic identical no matter where it runs.
 type clientExec struct {
-	rng     *stats.RNG
-	sqNorms stats.Welford
+	rng *stats.RNG
 }
 
 // execArena is the reusable model-sized scratch a worker lends to whichever
@@ -43,15 +40,13 @@ func (ar *execArena) ensure(p int) {
 }
 
 // train copies the global model into the arena and performs steps mini-batch
-// SGD steps on the client's shard: with norms (a Spec.GradNorms run on the
-// flat local path), SGDStep, recording squared gradient norms for G_n
-// estimation; otherwise Step, which computes none. Both leave the same
-// parameters in ar.w: a grouped executor folds them against global directly
+// SGD steps (the model's Step) on the client's shard. The parameters are left
+// in ar.w: a grouped executor folds them against global directly
 // (FixAcc.AddScaledDiff), the flat path writes the delta with localUpdate.
 // In steady state (arena warm) it performs no heap allocations.
 func (st *clientExec) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
-	global tensor.Vec, steps, batch int, lr float64, norms bool, ar *execArena,
+	global tensor.Vec, steps, batch int, lr float64, ar *execArena,
 ) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -68,17 +63,9 @@ func (st *clientExec) train(
 				return err
 			}
 		}
-		if !norms {
-			if err := m.Step(w, shard, batch, lr, st.rng, &ar.scratch); err != nil {
-				return fmt.Errorf("client %d: %w", n, err)
-			}
-			continue
-		}
-		sq, err := m.SGDStep(w, shard, batch, lr, st.rng, &ar.scratch)
-		if err != nil {
+		if err := m.Step(w, shard, batch, lr, st.rng, &ar.scratch); err != nil {
 			return fmt.Errorf("client %d: %w", n, err)
 		}
-		st.sqNorms.Add(sq)
 	}
 	return nil
 }
@@ -88,13 +75,13 @@ func (st *clientExec) train(
 // travels to the coordinator-side aggregator.
 func (st *clientExec) localUpdate(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int,
-	global tensor.Vec, steps, batch int, lr float64, norms bool,
+	global tensor.Vec, steps, batch int, lr float64,
 	ar *execArena, delta tensor.Vec,
 ) error {
 	if len(delta) != len(global) {
 		return fmt.Errorf("client %d: delta buffer length %d, want %d", n, len(delta), len(global))
 	}
-	if err := st.train(ctx, m, shard, n, global, steps, batch, lr, norms, ar); err != nil {
+	if err := st.train(ctx, m, shard, n, global, steps, batch, lr, ar); err != nil {
 		return err
 	}
 	for j, w := range ar.w {

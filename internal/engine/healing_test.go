@@ -51,7 +51,7 @@ func TestClusterSelfHealing(t *testing.T) {
 
 	fed := testFederation(t, 47, nClients)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, rounds, fullSampler{n: nClients})
+	spec := testSpec(t, fed, m, rounds, fullSampler(t, nClients))
 	backend := NewClusterBackend(ClusterOptions{
 		Timeout:      20 * time.Second,
 		RoundTimeout: roundTimeout,
@@ -159,7 +159,7 @@ func TestClusterStrictModeStillFailsFast(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	fed := testFederation(t, 53, 3)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 4, fullSampler{n: 3})
+	spec := testSpec(t, fed, m, 4, fullSampler(t, 3))
 	backend := NewClusterBackend(ClusterOptions{
 		Timeout: 10 * time.Second,
 		NodeFault: func(client, round int) transport.RoundFault {

@@ -3,11 +3,9 @@ package engine
 import (
 	"context"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
-	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 	"unbiasedfl/internal/testutil"
 	"unbiasedfl/internal/transport"
@@ -25,11 +23,6 @@ func requireSameRun(t *testing.T, name string, want, got *RunResult) {
 		if math.Float64bits(want.FinalModel[j]) != math.Float64bits(got.FinalModel[j]) {
 			t.Fatalf("%s: model[%d]: %v vs %v — grouping changed the arithmetic",
 				name, j, want.FinalModel[j], got.FinalModel[j])
-		}
-	}
-	for n := range want.GradSqNorm {
-		if math.Float64bits(want.GradSqNorm[n]) != math.Float64bits(got.GradSqNorm[n]) {
-			t.Fatalf("%s: client %d GradSqNorm: %v vs %v", name, n, want.GradSqNorm[n], got.GradSqNorm[n])
 		}
 	}
 	if len(want.History) != len(got.History) {
@@ -61,7 +54,7 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 	fed := testFederation(t, 29, 7)
 	m := testModel(t, fed)
 	mk := func(groupSize int) Spec {
-		sampler := &bernoulliSampler{q: append([]float64(nil), hierQ...), rng: stats.NewRNG(23)}
+		sampler := bernoulliSampler(t, hierQ, 23)
 		spec := testSpec(t, fed, m, 8, sampler)
 		spec.GroupSize = groupSize
 		return spec
@@ -103,75 +96,6 @@ func TestHierarchicalMatchesFlat(t *testing.T) {
 	}
 }
 
-// TestTrainingRunsReportNoGradNorms is the contract of a run without
-// Spec.GradNorms: on both backends, flat and grouped, every client's
-// GradSqNorm is zero, and the model is the same bits everywhere.
-func TestTrainingRunsReportNoGradNorms(t *testing.T) {
-	fed := testFederation(t, 37, 7)
-	m := testModel(t, fed)
-	run := func(name string, groupSize int, backend ExecutionBackend) *RunResult {
-		sampler := &bernoulliSampler{q: append([]float64(nil), hierQ...), rng: stats.NewRNG(43)}
-		spec := testSpec(t, fed, m, 6, sampler)
-		spec.GroupSize = groupSize
-		res, err := Run(context.Background(), spec, backend)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		for n, g := range res.GradSqNorm {
-			if g != 0 {
-				t.Fatalf("%s: client %d GradSqNorm %v from a training run", name, n, g)
-			}
-		}
-		return res
-	}
-	flat := run("local flat", 0, NewLocalBackend(LocalOptions{Parallel: true}))
-	requireSameRun(t, "local grouped", flat, run("local grouped", 3, NewLocalBackend(LocalOptions{Parallel: true})))
-	requireSameRun(t, "cluster flat", flat, run("cluster flat", 0, NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second})))
-	requireSameRun(t, "cluster grouped", flat, run("cluster grouped", 3, NewClusterBackend(ClusterOptions{Timeout: 20 * time.Second})))
-}
-
-// TestGradNormsLeaveTheModelAlone: with Spec.GradNorms the local backend
-// takes the summing step and reports a positive GradSqNorm for every client
-// that took part, and trains the same model bits and history as the run
-// without it. A grouped run, whose partials carry no statistics, is refused.
-func TestGradNormsLeaveTheModelAlone(t *testing.T) {
-	fed := testFederation(t, 37, 7)
-	m := testModel(t, fed)
-	mk := func(groupSize int, norms bool) Spec {
-		sampler := &bernoulliSampler{q: append([]float64(nil), hierQ...), rng: stats.NewRNG(43)}
-		spec := testSpec(t, fed, m, 6, sampler)
-		spec.GroupSize = groupSize
-		spec.GradNorms = norms
-		return spec
-	}
-	plain, err := Run(context.Background(), mk(0, false), NewLocalBackend(LocalOptions{Parallel: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	norms, err := Run(context.Background(), mk(0, true), NewLocalBackend(LocalOptions{Parallel: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	took := make([]bool, fed.NumClients())
-	for _, h := range norms.History {
-		for _, n := range h.ParticipantIDs {
-			took[n] = true
-		}
-	}
-	for n, g := range norms.GradSqNorm {
-		if took[n] && !(g > 0) {
-			t.Fatalf("client %d took part but reports GradSqNorm %v", n, g)
-		}
-	}
-	zeroed := *norms
-	zeroed.GradSqNorm = plain.GradSqNorm
-	requireSameRun(t, "norms vs plain", plain, &zeroed)
-	if _, err := Run(context.Background(), mk(3, true), NewLocalBackend(LocalOptions{Parallel: true})); err == nil ||
-		!strings.Contains(err.Error(), "GradNorms") {
-		t.Fatalf("grouped run with GradNorms: error %v", err)
-	}
-}
-
 // TestHierarchicalTamperMatchesFlat: a poison table is folded inside the
 // group where the update runs — from the trained parameters, by the task's
 // factor — and on the flat path by scaling the returned delta; being a pure
@@ -181,7 +105,7 @@ func TestHierarchicalTamperMatchesFlat(t *testing.T) {
 	fed := testFederation(t, 31, 6)
 	m := testModel(t, fed)
 	mk := func(groupSize int) Spec {
-		sampler := &bernoulliSampler{q: []float64{0.9, 0.7, 0.8, 0.6, 0.5, 0.95}, rng: stats.NewRNG(41)}
+		sampler := bernoulliSampler(t, []float64{0.9, 0.7, 0.8, 0.6, 0.5, 0.95}, 41)
 		spec := testSpec(t, fed, m, 6, sampler)
 		spec.GroupSize = groupSize
 		spec.Poison = []Poison{{Client: 2, Factor: -3}, {Client: 5, Factor: 2.5, FromRound: 3}}
@@ -217,7 +141,7 @@ func TestHierarchicalTamperMatchesFlat(t *testing.T) {
 func TestHierarchicalNeedsCapableBackend(t *testing.T) {
 	fed := testFederation(t, 37, 4)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 2, fullSampler{n: 4})
+	spec := testSpec(t, fed, m, 2, fullSampler(t, 4))
 	spec.GroupSize = 2
 	spec.Aggregator = ProportionalAggregator{}
 	if _, err := Run(context.Background(), spec, NewLocalBackend(LocalOptions{})); err == nil {
@@ -248,7 +172,7 @@ func TestClusterGroupHalfOpenPeerForfeitsRound(t *testing.T) {
 	baseline := testutil.GoroutineBaseline()
 	fed := testFederation(t, 43, 6)
 	m := testModel(t, fed)
-	spec := testSpec(t, fed, m, 6, fullSampler{n: 6})
+	spec := testSpec(t, fed, m, 6, fullSampler(t, 6))
 	spec.GroupSize = 3
 	backend := NewClusterBackend(ClusterOptions{
 		Timeout:      20 * time.Second,

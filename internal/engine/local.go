@@ -148,13 +148,12 @@ func (b *LocalBackend) runTask(
 	st := b.states[task.Client]
 	if err := st.localUpdate(
 		ctx, b.spec.Model, b.spec.Fed.Clients[task.Client], task.Client,
-		global, b.spec.LocalSteps, b.spec.BatchSize, task.LR, b.spec.GradNorms, ar, delta,
+		global, b.spec.LocalSteps, b.spec.BatchSize, task.LR, ar, delta,
 	); err != nil {
 		return err
 	}
 	out.Client = task.Client
 	out.Delta = delta
-	out.GradSqNorm = st.sqNorms.Mean()
 	return nil
 }
 
@@ -223,10 +222,9 @@ func (b *LocalBackend) foldGroup(
 	w.clients = w.clients[:0]
 	spec := b.spec
 	for _, task := range gtasks {
-		// No norms: Spec.Validate refuses GradNorms with GroupSize > 1.
 		if err := b.states[task.Client].train(
 			ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client,
-			global, spec.LocalSteps, spec.BatchSize, task.LR, false, &w.arena,
+			global, spec.LocalSteps, spec.BatchSize, task.LR, &w.arena,
 		); err != nil {
 			return Partial{}, err
 		}

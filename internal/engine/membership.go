@@ -292,8 +292,8 @@ func renormWeights(dst, weights []float64, active []bool) []float64 {
 
 // filterActive compacts participants in place, dropping inactive clients.
 // The sampler keeps drawing coins for every client every round (stream
-// discipline — see FaultSampler), so membership filtering happens here, not
-// in the sampler.
+// discipline — see BernoulliSampler), so membership filtering happens here,
+// not in the sampler.
 func filterActive(participants []int, active []bool) []int {
 	k := 0
 	for _, n := range participants {

@@ -37,7 +37,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	}
 	delta := m.ZeroParams()
 	var arena execArena
-	if err := warm.localUpdate(ctx, m, fed.Clients[0], 0, global, 7, batch, lr, false, &arena, delta); err != nil {
+	if err := warm.localUpdate(ctx, m, fed.Clients[0], 0, global, 7, batch, lr, &arena, delta); err != nil {
 		t.Fatal(err)
 	}
 	cursors[0] = warm.cursor()
@@ -52,7 +52,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, false, &arena, delta); err != nil {
+		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, &arena, delta); err != nil {
 			t.Fatal(err)
 		}
 		delta.Scale(factors[n])

@@ -49,7 +49,6 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	nClients := s.Fed.NumClients()
 	global := s.Model.ZeroParams()
 	history := make([]RoundMetrics, 0, s.Rounds)
-	gradSq := make([]float64, nClients)
 	q := s.participationLevels()
 	weights := s.Fed.Weights
 	poison := newPoisonIndex(s.Poison)
@@ -253,9 +252,6 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 					}
 				}
 			}
-			for _, u := range updates {
-				gradSq[u.Client] = u.GradSqNorm
-			}
 			if err := s.Aggregator.Aggregate(global, updates, weights, q); err != nil {
 				return nil, fmt.Errorf("round %d aggregate: %w", round, err)
 			}
@@ -307,7 +303,6 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	res := &RunResult{
 		History:    history,
 		FinalModel: global,
-		GradSqNorm: gradSq,
 	}
 	if len(history) > 0 {
 		last := history[len(history)-1]

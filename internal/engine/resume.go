@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 )
 
@@ -12,9 +11,7 @@ import (
 // boundary: the xoshiro cursor of its private SGD stream. A client's stream
 // after k rounds depends on its whole participation history, so cursors —
 // not a re-derived seed Split — are what a checkpoint must carry for
-// bit-exact resume. The gradient-norm statistics of a Spec.GradNorms run are
-// not part of it: that run starts at round zero, is never resumed, and reads
-// its statistics from RunResult.GradSqNorm.
+// bit-exact resume.
 type ClientCursor struct {
 	RNG [4]uint64
 }
@@ -87,32 +84,6 @@ type StatefulBackend interface {
 	// with the current cursor of every client.
 	ClientCursors(dst []ClientCursor) error
 }
-
-// SamplerState captures a FaultSampler's two coin streams (willingness,
-// availability) as eight opaque words.
-func (s *FaultSampler) SamplerState() []uint64 {
-	w, a := s.will.State(), s.avail.State()
-	return []uint64{w[0], w[1], w[2], w[3], a[0], a[1], a[2], a[3]}
-}
-
-// RestoreSamplerState rewinds both coin streams.
-func (s *FaultSampler) RestoreSamplerState(state []uint64) error {
-	if len(state) != 8 {
-		return fmt.Errorf("engine: fault sampler state has %d words, want 8", len(state))
-	}
-	will, err := stats.RestoreRNG([4]uint64{state[0], state[1], state[2], state[3]})
-	if err != nil {
-		return err
-	}
-	avail, err := stats.RestoreRNG([4]uint64{state[4], state[5], state[6], state[7]})
-	if err != nil {
-		return err
-	}
-	s.will, s.avail = will, avail
-	return nil
-}
-
-var _ StatefulSampler = (*FaultSampler)(nil)
 
 // validateResume checks a RunState against the spec and model dimensions
 // before the orchestrator trusts it.

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"unbiasedfl/internal/stats"
@@ -57,7 +58,7 @@ func (s FaultSchedule) Dropped(n, round int) bool {
 
 // WillingProb returns the exact acceptance probability of client n's
 // willingness coin when priced at qn — including any strategic deviation
-// factor. It mirrors FaultSampler's draw rules, so it is the analytic truth
+// factor. It mirrors BernoulliSampler's draw rules, so it is the analytic truth
 // the unbiasedness checker measures sampled aggregates against.
 func (s FaultSchedule) WillingProb(n int, qn float64) float64 {
 	eff := qn * s.qFactor(n)
@@ -89,34 +90,77 @@ func (s FaultSchedule) ParticipationProb(n, round int, qn float64) float64 {
 	return s.WillingProb(n, qn) * s.Availability[n]
 }
 
-// FaultSampler composes the priced strategic participation (Bernoulli q_n)
-// with a scenario's exogenous faults: a client joins a round only if it is
-// willing AND not yet dropped AND currently available. EffectiveQ still
-// reports the priced q — the server's belief — because the server does not
-// observe the fault process; this is exactly the regime in which the
-// unbiasedness claim is being stress-tested rather than assumed.
-type FaultSampler struct {
+// BernoulliSampler implements the paper's randomized independent
+// participation: client n joins each round independently with probability
+// q_n, so Σ q_n can be anywhere in (0, N], unlike dependent schemes that
+// force Σ q = 1. At q ≡ 1 it is full participation and draws no coin.
+//
+// Built by NewFaultSampler it also composes a scenario's exogenous faults: a
+// client joins only if it is willing AND not yet dropped AND currently
+// available. EffectiveQ still reports the priced q — the server's belief —
+// because the server does not observe the fault process; this is exactly the
+// regime in which the unbiasedness claim is being stress-tested rather than
+// assumed.
+type BernoulliSampler struct {
 	q   []float64
 	sch FaultSchedule
 	// will carries the strategic willingness coins; avail carries the
-	// exogenous availability coins. Keeping them on separate streams — and
-	// drawing a willingness coin for every client every round, dropped or
-	// not — makes the willingness pattern identical across fault schedules:
-	// the difference between a faulted trace and its fault-free twin is
-	// attributable to the faults alone, never to stream displacement.
+	// exogenous availability coins, and is nil without a fault schedule.
+	// Keeping them on separate streams — and drawing a willingness coin for
+	// every client every round, dropped or not — makes the willingness
+	// pattern identical across fault schedules: the difference between a
+	// faulted trace and its fault-free twin is attributable to the faults
+	// alone, never to stream displacement.
 	will  *stats.RNG
 	avail *stats.RNG
 }
 
-// NewFaultSampler builds the fault-composed sampler. will and avail must be
-// independent streams (e.g. successive Splits of a scenario root).
-func NewFaultSampler(q []float64, sch FaultSchedule, will, avail *stats.RNG) *FaultSampler {
-	return &FaultSampler{q: q, sch: sch, will: will, avail: avail}
+// NewBernoulliSampler validates q and builds the plain sampler over a copy
+// of it, drawing its coins from rng.
+func NewBernoulliSampler(q []float64, rng *stats.RNG) (*BernoulliSampler, error) {
+	if len(q) == 0 {
+		return nil, errors.New("engine: empty participation vector")
+	}
+	if rng == nil {
+		return nil, errors.New("engine: nil rng")
+	}
+	if err := checkLevels(q); err != nil {
+		return nil, err
+	}
+	return &BernoulliSampler{q: append([]float64(nil), q...), will: rng}, nil
 }
 
-// Sample implements Sampler.
-func (s *FaultSampler) Sample(round int) []int {
+// NewFaultSampler builds the fault-composed sampler over a copy of q. will
+// and avail must be independent streams (e.g. successive Splits of a
+// scenario root).
+func NewFaultSampler(q []float64, sch FaultSchedule, will, avail *stats.RNG) *BernoulliSampler {
+	return &BernoulliSampler{q: append([]float64(nil), q...), sch: sch, will: will, avail: avail}
+}
+
+// checkLevels refuses a participation level outside [0, 1], NaN included.
+func checkLevels(q []float64) error {
+	for n, qn := range q {
+		if !(qn >= 0 && qn <= 1) {
+			return fmt.Errorf("engine: q[%d] = %v outside [0,1]", n, qn)
+		}
+	}
+	return nil
+}
+
+// Sample implements Sampler. Without a fault schedule it takes a loop of its
+// own, with no per-client fault or deviation check: at fleet scale it samples
+// 10^5 clients a round on the orchestration goroutine. Both loops draw the
+// same willingness coins.
+func (s *BernoulliSampler) Sample(round int) []int {
 	var out []int
+	if s.avail == nil {
+		for n, qn := range s.q {
+			if s.will.Bernoulli(qn) {
+				out = append(out, n)
+			}
+		}
+		return out
+	}
 	for n, qn := range s.q {
 		willing := s.willing(n, qn)
 		if s.sch.Dropped(n, round) {
@@ -140,7 +184,7 @@ func (s *FaultSampler) Sample(round int) []int {
 // deviates. That is the same discipline that makes a faulted trace
 // attributable to its faults alone (see the stream comment above); its
 // acceptance probability is FaultSchedule.WillingProb exactly.
-func (s *FaultSampler) willing(n int, qn float64) bool {
+func (s *BernoulliSampler) willing(n int, qn float64) bool {
 	f := s.sch.qFactor(n)
 	if f == 1 {
 		return s.will.Bernoulli(qn)
@@ -153,25 +197,69 @@ func (s *FaultSampler) willing(n int, qn float64) bool {
 }
 
 // NumClients implements Sampler.
-func (s *FaultSampler) NumClients() int { return len(s.q) }
+func (s *BernoulliSampler) NumClients() int { return len(s.q) }
 
-// SetQ replaces the priced participation levels — the membership-epoch
-// re-pricing seam. The sampler keeps its own copy, so later mutation of the
-// argument cannot skew the coin stream. The coin streams themselves are
-// untouched: only the thresholds move.
-func (s *FaultSampler) SetQ(q []float64) error {
+// SetQ replaces the priced participation levels in place — the
+// membership-epoch re-pricing seam. It validates q like NewBernoulliSampler
+// and changes nothing on an error; the sampler keeps its own copy, so later
+// mutation of the argument cannot skew the coin stream. The coin streams
+// themselves are untouched: only the thresholds move.
+func (s *BernoulliSampler) SetQ(q []float64) error {
 	if len(q) != len(s.q) {
 		return fmt.Errorf("engine: SetQ with %d levels for a %d-client fleet", len(q), len(s.q))
 	}
-	s.q = append(s.q[:0:0], q...)
+	if err := checkLevels(q); err != nil {
+		return err
+	}
+	copy(s.q, q)
 	return nil
 }
 
 // EffectiveQ implements the LevelsSampler seam with the server's belief
 // (the priced q), not the fault-adjusted truth.
-func (s *FaultSampler) EffectiveQ() []float64 {
+func (s *BernoulliSampler) EffectiveQ() []float64 {
 	return append([]float64(nil), s.q...)
 }
 
-var _ Sampler = (*FaultSampler)(nil)
-var _ LevelsSampler = (*FaultSampler)(nil)
+// SamplerState implements StatefulSampler: the willingness stream's four
+// xoshiro words, then, with a fault schedule, the availability stream's.
+func (s *BernoulliSampler) SamplerState() []uint64 {
+	w := s.will.State()
+	if s.avail == nil {
+		return w[:]
+	}
+	a := s.avail.State()
+	return append(w[:], a[:]...)
+}
+
+// RestoreSamplerState implements StatefulSampler: it rewinds every stream
+// or, on an error, none.
+func (s *BernoulliSampler) RestoreSamplerState(state []uint64) error {
+	want := 4
+	if s.avail != nil {
+		want = 8
+	}
+	if len(state) != want {
+		return fmt.Errorf("engine: sampler state has %d words, want %d", len(state), want)
+	}
+	will, err := stats.RestoreRNG([4]uint64(state[:4]))
+	if err != nil {
+		return err
+	}
+	if s.avail == nil {
+		s.will = will
+		return nil
+	}
+	avail, err := stats.RestoreRNG([4]uint64(state[4:]))
+	if err != nil {
+		return err
+	}
+	s.will, s.avail = will, avail
+	return nil
+}
+
+var (
+	_ Sampler         = (*BernoulliSampler)(nil)
+	_ LevelsSampler   = (*BernoulliSampler)(nil)
+	_ StatefulSampler = (*BernoulliSampler)(nil)
+)

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 
-	"unbiasedfl/internal/fl"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/stats"
 )
 
@@ -61,7 +61,7 @@ func BoundFidelity(ctx context.Context, env *Environment, profiles int, seed uin
 
 		var finalLoss float64
 		for run := 0; run < env.Opts.Runs; run++ {
-			sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(seed+uint64(1000*i+run+1)))
+			sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(seed+uint64(1000*i+run+1)))
 			if err != nil {
 				return nil, err
 			}

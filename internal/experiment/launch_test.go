@@ -9,10 +9,13 @@ import (
 
 	"unbiasedfl/internal/checkpoint"
 	"unbiasedfl/internal/engine"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
 )
+
+// withoutSetQ hides every method of its sampler but Sample and NumClients,
+// SetQ among them.
+type withoutSetQ struct{ engine.Sampler }
 
 // TestLaunchRefusals pins what Launch turns away before a round runs, and
 // that a checkpoint written by one leg refuses — with checkpoint's own
@@ -31,15 +34,11 @@ func TestLaunchRefusals(t *testing.T) {
 		q[i] = 0.5
 	}
 	bernoulli := func() engine.Sampler {
-		s, err := fl.NewBernoulliSampler(q, stats.NewRNG(1))
+		s, err := engine.NewBernoulliSampler(q, stats.NewRNG(1))
 		if err != nil {
 			t.Fatal(err)
 		}
 		return s
-	}
-	full, err := fl.NewFullSampler(n)
-	if err != nil {
-		t.Fatal(err)
 	}
 	plan := &engine.MembershipPlan{
 		Initial: []int{0, 1, 2, 3, 4},
@@ -62,7 +61,7 @@ func TestLaunchRefusals(t *testing.T) {
 	}{
 		{
 			name: "membership without SetQ",
-			leg:  Leg{Scheme: game.SchemeNameProposed, Sampler: full, Membership: plan, Q: append([]float64(nil), q...)},
+			leg:  Leg{Scheme: game.SchemeNameProposed, Sampler: withoutSetQ{bernoulli()}, Membership: plan, Q: append([]float64(nil), q...)},
 			says: "SetQ",
 		},
 		{

@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"unbiasedfl/internal/engine"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
@@ -54,9 +53,13 @@ func ConvergenceRate(ctx context.Context, env *Environment, horizons []int, seed
 		return nil, err
 	}
 
+	full := make([]float64, env.Fed.NumClients())
+	for n := range full {
+		full[n] = 1
+	}
 	out := make([]GapPoint, 0, len(sorted))
 	for _, r := range sorted {
-		sampler, err := fl.NewFullSampler(env.Fed.NumClients())
+		sampler, err := engine.NewBernoulliSampler(full, stats.NewRNG(seed)) // q ≡ 1 draws no coin
 		if err != nil {
 			return nil, err
 		}

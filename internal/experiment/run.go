@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"time"
 
-	"unbiasedfl/internal/fl"
+	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/sim"
 	"unbiasedfl/internal/stats"
@@ -96,7 +96,7 @@ func runPricedParallel(
 			return nil, err
 		}
 		seed := env.Opts.Seed + 7919*uint64(run+1) + schemeSeedSalt(scheme)
-		sampler, err := fl.NewBernoulliSampler(q, stats.NewRNG(seed))
+		sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(seed))
 		if err != nil {
 			return nil, err
 		}

@@ -16,7 +16,6 @@ import (
 
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/engine"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/sim"
@@ -159,7 +158,7 @@ type Environment struct {
 	Opts   Options
 	Fed    *data.Federated
 	Model  *model.LogisticRegression
-	Cal    *fl.Calibration
+	Cal    *Calibration
 	Params *game.Params
 	Timing *sim.TimingModel
 	// MeanC and MeanV are the Table-I means actually used (exposed so the
@@ -241,15 +240,13 @@ func BuildSetup(ctx context.Context, id SetupID, opts Options) (*Environment, er
 		return nil, err
 	}
 
-	runCfg := fl.Config{
-		Rounds:     opts.Rounds,
+	runCfg := CalibrationConfig{
 		LocalSteps: opts.LocalSteps,
 		BatchSize:  opts.BatchSize,
-		Schedule:   fl.ExpDecay{Eta0: 0.1, Decay: 0.996},
-		EvalEvery:  opts.EvalEvery,
+		Schedule:   engine.ExpDecay{Eta0: 0.1, Decay: 0.996},
 		Seed:       root.Uint64(),
 	}
-	cal, err := fl.Calibrate(ctx, m, fed, runCfg, opts.Calibration)
+	cal, err := Calibrate(ctx, m, fed, runCfg, opts.Calibration)
 	if err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr
@@ -347,7 +344,7 @@ func applyClassCap(cfg *data.ImageLikeConfig, cap int) {
 // The rescaled α is fixed per setup; the sweeps of Figs. 5–7 and Table V hold
 // it constant.
 func buildGame(
-	fed *data.Federated, cal *fl.Calibration, r *stats.RNG,
+	fed *data.Federated, cal *Calibration, r *stats.RNG,
 	budget, meanC, meanV, rounds float64,
 ) (*game.Params, error) {
 	n := fed.NumClients()

@@ -25,7 +25,7 @@ func cancelSpec(t *testing.T) engine.Spec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Rounds = 100000 // far more than any test will let finish
 	cfg.LocalSteps = 8
 	return specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
@@ -95,11 +95,8 @@ func TestRunContextDeadline(t *testing.T) {
 func TestRunBackwardCompatible(t *testing.T) {
 	fed := testFederation(t, 5, 4)
 	m := testModel(t, fed)
-	sampler, err := NewFullSampler(fed.NumClients())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
+	sampler := fullSampler(t, fed.NumClients())
+	cfg := defaultConfig()
 	cfg.Rounds = 10
 	cfg.LocalSteps = 3
 	spec := specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{})
@@ -122,11 +119,8 @@ func TestRunBackwardCompatible(t *testing.T) {
 func TestOnRoundStartHook(t *testing.T) {
 	fed := testFederation(t, 6, 4)
 	m := testModel(t, fed)
-	sampler, err := NewFullSampler(fed.NumClients())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
+	sampler := fullSampler(t, fed.NumClients())
+	cfg := defaultConfig()
 	cfg.Rounds = 7
 	cfg.LocalSteps = 2
 	var events []int // +round for starts, -(round+1) for ends

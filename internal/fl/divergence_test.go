@@ -15,15 +15,12 @@ import (
 func TestRunnerDetectsDivergence(t *testing.T) {
 	fed := testFederation(t, 33, 4)
 	m := testModel(t, fed)
-	sampler, err := NewFullSampler(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
+	sampler := fullSampler(t, 4)
+	cfg := defaultConfig()
 	cfg.Rounds = 50
 	cfg.LocalSteps = 10
 	cfg.Schedule = ExpDecay{Eta0: 1e9, Decay: 1}
-	_, err = runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), false)
+	_, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), false)
 	if err == nil {
 		t.Fatal("expected divergence error")
 	}
@@ -43,7 +40,7 @@ func TestRunnerZeroParticipationRounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Rounds = 30
 	cfg.LocalSteps = 2
 	res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), false)

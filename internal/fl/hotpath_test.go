@@ -28,7 +28,7 @@ func TestRunnerDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := DefaultConfig()
+		cfg := defaultConfig()
 		cfg.Rounds = 12
 		cfg.LocalSteps = 4
 		res, err := runLocal(context.Background(), specOf(m, fed, cfg, sampler, engine.UnbiasedAggregator{}), true)
@@ -58,7 +58,7 @@ func (d dupSampler) NumClients() int  { return d.n }
 func TestRunnerRejectsDuplicateParticipants(t *testing.T) {
 	fed := testFederation(t, 30, 3)
 	m := testModel(t, fed)
-	cfg := DefaultConfig()
+	cfg := defaultConfig()
 	cfg.Rounds = 2
 	spec := specOf(m, fed, cfg, dupSampler{n: 3}, engine.UnbiasedAggregator{})
 	if _, err := runLocal(context.Background(), spec, false); err == nil {

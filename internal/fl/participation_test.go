@@ -53,7 +53,7 @@ func TestBernoulliSetQ(t *testing.T) {
 		t.Fatal(err)
 	}
 	levels[0] = 0.9
-	if got := a.Q(); got[0] != 0.2 {
+	if got := a.EffectiveQ(); got[0] != 0.2 {
 		t.Fatalf("SetQ aliased its argument: q[0] = %v", got[0])
 	}
 
@@ -64,7 +64,7 @@ func TestBernoulliSetQ(t *testing.T) {
 		t.Fatal("out-of-range level accepted")
 	}
 	// Failed calls must not partially apply.
-	if got := a.Q(); !reflect.DeepEqual(got, []float64{0.2, 0.2, 0.2}) {
+	if got := a.EffectiveQ(); !reflect.DeepEqual(got, []float64{0.2, 0.2, 0.2}) {
 		t.Fatalf("failed SetQ mutated levels: %v", got)
 	}
 }

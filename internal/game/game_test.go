@@ -661,9 +661,6 @@ func TestUtilityErrors(t *testing.T) {
 	if _, err := TotalPayment([]float64{1}, []float64{1, 2}); err == nil {
 		t.Fatal("expected length error")
 	}
-	if Payment(2, 3) != 6 {
-		t.Fatal("payment arithmetic broken")
-	}
 	if _, err := p.BestResponseAll([]float64{1}); err == nil {
 		t.Fatal("expected price-count error")
 	}

@@ -88,10 +88,6 @@ func (p *Params) PriceFor(n int, q float64) (float64, error) {
 	return 2*p.C[n]*q - p.intrinsicGain(n)/(q*q), nil
 }
 
-// Payment returns client n's payment P_n q_n at (price, q); negative values
-// mean the client pays the server (Theorem 3's bi-directional payment).
-func Payment(price, q float64) float64 { return price * q }
-
 // TotalPayment returns Σ P_n q_n.
 func TotalPayment(prices, q []float64) (float64, error) {
 	if len(prices) != len(q) {

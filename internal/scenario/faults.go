@@ -10,7 +10,7 @@ import (
 // compileSchedule lowers the declarative fault list into the engine's
 // per-client schedule: O(1) lookups in the sampler hot loop instead of
 // scanning the slice each round. The willingness/availability sampling that
-// consumes it lives in engine.FaultSampler, shared by every execution
+// consumes it lives in engine.BernoulliSampler, shared by every execution
 // backend.
 func compileSchedule(numClients int, faults []ClientFault) engine.FaultSchedule {
 	sch := engine.NewFaultSchedule(numClients)

@@ -7,7 +7,6 @@ import (
 
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/engine"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 )
@@ -152,20 +151,19 @@ func TestTimedRunEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampler, err := fl.NewBernoulliSampler([]float64{0.8, 0.8, 0.8, 0.8}, stats.NewRNG(3))
+	sampler, err := engine.NewBernoulliSampler([]float64{0.8, 0.8, 0.8, 0.8}, stats.NewRNG(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCfg := fl.DefaultConfig()
 	spec := engine.Spec{
 		Model:      m,
 		Fed:        fed,
 		Rounds:     20,
 		LocalSteps: 5,
-		BatchSize:  runCfg.BatchSize,
-		Schedule:   runCfg.Schedule,
-		EvalEvery:  runCfg.EvalEvery,
-		Seed:       runCfg.Seed,
+		BatchSize:  24,
+		Schedule:   engine.ExpDecay{Eta0: 0.1, Decay: 0.996},
+		EvalEvery:  5,
+		Seed:       1,
 		Sampler:    sampler,
 		Aggregator: engine.UnbiasedAggregator{},
 	}

@@ -60,10 +60,6 @@ func TestDotNormSub(t *testing.T) {
 	if err != nil || s[0] != 3 || s[1] != 2 {
 		t.Fatalf("sub %v err %v", s, err)
 	}
-	a, err := Add(Vec{1, 2}, Vec{3, 4})
-	if err != nil || a[0] != 4 || a[1] != 6 {
-		t.Fatalf("add %v err %v", a, err)
-	}
 }
 
 func TestCopyFrom(t *testing.T) {

@@ -113,18 +113,6 @@ func Sub(v, u Vec) (Vec, error) {
 	return out, nil
 }
 
-// Add returns v + u as a new vector; the lengths must match.
-func Add(v, u Vec) (Vec, error) {
-	if len(v) != len(u) {
-		return nil, errors.New("tensor: length mismatch in Add")
-	}
-	out := make(Vec, len(v))
-	for i := range v {
-		out[i] = v[i] + u[i]
-	}
-	return out, nil
-}
-
 // IsFinite reports whether every element is finite (no NaN/Inf). Training
 // loops use it as a cheap divergence guard.
 func (v Vec) IsFinite() bool {

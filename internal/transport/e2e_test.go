@@ -20,7 +20,6 @@ import (
 
 	"unbiasedfl/internal/data"
 	"unbiasedfl/internal/engine"
-	"unbiasedfl/internal/fl"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/testutil"
@@ -69,13 +68,13 @@ func newFleet(t *testing.T, seed uint64, clients int) *fleet {
 // unless q says otherwise.
 func (f *fleet) spec(t *testing.T, rounds int, q []float64) engine.Spec {
 	t.Helper()
-	var sampler engine.Sampler
-	var err error
 	if q == nil {
-		sampler, err = fl.NewFullSampler(f.fed.NumClients())
-	} else {
-		sampler, err = fl.NewBernoulliSampler(q, stats.NewRNG(17))
+		q = make([]float64, f.fed.NumClients())
+		for n := range q {
+			q[n] = 1
+		}
 	}
+	sampler, err := engine.NewBernoulliSampler(q, stats.NewRNG(17))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +188,8 @@ func joined(res *engine.RunResult, client int) (rounds []int) {
 	return rounds
 }
 
-// requireSameRun demands bit-identical runs: final model, gradient
-// statistics, and every round of the history.
+// requireSameRun demands bit-identical runs: final model and every round of
+// the history.
 func requireSameRun(t *testing.T, want, got *engine.RunResult) {
 	t.Helper()
 	bits := func(v []float64) []uint64 {
@@ -202,9 +201,6 @@ func requireSameRun(t *testing.T, want, got *engine.RunResult) {
 	}
 	if !reflect.DeepEqual(bits(want.FinalModel), bits(got.FinalModel)) {
 		t.Fatalf("final models differ:\n%v\n%v", want.FinalModel, got.FinalModel)
-	}
-	if !reflect.DeepEqual(bits(want.GradSqNorm), bits(got.GradSqNorm)) {
-		t.Fatalf("gradient statistics differ:\n%v\n%v", want.GradSqNorm, got.GradSqNorm)
 	}
 	if !reflect.DeepEqual(want.History, got.History) {
 		t.Fatalf("histories differ:\n%+v\n%+v", want.History, got.History)
@@ -239,21 +235,15 @@ func train(t *testing.T, f *fleet, spec engine.Spec) *engine.RunResult {
 }
 
 // TestEndToEndTCP: an 8-client federation at heterogeneous q trains over real
-// sockets, and every participant's gradient statistics come back zero: the
-// devices train without the norm.
+// sockets.
 func TestEndToEndTCP(t *testing.T) {
 	f := newFleet(t, 11, 8)
-	res := train(t, f, f.spec(t, 25, []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85}))
-	for id, g := range res.GradSqNorm {
-		if n := len(joined(res, id)); g != 0 {
-			t.Fatalf("client %d joined %d rounds and reported gradient stats %v", id, n, g)
-		}
-	}
+	train(t, f, f.spec(t, 25, []float64{0.5, 0.55, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85}))
 }
 
 // TestEndToEndTCPMatchesInProcessRunner is the external-fleet equivalence
 // test: a coordinator on an explicit address plus devices that dial in must
-// produce the final model, gradient statistics and full history of an
+// produce the final model and full history of an
 // in-process LocalBackend run of the same elastic spec, bit for bit, and
 // leave nothing behind — flat, with one ServeNode per client (one of them a
 // prospective member admitted mid-run, one retired mid-run), and at
