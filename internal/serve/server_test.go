@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -230,6 +231,105 @@ func TestHandlerErrorEnvelope(t *testing.T) {
 	}
 	if got := s.metrics.quoteErrors.Load(); got != uint64(pricing) {
 		t.Fatalf("flserve_quote_errors_total %d after %d rejected pricing requests", got, pricing)
+	}
+}
+
+// pinnedLimit is the body limit the pinned parse table runs under, small
+// enough that its over-limit bodies stay short.
+const pinnedLimit = 1024
+
+// pinnedGame lists the members of a small valid game, without braces.
+const pinnedGame = `"a":[1],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10`
+
+// padBody returns head, spaces and tail, n bytes in all.
+func padBody(head, tail string, n int) string {
+	return head + strings.Repeat(" ", n-len(head)-len(tail)) + tail
+}
+
+// pinnedBodies is how the three pricing endpoints answer edge-case bodies
+// under a body limit of pinnedLimit: the status and error code of every
+// accepted and rejected shape a strict encoding/json decode distinguishes —
+// nulls, duplicate and case-folded keys, escapes, trailing bytes, number
+// spellings, unknown keys, and bodies at and past the limit.
+var pinnedBodies = []struct {
+	name, path, body string
+	status           int
+	code             string // empty for 200
+}{
+	{"null top level", "/v1/quote", `null`, 400, "invalid_params"},
+	{"null params", "/v1/quote", `{"params":null}`, 400, "invalid_params"},
+	{"null array", "/v1/quote", `{"params":{"a":null,"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10}}`, 400, "invalid_params"},
+	{"null scalar", "/v1/quote", `{"params":{` + pinnedGame + `,"q_max":null}}`, 200, ""},
+	{"null scalar keeps value", "/v1/quote", `{"params":{` + pinnedGame + `,"alpha":null}}`, 200, ""},
+	{"null scheme", "/v1/quote", `{"scheme":null,"params":{` + pinnedGame + `}}`, 200, ""},
+	{"null array element", "/v1/quote", `{"params":{"a":[null],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":10}}`, 400, "invalid_params"},
+	{"null element keeps slot", "/v1/quote", `{"params":{` + pinnedGame + `,"a":[null]}}`, 200, ""},
+	{"duplicate key last wins", "/v1/quote", `{"params":{"a":[2],` + pinnedGame + `}}`, 200, ""},
+	{"duplicate key last loses", "/v1/quote", `{"params":{` + pinnedGame + `,"a":[2]}}`, 400, "invalid_params"},
+	{"duplicate scheme", "/v1/quote", `{"scheme":"nope","scheme":"proposed","params":{` + pinnedGame + `}}`, 200, ""},
+	{"duplicate params merge", "/v1/quote", `{"params":{"a":[1],"g":[1]},"params":{"c":[1],"v":[1],"alpha":1,"r":10,"b":10}}`, 200, ""},
+	{"duplicate array keeps slots", "/v1/quote", `{"params":{"a":[0.5,0.5],"a":[9],"a":[0.5,null],"g":[1,1],"c":[1,1],"v":[1,1],"alpha":1,"r":10,"b":10}}`, 200, ""},
+	{"case-folded keys", "/v1/quote", `{"Params":{"A":[1],"G":[1],"C":[1],"V":[1],"ALPHA":1,"R":10,"B":10}}`, 200, ""},
+	{"escaped key", "/v1/quote", `{"sch\u0065me":"nope","params":{` + pinnedGame + `}}`, 404, "unknown_scheme"},
+	{"unicode-folded key", "/v1/quote", `{"ſcheme":"nope","params":{` + pinnedGame + `}}`, 404, "unknown_scheme"},
+	{"invalid UTF-8 key", "/v1/quote", "{\"sch\xffme\":\"nope\",\"params\":{" + pinnedGame + "}}", 400, "bad_json"},
+	{"escaped scheme", "/v1/quote", `{"scheme":"prop\u006fsed","params":{` + pinnedGame + `}}`, 200, ""},
+	{"trailing bytes", "/v1/quote", `{"params":{` + pinnedGame + `}} trailing`, 200, ""},
+	{"second object", "/v1/quote", `{"params":{` + pinnedGame + `}}{"scheme":"nope"}`, 200, ""},
+	{"empty body", "/v1/quote", ``, 400, "bad_json"},
+	{"blank body", "/v1/quote", " \n\t", 400, "bad_json"},
+	{"truncated body", "/v1/quote", `{"params":{"a":[1`, 400, "bad_json"},
+	{"top-level array", "/v1/quote", `[]`, 400, "bad_json"},
+	{"top-level string", "/v1/quote", `"proposed"`, 400, "bad_json"},
+	{"top-level number", "/v1/quote", `1`, 400, "bad_json"},
+	{"number 1e999", "/v1/quote", `{"params":{` + pinnedGame + `,"r":1e999}}`, 400, "bad_json"},
+	{"number -0", "/v1/quote", `{"params":{` + pinnedGame + `,"beta":-0}}`, 200, ""},
+	{"number 01", "/v1/quote", `{"params":{` + pinnedGame + `,"r":01}}`, 400, "bad_json"},
+	{"number .5", "/v1/quote", `{"params":{` + pinnedGame + `,"r":.5}}`, 400, "bad_json"},
+	{"number NaN", "/v1/quote", `{"params":{` + pinnedGame + `,"r":NaN}}`, 400, "bad_json"},
+	{"number as string", "/v1/quote", `{"params":{` + pinnedGame + `,"r":"1"}}`, 400, "bad_json"},
+	{"unknown key in params", "/v1/quote", `{"params":{` + pinnedGame + `,"d":1}}`, 400, "bad_json"},
+	{"body at the limit", "/v1/quote", padBody(`{"params":{`+pinnedGame+`}`, `}`, pinnedLimit), 200, ""},
+	{"body one byte over", "/v1/quote", padBody(`{"params":{`+pinnedGame+`}`, `}`, pinnedLimit+1), 413, "body_too_large"},
+	{"value ends at the limit", "/v1/quote", padBody(`{"params":{`+pinnedGame+`}`, "}\n", pinnedLimit+1), 200, ""},
+	{"null ends at the limit", "/v1/quote", padBody(``, "null ", pinnedLimit+1), 413, "body_too_large"},
+	{"batch null", "/v1/quotes", `null`, 400, "invalid_params"},
+	{"batch null params", "/v1/quotes", `{"params":null}`, 400, "invalid_params"},
+	{"batch null item", "/v1/quotes", `{"params":[null]}`, 400, "invalid_params"},
+	{"batch case-folded key", "/v1/quotes", `{"PARAMS":[{` + pinnedGame + `}]}`, 200, ""},
+	{"batch unknown key in item", "/v1/quotes", `{"params":[{` + pinnedGame + `,"x":1}]}`, 400, "bad_json"},
+	{"batch duplicate merge", "/v1/quotes", `{"params":[{"a":[1],"g":[1]}],"params":[{"c":[1],"v":[1],"alpha":1,"r":10,"b":10}]}`, 200, ""},
+	{"batch duplicate keeps slots", "/v1/quotes", `{"params":[{` + pinnedGame + `},{` + pinnedGame + `}],"params":[{` + pinnedGame + `}],"params":[{` + pinnedGame + `},null]}`, 200, ""},
+	{"batch one byte over", "/v1/quotes", padBody(`{"params":[{`+pinnedGame+`}`, `]}`, pinnedLimit+1), 413, "body_too_large"},
+	{"solve null", "/v1/solve", `null`, 400, "invalid_params"},
+	{"solve scheme key", "/v1/solve", `{"scheme":"proposed","params":{` + pinnedGame + `}}`, 400, "bad_json"},
+	{"solve trailing bytes", "/v1/solve", `{"params":{` + pinnedGame + `}}]`, 200, ""},
+	{"solve one byte over", "/v1/solve", padBody(`{"params":{`+pinnedGame+`}`, `}`, pinnedLimit+1), 413, "body_too_large"},
+}
+
+// TestPricingBodyParsing pins how the pricing endpoints parse their
+// bodies: the same accept and reject set as a strict encoding/json decode
+// (json.Decoder with DisallowUnknownFields) capped by http.MaxBytesReader.
+func TestPricingBodyParsing(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxBody: pinnedLimit})
+	for _, tc := range pinnedBodies {
+		t.Run(tc.name, func(t *testing.T) {
+			resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != tc.status {
+				b, _ := io.ReadAll(resp.Body)
+				t.Fatalf("status %d, want %d: %s", resp.StatusCode, tc.status, b)
+			}
+			if tc.code == "" {
+				return
+			}
+			if env := decodeResp[cli.ErrorEnvelope](t, resp); env.Error.Code != tc.code {
+				t.Fatalf("error code %q, want %q (message %q)", env.Error.Code, tc.code, env.Error.Message)
+			}
+		})
 	}
 }
 
