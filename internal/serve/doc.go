@@ -5,12 +5,16 @@
 // Three surfaces share one Server:
 //
 //   - Quotes: POST /v1/quote prices an arbitrary CPL game under any
-//     registered pricing scheme, and POST /v1/solve returns the raw
-//     Stackelberg equilibrium. Both are backed by the sharded game.Cache,
-//     so repeated questions are answered from memory at tens of thousands
+//     registered pricing scheme, POST /v1/quotes prices a batch of games
+//     under one scheme, and POST /v1/solve returns the raw Stackelberg
+//     equilibrium. All three are backed by the sharded game.Cache, so
+//     repeated questions are answered from memory at tens of thousands
 //     of quotes per second on one core (the quote-hot workload of
 //     benchmark/ measures it); the solver runs only on first sight of a
-//     game.
+//     game. Their bodies go through a one-pass codec (codec.go) that
+//     accepts and rejects exactly what a strict encoding/json decode
+//     (DisallowUnknownFields, under the MaxBody cap) does and renders
+//     quote replies byte-identical to json.Marshal.
 //
 //   - Sessions: POST /v1/sessions starts a federation run — a library or
 //     custom scenario through the facade's RunScenarioWith, or a setup +
@@ -26,7 +30,8 @@
 //     scheme-run summary.
 //
 //   - Operability: GET /metrics exports Prometheus-style text (quote
-//     latency histogram, cache hit/miss/eviction counters, session
+//     latency histogram — each POST /v1/quote from handler entry until
+//     its reply is written — cache hit/miss/eviction counters, session
 //     gauges, rounds committed, SSE subscriber count), GET /healthz flips
 //     to 503 while draining, and Serve drains gracefully when its context
 //     is cancelled (SIGTERM in cmd/flserve): new work is refused,

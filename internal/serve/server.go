@@ -209,22 +209,39 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 }
 
 // decodeBody parses a size-capped, strict JSON request body into v. On
-// failure it writes the typed error envelope and returns false.
+// failure it writes the typed error envelope and returns false. The
+// pricing endpoints parse with their codec instead (decodePricing).
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			cli.WriteHTTPError(w, http.StatusRequestEntityTooLarge, "body_too_large",
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBody))
-			return false
-		}
-		cli.WriteHTTPError(w, http.StatusBadRequest, "bad_json", err.Error())
+	return s.bodyOK(w, dec.Decode(v))
+}
+
+// decodePricing reads a pricing request's body into c, capped at MaxBody,
+// and parses it into v (*QuoteRequest, *BatchQuoteRequest or
+// *SolveRequest) with the answer decodeBody would give. On failure it
+// writes the typed error envelope and returns false.
+func (s *Server) decodePricing(w http.ResponseWriter, r *http.Request, c *codec, v any) bool {
+	c.read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
+	return s.bodyOK(w, c.decode(v))
+}
+
+// bodyOK reports whether a request body parsed, else writes its error
+// envelope: 413 when the body outgrew MaxBody before its value ended, 400
+// otherwise.
+func (s *Server) bodyOK(w http.ResponseWriter, err error) bool {
+	if err == nil {
+		return true
+	}
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		cli.WriteHTTPError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBody))
 		return false
 	}
-	return true
+	cli.WriteHTTPError(w, http.StatusBadRequest, "bad_json", err.Error())
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -240,10 +257,19 @@ func (s *Server) quoteError(w http.ResponseWriter, status int, code, msg string)
 	cli.WriteHTTPError(w, status, code, msg)
 }
 
+// handleQuote prices one game. flserve_quote_latency_seconds times every
+// request from here until its reply is written; the QuoteTimeout check
+// covers the pricing alone.
 func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
+	start := time.Now()
 	s.metrics.quoteRequests.Add(1)
+	c := getCodec()
+	defer func() {
+		c.release()
+		s.metrics.quoteLatency.observe(time.Since(start))
+	}()
 	var req QuoteRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodePricing(w, r, c, &req) {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}
@@ -265,11 +291,9 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 	// unbounded loops), so the per-request deadline is enforced by checking
 	// elapsed time after the compute instead of racing a goroutine against
 	// the context — keeping the cached fast path free of per-request spawns.
-	start := time.Now()
+	priced := time.Now()
 	out, err := s.cache.Price(ps, p)
-	elapsed := time.Since(start)
-	s.metrics.quoteLatency.observe(elapsed)
-	if err == nil && (elapsed > s.cfg.QuoteTimeout || r.Context().Err() != nil) {
+	if err == nil && (time.Since(priced) > s.cfg.QuoteTimeout || r.Context().Err() != nil) {
 		err = context.DeadlineExceeded
 	}
 	if err != nil {
@@ -280,27 +304,14 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		s.quoteError(w, status, code, err.Error())
 		return
 	}
-	writeFastJSON(w, QuoteResponse{
+	b, err := appendQuote(c.buf[:0], &QuoteResponse{
 		Scheme:    out.Name,
 		P:         out.P,
 		Q:         out.Q,
 		Spent:     out.Spent,
 		ServerObj: out.ServerObj,
 	})
-}
-
-// writeFastJSON is the hot-path response writer: compact marshal, no
-// indentation — the quote loop's throughput lives here.
-func writeFastJSON(w http.ResponseWriter, v any) {
-	b, err := json.Marshal(v)
-	if err != nil {
-		cli.WriteHTTPError(w, http.StatusInternalServerError, "encode_failed", err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(b)
-	_, _ = w.Write([]byte("\n"))
+	c.reply(w, b, err)
 }
 
 // handleBatchQuote prices a batch of games under one scheme, each through
@@ -311,8 +322,10 @@ func writeFastJSON(w http.ResponseWriter, v any) {
 // past its limit.
 func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 	s.metrics.batchRequests.Add(1)
+	c := getCodec()
+	defer c.release()
 	var req BatchQuoteRequest
-	if !s.decodeBody(w, r, &req) {
+	if !s.decodePricing(w, r, c, &req) {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}
@@ -360,13 +373,17 @@ func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.metrics.batchQuotes.Add(uint64(len(req.Params)))
-	writeFastJSON(w, resp)
+	b, err := appendBatch(c.buf[:0], &resp)
+	c.reply(w, b, err)
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveRequests.Add(1)
+	c := getCodec()
 	var req SolveRequest
-	if !s.decodeBody(w, r, &req) {
+	ok := s.decodePricing(w, r, c, &req)
+	c.release()
+	if !ok {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}

@@ -443,6 +443,32 @@ func TestMetricsExposition(t *testing.T) {
 	}
 }
 
+// TestQuoteLatencyCoversEveryRequest pins what
+// flserve_quote_latency_seconds times: every POST /v1/quote, rejected ones
+// included, from handler entry until the reply is written — so its sum
+// covers the parse and the render, not only the pricing.
+func TestQuoteLatencyCoversEveryRequest(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, body := range []string{
+		`{"params":{` + pinnedGame + `}}`,
+		`{"params":`,
+		`{"scheme":"nope","params":{` + pinnedGame + `}}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/quote", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	h := s.metrics.quoteLatency
+	if got := h.count.Load(); got != 3 {
+		t.Fatalf("latency histogram counted %d of 3 quote requests", got)
+	}
+	if h.sumNs.Load() <= 0 {
+		t.Fatal("latency histogram summed no time")
+	}
+}
+
 // TestBatchQuoteMatchesSingle pins that the batch endpoint prices each game
 // exactly as the single-quote endpoint would, in order, through the same
 // cache.
