@@ -797,6 +797,7 @@ func (c *codec) reply(w http.ResponseWriter, b []byte, err error) {
 	}
 	h := w.Header()
 	h.Set("Content-Type", "application/json; charset=utf-8")
+	// The whole reply is in hand: send its length rather than chunks.
 	h.Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(b)

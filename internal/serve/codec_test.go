@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -108,13 +109,19 @@ func checkDecode(t *testing.T, body []byte, limit int64) {
 }
 
 // TestDecodeMatchesEncodingJSON runs the differential check on the pinned
-// bodies, each under the pinned limit and with no limit in reach, and on
-// the benchmark-shaped bodies cut short at every length.
+// bodies, each under the pinned limit and with no limit in reach, on
+// nesting at encoding/json's depth limit, and on a benchmark-shaped quote
+// and batch body cut short at every length.
 func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range pinnedBodies {
 		checkDecode(t, []byte(tc.body), pinnedLimit)
 		checkDecode(t, []byte(tc.body), int64(len(tc.body))+1)
 	}
+	// Nesting one level past encoding/json's limit is a syntax error (400)
+	// even in a body cut short, where an unfinished value is a 413.
+	deep := `{"x":` + strings.Repeat("[", maxDepth)
+	checkDecode(t, []byte(deep+"]"), int64(len(deep)))
+	checkDecode(t, []byte(deep), int64(len(deep)-1))
 	body := quoteBody(t, 12, 1)
 	for _, b := range [][]byte{body, batchBody(body)} {
 		for limit := int64(0); limit <= int64(len(b)); limit++ {
@@ -162,30 +169,28 @@ func floatsFromBits(b []byte) []float64 {
 	return fs
 }
 
-// checkRender holds appendQuote and appendBatch to json.Marshal: the same
-// bytes, or the same error.
+// checkRender holds appendQuote, and appendBatch on an empty and a
+// two-quote batch, to json.Marshal: the same bytes after what the buffer
+// held, or the same error.
 func checkRender(t *testing.T, q QuoteResponse) {
 	t.Helper()
-	for _, tc := range []struct {
-		v      any
-		render func([]byte) ([]byte, error)
-	}{
-		{q, func(b []byte) ([]byte, error) { return appendQuote(b, &q) }},
-		{BatchQuoteResponse{}, func(b []byte) ([]byte, error) { return appendBatch(b, &BatchQuoteResponse{}) }},
-		{BatchQuoteResponse{Quotes: []QuoteResponse{q, q}}, func(b []byte) ([]byte, error) {
-			return appendBatch(b, &BatchQuoteResponse{Quotes: []QuoteResponse{q, q}})
-		}},
-	} {
-		want, wantErr := json.Marshal(tc.v)
-		got, err := tc.render([]byte("prefix"))
+	same := func(v any, got []byte, err error) {
+		t.Helper()
+		want, wantErr := json.Marshal(v)
 		switch {
 		case (err == nil) != (wantErr == nil):
-			t.Fatalf("%#v: render error %v, json.Marshal error %v", tc.v, err, wantErr)
+			t.Fatalf("%#v: render error %v, json.Marshal error %v", v, err, wantErr)
 		case err != nil && err.Error() != wantErr.Error():
-			t.Fatalf("%#v: render error %q, json.Marshal error %q", tc.v, err, wantErr)
+			t.Fatalf("%#v: render error %q, json.Marshal error %q", v, err, wantErr)
 		case err == nil && string(got) != "prefix"+string(want):
-			t.Fatalf("%#v:\nrender       %s\njson.Marshal prefix%s", tc.v, got, want)
+			t.Fatalf("%#v:\nrender       %s\njson.Marshal prefix%s", v, got, want)
 		}
+	}
+	got, err := appendQuote([]byte("prefix"), &q)
+	same(q, got, err)
+	for _, r := range []BatchQuoteResponse{{}, {Quotes: []QuoteResponse{q, q}}} {
+		got, err := appendBatch([]byte("prefix"), &r)
+		same(r, got, err)
 	}
 }
 
@@ -202,7 +207,7 @@ func FuzzEncodeQuote(f *testing.F) {
 		}
 		return b
 	}
-	f.Add("proposed", bits(0.25, 1e-7), bits(1, -0.0), 1e21, 5e-324)
+	f.Add("proposed", bits(0.25, 1e-7), bits(1, math.Copysign(0, -1)), 1e21, 5e-324)
 	f.Add("a<b>&c\u2028\xff\"\\\n", []byte{}, []byte{1}, math.MaxFloat64, -1e-6)
 	f.Add("nan", bits(math.NaN()), bits(math.Inf(1)), math.Inf(-1), 0.0)
 	f.Fuzz(func(t *testing.T, scheme string, p, q []byte, spent, obj float64) {
@@ -284,7 +289,7 @@ func TestQuoteHandlerRendersGolden(t *testing.T) {
 		*scheme.out = tc.out
 		scheme.mu.Unlock()
 		// A budget of its own per case keeps the quote cache out of the way.
-		body := `{"scheme":"golden\u003c&\u2028","params":{` + pinnedGame[:len(pinnedGame)-len("10")] + strings.Repeat("1", i+1) + `}}`
+		body := fmt.Sprintf(`{"scheme":"golden\u003c&\u2028","params":{"a":[1],"g":[1],"c":[1],"v":[1],"alpha":1,"r":10,"b":%d}}`, 10+i)
 		resp, err := http.Post(ts.URL+"/v1/quote", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -311,4 +316,63 @@ func TestQuoteHandlerRendersGolden(t *testing.T) {
 			t.Fatalf("case %d: reply %s\nwant         %s\njson.Marshal %s", i, got, tc.want, marshalled)
 		}
 	}
+}
+
+// TestConcurrentQuotesKeepTheirBuffers sends distinct games from several
+// goroutines at once: every reply must be its own game's json.Marshal
+// bytes, so no pooled codec buffer is shared between requests in flight.
+func TestConcurrentQuotesKeepTheirBuffers(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ps, err := game.SchemeByName(game.SchemeNameProposed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				pj := testParams()
+				pj.B = 150 + float64(100*g+i)
+				want, err := directReply(ps, pj)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := json.Marshal(QuoteRequest{Params: pj})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err := http.Post(ts.URL+"/v1/quote", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || !bytes.Equal(got, want) {
+					t.Errorf("goroutine %d, game %d: reply %s (%v), want %s", g, i, got, err, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// directReply prices pj under ps without the server and renders the reply
+// with json.Marshal.
+func directReply(ps game.PricingScheme, pj ParamsJSON) ([]byte, error) {
+	p, err := pj.ToGame()
+	if err != nil {
+		return nil, err
+	}
+	out, err := ps.Price(p)
+	if err != nil {
+		return nil, err
+	}
+	b, err := json.Marshal(QuoteResponse{Scheme: out.Name, P: out.P, Q: out.Q, Spent: out.Spent, ServerObj: out.ServerObj})
+	return append(b, '\n'), err
 }
