@@ -220,8 +220,9 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool 
 
 // decodePricing reads a pricing request's body into c, capped at MaxBody,
 // and parses it into v (*QuoteRequest, *BatchQuoteRequest or
-// *SolveRequest) with the answer decodeBody would give. On failure it
-// writes the typed error envelope and returns false.
+// *SolveRequest), accepting and rejecting what a strict encoding/json
+// decode would. On failure it writes the typed error envelope and returns
+// false.
 func (s *Server) decodePricing(w http.ResponseWriter, r *http.Request, c *codec, v any) bool {
 	c.read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
 	return s.bodyOK(w, c.decode(v))
