@@ -175,11 +175,6 @@ func (c *Cache) Price(ps PricingScheme, p *Params) (*Outcome, error) {
 	return out, nil
 }
 
-// Stats reports the hit/miss counters.
-func (c *Cache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
-}
-
 // Snapshot reports all counters plus the current entry count, the shape the
 // serving layer's /metrics endpoint exports.
 func (c *Cache) Snapshot() CacheStats {

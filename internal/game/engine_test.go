@@ -303,8 +303,8 @@ func TestCacheHitEqualsFreshSolve(t *testing.T) {
 	if second != first {
 		t.Fatal("expected the memoized equilibrium on the second solve")
 	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Fatalf("expected 1 hit / 1 miss, got %d / %d", hits, misses)
+	if st := c.Snapshot(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("expected 1 hit / 1 miss, got %d / %d", st.Hits, st.Misses)
 	}
 
 	// A changed game is a different fingerprint, never a stale hit.

@@ -3,53 +3,46 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
+	"unsafe"
 
 	"unbiasedfl/internal/cli"
 )
 
-// The pricing endpoints' codec: a one-pass parser for QuoteRequest,
-// BatchQuoteRequest and SolveRequest bodies and an append renderer for
-// quote replies. The parser accepts and rejects exactly what a
-// json.Decoder with DisallowUnknownFields accepts and rejects reading the
-// same http.MaxBytesReader, and fills the same values; the renderer writes
-// the bytes json.Marshal writes. Both are plain functions over the wire
-// types, so encoding/json stays an independent oracle for them
-// (TestPricingBodyParsing, TestQuoteRenderGolden, FuzzDecodeQuote,
+// The pricing endpoints' codec: a one-pass parser for the QuoteRequest,
+// BatchQuoteRequest and SolveRequest bodies json.Marshal writes, and an
+// append renderer for quote replies.
+//
+// The parser takes the canonical subset of bodies: one object holding only
+// its type's keys, spelled exactly and each at most once; numbers in JSON's
+// grammar that fit a float64; arrays of such numbers; a scheme of printable
+// ASCII without escapes; JSON whitespace between any two tokens; anything
+// after the closing brace. Any other body — a null, a repeated, unknown or
+// differently cased key, an escape, a syntax error, a body cut short — is
+// decoded by encoding/json (decodeStrict) from the same bytes and read
+// error, so what is accepted, the values filled and every error are
+// encoding/json's own. The renderer writes the bytes json.Marshal writes.
+// encoding/json is the tests' oracle for both (TestPricingBodyParsing,
+// TestDecodeMatchesEncodingJSON, TestQuoteRenderGolden, FuzzDecodeQuote,
 // FuzzEncodeQuote).
 
-// maxDepth is encoding/json's nesting limit: deeper nesting is a syntax
-// error there, and so here.
-const maxDepth = 10000
-
-// maxPooled bounds the buffers a codec keeps in the pool: one that grew
-// past it for an outsized body is dropped with its codec.
+// maxPooled bounds the buffers a codec keeps in the pool, in bytes: one
+// that grew past it for an outsized body is dropped with its codec.
 const maxPooled = 1 << 20
 
-// codec holds one request's body, its parse state and then the reply
+// codec holds one request's body, its parse offset and then the reply
 // rendered into the same buffer. Codecs are pooled; nothing decoded or
 // rendered refers to the buffer after release.
 type codec struct {
-	buf  []byte // the body as read (at most the limit), later the reply
-	pos  int    // parse offset in buf
-	tail error  // what ended the read: nil at EOF
-	// depth counts the objects and arrays open at pos.
-	depth int
-	// err is the syntax error, or end of input inside the value, that
-	// ended the parse; saved is the first type or unknown-field error,
-	// after which the parse goes on to find any syntax error behind it,
-	// as encoding/json scans the whole value before it decodes.
-	err, saved error
-	vals       []float64 // one float array's elements, before it is stored
-	nulls      []int     // indexes of its null elements
+	buf   []byte       // the body as read (at most the limit), later the reply
+	pos   int          // parse offset in buf
+	tail  error        // what ended the read: io.EOF or the read's error
+	games []ParamsJSON // a batch's games, before they are copied out
 }
 
 var codecs = sync.Pool{New: func() any { return new(codec) }}
@@ -57,7 +50,7 @@ var codecs = sync.Pool{New: func() any { return new(codec) }}
 func getCodec() *codec { return codecs.Get().(*codec) }
 
 func (c *codec) release() {
-	if cap(c.buf) <= maxPooled && cap(c.vals) <= maxPooled/8 {
+	if cap(c.buf) <= maxPooled && cap(c.games) <= maxPooled/int(unsafe.Sizeof(ParamsJSON{})) {
 		codecs.Put(c)
 	}
 }
@@ -65,7 +58,7 @@ func (c *codec) release() {
 // read fills buf from r up to EOF or the first error, which it keeps as
 // the tail.
 func (c *codec) read(r io.Reader) {
-	c.buf, c.pos, c.tail, c.depth, c.err, c.saved = c.buf[:0], 0, nil, 0, nil, nil
+	c.buf, c.pos = c.buf[:0], 0
 	for {
 		if cap(c.buf)-len(c.buf) < 512 {
 			c.buf = slices.Grow(c.buf, 4096)
@@ -73,626 +66,252 @@ func (c *codec) read(r io.Reader) {
 		n, err := r.Read(c.buf[len(c.buf):cap(c.buf)])
 		c.buf = c.buf[:len(c.buf)+n]
 		if err != nil {
-			if err != io.EOF {
-				c.tail = err
-			}
+			c.tail = err
 			return
 		}
 	}
 }
 
-// decode parses the body into v, a *QuoteRequest, *BatchQuoteRequest or
-// *SolveRequest. Like json.Decoder.Decode it reads one value and ignores
-// what follows it; a read that stopped early (c.tail) is reported only if
-// the value needed the bytes it did not get.
-func (c *codec) decode(v any) error {
-	if c.space(); c.pos == len(c.buf) {
-		if c.tail != nil {
-			return c.tail
-		}
-		return io.EOF
-	}
-	top := c.buf[c.pos]
-	switch v := v.(type) {
-	case *QuoteRequest:
-		c.quoteRequest(v)
-	case *BatchQuoteRequest:
-		c.batchRequest(v)
-	case *SolveRequest:
-		c.solveRequest(v)
-	default:
-		panic("serve: decode wants a *QuoteRequest, *BatchQuoteRequest or *SolveRequest")
-	}
-	if c.err == nil && top != '{' && top != '[' && c.pos == len(c.buf) && c.tail != nil {
-		// A top-level scalar ends at the byte after it, which never came.
-		c.err = c.tail
-	}
-	if c.err != nil {
-		return c.err
-	}
-	return c.saved
+// pricingRequest is a request body the codec parses.
+type pricingRequest interface {
+	QuoteRequest | BatchQuoteRequest | SolveRequest
 }
+
+// decode parses the body into v, which holds its zero value. A canonical
+// body takes one pass; any other is decoded by decodeStrict into a fresh
+// value, copied to *v, reading the body's bytes and then the read's tail
+// as it would read the capped body itself. (Handing v itself to
+// encoding/json would move every request value to the heap.)
+func decode[T pricingRequest](c *codec, v *T) error {
+	if c.parse(v) {
+		return nil
+	}
+	fresh := new(T)
+	err := decodeStrict(io.MultiReader(bytes.NewReader(c.buf), tailReader{c.tail}), fresh)
+	*v = *fresh
+	return err
+}
+
+// tailReader fails every read with err.
+type tailReader struct{ err error }
+
+func (r tailReader) Read([]byte) (int, error) { return 0, r.err }
 
 var (
-	requestFields = []string{"scheme", "params"}
-	solveFields   = []string{"params"}
-	paramsFields  = []string{"a", "g", "c", "v", "alpha", "beta", "r", "b", "q_max", "q_min"}
+	requestKeys = []string{"scheme", "params"}
+	solveKeys   = []string{"params"}
+	paramsKeys  = []string{"a", "g", "c", "v", "alpha", "beta", "r", "b", "q_max", "q_min"}
 )
 
-func (c *codec) quoteRequest(req *QuoteRequest) {
-	if !c.object("serve.QuoteRequest") {
-		return
-	}
-	for first := true; ; first = false {
-		switch c.member(first, requestFields) {
-		case done:
-			return
-		case 0:
-			c.string(&req.Scheme, "scheme")
-		case 1:
-			c.params(&req.Params)
-		default:
-			c.skip()
-		}
-	}
-}
-
-func (c *codec) batchRequest(req *BatchQuoteRequest) {
-	if !c.object("serve.BatchQuoteRequest") {
-		return
-	}
-	for first := true; ; first = false {
-		switch c.member(first, requestFields) {
-		case done:
-			return
-		case 0:
-			c.string(&req.Scheme, "scheme")
-		case 1:
-			c.paramsList(&req.Params)
-		default:
-			c.skip()
-		}
-	}
-}
-
-func (c *codec) solveRequest(req *SolveRequest) {
-	if !c.object("serve.SolveRequest") {
-		return
-	}
-	for first := true; ; first = false {
-		switch c.member(first, solveFields) {
-		case done:
-			return
-		case 0:
-			c.params(&req.Params)
-		default:
-			c.skip()
-		}
-	}
-}
-
-// params decodes into p in place: members a duplicate or later object
-// leaves out keep their values, as encoding/json merges into a struct.
-func (c *codec) params(p *ParamsJSON) {
-	if !c.object("serve.ParamsJSON") {
-		return
-	}
-	for first := true; ; first = false {
-		switch c.member(first, paramsFields) {
-		case done:
-			return
-		case 0:
-			c.floats(&p.A, "a")
-		case 1:
-			c.floats(&p.G, "g")
-		case 2:
-			c.floats(&p.C, "c")
-		case 3:
-			c.floats(&p.V, "v")
-		case 4:
-			c.float(&p.Alpha, "alpha")
-		case 5:
-			c.float(&p.Beta, "beta")
-		case 6:
-			c.float(&p.R, "r")
-		case 7:
-			c.float(&p.B, "b")
-		case 8:
-			c.float(&p.QMax, "q_max")
-		case 9:
-			c.float(&p.QMin, "q_min")
-		default:
-			c.skip()
-		}
-	}
-}
-
-// paramsList decodes a batch's games the way encoding/json fills a slice:
-// element i decodes into the slot i already holds, even one past the
-// length that an earlier, longer array left behind, and a null element
-// leaves its slot as it was.
-func (c *codec) paramsList(dst *[]ParamsJSON) {
-	switch b := c.space(); b {
-	case '[':
-		if !c.open() {
-			return
-		}
-		s, i := *dst, 0
-		for first := true; c.elem(first); first = false {
-			if i == len(s) {
-				if i < cap(s) {
-					s = s[:i+1]
-				} else {
-					s = append(s, ParamsJSON{})
-				}
+// parse fills v from a canonical body and reports whether it was one.
+func (c *codec) parse(v any) bool {
+	switch v := v.(type) {
+	case *QuoteRequest:
+		return c.object(requestKeys, func(key int) bool {
+			if key == 0 {
+				return c.scheme(&v.Scheme)
 			}
-			c.params(&s[i])
-			i++
-		}
-		if i == 0 {
-			s = []ParamsJSON{}
-		}
-		*dst = s[:i]
-	case 'n':
-		if c.literal("null") {
-			*dst = nil
-		}
-	default:
-		c.mismatch(b, "params", "[]serve.ParamsJSON")
-	}
-}
-
-// floats decodes an array of numbers into *dst with encoding/json's slice
-// semantics (see paramsList); the common case, a first array, is
-// allocated once at its exact length.
-func (c *codec) floats(dst *[]float64, field string) {
-	switch b := c.space(); b {
-	case '[':
-		if !c.open() {
-			return
-		}
-		c.vals, c.nulls = c.vals[:0], c.nulls[:0]
-		for first := true; c.elem(first); first = false {
-			switch b := c.space(); {
-			case b == '-' || isDigit(b):
-				x, _ := c.number(field)
-				c.vals = append(c.vals, x)
-			case b == 'n':
-				c.literal("null")
-				c.nulls = append(c.nulls, len(c.vals))
-				c.vals = append(c.vals, 0)
-			default:
-				c.mismatch(b, field, "float64")
-				c.vals = append(c.vals, 0)
+			return c.params(&v.Params)
+		})
+	case *BatchQuoteRequest:
+		return c.object(requestKeys, func(key int) bool {
+			if key == 0 {
+				return c.scheme(&v.Scheme)
 			}
+			return c.paramsList(&v.Params)
+		})
+	case *SolveRequest:
+		return c.object(solveKeys, func(int) bool { return c.params(&v.Params) })
+	}
+	panic("serve: decode wants a *QuoteRequest, *BatchQuoteRequest or *SolveRequest")
+}
+
+func (c *codec) params(p *ParamsJSON) bool {
+	arrays := [...]*[]float64{&p.A, &p.G, &p.C, &p.V}
+	scalars := [...]*float64{&p.Alpha, &p.Beta, &p.R, &p.B, &p.QMax, &p.QMin}
+	return c.object(paramsKeys, func(key int) bool {
+		if key < len(arrays) {
+			return c.floats(arrays[key])
 		}
-		if c.err == nil {
-			*dst = storeFloats(*dst, c.vals, c.nulls)
+		x, ok := c.number()
+		*scalars[key-len(arrays)] = x
+		return ok
+	})
+}
+
+// paramsList parses a batch's games into a slice of their exact number.
+func (c *codec) paramsList(dst *[]ParamsJSON) bool {
+	games := c.games[:0]
+	ok := c.array(func() bool {
+		games = append(games, ParamsJSON{})
+		return c.params(&games[len(games)-1])
+	})
+	*dst = append([]ParamsJSON{}, games...)
+	clear(games) // the pooled codec keeps no float arrays alive
+	c.games = games[:0]
+	return ok
+}
+
+// floats parses an array of numbers into a slice of their exact number:
+// no ']' comes before a canonical array's own, so its commas count them.
+func (c *codec) floats(dst *[]float64) bool {
+	rest := c.buf[c.pos:]
+	n := 1 + bytes.Count(rest[:max(bytes.IndexByte(rest, ']'), 0)], []byte{','})
+	fs := make([]float64, 0, n)
+	ok := c.array(func() bool {
+		x, ok := c.number()
+		fs = append(fs, x)
+		return ok
+	})
+	*dst = fs
+	return ok
+}
+
+// object parses an object whose keys are among keys, each at most once,
+// handing each key's index to value to parse the value after its colon.
+func (c *codec) object(keys []string, value func(key int) bool) bool {
+	if !c.consume('{') {
+		return false
+	}
+	if c.consume('}') {
+		return true
+	}
+	for seen := 0; ; {
+		key := c.key(keys)
+		if key < 0 || seen&(1<<key) != 0 || !value(key) {
+			return false
 		}
-	case 'n':
-		if c.literal("null") {
-			*dst = nil
+		seen |= 1 << key
+		if c.consume('}') {
+			return true
 		}
-	default:
-		c.mismatch(b, field, "[]float64")
+		if !c.consume(',') {
+			return false
+		}
 	}
 }
 
-// storeFloats writes an array's elements over old, skipping the null ones,
-// growing it only when they do not fit in its capacity.
-func storeFloats(old, vals []float64, nulls []int) []float64 {
-	if len(vals) == 0 {
-		return []float64{}
+// key parses an object key and the colon after it and returns the key's
+// index in keys, or -1 if it is none of them. The keys hold no escapes and
+// no quotes, so a key token matches one only if its bytes equal it.
+func (c *codec) key(keys []string) int {
+	if !c.consume('"') {
+		return -1
 	}
-	s := old[:min(len(vals), cap(old))]
-	if len(vals) > cap(old) {
-		s = make([]float64, len(vals))
-		copy(s, old[:cap(old)])
+	end := bytes.IndexByte(c.buf[c.pos:], '"')
+	if end < 0 {
+		return -1
 	}
-	if len(nulls) == 0 {
-		copy(s, vals)
-		return s
+	tok := c.buf[c.pos : c.pos+end]
+	c.pos += end + 1
+	if !c.consume(':') {
+		return -1
 	}
-	for i, next := 0, 0; i < len(vals); i++ {
-		if next < len(nulls) && nulls[next] == i {
-			next++
-			continue
+	for i, key := range keys {
+		if string(tok) == key {
+			return i
 		}
-		s[i] = vals[i]
 	}
-	return s
+	return -1
 }
 
-func (c *codec) float(dst *float64, field string) {
-	switch b := c.space(); {
-	case b == '-' || isDigit(b):
-		if x, ok := c.number(field); ok {
-			*dst = x
+// array parses an array, calling elem to parse each element.
+func (c *codec) array(elem func() bool) bool {
+	if !c.consume('[') {
+		return false
+	}
+	if c.consume(']') {
+		return true
+	}
+	for elem() {
+		if c.consume(']') {
+			return true
 		}
-	case b == 'n':
-		c.literal("null")
-	default:
-		c.mismatch(b, field, "float64")
-	}
-}
-
-func (c *codec) string(dst *string, field string) {
-	switch b := c.space(); b {
-	case '"':
-		tok, plain := c.str()
-		switch {
-		case c.err != nil:
-		case plain:
-			*dst = string(tok[1 : len(tok)-1])
-		default:
-			*dst = unquote(tok)
+		if !c.consume(',') {
+			return false
 		}
-	case 'n':
-		c.literal("null")
-	default:
-		c.mismatch(b, field, "string")
-	}
-}
-
-// unquote decodes a string token holding escapes or non-ASCII bytes. Such
-// tokens are rare, so it leaves their decoding (escapes, surrogate pairs,
-// invalid UTF-8 replaced by U+FFFD) to encoding/json.
-func unquote(tok []byte) string {
-	var s string
-	if err := json.Unmarshal(tok, &s); err != nil {
-		panic("serve: a scanned string token does not unquote: " + err.Error())
-	}
-	return s
-}
-
-// object starts decoding a struct: it consumes the '{' and reports true,
-// or handles the value in its place — null leaves the struct as it is, any
-// other kind is a type error — and reports false.
-func (c *codec) object(typ string) bool {
-	switch b := c.space(); b {
-	case '{':
-		return c.open()
-	case 'n':
-		c.literal("null")
-	default:
-		c.mismatch(b, "", typ)
 	}
 	return false
 }
 
-// done is what member returns at the end of an object or on an error.
-const done = -2
-
-// member reads the next key of the object being decoded and the colon
-// after it, and returns the key's index in names: matched exactly or under
-// Unicode simple case folding, as encoding/json matches field names. An
-// unknown key is saved as an error and gets -1; its value is the caller's
-// to skip.
-func (c *codec) member(first bool, names []string) int {
-	if !c.key(first) {
-		return done
-	}
-	tok, plain := c.str()
-	if c.err != nil {
-		return done
-	}
-	if c.space() != ':' {
-		c.fail("after object key")
-		return done
-	}
-	c.pos++
-	if plain {
-		key := tok[1 : len(tok)-1]
-		for i, name := range names {
-			if bytes.EqualFold(key, []byte(name)) {
-				return i
-			}
-		}
-		c.save(fmt.Errorf("json: unknown field %q", key))
-		return -1
-	}
-	key := unquote(tok)
-	for i, name := range names {
-		if strings.EqualFold(key, name) {
-			return i
-		}
-	}
-	c.save(fmt.Errorf("json: unknown field %q", key))
-	return -1
-}
-
-// key moves to the next key of the object being read, after the '{' when
-// first is set, else after a member; at the closing '}' it consumes it and
-// reports false.
-func (c *codec) key(first bool) bool {
-	if c.err != nil {
+// scheme parses a string of printable ASCII without escapes, whose bytes
+// are its value.
+func (c *codec) scheme(dst *string) bool {
+	if !c.consume('"') {
 		return false
 	}
-	switch b := c.space(); {
-	case b == '}':
-		c.pos++
-		c.depth--
-		return false
-	case first:
-	case b == ',':
-		c.pos++
-	default:
-		c.fail("after object key:value pair")
-		return false
-	}
-	if c.space() != '"' {
-		c.fail("looking for beginning of object key string")
-		return false
-	}
-	return true
-}
-
-// elem moves to the next element of the array being read, after the '['
-// when first is set, else after an element; at the closing ']' it consumes
-// it and reports false.
-func (c *codec) elem(first bool) bool {
-	if c.err != nil {
-		return false
-	}
-	switch b := c.space(); {
-	case b == ']':
-		c.pos++
-		c.depth--
-		return false
-	case first:
-	case b == ',':
-		c.pos++
-	default:
-		c.fail("after array element")
-		return false
-	}
-	return true
-}
-
-// open consumes the '{' or '[' at pos.
-func (c *codec) open() bool {
-	c.pos++
-	if c.depth++; c.depth > maxDepth {
-		c.err = errors.New("exceeded max depth")
-		return false
-	}
-	return true
-}
-
-// skip moves past one value of any kind, checking its syntax: the value of
-// an unknown key, or one whose kind does not fit its field.
-func (c *codec) skip() {
-	switch b := c.space(); {
-	case b == '{':
-		if !c.open() {
-			return
-		}
-		for first := true; c.key(first); first = false {
-			c.str()
-			if c.err != nil {
-				return
-			}
-			if c.space() != ':' {
-				c.fail("after object key")
-				return
-			}
-			c.pos++
-			c.skip()
-		}
-	case b == '[':
-		if !c.open() {
-			return
-		}
-		for first := true; c.elem(first); first = false {
-			c.skip()
-		}
-	case b == '"':
-		c.str()
-	case b == 'n':
-		c.literal("null")
-	case b == 't':
-		c.literal("true")
-	case b == 'f':
-		c.literal("false")
-	case b == '-' || isDigit(b):
-		c.numberToken()
-	default:
-		c.fail("looking for beginning of value")
-	}
-}
-
-// mismatch saves the type error for a value of the wrong kind at pos and
-// skips it.
-func (c *codec) mismatch(b byte, field, typ string) {
-	kind := "number"
-	switch b {
-	case '{':
-		kind = "object"
-	case '[':
-		kind = "array"
-	case '"':
-		kind = "string"
-	case 't', 'f':
-		kind = "bool"
-	}
-	if field == "" {
-		c.save(fmt.Errorf("json: cannot unmarshal %s into Go value of type %s", kind, typ))
-	} else {
-		c.save(fmt.Errorf("json: cannot unmarshal %s into Go struct field %s of type %s", kind, field, typ))
-	}
-	c.skip()
-}
-
-func (c *codec) save(err error) {
-	if c.saved == nil {
-		c.saved = err
-	}
-}
-
-// fail records a syntax error at pos, or the end of the input when pos is
-// past it: the read's tail if it stopped early, else an unexpected EOF.
-func (c *codec) fail(context string) {
-	if c.err != nil {
-		return
-	}
-	switch {
-	case c.pos < len(c.buf):
-		c.err = fmt.Errorf("invalid character %s %s", quoteChar(c.buf[c.pos]), context)
-	case c.tail != nil:
-		c.err = c.tail
-	default:
-		c.err = io.ErrUnexpectedEOF
-	}
-}
-
-func quoteChar(b byte) string {
-	switch b {
-	case '\'':
-		return `'\''`
-	case '"':
-		return `'"'`
-	}
-	s := strconv.Quote(string(b))
-	return "'" + s[1:len(s)-1] + "'"
-}
-
-// space moves past whitespace and returns the byte at pos, 0 at the end
-// of the input.
-func (c *codec) space() byte {
-	for ; c.pos < len(c.buf); c.pos++ {
-		switch b := c.buf[c.pos]; b {
-		case ' ', '\t', '\n', '\r':
-		default:
-			return b
-		}
-	}
-	return 0
-}
-
-func (c *codec) literal(word string) bool {
-	for i := 0; i < len(word); i++ {
-		if c.pos >= len(c.buf) || c.buf[c.pos] != word[i] {
-			c.fail("in literal " + word + " (expecting " + quoteChar(word[i]) + ")")
+	for i := c.pos; i < len(c.buf); i++ {
+		switch ch := c.buf[i]; {
+		case ch == '"':
+			*dst = string(c.buf[c.pos:i])
+			c.pos = i + 1
+			return true
+		case ch < 0x20 || ch > 0x7e || ch == '\\':
 			return false
 		}
-		c.pos++
 	}
-	return true
+	return false
 }
 
-// number parses the number at pos as encoding/json does: a value out of
-// float64's range is a type error, not a syntax error.
-func (c *codec) number(field string) (float64, bool) {
-	tok := c.numberToken()
-	if c.err != nil {
-		return 0, false
-	}
-	x, err := strconv.ParseFloat(string(tok), 64)
-	if err != nil {
-		c.save(fmt.Errorf("json: cannot unmarshal number %s into Go struct field %s of type float64", tok, field))
-		return 0, false
-	}
-	return x, true
-}
-
-// numberToken moves past a number in JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and returns its bytes.
-func (c *codec) numberToken() []byte {
+// number parses a number in JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that fits a float64.
+func (c *codec) number() (float64, bool) {
+	c.space()
 	b, i := c.buf, c.pos
-	if b[i] == '-' {
+	if i < len(b) && b[i] == '-' {
 		i++
 	}
-	switch {
-	case i < len(b) && b[i] == '0':
-		i++
-	case i < len(b) && isDigit(b[i]):
-		i = digits(b, i)
-	default:
-		return c.badNumber(i, "in numeric literal")
+	j := digits(b, i)
+	if j == i || b[i] == '0' && j > i+1 {
+		return 0, false
 	}
+	i = j
 	if i < len(b) && b[i] == '.' {
-		if i++; i >= len(b) || !isDigit(b[i]) {
-			return c.badNumber(i, "after decimal point in numeric literal")
+		if j = digits(b, i+1); j == i+1 {
+			return 0, false
 		}
-		i = digits(b, i)
+		i = j
 	}
 	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
 			i++
 		}
-		if i >= len(b) || !isDigit(b[i]) {
-			return c.badNumber(i, "in exponent of numeric literal")
-		}
-		i = digits(b, i)
+		i = digits(b, i) // ParseFloat refuses an exponent without digits
 	}
-	tok := b[c.pos:i]
+	x, err := strconv.ParseFloat(string(b[c.pos:i]), 64)
 	c.pos = i
-	return tok
-}
-
-func (c *codec) badNumber(at int, context string) []byte {
-	c.pos = at
-	c.fail(context)
-	return nil
+	return x, err == nil
 }
 
 // digits returns the index of the first byte at or after i in b that is
 // not a digit.
 func digits(b []byte, i int) int {
-	for i < len(b) && isDigit(b[i]) {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
 		i++
 	}
 	return i
 }
 
-func isDigit(b byte) bool { return '0' <= b && b <= '9' }
-
-// str moves past the string token at pos and returns it, quotes included,
-// and whether it is plain — printable ASCII without escapes, so that its
-// bytes are its value.
-func (c *codec) str() (tok []byte, plain bool) {
-	b, start := c.buf, c.pos
-	plain = true
-	for i := start + 1; i < len(b); i++ {
-		switch ch := b[i]; {
-		case ch == '"':
-			c.pos = i + 1
-			return b[start:c.pos], plain
-		case ch == '\\':
-			plain = false
-			if i++; i >= len(b) {
-				break
-			}
-			switch b[i] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-			case 'u':
-				for k := 0; k < 4; k++ {
-					if i++; i < len(b) && !isHex(b[i]) {
-						c.pos = i
-						c.fail("in \\u hexadecimal character escape")
-						return nil, false
-					}
-				}
-			default:
-				c.pos = i
-				c.fail("in string escape code")
-				return nil, false
-			}
-		case ch < 0x20:
-			c.pos = i
-			c.fail("in string literal")
-			return nil, false
-		case ch >= 0x80:
-			plain = false
-		}
+// consume moves past whitespace and then ch, reporting whether ch was
+// there.
+func (c *codec) consume(ch byte) bool {
+	c.space()
+	if c.pos < len(c.buf) && c.buf[c.pos] == ch {
+		c.pos++
+		return true
 	}
-	c.pos = len(b)
-	c.fail("in string literal")
-	return nil, false
+	return false
 }
 
-func isHex(b byte) bool {
-	return isDigit(b) || 'a' <= b && b <= 'f' || 'A' <= b && b <= 'F'
+func (c *codec) space() {
+	for c.pos < len(c.buf) {
+		switch c.buf[c.pos] {
+		case ' ', '\t', '\n', '\r':
+			c.pos++
+		default:
+			return
+		}
+	}
 }
 
 // appendQuote appends q as json.Marshal renders it, or fails as

@@ -9,6 +9,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -23,17 +24,16 @@ func batchBody(quote []byte) []byte {
 	return []byte(`{"params":[` + string(game) + `]}`)
 }
 
-// decodeBoth parses body, under a body limit, with the codec and with the
-// decoder the pricing endpoints used before it — json.Decoder with
-// DisallowUnknownFields over http.MaxBytesReader — into fresh values of
-// the same request type.
-func decodeBoth[T any](body []byte, limit int64) (got, want T, gotErr, wantErr error) {
+// decodeBoth parses body, under a body limit, with the codec and with a
+// json.Decoder with DisallowUnknownFields over http.MaxBytesReader, into
+// fresh values of the same request type.
+func decodeBoth[T pricingRequest](body []byte, limit int64) (got, want T, gotErr, wantErr error) {
 	limited := func() io.Reader {
 		return http.MaxBytesReader(httptest.NewRecorder(), io.NopCloser(bytes.NewReader(body)), limit)
 	}
 	c := new(codec)
 	c.read(limited())
-	gotErr = c.decode(&got)
+	gotErr = decode(c, &got)
 	dec := json.NewDecoder(limited())
 	dec.DisallowUnknownFields()
 	wantErr = dec.Decode(&want)
@@ -110,18 +110,30 @@ func checkDecode(t *testing.T, body []byte, limit int64) {
 
 // TestDecodeMatchesEncodingJSON runs the differential check on the pinned
 // bodies, each under the pinned limit and with no limit in reach, on
-// nesting at encoding/json's depth limit, and on a benchmark-shaped quote
-// and batch body cut short at every length.
+// nesting at encoding/json's depth limit, on number and scheme spellings
+// in and out of the one-pass parser's subset, and on a benchmark-shaped
+// quote and batch body cut short at every length.
 func TestDecodeMatchesEncodingJSON(t *testing.T) {
 	for _, tc := range pinnedBodies {
 		checkDecode(t, []byte(tc.body), pinnedLimit)
 		checkDecode(t, []byte(tc.body), int64(len(tc.body))+1)
 	}
-	// Nesting one level past encoding/json's limit is a syntax error (400)
-	// even in a body cut short, where an unfinished value is a 413.
-	deep := `{"x":` + strings.Repeat("[", maxDepth)
+	// Nesting one level past encoding/json's limit, 10000, is a syntax
+	// error (400) even in a body cut short, where an unfinished value is a
+	// 413.
+	deep := `{"x":` + strings.Repeat("[", 10000)
 	checkDecode(t, []byte(deep+"]"), int64(len(deep)))
 	checkDecode(t, []byte(deep), int64(len(deep)-1))
+	// Number spellings, each the only value of its key in a body that is
+	// otherwise canonical.
+	for _, num := range []string{"0", "-0", "-0.0", "1E5", "1e-5", "1.5e+3", "1e-999", "01", "-01", "00", "1.", "1.e5", ".5",
+		"-", "+1", "1e", "1e+", "0x10", "1_0", "Inf", "1e999", "-1e999"} {
+		checkDecode(t, []byte(`{"params":{"a":[1,`+num+`],"g":[1,1],"c":[1,1],"v":[1,1],"alpha":1,"r":`+num+`,"b":10}}`), pinnedLimit)
+	}
+	// Scheme spellings in a body that is otherwise canonical.
+	for _, scheme := range []string{`proposed`, `a/b c~`, `prop\u006fsed`, `a\"b`, "\x7f", "\t", "é", "\xff"} {
+		checkDecode(t, []byte(`{"scheme":"`+scheme+`","params":{`+pinnedGame+`}}`), pinnedLimit)
+	}
 	body := quoteBody(t, 12, 1)
 	for _, b := range [][]byte{body, batchBody(body)} {
 		for limit := int64(0); limit <= int64(len(b)); limit++ {
@@ -146,10 +158,68 @@ func FuzzDecodeQuote(f *testing.F) {
 		f.Add(body, uint16(0))
 		f.Add(body, uint16(len(body)/2))
 		f.Add(batchBody(body), uint16(0))
+		var indented bytes.Buffer
+		if err := json.Indent(&indented, body, "", "\t"); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(indented.Bytes(), uint16(0))
 	}
 	f.Fuzz(func(t *testing.T, body []byte, cut uint16) {
 		checkDecode(t, body, max(int64(len(body))+1-int64(cut), 0))
 	})
+}
+
+// TestCanonicalBodiesTakeOnePass decodes json.Marshal and
+// json.MarshalIndent bodies of a 12- and a 256-client quote, a batch and a
+// solve request. Each decode must fill what encoding/json fills and
+// allocate no more than that takes: its float arrays, a non-empty scheme
+// and a batch's slice. A body handed on to encoding/json costs a decoder
+// and its buffers on top, and fails here.
+func TestCanonicalBodiesTakeOnePass(t *testing.T) {
+	var small, large QuoteRequest
+	for _, q := range []struct {
+		req     *QuoteRequest
+		clients int
+	}{{&small, 12}, {&large, 256}} {
+		if err := json.Unmarshal(quoteBody(t, q.clients, 1), q.req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkOnePass(t, "12-client quote", small, 4+1)
+	checkOnePass(t, "256-client quote", large, 4+1)
+	checkOnePass(t, "batch", BatchQuoteRequest{Scheme: "proposed", Params: []ParamsJSON{small.Params, large.Params}}, 2*4+1+1)
+	checkOnePass(t, "solve", SolveRequest{Params: small.Params}, 4)
+}
+
+// checkOnePass decodes req's compact and indented json.Marshal bodies,
+// allowing decode at most allocs allocations.
+func checkOnePass[T pricingRequest](t *testing.T, name string, req T, allocs float64) {
+	t.Helper()
+	compact, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	indented, err := json.MarshalIndent(req, "", "\t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, body := range [][]byte{compact, indented} {
+		c, r := new(codec), bytes.NewReader(body)
+		var got T
+		n := testing.AllocsPerRun(10, func() {
+			r.Reset(body)
+			c.read(r)
+			var zero T
+			got = zero
+			err = decode(c, &got)
+		})
+		if err != nil || !reflect.DeepEqual(got, req) {
+			t.Fatalf("%s: decode gives %+v (%v), want %+v\nbody %s", name, got, err, req, body)
+		}
+		if n > allocs {
+			t.Errorf("%s: decode allocates %v times, want at most %v\nbody %s", name, n, allocs, body)
+		}
+	}
 }
 
 // floatsFromBits reads b as little-endian float64 bit patterns: nil for no

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -213,19 +214,24 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 // pricing endpoints parse with their codec instead (decodePricing).
 func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-	dec := json.NewDecoder(r.Body)
+	return s.bodyOK(w, decodeStrict(r.Body, v))
+}
+
+// decodeStrict decodes the first JSON value r yields into v, refusing
+// keys that match no field.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	return s.bodyOK(w, dec.Decode(v))
+	return dec.Decode(v)
 }
 
 // decodePricing reads a pricing request's body into c, capped at MaxBody,
-// and parses it into v (*QuoteRequest, *BatchQuoteRequest or
-// *SolveRequest), accepting and rejecting what a strict encoding/json
-// decode would. On failure it writes the typed error envelope and returns
-// false.
-func (s *Server) decodePricing(w http.ResponseWriter, r *http.Request, c *codec, v any) bool {
+// and parses it into v, accepting and rejecting what decodeStrict would
+// reading the capped body. On failure it writes the typed error envelope
+// and returns false.
+func decodePricing[T pricingRequest](s *Server, w http.ResponseWriter, r *http.Request, c *codec, v *T) bool {
 	c.read(http.MaxBytesReader(w, r.Body, s.cfg.MaxBody))
-	return s.bodyOK(w, c.decode(v))
+	return s.bodyOK(w, decode(c, v))
 }
 
 // bodyOK reports whether a request body parsed, else writes its error
@@ -270,7 +276,7 @@ func (s *Server) handleQuote(w http.ResponseWriter, r *http.Request) {
 		s.metrics.quoteLatency.observe(time.Since(start))
 	}()
 	var req QuoteRequest
-	if !s.decodePricing(w, r, c, &req) {
+	if !decodePricing(s, w, r, c, &req) {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}
@@ -326,7 +332,7 @@ func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 	c := getCodec()
 	defer c.release()
 	var req BatchQuoteRequest
-	if !s.decodePricing(w, r, c, &req) {
+	if !decodePricing(s, w, r, c, &req) {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}
@@ -382,7 +388,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveRequests.Add(1)
 	c := getCodec()
 	var req SolveRequest
-	ok := s.decodePricing(w, r, c, &req)
+	ok := decodePricing(s, w, r, c, &req)
 	c.release()
 	if !ok {
 		s.metrics.quoteErrors.Add(1)

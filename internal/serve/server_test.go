@@ -305,6 +305,10 @@ var pinnedBodies = []struct {
 	{"solve scheme key", "/v1/solve", `{"scheme":"proposed","params":{` + pinnedGame + `}}`, 400, "bad_json"},
 	{"solve trailing bytes", "/v1/solve", `{"params":{` + pinnedGame + `}}]`, 200, ""},
 	{"solve one byte over", "/v1/solve", padBody(`{"params":{`+pinnedGame+`}`, `}`, pinnedLimit+1), 413, "body_too_large"},
+	{"whitespace around every token", "/v1/quote", " {\t\"scheme\" :\r\"proposed\"\n, \"params\" : { \"a\" : [ 1 ] , \"g\" : [ 1 ] , \"c\" : [ 1 ] , \"v\" : [ 1 ] , \"alpha\" : 1 , \"r\" : 10 , \"b\" : 10 } }\n", 200, ""},
+	{"empty batch", "/v1/quotes", `{"params":[]}`, 400, "invalid_params"},
+	{"unknown top-level key", "/v1/quote", `{"params":{` + pinnedGame + `},"extra":1}`, 400, "bad_json"},
+	{"repeated top-level key", "/v1/quote", `{"params":{` + pinnedGame + `},"params":{"b":20}}`, 200, ""},
 }
 
 // TestPricingBodyParsing pins how the pricing endpoints parse their
