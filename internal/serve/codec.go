@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"unsafe"
 
 	"unbiasedfl/internal/cli"
 )
@@ -39,10 +38,9 @@ const maxPooled = 1 << 20
 // rendered into the same buffer. Codecs are pooled; nothing decoded or
 // rendered refers to the buffer after release.
 type codec struct {
-	buf   []byte       // the body as read (at most the limit), later the reply
-	pos   int          // parse offset in buf
-	tail  error        // what ended the read: io.EOF or the read's error
-	games []ParamsJSON // a batch's games, before they are copied out
+	buf  []byte // the body as read (at most the limit), later the reply
+	pos  int    // parse offset in buf
+	tail error  // what ended the read: io.EOF or the read's error
 }
 
 var codecs = sync.Pool{New: func() any { return new(codec) }}
@@ -50,7 +48,7 @@ var codecs = sync.Pool{New: func() any { return new(codec) }}
 func getCodec() *codec { return codecs.Get().(*codec) }
 
 func (c *codec) release() {
-	if cap(c.buf) <= maxPooled && cap(c.games) <= maxPooled/int(unsafe.Sizeof(ParamsJSON{})) {
+	if cap(c.buf) <= maxPooled {
 		codecs.Put(c)
 	}
 }
@@ -139,16 +137,15 @@ func (c *codec) params(p *ParamsJSON) bool {
 	})
 }
 
-// paramsList parses a batch's games into a slice of their exact number.
+// paramsList parses a batch's games; an empty array gives a non-nil empty
+// slice, as encoding/json does.
 func (c *codec) paramsList(dst *[]ParamsJSON) bool {
-	games := c.games[:0]
+	games := []ParamsJSON{}
 	ok := c.array(func() bool {
 		games = append(games, ParamsJSON{})
 		return c.params(&games[len(games)-1])
 	})
-	*dst = append([]ParamsJSON{}, games...)
-	clear(games) // the pooled codec keeps no float arrays alive
-	c.games = games[:0]
+	*dst = games
 	return ok
 }
 

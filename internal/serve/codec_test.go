@@ -173,8 +173,8 @@ func FuzzDecodeQuote(f *testing.F) {
 // json.MarshalIndent bodies of a 12- and a 256-client quote, a batch and a
 // solve request. Each decode must fill what encoding/json fills and
 // allocate no more than that takes: its float arrays, a non-empty scheme
-// and a batch's slice. A body handed on to encoding/json costs a decoder
-// and its buffers on top, and fails here.
+// and a batch's slice as it grows, once per doubling. A body handed on to
+// encoding/json costs a decoder and its buffers on top, and fails here.
 func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 	var small, large QuoteRequest
 	for _, q := range []struct {
@@ -187,7 +187,7 @@ func TestCanonicalBodiesTakeOnePass(t *testing.T) {
 	}
 	checkOnePass(t, "12-client quote", small, 4+1)
 	checkOnePass(t, "256-client quote", large, 4+1)
-	checkOnePass(t, "batch", BatchQuoteRequest{Scheme: "proposed", Params: []ParamsJSON{small.Params, large.Params}}, 2*4+1+1)
+	checkOnePass(t, "batch", BatchQuoteRequest{Scheme: "proposed", Params: []ParamsJSON{small.Params, large.Params}}, 2*4+1+2)
 	checkOnePass(t, "solve", SolveRequest{Params: small.Params}, 4)
 }
 
