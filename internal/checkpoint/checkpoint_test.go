@@ -132,6 +132,67 @@ func TestResumeTruncatesTornTail(t *testing.T) {
 	_ = m.Close()
 }
 
+// TestResumeStopsAtFlippedWALPayload flips one byte inside the GlobalLoss
+// of a committed WAL record past the snapshot boundary, leaving its length
+// and CRC words alone. The damaged payload still decodes, so only the CRC
+// can catch it: the scan must stop at that record, resume must continue from
+// the snapshot boundary, and the finished history must equal the
+// uninterrupted run's.
+func TestResumeStopsAtFlippedWALPayload(t *testing.T) {
+	const flipped = 3 // the first record past the boundary-3 snapshot
+	opts := Options{Interval: 3}
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 5, opts)
+	raw, err := os.ReadFile(WALPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, offsets, _, err := parseWAL(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := raw[offsets[flipped]+4 : offsets[flipped+1]-4]
+	payload[17+3] ^= 0x10 // a mantissa byte of GlobalLoss
+	if _, err := decodeWALRecord(payload); err != nil {
+		t.Fatalf("flipped payload no longer decodes, so the CRC is not what stops it: %v", err)
+	}
+	if err := os.WriteFile(WALPath(path), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	records, _, tail, err := parseWAL(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != flipped || !errors.Is(tail, ErrCorrupt) {
+		t.Fatalf("scan kept %d records with tail %v, want %d and ErrCorrupt", len(records), tail, flipped)
+	}
+
+	m, st, err := Resume(path, testMeta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(st, fakeState(3)) {
+		t.Fatalf("resumed state differs from boundary 3: %+v", st)
+	}
+	for b := 4; b <= testMeta.Rounds; b++ {
+		if err := m.Commit(fakeState(b)); err != nil {
+			t.Fatalf("commit %d: %v", b, err)
+		}
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	m, st, err = Resume(path, testMeta, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = m.Close() }()
+	if want := fakeState(testMeta.Rounds); !reflect.DeepEqual(st, want) {
+		t.Fatalf("finished run differs from the uninterrupted one:\n got %+v\nwant %+v", st, want)
+	}
+}
+
 // TestResumeRefusesShortWAL: a WAL that lost committed records cannot
 // reproduce the trace — resume must refuse rather than fabricate history.
 func TestResumeRefusesShortWAL(t *testing.T) {

@@ -1,10 +1,10 @@
 package data
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"unbiasedfl/internal/stats"
 )
@@ -128,13 +128,15 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 	for c := range allClasses {
 		allClasses[c] = c
 	}
-	stats.ParallelFor(len(streams), runtime.GOMAXPROCS(0), func(k int) {
+	// Nothing fails and the context never ends, so there is no error.
+	_ = stats.ParallelFor(context.Background(), len(streams), 0, func(_ context.Context, _ *struct{}, k int) error {
 		if k == cfg.NumClients {
 			fillImageLike(streams[k], cfg, protos, allClasses, test)
-			return
+			return nil
 		}
 		labels := classesForClient(streams[k], cfg.Classes, cfg.MinClasses, cfg.MaxClasses)
 		fillImageLike(streams[k], cfg, protos, labels, clients[k])
+		return nil
 	})
 	return assemble(clients, test)
 }

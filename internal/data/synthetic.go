@@ -1,10 +1,10 @@
 package data
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
@@ -95,14 +95,11 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 		clients[k] = newDataset(sizes[k]-nTest, cfg.Dim, cfg.Classes)
 		tests[k] = newDataset(nTest, cfg.Dim, cfg.Classes)
 	}
-	errs := make([]error, cfg.NumClients)
-	stats.ParallelFor(cfg.NumClients, runtime.GOMAXPROCS(0), func(k int) {
-		errs[k] = fillSynthetic(streams[k], cfg, stddev, clients[k], tests[k])
+	err = stats.ParallelFor(context.Background(), cfg.NumClients, 0, func(_ context.Context, _ *struct{}, k int) error {
+		return fillSynthetic(streams[k], cfg, stddev, clients[k], tests[k])
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	test, err := Concat(tests)
 	if err != nil {

@@ -81,6 +81,42 @@ func TestPlainSamplerMatchesFaultFree(t *testing.T) {
 	}
 }
 
+// TestDropoutKeepsOthersPicks drops a client with q in (0, 1) partway
+// through and checks that every other client is picked in exactly the
+// rounds it is picked without that dropout: a dropped client still draws its
+// willingness coin, so nobody else's coin moves. The dropped client is
+// always available, so the availability stream does not move either.
+func TestDropoutKeepsOthersPicks(t *testing.T) {
+	const dropped, dropRound, rounds = 1, 40, 200
+	q := []float64{0.9, 0.4, 0.3, 1, 0.5, 0.05, 0.7}
+	sch := NewFaultSchedule(len(q))
+	sch.Availability[4], sch.Availability[6] = 0.6, 0.8
+	sch.QFactor[2] = 0.5
+	twin := NewFaultSampler(q, sch, stats.NewRNG(21), stats.NewRNG(22))
+	sch.DropRound = slices.Clone(sch.DropRound)
+	sch.DropRound[dropped] = dropRound
+	faulted := NewFaultSampler(q, sch, stats.NewRNG(21), stats.NewRNG(22))
+
+	isDropped := func(n int) bool { return n == dropped }
+	var pickedBefore bool
+	for round := 0; round < rounds; round++ {
+		got := faulted.Sample(round)
+		want := twin.Sample(round)
+		if slices.Contains(want, dropped) && round < dropRound {
+			pickedBefore = true
+		}
+		if round >= dropRound && slices.Contains(got, dropped) {
+			t.Fatalf("round %d: dropped client picked: %v", round, got)
+		}
+		if got, want := slices.DeleteFunc(got, isDropped), slices.DeleteFunc(want, isDropped); !slices.Equal(got, want) {
+			t.Fatalf("round %d: others picked %v, %v without the dropout", round, got, want)
+		}
+	}
+	if !pickedBefore {
+		t.Fatal("the dropped client was never picked before its drop round")
+	}
+}
+
 // sampleSink keeps BenchmarkSample's draws live.
 var sampleSink []int
 

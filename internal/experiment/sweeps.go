@@ -5,8 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
@@ -85,75 +83,25 @@ func sweepParallel(
 	if err != nil {
 		return nil, err
 	}
-	out := make([]SweepPoint, len(values))
-	if workers > len(values) {
-		workers = len(values)
-	}
-	if workers <= 1 {
-		for i, val := range values {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			p, err := sweepPoint(ctx, env, ps, kind, i, val, true)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = p
-			emit(obs, SweepPointDone{Kind: kind, Index: i, Value: val, Point: p})
-		}
-		return out, nil
-	}
-
-	// A failed point aborts the whole sweep: the result would be discarded
-	// anyway, so remaining points must not burn a full retraining each.
-	// sweepCtx cancels in-flight and unstarted points on the first error.
-	sweepCtx, stopSweep := context.WithCancel(ctx)
-	defer stopSweep()
-
+	// Points run on stats.ParallelFor, whose workers already saturate the
+	// CPU: each point's inner training stays sequential, to avoid nested
+	// pools, unless the sweep runs one point at a time. A failed point aborts
+	// the whole sweep: the result would be discarded anyway, so remaining
+	// points must not burn a full retraining each.
+	innerParallel := workers <= 1 || len(values) == 1
 	seq := newSweepSequencer(obs)
-	errs := make([]error, len(values))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(values) || sweepCtx.Err() != nil {
-					return
-				}
-				// Sweep workers already saturate the CPU; keep each point's
-				// inner training sequential to avoid nested pools.
-				p, err := sweepPoint(sweepCtx, env, ps, kind, i, values[i], false)
-				if err != nil {
-					errs[i] = err
-					stopSweep()
-					continue
-				}
-				out[i] = p
-				seq.done(i, SweepPointDone{Kind: kind, Index: i, Value: values[i], Point: p})
-			}
-		}()
-	}
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+	out := make([]SweepPoint, len(values))
+	err = stats.ParallelFor(ctx, len(values), workers, func(ctx context.Context, _ *struct{}, i int) error {
+		p, err := sweepPoint(ctx, env, ps, kind, i, values[i], innerParallel)
+		if err != nil {
+			return err
+		}
+		out[i] = p
+		seq.done(i, SweepPointDone{Kind: kind, Index: i, Value: values[i], Point: p})
+		return nil
+	})
+	if err != nil {
 		return nil, err
-	}
-	// Prefer the originating failure over the context.Canceled artifacts
-	// the internal abort induced in points that were still in flight.
-	var aborted error
-	for _, err := range errs {
-		if err == nil {
-			continue
-		}
-		if !errors.Is(err, context.Canceled) {
-			return nil, err
-		}
-		aborted = err
-	}
-	if aborted != nil {
-		return nil, aborted
 	}
 	return out, nil
 }
@@ -206,9 +154,9 @@ func sweepPoint(
 // EquilibriumSweep is Sweep without the training step: it reports the
 // economics (server bound, mean q, negative payments) only, which is what
 // Table V needs and is orders of magnitude faster. The points are
-// batch-solved through the equilibrium engine (game.SolveMany): a
-// fixed-order worker pool with per-worker scratch and warm-started
-// multiplier brackets, bit-identical to solving each point cold. A non-nil
+// batch-solved through the equilibrium engine (game.SolveMany): per-worker
+// scratch and warm-started multiplier brackets on stats.ParallelFor,
+// bit-identical to solving each point cold. A non-nil
 // obs receives SweepPointDone events in ascending index order.
 func EquilibriumSweep(
 	ctx context.Context, env *Environment, kind SweepKind, values []float64, obs Observer,

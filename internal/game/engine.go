@@ -5,15 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
+
+	"unbiasedfl/internal/stats"
 )
 
 // This file is the fleet-scale equilibrium engine: a reusable Solver with
 // caller-owned scratch arenas (zero heap allocations per solve in steady
 // state), warm-started multiplier brackets for sequences of nearby games,
-// and a fixed-order worker pool for batch solves.
+// and batch solves fanned out by stats.ParallelFor.
 //
 // Determinism contract: every multiplier search in the engine ends on the
 // IEEE-754 bit lattice, at an adjacent pair of floats (lo, hi) with
@@ -382,11 +381,12 @@ func (e *BatchError) Error() string {
 // Unwrap exposes the underlying solver error to errors.Is/As.
 func (e *BatchError) Unwrap() error { return e.Err }
 
-// SolveMany solves a batch of games across a fixed-order worker pool with
-// per-worker scratch, warm-starting along each worker's index stream.
-// results[i] is games[i]'s equilibrium, bit-identical to a sequential
-// p.SolveKKT() loop for any worker count (workers <= 0 means GOMAXPROCS).
-// On failure it returns the lowest-index error wrapped in a *BatchError.
+// SolveMany solves a batch of games across stats.ParallelFor's workers, each
+// with its own Solver, warm-starting along the worker's ascending index
+// stream. results[i] is games[i]'s equilibrium, bit-identical to a
+// sequential p.SolveKKT() loop for any worker count (workers <= 0 means
+// GOMAXPROCS). A failure stops further games from starting, and the
+// lowest-index failure comes back wrapped in a *BatchError.
 func SolveMany(games []*Params, workers int) ([]*Equilibrium, error) {
 	return SolveManyContext(context.Background(), games, workers)
 }
@@ -403,48 +403,17 @@ func SolveManyContext(ctx context.Context, games []*Params, workers int) ([]*Equ
 			return nil, &BatchError{Index: i, Err: errors.New("game: nil params")}
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
 	out := make([]*Equilibrium, n)
-	errs := make([]error, n)
-	if workers == 1 {
-		s := NewSolver()
-		for i, g := range games {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			out[i], errs[i] = s.Solve(g)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				s := NewSolver()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n || ctx.Err() != nil {
-						return
-					}
-					out[i], errs[i] = s.Solve(games[i])
-				}
-			}()
-		}
-		wg.Wait()
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	for i, err := range errs {
+	err := stats.ParallelFor(ctx, n, workers, func(_ context.Context, s *Solver, i int) error {
+		eq, err := s.Solve(games[i])
 		if err != nil {
-			return nil, &BatchError{Index: i, Err: err}
+			return &BatchError{Index: i, Err: err}
 		}
+		out[i] = eq
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

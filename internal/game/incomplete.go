@@ -1,9 +1,9 @@
 package game
 
 import (
+	"context"
 	"errors"
 	"fmt"
-	"runtime"
 
 	"unbiasedfl/internal/stats"
 )
@@ -137,17 +137,16 @@ func (p *Params) SolveBayesianParallel(prior Prior, scenarios int, rng *stats.RN
 		cs[i], vs[i] = ci, vi
 	}
 
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	// Per-client expectation slots: each worker owns whole clients, so the
 	// scenario loop inside expectedResponse keeps its sequential summation
 	// order and the cross-client reduction below is in index order.
 	qMeans := make([]float64, n)
 	pays := make([]float64, n)
 	evalAll := func(scale float64) {
-		stats.ParallelFor(n, workers, func(i int) {
+		// Nothing fails and the context never ends, so there is no error.
+		_ = stats.ParallelFor(context.Background(), n, workers, func(_ context.Context, _ *struct{}, i int) error {
 			qMeans[i], pays[i] = p.expectedResponse(i, scale*ceEq.P[i], cs[i], vs[i])
+			return nil
 		})
 	}
 	expSpend := func(scale float64) float64 {

@@ -25,10 +25,12 @@
 //   - Solver owns scratch arenas and solves repeatedly with zero heap
 //     allocations in steady state (Solver.SolveInto), warm-starting each
 //     solve's multiplier bracket from the previous one.
-//   - SolveMany batch-solves a slice of games across a fixed-order worker
-//     pool with per-worker Solvers.
+//   - SolveMany batch-solves a slice of games on stats.ParallelFor, the
+//     repository's one index fan-out, with a Solver per worker. Games are
+//     claimed in ascending order and a failure stops new claims, so the
+//     lowest-index failure is the one returned, as a *BatchError.
 //   - SolveBayesianParallel evaluates the incomplete-information design's
-//     Monte-Carlo expectations across a worker pool.
+//     Monte-Carlo expectations on the same fan-out, one client per index.
 //   - Cache memoizes equilibria and priced outcomes by Params.Fingerprint,
 //     so re-asking an unchanged question never re-runs the solver.
 //

@@ -1,9 +1,9 @@
 package model
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
+	"context"
+
+	"unbiasedfl/internal/stats"
 )
 
 // evalChunk is the shard size for parallel full-dataset evaluation. It is a
@@ -12,61 +12,20 @@ import (
 // bit-identical results on one core and on many.
 const evalChunk = 512
 
-// chunkSum splits [0, n) into evalChunk-sized shards, evaluates fn on each —
-// concurrently when more than one CPU is available — and reduces the partial
-// sums in ascending chunk order. fn receives a worker-private Scratch it may
-// use for its buffers.
+// chunkSum splits [0, n) into evalChunk-sized shards, evaluates fn on each
+// across GOMAXPROCS workers (stats.ParallelFor) and reduces the partial sums
+// in ascending chunk order. fn receives a worker-private Scratch it may use
+// for its buffers.
 func chunkSum(n int, fn func(lo, hi int, s *Scratch) (float64, error)) (float64, error) {
-	chunks := (n + evalChunk - 1) / evalChunk
-	workers := runtime.GOMAXPROCS(0)
-	if workers > chunks {
-		workers = chunks
-	}
-	if workers <= 1 {
-		var s Scratch
-		var total float64
-		for c := 0; c < chunks; c++ {
-			lo := c * evalChunk
-			hi := min(lo+evalChunk, n)
-			part, err := fn(lo, hi, &s)
-			if err != nil {
-				return 0, err
-			}
-			total += part
-		}
-		return total, nil
-	}
-
-	partials := make([]float64, chunks)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			var s Scratch
-			for {
-				c := int(next.Add(1)) - 1
-				if c >= chunks {
-					return
-				}
-				lo := c * evalChunk
-				hi := min(lo+evalChunk, n)
-				part, err := fn(lo, hi, &s)
-				if err != nil {
-					errs[wi] = err
-					return
-				}
-				partials[c] = part
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+	partials := make([]float64, (n+evalChunk-1)/evalChunk)
+	err := stats.ParallelFor(context.Background(), len(partials), 0, func(_ context.Context, s *Scratch, c int) error {
+		lo := c * evalChunk
+		part, err := fn(lo, min(lo+evalChunk, n), s)
+		partials[c] = part
+		return err
+	})
+	if err != nil {
+		return 0, err
 	}
 	var total float64
 	for _, part := range partials {

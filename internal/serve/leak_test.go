@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -81,5 +86,86 @@ func TestAbandonedSSESubscribersDoNotLeak(t *testing.T) {
 	sess.cancel()
 	waitState(t, ts.URL, st.ID, StateCancelled, 5*time.Second)
 	ts.Close()
+	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
+}
+
+// TestListenAndServeUnixDrains runs the daemon through ListenAndServe on a
+// unix socket: /readyz answers 200, GET /v1/sessions lists a session just
+// created, and cancelling ctx drains the running session and returns nil
+// within DrainTimeout, leaving no goroutine behind.
+func TestListenAndServeUnixDrains(t *testing.T) {
+	// A socket path must stay short (about 100 bytes), which t.TempDir's
+	// test-named directories need not.
+	dir, err := os.MkdirTemp("", "flserve")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = os.RemoveAll(dir) })
+	sock := filepath.Join(dir, "d.sock")
+
+	baseline := testutil.GoroutineBaseline()
+	cfg := Config{Addr: "unix:" + sock, MaxSessions: 1, DrainTimeout: 5 * time.Second}
+	s := New(cfg)
+	blockingOverride(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- s.ListenAndServe(ctx) }()
+
+	transport := &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "unix", sock)
+	}}
+	client := &http.Client{Transport: transport, Timeout: 5 * time.Second}
+	const base = "http://flserve"
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		resp, err := client.Get(base + "/readyz")
+		if err == nil {
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/readyz answered %d", resp.StatusCode)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("daemon never answered on %s: %v", sock, err)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	b, err := json.Marshal(SessionRequest{Scenario: "baseline"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := client.Post(base+"/v1/sessions", "application/json", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("create session: status %d", resp.StatusCode)
+	}
+	created := decodeResp[SessionStatus](t, resp)
+	resp, err = client.Get(base + "/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	list := decodeResp[struct {
+		Sessions []SessionStatus `json:"sessions"`
+	}](t, resp)
+	if len(list.Sessions) != 1 || list.Sessions[0].ID != created.ID {
+		t.Fatalf("GET /v1/sessions listed %+v, want the session %s", list.Sessions, created.ID)
+	}
+
+	cancel()
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("ListenAndServe after drain: %v", err)
+		}
+	case <-time.After(cfg.DrainTimeout):
+		t.Fatalf("ListenAndServe did not return within DrainTimeout %s", cfg.DrainTimeout)
+	}
+	transport.CloseIdleConnections()
 	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
 }

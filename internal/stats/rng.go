@@ -2,9 +2,13 @@
 // substrate used throughout the reproduction: a seedable, splittable PRNG,
 // the distributions the paper's experiments draw from (exponential local
 // costs and intrinsic values, power-law data sizes), streaming summary
-// statistics for averaging repeated runs, and ParallelFor, the worker loop
-// whose callers own one index each so that results do not depend on the
-// worker count.
+// statistics for averaging repeated runs, and ParallelFor, the repository's
+// one index fan-out. Full-set evaluation, batch game solves, the Bayesian
+// design, the retrained sweeps and data generation all run on it: each
+// caller owns one index's result, so results do not depend on the worker
+// count, and every caller gets the same error rule (the first failure stops
+// new claims and cancels the in-flight calls' ctx; the lowest-index error
+// that is not context.Canceled is returned).
 //
 // Everything in this package is pure computation with no global state, so
 // every experiment in the repository is reproducible bit-for-bit from a seed.
