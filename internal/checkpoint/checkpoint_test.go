@@ -183,6 +183,19 @@ func TestResumeStopsAtFlippedWALPayload(t *testing.T) {
 	if err := m.Close(); err != nil {
 		t.Fatal(err)
 	}
+	clean := filepath.Join(t.TempDir(), "clean.ckpt")
+	commitThrough(t, clean, testMeta.Rounds, opts)
+	got, err := os.ReadFile(WALPath(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(WALPath(clean))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("the finished WAL differs from the uninterrupted run's")
+	}
 	m, st, err = Resume(path, testMeta, opts)
 	if err != nil {
 		t.Fatal(err)
