@@ -5,10 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
+	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
 	"unbiasedfl/internal/transport"
 )
@@ -75,8 +75,7 @@ func (o ClusterOptions) healing() bool { return o.RoundTimeout > 0 }
 // (when ready) and the cancel handle of the node goroutine currently
 // responsible for this client. All fields are guarded by ClusterBackend.mu;
 // the codec is used outside the lock only by its single current owner (the
-// dispatch goroutine of a ready slot, or the registration path of a
-// not-ready one).
+// round loop of a ready slot, or the registration path of a not-ready one).
 type clusterSlot struct {
 	codec  *transport.Codec
 	conn   net.Conn
@@ -159,16 +158,12 @@ type ClusterBackend struct {
 
 	watchDone chan struct{}
 
-	// Per-round buffers, reused across dispatches.
-	updates []ClientUpdate
-	errs    []error
-	staged  []ClientCursor
-	// Group-mode per-round buffers: the group partition, one error and codec
-	// slot per group, and the batch-building scratch reused across sequential
-	// sends.
+	// Per-round buffers, reused across dispatches: the round's units and
+	// their course, the flat path's updates, and the batch scratch that
+	// group mode's sequential sends share.
 	groups   []taskGroup
-	gerrs    []error
-	gcodecs  []*transport.Codec
+	units    []roundUnit
+	updates  []ClientUpdate
 	bClients []int
 	bScales  []float64
 	bFactors []float64
@@ -555,9 +550,11 @@ func (b *ClusterBackend) welcome(id int, codec *transport.Codec, conn net.Conn) 
 	return nil
 }
 
-// Dispatch implements ExecutionBackend: it ships each task's round start to
-// its node concurrently, collects the replies, and fills updates in task
-// order so aggregation matches the local backend exactly.
+// Dispatch implements ExecutionBackend: it runs one round with a unit per
+// task — the client's own node, sent a MsgRoundStart — and returns the
+// updates in task order so aggregation matches the local backend exactly.
+// Each update's delta aliases its codec's receive buffer, which the next
+// round's receive reuses (ClientUpdate.Delta's contract).
 //
 // In strict mode (no RoundTimeout) any node failure fails the round. In
 // self-healing mode the round runs under a deadline; tasks whose node
@@ -577,106 +574,231 @@ func (b *ClusterBackend) Dispatch(
 	}
 	if cap(b.updates) < len(tasks) {
 		b.updates = make([]ClientUpdate, len(tasks))
-		b.errs = make([]error, len(tasks))
-		b.staged = make([]ClientCursor, len(tasks))
 	}
 	updates := b.updates[:len(tasks)]
-	errs := b.errs[:len(tasks)]
-	staged := b.staged[:len(tasks)]
+	err := b.round(ctx, tasks,
+		func(g taskGroup, msg *transport.Message) {
+			*msg = transport.Message{Type: transport.MsgRoundStart, Round: round, Model: global, LR: tasks[g.lo].LR}
+		},
+		func(g taskGroup, reply *transport.Message) error {
+			n := g.id
+			switch {
+			case reply.Type != transport.MsgUpdate || reply.ClientID != n || reply.Round != round:
+				return fmt.Errorf("unexpected reply (type %v, id %d, round %d)", reply.Type, reply.ClientID, reply.Round)
+			case reply.Cursor == nil:
+				return errors.New("update missing cursor")
+			}
+			b.mu.Lock()
+			b.cursors[n] = ClientCursor{RNG: reply.Cursor.RNG}
+			b.mu.Unlock()
+			updates[g.lo] = ClientUpdate{Client: n, Delta: tensor.Vec(reply.Model)}
+			return nil
+		})
+	if err != nil {
+		return nil, err
+	}
+	// Compact the survivors' updates — in strict mode, everyone's.
+	k := 0
+	for i := range tasks {
+		if b.units[i].err == nil {
+			updates[k] = updates[i]
+			k++
+		}
+	}
+	return updates[:k], nil
+}
+
+// DispatchPartials implements PartialBackend (group mode): it runs one round
+// with a unit per non-empty group — the group's node, sent a MsgBatchStart
+// with the tasked members' Lemma-1 scales, factors and authoritative
+// cursors — and hands each MsgPartial reply to sink, so a 10^5-client round
+// runs over ⌈fleet/K⌉ sockets with coordinator ingress of O(groups·model),
+// read by at most GOMAXPROCS drain workers at a time. The members'
+// post-update cursors are committed as each partial arrives.
+//
+// A failure costs the whole unit: in strict mode any group failure fails the
+// round; in self-healing mode a group that crashes, disconnects, or misses
+// the deadline forfeits the round for every member it was tasked with, and
+// its node — if the backend owns it — is revived in the background within
+// the respawn budget. The first error sink returns stops further partials
+// from reaching it and is returned once the round has settled.
+func (b *ClusterBackend) DispatchPartials(
+	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
+	groupSize int, sink func(Partial) error,
+) error {
+	if b.spec == nil {
+		return errors.New("engine: cluster backend not open")
+	}
+	if b.groupSize <= 1 {
+		return errors.New("engine: cluster backend was opened flat; hierarchical dispatch needs Spec.GroupSize > 1 at Open")
+	}
+	if groupSize != b.groupSize {
+		return fmt.Errorf("engine: dispatch group size %d does not match the fleet's %d", groupSize, b.groupSize)
+	}
+	var sinkMu sync.Mutex
+	var sinkErr error
+	err := b.round(ctx, tasks,
+		func(g taskGroup, msg *transport.Message) {
+			b.bClients = b.bClients[:0]
+			b.bScales = b.bScales[:0]
+			b.bFactors = b.bFactors[:0]
+			b.bCursors = b.bCursors[:0]
+			poisoned := false
+			for _, t := range tasks[g.lo:g.hi] {
+				b.bClients = append(b.bClients, t.Client)
+				b.bScales = append(b.bScales, t.Scale)
+				b.bFactors = append(b.bFactors, t.Factor)
+				b.bCursors = append(b.bCursors, transport.Cursor{RNG: b.cursors[t.Client].RNG})
+				poisoned = poisoned || t.Factor != 1
+			}
+			// An honest batch ships no Factors section: its members fold at 1.
+			factors := b.bFactors
+			if !poisoned {
+				factors = nil
+			}
+			*msg = transport.Message{
+				Type: transport.MsgBatchStart, ClientID: g.id, Round: round,
+				Model: global, LR: tasks[g.lo].LR,
+				Clients: b.bClients, Scales: b.bScales, Factors: factors, Cursors: b.bCursors,
+			}
+		},
+		func(g taskGroup, reply *transport.Message) error {
+			if err := checkPartial(reply, g.id, tasks[g.lo:g.hi], len(global), round); err != nil {
+				return err
+			}
+			// reply is the codec's until its next Recv: the cursors are copied
+			// here and the sink consumes the limbs and clients before it
+			// returns.
+			b.mu.Lock()
+			for i, t := range tasks[g.lo:g.hi] {
+				b.cursors[t.Client] = ClientCursor{RNG: reply.Cursors[i].RNG}
+			}
+			b.mu.Unlock()
+			sinkMu.Lock()
+			defer sinkMu.Unlock()
+			if sinkErr == nil {
+				sinkErr = sink(Partial{
+					Group: g.id, Clients: reply.Clients,
+					Lo: reply.Lo, Hi: reply.Hi, Sat: reply.Sat,
+				})
+			}
+			return nil
+		})
+	if err != nil {
+		return err
+	}
+	return sinkErr
+}
+
+// roundUnit is one unit's course through a round: the codec captured at send
+// time, so a revival that registers mid-round never hands a fresh connection
+// to a round already in flight, and the unit's error, nil while it is on
+// course.
+type roundUnit struct {
+	codec *transport.Codec
+	err   error
+}
+
+// lateRead is the least time a healing round's drain gives a read: a drain
+// worker that a hung peer held up reaches its next units after the round
+// deadline, and a read under a passed deadline fails without looking at the
+// socket, so a reply already waiting there would be forfeited with the peer.
+const lateRead = 10 * time.Millisecond
+
+// round is the one round loop of both dispatch shapes. It splits tasks into
+// b.groups, its units, by node — one per client on the flat path, one per
+// non-empty group in group mode — and runs three phases:
+//
+//   - send: sequentially, each unit's codec is captured under b.mu, where
+//     build also writes the unit's message (a batch reads the cursor table),
+//     and the message is shipped; one message and one batch scratch serve
+//     every unit;
+//   - drain: stats.ParallelFor receives each sent reply, folds the node's
+//     exit error into a socket error, and hands the reply to take. A unit's
+//     error is recorded, never returned, so no sent reply is left unread;
+//   - settle: ctx.Err() wins, strict mode fails on the first unit error,
+//     named by its node, and healing mode forfeits the round of every
+//     failed unit's tasks.
+func (b *ClusterBackend) round(
+	ctx context.Context, tasks []ClientTask,
+	build func(g taskGroup, msg *transport.Message),
+	take func(g taskGroup, reply *transport.Message) error,
+) error {
+	b.groups = splitGroups(b.groups[:0], tasks, max(b.groupSize, 1))
+	if cap(b.units) < len(b.groups) {
+		b.units = make([]roundUnit, len(b.groups))
+	}
+	units := b.units[:len(b.groups)]
 	healing := b.opts.healing()
 	var deadline time.Time
 	if healing {
 		deadline = time.Now().Add(b.opts.RoundTimeout)
 	}
 
-	var wg sync.WaitGroup
-	for i, task := range tasks {
-		i, task := i, task
-		errs[i] = nil
-		staged[i] = ClientCursor{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var msg transport.Message
+	for gi, g := range b.groups {
+		u := &units[gi]
+		b.mu.Lock()
+		u.codec, u.err = b.slots[g.id].codec, errNodeDown
+		if b.slots[g.id].ready {
+			build(g, &msg)
+			u.err = nil
+		}
+		b.mu.Unlock()
+		if u.err == nil {
+			u.err = u.codec.Send(&msg)
+		}
+	}
+
+	drain := func(_ context.Context, _ *struct{}, gi int) error {
+		u, g := &units[gi], b.groups[gi]
+		if u.err != nil {
+			return nil
+		}
+		var reply *transport.Message
+		var err error
+		if healing {
+			until := deadline
+			if late := time.Now().Add(lateRead); late.After(until) {
+				until = late
+			}
+			reply, err = u.codec.RecvDeadline(until)
+		} else {
+			reply, err = u.codec.Recv()
+		}
+		if err != nil {
+			// A socket error here usually means the node died; its own exit
+			// error is the diagnosable one, so fold it in when it has already
+			// been recorded.
 			b.mu.Lock()
-			codec, up := b.slots[task.Client].codec, b.slots[task.Client].ready
+			nodeErr := b.nodeErrs[g.id]
 			b.mu.Unlock()
-			if !up {
-				errs[i] = fmt.Errorf("node %d: %w", task.Client, errNodeDown)
-				return
+			if nodeErr != nil {
+				err = fmt.Errorf("%w (node exit: %v)", err, nodeErr)
 			}
-			if err := codec.Send(&transport.Message{
-				Type: transport.MsgRoundStart, Round: round, Model: global, LR: task.LR,
-			}); err != nil {
-				errs[i] = fmt.Errorf("node %d: %w", task.Client, err)
-				return
-			}
-			var reply *transport.Message
-			var err error
-			if healing {
-				reply, err = codec.RecvDeadline(deadline)
-			} else {
-				reply, err = codec.Recv()
-			}
-			if err != nil {
-				errs[i] = fmt.Errorf("node %d: %w", task.Client, err)
-				return
-			}
-			if reply.Type != transport.MsgUpdate || reply.ClientID != task.Client || reply.Round != round {
-				errs[i] = fmt.Errorf("node %d: unexpected reply (type %v, id %d, round %d)",
-					task.Client, reply.Type, reply.ClientID, reply.Round)
-				return
-			}
-			// reply belongs to the codec until its next Recv, which is next
-			// round's at the earliest: the delta is used in place through this
-			// round's aggregation (ClientUpdate.Delta's contract) and the
-			// cursor is copied out.
-			updates[i] = ClientUpdate{Client: task.Client, Delta: tensor.Vec(reply.Model)}
-			if reply.Cursor != nil {
-				staged[i] = ClientCursor{RNG: reply.Cursor.RNG}
-			} else {
-				errs[i] = fmt.Errorf("node %d: update missing cursor", task.Client)
-			}
-		}()
+			u.err = err
+			return nil
+		}
+		u.err = take(g, reply)
+		return nil
 	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	// drain never fails, so ParallelFor fails only when ctx has ended.
+	if err := stats.ParallelFor(ctx, len(units), 0, drain); err != nil {
+		return err
 	}
-	if !healing {
-		for _, err := range errs {
-			if err != nil {
-				return nil, ctxErrOr(ctx, err)
-			}
+	for gi, u := range units {
+		g := b.groups[gi]
+		switch {
+		case u.err == nil:
+		case healing:
+			b.fail(g.id, tasks[g.lo:g.hi], u.err)
+		case b.groupSize > 1:
+			return fmt.Errorf("group node %d: %w", g.id, u.err)
+		default:
+			return fmt.Errorf("node %d: %w", g.id, u.err)
 		}
 	}
-
-	// Commit the cursors of the survivors — in strict mode, everyone — compact
-	// their updates into task order, and fail out the rest.
-	b.commitCursors(tasks, errs, staged)
-	k := 0
-	for i := range tasks {
-		if errs[i] == nil {
-			updates[k] = updates[i]
-			k++
-			continue
-		}
-		b.fail(tasks[i].Client, tasks[i:i+1], errs[i])
-	}
-	return updates[:k], nil
-}
-
-// commitCursors folds the round's successfully reported node cursors into
-// the coordinator's authoritative table.
-func (b *ClusterBackend) commitCursors(tasks []ClientTask, errs []error, staged []ClientCursor) {
-	b.mu.Lock()
-	for i := range tasks {
-		if errs[i] != nil {
-			continue
-		}
-		b.cursors[tasks[i].Client] = staged[i]
-	}
-	b.mu.Unlock()
+	return nil
 }
 
 // fail ledgers a forfeited round for every tasked member of one unit — a
@@ -684,7 +806,7 @@ func (b *ClusterBackend) commitCursors(tasks []ClientTask, errs []error, staged 
 // of the unit's connection (waking both a dead node goroutine and any
 // half-open peer), and starts a background revival dialer if the backend
 // owns the node and its respawn budget allows. Runs on the orchestration
-// goroutine, after the round's dispatch barrier.
+// goroutine, when the round settles.
 func (b *ClusterBackend) fail(unit int, tasked []ClientTask, cause error) {
 	b.mu.Lock()
 	for _, t := range tasked {
@@ -723,174 +845,6 @@ func (b *ClusterBackend) fail(unit int, tasked []ClientTask, cause error) {
 	}
 }
 
-// DispatchPartials implements PartialBackend (group mode): one
-// MsgBatchStart per non-empty group ships the tasked members with their
-// Lemma-1 scales and authoritative cursors, then a worker pool sized to
-// GOMAXPROCS drains the MsgPartial replies — so a 10^5-client round runs
-// over ⌈fleet/K⌉ sockets with coordinator ingress of O(groups·model) and at
-// most O(workers·model) reply buffers in flight.
-//
-// Failure semantics mirror flat dispatch, at group granularity: in strict
-// mode any group failure fails the round; in self-healing mode a group that
-// crashes, disconnects, or misses the deadline forfeits the round for every
-// member it was tasked with, and its node — if the backend owns it — is
-// revived in the background within the respawn budget.
-func (b *ClusterBackend) DispatchPartials(
-	ctx context.Context, round int, global tensor.Vec, tasks []ClientTask,
-	groupSize int, sink func(Partial) error,
-) error {
-	if b.spec == nil {
-		return errors.New("engine: cluster backend not open")
-	}
-	if b.groupSize <= 1 {
-		return errors.New("engine: cluster backend was opened flat; hierarchical dispatch needs Spec.GroupSize > 1 at Open")
-	}
-	if groupSize != b.groupSize {
-		return fmt.Errorf("engine: dispatch group size %d does not match the fleet's %d", groupSize, b.groupSize)
-	}
-	b.groups = splitGroups(b.groups[:0], tasks, groupSize)
-	if cap(b.gerrs) < len(b.groups) {
-		b.gerrs = make([]error, len(b.groups))
-		b.gcodecs = make([]*transport.Codec, len(b.groups))
-	}
-	gerrs := b.gerrs[:len(b.groups)]
-	gcodecs := b.gcodecs[:len(b.groups)]
-	healing := b.opts.healing()
-	var deadline time.Time
-	if healing {
-		deadline = time.Now().Add(b.opts.RoundTimeout)
-	}
-
-	// Phase 1 — sequential sends. One scratch set builds each batch in turn;
-	// the codec is captured per group so a mid-round revival can never hand a
-	// fresh connection to a round already in flight.
-	for gi := range b.groups {
-		g := b.groups[gi]
-		gerrs[gi] = nil
-		gcodecs[gi] = nil
-		b.mu.Lock()
-		codec, up := b.slots[g.id].codec, b.slots[g.id].ready
-		b.bClients = b.bClients[:0]
-		b.bScales = b.bScales[:0]
-		b.bFactors = b.bFactors[:0]
-		b.bCursors = b.bCursors[:0]
-		poisoned := false
-		for _, t := range tasks[g.lo:g.hi] {
-			b.bClients = append(b.bClients, t.Client)
-			b.bScales = append(b.bScales, t.Scale)
-			b.bFactors = append(b.bFactors, t.Factor)
-			b.bCursors = append(b.bCursors, transport.Cursor{RNG: b.cursors[t.Client].RNG})
-			poisoned = poisoned || t.Factor != 1
-		}
-		b.mu.Unlock()
-		// An honest batch ships no Factors section: its members fold at 1.
-		factors := b.bFactors
-		if !poisoned {
-			factors = nil
-		}
-		if !up {
-			gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, errNodeDown)
-			continue
-		}
-		if err := codec.Send(&transport.Message{
-			Type: transport.MsgBatchStart, ClientID: g.id, Round: round,
-			Model: global, LR: tasks[g.lo].LR,
-			Clients: b.bClients, Scales: b.bScales, Factors: factors, Cursors: b.bCursors,
-		}); err != nil {
-			gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, err)
-			continue
-		}
-		gcodecs[gi] = codec
-	}
-
-	// Phase 2 — bounded reply drain. Workers own disjoint static stripes of
-	// the group list, so each codec's receive direction has exactly one user.
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(b.groups) {
-		workers = len(b.groups)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var sinkMu sync.Mutex
-	var sinkErr error
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for gi := w; gi < len(b.groups); gi += workers {
-				if gerrs[gi] != nil {
-					continue
-				}
-				g := b.groups[gi]
-				codec := gcodecs[gi]
-				var reply *transport.Message
-				var err error
-				if healing {
-					reply, err = codec.RecvDeadline(deadline)
-				} else {
-					reply, err = codec.Recv()
-				}
-				if err != nil {
-					// A socket error here usually means the node process died;
-					// its own exit error is the diagnosable one, so fold it in
-					// when it has already been recorded.
-					b.mu.Lock()
-					nodeErr := b.nodeErrs[g.id]
-					b.mu.Unlock()
-					if nodeErr != nil {
-						err = fmt.Errorf("%w (node exit: %v)", err, nodeErr)
-					}
-					gerrs[gi] = fmt.Errorf("group node %d: %w", g.id, err)
-					continue
-				}
-				if err := checkPartial(reply, g.id, tasks[g.lo:g.hi], len(global), round); err != nil {
-					gerrs[gi] = err
-					continue
-				}
-				// Commit the batch members' post-update cursors. reply is the
-				// codec's until its next Recv: the cursors are copied here and
-				// the sink consumes the limbs and clients before it returns.
-				b.mu.Lock()
-				for i, t := range tasks[g.lo:g.hi] {
-					b.cursors[t.Client] = ClientCursor{RNG: reply.Cursors[i].RNG}
-				}
-				b.mu.Unlock()
-				sinkMu.Lock()
-				if sinkErr == nil {
-					sinkErr = sink(Partial{
-						Group: g.id, Clients: reply.Clients,
-						Lo: reply.Lo, Hi: reply.Hi, Sat: reply.Sat,
-					})
-				}
-				sinkMu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if !healing {
-		for _, err := range gerrs {
-			if err != nil {
-				return ctxErrOr(ctx, err)
-			}
-		}
-		return sinkErr
-	}
-	for gi, err := range gerrs {
-		if err != nil {
-			g := b.groups[gi]
-			b.fail(g.id, tasks[g.lo:g.hi], err)
-		}
-	}
-	return sinkErr
-}
-
 // checkPartial validates group's reply against the batch it was sent: the
 // partial must name exactly the dispatched members, in dispatch order, so
 // that every cursor is credited to the client that produced it. The reply
@@ -899,18 +853,17 @@ func (b *ClusterBackend) DispatchPartials(
 func checkPartial(reply *transport.Message, group int, batch []ClientTask, p, round int) error {
 	switch {
 	case reply.Type != transport.MsgPartial || reply.ClientID != group || reply.Round != round:
-		return fmt.Errorf("group node %d: unexpected reply (type %v, id %d, round %d)",
-			group, reply.Type, reply.ClientID, reply.Round)
+		return fmt.Errorf("unexpected reply (type %v, id %d, round %d)", reply.Type, reply.ClientID, reply.Round)
 	case len(reply.Lo) != p || len(reply.Hi) != p:
-		return fmt.Errorf("group node %d: partial limbs %d/%d, want %d", group, len(reply.Lo), len(reply.Hi), p)
+		return fmt.Errorf("partial limbs %d/%d, want %d", len(reply.Lo), len(reply.Hi), p)
 	case len(reply.Clients) != len(batch) || len(reply.GradSqs) != len(batch) || len(reply.Cursors) != len(batch):
-		return fmt.Errorf("group node %d: partial covers %d/%d/%d entries, batch had %d",
-			group, len(reply.Clients), len(reply.GradSqs), len(reply.Cursors), len(batch))
+		return fmt.Errorf("partial covers %d/%d/%d entries, batch had %d",
+			len(reply.Clients), len(reply.GradSqs), len(reply.Cursors), len(batch))
 	}
 	for i, t := range batch {
 		if reply.Clients[i] != t.Client {
-			return fmt.Errorf("group node %d: partial names client %d at position %d, batch dispatched %d",
-				group, reply.Clients[i], i, t.Client)
+			return fmt.Errorf("partial names client %d at position %d, batch dispatched %d",
+				reply.Clients[i], i, t.Client)
 		}
 	}
 	return nil

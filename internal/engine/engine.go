@@ -31,12 +31,18 @@
 // no other coordinator: the TCP prototype (cmd/flnode, examples/prototype)
 // is this orchestrator on a ClusterBackend.
 //
-// Why two dispatch paths remain. Flat dispatch (ExecutionBackend.Dispatch,
-// MsgRoundStart/MsgUpdate, one socket per client, Aggregator.Aggregate at
-// the coordinator) computes what hierarchical dispatch
-// (PartialBackend.DispatchPartials, MsgBatchStart/MsgPartial) computes at
-// K=1 — the fixed-point fold makes every grouping bit-identical. They stay
-// two interfaces and two message pairs for two reasons. First, the benchmark
+// Two dispatch interfaces, one cluster round loop. Flat dispatch
+// (ExecutionBackend.Dispatch, MsgRoundStart/MsgUpdate, one socket per
+// client, Aggregator.Aggregate at the coordinator) computes what
+// hierarchical dispatch (PartialBackend.DispatchPartials,
+// MsgBatchStart/MsgPartial) computes at K=1 — the fixed-point fold makes
+// every grouping bit-identical. ClusterBackend runs both through one round
+// loop over the round's units, a client's node or a group's: sequential
+// sends, the replies drained on stats.ParallelFor, and one settle step —
+// strict mode fails the round on the first failed unit, healing mode
+// forfeits each failed unit's tasks. Only the message a unit is sent and
+// the check of its reply differ by shape. They stay two interfaces and two
+// message pairs for two reasons. First, the benchmark
 // module (benchmark/trace.go, benchmark/micro.go) compiles against both
 // interfaces, Aggregator.Aggregate, MsgRoundStart and MsgUpdate, and the
 // benchmark may not change together with the code it measures; the merge
@@ -208,7 +214,10 @@ type Spec struct {
 	EvalEvery  int      // evaluate global loss/accuracy every this many rounds
 	Seed       uint64   // run seed; every client derives a private stream (the n-th Split)
 
-	Sampler    Sampler
+	Sampler Sampler
+	// Aggregator folds a flat round's updates into the global model; nil is
+	// UnbiasedAggregator, the Lemma-1 rule and the only one hierarchical
+	// aggregation supports.
 	Aggregator Aggregator
 
 	// GroupSize, when > 1, turns on hierarchical aggregation: participants
@@ -216,8 +225,8 @@ type Spec struct {
 	// clients (group g owns clients [g·K, (g+1)·K)), each group folds its
 	// members' weighted deltas where they execute, and the coordinator merges
 	// only the group partials. Requires a backend implementing
-	// PartialBackend and the UnbiasedAggregator's Lemma-1 weighting (the
-	// Scale each task carries). The result is bit-identical to the flat path
+	// PartialBackend and the Lemma-1 weighting (the Scale each task carries),
+	// so Aggregator must be nil or UnbiasedAggregator. The result is bit-identical to the flat path
 	// for every group size — the fixed-point accumulator makes the sum
 	// independent of grouping — so GroupSize is purely an execution/memory
 	// knob. 0 or 1 keeps classic flat dispatch.
@@ -295,8 +304,6 @@ func (s Spec) Validate() error {
 		return errors.New("engine: nil or empty federation")
 	case s.Sampler == nil:
 		return errors.New("engine: nil sampler")
-	case s.Aggregator == nil:
-		return errors.New("engine: nil aggregator")
 	case s.Sampler.NumClients() != s.Fed.NumClients():
 		return fmt.Errorf("engine: sampler covers %d clients, federation has %d",
 			s.Sampler.NumClients(), s.Fed.NumClients())

@@ -20,6 +20,18 @@ type MembershipEvent struct {
 	Leave []int
 }
 
+// apply flips active for the event's joiners and leavers and returns the
+// roster of the epoch the event opens.
+func (ev *MembershipEvent) apply(epoch int, active []bool) Roster {
+	for _, n := range ev.Join {
+		active[n] = true
+	}
+	for _, n := range ev.Leave {
+		active[n] = false
+	}
+	return Roster{Epoch: epoch, Round: ev.Round, Active: active, Joined: ev.Join, Left: ev.Leave}
+}
+
 // MembershipPlan is a run's full membership schedule: which clients are
 // present at round zero and every join/leave event after that. The plan is
 // static configuration — part of the spec, not of the checkpointed state —
@@ -236,16 +248,10 @@ func (p *MembershipPlan) ActiveAt(boundary, nClients int) []bool {
 		return active
 	}
 	for i := range p.Events {
-		ev := &p.Events[i]
-		if ev.Round >= boundary {
+		if p.Events[i].Round >= boundary {
 			break
 		}
-		for _, n := range ev.Join {
-			active[n] = true
-		}
-		for _, n := range ev.Leave {
-			active[n] = false
-		}
+		p.Events[i].apply(i+1, active)
 	}
 	return active
 }

@@ -52,6 +52,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 	q := s.participationLevels()
 	weights := s.Fed.Weights
 	poison := newPoisonIndex(s.Poison)
+	agg := s.Aggregator
+	if agg == nil {
+		agg = UnbiasedAggregator{}
+	}
 
 	// Resume restoration happens before Open: a cluster backend hands each
 	// node its cursor inside the welcome message, so the backend must know
@@ -106,17 +110,10 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 			}
 		}
 		for evIdx < len(plan.Events) && plan.Events[evIdx].Round < start {
-			ev := &plan.Events[evIdx]
-			evIdx++
 			epoch++
-			for _, n := range ev.Join {
-				active[n] = true
-			}
-			for _, n := range ev.Leave {
-				active[n] = false
-			}
+			roster := plan.Events[evIdx].apply(epoch, active)
+			evIdx++
 			if s.OnEpoch != nil {
-				roster := Roster{Epoch: epoch, Round: ev.Round, Active: active, Joined: ev.Join, Left: ev.Leave}
 				if err := s.OnEpoch(roster); err != nil {
 					return nil, fmt.Errorf("engine: replay epoch %d: %w", epoch, err)
 				}
@@ -138,8 +135,8 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		if hb, ok = o.Backend.(PartialBackend); !ok {
 			return nil, fmt.Errorf("engine: GroupSize %d needs a hierarchical backend, %T is not one", s.GroupSize, o.Backend)
 		}
-		if _, ok := s.Aggregator.(UnbiasedAggregator); !ok {
-			return nil, fmt.Errorf("engine: hierarchical aggregation supports only the unbiased (Lemma-1) aggregator, got %T", s.Aggregator)
+		if _, ok := agg.(UnbiasedAggregator); !ok {
+			return nil, fmt.Errorf("engine: hierarchical aggregation supports only the unbiased (Lemma-1) aggregator, got %T", agg)
 		}
 	}
 
@@ -162,16 +159,9 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 		// joiners, retiring leavers), then the hook re-prices, then the
 		// aggregation inputs are refreshed from the new roster.
 		if plan != nil && evIdx < len(plan.Events) && plan.Events[evIdx].Round == round {
-			ev := &plan.Events[evIdx]
-			evIdx++
 			epoch++
-			for _, n := range ev.Join {
-				active[n] = true
-			}
-			for _, n := range ev.Leave {
-				active[n] = false
-			}
-			roster := Roster{Epoch: epoch, Round: round, Active: active, Joined: ev.Join, Left: ev.Leave}
+			roster := plan.Events[evIdx].apply(epoch, active)
+			evIdx++
 			if eb, ok := o.Backend.(EpochBackend); ok {
 				if err := eb.ApplyEpoch(ctx, roster); err != nil {
 					return nil, ctxErrOr(ctx, fmt.Errorf("engine: epoch %d apply: %w", epoch, err))
@@ -252,7 +242,7 @@ func (o *Orchestrator) Run(ctx context.Context) (*RunResult, error) {
 					}
 				}
 			}
-			if err := s.Aggregator.Aggregate(global, updates, weights, q); err != nil {
+			if err := agg.Aggregate(global, updates, weights, q); err != nil {
 				return nil, fmt.Errorf("round %d aggregate: %w", round, err)
 			}
 			ids = make([]int, len(updates))

@@ -91,7 +91,6 @@ func Calibrate(
 		EvalEvery:  rounds, // single evaluation at the end
 		Seed:       cfg.Seed,
 		Sampler:    full,
-		Aggregator: engine.UnbiasedAggregator{},
 	}, engine.NewLocalBackend(engine.LocalOptions{Parallel: true})); err != nil {
 		if ctxErr := ctx.Err(); ctxErr != nil {
 			return nil, ctxErr

@@ -162,7 +162,6 @@ func Launch(ctx context.Context, env *Environment, leg Leg, cfg RunConfig) (*eng
 		EvalEvery:  leg.EvalEvery,
 		Seed:       leg.Seed,
 		Sampler:    leg.Sampler,
-		Aggregator: engine.UnbiasedAggregator{},
 		GroupSize:  cfg.GroupSize,
 		Poison:     leg.Poison,
 	}

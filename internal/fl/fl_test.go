@@ -404,10 +404,21 @@ func TestRunnerValidation(t *testing.T) {
 	if run(bad) == nil {
 		t.Fatal("expected client-count mismatch error")
 	}
-	bad = good
-	bad.Aggregator = nil
-	if run(bad) == nil {
-		t.Fatal("expected nil-aggregator error")
+	// A nil aggregator is Lemma 1: the same run, bit for bit, as good's.
+	lemma1 := good
+	lemma1.Aggregator = nil
+	want, err := runLocal(context.Background(), good, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := runLocal(context.Background(), lemma1, false)
+	if err != nil {
+		t.Fatalf("nil aggregator: %v", err)
+	}
+	for j := range want.FinalModel {
+		if math.Float64bits(got.FinalModel[j]) != math.Float64bits(want.FinalModel[j]) {
+			t.Fatalf("nil aggregator: model[%d] = %v, Lemma 1 gives %v", j, got.FinalModel[j], want.FinalModel[j])
+		}
 	}
 }
 
