@@ -30,7 +30,11 @@
 //
 // A Cursor is RNG[0..3] (uint64), SqCount (int64), SqMean, SqM2 (float64
 // bits). Floats travel as math.Float64bits, so every NaN payload, signed
-// zero and subnormal arrives bit for bit. The encoding is canonical: a
+// zero and subnormal arrives bit for bit. On a little-endian host (amd64,
+// arm64) a float64 or uint64 section's storage already holds its wire bytes,
+// so each of Model, Scales, Factors, GradSqs, Lo and Hi moves between the
+// Message and the frame as one copy; a big-endian host writes and reads the
+// identical bytes one word at a time. The encoding is canonical: a
 // payload the decoder accepts re-encodes to the identical bytes (nil and
 // empty sections both have count 0), trailing bytes are refused, and every
 // declared count is checked against the bytes left in the frame before
@@ -62,6 +66,7 @@ import (
 	"net"
 	"sync"
 	"time"
+	"unsafe"
 )
 
 // Protocol framing constants.
@@ -300,10 +305,10 @@ func (m *Message) encode(b []byte) {
 	if m.Cursor != nil {
 		b = putCursor(b, m.Cursor)
 	}
-	b = putFloats(b, m.Model)
-	b = putFloats(b, m.Scales)
-	b = putFloats(b, m.Factors)
-	b = putFloats(b, m.GradSqs)
+	b = putSection(b, m.Model)
+	b = putSection(b, m.Scales)
+	b = putSection(b, m.Factors)
+	b = putSection(b, m.GradSqs)
 	b = putCount(b, len(m.Clients))
 	for _, v := range m.Clients {
 		b = putWord(b, uint64(v))
@@ -312,8 +317,8 @@ func (m *Message) encode(b []byte) {
 	for i := range m.Cursors {
 		b = putCursor(b, &m.Cursors[i])
 	}
-	b = putWords(b, m.Lo)
-	b = putWords(b, m.Hi)
+	b = putSection(b, m.Lo)
+	b = putSection(b, m.Hi)
 	putFlag(b, m.Sat)
 }
 
@@ -335,20 +340,38 @@ func putFlag(b []byte, v bool) []byte {
 	return b[1:]
 }
 
-func putFloats(b []byte, v []float64) []byte {
+// hostLE reports whether the host keeps a uint64 in the wire's byte order,
+// so that a section's storage already holds its wire bytes.
+var hostLE = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// wordBits views a section's storage as the uint64 words it travels as: a
+// float64 is its math.Float64bits.
+func wordBits[T float64 | uint64](s []T) []uint64 {
+	return unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(s))), len(s))
+}
+
+// wordBytes views a section's storage as bytes, 8 a word in host order.
+func wordBytes[T float64 | uint64](s []T) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(s))), 8*len(s))
+}
+
+// putSection writes a count and v's words; on a little-endian host the words
+// move as one copy.
+func putSection[T float64 | uint64](b []byte, v []T) []byte {
 	b = putCount(b, len(v))
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	if hostLE {
+		return b[copy(b, wordBytes(v)):]
 	}
+	putWordsLoop(b, wordBits(v))
 	return b[8*len(v):]
 }
 
-func putWords(b []byte, v []uint64) []byte {
-	b = putCount(b, len(v))
+// putWordsLoop writes v one little-endian word at a time: the big-endian
+// host's path and the copy's reference.
+func putWordsLoop(b []byte, v []uint64) {
 	for i, x := range v {
 		binary.LittleEndian.PutUint64(b[8*i:], x)
 	}
-	return b[8*len(v):]
 }
 
 func putCursor(b []byte, c *Cursor) []byte {
@@ -435,24 +458,25 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// floats reads one float64 section into dst's storage.
-func (f *frame) floats(what string, dst []float64) []float64 {
+// getSection reads one float64 or uint64 section into dst's storage; on a
+// little-endian host the words move as one copy.
+func getSection[T float64 | uint64](f *frame, what string, dst []T) []T {
 	b, n := f.section(what, 8)
 	dst = resize(dst, n)
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if hostLE {
+		copy(wordBytes(dst), b)
+	} else {
+		getWordsLoop(wordBits(dst), b)
 	}
 	return dst
 }
 
-// words reads one uint64 section into dst's storage.
-func (f *frame) words(what string, dst []uint64) []uint64 {
-	b, n := f.section(what, 8)
-	dst = resize(dst, n)
+// getWordsLoop reads dst one little-endian word at a time: the big-endian
+// host's path and the copy's reference.
+func getWordsLoop(dst []uint64, b []byte) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
 	}
-	return dst
 }
 
 // decode parses one frame's payload into m, overwriting every field and
@@ -481,10 +505,10 @@ func (m *Message) decode(payload []byte, cur *Cursor) error {
 			m.Cursor = cur
 		}
 	}
-	m.Model = f.floats("Model", m.Model)
-	m.Scales = f.floats("Scales", m.Scales)
-	m.Factors = f.floats("Factors", m.Factors)
-	m.GradSqs = f.floats("GradSqs", m.GradSqs)
+	m.Model = getSection(&f, "Model", m.Model)
+	m.Scales = getSection(&f, "Scales", m.Scales)
+	m.Factors = getSection(&f, "Factors", m.Factors)
+	m.GradSqs = getSection(&f, "GradSqs", m.GradSqs)
 	b, n := f.section("Clients", 8)
 	m.Clients = resize(m.Clients, n)
 	for i := range m.Clients {
@@ -495,8 +519,8 @@ func (m *Message) decode(payload []byte, cur *Cursor) error {
 	for i := range m.Cursors {
 		f.cursor(&m.Cursors[i], b[cursorSize*i:])
 	}
-	m.Lo = f.words("Lo", m.Lo)
-	m.Hi = f.words("Hi", m.Hi)
+	m.Lo = getSection(&f, "Lo", m.Lo)
+	m.Hi = getSection(&f, "Hi", m.Hi)
 	if b = f.take("Sat", 1); b != nil {
 		m.Sat = f.flag("Sat", b[0])
 	}
@@ -516,7 +540,9 @@ func (m *Message) decode(payload []byte, cur *Cursor) error {
 // directions share no state — a received message may be passed to Send, and
 // one goroutine may Send while another Recvs — but a Codec is not safe for
 // concurrent use of the same direction. In steady state neither direction
-// allocates.
+// allocates. On a little-endian host each float64 and limb section is one
+// copy between the Message and the buffer; the bytes are those of the
+// word-at-a-time loop a big-endian host runs.
 type Codec struct {
 	conn    net.Conn
 	timeout time.Duration
