@@ -9,6 +9,8 @@ package unbiasedfl_test
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"testing"
 
 	"unbiasedfl"
@@ -16,6 +18,7 @@ import (
 	"unbiasedfl/internal/experiment"
 	"unbiasedfl/internal/game"
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
 
 // benchOptions keeps each artifact's regeneration in the seconds range.
@@ -224,8 +227,8 @@ func BenchmarkAblationAggregation(b *testing.B) {
 	}
 	aggs := map[string]engine.Aggregator{
 		"unbiased-lemma1":     engine.UnbiasedAggregator{},
-		"biased-proportional": engine.ProportionalAggregator{},
-		"naive-inverse":       engine.NaiveInverseAggregator{},
+		"biased-proportional": proportionalAggregator{},
+		"naive-inverse":       naiveInverseAggregator{},
 	}
 	for name, agg := range aggs {
 		agg := agg
@@ -323,7 +326,7 @@ func BenchmarkAblationFixedSubset(b *testing.B) {
 	b.Run("fixed-subset", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			sampler := fixedSubset{ids: subset, n: n}
-			b.ReportMetric(ablationLoss(b, env, sampler, engine.ProportionalAggregator{}, uint64(i)+3), "final-loss")
+			b.ReportMetric(ablationLoss(b, env, sampler, proportionalAggregator{}, uint64(i)+3), "final-loss")
 		}
 	})
 	b.Run("randomized-unbiased", func(b *testing.B) {
@@ -436,4 +439,44 @@ func medianWeight(w []float64) float64 {
 		return 0
 	}
 	return m
+}
+
+// proportionalAggregator is the biased baseline: participants' deltas are
+// weighted by a_n renormalized over the participant set only, which is what
+// a mechanism that ignores participation probabilities would do; the model
+// drifts toward frequently participating clients' data.
+type proportionalAggregator struct{}
+
+func (proportionalAggregator) Aggregate(global tensor.Vec, updates []engine.ClientUpdate, weights, _ []float64) error {
+	var total float64
+	for _, u := range updates {
+		total += weights[u.Client]
+	}
+	if len(updates) > 0 && total <= 0 {
+		return errors.New("zero total weight among participants")
+	}
+	for _, u := range updates {
+		if err := global.AddScaled(weights[u.Client]/total, u.Delta); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// naiveInverseAggregator is the scheme the paper's Lemma 1 remark warns
+// about: inverse weighting renormalized by the participant count K,
+// a_n/(K·q_n). It is unbiased only under uniform dependent sampling.
+type naiveInverseAggregator struct{}
+
+func (naiveInverseAggregator) Aggregate(global tensor.Vec, updates []engine.ClientUpdate, weights, q []float64) error {
+	k := float64(len(updates))
+	for _, u := range updates {
+		if q[u.Client] <= 0 {
+			return fmt.Errorf("participant %d has non-positive q", u.Client)
+		}
+		if err := global.AddScaled(weights[u.Client]/(k*q[u.Client]), u.Delta); err != nil {
+			return err
+		}
+	}
+	return nil
 }

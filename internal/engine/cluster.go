@@ -103,10 +103,10 @@ type clusterSlot struct {
 //
 // Participation is decided centrally by the orchestrator: a round start is
 // itself the invitation, so a node never draws willingness coins. Each node
-// owns the same clientExec — the training step, private RNG as the n-th
-// Split of the spec seed — that LocalBackend uses in-process, and the wire
-// carries float64 slices as their bits, so a cluster run's trace is
-// byte-identical to the local backend's.
+// trains through the same execArena — the training step, run from client
+// n's cursor, the n-th Split of the spec seed at boot — that LocalBackend
+// uses in-process, and the wire carries float64 slices as their bits, so a
+// cluster run's trace is byte-identical to the local backend's.
 //
 // The coordinator's cursor table is the single source of truth for every
 // client's executor state: a node reports its post-update cursor inside

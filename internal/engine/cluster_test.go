@@ -80,51 +80,68 @@ func TestCheckPartial(t *testing.T) {
 	}
 }
 
-// TestClusterDispatchPartialsSinkError: a sink that fails on its first
-// partial fails the call with its own error, yet every group's reply is still
-// read — the next round on the same sockets succeeds — and Close leaves no
-// goroutine behind.
-func TestClusterDispatchPartialsSinkError(t *testing.T) {
-	baseline := testutil.GoroutineBaseline()
+// TestDispatchPartialsSinkError: on every grouped executor — the local
+// backend inline and pooled, and the cluster — a sink that fails on its
+// first partial is called exactly once and fails the call with its own
+// error, yet the backend is left whole: the next round on it delivers every
+// group (on the cluster, every group's reply was still read), and Close
+// leaves no goroutine behind.
+func TestDispatchPartialsSinkError(t *testing.T) {
 	const nClients, groupSize = 6, 2
-	fed := testFederation(t, 61, nClients)
-	spec := testSpec(t, fed, testModel(t, fed), 2, fullSampler(t, nClients))
-	spec.GroupSize = groupSize
-	b := NewClusterBackend(ClusterOptions{Timeout: 10 * time.Second})
-	if err := b.Open(context.Background(), &spec); err != nil {
-		t.Fatal(err)
+	type grouped interface {
+		ExecutionBackend
+		PartialBackend
 	}
-	global := spec.Model.ZeroParams()
-	tasks := make([]ClientTask, nClients)
-	for n := range tasks {
-		tasks[n] = ClientTask{Client: n, LR: 0.1, Scale: 1.0 / nClients, Factor: 1}
-	}
+	for _, tc := range []struct {
+		name    string
+		backend grouped
+	}{
+		{"local-serial", NewLocalBackend(LocalOptions{})},
+		{"local-pooled", NewLocalBackend(LocalOptions{Parallel: true})},
+		{"cluster", NewClusterBackend(ClusterOptions{Timeout: 10 * time.Second})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			baseline := testutil.GoroutineBaseline()
+			fed := testFederation(t, 61, nClients)
+			spec := testSpec(t, fed, testModel(t, fed), 2, fullSampler(t, nClients))
+			spec.GroupSize = groupSize
+			b := tc.backend
+			if err := b.Open(context.Background(), &spec); err != nil {
+				t.Fatal(err)
+			}
+			global := spec.Model.ZeroParams()
+			tasks := make([]ClientTask, nClients)
+			for n := range tasks {
+				tasks[n] = ClientTask{Client: n, LR: 0.1, Scale: 1.0 / nClients, Factor: 1}
+			}
 
-	errSink := errors.New("sink refused")
-	calls := 0
-	err := b.DispatchPartials(context.Background(), 0, global, tasks, groupSize, func(Partial) error {
-		calls++
-		return errSink
-	})
-	if !errors.Is(err, errSink) {
-		t.Fatalf("DispatchPartials returned %v, want the sink's error", err)
-	}
-	if calls != 1 {
-		t.Fatalf("sink called %d times after failing, want 1", calls)
-	}
+			errSink := errors.New("sink refused")
+			calls := 0
+			err := b.DispatchPartials(context.Background(), 0, global, tasks, groupSize, func(Partial) error {
+				calls++
+				return errSink
+			})
+			if !errors.Is(err, errSink) {
+				t.Fatalf("DispatchPartials returned %v, want the sink's error", err)
+			}
+			if calls != 1 {
+				t.Fatalf("sink called %d times, want once", calls)
+			}
 
-	var groups []int
-	if err := b.DispatchPartials(context.Background(), 1, global, tasks, groupSize, func(p Partial) error {
-		groups = append(groups, p.Group)
-		return nil
-	}); err != nil {
-		t.Fatalf("round after the sink error: %v", err)
+			var groups []int
+			if err := b.DispatchPartials(context.Background(), 1, global, tasks, groupSize, func(p Partial) error {
+				groups = append(groups, p.Group)
+				return nil
+			}); err != nil {
+				t.Fatalf("round after the sink error: %v", err)
+			}
+			if len(groups) != nClients/groupSize {
+				t.Fatalf("round after the sink error delivered groups %v, want %d", groups, nClients/groupSize)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			testutil.WaitNoLeaks(t, baseline, 5*time.Second)
+		})
 	}
-	if len(groups) != nClients/groupSize {
-		t.Fatalf("round after the sink error delivered groups %v, want %d", groups, nClients/groupSize)
-	}
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	testutil.WaitNoLeaks(t, baseline, 5*time.Second)
 }

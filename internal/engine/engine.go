@@ -24,24 +24,27 @@
 // and availability sampling on separate RNG streams, per-round learning
 // rates, deterministic index-ordered aggregation, divergence checks, and
 // evaluation. A backend owns only the execution of local updates. Both
-// built-in backends derive client n's private SGD stream as the n-th Split
-// of the spec seed and run the same local-update code, so a run is
+// built-in backends keep one cursor table — client n's private SGD stream,
+// the n-th Split of the spec seed at round zero — and run the same
+// local-update code from it, so a run is
 // bit-identical across backends and for any GOMAXPROCS — the property the
 // golden-trace backend-equivalence matrix in internal/scenario pins. There is
 // no other coordinator: the TCP prototype (cmd/flnode, examples/prototype)
 // is this orchestrator on a ClusterBackend.
 //
-// Two dispatch interfaces, one cluster round loop. Flat dispatch
+// Two dispatch interfaces, one round loop per backend. Flat dispatch
 // (ExecutionBackend.Dispatch, MsgRoundStart/MsgUpdate, one socket per
 // client, Aggregator.Aggregate at the coordinator) computes what
 // hierarchical dispatch (PartialBackend.DispatchPartials,
 // MsgBatchStart/MsgPartial) computes at K=1 — the fixed-point fold makes
-// every grouping bit-identical. ClusterBackend runs both through one round
-// loop over the round's units, a client's node or a group's: sequential
+// every grouping bit-identical. Each backend runs both through one round
+// loop over the round's units, a client or a group: LocalBackend inline or
+// on its worker pool, ClusterBackend over the unit's node with sequential
 // sends, the replies drained on stats.ParallelFor, and one settle step —
 // strict mode fails the round on the first failed unit, healing mode
-// forfeits each failed unit's tasks. Only the message a unit is sent and
-// the check of its reply differ by shape. They stay two interfaces and two
+// forfeits each failed unit's tasks. Only a unit's output differs by shape
+// (deltas or a partial; on the wire, the message it is sent and the check of
+// its reply). They stay two interfaces and two
 // message pairs for two reasons. First, the benchmark
 // module (benchmark/trace.go, benchmark/micro.go) compiles against both
 // interfaces, Aggregator.Aggregate, MsgRoundStart and MsgUpdate, and the
@@ -51,8 +54,8 @@
 // parameter (8 B) and a partial's sum as two uint64 limbs (16 B), so at the
 // session-durable workload's model size, p = 1 690 — a round start is a
 // 13 615 B frame and an update 13 671 B — the K=1 partial replacing that
-// update would be 27 207 B: per-client return traffic doubles, and the
-// aggregators that need unscaled deltas (proportional, naive inverse) could
+// update would be 27 207 B: per-client return traffic doubles, and an
+// Aggregator other than Lemma 1's, which needs the unscaled deltas, could
 // not ride it at all. transport's TestWireBytesPerParam computes all three
 // figures from the encoder.
 //

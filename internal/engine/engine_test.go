@@ -375,22 +375,22 @@ func (d dupSampler) Sample(int) []int { return []int{0, 1, 0} }
 func (d dupSampler) NumClients() int  { return d.n }
 
 // BenchmarkLocalUpdate measures one participant's full local update (E=10
-// training steps at batch 16) through the shared client executor.
+// training steps at batch 16) through the shared execution arena.
 func BenchmarkLocalUpdate(b *testing.B) {
 	fed := testFederation(b, 21, 4)
 	m := testModel(b, fed)
-	st := newClientExecs(7, 1)[0]
+	c := initialCursors(7, 1)[0]
 	global := m.ZeroParams()
 	delta := tensor.NewVec(len(global))
 	var arena execArena
 	ctx := context.Background()
-	if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
+	if err := arena.localUpdate(ctx, m, fed.Clients[0], 0, &c, global, 10, 16, 0.01, delta); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := st.localUpdate(ctx, m, fed.Clients[0], 0, global, 10, 16, 0.01, &arena, delta); err != nil {
+		if err := arena.localUpdate(ctx, m, fed.Clients[0], 0, &c, global, 10, 16, 0.01, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -143,7 +143,7 @@ func TestHierarchicalNeedsCapableBackend(t *testing.T) {
 	m := testModel(t, fed)
 	spec := testSpec(t, fed, m, 2, fullSampler(t, 4))
 	spec.GroupSize = 2
-	spec.Aggregator = ProportionalAggregator{}
+	spec.Aggregator = otherAggregator{}
 	if _, err := Run(context.Background(), spec, NewLocalBackend(LocalOptions{})); err == nil {
 		t.Fatal("expected an error for hierarchical dispatch with a non-Lemma-1 aggregator")
 	}
@@ -152,6 +152,12 @@ func TestHierarchicalNeedsCapableBackend(t *testing.T) {
 		t.Fatal("expected an error for hierarchical dispatch on a flat-only backend")
 	}
 }
+
+// otherAggregator stands for any rule but Lemma 1's: hierarchical dispatch
+// refuses it before anything is aggregated.
+type otherAggregator struct{}
+
+func (otherAggregator) Aggregate(tensor.Vec, []ClientUpdate, []float64, []float64) error { return nil }
 
 // flatOnlyBackend hides LocalBackend's PartialBackend implementation
 // (explicit delegation — embedding would promote DispatchPartials too).

@@ -14,40 +14,53 @@ import (
 type LocalOptions struct {
 	// Parallel enables concurrent local updates across participants via a
 	// persistent worker pool sized to GOMAXPROCS, capped to the fleet.
-	// Results are identical either way: every client owns a private RNG,
-	// each worker owns a private scratch arena, and the fixed-point
+	// Results are identical either way: every client's stream is its own
+	// cursor, each worker owns a private scratch arena, and the fixed-point
 	// aggregation makes the sum independent of scheduling.
 	Parallel bool
 }
 
-// LocalBackend executes local updates in-process. Per-client state is two
-// RNG/statistics streams — O(fleet) scalars — while all model-sized scratch
-// belongs to the workers (O(workers·model)), so fleets of 10^6 virtual
-// clients fit in memory. Flat dispatch additionally buffers one delta per
-// participant for the coordinator-side aggregator; hierarchical dispatch
-// (DispatchPartials) folds each member straight from its trained parameters
-// and the global model, writes no delta, and keeps memory at O(workers·model)
-// regardless of fleet size.
+// LocalBackend executes local updates in-process. Per-client state is one
+// 32-B cursor in a table the backend owns, as the cluster's coordinator
+// does — O(fleet) scalars — while all model-sized scratch belongs to the
+// workers (O(workers·model)), so fleets of 10^6 virtual clients fit in
+// memory. Flat dispatch additionally buffers one delta per participant for
+// the coordinator-side aggregator; hierarchical dispatch (DispatchPartials)
+// folds each member straight from its trained parameters and the global
+// model, writes no delta, and keeps memory at O(workers·model) regardless of
+// fleet size.
 type LocalBackend struct {
-	opts   LocalOptions
-	spec   *Spec
-	states []*clientExec
-	pool   *updatePool
-	// serial is the scratch worker for the no-pool (or tiny-round) path.
+	opts LocalOptions
+	spec *Spec
+	// cursors is every client's executor state, indexed by client id:
+	// staged by RestoreClientCursors before Open, else derived from the spec
+	// seed at Open. A unit trains its clients at their cursors and writes the
+	// advanced streams back.
+	cursors []ClientCursor
+	pool    *updatePool
+	// serial is the scratch worker of the inline path.
 	serial poolWorker
-	// resume, when set before Open, positions every client executor at the
-	// given cursor instead of deriving fresh streams from the spec seed.
-	resume []ClientCursor
 
-	// Per-round buffers, reused so steady-state dispatch does not allocate.
-	updates  []ClientUpdate
-	errs     []error
-	deltaBuf tensor.Vec
+	// Per-round buffers, reused so steady-state dispatch does not allocate:
+	// the round's units and their errors, and the flat path's updates.
 	groups   []taskGroup
+	errs     []error
+	updates  []ClientUpdate
+	deltaBuf tensor.Vec
+
+	// Per-round context: written before the units run, read-only while they
+	// do. sink is nil on a flat round.
+	ctx     context.Context
+	global  tensor.Vec
+	tasks   []ClientTask
+	sink    func(Partial) error
+	sinkMu  sync.Mutex
+	sinkErr error
 }
 
-// taskGroup is one sub-aggregator group's slice of the round's task list:
-// tasks[lo:hi], all belonging to group id.
+// taskGroup is one unit of a round: the task list's slice tasks[lo:hi], all
+// belonging to group id — a client on a flat round, a sub-aggregator group
+// on a hierarchical one.
 type taskGroup struct{ id, lo, hi int }
 
 // poolWorker is one worker's private execution state: the scratch arena, the
@@ -64,42 +77,30 @@ func NewLocalBackend(opts LocalOptions) *LocalBackend {
 	return &LocalBackend{opts: opts}
 }
 
-// Open implements ExecutionBackend: it derives the per-client executors from
-// the spec seed and starts the worker pool.
+// Open implements ExecutionBackend: it fills the cursor table, unless
+// RestoreClientCursors staged one, and starts the worker pool.
 func (b *LocalBackend) Open(_ context.Context, spec *Spec) error {
 	if b.spec != nil {
 		return errors.New("engine: local backend already open")
 	}
-	b.spec = spec
 	nClients := spec.Fed.NumClients()
-	if b.resume != nil {
-		if len(b.resume) != nClients {
-			return fmt.Errorf("engine: %d resume cursors for a %d-client fleet", len(b.resume), nClients)
-		}
-		b.states = make([]*clientExec, nClients)
-		for n := range b.states {
-			st, err := newClientExecAt(b.resume[n])
-			if err != nil {
-				return fmt.Errorf("engine: client %d cursor: %w", n, err)
-			}
-			b.states[n] = st
-		}
-	} else {
-		b.states = newClientExecs(spec.Seed, nClients)
+	switch {
+	case b.cursors == nil:
+		b.cursors = initialCursors(spec.Seed, nClients)
+	case len(b.cursors) != nClients:
+		return fmt.Errorf("engine: %d resume cursors for a %d-client fleet", len(b.cursors), nClients)
 	}
+	b.spec = spec
 	if b.opts.Parallel {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > nClients {
-			workers = nClients
-		}
-		b.pool = newUpdatePool(b, workers)
+		b.pool = newUpdatePool(b, max(min(runtime.GOMAXPROCS(0), nClients), 1))
 	}
 	return nil
 }
 
-// Dispatch implements ExecutionBackend (flat mode). Updates are filled in
-// task order; each participant's delta occupies its own slice of a
-// per-round buffer so it stays valid until the next Dispatch.
+// Dispatch implements ExecutionBackend (flat mode): a round of one unit per
+// task. Updates are filled in task order; each participant's delta occupies
+// its own slice of a per-round buffer so it stays valid until the next
+// Dispatch.
 func (b *LocalBackend) Dispatch(
 	ctx context.Context, _ int, global tensor.Vec, tasks []ClientTask,
 ) ([]ClientUpdate, error) {
@@ -108,61 +109,23 @@ func (b *LocalBackend) Dispatch(
 	}
 	if cap(b.updates) < len(tasks) {
 		b.updates = make([]ClientUpdate, len(tasks))
-		b.errs = make([]error, len(tasks))
 	}
-	p := len(global)
-	if need := len(tasks) * p; cap(b.deltaBuf) < need {
+	if need := len(tasks) * len(global); cap(b.deltaBuf) < need {
 		b.deltaBuf = tensor.NewVec(need)
 	}
-	updates := b.updates[:len(tasks)]
-	errs := b.errs[:len(tasks)]
-	for i := range errs {
-		errs[i] = nil
-	}
-
-	if b.pool == nil || len(tasks) < 2 {
-		for i, task := range tasks {
-			if err := b.runTask(ctx, &b.serial.arena, global, task, b.taskDelta(i, p), &updates[i]); err != nil {
-				return nil, err
-			}
-		}
-		return updates, nil
-	}
-	if err := b.pool.round(ctx, global, tasks, updates, errs); err != nil {
+	if err := b.round(ctx, global, tasks, 1, nil); err != nil {
 		return nil, err
 	}
-	return updates, nil
+	return b.updates[:len(tasks)], nil
 }
 
-// taskDelta returns task i's slot in the per-round delta buffer.
-func (b *LocalBackend) taskDelta(i, p int) tensor.Vec {
-	return b.deltaBuf[i*p : (i+1)*p]
-}
-
-// runTask executes one client's local update into out, writing the delta
-// into the provided buffer.
-func (b *LocalBackend) runTask(
-	ctx context.Context, ar *execArena, global tensor.Vec,
-	task ClientTask, delta tensor.Vec, out *ClientUpdate,
-) error {
-	st := b.states[task.Client]
-	if err := st.localUpdate(
-		ctx, b.spec.Model, b.spec.Fed.Clients[task.Client], task.Client,
-		global, b.spec.LocalSteps, b.spec.BatchSize, task.LR, ar, delta,
-	); err != nil {
-		return err
-	}
-	out.Client = task.Client
-	out.Delta = delta
-	return nil
-}
-
-// DispatchPartials implements PartialBackend: tasks are partitioned into
-// contiguous client-index groups, each member's update is folded into its
-// group's fixed-point partial straight from the worker's arena —
-// fl(Scale·fl(Factor·(w − global))), no delta written — and one Partial per
-// group is delivered to sink. Round memory is O(workers·model) independent
-// of fleet size.
+// DispatchPartials implements PartialBackend: a round of one unit per
+// non-empty group of contiguous client indices. Each member's update is
+// folded into its group's fixed-point partial straight from the worker's
+// arena — fl(Scale·fl(Factor·(w − global))), no delta written — and one
+// Partial per group is delivered to sink. Sink calls are serialized, and
+// the first error sink returns stops further partials from reaching it.
+// Round memory is O(workers·model) independent of fleet size.
 func (b *LocalBackend) DispatchPartials(
 	ctx context.Context, _ int, global tensor.Vec, tasks []ClientTask,
 	groupSize int, sink func(Partial) error,
@@ -173,20 +136,74 @@ func (b *LocalBackend) DispatchPartials(
 	if groupSize < 1 {
 		return fmt.Errorf("engine: invalid group size %d", groupSize)
 	}
+	return b.round(ctx, global, tasks, groupSize, sink)
+}
+
+// round is the one round loop of both dispatch shapes. It splits tasks into
+// b.groups, its units — groups of size 1 on a flat round — and runs each
+// through unit: inline when there is no pool or only one unit, stopping at
+// the first error, else on the pool. It returns the lowest-index unit
+// error, else the sink's.
+func (b *LocalBackend) round(
+	ctx context.Context, global tensor.Vec, tasks []ClientTask,
+	groupSize int, sink func(Partial) error,
+) error {
 	b.groups = splitGroups(b.groups[:0], tasks, groupSize)
-	if b.pool == nil || len(b.groups) < 2 {
-		for _, g := range b.groups {
-			part, err := b.foldGroup(ctx, global, tasks[g.lo:g.hi], g.id, &b.serial)
-			if err != nil {
-				return err
-			}
-			if err := sink(part); err != nil {
-				return err
+	n := len(b.groups)
+	if cap(b.errs) < n {
+		b.errs = make([]error, n)
+	}
+	b.errs = b.errs[:n]
+	clear(b.errs)
+	b.ctx, b.global, b.tasks, b.sink, b.sinkErr = ctx, global, tasks, sink, nil
+	if b.pool == nil || n < 2 {
+		for i := range n {
+			if b.unit(&b.serial, i); b.errs[i] != nil || b.sinkErr != nil {
+				break
 			}
 		}
-		return nil
+	} else {
+		b.pool.run(n)
 	}
-	return b.pool.roundPartials(ctx, global, tasks, sink)
+	b.ctx, b.global, b.tasks, b.sink = nil, nil, nil, nil
+	for _, err := range b.errs {
+		if err != nil {
+			return err
+		}
+	}
+	return b.sinkErr
+}
+
+// unit runs the round's unit i on worker w: a flat unit writes each task's
+// delta into the task's slot of the round's delta buffer, a grouped one
+// folds its group and hands the partial to the sink under the sink lock. A
+// failure is recorded in b.errs[i].
+func (b *LocalBackend) unit(w *poolWorker, i int) {
+	g, spec, p := b.groups[i], b.spec, len(b.global)
+	if b.sink == nil {
+		for t := g.lo; t < g.hi; t++ {
+			task, delta := b.tasks[t], b.deltaBuf[t*p:(t+1)*p]
+			if err := w.arena.localUpdate(
+				b.ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client, &b.cursors[task.Client],
+				b.global, spec.LocalSteps, spec.BatchSize, task.LR, delta,
+			); err != nil {
+				b.errs[i] = err
+				return
+			}
+			b.updates[t] = ClientUpdate{Client: task.Client, Delta: delta}
+		}
+		return
+	}
+	part, err := b.foldGroup(w, g)
+	if err != nil {
+		b.errs[i] = err
+		return
+	}
+	b.sinkMu.Lock()
+	defer b.sinkMu.Unlock()
+	if b.sinkErr == nil {
+		b.sinkErr = b.sink(part)
+	}
 }
 
 // splitGroups splits the (ascending-by-client) task list into contiguous
@@ -209,193 +226,107 @@ func splitGroups(dst []taskGroup, tasks []ClientTask, groupSize int) []taskGroup
 // member's weighted, factored update into the worker's accumulator. The
 // returned Partial's slices alias the worker's buffers: consume before the
 // worker's next group.
-func (b *LocalBackend) foldGroup(
-	ctx context.Context, global tensor.Vec,
-	gtasks []ClientTask, groupID int, w *poolWorker,
-) (Partial, error) {
-	p := len(global)
-	if w.acc == nil || w.acc.Len() != p {
-		w.acc = NewFixAcc(p)
+func (b *LocalBackend) foldGroup(w *poolWorker, g taskGroup) (Partial, error) {
+	global, spec := b.global, b.spec
+	if w.acc == nil || w.acc.Len() != len(global) {
+		w.acc = NewFixAcc(len(global))
 	} else {
 		w.acc.Reset()
 	}
 	w.clients = w.clients[:0]
-	spec := b.spec
-	for _, task := range gtasks {
-		if err := b.states[task.Client].train(
-			ctx, spec.Model, spec.Fed.Clients[task.Client], task.Client,
-			global, spec.LocalSteps, spec.BatchSize, task.LR, &w.arena,
+	for _, task := range b.tasks[g.lo:g.hi] {
+		n := task.Client
+		if err := w.arena.train(
+			b.ctx, spec.Model, spec.Fed.Clients[n], n, &b.cursors[n],
+			global, spec.LocalSteps, spec.BatchSize, task.LR,
 		); err != nil {
 			return Partial{}, err
 		}
 		if err := w.acc.AddScaledDiff(task.Scale, task.Factor, w.arena.w, global); err != nil {
 			return Partial{}, err
 		}
-		w.clients = append(w.clients, task.Client)
+		w.clients = append(w.clients, n)
 	}
 	lo, hi, sat := w.acc.Limbs()
-	return Partial{Group: groupID, Clients: w.clients, Lo: lo, Hi: hi, Sat: sat}, nil
+	return Partial{Group: g.id, Clients: w.clients, Lo: lo, Hi: hi, Sat: sat}, nil
 }
 
-// Close implements ExecutionBackend: it shuts down the worker pool.
+// Close implements ExecutionBackend: it shuts down the worker pool and
+// drops the cursor table.
 func (b *LocalBackend) Close() error {
 	if b.pool != nil {
 		b.pool.close()
 		b.pool = nil
 	}
 	b.spec = nil
+	b.cursors = nil
 	return nil
 }
 
-// RestoreClientCursors implements StatefulBackend: Open will build every
-// executor at the given cursor.
+// RestoreClientCursors implements StatefulBackend: it stages the cursor
+// table Open will run from.
 func (b *LocalBackend) RestoreClientCursors(cursors []ClientCursor) error {
 	if b.spec != nil {
 		return errors.New("engine: restore on an open backend")
 	}
-	b.resume = append([]ClientCursor(nil), cursors...)
+	b.cursors = append([]ClientCursor(nil), cursors...)
 	return nil
 }
 
 // ClientCursors implements StatefulBackend. Only valid between Dispatch
-// calls, when no worker touches the executors.
+// calls, when no worker touches the table.
 func (b *LocalBackend) ClientCursors(dst []ClientCursor) error {
 	if b.spec == nil {
 		return errors.New("engine: local backend not open")
 	}
-	if len(dst) != len(b.states) {
-		return fmt.Errorf("engine: cursor buffer of %d for a %d-client fleet", len(dst), len(b.states))
+	if len(dst) != len(b.cursors) {
+		return fmt.Errorf("engine: cursor buffer of %d for a %d-client fleet", len(dst), len(b.cursors))
 	}
-	for n, st := range b.states {
-		dst[n] = st.cursor()
-	}
+	copy(dst, b.cursors)
 	return nil
 }
-
-var _ StatefulBackend = (*LocalBackend)(nil)
 
 // updatePool is the persistent worker pool behind parallel local dispatch.
 // Its goroutines live for the whole run — one per available CPU — instead of
 // spawning a goroutine per participant per round: at fleet scale that is the
-// difference between GOMAXPROCS workers and a million goroutines. Round
-// context is published before the job indices are sent on the channel (the
-// send is the happens-before edge), and the WaitGroup barrier ends the
-// round. Jobs are task indices in flat rounds and group indices in
-// hierarchical rounds.
+// difference between GOMAXPROCS workers and a million goroutines. Each
+// worker keeps its poolWorker, so arenas and accumulators warm up once.
 type updatePool struct {
 	b    *LocalBackend
 	jobs chan int
 	wg   sync.WaitGroup
-
-	// Per-round context: written by the orchestration goroutine before
-	// dispatch, read-only while workers run.
-	ctx     context.Context
-	global  tensor.Vec
-	tasks   []ClientTask
-	updates []ClientUpdate
-	errs    []error
-
-	// Hierarchical-round context.
-	hier    bool
-	sink    func(Partial) error
-	sinkMu  sync.Mutex
-	sinkErr error
 }
 
 func newUpdatePool(b *LocalBackend, workers int) *updatePool {
-	if workers < 1 {
-		workers = 1
-	}
 	p := &updatePool{b: b, jobs: make(chan int, workers)}
 	for k := 0; k < workers; k++ {
-		go p.worker()
+		go func() {
+			w := &poolWorker{}
+			for i := range p.jobs {
+				p.b.unit(w, i)
+				p.wg.Done()
+			}
+		}()
 	}
 	return p
 }
 
-func (p *updatePool) worker() {
-	// Worker-private state persists across rounds for the life of the pool:
-	// the arena and accumulator warm up once.
-	w := &poolWorker{}
-	for i := range p.jobs {
-		if p.hier {
-			p.runGroupJob(w, i)
-		} else {
-			pn := len(p.global)
-			delta := p.b.taskDelta(i, pn)
-			if err := p.b.runTask(p.ctx, &w.arena, p.global, p.tasks[i], delta, &p.updates[i]); err != nil {
-				p.errs[i] = err
-			}
-		}
-		p.wg.Done()
+// run runs the round's units 0..n-1 on the workers and returns when all have
+// finished. The round context is published before the indices are sent on
+// the channel (the send is the happens-before edge), and the WaitGroup
+// barrier publishes the units' results back.
+func (p *updatePool) run(n int) {
+	p.wg.Add(n)
+	for i := 0; i < n; i++ {
+		p.jobs <- i
 	}
-}
-
-// runGroupJob folds group i and delivers its partial under the sink lock.
-func (p *updatePool) runGroupJob(w *poolWorker, i int) {
-	g := p.b.groups[i]
-	part, err := p.b.foldGroup(p.ctx, p.global, p.tasks[g.lo:g.hi], g.id, w)
-	p.sinkMu.Lock()
-	defer p.sinkMu.Unlock()
-	if p.sinkErr != nil {
-		return
-	}
-	if err != nil {
-		p.sinkErr = err
-		return
-	}
-	p.sinkErr = p.sink(part)
+	p.wg.Wait()
 }
 
 func (p *updatePool) close() { close(p.jobs) }
 
-// round runs one flat round's tasks through the pool, filling updates[i]
-// for task i.
-func (p *updatePool) round(
-	ctx context.Context, global tensor.Vec, tasks []ClientTask,
-	updates []ClientUpdate, errs []error,
-) error {
-	p.ctx = ctx
-	p.global = global
-	p.tasks = tasks
-	p.updates, p.errs = updates, errs
-	p.hier = false
-	p.wg.Add(len(tasks))
-	for i := range tasks {
-		p.jobs <- i
-	}
-	p.wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// roundPartials runs one hierarchical round: each job is one group from
-// b.groups, folded by a worker and streamed to sink under the pool's lock.
-func (p *updatePool) roundPartials(
-	ctx context.Context, global tensor.Vec, tasks []ClientTask,
-	sink func(Partial) error,
-) error {
-	p.ctx = ctx
-	p.global = global
-	p.tasks = tasks
-	p.hier = true
-	p.sink = sink
-	p.sinkErr = nil
-	p.wg.Add(len(p.b.groups))
-	for i := range p.b.groups {
-		p.jobs <- i
-	}
-	p.wg.Wait()
-	p.hier = false
-	p.sink = nil
-	return p.sinkErr
-}
-
 var (
 	_ ExecutionBackend = (*LocalBackend)(nil)
 	_ PartialBackend   = (*LocalBackend)(nil)
+	_ StatefulBackend  = (*LocalBackend)(nil)
 )

@@ -95,16 +95,16 @@ func ServeNode(ctx context.Context, cfg NodeConfig) error {
 }
 
 // node is the per-connection state of ServeNode: the run configuration from
-// the welcome, a per-client device's persistent executor, and the scratch
-// one update at a time runs in.
+// the welcome, a per-client device's cursor, and the scratch one update at a
+// time runs in.
 type node struct {
 	cfg          *NodeConfig
 	codec        *transport.Codec
 	steps, batch int
-	// st is a per-client device's persistent executor; on a group node, whose
-	// batches carry the cursors, it is restored at each tasked member's in turn.
-	st    *clientExec
-	arena execArena
+	// cursor is a per-client device's stream, positioned by the welcome and
+	// advanced by every update; a group node's batches carry its members'.
+	cursor ClientCursor
+	arena  execArena
 	// delta is a per-client device's outgoing update; a group node folds from
 	// the arena and writes none.
 	delta   tensor.Vec
@@ -193,14 +193,13 @@ func (nd *node) hello() error {
 	}
 	nd.steps, nd.batch = welcome.LocalSteps, welcome.BatchSize
 	if cfg.Group {
-		nd.st = &clientExec{rng: new(stats.RNG)}
 		return nil
 	}
 	if welcome.Cursor == nil {
 		return errors.New("welcome missing executor cursor")
 	}
-	nd.st, err = newClientExecAt(ClientCursor{RNG: welcome.Cursor.RNG})
-	return err
+	nd.cursor = ClientCursor{RNG: welcome.Cursor.RNG}
+	return nil
 }
 
 // stall consults the in-process fault and straggler hooks for the clients a
@@ -255,10 +254,10 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 	if len(nd.delta) != len(msg.Model) {
 		nd.delta = tensor.NewVec(len(msg.Model))
 	}
-	if err := nd.st.localUpdate(ctx, nd.cfg.Model, shard, id, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena, nd.delta); err != nil {
+	if err := nd.arena.localUpdate(ctx, nd.cfg.Model, shard, id, &nd.cursor, msg.Model, nd.steps, nd.batch, msg.LR, nd.delta); err != nil {
 		return err
 	}
-	cursor := transport.Cursor{RNG: nd.st.rng.State()}
+	cursor := transport.Cursor{RNG: nd.cursor.RNG}
 	return nd.codec.Send(&transport.Message{
 		Type: transport.MsgUpdate, ClientID: id, Round: msg.Round,
 		Model: nd.delta, Cursor: &cursor,
@@ -266,8 +265,8 @@ func (nd *node) serveRound(ctx context.Context, msg *transport.Message) error {
 }
 
 // serveBatch answers one round's batch of a group node: for each tasked
-// member it restores the node's one executor at the cursor the batch
-// carries, trains in the node's one scratch arena, folds the member's update
+// member it trains in the node's one scratch arena from a copy of the cursor
+// the batch carries, folds the member's update
 // straight from the arena — fl(scale·fl(factor·(w − global))), the factor 1
 // when the batch carries no Factors section — into the node's fixed-point
 // accumulator, and ships back a single MsgPartial: O(model) per node, no
@@ -292,16 +291,13 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 	if cap(nd.zeros) < len(msg.Clients) {
 		nd.zeros = make([]float64, len(msg.Clients))
 	}
-	st := nd.st
 	for i, n := range msg.Clients {
-		if err := st.rng.Restore(msg.Cursors[i].RNG); err != nil {
-			return fmt.Errorf("client %d cursor: %w", n, err)
-		}
 		shard, err := nd.cfg.shard(n)
 		if err != nil {
 			return err
 		}
-		if err := st.train(ctx, nd.cfg.Model, shard, n, msg.Model, nd.steps, nd.batch, msg.LR, &nd.arena); err != nil {
+		c := ClientCursor{RNG: msg.Cursors[i].RNG}
+		if err := nd.arena.train(ctx, nd.cfg.Model, shard, n, &c, msg.Model, nd.steps, nd.batch, msg.LR); err != nil {
 			return err
 		}
 		factor := 1.0
@@ -312,7 +308,7 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 			return err
 		}
 		nd.clients = append(nd.clients, n)
-		nd.cursors = append(nd.cursors, transport.Cursor{RNG: st.rng.State()})
+		nd.cursors = append(nd.cursors, transport.Cursor{RNG: c.RNG})
 	}
 	lo, hi, sat := nd.acc.Limbs()
 	return nd.codec.Send(&transport.Message{

@@ -6,14 +6,14 @@ import (
 	"strings"
 	"testing"
 
-	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/transport"
 )
 
 // TestServeBatchRestoresEachMemberInPlace drives a group node's serveBatch
-// directly. The node runs every tasked member through one executor restored
-// in place, so: each member's update and returned cursor must equal, bit for
-// bit, those of a fresh executor built at that member's cursor (nothing of
+// directly. The node runs every tasked member through one arena whose RNG is
+// restored in place, so: each member's update and returned cursor must
+// equal, bit for bit, those of a fresh arena run from that member's cursor
+// (nothing of
 // the previous member — here one far along its stream — leaks into the next;
 // member 1 is poisoned, and its update must fold as its delta scaled by the
 // batch's factor), the partial's GradSqs section is one zero per member (a
@@ -31,35 +31,27 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	// Member 0 arrives seven steps along its stream, members 1 and 2 fresh: a
 	// leak would show as member 1 continuing member 0's stream.
 	cursors := initialCursors(5, 3)
-	warm, err := newClientExecAt(cursors[0])
-	if err != nil {
-		t.Fatal(err)
-	}
 	delta := m.ZeroParams()
 	var arena execArena
-	if err := warm.localUpdate(ctx, m, fed.Clients[0], 0, global, 7, batch, lr, &arena, delta); err != nil {
+	if err := arena.localUpdate(ctx, m, fed.Clients[0], 0, &cursors[0], global, 7, batch, lr, delta); err != nil {
 		t.Fatal(err)
 	}
-	cursors[0] = warm.cursor()
 	scales := []float64{1.5, 0.25, 3}
 	factors := []float64{1, -2, 1}
 
-	// What the batch must come to: every member on an executor of its own.
+	// What the batch must come to: every member in an arena of its own.
 	want := NewFixAcc(len(global))
 	wantCursors := make([]transport.Cursor, len(cursors))
 	for n, c := range cursors {
-		st, err := newClientExecAt(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := st.localUpdate(ctx, m, fed.Clients[n], n, global, steps, batch, lr, &arena, delta); err != nil {
+		var own execArena
+		if err := own.localUpdate(ctx, m, fed.Clients[n], n, &c, global, steps, batch, lr, delta); err != nil {
 			t.Fatal(err)
 		}
 		delta.Scale(factors[n])
 		if err := want.AddScaled(scales[n], delta); err != nil {
 			t.Fatal(err)
 		}
-		wantCursors[n] = transport.Cursor{RNG: st.rng.State()}
+		wantCursors[n] = transport.Cursor{RNG: c.RNG}
 	}
 	wantLo, wantHi, _ := want.Limbs()
 
@@ -76,7 +68,6 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	nd := &node{
 		cfg:   &NodeConfig{ID: 0, Group: true, Model: m, Shards: fed.Clients},
 		codec: codec, steps: steps, batch: batch,
-		st: &clientExec{rng: new(stats.RNG)},
 	}
 	batchMsg := func(cs []ClientCursor) *transport.Message {
 		msg := &transport.Message{
@@ -103,8 +94,8 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 		t.Fatalf("batch with 2 factors for 3 members: error %v", err)
 	}
 
-	// The same node, left by the failed batches at client 0's post-update
-	// state, now serves the good batch.
+	// The same node, its arena left by the failed batches at client 0's
+	// post-update stream, now serves the good batch.
 	replies := make(chan *transport.Message, 1)
 	go func() {
 		msg, _ := peer.Recv()
@@ -119,7 +110,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	}
 	for n := range cursors {
 		if got.Cursors[n] != wantCursors[n] {
-			t.Fatalf("client %d: cursor %+v, on an executor of its own %+v", n, got.Cursors[n], wantCursors[n])
+			t.Fatalf("client %d: cursor %+v, in an arena of its own %+v", n, got.Cursors[n], wantCursors[n])
 		}
 		if got.GradSqs[n] != 0 {
 			t.Fatalf("client %d: gradient norm %v from a node, want 0", n, got.GradSqs[n])
@@ -127,7 +118,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	}
 	for j := range wantLo {
 		if got.Lo[j] != wantLo[j] || got.Hi[j] != wantHi[j] {
-			t.Fatalf("parameter %d: partial limbs differ from the per-executor fold", j)
+			t.Fatalf("parameter %d: partial limbs differ from the per-arena fold", j)
 		}
 	}
 }

@@ -105,6 +105,15 @@ func validateResume(r *RunState, s *Spec, modelLen, nClients int) error {
 	if !r.Model.IsFinite() {
 		return errors.New("engine: resume model is not finite")
 	}
+	// A backend trusts its table and restores a cursor only when it trains
+	// the client, so an all-zero cursor — which no stream can continue from —
+	// is refused here, or a client never sampled would carry it on into the
+	// next checkpoint.
+	for n, c := range r.Clients {
+		if c.RNG == ([4]uint64{}) {
+			return fmt.Errorf("engine: resume cursor of client %d is all zero", n)
+		}
+	}
 	for i := range r.History {
 		if r.History[i].Round != i {
 			return fmt.Errorf("engine: resume history entry %d records round %d", i, r.History[i].Round)

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,7 +158,9 @@ func TestResumeAtHorizonReturnsCompletedRun(t *testing.T) {
 	mustMatch(t, full, res)
 }
 
-// TestResumeValidation pins the guard rails on malformed resume states.
+// TestResumeValidation pins the guard rails on malformed resume states. An
+// all-zero cursor is refused up front, naming the client, for both backends:
+// a cluster run is refused before its listener opens or any node boots.
 func TestResumeValidation(t *testing.T) {
 	fed := testFederation(t, 41, 3)
 	m := testModel(t, fed)
@@ -176,6 +179,7 @@ func TestResumeValidation(t *testing.T) {
 		"non-finite-model":     func(r *RunState) { r.Model[0] = math.NaN() },
 		"sampler-words":        func(r *RunState) { r.Sampler = r.Sampler[:3] },
 		"missing-cursors":      func(r *RunState) { r.Clients = nil },
+		"zero-cursor":          func(r *RunState) { r.Clients[1].RNG = [4]uint64{} },
 	} {
 		bad := st.Clone()
 		corrupt(bad)
@@ -184,5 +188,18 @@ func TestResumeValidation(t *testing.T) {
 		if _, err := Run(context.Background(), spec, NewLocalBackend(LocalOptions{})); err == nil {
 			t.Errorf("%s: corrupted resume state accepted", name)
 		}
+	}
+
+	bad := st.Clone()
+	bad.Clients[1].RNG = [4]uint64{}
+	spec := mkSpec()
+	spec.Resume = bad
+	cluster := NewClusterBackend(ClusterOptions{Timeout: 10 * time.Second})
+	_, err := Run(context.Background(), spec, cluster)
+	if err == nil || !strings.Contains(err.Error(), "client 1") {
+		t.Fatalf("cluster run from a zero cursor for client 1: error %v", err)
+	}
+	if cluster.listener != nil || cluster.slots != nil {
+		t.Fatal("cluster backend opened before the zero cursor was refused")
 	}
 }

@@ -2,6 +2,8 @@ package fl
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -239,7 +241,7 @@ func TestProportionalAggregationBiased(t *testing.T) {
 
 	const trials = 100000
 	mean := tensor.NewVec(1)
-	agg := engine.ProportionalAggregator{}
+	agg := proportionalAggregator{}
 	for trial := 0; trial < trials; trial++ {
 		global := tensor.NewVec(1)
 		var updates []engine.ClientUpdate
@@ -279,11 +281,11 @@ func TestAggregatorErrors(t *testing.T) {
 	if err := agg.Aggregate(global, nil, []float64{1}, []float64{1, 1}); err == nil {
 		t.Fatal("expected weights/q mismatch error")
 	}
-	prop := engine.ProportionalAggregator{}
+	prop := proportionalAggregator{}
 	if err := prop.Aggregate(global, nil, []float64{1}, []float64{1}); err != nil {
 		t.Fatalf("empty round should be a no-op: %v", err)
 	}
-	naive := engine.NaiveInverseAggregator{}
+	naive := naiveInverseAggregator{}
 	if err := naive.Aggregate(global, []engine.ClientUpdate{{Client: 0, Delta: tensor.NewVec(2)}},
 		[]float64{1}, []float64{0}); err == nil {
 		t.Fatal("expected non-positive q error from naive aggregator")
@@ -490,9 +492,49 @@ func TestUnbiasedBeatsBiasedUnderSkewedQ(t *testing.T) {
 	const reps = 3
 	for s := uint64(0); s < reps; s++ {
 		unbiased += finalLoss(engine.UnbiasedAggregator{}, 10+s) / reps
-		biased += finalLoss(engine.ProportionalAggregator{}, 10+s) / reps
+		biased += finalLoss(proportionalAggregator{}, 10+s) / reps
 	}
 	if unbiased >= biased {
 		t.Fatalf("unbiased loss %v not better than biased %v", unbiased, biased)
 	}
+}
+
+// proportionalAggregator is the biased baseline: participants' deltas are
+// weighted by a_n renormalized over the participant set only, which is what
+// a mechanism that ignores participation probabilities would do; the model
+// drifts toward frequently participating clients' data.
+type proportionalAggregator struct{}
+
+func (proportionalAggregator) Aggregate(global tensor.Vec, updates []engine.ClientUpdate, weights, _ []float64) error {
+	var total float64
+	for _, u := range updates {
+		total += weights[u.Client]
+	}
+	if len(updates) > 0 && total <= 0 {
+		return errors.New("zero total weight among participants")
+	}
+	for _, u := range updates {
+		if err := global.AddScaled(weights[u.Client]/total, u.Delta); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// naiveInverseAggregator is the scheme the paper's Lemma 1 remark warns
+// about: inverse weighting renormalized by the participant count K,
+// a_n/(K·q_n). It is unbiased only under uniform dependent sampling.
+type naiveInverseAggregator struct{}
+
+func (naiveInverseAggregator) Aggregate(global tensor.Vec, updates []engine.ClientUpdate, weights, q []float64) error {
+	k := float64(len(updates))
+	for _, u := range updates {
+		if q[u.Client] <= 0 {
+			return fmt.Errorf("participant %d has non-positive q", u.Client)
+		}
+		if err := global.AddScaled(weights[u.Client]/(k*q[u.Client]), u.Delta); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -12,6 +12,7 @@ import (
 
 	"unbiasedfl/internal/engine"
 	"unbiasedfl/internal/experiment"
+	"unbiasedfl/internal/tensor"
 	"unbiasedfl/internal/testutil"
 )
 
@@ -159,7 +160,7 @@ func TestNaiveInverseAggregatorFailsZTest(t *testing.T) {
 	// the naive rule fails there.
 	for i := 0; i < 40; i++ {
 		sc := GenerateWith(genSeed(1000+i), GenOptions{MaxClients: 8, MaxRounds: 12, NoAdversaries: true, NoMembership: true})
-		rep, err := ReplayAggregate(ctx, sc, ReplayConfig{Reps: 300, Aggregator: engine.NaiveInverseAggregator{}})
+		rep, err := ReplayAggregate(ctx, sc, ReplayConfig{Reps: 300, Aggregator: naiveInverseAggregator{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -333,4 +334,22 @@ func TestGeneratedBackendEquality(t *testing.T) {
 			t.Fatalf("world %d (%s): local and cluster traces differ", i, sc.Name)
 		}
 	}
+}
+
+// naiveInverseAggregator is the scheme the paper's Lemma 1 remark warns
+// about: inverse weighting renormalized by the participant count K,
+// a_n/(K·q_n). It is unbiased only under uniform dependent sampling.
+type naiveInverseAggregator struct{}
+
+func (naiveInverseAggregator) Aggregate(global tensor.Vec, updates []engine.ClientUpdate, weights, q []float64) error {
+	k := float64(len(updates))
+	for _, u := range updates {
+		if q[u.Client] <= 0 {
+			return fmt.Errorf("participant %d has non-positive q", u.Client)
+		}
+		if err := global.AddScaled(weights[u.Client]/(k*q[u.Client]), u.Delta); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -149,9 +149,9 @@ func randomMessage(rng *rand.Rand) *Message {
 	integer := func() int {
 		switch rng.Intn(4) {
 		case 0:
-			return math.MinInt64
+			return math.MinInt
 		case 1:
-			return math.MaxInt64
+			return math.MaxInt
 		}
 		return int(rng.Uint64())
 	}
