@@ -146,3 +146,25 @@ func TestGeneratedRowsAreCapped(t *testing.T) {
 		t.Fatalf("empty dataset has X %v, Y %v, want nil", empty.X, empty.Y)
 	}
 }
+
+// BenchmarkGenerate times each setup's generator at the paper's 40 clients
+// and at the 64 of the session-durable world, seed 1, on GOMAXPROCS
+// workers; ns/feature is per generated feature, train and test.
+func BenchmarkGenerate(b *testing.B) {
+	for _, c := range digestCases() {
+		if c.seed != 1 || !strings.Contains(c.name, "clients=40 ") && !strings.Contains(c.name, "clients=64 ") {
+			continue
+		}
+		b.Run(strings.ReplaceAll(strings.TrimSuffix(c.name, " seed=1"), " ", "/"), func(b *testing.B) {
+			features := 0
+			for i := 0; i < b.N; i++ {
+				fed, err := c.gen(stats.NewRNG(c.seed))
+				if err != nil {
+					b.Fatal(err)
+				}
+				features = (fed.Train.Len() + fed.Test.Len()) * fed.Train.Dim
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(features), "ns/feature")
+		})
+	}
+}

@@ -90,10 +90,15 @@ func (c ImageLikeConfig) validate() error {
 // Generation contract: the shard sizes and then the class prototypes come
 // from r first; client k then draws its label set and samples from the k-th
 // Split of r, and the i.i.d. test set from one more Split taken after the
-// clients'. The shards and the test set are filled in parallel, on at most
-// GOMAXPROCS workers, into storage allocated beforehand; each dataset keeps
-// its rows in one block, every row capped at Dim. The bits are those of
-// filling them one after another, for any worker count.
+// clients'. Every Gaussian is stats.RNG.NormFloat64's polar draw; each
+// prototype and each sample row takes its Dim of them in one NormFloat64s
+// call, which returns the bits of that many NormFloat64 calls, and then
+// scales them (a row: prototype + fl(NoiseStd·z), the product rounded
+// before the add). The shards and the test set are filled in parallel, on
+// at most GOMAXPROCS workers, into storage allocated beforehand; each
+// dataset keeps its rows in one block, every row capped at Dim. The bits are
+// those of filling them one after another, for any worker count, and do not
+// depend on whether the host has AVX2.
 func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -107,8 +112,9 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 	protos := make([][]float64, cfg.Classes)
 	for c := range protos {
 		p := make([]float64, cfg.Dim)
+		r.NormFloat64s(p)
 		for j := range p {
-			p[j] = cfg.ClassSpread * r.NormFloat64()
+			p[j] *= cfg.ClassSpread
 		}
 		protos[c] = p
 	}
@@ -142,13 +148,16 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 }
 
 // fillImageLike fills ds from rr: each sample's class is uniform over labels,
-// its features that class's prototype plus Gaussian noise.
+// its features that class's prototype plus Gaussian noise. The row's Dim
+// standard normals are drawn into the row in one NormFloat64s call, then
+// scaled and shifted in place.
 func fillImageLike(rr *stats.RNG, cfg ImageLikeConfig, protos [][]float64, labels []int, ds *Dataset) {
 	for i, x := range ds.X {
 		class := labels[rr.Intn(len(labels))]
 		p := protos[class]
+		rr.NormFloat64s(x)
 		for j := range x {
-			x[j] = p[j] + float64(cfg.NoiseStd*rr.NormFloat64())
+			x[j] = p[j] + float64(cfg.NoiseStd*x[j])
 		}
 		ds.Y[i] = class
 	}

@@ -64,11 +64,15 @@ func (c SyntheticConfig) validate() error {
 //
 // Generation contract: the shard sizes come from r first; client k then
 // draws everything — model, input mean, train samples, test samples — from
-// the k-th Split of r. The shards are filled in parallel, on at most
-// GOMAXPROCS workers, into storage allocated beforehand; each of a client's
-// train and test parts keeps its rows in one block, every row capped at Dim.
-// The bits are those of filling the clients one after another, for any
-// worker count.
+// the k-th Split of r. Every Gaussian is stats.RNG.NormFloat64's polar
+// draw: u_k and B_k one call each, then W_k, b_k, v_k and each sample row
+// one NormFloat64s call apiece, which returns the bits of that many
+// NormFloat64 calls (a row: v_k + fl(√Σ_jj·z), the product rounded before
+// the add). The shards are filled in parallel, on at most GOMAXPROCS
+// workers, into storage allocated beforehand; each of a client's train and
+// test parts keeps its rows in one block, every row capped at Dim. The bits
+// are those of filling the clients one after another, for any worker count,
+// and do not depend on whether the host has AVX2.
 func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -119,23 +123,18 @@ func fillSynthetic(cr *stats.RNG, cfg SyntheticConfig, stddev []float64, train, 
 	if err != nil {
 		return err
 	}
-	for i := range wk.Data {
-		wk.Data[i] = uk + cr.NormFloat64()
-	}
 	bias := make(tensor.Vec, cfg.Classes)
-	for i := range bias {
-		bias[i] = uk + cr.NormFloat64()
-	}
 	vk := make([]float64, cfg.Dim)
-	for j := range vk {
-		vk[j] = bk + cr.NormFloat64()
-	}
+	normalsAround(cr, wk.Data, uk)
+	normalsAround(cr, bias, uk)
+	normalsAround(cr, vk, bk)
 
 	logits := make(tensor.Vec, cfg.Classes)
 	for _, ds := range [2]*Dataset{train, test} {
 		for i, x := range ds.X {
+			cr.NormFloat64s(x)
 			for j := range x {
-				x[j] = vk[j] + float64(stddev[j]*cr.NormFloat64())
+				x[j] = vk[j] + float64(stddev[j]*x[j])
 			}
 			if err := wk.MulVec(tensor.Vec(x), logits); err != nil {
 				return err
@@ -151,4 +150,13 @@ func fillSynthetic(cr *stats.RNG, cfg SyntheticConfig, stddev []float64, train, 
 		}
 	}
 	return nil
+}
+
+// normalsAround fills v with unit-variance normals about mean: standard
+// normals from cr, each plus mean.
+func normalsAround(cr *stats.RNG, v []float64, mean float64) {
+	cr.NormFloat64s(v)
+	for i := range v {
+		v[i] += mean
+	}
 }

@@ -15,35 +15,34 @@ import (
 // state besides s; callers reduce results in index order to stay
 // bit-identical for any worker count.
 //
-// Once any fn fails, no further index is claimed and the ctx fn receives is
-// cancelled; every claimed index still runs, so every index below a failing
-// one has run. ParallelFor returns ctx.Err() if the caller's ctx ended;
-// otherwise the lowest-index error that is not context.Canceled — the
-// in-flight calls the abort cancelled must not mask the failure that caused
-// it — and failing that, the lowest-index error.
+// Once any fn fails, no further index is claimed and, with more than one
+// worker, the ctx fn receives is cancelled; every claimed index still runs,
+// so every index below a failing one has run. ParallelFor returns ctx.Err()
+// if the caller's ctx ended; otherwise the lowest-index error that is not
+// context.Canceled — the in-flight calls the abort cancelled must not mask
+// the failure that caused it — and failing that, the lowest-index error.
 func ParallelFor[S any](ctx context.Context, n, workers int, fn func(ctx context.Context, s *S, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
+	if workers <= 1 {
+		return serialFor(ctx, n, fn)
+	}
 	p := &pool[S]{n: n, fn: fn}
 	p.ctx, p.cancel = context.WithCancel(ctx)
 	defer p.cancel()
-	if workers == 1 {
-		p.work()
-	} else {
-		// The caller waits rather than taking a share: a goroutine it
-		// starts sits in its P's next-run slot, which other Ps are slow to
-		// steal, so a busy caller would run most indices itself.
-		for w := 0; w < workers; w++ {
-			p.wg.Add(1)
-			go func() {
-				defer p.wg.Done()
-				p.work()
-			}()
-		}
-		p.wg.Wait()
+	// The caller waits rather than taking a share: a goroutine it starts
+	// sits in its P's next-run slot, which other Ps are slow to steal, so a
+	// busy caller would run most indices itself.
+	for w := 0; w < workers; w++ {
+		p.wg.Add(1)
+		go func() {
+			defer p.wg.Done()
+			p.work()
+		}()
 	}
+	p.wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return err
 	}
@@ -51,6 +50,26 @@ func ParallelFor[S any](ctx context.Context, n, workers int, fn func(ctx context
 		return p.err
 	}
 	return p.canceled
+}
+
+// serialFor is ParallelFor on one worker: the indices in order on the
+// calling goroutine and the caller's ctx, up to the first error. Nothing runs
+// after it, so it is the lowest-index error, and nothing else was in flight
+// to cancel; the caller's ctx ending still wins over it.
+func serialFor[S any](ctx context.Context, n int, fn func(ctx context.Context, s *S, i int) error) error {
+	var s S
+	for i := 0; i < n; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := fn(ctx, &s, i); err != nil {
+			if cerr := ctx.Err(); cerr != nil {
+				return cerr
+			}
+			return err
+		}
+	}
+	return ctx.Err()
 }
 
 // pool is one ParallelFor call's shared state, allocated once per call.

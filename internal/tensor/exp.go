@@ -1,6 +1,9 @@
 package tensor
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Exp and Log are the module's exponential and natural logarithm: every value
 // that reaches a model, a priced game or a trace is computed with them, never
@@ -155,4 +158,38 @@ func logSplit(f1 float64, ki int) float64 {
 	R := t1 + t2
 	hfsq := float64(0.5 * f * f)
 	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*ln2Lo))) - f)
+}
+
+// PolarScale sets each u[i] to u[i]·√(−2·Log(s[i])/s[i]): the transform of
+// Marsaglia's polar method, which turns an accepted pair's u and s =
+// u² + v² into a standard normal variate. Each element is
+//
+//	u·Sqrt((−2·Log(s))/s)
+//
+// with Log's sequence and each step one IEEE double operation rounded to
+// nearest. On amd64 with AVX2 every group of four elements whose s values
+// all lie in [2⁻¹⁰²², 1) — positive normal numbers below 1, as every s the
+// polar method accepts is — runs on a vector kernel that performs this
+// sequence in each lane; every other group, the len mod 4 tail and every
+// element without AVX2 take the Go loop, which is also the reference. The
+// bits are the same either way.
+func PolarScale(u, s Vec) error {
+	if len(s) != len(u) {
+		return errors.New("tensor: length mismatch in PolarScale")
+	}
+	for i := 0; i < len(u); i += 4 {
+		// The kernel, up to a group it declines or the last len mod 4; then
+		// the Go loop on those (at most four) elements.
+		i += polarScaleVector(u[i:], s[i:])
+		polarScalePortable(u[i:min(i+4, len(u))], s[i:])
+	}
+	return nil
+}
+
+// polarScalePortable is PolarScale on the Go loop, for every element of u.
+func polarScalePortable(u, s Vec) {
+	s = s[:len(u)]
+	for i, si := range s {
+		u[i] = float64(u[i] * math.Sqrt(-2*Log(si)/si))
+	}
 }

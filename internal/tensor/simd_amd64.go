@@ -23,6 +23,9 @@ func softmaxAVX2(p *float64, cols, groups int, maxes, sums *float64) int
 //go:noescape
 func sgdUpdateAVX2(w, grad *float64, n int, mu, lr float64)
 
+//go:noescape
+func polarScaleAVX2(u, s *float64, groups int) int
+
 // tmulSamples is how many samples one addTMul call takes: its frame holds
 // their scaled probabilities.
 const tmulSamples = 64
@@ -100,4 +103,15 @@ func sgdUpdateVector(w, g Vec, mu, lr float64) int {
 	}
 	sgdUpdateAVX2(&w[0], &g[0], n, mu, lr)
 	return n
+}
+
+// polarScaleVector runs PolarScale's leading groups of four elements through
+// the vector kernel, up to the first group it declines (one holding an s
+// outside [2⁻¹⁰²², 1)), and returns how many elements it finished: a
+// multiple of 4, and 0 without AVX2.
+func polarScaleVector(u, s Vec) int {
+	if !HasAVX2 || len(u) < 4 {
+		return 0
+	}
+	return 4 * polarScaleAVX2(&u[0], &s[0], len(u)/4)
 }

@@ -1,12 +1,13 @@
 #include "textflag.h"
 #include "funcdata.h"
 
-// AVX2 micro-kernels behind LogitsBatch, AddScaledTMul, SoftmaxRows and
-// SGDUpdate (see kernels.go for the per-output operation order they must
-// reproduce, and Exp in exp.go for the exponential's). Vector lanes carry four
-// independent outputs; every lane performs the portable code's own sequence of
-// IEEE operations — VMULPD then VADDPD, never a fused multiply-add, never a
-// reduction across lanes — so results are bit-identical to the Go code.
+// AVX2 micro-kernels behind LogitsBatch, AddScaledTMul, SoftmaxRows,
+// SGDUpdate and PolarScale (see kernels.go for the per-output operation order
+// they must reproduce, and exp.go for the sequences of Exp, Log and the polar
+// transform). Vector lanes carry four independent outputs; every lane
+// performs the portable code's own sequence of IEEE operations — VMULPD then
+// VADDPD, never a fused multiply-add, never a reduction across lanes — so
+// results are bit-identical to the Go code.
 // Pointers are not bounds-checked here: the length checks in the exported
 // functions are the only guard.
 
@@ -543,5 +544,108 @@ update:
 	SUBQ $4, CX
 	JNZ  update
 
+	VZEROUPPER
+	RET
+
+// The constants of the polar transform: its range bounds and those of Log
+// (exp.go) that the softmax kernel's table does not already hold.
+LANES(logc, 0, 0x000fffffffffffff)   // fraction mask
+LANES(logc, 32, 0x3fe6a09e667f3bcd)  // √2/2
+LANES(logc, 64, 0x0010000000000000)  // 2^-1022, the least normal number
+LANES(logc, 96, 0x0010000000000000)  // 1 << 52, the exponent field's unit
+LANES(logc, 128, 0x4330000000000000) // 2^52
+LANES(logc, 160, 0x43300000000003fe) // 2^52 + 1022
+LANES(logc, 192, 0x3fe5555555555593) // L1
+LANES(logc, 224, 0x3fd999999997fa04) // L2
+LANES(logc, 256, 0x3fd2492494229359) // L3
+LANES(logc, 288, 0x3fcc71c51d8e78af) // L4
+LANES(logc, 320, 0x3fc7466496cb03de) // L5
+LANES(logc, 352, 0x3fc39a09d078c69f) // L6
+LANES(logc, 384, 0x3fc2f112df3e5244) // L7
+LANES(logc, 416, 0xc000000000000000) // -2
+GLOBL logc<>(SB), RODATA|NOPTR, $448
+
+// func polarScaleAVX2(u, s *float64, groups int) int
+//
+// PolarScale on groups × 4 consecutive elements at u and s, four per pass,
+// one element per lane: u·Sqrt((−2·Log(s))/s), with Log's own sequence
+// (exp.go) in each lane and then VMULPD, VDIVPD, VSQRTPD, VMULPD. The split
+// s = f1·2^ki takes f1 from s's fraction bits under the exponent of 1/2 and
+// ki from its exponent field; where f1 < √2/2, f1 is doubled by adding 1 to
+// its exponent field and ki decremented. k = ki converts to a double
+// exactly as (2^52 + biased exponent) − (2^52 + 1022).
+//
+// A group where any s is not in [2^-1022, 1) (NaN included) is left
+// untouched: the kernel stops before it and returns how many groups it
+// finished. In every group it does run, Log(s) is finite and not positive
+// and the square root's operand is not negative, so no lane makes a NaN of
+// its own: a NaN result is u's, the one NaN operand of the last product.
+TEXT ·polarScaleAVX2(SB), NOSPLIT, $0-32
+	MOVQ u+0(FP), DI
+	MOVQ s+8(FP), SI
+	MOVQ groups+16(FP), BX
+	XORQ AX, AX
+
+group:
+	VMOVUPD (SI), Y0                     // s
+	VCMPPD $0x19, logc<>+64(SB), Y0, Y1  // !(s >= 2^-1022): subnormal, ≤ 0 or NaN
+	VCMPPD $0x15, expc<>+384(SB), Y0, Y2 // !(s < 1)
+	VORPD Y2, Y1, Y1
+	VMOVMSKPD Y1, DX
+	TESTL DX, DX
+	JNZ  done
+
+	VANDPD logc<>+0(SB), Y0, Y1          // s's fraction bits
+	VORPD expc<>+96(SB), Y1, Y1          // f1 in [1/2, 1): under the exponent of 0.5
+	VPSRLQ $52, Y0, Y2                   // biased exponent e = ki + 1022
+	VCMPPD $0x11, logc<>+32(SB), Y1, Y3  // f1 < √2/2: the lanes that double f1
+	VANDPD logc<>+96(SB), Y3, Y4
+	VPADDQ Y4, Y1, Y1                    // 2·f1 there: 1 added to the exponent field
+	VSUBPD expc<>+384(SB), Y1, Y1        // f = f1 − 1
+	VPSRLQ $63, Y3, Y3                   // d = 1 where doubled, else 0
+	VPSUBQ Y3, Y2, Y2                    // e − d
+	VPOR logc<>+128(SB), Y2, Y2          // 2^52 + e − d
+	VSUBPD logc<>+160(SB), Y2, Y2        // k = e − d − 1022
+	VADDPD expc<>+416(SB), Y1, Y5        // 2 + f
+	VDIVPD Y5, Y1, Y5                    // s' = f/(2 + f)
+	VMULPD Y5, Y5, Y6                    // s2 = s'·s'
+	VMULPD Y6, Y6, Y7                    // s4 = s2·s2
+	VMULPD logc<>+384(SB), Y7, Y8        // s4·L7
+	VADDPD logc<>+320(SB), Y8, Y8        // L5 + s4·L7
+	VMULPD Y8, Y7, Y8
+	VADDPD logc<>+256(SB), Y8, Y8        // L3 + s4·(…)
+	VMULPD Y8, Y7, Y8
+	VADDPD logc<>+192(SB), Y8, Y8        // L1 + s4·(…)
+	VMULPD Y8, Y6, Y8                    // t1 = s2·(…)
+	VMULPD logc<>+352(SB), Y7, Y9        // s4·L6
+	VADDPD logc<>+288(SB), Y9, Y9        // L4 + s4·L6
+	VMULPD Y9, Y7, Y9
+	VADDPD logc<>+224(SB), Y9, Y9        // L2 + s4·(…)
+	VMULPD Y9, Y7, Y9                    // t2 = s4·(…)
+	VADDPD Y9, Y8, Y8                    // R = t1 + t2
+	VMULPD expc<>+96(SB), Y1, Y9         // 0.5·f
+	VMULPD Y1, Y9, Y9                    // hfsq = (0.5·f)·f
+	VADDPD Y8, Y9, Y8                    // hfsq + R
+	VMULPD Y8, Y5, Y8                    // s'·(hfsq + R)
+	VMULPD expc<>+192(SB), Y2, Y10       // k·Ln2Lo
+	VADDPD Y10, Y8, Y8                   // s'·(hfsq + R) + k·Ln2Lo
+	VSUBPD Y8, Y9, Y8                    // hfsq − (…)
+	VSUBPD Y1, Y8, Y8                    // (…) − f
+	VMULPD expc<>+160(SB), Y2, Y10       // k·Ln2Hi
+	VSUBPD Y8, Y10, Y8                   // Log(s) = k·Ln2Hi − (…)
+	VMULPD logc<>+416(SB), Y8, Y8        // −2·Log(s)
+	VDIVPD Y0, Y8, Y8                    // (−2·Log(s))/s
+	VSQRTPD Y8, Y8
+	VMOVUPD (DI), Y9
+	VMULPD Y8, Y9, Y9                    // u·Sqrt(…)
+	VMOVUPD Y9, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	INCQ AX
+	CMPQ AX, BX
+	JB   group
+
+done:
+	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

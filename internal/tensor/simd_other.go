@@ -15,3 +15,5 @@ func addScaledTMulVector(s float64, xs [][]float64, p Vec, classes, dim int, g V
 func softmaxVector(p Vec, rows, cols int, maxes, sums Vec) int { return 0 }
 
 func sgdUpdateVector(w, g Vec, mu, lr float64) int { return 0 }
+
+func polarScaleVector(u, s Vec) int { return 0 }
