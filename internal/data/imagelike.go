@@ -148,9 +148,7 @@ func GenerateImageLike(r *stats.RNG, cfg ImageLikeConfig) (*Federated, error) {
 }
 
 // fillImageLike fills ds from rr: each sample's class is uniform over labels,
-// its features that class's prototype plus Gaussian noise. The row's Dim
-// standard normals are drawn into the row in one NormFloat64s call, then
-// scaled and shifted in place.
+// its features that class's prototype plus Gaussian noise.
 func fillImageLike(rr *stats.RNG, cfg ImageLikeConfig, protos [][]float64, labels []int, ds *Dataset) {
 	for i, x := range ds.X {
 		class := labels[rr.Intn(len(labels))]
