@@ -55,7 +55,6 @@ type Solver struct {
 	// M-search state: inner-problem scratch and the ψ/θ multiplier pairs
 	// carried across grid steps (see SolveMSearch).
 	msQ       []float64
-	msBest    []float64
 	warmPsi   lambdaBracket
 	warmTheta lambdaBracket
 }
@@ -241,7 +240,9 @@ func seekBracket(seed lambdaBracket, f func(float64) float64, limit float64) (lo
 	}
 }
 
-// finishInto derives prices and diagnostics from the scratch q vector.
+// finishInto derives prices and diagnostics from the scratch q vector. It is
+// the one place an Equilibrium is made from q: SolveInto and SolveMSearch
+// both end here.
 func (s *Solver) finishInto(p *Params, eq *Equilibrium, lambda float64, tight bool) error {
 	n := p.N()
 	eq.Q = growFloats(eq.Q, n)

@@ -62,21 +62,26 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 	}
 	n := p.N()
 	s.msQ = growFloats(s.msQ, n)
-	s.msBest = growFloats(s.msBest, n)
-
+	s.q = growFloats(s.q, n)
+	s.gain = growFloats(s.gain, n)
 	mLo, mHi := 0.0, 0.0
 	for i := 0; i < n; i++ {
+		s.gain[i] = p.V[i] * p.Alpha / p.R * p.DataQuality(i)
 		mLo += p.C[i] * p.QMin * p.QMin
 		mHi += p.C[i] * p.QMax * p.QMax
 	}
 
-	// evaluate scores one M candidate, leaving its q vector in s.msQ.
+	// evaluate scores one M candidate, leaving its q vector in s.msQ. Its
+	// spend is spendOfLambda's, at the eq.-17 prices.
 	evaluate := func(m float64) (float64, bool) {
 		if !s.innerSolve(p, m) {
 			return math.Inf(1), false
 		}
-		spent, err := p.spendAt(s.msQ)
-		if err != nil || spent > p.B*(1+1e-9)+1e-9 {
+		var spent float64
+		for i, qi := range s.msQ {
+			spent += (2*p.C[i]*qi - s.gain[i]/(qi*qi)) * qi
+		}
+		if spent > p.B*(1+1e-9)+1e-9 {
 			return math.Inf(1), false
 		}
 		obj, err := p.ServerObjective(s.msQ)
@@ -86,6 +91,7 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 		return obj, true
 	}
 
+	// The best candidate so far is kept in s.q, where finishInto reads it.
 	lo, hi := mLo, mHi
 	found := false
 	bestObj := math.Inf(1)
@@ -97,7 +103,7 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 			obj, ok := evaluate(m)
 			if ok && obj < bestObj {
 				bestObj = obj
-				copy(s.msBest, s.msQ)
+				copy(s.q, s.msQ)
 				bestM = m
 				improved = true
 				found = true
@@ -114,12 +120,12 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 	if !found {
 		return nil, errors.New("game: M-search found no feasible point")
 	}
-	spent, err := p.spendAt(s.msBest)
-	if err != nil {
+	eq := new(Equilibrium)
+	if err := s.finishInto(p, eq, 0, false); err != nil {
 		return nil, err
 	}
-	tight := math.Abs(spent-p.B) < 0.05*math.Max(1, math.Abs(p.B))
-	return p.finishEquilibrium(append([]float64(nil), s.msBest...), 0, tight)
+	eq.BudgetTight = math.Abs(eq.Spent-p.B) < 0.05*math.Max(1, math.Abs(p.B))
+	return eq, nil
 }
 
 // innerQ writes the inner problem's stationarity point for multipliers

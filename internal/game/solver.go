@@ -43,20 +43,6 @@ func (e *Equilibrium) NegativePayments() int {
 	return count
 }
 
-// spendAt computes the total payment Σ P_n(q_n) q_n when every client is
-// held at its eq.-17 price for the given q vector.
-func (p *Params) spendAt(q []float64) (float64, error) {
-	var s float64
-	for n, qn := range q {
-		price, err := p.PriceFor(n, qn)
-		if err != nil {
-			return 0, err
-		}
-		s += price * qn
-	}
-	return s, nil
-}
-
 // SolveKKT computes the Stackelberg equilibrium by pinning the budget
 // multiplier λ of Problem P1′'s KKT system on the float lattice. Client
 // payments P_n(q) q = 2 c_n q² − (α/R) v_n a_n²G_n²/q are strictly
@@ -73,34 +59,6 @@ func (p *Params) spendAt(q []float64) (float64, error) {
 func (p *Params) SolveKKT() (*Equilibrium, error) {
 	var s Solver
 	return s.Solve(p)
-}
-
-// finishEquilibrium derives prices and diagnostics from a solved q vector.
-func (p *Params) finishEquilibrium(q []float64, lambda float64, tight bool) (*Equilibrium, error) {
-	prices := make([]float64, p.N())
-	for n, qn := range q {
-		price, err := p.PriceFor(n, qn)
-		if err != nil {
-			return nil, err
-		}
-		prices[n] = price
-	}
-	spent, err := TotalPayment(prices, q)
-	if err != nil {
-		return nil, err
-	}
-	obj, err := p.ServerObjective(q)
-	if err != nil {
-		return nil, err
-	}
-	return &Equilibrium{
-		Q:           q,
-		P:           prices,
-		Lambda:      lambda,
-		Spent:       spent,
-		ServerObj:   obj,
-		BudgetTight: tight,
-	}, nil
 }
 
 // CheckConsistency verifies that an equilibrium is self-consistent: every
