@@ -192,7 +192,7 @@ func EquilibriumSweep(
 		if end > len(values) {
 			end = len(values)
 		}
-		eqs, err := game.SolveManyContext(ctx, games[start:end], 0)
+		eqs, err := game.SolveMany(ctx, games[start:end], 0)
 		if err != nil {
 			var be *game.BatchError
 			if errors.As(err, &be) {

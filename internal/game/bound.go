@@ -45,47 +45,6 @@ func (p *Params) ServerObjective(q []float64) (float64, error) {
 	return p.Alpha * v / p.R, nil
 }
 
-// BetaInputs carries the constants needed to evaluate the β term of
-// Theorem 1 exactly. All quantities are measurable from the substrate:
-// per-client SGD variance bounds σ_n², gradient bounds G_n, the smoothness
-// and strong-convexity constants, the local step count E, the heterogeneity
-// gap Γ = F* − Σ a_n F*_n, and the initial distance ‖w⁰ − w*‖².
-type BetaInputs struct {
-	SigmaSq   []float64 // σ_n²
-	A         []float64 // a_n
-	G         []float64 // G_n
-	L, Mu     float64
-	E         float64
-	Gamma     float64
-	InitDist2 float64 // ‖w⁰ − w*‖²
-}
-
-// ComputeBeta evaluates β = (2L/(μ²E))·A0 + (12L²/(μ²E))·Γ + (4L²/(μE))‖w⁰−w*‖²
-// with A0 = Σ a_n²σ_n² + 8 Σ a_n G_n² (E−1)² as defined under Theorem 1.
-func ComputeBeta(in BetaInputs) (float64, error) {
-	n := len(in.A)
-	if n == 0 || len(in.SigmaSq) != n || len(in.G) != n {
-		return 0, errors.New("game: beta input slice lengths differ or empty")
-	}
-	if in.L <= 0 || in.Mu <= 0 || in.E <= 0 {
-		return 0, errors.New("game: beta inputs need positive L, mu, E")
-	}
-	if in.Gamma < 0 || in.InitDist2 < 0 {
-		return 0, errors.New("game: beta inputs need nonnegative gamma and distance")
-	}
-	var a0 float64
-	for i := 0; i < n; i++ {
-		if in.SigmaSq[i] < 0 {
-			return 0, fmt.Errorf("game: sigma²[%d] negative", i)
-		}
-		a0 += in.A[i]*in.A[i]*in.SigmaSq[i] + 8*in.A[i]*in.G[i]*in.G[i]*(in.E-1)*(in.E-1)
-	}
-	mu2 := in.Mu * in.Mu
-	return 2*in.L/(mu2*in.E)*a0 +
-		12*in.L*in.L/(mu2*in.E)*in.Gamma +
-		4*in.L*in.L/(in.Mu*in.E)*in.InitDist2, nil
-}
-
 // RoundsToGap inverts the bound: the number of rounds needed to push the
 // optimality gap below eps at participation q. Returns +Inf when eps <= 0.
 func (p *Params) RoundsToGap(q []float64, eps float64) (float64, error) {

@@ -387,14 +387,9 @@ func (e *BatchError) Unwrap() error { return e.Err }
 // stream. results[i] is games[i]'s equilibrium, bit-identical to a
 // sequential p.SolveKKT() loop for any worker count (workers <= 0 means
 // GOMAXPROCS). A failure stops further games from starting, and the
-// lowest-index failure comes back wrapped in a *BatchError.
-func SolveMany(games []*Params, workers int) ([]*Equilibrium, error) {
-	return SolveManyContext(context.Background(), games, workers)
-}
-
-// SolveManyContext is SolveMany with cancellation: games not yet started
-// when ctx is cancelled are abandoned and ctx.Err() is returned.
-func SolveManyContext(ctx context.Context, games []*Params, workers int) ([]*Equilibrium, error) {
+// lowest-index failure comes back wrapped in a *BatchError; games not yet
+// started when ctx is cancelled are abandoned and ctx.Err() is returned.
+func SolveMany(ctx context.Context, games []*Params, workers int) ([]*Equilibrium, error) {
 	n := len(games)
 	if n == 0 {
 		return nil, errors.New("game: empty batch")

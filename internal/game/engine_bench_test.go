@@ -1,6 +1,7 @@
 package game
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -118,7 +119,7 @@ func BenchmarkWarmSweep(b *testing.B) {
 	b.Run("many", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := SolveMany(games, 0); err != nil {
+			if _, err := SolveMany(context.Background(), games, 0); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -133,7 +134,7 @@ func BenchmarkBayesianParallel(b *testing.B) {
 	b.Run("seq", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.SolveBayesianParallel(prior, 200, stats.NewRNG(11), 1); err != nil {
+			if _, err := p.solveBayesian(prior, 200, stats.NewRNG(11), 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -141,7 +142,7 @@ func BenchmarkBayesianParallel(b *testing.B) {
 	b.Run("par", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.SolveBayesianParallel(prior, 200, stats.NewRNG(11), runtime.GOMAXPROCS(0)); err != nil {
+			if _, err := p.solveBayesian(prior, 200, stats.NewRNG(11), runtime.GOMAXPROCS(0)); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -1,6 +1,7 @@
 package game
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -146,7 +147,7 @@ func TestSolveManyMatchesSequential(t *testing.T) {
 		want[i] = eq
 	}
 	for _, workers := range []int{1, 2, 3, 8, 64} {
-		got, err := SolveMany(games, workers)
+		got, err := SolveMany(context.Background(), games, workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -158,13 +159,13 @@ func TestSolveManyMatchesSequential(t *testing.T) {
 
 // TestSolveManyErrors pins the deterministic lowest-index error contract.
 func TestSolveManyErrors(t *testing.T) {
-	if _, err := SolveMany(nil, 2); err == nil {
+	if _, err := SolveMany(context.Background(), nil, 2); err == nil {
 		t.Fatal("expected empty-batch error")
 	}
 	good := engineGame(t, 7, 5)
 	bad := good.Clone()
 	bad.Alpha = -1
-	_, err := SolveMany([]*Params{good, bad, bad.Clone(), good}, 3)
+	_, err := SolveMany(context.Background(), []*Params{good, bad, bad.Clone(), good}, 3)
 	var be *BatchError
 	if !errors.As(err, &be) {
 		t.Fatalf("expected BatchError, got %v", err)
@@ -172,7 +173,7 @@ func TestSolveManyErrors(t *testing.T) {
 	if be.Index != 1 {
 		t.Fatalf("expected lowest failing index 1, got %d", be.Index)
 	}
-	if _, err := SolveMany([]*Params{good, nil}, 2); !errors.As(err, &be) || be.Index != 1 {
+	if _, err := SolveMany(context.Background(), []*Params{good, nil}, 2); !errors.As(err, &be) || be.Index != 1 {
 		t.Fatalf("expected nil-params BatchError at 1, got %v", err)
 	}
 }
@@ -259,12 +260,12 @@ func TestMSearchEngineMatchesCold(t *testing.T) {
 func TestBayesianParallelMatchesSequential(t *testing.T) {
 	p := engineGame(t, 21, 17)
 	prior := Prior{MeanC: 50, MeanV: 4000}
-	want, err := p.SolveBayesianParallel(prior, 150, stats.NewRNG(3), 1)
+	want, err := p.solveBayesian(prior, 150, stats.NewRNG(3), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		got, err := p.SolveBayesianParallel(prior, 150, stats.NewRNG(3), workers)
+		got, err := p.solveBayesian(prior, 150, stats.NewRNG(3), workers)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

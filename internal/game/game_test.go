@@ -1,12 +1,15 @@
 package game
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
 
 // testParams builds a heterogeneous N-client game mirroring the paper's
@@ -47,6 +50,66 @@ func testParams(t *testing.T, seed uint64, n int, meanC, meanV, budget float64) 
 		QMax:  1,
 		QMin:  DefaultQMin,
 	}
+}
+
+// checkConsistency verifies that an equilibrium is self-consistent: every
+// client's best response to its price reproduces q (up to tol), and the
+// spend respects the budget (up to tol·max(1,|B|)).
+func (p *Params) checkConsistency(e *Equilibrium, tol float64) error {
+	if e == nil {
+		return errors.New("game: nil equilibrium")
+	}
+	for n, qn := range e.Q {
+		br, err := p.BestResponse(n, e.P[n])
+		if err != nil {
+			return err
+		}
+		// Interior points must match exactly; boundary points match the
+		// clamped response.
+		if math.Abs(br-qn) > tol {
+			return fmt.Errorf("game: client %d best response %v != q %v", n, br, qn)
+		}
+	}
+	if e.Spent > p.B+tol*math.Max(1, math.Abs(p.B)) {
+		return fmt.Errorf("game: spend %v exceeds budget %v", e.Spent, p.B)
+	}
+	return nil
+}
+
+// priceEq18 evaluates the closed-form interior price of Theorem 3 (eq. 18):
+//
+//	P*_n = (2α c_n² a_n²G_n² / R)^{1/3} · [ (1/λ − v_n)^{1/3}
+//	        − 2 ( v_n^{3/2} / (1/λ − v_n) )^{2/3} ]
+//
+// valid for interior clients with 1/λ > v_n: an independent form of the
+// eq.-17 price at the eq.-22 level the solver returns.
+func (p *Params) priceEq18(n int, lambda float64) (float64, error) {
+	if n < 0 || n >= p.N() {
+		return 0, fmt.Errorf("game: client index %d out of range", n)
+	}
+	if lambda <= 0 {
+		return 0, errors.New("game: eq. 18 needs a positive multiplier")
+	}
+	slack := 1/lambda - p.V[n]
+	if slack <= 0 {
+		return 0, errors.New("game: eq. 18 needs 1/lambda > v_n")
+	}
+	front := cbrt(2 * p.Alpha * p.C[n] * p.C[n] * p.DataQuality(n) / p.R)
+	v := p.V[n]
+	second := tensor.Exp(1.5*tensor.Log(v)) / slack
+	return front * (cbrt(slack) - 2*tensor.Exp(2.0/3.0*tensor.Log(second))), nil
+}
+
+// verifyLemma3 checks budget tightness for a binding equilibrium within
+// relative tolerance rel.
+func (p *Params) verifyLemma3(e *Equilibrium, rel float64) error {
+	if !e.BudgetTight {
+		return nil
+	}
+	if math.Abs(e.Spent-p.B) > rel*math.Max(math.Abs(p.B), 1) {
+		return fmt.Errorf("game: budget not tight: spent %v of %v", e.Spent, p.B)
+	}
+	return nil
 }
 
 func TestParamsValidate(t *testing.T) {
@@ -178,43 +241,6 @@ func TestBoundErrors(t *testing.T) {
 	}
 }
 
-func TestComputeBeta(t *testing.T) {
-	in := BetaInputs{
-		SigmaSq:   []float64{1, 2},
-		A:         []float64{0.5, 0.5},
-		G:         []float64{3, 4},
-		L:         10,
-		Mu:        0.5,
-		E:         5,
-		Gamma:     0.2,
-		InitDist2: 1.5,
-	}
-	got, err := ComputeBeta(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a0 := 0.25*1 + 0.25*2 + 8*(0.5*9+0.5*16)*16
-	want := 2*10/(0.25*5)*a0 + 12*100/(0.25*5)*0.2 + 4*100/(0.5*5)*1.5
-	if math.Abs(got-want) > 1e-9*want {
-		t.Fatalf("beta %v want %v", got, want)
-	}
-	bad := in
-	bad.SigmaSq = []float64{1}
-	if _, err := ComputeBeta(bad); err == nil {
-		t.Fatal("expected length error")
-	}
-	bad = in
-	bad.L = 0
-	if _, err := ComputeBeta(bad); err == nil {
-		t.Fatal("expected L error")
-	}
-	bad = in
-	bad.SigmaSq = []float64{1, -1}
-	if _, err := ComputeBeta(bad); err == nil {
-		t.Fatal("expected negative sigma error")
-	}
-}
-
 func TestRoundsToGap(t *testing.T) {
 	p := testParams(t, 6, 4, 50, 4000, 200)
 	q := []float64{0.5, 0.5, 0.5, 0.5}
@@ -329,10 +355,10 @@ func TestSolveKKTBudgetTight(t *testing.T) {
 	if !eq.BudgetTight {
 		t.Fatal("expected binding budget at Setup-1 scale")
 	}
-	if err := p.VerifyLemma3(eq, 1e-6); err != nil {
+	if err := p.verifyLemma3(eq, 1e-6); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CheckConsistency(eq, 1e-6); err != nil {
+	if err := p.checkConsistency(eq, 1e-6); err != nil {
 		t.Fatal(err)
 	}
 	for n, q := range eq.Q {
@@ -375,7 +401,7 @@ func TestSolveKKTTheorem2(t *testing.T) {
 		t.Skipf("only %d interior clients; invariant vacuous", interior)
 	}
 	// The shared invariant must equal 1/lambda.
-	inv := p.Theorem2Invariant(eq)
+	inv := p.theorem2Invariant(eq)
 	for n := range inv {
 		if !p.Interior(eq, n, 1e-9) {
 			continue
@@ -400,7 +426,7 @@ func TestSolveKKTTheorem3AndEq18(t *testing.T) {
 		if !p.Interior(eq, n, 1e-9) {
 			continue
 		}
-		closed, err := p.PriceEq18(n, eq.Lambda)
+		closed, err := p.priceEq18(n, eq.Lambda)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -667,10 +693,10 @@ func TestUtilityErrors(t *testing.T) {
 	if _, err := p.BestResponse(-1, 0); err == nil {
 		t.Fatal("expected index error")
 	}
-	if _, err := p.PriceEq18(0, 0); err == nil {
+	if _, err := p.priceEq18(0, 0); err == nil {
 		t.Fatal("expected lambda error")
 	}
-	if _, err := p.PriceEq18(-1, 1); err == nil {
+	if _, err := p.priceEq18(-1, 1); err == nil {
 		t.Fatal("expected index error")
 	}
 }
@@ -714,13 +740,13 @@ func TestCheckConsistencyDetectsTampering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.CheckConsistency(nil, 1e-9); err == nil {
+	if err := p.checkConsistency(nil, 1e-9); err == nil {
 		t.Fatal("expected nil equilibrium error")
 	}
 	tampered := *eq
 	tampered.Q = append([]float64(nil), eq.Q...)
 	tampered.Q[0] = clamp(tampered.Q[0]+0.2, p.QMin, p.QMax-0.01)
-	if err := p.CheckConsistency(&tampered, 1e-9); err == nil {
+	if err := p.checkConsistency(&tampered, 1e-9); err == nil {
 		t.Fatal("expected consistency failure for tampered q")
 	}
 }
@@ -751,10 +777,10 @@ func TestQuickKKTAlwaysConsistent(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if err := p.CheckConsistency(eq, 1e-5); err != nil {
+		if err := p.checkConsistency(eq, 1e-5); err != nil {
 			return false
 		}
-		return p.VerifyTheorem3(eq) == nil && p.VerifyLemma3(eq, 1e-4) == nil
+		return p.VerifyTheorem3(eq) == nil && p.verifyLemma3(eq, 1e-4) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

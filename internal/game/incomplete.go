@@ -81,18 +81,17 @@ func (p *Params) expectedResponse(n int, price float64, cs, vs []float64) (meanQ
 // scenarios controls the Monte-Carlo resolution; rng provides the scenario
 // draws (common across the calibration search for stability). The
 // Monte-Carlo expectations are evaluated across GOMAXPROCS workers; see
-// SolveBayesianParallel for the determinism guarantee.
+// solveBayesian for the determinism guarantee.
 func (p *Params) SolveBayesian(prior Prior, scenarios int, rng *stats.RNG) (*BayesianOutcome, error) {
-	return p.SolveBayesianParallel(prior, scenarios, rng, 0)
+	return p.solveBayesian(prior, scenarios, rng, 0)
 }
 
-// SolveBayesianParallel is SolveBayesian with an explicit worker count
-// (<= 0 means GOMAXPROCS). The output is bit-identical for any worker
-// count: all scenario draws are generated up front from rng in client order
-// (common random numbers), each worker evaluates whole per-client
-// expectations into index-addressed slots, and every reduction sums in
-// client order.
-func (p *Params) SolveBayesianParallel(prior Prior, scenarios int, rng *stats.RNG, workers int) (*BayesianOutcome, error) {
+// solveBayesian is SolveBayesian with an explicit worker count (<= 0 means
+// GOMAXPROCS). The output is bit-identical for any worker count: all
+// scenario draws are generated up front from rng in client order (common
+// random numbers), each worker evaluates whole per-client expectations into
+// index-addressed slots, and every reduction sums in client order.
+func (p *Params) solveBayesian(prior Prior, scenarios int, rng *stats.RNG, workers int) (*BayesianOutcome, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

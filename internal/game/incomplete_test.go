@@ -133,62 +133,3 @@ func TestBestResponseScenarioMatchesStored(t *testing.T) {
 		}
 	}
 }
-
-func TestDecoupledCost(t *testing.T) {
-	comp := CostComponents{ComputeSecPrice: 2, CommSecPrice: 10, Opportunity: 1}
-	c, err := DecoupledCost(comp, DeviceProfile{ComputeSecPerRound: 3, CommSecPerRound: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(c-(2*3+10*0.5+1)) > 1e-12 {
-		t.Fatalf("decoupled cost %v", c)
-	}
-	if _, err := DecoupledCost(CostComponents{ComputeSecPrice: -1}, DeviceProfile{}); err == nil {
-		t.Fatal("expected negative component error")
-	}
-	if _, err := DecoupledCost(comp, DeviceProfile{ComputeSecPerRound: -1}); err == nil {
-		t.Fatal("expected negative profile error")
-	}
-	if _, err := DecoupledCost(CostComponents{}, DeviceProfile{}); err == nil {
-		t.Fatal("expected zero-cost error")
-	}
-}
-
-func TestWithDecoupledCosts(t *testing.T) {
-	p := testParams(t, 47, 4, 50, 4000, 200)
-	profiles := []DeviceProfile{
-		{ComputeSecPerRound: 1, CommSecPerRound: 0.3},
-		{ComputeSecPerRound: 2, CommSecPerRound: 0.3},
-		{ComputeSecPerRound: 4, CommSecPerRound: 0.3},
-		{ComputeSecPerRound: 8, CommSecPerRound: 0.3},
-	}
-	comp := CostComponents{ComputeSecPrice: 10, CommSecPrice: 20, Opportunity: 0.5}
-	pd, err := p.WithDecoupledCosts(comp, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(pd.C); i++ {
-		if pd.C[i] <= pd.C[i-1] {
-			t.Fatal("slower device should cost more")
-		}
-	}
-	// Original untouched.
-	if p.C[0] == pd.C[0] && p.C[1] == pd.C[1] && p.C[2] == pd.C[2] {
-		t.Fatal("suspicious: original costs identical to derived ones")
-	}
-	// The re-priced game still solves, and the slowest (most expensive)
-	// device participates no more than the cheapest, all else equal.
-	eq, err := pd.SolveKKT()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := pd.CheckConsistency(eq, 1e-6); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.WithDecoupledCosts(comp, profiles[:2]); err == nil {
-		t.Fatal("expected profile-count error")
-	}
-	if _, err := DecoupledCosts(comp, nil); err == nil {
-		t.Fatal("expected empty fleet error")
-	}
-}

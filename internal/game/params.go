@@ -29,7 +29,7 @@
 //     repository's one index fan-out, with a Solver per worker. Games are
 //     claimed in ascending order and a failure stops new claims, so the
 //     lowest-index failure is the one returned, as a *BatchError.
-//   - SolveBayesianParallel evaluates the incomplete-information design's
+//   - SolveBayesian evaluates the incomplete-information design's
 //     Monte-Carlo expectations on the same fan-out, one client per index.
 //   - Cache memoizes equilibria and priced outcomes by Params.Fingerprint,
 //     so re-asking an unchanged question never re-runs the solver.
@@ -42,10 +42,10 @@
 // property of the game alone, not of the search's starting bracket, probe
 // sequence or method. Hence a warm-started Solver equals a cold SolveKKT no
 // matter what it solved before, SolveMany equals a sequential loop for any
-// worker count, and SolveBayesianParallel (common random numbers drawn up
-// front, per-client slots, index-ordered reductions) equals its
-// single-worker run for any GOMAXPROCS. Cache hits return values equal to
-// fresh solves because the solver itself is deterministic.
+// worker count, and SolveBayesian (common random numbers drawn up front,
+// per-client slots, index-ordered reductions) equals its single-worker run
+// for any GOMAXPROCS. Cache hits return values equal to fresh solves
+// because the solver itself is deterministic.
 package game
 
 import (

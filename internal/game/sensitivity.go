@@ -1,6 +1,7 @@
 package game
 
 import (
+	"context"
 	"errors"
 	"fmt"
 )
@@ -64,7 +65,7 @@ func (p *Params) AnalyzeSensitivity(opts SensitivityOptions) (*Sensitivity, erro
 	bLo.B -= db
 	bHi := p.Clone()
 	bHi.B += db
-	beqs, err := SolveMany([]*Params{bLo, bHi}, 0)
+	beqs, err := SolveMany(context.Background(), []*Params{bLo, bHi}, 0)
 	if err != nil {
 		var be *BatchError
 		if errors.As(err, &be) {
@@ -117,7 +118,7 @@ func (p *Params) AnalyzeSensitivity(opts SensitivityOptions) (*Sensitivity, erro
 			dvs = append(dvs, dv)
 			dcs = append(dcs, dc)
 		}
-		eqs, err := SolveMany(probes, 0)
+		eqs, err := SolveMany(context.Background(), probes, 0)
 		if err != nil {
 			var be *BatchError
 			if errors.As(err, &be) {

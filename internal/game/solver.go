@@ -1,10 +1,6 @@
 package game
 
-import (
-	"errors"
-	"fmt"
-	"math"
-)
+import "math"
 
 // Equilibrium is a solved Stackelberg equilibrium of the CPL game.
 type Equilibrium struct {
@@ -59,28 +55,4 @@ func (e *Equilibrium) NegativePayments() int {
 func (p *Params) SolveKKT() (*Equilibrium, error) {
 	var s Solver
 	return s.Solve(p)
-}
-
-// CheckConsistency verifies that an equilibrium is self-consistent: every
-// client's best response to its price reproduces q (up to tol), and the
-// spend respects the budget (up to tol·max(1,|B|)).
-func (p *Params) CheckConsistency(e *Equilibrium, tol float64) error {
-	if e == nil {
-		return errors.New("game: nil equilibrium")
-	}
-	for n, qn := range e.Q {
-		br, err := p.BestResponse(n, e.P[n])
-		if err != nil {
-			return err
-		}
-		// Interior points must match exactly; boundary points match the
-		// clamped response.
-		if math.Abs(br-qn) > tol {
-			return fmt.Errorf("game: client %d best response %v != q %v", n, br, qn)
-		}
-	}
-	if e.Spent > p.B+tol*math.Max(1, math.Abs(p.B)) {
-		return fmt.Errorf("game: spend %v exceeds budget %v", e.Spent, p.B)
-	}
-	return nil
 }

@@ -106,10 +106,6 @@ type (
 	BayesianOutcome = game.BayesianOutcome
 	// Sensitivity holds the equilibrium's comparative statics.
 	Sensitivity = game.Sensitivity
-	// CostComponents prices device resources for the decoupled cost model.
-	CostComponents = game.CostComponents
-	// DeviceProfile is a device's measured per-round resource usage.
-	DeviceProfile = game.DeviceProfile
 )
 
 // Experiment-layer types: the paper's evaluation section.
