@@ -79,8 +79,9 @@ func LogNormal(r *RNG, n int, median, sigma float64) ([]float64, error) {
 	}
 	mu := tensor.Log(median)
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = tensor.Exp(mu + float64(sigma*r.NormFloat64()))
+	r.NormFloat64s(out)
+	for i, z := range out {
+		out[i] = tensor.Exp(mu + float64(sigma*z))
 	}
 	return out, nil
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"unbiasedfl/internal/tensor"
 )
 
 func TestExponentialMean(t *testing.T) {
@@ -112,6 +114,34 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 	if math.Abs(med-2)/2 > 0.05 {
 		t.Fatalf("median %v, want ~2", med)
+	}
+}
+
+// TestLogNormalMatchesScalarLoop holds LogNormal's bulk draw to a loop of
+// NormFloat64 calls, the form it replaced, bit for bit and in the state it
+// leaves, at every length up to 300: across several 64-value chunks of
+// NormFloat64s.
+func TestLogNormalMatchesScalarLoop(t *testing.T) {
+	for _, c := range []struct{ median, sigma float64 }{{2, 0.5}, {0.03, 1.3}} {
+		bulk, scalar := NewRNG(5), NewRNG(5)
+		mu := tensor.Log(c.median)
+		for n := 0; n <= 300; n++ {
+			got, err := LogNormal(bulk, n, c.median, c.sigma)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got {
+				want := tensor.Exp(mu + float64(c.sigma*scalar.NormFloat64()))
+				if math.Float64bits(x) != math.Float64bits(want) {
+					t.Fatalf("median %v sigma %v, %d values: value %d is %v, the scalar loop gives %v",
+						c.median, c.sigma, n, i, x, want)
+				}
+			}
+			if bulk.State() != scalar.State() {
+				t.Fatalf("median %v sigma %v, %d values: state %x, the scalar loop leaves %x",
+					c.median, c.sigma, n, bulk.State(), scalar.State())
+			}
+		}
 	}
 }
 
