@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"unbiasedfl/internal/fixpoint"
 	"unbiasedfl/internal/tensor"
 )
 
@@ -43,7 +44,7 @@ func (UnbiasedAggregator) Aggregate(global tensor.Vec, updates []ClientUpdate, w
 	if err := checkUpdateShapes(global, updates, weights, q); err != nil {
 		return err
 	}
-	acc := NewFixAcc(len(global))
+	acc := fixpoint.New(len(global))
 	for _, u := range updates {
 		qn := q[u.Client]
 		if qn <= 0 {

@@ -160,7 +160,8 @@ type Partial struct {
 	// dispatch (ascending) order: a group either lands whole or not at all.
 	Clients []int
 	// Lo and Hi are the 128-bit fixed-point limbs of the group sum, one pair
-	// per model parameter (see FixAcc).
+	// per model parameter, as fixpoint.Acc holds them: its sum is
+	// order-independent, so partials equal the flat fold.
 	Lo, Hi []uint64
 	// Sat reports fixed-point saturation anywhere in the group fold.
 	Sat bool

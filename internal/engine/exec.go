@@ -32,9 +32,9 @@ type execArena struct {
 // model into the arena and performs steps mini-batch SGD steps (the model's
 // Step) on the client's shard, then writes the advanced stream back to *c.
 // The parameters are left in ar.w: a grouped executor folds them against
-// global directly (FixAcc.AddScaledDiff), the flat path writes the delta
-// with localUpdate. On an error *c is left as it was. In steady state (arena
-// warm) it performs no heap allocations.
+// global directly (fixpoint.(*Acc).AddScaledDiff), the flat path writes the
+// delta with localUpdate. On an error *c is left as it was. In steady state
+// (arena warm) it performs no heap allocations.
 func (ar *execArena) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int, c *ClientCursor,
 	global tensor.Vec, steps, batch int, lr float64,

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"sync"
 
+	"unbiasedfl/internal/fixpoint"
 	"unbiasedfl/internal/tensor"
 )
 
@@ -68,7 +69,7 @@ type taskGroup struct{ id, lo, hi int }
 // currently folding.
 type poolWorker struct {
 	arena   execArena
-	acc     *FixAcc
+	acc     *fixpoint.Acc
 	clients []int
 }
 
@@ -229,7 +230,7 @@ func splitGroups(dst []taskGroup, tasks []ClientTask, groupSize int) []taskGroup
 func (b *LocalBackend) foldGroup(w *poolWorker, g taskGroup) (Partial, error) {
 	global, spec := b.global, b.spec
 	if w.acc == nil || w.acc.Len() != len(global) {
-		w.acc = NewFixAcc(len(global))
+		w.acc = fixpoint.New(len(global))
 	} else {
 		w.acc.Reset()
 	}

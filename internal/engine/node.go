@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unbiasedfl/internal/data"
+	"unbiasedfl/internal/fixpoint"
 	"unbiasedfl/internal/model"
 	"unbiasedfl/internal/stats"
 	"unbiasedfl/internal/tensor"
@@ -108,7 +109,7 @@ type node struct {
 	// delta is a per-client device's outgoing update; a group node folds from
 	// the arena and writes none.
 	delta   tensor.Vec
-	acc     *FixAcc
+	acc     *fixpoint.Acc
 	clients []int
 	cursors []transport.Cursor
 	// zeros is a partial's GradSqs section: a node computes no gradient
@@ -282,7 +283,7 @@ func (nd *node) serveBatch(ctx context.Context, msg *transport.Message) error {
 		return err
 	}
 	if p := len(msg.Model); nd.acc == nil || nd.acc.Len() != p {
-		nd.acc = NewFixAcc(p)
+		nd.acc = fixpoint.New(p)
 	} else {
 		nd.acc.Reset()
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"unbiasedfl/internal/fixpoint"
 	"unbiasedfl/internal/transport"
 )
 
@@ -40,7 +41,7 @@ func TestServeBatchRestoresEachMemberInPlace(t *testing.T) {
 	factors := []float64{1, -2, 1}
 
 	// What the batch must come to: every member in an arena of its own.
-	want := NewFixAcc(len(global))
+	want := fixpoint.New(len(global))
 	wantCursors := make([]transport.Cursor, len(cursors))
 	for n, c := range cursors {
 		var own execArena

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"unbiasedfl/internal/fixpoint"
 	"unbiasedfl/internal/tensor"
 )
 
@@ -21,7 +22,7 @@ type Orchestrator struct {
 	// Hierarchical-mode buffers: the top-level fixed-point accumulator that
 	// merges streamed group partials — the only model-sized aggregation
 	// state the coordinator holds — and the participant-id scratch.
-	acc *FixAcc
+	acc *fixpoint.Acc
 	ids []int
 	// Commit-hook buffers, reused across OnRoundCommit calls.
 	commit  RunState
@@ -313,7 +314,7 @@ func (o *Orchestrator) hierRound(
 ) ([]int, error) {
 	s := &o.Spec
 	if o.acc == nil || o.acc.Len() != len(global) {
-		o.acc = NewFixAcc(len(global))
+		o.acc = fixpoint.New(len(global))
 	} else {
 		o.acc.Reset()
 	}
