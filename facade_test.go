@@ -3,6 +3,7 @@ package unbiasedfl_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -125,6 +126,86 @@ func TestFacadeDefaults(t *testing.T) {
 	names := unbiasedfl.SchemeNames()
 	if len(names) < 3 || names[0] != unbiasedfl.SchemeNameProposed {
 		t.Fatalf("registry names %v", names)
+	}
+}
+
+// TestFacadeScenarioAndBackendEntryPoints covers the façade's scenario
+// library and generator, the fleet-shard option and the backend parser, one
+// row each, refusals included.
+func TestFacadeScenarioAndBackendEntryPoints(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T)
+	}{
+		{"Scenarios and ScenarioByName", func(t *testing.T) {
+			all := unbiasedfl.Scenarios()
+			if len(all) == 0 {
+				t.Fatal("empty scenario library")
+			}
+			for _, sc := range all {
+				got, err := unbiasedfl.ScenarioByName(sc.Name)
+				if err != nil {
+					t.Fatalf("%s: %v", sc.Name, err)
+				}
+				if !reflect.DeepEqual(got, sc) {
+					t.Fatalf("ScenarioByName(%q) = %+v, the library holds %+v", sc.Name, got, sc)
+				}
+			}
+			if _, err := unbiasedfl.ScenarioByName("no-such-scenario"); err == nil {
+				t.Fatal("ScenarioByName accepted an unknown name")
+			}
+		}},
+		{"GenerateScenario", func(t *testing.T) {
+			a := unbiasedfl.GenerateScenario([]byte("facade-seed"))
+			if err := a.Validate(); err != nil {
+				t.Fatalf("generated scenario invalid: %v", err)
+			}
+			if b := unbiasedfl.GenerateScenario([]byte("facade-seed")); !reflect.DeepEqual(a, b) {
+				t.Fatalf("one seed, two worlds: %+v vs %+v", a, b)
+			}
+			if c := unbiasedfl.GenerateScenario([]byte("other-seed")); reflect.DeepEqual(a, c) {
+				t.Fatal("two seeds, one world")
+			}
+		}},
+		{"WithFleetShards", func(t *testing.T) {
+			opts := append(tinyFacadeOptions(), unbiasedfl.WithClients(6), unbiasedfl.WithFleetShards(2))
+			sess, err := unbiasedfl.NewSession(context.Background(), unbiasedfl.Setup1, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sess.Close()
+			fed := sess.Environment().Fed
+			for n := range fed.Clients {
+				if fed.Clients[n] != fed.Clients[n%2] {
+					t.Fatalf("client %d does not share shard %d", n, n%2)
+				}
+			}
+			eq, err := sess.Equilibrium()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(fed.Clients) != 6 || len(eq.Q) != 6 {
+				t.Fatalf("%d clients, %d priced, want 6 of each", len(fed.Clients), len(eq.Q))
+			}
+			opts = append(tinyFacadeOptions(), unbiasedfl.WithClients(6), unbiasedfl.WithFleetShards(7))
+			if _, err := unbiasedfl.NewSession(context.Background(), unbiasedfl.Setup1, opts...); err == nil {
+				t.Fatal("NewSession accepted more fleet shards than clients")
+			}
+		}},
+		{"ParseBackend", func(t *testing.T) {
+			for name, want := range map[string]unbiasedfl.Backend{
+				"": unbiasedfl.BackendLocal, "local": unbiasedfl.BackendLocal, "cluster": unbiasedfl.BackendCluster,
+			} {
+				if got, err := unbiasedfl.ParseBackend(name); err != nil || got != want {
+					t.Fatalf("ParseBackend(%q) = %v, %v; want %v", name, got, err, want)
+				}
+			}
+			if _, err := unbiasedfl.ParseBackend("grpc"); err == nil {
+				t.Fatal("ParseBackend accepted an unknown backend")
+			}
+		}},
+	} {
+		t.Run(tc.name, tc.run)
 	}
 }
 

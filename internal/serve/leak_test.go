@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -90,9 +91,7 @@ func TestAbandonedSSESubscribersDoNotLeak(t *testing.T) {
 }
 
 // TestListenAndServeUnixDrains runs the daemon through ListenAndServe on a
-// unix socket: /readyz answers 200, GET /v1/sessions lists a session just
-// created, and cancelling ctx drains the running session and returns nil
-// within DrainTimeout, leaving no goroutine behind.
+// unix socket (see driveDaemon).
 func TestListenAndServeUnixDrains(t *testing.T) {
 	// A socket path must stay short (about 100 bytes), which t.TempDir's
 	// test-named directories need not.
@@ -104,32 +103,59 @@ func TestListenAndServeUnixDrains(t *testing.T) {
 	sock := filepath.Join(dir, "d.sock")
 
 	baseline := testutil.GoroutineBaseline()
-	cfg := Config{Addr: "unix:" + sock, MaxSessions: 1, DrainTimeout: 5 * time.Second}
-	s := New(cfg)
-	blockingOverride(s)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	served := make(chan error, 1)
-	go func() { served <- s.ListenAndServe(ctx) }()
-
+	s := New(Config{Addr: "unix:" + sock, MaxSessions: 1, DrainTimeout: 5 * time.Second})
 	transport := &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
 		var d net.Dialer
 		return d.DialContext(ctx, "unix", sock)
 	}}
+	driveDaemon(t, s, transport, "http://flserve", s.ListenAndServe)
+	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
+}
+
+// TestServeTCPDrains runs the daemon through Serve on a loopback TCP
+// listener the caller bound (see driveDaemon).
+func TestServeTCPDrains(t *testing.T) {
+	baseline := testutil.GoroutineBaseline()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{MaxSessions: 1, DrainTimeout: 5 * time.Second})
+	serve := func(ctx context.Context) error { return s.Serve(ctx, ln) }
+	driveDaemon(t, s, &http.Transport{}, "http://"+ln.Addr().String(), serve)
+	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
+}
+
+// driveDaemon runs serve on a goroutine and drives s through transport at
+// base: /readyz answers 503 before serve starts and 200 once it listens,
+// GET /v1/sessions lists a session just created, and cancelling ctx drains
+// the running session and makes serve return nil within DrainTimeout.
+func driveDaemon(t *testing.T, s *Server, transport *http.Transport, base string, serve func(context.Context) error) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/readyz", nil))
+	if rec.Code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz answered %d before the daemon served", rec.Code)
+	}
+	blockingOverride(s)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	served := make(chan error, 1)
+	go func() { served <- serve(ctx) }()
+
+	defer transport.CloseIdleConnections()
 	client := &http.Client{Transport: transport, Timeout: 5 * time.Second}
-	const base = "http://flserve"
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		resp, err := client.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("/readyz answered %d", resp.StatusCode)
+			if resp.StatusCode == http.StatusOK {
+				break
 			}
-			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon never answered on %s: %v", sock, err)
+			t.Fatalf("daemon at %s never became ready: %v", base, err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
@@ -161,11 +187,9 @@ func TestListenAndServeUnixDrains(t *testing.T) {
 	select {
 	case err := <-served:
 		if err != nil {
-			t.Fatalf("ListenAndServe after drain: %v", err)
+			t.Fatalf("serve after drain: %v", err)
 		}
-	case <-time.After(cfg.DrainTimeout):
-		t.Fatalf("ListenAndServe did not return within DrainTimeout %s", cfg.DrainTimeout)
+	case <-time.After(s.cfg.DrainTimeout):
+		t.Fatalf("serve did not return within DrainTimeout %s", s.cfg.DrainTimeout)
 	}
-	transport.CloseIdleConnections()
-	testutil.WaitNoLeaks(t, baseline, 10*time.Second)
 }
