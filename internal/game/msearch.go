@@ -64,9 +64,10 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 	s.msQ = growFloats(s.msQ, n)
 	s.q = growFloats(s.q, n)
 	s.gain = growFloats(s.gain, n)
+
 	mLo, mHi := 0.0, 0.0
 	for i := 0; i < n; i++ {
-		s.gain[i] = p.V[i] * p.Alpha / p.R * p.DataQuality(i)
+		s.gain[i] = p.intrinsicGain(i)
 		mLo += p.C[i] * p.QMin * p.QMin
 		mHi += p.C[i] * p.QMax * p.QMax
 	}
