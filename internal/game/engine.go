@@ -86,9 +86,8 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 	s.coef = growFloats(s.coef, n)
 	s.gain = growFloats(s.gain, n)
 	for i := 0; i < n; i++ {
-		d := p.DataQuality(i)
-		s.coef[i] = p.Alpha * d / (4 * p.R * p.C[i])
-		s.gain[i] = p.V[i] * p.Alpha / p.R * d
+		s.coef[i] = p.Alpha * p.DataQuality(i) / (4 * p.R * p.C[i])
+		s.gain[i] = p.intrinsicGain(i)
 	}
 
 	// Budget slack case: paying everyone to the ceiling is affordable.
@@ -175,7 +174,7 @@ func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 			qi = clamp(cbrt(coef[i]*slack), qMin, qMax)
 		}
 		q[i] = qi
-		spend += (2*c[i]*qi - gain[i]/(qi*qi)) * qi
+		spend += eq17Price(c[i], gain[i], qi) * qi
 	}
 	return spend
 }
@@ -251,7 +250,7 @@ func (s *Solver) finishInto(p *Params, eq *Equilibrium, lambda float64, tight bo
 	var spent float64
 	for i := 0; i < n; i++ {
 		qi := eq.Q[i]
-		price := 2*p.C[i]*qi - s.gain[i]/(qi*qi)
+		price := eq17Price(p.C[i], s.gain[i], qi)
 		eq.P[i] = price
 		spent += price * qi
 	}

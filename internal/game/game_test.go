@@ -321,28 +321,21 @@ func TestBestResponseNoIntrinsicValue(t *testing.T) {
 	}
 }
 
+// TestPriceForInvertsBestResponse holds the eq.-17 price for q, which every
+// Equilibrium is priced with, to BestResponse: a client offered it picks q.
 func TestPriceForInvertsBestResponse(t *testing.T) {
 	p := testParams(t, 10, 6, 50, 4000, 200)
 	for n := 0; n < p.N(); n++ {
 		for _, q := range []float64{0.05, 0.3, 0.7, 0.99} {
-			price, err := p.PriceFor(n, q)
-			if err != nil {
-				t.Fatal(err)
-			}
+			price := eq17Price(p.C[n], p.intrinsicGain(n), q)
 			back, err := p.BestResponse(n, price)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if math.Abs(back-q) > 1e-8 {
-				t.Fatalf("client %d: PriceFor(%v) -> BestResponse %v", n, q, back)
+				t.Fatalf("client %d: eq17Price(%v) -> BestResponse %v", n, q, back)
 			}
 		}
-	}
-	if _, err := p.PriceFor(0, 0); err == nil {
-		t.Fatal("expected error at q=0")
-	}
-	if _, err := p.PriceFor(-1, 0.5); err == nil {
-		t.Fatal("expected index error")
 	}
 }
 

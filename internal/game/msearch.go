@@ -80,7 +80,7 @@ func (s *Solver) SolveMSearch(p *Params, opts MSearchOptions) (*Equilibrium, err
 		}
 		var spent float64
 		for i, qi := range s.msQ {
-			spent += (2*p.C[i]*qi - s.gain[i]/(qi*qi)) * qi
+			spent += eq17Price(p.C[i], s.gain[i], qi) * qi
 		}
 		if spent > p.B*(1+1e-9)+1e-9 {
 			return math.Inf(1), false

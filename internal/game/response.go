@@ -76,17 +76,10 @@ func (p *Params) BestResponseAll(prices []float64) ([]float64, error) {
 	return q, nil
 }
 
-// PriceFor inverts the best response (eq. 17): the price that makes q the
-// client's optimal interior choice, P_n(q) = 2 c_n q − v_n (α/R) a_n²G_n²/q².
-func (p *Params) PriceFor(n int, q float64) (float64, error) {
-	if n < 0 || n >= p.N() {
-		return 0, fmt.Errorf("game: client index %d out of range", n)
-	}
-	if q <= 0 {
-		return 0, fmt.Errorf("game: price undefined at q = %v", q)
-	}
-	return 2*p.C[n]*q - p.intrinsicGain(n)/(q*q), nil
-}
+// eq17Price inverts the best response (eq. 17): the price that makes q > 0
+// the optimal interior choice of a client with cost c_n and intrinsic gain
+// K_n (intrinsicGain), P_n(q) = 2 c_n q − K_n/q².
+func eq17Price(c, gain, q float64) float64 { return 2*c*q - gain/(q*q) }
 
 // TotalPayment returns Σ P_n q_n.
 func TotalPayment(prices, q []float64) (float64, error) {
