@@ -127,7 +127,8 @@ func TestServeTCPDrains(t *testing.T) {
 }
 
 // driveDaemon runs serve on a goroutine and drives s through transport at
-// base: /readyz answers 503 before serve starts and 200 once it listens,
+// base: /readyz answers 503 before serve starts and 200 to the first
+// request that reaches it (Serve flips readiness before it accepts),
 // GET /v1/sessions lists a session just created, and cancelling ctx drains
 // the running session and makes serve return nil within DrainTimeout.
 func driveDaemon(t *testing.T, s *Server, transport *http.Transport, base string, serve func(context.Context) error) {
@@ -150,12 +151,13 @@ func driveDaemon(t *testing.T, s *Server, transport *http.Transport, base string
 		resp, err := client.Get(base + "/readyz")
 		if err == nil {
 			resp.Body.Close()
-			if resp.StatusCode == http.StatusOK {
-				break
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/readyz answered %d", resp.StatusCode)
 			}
+			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("daemon at %s never became ready: %v", base, err)
+			t.Fatalf("daemon never answered at %s: %v", base, err)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
