@@ -183,13 +183,20 @@ func run(ctx context.Context) error {
 		fmt.Println("Theorem 3 payment-direction threshold verified")
 	}
 
-	// Cross-check with the paper's M-search method.
+	// Cross-check with the paper's M-search method. The KKT solution is the
+	// exact optimum and the M-search's grid gets within a few percent of it,
+	// so a ratio below 1 or above 1.10 (NaN included) is a wrong solve.
 	ms, err := params.SolveMSearch(game.DefaultMSearchOptions())
 	if err != nil {
 		return fmt.Errorf("m-search cross-check: %w", err)
 	}
-	fmt.Printf("M-search cross-check: bound %.6g (KKT %.6g, ratio %.4f)\n",
-		ms.ServerObj, eq.ServerObj, ms.ServerObj/eq.ServerObj)
+	ratio := ms.ServerObj / eq.ServerObj
+	verdict := ""
+	if !(ratio >= 1-1e-9 && ratio <= 1.10) {
+		verdict = " FAILED (want a ratio in [1, 1.10])"
+	}
+	fmt.Printf("M-search cross-check: bound %.6g (KKT %.6g, ratio %.4f)%s\n",
+		ms.ServerObj, eq.ServerObj, ratio, verdict)
 
 	// Marginal analysis: what one more unit of budget buys.
 	sens, err := params.AnalyzeSensitivity(game.SensitivityOptions{})
