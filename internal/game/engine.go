@@ -11,8 +11,10 @@ import (
 
 // This file is the fleet-scale equilibrium engine: a reusable Solver with
 // caller-owned scratch arenas (zero heap allocations per solve in steady
-// state), warm-started multiplier brackets for sequences of nearby games,
-// and batch solves fanned out by stats.ParallelFor.
+// state below 2·spendChunk clients; above, each spend probe fans out over
+// stats.ParallelFor, whose few allocations per probe do not grow with N),
+// warm-started multiplier brackets for sequences of nearby games, and batch
+// solves fanned out by stats.ParallelFor.
 //
 // Determinism contract: every multiplier search in the engine ends on the
 // IEEE-754 bit lattice, at an adjacent pair of floats (lo, hi) with
@@ -45,9 +47,15 @@ type lambdaBracket struct {
 // Results are bit-identical to Params.SolveKKT regardless of what the
 // Solver solved before (see the determinism contract above).
 type Solver struct {
-	q    []float64 // participation scratch, written by every spend probe
-	coef []float64 // per-client cbrt coefficient α a²G² / (4 R c)
-	gain []float64 // per-client intrinsic gain K_n = v_n (α/R) a²G²
+	q     []float64 // participation scratch, written by every spend probe
+	coef  []float64 // per-client cbrt coefficient α a²G² / (4 R c)
+	gain  []float64 // per-client intrinsic gain K_n = v_n (α/R) a²G²
+	terms []float64 // per-client spend terms of a fanned-out probe
+
+	// kept holds the q of the solve's last probe whose spend fit the budget,
+	// made at keptLambda (NaN when there is none); see budgetGap.
+	kept       []float64
+	keptLambda float64
 
 	warmLambda lambdaBracket // λ boundary pair from the previous solve
 	probes     int           // spendOfLambda passes so far, for tests and benchmarks
@@ -75,14 +83,17 @@ func (s *Solver) Solve(p *Params) (*Equilibrium, error) {
 
 // SolveInto solves into a caller-owned Equilibrium, reusing eq.Q and eq.P
 // when their capacity allows. With warm buffers it performs zero heap
-// allocations, which keeps fleet-scale sweeps out of the garbage collector
-// entirely.
+// allocations below 2·spendChunk clients, which keeps sweeps out of the
+// garbage collector entirely; above, its spend probes fan out over
+// stats.ParallelFor at a few allocations each, however large N is.
 func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
 	n := p.N()
 	s.q = growFloats(s.q, n)
+	s.kept = growFloats(s.kept, n)
+	s.keptLambda = math.NaN()
 	s.coef = growFloats(s.coef, n)
 	s.gain = growFloats(s.gain, n)
 	for i := 0; i < n; i++ {
@@ -95,7 +106,7 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 		return s.finishInto(p, eq, 0, false)
 	}
 
-	f := func(lambda float64) float64 { return s.spendOfLambda(p, lambda) - p.B }
+	f := func(lambda float64) float64 { return s.budgetGap(p, lambda) }
 	seed := s.warmLambda
 	if !seed.ok {
 		seed = s.coldBracket(p)
@@ -108,8 +119,33 @@ func (s *Solver) SolveInto(p *Params, eq *Equilibrium) error {
 	s.warmLambda = lambdaBracket{lo: lo, hi: hi, ok: true}
 	// The multiplier is the feasible endpoint: the smallest representable λ
 	// with spend(λ) <= B.
-	s.spendOfLambda(p, hi)
+	s.settleAt(p, hi)
 	return s.finishInto(p, eq, hi, true)
+}
+
+// budgetGap is the budget multiplier's search predicate, spend(λ) − B. A
+// probe whose spend fits the budget is kept: its q swaps into s.kept and its
+// λ is recorded, so that settleAt need not probe the search's feasible end
+// again.
+func (s *Solver) budgetGap(p *Params, lambda float64) float64 {
+	spent := s.spendOfLambda(p, lambda)
+	if spent <= p.B {
+		s.q, s.kept = s.kept, s.q
+		s.keptLambda = lambda
+	}
+	return spent - p.B
+}
+
+// settleAt leaves q(λ) in s.q: the kept probe's when it was made at λ bit
+// for bit, a fresh probe otherwise. The searches' sign tests differ from
+// budgetGap's where spend is NaN, so the end they return is not always the
+// kept probe; comparing the bits makes that harmless.
+func (s *Solver) settleAt(p *Params, lambda float64) {
+	if math.Float64bits(s.keptLambda) == math.Float64bits(lambda) {
+		s.q, s.kept = s.kept, s.q
+		return
+	}
+	s.spendOfLambda(p, lambda)
 }
 
 // coldBracket brackets the budget multiplier of a binding budget from the
@@ -151,16 +187,53 @@ func (s *Solver) coldBracket(p *Params) lambdaBracket {
 	return lambdaBracket{lo: lo, hi: hi, ok: lo < hi}
 }
 
+// spendChunk is how many clients one index of a fanned-out spend probe
+// covers. Games of fewer than 2·spendChunk clients probe on the caller
+// alone: below that, starting the workers costs more than they save.
+const spendChunk = 8192
+
 // spendOfLambda writes the KKT stationarity solution q(λ) (eq. 22) into
 // the scratch vector and returns the induced spend Σ P_n(q_n) q_n at the
-// eq.-17 prices, in one allocation-free pass. Interior optima satisfy
+// eq.-17 prices. Interior optima satisfy
 // 1/λ = (4R/α)·c_n q³/(a_n²G_n²) + v_n, i.e.
 // q_n(λ) = cbrt( (α a_n²G_n² / (4R c_n)) · (1/λ − v_n) ), clamped to the
 // box; the precomputed coef/gain arrays hold the per-client constants.
+//
+// A game of 2·spendChunk clients or more fans the clients out over
+// stats.ParallelFor in ranges of spendChunk, each range storing its terms
+// fl(P_n q_n) in s.terms; the caller then adds them in ascending index order
+// from +0. Those are the additions the one-pass loop makes, so the spend —
+// and every bit of λ, Q and P after it — is the same for any GOMAXPROCS.
 func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 	s.probes++
-	q := s.q
-	coef, gain, c, v := s.coef[:len(q)], s.gain[:len(q)], p.C[:len(q)], p.V[:len(q)]
+	n := len(s.q)
+	if n < 2*spendChunk {
+		return s.probeRange(p, lambda, 0, n, nil)
+	}
+	s.terms = growFloats(s.terms, n)
+	chunks := (n + spendChunk - 1) / spendChunk
+	// fn never fails and the background context never ends.
+	_ = stats.ParallelFor(context.Background(), chunks, 0, func(_ context.Context, _ *struct{}, k int) error {
+		lo := k * spendChunk
+		s.probeRange(p, lambda, lo, min(lo+spendChunk, n), s.terms)
+		return nil
+	})
+	var spend float64
+	for _, t := range s.terms {
+		spend += t
+	}
+	return spend
+}
+
+// probeRange writes q_n(λ) into s.q for the clients in [lo, hi) and returns
+// their spend terms summed in index order from +0; with terms non-nil it
+// also stores client n's term in terms[n].
+func (s *Solver) probeRange(p *Params, lambda float64, lo, hi int, terms []float64) float64 {
+	q := s.q[lo:hi]
+	coef, gain, c, v := s.coef[lo:hi], s.gain[lo:hi], p.C[lo:hi], p.V[lo:hi]
+	if terms != nil {
+		terms = terms[lo:hi]
+	}
 	qMin, qMax := p.QMin, p.QMax
 	u := 1 / lambda
 	var spend float64
@@ -174,7 +247,11 @@ func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 			qi = clamp(cbrt(coef[i]*slack), qMin, qMax)
 		}
 		q[i] = qi
-		spend += eq17Price(c[i], gain[i], qi) * qi
+		t := eq17Price(c[i], gain[i], qi) * qi
+		if terms != nil {
+			terms[i] = t
+		}
+		spend += t
 	}
 	return spend
 }
@@ -299,11 +376,12 @@ const crossingBudget = 64
 //     whole bracket;
 //   - past crossingBudget probes every candidate is the midpoint.
 //
-// A cold SolveInto spends 12–16 spendOfLambda passes on average, the slack
-// probe, both bracket ends and the final evaluation included, and at most
-// 26 (TestColdSolveProbeBudget; the one-sided regula falsi this replaces:
-// 50–58 and 83); one seeded with a nearby game's pair 10–13, with the same
-// game's pair 4.
+// A cold SolveInto spends 11–15 spendOfLambda passes on average, the slack
+// probe and both bracket ends included, and at most 25
+// (TestColdSolveProbeBudget; the one-sided regula falsi this replaces:
+// 50–58 and 83, and a final evaluation at the feasible end besides, which
+// SolveInto now keeps from the search); one seeded with a nearby game's
+// pair 9–12, with the same game's pair 3.
 func crossingPair(lo, hi, flo, fhi float64, f func(float64) float64) (float64, float64) {
 	blo, bhi := math.Float64bits(lo), math.Float64bits(hi)
 	// (xn, fn) is the newest iterate, always one of the bracket's ends;

@@ -199,11 +199,12 @@ func TestSolveKKTZeroAllocs(t *testing.T) {
 }
 
 // TestColdSolveProbeBudget counts every spendOfLambda pass of a cold
-// SolveInto — slack probe, both ends of the analytic bracket, the search,
-// the final evaluation — over 200 seeded games per size of the quote-cold
-// and Table-I families. The one-sided regula falsi from the [0, 1] cold
-// bracket that this search replaced spent 50–58 passes on average on the
-// same games and up to 83; a plain lattice bisection spends 64.
+// SolveInto — slack probe, both ends of the analytic bracket, the search;
+// the feasible end's q is kept from the search, not evaluated again — over
+// 200 seeded games per size of the quote-cold and Table-I families. The
+// one-sided regula falsi from the [0, 1] cold bracket that this search
+// replaced spent 50–58 passes on average on the same games and up to 83,
+// plus that final evaluation; a plain lattice bisection spends 64.
 func TestColdSolveProbeBudget(t *testing.T) {
 	const games, meanLimit, maxLimit = 200, 18.0, 40
 	for _, n := range []int{40, 256, 4096} {

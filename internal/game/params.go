@@ -22,9 +22,13 @@
 // sweeps, sensitivity probes, Monte-Carlo scenario batches, repeated
 // Session queries — go through the engine layer instead:
 //
-//   - Solver owns scratch arenas and solves repeatedly with zero heap
-//     allocations in steady state (Solver.SolveInto), warm-starting each
-//     solve's multiplier bracket from the previous one.
+//   - Solver owns scratch arenas and solves repeatedly (Solver.SolveInto),
+//     warm-starting each solve's multiplier bracket from the previous one.
+//     Below 16 384 clients a steady-state solve makes zero heap
+//     allocations; above, each spend probe fans out over stats.ParallelFor
+//     in ranges of 8 192 clients and allocates a few objects for its
+//     workers, as many at 10^6 clients as at 10^5. The spend is still summed
+//     in client order, so the bits do not depend on GOMAXPROCS.
 //   - SolveMany batch-solves a slice of games on stats.ParallelFor, the
 //     repository's one index fan-out, with a Solver per worker. Games are
 //     claimed in ascending order and a failure stops new claims, so the
