@@ -3,6 +3,7 @@ package unbiasedfl_test
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -256,4 +257,70 @@ func TestSessionIdentityAndClose(t *testing.T) {
 	if err := b.Close(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestSessionBoundFidelity drives Session.BoundFidelity at the smallest
+// scale: one Theorem-1 bound and one trained loss per profile, both finite
+// and positive, the profiles ordered from low to high participation so the
+// bound falls overall, and a Kendall tau in [−1, 1].
+func TestSessionBoundFidelity(t *testing.T) {
+	ctx := context.Background()
+	sess, err := unbiasedfl.NewSession(ctx, unbiasedfl.Setup1, tinyFacadeOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.BoundFidelity(ctx, 1); err == nil {
+		t.Fatal("one profile accepted")
+	}
+	const profiles = 4
+	res, err := sess.BoundFidelity(ctx, profiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Bounds) != profiles || len(res.Losses) != profiles {
+		t.Fatalf("%d bounds and %d losses for %d profiles", len(res.Bounds), len(res.Losses), profiles)
+	}
+	for i := range res.Bounds {
+		if b, l := res.Bounds[i], res.Losses[i]; !(b > 0) || math.IsInf(b, 0) || !(l > 0) || math.IsInf(l, 0) {
+			t.Fatalf("profile %d: bound %v, loss %v", i, b, l)
+		}
+	}
+	if first, last := res.Bounds[0], res.Bounds[profiles-1]; !(last < first) {
+		t.Fatalf("bound %v at the lowest participation, %v at the highest", first, last)
+	}
+	if tau := res.KendallTau; !(tau >= -1 && tau <= 1) {
+		t.Fatalf("Kendall tau %v", tau)
+	}
+	t.Logf("bounds %v, losses %v, tau %v", res.Bounds, res.Losses, res.KendallTau)
+}
+
+// TestSessionConvergenceRate drives Session.ConvergenceRate at the smallest
+// scale: one gap per horizon, in ascending order of rounds whatever order
+// they were asked in, none negative, and the gap falling as R grows.
+func TestSessionConvergenceRate(t *testing.T) {
+	ctx := context.Background()
+	sess, err := unbiasedfl.NewSession(ctx, unbiasedfl.Setup1, tinyFacadeOptions()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sess.ConvergenceRate(ctx, nil); err == nil {
+		t.Fatal("no horizons accepted")
+	}
+	points, err := sess.ConvergenceRate(ctx, []int{160, 10, 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(points) != 3 {
+		t.Fatalf("%d points for 3 horizons", len(points))
+	}
+	for i, want := range []int{10, 40, 160} {
+		if points[i].Rounds != want || !(points[i].Gap >= 0) {
+			t.Fatalf("point %d: %+v, want %d rounds and a gap >= 0", i, points[i], want)
+		}
+		if i > 0 && !(points[i].Gap < points[i-1].Gap) {
+			t.Fatalf("gap %v at R=%d does not fall below %v at R=%d",
+				points[i].Gap, points[i].Rounds, points[i-1].Gap, points[i-1].Rounds)
+		}
+	}
+	t.Logf("gaps %+v", points)
 }
