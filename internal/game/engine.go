@@ -215,7 +215,8 @@ func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 	// fn never fails and the background context never ends.
 	_ = stats.ParallelFor(context.Background(), chunks, 0, func(_ context.Context, _ *struct{}, k int) error {
 		lo := k * spendChunk
-		s.probeRange(p, lambda, lo, min(lo+spendChunk, n), s.terms)
+		hi := min(lo+spendChunk, n)
+		s.probeRange(p, lambda, lo, hi, s.terms[lo:hi])
 		return nil
 	})
 	var spend float64
@@ -226,14 +227,11 @@ func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 }
 
 // probeRange writes q_n(λ) into s.q for the clients in [lo, hi) and returns
-// their spend terms summed in index order from +0; with terms non-nil it
-// also stores client n's term in terms[n].
+// their spend terms summed in index order from +0. terms is nil or holds
+// one slot per client of the range, where it also stores the terms.
 func (s *Solver) probeRange(p *Params, lambda float64, lo, hi int, terms []float64) float64 {
 	q := s.q[lo:hi]
 	coef, gain, c, v := s.coef[lo:hi], s.gain[lo:hi], p.C[lo:hi], p.V[lo:hi]
-	if terms != nil {
-		terms = terms[lo:hi]
-	}
 	qMin, qMax := p.QMin, p.QMax
 	u := 1 / lambda
 	var spend float64
@@ -248,7 +246,7 @@ func (s *Solver) probeRange(p *Params, lambda float64, lo, hi int, terms []float
 		}
 		q[i] = qi
 		t := eq17Price(c[i], gain[i], qi) * qi
-		if terms != nil {
+		if i < len(terms) {
 			terms[i] = t
 		}
 		spend += t
