@@ -51,16 +51,20 @@ func sameQ(t *testing.T, label string, got, want []float64) {
 // end of SolveInto to the reference: the equilibrium's q is q(λ*), and the
 // probe budgetGap kept stands in for q(λ) only at its own λ.
 func TestSpendFanOutMatchesSerial(t *testing.T) {
-	games := map[string]*Params{
-		"two ranges":    engineGame(t, 11, 2*spendChunk),
-		"ragged by one": engineGame(t, 12, 2*spendChunk+1),
-		"quote-cold":    quoteColdGame(13, 5*spendChunk-7),
-		"lognormal":     lognormalGame(14, 3*spendChunk+spendChunk/2),
+	games := []struct {
+		name string
+		p    *Params
+	}{
+		{"two ranges", engineGame(t, 11, 2*spendChunk)},
+		{"ragged by one", engineGame(t, 12, 2*spendChunk+1)},
+		{"quote-cold", quoteColdGame(13, 5*spendChunk-7)},
+		{"lognormal", lognormalGame(14, 3*spendChunk+spendChunk/2)},
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		for name, p := range games {
+		for _, g := range games {
+			name, p := g.name, g.p
 			s := NewSolver()
 			var eq Equilibrium
 			if err := s.SolveInto(p, &eq); err != nil {
