@@ -188,8 +188,8 @@ func (s *Solver) coldBracket(p *Params) lambdaBracket {
 }
 
 // spendChunk is how many clients one index of a fanned-out spend probe
-// covers. Games of fewer than 2·spendChunk clients probe on the caller
-// alone: below that, starting the workers costs more than they save.
+// covers. Games of fewer than 2·spendChunk clients — every quote, session
+// and paper-scale game — probe on the caller alone and allocate nothing.
 const spendChunk = 8192
 
 // spendOfLambda writes the KKT stationarity solution q(λ) (eq. 22) into
@@ -377,8 +377,8 @@ const crossingBudget = 64
 // A cold SolveInto spends 11–15 spendOfLambda passes on average, the slack
 // probe and both bracket ends included, and at most 25
 // (TestColdSolveProbeBudget; the one-sided regula falsi this replaces:
-// 50–58 and 83, and a final evaluation at the feasible end besides, which
-// SolveInto now keeps from the search); one seeded with a nearby game's
+// 50–58 and 83, each plus a final evaluation at the feasible end, whose q
+// SolveInto keeps from the search instead); one seeded with a nearby game's
 // pair 9–12, with the same game's pair 3.
 func crossingPair(lo, hi, flo, fhi float64, f func(float64) float64) (float64, float64) {
 	blo, bhi := math.Float64bits(lo), math.Float64bits(hi)
