@@ -14,7 +14,10 @@ import (
 // state below 2·spendChunk clients; above, each spend probe fans out over
 // stats.ParallelFor, whose few allocations per probe do not grow with N),
 // warm-started multiplier brackets for sequences of nearby games, and batch
-// solves fanned out by stats.ParallelFor.
+// solves fanned out by stats.ParallelFor. On amd64 with AVX2 each spend
+// probe takes four clients a pass on the kernel in probe_amd64.s, which
+// repeats the Go loop's operations, math.Cbrt's included, bit for bit (see
+// probeRange).
 //
 // Determinism contract: every multiplier search in the engine ends on the
 // IEEE-754 bit lattice, at an adjacent pair of floats (lo, hi) with
@@ -229,13 +232,25 @@ func (s *Solver) spendOfLambda(p *Params, lambda float64) float64 {
 // probeRange writes q_n(λ) into s.q for the clients in [lo, hi) and returns
 // their spend terms summed in index order from +0. terms is nil or holds
 // one slot per client of the range, where it also stores the terms.
+//
+// For λ > 0 the leading groups of four clients run on the AVX2 kernel
+// spendAVX2 (probe_amd64.s) where tensor.HasAVX2: each lane does this loop's
+// IEEE operations in this loop's order, math.Cbrt's sequence included, and
+// adds its term to the one running spend in index order, so the kernel's
+// output is this loop's bit for bit. It declines the first group holding a
+// Cbrt special case or a NaN term, and this loop finishes the range from
+// there.
 func (s *Solver) probeRange(p *Params, lambda float64, lo, hi int, terms []float64) float64 {
 	q := s.q[lo:hi]
 	coef, gain, c, v := s.coef[lo:hi], s.gain[lo:hi], p.C[lo:hi], p.V[lo:hi]
 	qMin, qMax := p.QMin, p.QMax
 	u := 1 / lambda
 	var spend float64
-	for i := range q {
+	start := 0
+	if lambda > 0 {
+		start, spend = spendVector(q, coef, gain, c, v, terms, u, qMin, qMax, spend)
+	}
+	for i := start; i < len(q); i++ {
 		var qi float64
 		if lambda <= 0 {
 			qi = qMax

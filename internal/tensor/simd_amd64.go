@@ -1,7 +1,8 @@
 package tensor
 
 // HasAVX2 selects the vector kernels in simd_amd64.s — and, read from there,
-// internal/fixpoint's fold kernel: it is the module's one CPU-feature probe.
+// internal/fixpoint's fold kernel and internal/game's spend probe: it is the
+// module's one CPU-feature probe.
 // It is decided once, from what the CPU and OS report; there is no switch.
 // Only tests assign to it, false, to run the portable tiers on this host.
 var HasAVX2 = cpuHasAVX2()
