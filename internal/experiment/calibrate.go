@@ -15,8 +15,8 @@ import (
 
 // CalibrationConfig holds the training-loop hyperparameters a calibration
 // run trains with. Calibrate reads LocalSteps, BatchSize, Schedule and Seed;
-// it runs the rounds it is given and evaluates once, at the end, so it reads
-// neither Rounds nor EvalEvery.
+// it runs the rounds it is given and evaluates nothing, so it reads neither
+// Rounds nor EvalEvery.
 type CalibrationConfig struct {
 	Rounds     int             // R
 	LocalSteps int             // E local SGD iterations per round
@@ -88,7 +88,7 @@ func Calibrate(
 		LocalSteps: cfg.LocalSteps,
 		BatchSize:  cfg.BatchSize,
 		Schedule:   cfg.Schedule,
-		EvalEvery:  rounds, // single evaluation at the end
+		EvalEvery:  rounds, // the engine's one evaluation, which normObserver skips
 		Seed:       cfg.Seed,
 		Sampler:    full,
 	}, engine.NewLocalBackend(engine.LocalOptions{Parallel: true})); err != nil {
@@ -121,7 +121,7 @@ func Calibrate(
 // inner model's SGDStep, whose ‖g‖² it adds to the stepping client's running
 // mean. The client is the one whose shard the step reads. A client's steps
 // run on one worker per round, and rounds are barriers, so each Welford has
-// one writer at a time and needs no lock.
+// one writer at a time and needs no lock. It evaluates nothing (see Loss).
 type normObserver struct {
 	model.Model
 	client map[*data.Dataset]int
@@ -139,3 +139,13 @@ func (o *normObserver) Step(
 	o.sq[o.client[ds]].Add(sq)
 	return nil
 }
+
+// Loss implements model.Model without reading ds. The engine evaluates its
+// model at least once, at the last round, but Calibrate keeps only the
+// gradient norms of the steps and discards the run's loss and accuracy, so
+// evaluating the whole train set (and, in Accuracy, the test set) would be
+// wasted work. G_n, L, μ and α do not depend on it.
+func (o *normObserver) Loss(tensor.Vec, *data.Dataset) (float64, error) { return 0, nil }
+
+// Accuracy implements model.Model without reading ds; see Loss.
+func (o *normObserver) Accuracy(tensor.Vec, *data.Dataset) (float64, error) { return 0, nil }
