@@ -16,10 +16,11 @@ func spendVector(q, coef, gain, c, v, terms []float64, u, qMin, qMax, spend floa
 	if !tensor.HasAVX2 || len(q) < 4 {
 		return 0, spend
 	}
-	coef, gain, c, v = coef[:len(q)], gain[:len(q)], c[:len(q)], v[:len(q)]
+	last := len(q) - 1 // the kernel reads as many of each, and stores as many terms
+	_, _, _, _ = coef[last], gain[last], c[last], v[last]
 	var t *float64
 	if terms != nil {
-		t = &terms[:len(q)][0]
+		_, t = terms[last], &terms[0]
 	}
 	done, spend := spendAVX2(&q[0], &coef[0], &gain[0], &c[0], &v[0], t, len(q)/4, u, qMin, qMax, spend)
 	return 4 * done, spend

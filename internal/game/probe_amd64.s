@@ -7,7 +7,7 @@
 // VMULPD then VADDPD, never a fused multiply-add — and the spend is the Go
 // loop's one chain of additions, lane by lane in index order, so every q, term
 // and spend bit equals the scalar loop's. Pointers are not bounds-checked
-// here: spendVector's slicing is the only guard.
+// here: spendVector's length checks are the only guard.
 
 #define CONST4(name, off, bits) \
 	DATA name<>+(off)(SB)/8, $bits; \
