@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
@@ -98,5 +99,27 @@ func BenchmarkQuoteHandler(b *testing.B) {
 				quote()
 			}
 		})
+	}
+}
+
+// BenchmarkNumber times (*codec).number on 17-digit shortest-form doubles
+// of a quote body's magnitudes, cycling through 1024 of them so that the
+// branch predictor cannot learn one; ns/op is per number.
+func BenchmarkNumber(b *testing.B) {
+	rng := rand.New(rand.NewPCG(1, 0x900D5EED))
+	var nums [][]byte
+	for len(nums) < 1024 {
+		s := appendFloat(nil, (0.5+rng.Float64())*math.Pow(10, float64(rng.IntN(5)-1)))
+		if len(bytes.TrimLeft(bytes.ReplaceAll(s, []byte("."), nil), "0")) == 17 {
+			nums = append(nums, append(s, ','))
+		}
+	}
+	c := new(codec)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.buf, c.pos = nums[i%len(nums)], 0
+		if _, ok := c.number(); !ok {
+			b.Fatalf("number(%q) refused", c.buf)
+		}
 	}
 }

@@ -29,6 +29,14 @@ import (
 // encoding/json is the tests' oracle for both (TestPricingBodyParsing,
 // TestDecodeMatchesEncodingJSON, TestQuoteRenderGolden, FuzzDecodeQuote,
 // FuzzEncodeQuote).
+//
+// A number is converted in the same pass that checks its grammar: number
+// gathers its decimal mantissa and exponent, and atof (atof.go) converts
+// them exactly as strconv does after its own scan. What atof declines — more
+// than 19 significant digits, an exponent past its table, a product too
+// close to a half-way point — goes to strconv.ParseFloat, which
+// encoding/json calls too; every value and verdict is therefore strconv's
+// (TestNumberMatchesParseFloat, FuzzNumber, TestPow10TableMatchesBig).
 
 // maxPooled bounds the buffers a codec keeps in the pool, in bytes: one
 // that grew past it for an outsized body is dropped with its codec.
@@ -251,42 +259,87 @@ func (c *codec) scheme(dst *string) bool {
 }
 
 // number parses a number in JSON's grammar,
-// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that fits a float64.
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, that fits a float64. One
+// pass checks the grammar and gathers the number as man·10^exp10: zeros
+// before the first significant digit skipped, up to 19 significant digits
+// taken, each taken fraction digit counted into exp10. A number with more
+// digits, or one atof declines, goes to strconv.ParseFloat, which also
+// refuses what overflows.
 func (c *codec) number() (float64, bool) {
 	c.space()
-	b, i := c.buf, c.pos
-	if i < len(b) && b[i] == '-' {
+	b, start := c.buf, c.pos
+	i := start
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
-	j := digits(b, i)
-	if j == i || b[i] == '0' && j > i+1 {
+	var man uint64
+	nd, exp10 := 0, 0 // digits taken into man; the number is man·10^exp10
+	long := false     // a significant digit past the 19th
+	switch {
+	case i >= len(b) || b[i]-'0' > 9:
 		return 0, false
-	}
-	i = j
-	if i < len(b) && b[i] == '.' {
-		if j = digits(b, i+1); j == i+1 {
-			return 0, false
+	case b[i] == '0':
+		if i++; i < len(b) && b[i]-'0' <= 9 {
+			return 0, false // a leading zero
 		}
-		i = j
+	default:
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if nd == 19 {
+				long = true
+				continue
+			}
+			man = man*10 + uint64(b[i]-'0')
+			nd++
+		}
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		if i++; i < len(b) && (b[i] == '+' || b[i] == '-') {
+	if i < len(b) && b[i] == '.' {
+		i++
+		frac := i
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			switch d := b[i] - '0'; {
+			case nd == 0 && d == 0:
+				exp10--
+			case nd == 19:
+				long = true
+			default:
+				man = man*10 + uint64(d)
+				nd++
+				exp10--
+			}
+		}
+		if i == frac {
+			return 0, false // an empty fraction
+		}
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (eneg || b[i] == '+') {
 			i++
 		}
-		i = digits(b, i) // ParseFloat refuses an exponent without digits
+		digits, e := i, 0
+		for ; i < len(b) && b[i]-'0' <= 9; i++ {
+			if e < 10000 { // far past the table: atof declines it
+				e = e*10 + int(b[i]-'0')
+			}
+		}
+		if i == digits {
+			return 0, false // an exponent without digits
+		}
+		if eneg {
+			e = -e
+		}
+		exp10 += e
 	}
-	x, err := strconv.ParseFloat(string(b[c.pos:i]), 64)
 	c.pos = i
-	return x, err == nil
-}
-
-// digits returns the index of the first byte at or after i in b that is
-// not a digit.
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+	if !long {
+		if x, ok := atof(man, exp10, neg); ok {
+			return x, true
+		}
 	}
-	return i
+	x, err := strconv.ParseFloat(string(b[start:i]), 64)
+	return x, err == nil
 }
 
 // consume moves past whitespace and then ch, reporting whether ch was

@@ -7,9 +7,14 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/big"
+	"math/bits"
+	"math/rand/v2"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -166,6 +171,210 @@ func FuzzDecodeQuote(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, body []byte, cut uint16) {
 		checkDecode(t, body, max(int64(len(body))+1-int64(cut), 0))
+	})
+}
+
+// jsonNumber is JSON's number grammar, the one (*codec).number parses.
+var jsonNumber = regexp.MustCompile(`^-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?$`)
+
+// numberMismatch parses s, followed by a comma, with (*codec).number and
+// with strconv.ParseFloat, and describes how they differ: in the verdict,
+// in the value's bits, or in where an accepted number ends. It returns ""
+// when they agree.
+func numberMismatch(c *codec, s []byte) string {
+	c.buf = append(append(c.buf[:0], s...), ',')
+	c.pos = 0
+	got, ok := c.number()
+	want, err := strconv.ParseFloat(string(s), 64)
+	if ok == (err == nil) && (!ok || math.Float64bits(got) == math.Float64bits(want) && c.pos == len(s)) {
+		return ""
+	}
+	return fmt.Sprintf("number(%q) = %v (%#x), %v, end %d; strconv.ParseFloat: %v (%#x), %v",
+		s, got, math.Float64bits(got), ok, c.pos, want, math.Float64bits(want), err)
+}
+
+// TestNumberMatchesParseFloat holds (*codec).number to strconv.ParseFloat,
+// bits and verdict, on about a million numbers in JSON's grammar: the
+// renderer's output of random doubles; 'e' form at every precision 0–21
+// and 'f' form at random precisions; random strings of 1–25 digits with a
+// random decimal point and exponents in ±350, which reach subnormals,
+// overflow, more digits than the mantissa takes and both edges of the
+// powers-of-ten table; exact half-way points between two doubles, and
+// decimals at or a last digit either side of such a midpoint, where
+// Eisel–Lemire's wider approximation and half-way refusal decide; and
+// signed zeros, long zero runs and the extreme normal and subnormal
+// doubles.
+func TestNumberMatchesParseFloat(t *testing.T) {
+	rng := rand.New(rand.NewPCG(49, 0x5EED))
+	c := new(codec)
+	var s []byte
+	cases, mismatches := 0, 0
+	// Every input is in JSON's grammar: one outside it that strconv
+	// accepts would show as a mismatch.
+	check := func(s []byte) {
+		cases++
+		if m := numberMismatch(c, s); m != "" {
+			if mismatches++; mismatches <= 10 {
+				t.Error(m)
+			}
+		}
+	}
+	randFloat := func() float64 {
+		for {
+			if x := math.Float64frombits(rng.Uint64()); !math.IsNaN(x) && !math.IsInf(x, 0) {
+				return x
+			}
+		}
+	}
+	// Values as a quote body carries them, and doubles of every exponent.
+	for i := 0; i < 150_000; i++ {
+		check(appendFloat(s[:0], (rng.Float64()-0.5)*math.Pow(10, float64(rng.IntN(24)-12))))
+		check(appendFloat(s[:0], randFloat()))
+	}
+	for i := 0; i < 10_000; i++ {
+		x := randFloat()
+		for prec := 0; prec <= 21; prec++ {
+			check(strconv.AppendFloat(s[:0], x, 'e', prec, 64))
+		}
+		y := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.IntN(40)-20))
+		check(strconv.AppendFloat(s[:0], y, 'f', rng.IntN(26), 64))
+	}
+	// Random digit strings: an integer part of "0" or a non-zero digit
+	// first, then any digits; a fraction; an exponent.
+	const digits = "0123456789"
+	for i := 0; i < 300_000; i++ {
+		s = s[:0]
+		if rng.IntN(2) == 0 {
+			s = append(s, '-')
+		}
+		n := 1 + rng.IntN(25)
+		intLen := rng.IntN(n + 1)
+		if intLen == 0 {
+			s = append(s, '0')
+		} else {
+			s = append(s, digits[1+rng.IntN(9)])
+			for j := 1; j < intLen; j++ {
+				s = append(s, digits[rng.IntN(10)])
+			}
+		}
+		if intLen < n {
+			s = append(s, '.')
+			for j := intLen; j < n; j++ {
+				s = append(s, digits[rng.IntN(10)])
+			}
+		}
+		if rng.IntN(3) > 0 {
+			s = append(s, "eE"[rng.IntN(2)])
+			if sign := rng.IntN(3); sign > 0 {
+				s = append(s, "+-"[sign-1])
+			}
+			if rng.IntN(8) == 0 {
+				s = append(s, '0')
+			}
+			s = strconv.AppendInt(s, int64(rng.IntN(351)), 10)
+		}
+		check(s)
+	}
+	// Mantissas of up to 19 digits scaled to each side of the table's
+	// edges, 10^pow10Min and 10^pow10Max.
+	for i := 0; i < 20_000; i++ {
+		man := rng.Uint64N(1<<63) >> rng.IntN(63)
+		frac := rng.IntN(20)
+		for _, edge := range []int{pow10Min, pow10Max} {
+			for e := edge - 2; e <= edge+2; e++ {
+				s = strconv.AppendUint(s[:0], man, 10)
+				check(strconv.AppendInt(append(s, 'e'), int64(e+frac), 10))
+			}
+		}
+	}
+	// Exact half-way points y·10^e between two doubles: 5^e·o is an odd
+	// 54-bit integer and y = o·2^k has at most 19 digits.
+	pow5 := uint64(1)
+	for e := 0; e <= 22; e++ {
+		lo, hi := (uint64(1)<<53)/pow5+1, (uint64(1)<<54-1)/pow5
+		for i := 0; i < 200; i++ {
+			o := (lo + rng.Uint64N(hi-lo+1)) | 1
+			if o > hi {
+				o -= 2
+			}
+			for k := max(0, 53-bits.Len64(o)); bits.Len64(o)+k <= 63; k++ {
+				y := strconv.FormatUint(o<<k, 10)
+				check(fmt.Appendf(s[:0], "%se%d", y, e))
+				p := 1 + rng.IntN(len(y)-1)
+				check(fmt.Appendf(s[:0], "-%s.%se%d", y[:p], y[p:], e+len(y)-p))
+			}
+		}
+		pow5 *= 5
+	}
+	// Decimals at, and a last digit either side of, the midpoint of two
+	// neighbouring doubles, to 16–19 significant digits.
+	mid := new(big.Float).SetPrec(64)
+	for i := 0; i < 20_000; i++ {
+		x := math.Abs(randFloat())
+		if x == math.MaxFloat64 {
+			continue
+		}
+		next := new(big.Float).SetFloat64(math.Nextafter(x, math.Inf(1)))
+		mid.SetFloat64(x).Add(mid, next).Quo(mid, big.NewFloat(2))
+		text := []byte(mid.Text('e', 15+rng.IntN(4)))
+		check(text)
+		last := bytes.IndexByte(text, 'e') - 1
+		if d := text[last]; d > '0' && d < '9' {
+			for _, nudge := range []byte{d - 1, d + 1} {
+				text[last] = nudge
+				check(text)
+			}
+		}
+	}
+	for _, x := range []string{
+		"0", "-0", "0.0", "-0.0", "0e0", "-0E-0", "0e400", "-0e-400", "0.000000000000000000000000000000",
+		"0." + strings.Repeat("0", 400), "-0." + strings.Repeat("0", 400) + "e400",
+		"0." + strings.Repeat("0", 320) + "1", "0." + strings.Repeat("0", 300) + "1e300",
+		"1" + strings.Repeat("0", 308), "1" + strings.Repeat("0", 309), "1" + strings.Repeat("0", 19) + ".0",
+		"5e-324", "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+		"2.2250738585072011e-308", "2.2250738585072014e-308", "2.225073858507201e-308",
+		"1.7976931348623157e308", "1.7976931348623158e308", "1.7976931348623159e308", "-1.7976931348623159e308",
+		"1e308", "1e309", "-1e309", "1e-400", "1e99999999999999999999", "1e-99999999999999999999",
+		"9007199254740993", "9007199254740992.5", "123456789012345678901234567890",
+		"1e22", "1e23", "1e37", "1e38", "1e-22", "1e-23", "4503599627370496e1", "4503599627370495e37",
+	} {
+		check([]byte(x))
+	}
+	for _, x := range []float64{
+		math.SmallestNonzeroFloat64, 0x1p-1022, 0x1p-1022 - 0x1p-1074, math.MaxFloat64,
+	} {
+		check(appendFloat(s[:0], x))
+		check(appendFloat(s[:0], -x))
+	}
+	if mismatches > 0 {
+		t.Fatalf("%d of %d numbers differ from strconv.ParseFloat", mismatches, cases)
+	}
+	t.Logf("%d numbers, each as strconv.ParseFloat parses it", cases)
+}
+
+// FuzzNumber holds (*codec).number to strconv.ParseFloat on every byte
+// string the fuzzer makes, past the JSON whitespace number skips and
+// followed by a comma: a number in JSON's grammar gets strconv's verdict
+// and bits and ends where the string does, and the parser accepts all of a
+// string only if it is such a number.
+func FuzzNumber(f *testing.F) {
+	for _, s := range []string{"0", " -0.0", "1.5e+3", "1e-5", "5e-324", "1e309", "01", "1.", "-", "1e", "0.1x",
+		"9007199254740993", "123456789012345678901234567890e-10", "1.7976931348623159e308"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, s []byte) {
+		s = bytes.TrimLeft(s, " \t\n\r")
+		c := new(codec)
+		if jsonNumber.Match(s) {
+			if m := numberMismatch(c, s); m != "" {
+				t.Fatal(m)
+			}
+			return
+		}
+		c.buf = append(append(c.buf, s...), ',')
+		if _, ok := c.number(); ok && c.pos == len(s) {
+			t.Fatalf("number accepts all of %q, which is not a JSON number", s)
+		}
 	})
 }
 
