@@ -185,14 +185,19 @@ func run(ctx context.Context) error {
 
 	// Cross-check with the paper's M-search method. The KKT solution is the
 	// exact optimum and the M-search's grid gets within a few percent of it,
-	// so a ratio below 1 or above 1.10 (NaN included) is a wrong solve.
+	// so a ratio below 1 or above 1.10 (NaN included) is a wrong solve. The
+	// one exception is a slack budget: every client then sits at QMax, both
+	// objectives are exactly 0, and their ratio 0/0 says nothing.
 	ms, err := params.SolveMSearch(game.DefaultMSearchOptions())
 	if err != nil {
 		return fmt.Errorf("m-search cross-check: %w", err)
 	}
 	ratio := ms.ServerObj / eq.ServerObj
 	verdict := ""
-	if !(ratio >= 1-1e-9 && ratio <= 1.10) {
+	switch {
+	case ms.ServerObj == 0 && eq.ServerObj == 0 && !eq.BudgetTight:
+		verdict = ", both 0: the budget is slack"
+	case !(ratio >= 1-1e-9 && ratio <= 1.10):
 		verdict = " FAILED (want a ratio in [1, 1.10])"
 	}
 	fmt.Printf("M-search cross-check: bound %.6g (KKT %.6g, ratio %.4f)%s\n",
