@@ -3,7 +3,6 @@ package fixpoint
 import (
 	"fmt"
 	"math"
-	"math/bits"
 	"testing"
 
 	"unbiasedfl/internal/stats"
@@ -26,16 +25,16 @@ func twoPass(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) bool {
 
 // mutantScaleFactorFirst rounds scale·factor before it meets the difference:
 // fl(fl(scale·factor)·fl(w − g)). The kit must tell it from the contract.
-func mutantScaleFactorFirst(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) bool {
+func mutantScaleFactorFirst(scale, factor float64, w, g tensor.Vec, d0, d1, d2 []int64) bool {
 	sf := scale * factor
-	return refFold(lo, hi, func(j int) float64 { return sf * float64(w[j]-g[j]) })
+	return refFoldDigits(d0, d1, d2, func(j int) float64 { return sf * float64(w[j]-g[j]) })
 }
 
 // mutantSubtractLast multiplies first and subtracts after:
 // fl(fl(scale·fl(factor·w)) − fl(scale·fl(factor·g))). The kit must tell it
 // from the contract.
-func mutantSubtractLast(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) bool {
-	return refFold(lo, hi, func(j int) float64 {
+func mutantSubtractLast(scale, factor float64, w, g tensor.Vec, d0, d1, d2 []int64) bool {
+	return refFoldDigits(d0, d1, d2, func(j int) float64 {
 		return float64(scale*float64(factor*w[j])) - float64(scale*float64(factor*g[j]))
 	})
 }
@@ -49,9 +48,23 @@ func refFold(lo, hi []uint64, addend func(j int) float64) (sat bool) {
 			sat = true
 			continue
 		}
-		var c uint64
-		lo[j], c = bits.Add64(lo[j], qlo, 0)
-		hi[j], _ = bits.Add64(hi[j], qhi, c)
+		lo[j], hi[j] = add128(lo[j], hi[j], qlo, qhi)
+	}
+	return sat
+}
+
+// refFoldDigits is refFold onto digit rows: each reference quantization goes
+// in as MergeLimbs takes limbs.
+func refFoldDigits(d0, d1, d2 []int64, addend func(j int) float64) (sat bool) {
+	for j := range d0 {
+		qlo, qhi, ok := fixQuantizeRef(addend(j))
+		if !ok {
+			sat = true
+			continue
+		}
+		d0[j] += int64(qlo & (1<<32 - 1))
+		d1[j] += int64(qlo >> 32)
+		d2[j] += int64(qhi)
 	}
 	return sat
 }
@@ -84,11 +97,11 @@ func diffKitPairs() [][2]float64 {
 
 // diffKit runs fold over the kit — every shape × factor, three scales (1, so
 // the edges arrive intact, and two that round), random and edge (w, g) pairs —
-// onto limbs pre-filled with sums of both signs, every slice carved inside
-// guard words. Each result is held by bits, limbs and saturation verdict, to
-// the Go loop and to the two-pass reference; w and g must come back untouched
-// and nothing outside the slices may change. It returns the first
-// disagreement, or "".
+// onto digits pre-filled with sums of both signs, every slice carved inside
+// guard words. Each result is held to the Go loop digit for digit and, by
+// its normalised limbs and saturation verdict, to the two-pass reference; w
+// and g must come back untouched and nothing outside the slices may change.
+// It returns the first disagreement, or "".
 func diffKit(fold foldFunc) string {
 	rng := stats.NewRNG(37)
 	pairs := diffKitPairs()
@@ -97,15 +110,18 @@ func diffKit(fold foldFunc) string {
 			for k, scale := range []float64{1, 0.37 * math.Exp(rng.Float64()), -1.3e-5 * (1 + rng.Float64())} {
 				w, wCarved := testutil.Carve(p, k == 1, guardFloat)
 				g, gCarved := testutil.Carve(p, k == 2, guardFloat)
-				lo, loCarved := testutil.Carve(p, k == 0, guardWord)
-				hi, hiCarved := testutil.Carve(p, false, guardWord)
+				var d, goD [3][]int64
+				var dCarved [3]testutil.Carved[int64]
+				for i := range d {
+					d[i], dCarved[i] = testutil.Carve(p, k == i, guardDigit)
+				}
 				for j := range w {
 					w[j] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(50)-40)
 					g[j] = w[j] + (rng.Float64()-0.5)*math.Ldexp(1, rng.Intn(40)-40)
 					if rng.Bernoulli(0.1) {
 						g[j] = 0
 					}
-					lo[j], hi[j] = rng.Uint64(), rng.Uint64()
+					d[0][j], d[1][j], d[2][j] = randomDigits(rng)
 				}
 				// One edge pair per parameter of the small shapes, a scatter of
 				// them through the large ones.
@@ -117,27 +133,39 @@ func diffKit(fold foldFunc) string {
 					w[j], g[j] = pairs[(e+k)%len(pairs)][0], pairs[(e+k)%len(pairs)][1]
 				}
 				wBefore, gBefore := tensor.Vec(w).Clone(), tensor.Vec(g).Clone()
-				goLo, goHi := append([]uint64(nil), lo...), append([]uint64(nil), hi...)
-				refLo, refHi := append([]uint64(nil), lo...), append([]uint64(nil), hi...)
-				goSat := addScaledDiffPortable(scale, factor, w, g, goLo, goHi)
+				for i := range goD {
+					goD[i] = append([]int64(nil), d[i]...)
+				}
+				refLo, refHi := make([]uint64, p), make([]uint64, p)
+				for j := range refLo {
+					refLo[j], refHi[j] = bigLimbs(d[0][j], d[1][j], d[2][j])
+				}
+				goSat := addScaledDiffPortable(scale, factor, w, g, goD[0], goD[1], goD[2])
 				refSat := twoPass(scale, factor, w, g, refLo, refHi)
-				sat := fold(scale, factor, w, g, lo, hi)
+				sat := fold(scale, factor, w, g, d[0], d[1], d[2])
 				at := fmt.Sprintf("p=%d factor=%v scale=%v", p, factor, scale)
 				if sat != goSat || sat != refSat {
 					return fmt.Sprintf("%s: sat = %v, Go loop %v, two-pass %v", at, sat, goSat, refSat)
 				}
-				for j := range lo {
-					if lo[j] != goLo[j] || hi[j] != goHi[j] || lo[j] != refLo[j] || hi[j] != refHi[j] {
-						return fmt.Sprintf("%s, parameter %d (w %v, g %v): limbs %#016x:%016x, Go loop %#016x:%016x, two-pass %#016x:%016x",
-							at, j, w[j], g[j], hi[j], lo[j], goHi[j], goLo[j], refHi[j], refLo[j])
+				for j := range w {
+					lo, hi := limbs(d[0][j], d[1][j], d[2][j])
+					if lo != refLo[j] || hi != refHi[j] {
+						return fmt.Sprintf("%s, parameter %d (w %v, g %v): limbs %#016x:%016x, two-pass %#016x:%016x",
+							at, j, w[j], g[j], hi, lo, refHi[j], refLo[j])
+					}
+					for i := range d {
+						if d[i][j] != goD[i][j] {
+							return fmt.Sprintf("%s, parameter %d (w %v, g %v): digit %d %#x, Go loop %#x",
+								at, j, w[j], g[j], i, d[i][j], goD[i][j])
+						}
 					}
 					if math.Float64bits(w[j]) != math.Float64bits(wBefore[j]) || math.Float64bits(g[j]) != math.Float64bits(gBefore[j]) {
 						return fmt.Sprintf("%s: the fold changed w[%d] or g[%d]", at, j, j)
 					}
 				}
-				if !wCarved.Intact() || !gCarved.Intact() || !loCarved.Intact() || !hiCarved.Intact() {
-					return fmt.Sprintf("%s: the fold wrote outside its slices (w %v, g %v, lo %v, hi %v intact)",
-						at, wCarved.Intact(), gCarved.Intact(), loCarved.Intact(), hiCarved.Intact())
+				if !wCarved.Intact() || !gCarved.Intact() || !dCarved[0].Intact() || !dCarved[1].Intact() || !dCarved[2].Intact() {
+					return fmt.Sprintf("%s: the fold wrote outside its slices (w %v, g %v, d0 %v, d1 %v, d2 %v intact)",
+						at, wCarved.Intact(), gCarved.Intact(), dCarved[0].Intact(), dCarved[1].Intact(), dCarved[2].Intact())
 				}
 			}
 		}
@@ -184,10 +212,12 @@ func TestAddScaledDiffMatchesTwoPass(t *testing.T) {
 				if err := two.AddScaled(0.37, d); err != nil {
 					t.Fatal(err)
 				}
-				for j := range one.lo {
-					if one.lo[j] != two.lo[j] || one.hi[j] != two.hi[j] {
+				oneLo, oneHi, _ := one.Limbs()
+				twoLo, twoHi, _ := two.Limbs()
+				for j := range oneLo {
+					if oneLo[j] != twoLo[j] || oneHi[j] != twoHi[j] {
 						t.Fatalf("p=%d factor=%v, parameter %d: AddScaledDiff %#016x:%016x, AddScaled of the scaled delta %#016x:%016x",
-							p, factor, j, one.hi[j], one.lo[j], two.hi[j], two.lo[j])
+							p, factor, j, oneHi[j], oneLo[j], twoHi[j], twoLo[j])
 					}
 				}
 			}
@@ -215,8 +245,9 @@ func TestAddScaledDiffMatchesTwoPass(t *testing.T) {
 // bits. The block it checks is five parameters — one vector block and a
 // one-parameter tail — holding the pair, the pair swapped, w against +0, the
 // pair with w's last bit flipped, and g against itself, onto the prefill
-// limbs. Both tiers are held to the two-pass reference; without a vector
-// tier the exec reports itself skipped after the Go loop's check.
+// digits carved inside guard words. Both tiers' normalised limbs are held to
+// the two-pass reference; without a vector tier the exec reports itself
+// skipped after the Go loop's check.
 func FuzzAddScaledDiffMatchesTwoPass(f *testing.F) {
 	for _, p := range diffKitPairs() {
 		for _, factor := range diffKitFactors {
@@ -230,20 +261,30 @@ func FuzzAddScaledDiffMatchesTwoPass(f *testing.F) {
 		w := tensor.Vec{x, y, x, math.Float64frombits(wb ^ 1), y}
 		g := tensor.Vec{y, x, 0, y, y}
 		check := func(name string, fold foldFunc) {
-			lo, hi := make([]uint64, len(w)), make([]uint64, len(w))
-			for j := range lo {
-				lo[j], hi[j] = prefill[j&3][0], prefill[j&3][1]
+			var d [3][]int64
+			var carved [3]testutil.Carved[int64]
+			for i := range d {
+				d[i], carved[i] = testutil.Carve(len(w), i == 1, guardDigit)
 			}
-			refLo, refHi := append([]uint64(nil), lo...), append([]uint64(nil), hi...)
+			refLo, refHi := make([]uint64, len(w)), make([]uint64, len(w))
+			for j := range w {
+				for i := range d {
+					d[i][j] = prefill[j&3][i]
+				}
+				refLo[j], refHi[j] = prefillLimbs[j&3][0], prefillLimbs[j&3][1]
+			}
 			refSat := twoPass(scale, factor, w, g, refLo, refHi)
-			if sat := fold(scale, factor, w, g, lo, hi); sat != refSat {
+			if sat := fold(scale, factor, w, g, d[0], d[1], d[2]); sat != refSat {
 				t.Fatalf("%s: scale %v factor %v w %v g %v: sat = %v, two-pass %v", name, scale, factor, w, g, sat, refSat)
 			}
-			for j := range lo {
-				if lo[j] != refLo[j] || hi[j] != refHi[j] {
+			for j := range w {
+				if lo, hi := limbs(d[0][j], d[1][j], d[2][j]); lo != refLo[j] || hi != refHi[j] {
 					t.Fatalf("%s: scale %v factor %v, parameter %d (w %v, g %v): limbs %#016x:%016x, two-pass %#016x:%016x",
-						name, scale, factor, j, w[j], g[j], hi[j], lo[j], refHi[j], refLo[j])
+						name, scale, factor, j, w[j], g[j], hi, lo, refHi[j], refLo[j])
 				}
+			}
+			if !carved[0].Intact() || !carved[1].Intact() || !carved[2].Intact() {
+				t.Fatalf("%s: the fold wrote outside its digit rows", name)
 			}
 		}
 		check("portable", addScaledDiffPortable)

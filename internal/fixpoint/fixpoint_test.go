@@ -2,6 +2,7 @@ package fixpoint
 
 import (
 	"math"
+	"math/big"
 	"math/bits"
 	"testing"
 
@@ -172,13 +173,14 @@ func fixQuantizeRef(x float64) (lo, hi uint64, ok bool) {
 }
 
 // foldFunc is one tier of AddScaledDiff's contract, with
-// addScaledDiffPortable's signature.
-type foldFunc func(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) (sat bool)
+// addScaledDiffPortable's signature: it adds to the three digit rows.
+type foldFunc func(scale, factor float64, w, g tensor.Vec, d0, d1, d2 []int64) (sat bool)
 
 // dispatched is the tier AddScaledDiff runs on this host — the vector kernel
-// plus the Go tail with AVX2, the Go loop alone without — on the caller's limbs.
-func dispatched(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) bool {
-	a := Acc{lo: lo, hi: hi}
+// plus the Go tail with AVX2, the Go loop alone without — on the caller's
+// digits.
+func dispatched(scale, factor float64, w, g tensor.Vec, d0, d1, d2 []int64) bool {
+	a := Acc{d0: d0, d1: d1, d2: d2}
 	if err := a.AddScaledDiff(scale, factor, w, g); err != nil {
 		panic(err)
 	}
@@ -195,7 +197,8 @@ func requireVectorTier(t testing.TB) {
 	}
 	// The dispatch itself says how much it vectorises; asking it, not
 	// re-deriving its rule, is what catches a dispatch that always declines.
-	if n, _ := foldVector(1, 1, tensor.NewVec(7), tensor.NewVec(7), make([]uint64, 7), make([]uint64, 7)); n != 4 {
+	d := func() []int64 { return make([]int64, 7) }
+	if n, _ := foldVector(1, 1, tensor.NewVec(7), tensor.NewVec(7), d(), d(), d()); n != 4 {
 		t.Fatalf("the CPU has AVX2, but the dispatch took %d of 7 parameters to the vector kernel, want 4", n)
 	}
 }
@@ -207,13 +210,42 @@ func fixQuantize(x float64) (lo, hi uint64, ok bool) {
 	if err := a.AddScaled(1, tensor.Vec{x, 0, 0, 0}); err != nil {
 		panic(err)
 	}
-	return a.lo[0], a.hi[0], !a.sat
+	l, h, sat := a.Limbs()
+	return l[0], h[0], !sat
 }
 
-// quantizeEdges are the addends where the integer quantizer could part from
-// the reference: the grid step and its half-way points, the cap and its
-// neighbours, the smallest shifts that still round to something, and
-// everything that must quantize to exactly 0 or saturate.
+// bigLimbs is limbs written with math/big, independent of the code under
+// test: d0 + d1·2^32 + d2·2^64 modulo 2^128, as two's-complement limbs.
+func bigLimbs(d0, d1, d2 int64) (lo, hi uint64) {
+	s := new(big.Int).Lsh(big.NewInt(d2), 32)
+	s.Add(s, big.NewInt(d1))
+	s.Lsh(s, 32)
+	s.Add(s, big.NewInt(d0))
+	return bigToLimbs(s)
+}
+
+// bigToLimbs returns s modulo 2^128 as two's-complement limbs.
+func bigToLimbs(s *big.Int) (lo, hi uint64) {
+	m := new(big.Int).Lsh(big.NewInt(1), 128)
+	s = new(big.Int).Mod(s, m) // Mod is Euclidean: the result is in [0, 2^128)
+	lo = new(big.Int).And(s, new(big.Int).SetUint64(^uint64(0))).Uint64()
+	return lo, new(big.Int).Rsh(s, 64).Uint64()
+}
+
+// add128 adds two two's-complement 128-bit numbers.
+func add128(alo, ahi, blo, bhi uint64) (lo, hi uint64) {
+	lo, c := bits.Add64(alo, blo, 0)
+	hi, _ = bits.Add64(ahi, bhi, c)
+	return lo, hi
+}
+
+// fracMask covers a float64's 52 stored significand bits.
+const fracMask = 1<<f64FracBits - 1
+
+// quantizeEdges are the addends where the digit split could part from the
+// reference: the grid step and its half-way points, the cap and its
+// neighbours, the digit boundaries, and everything that must round to exactly
+// 0 or saturate.
 func quantizeEdges() []float64 {
 	step := math.Ldexp(1, -fixShift)
 	edges := []float64{
@@ -225,15 +257,19 @@ func quantizeEdges() []float64 {
 		math.Nextafter(step/2, 1),   // just above a tie
 		math.Nextafter(step/2, 0),   // just below a tie
 		math.Nextafter(3*step/2, 0), // just below a tie with an odd neighbour
-		step / 4,                    // a shift of 54: always 0
+		step / 4,                    // below every tie: always 0
 		math.Nextafter(step/2, 0) / 2,
-		math.Ldexp(1<<52+1, -52-28), // s = 0: no shift either way
-		math.Ldexp(1<<52+1, -52-29), // s = -1, tie with an even neighbour
-		math.Ldexp(1<<52+3, -52-29), // s = -1, tie with an odd neighbour
-		math.Ldexp(1<<53-1, -52-27), // s = 1, every significand bit set
+		math.Ldexp(1<<52+1, -52-28), // a 53-bit integer on the grid
+		math.Ldexp(1<<52+1, -52-29), // a tie with an even neighbour
+		math.Ldexp(1<<52+3, -52-29), // a tie with an odd neighbour
+		math.Ldexp(1<<53-1, -52-27), // every significand bit set, on the grid
 		math.Ldexp(1<<53-1, -52-28-53),
 		math.Ldexp(1<<53-1, -52-28-54),
-		fixMaxAddend, // the cap is inclusive
+		math.Ldexp(1<<32-1, -fixShift),   // digit 0 full, digit 1 empty
+		math.Ldexp(1<<32+1, -fixShift),   // one unit in digit 0 and in digit 1
+		math.Ldexp(1, 63-fixShift),       // a tie between two digit-2 multiples
+		math.Ldexp(1<<53-1, 22-fixShift), // every significand bit set, across both digit boundaries
+		fixMaxAddend,                     // the cap is inclusive
 		math.Nextafter(fixMaxAddend, math.Inf(1)),
 		math.Nextafter(fixMaxAddend, 0),
 		2 * fixMaxAddend,
@@ -252,29 +288,51 @@ func quantizeEdges() []float64 {
 	return edges
 }
 
-// prefill is what the four lanes' limbs (lo, hi) hold before an addend
-// arrives, chosen so that the 128-bit add crosses the limb boundary both ways.
-var prefill = [4][2]uint64{
-	{0, 0},                   // a negative addend borrows through hi
-	{^uint64(0), 0},          // a positive one carries into hi
-	{^uint64(0), ^uint64(0)}, // −1: a positive one carries out of hi as well
-	{1 << 63, 1<<63 - 1},     // the carry's own top-bit cases, hi at the signed maximum
+// prefill is what the four lanes' digits (d0, d1, d2) hold before an addend
+// arrives: zero, lo all ones as MergeLimbs leaves it, −1, and large digits of
+// both signs inside the headroom with hi near the signed maximum. Normalising
+// them with the addend crosses every limb and digit boundary both ways.
+var prefill = [4][3]int64{
+	{0, 0, 0},
+	{1<<32 - 1, 1<<32 - 1, 0},
+	{-1, 0, 0},
+	{1<<62 - 1, -(1 << 62), 1<<63 - 1<<30},
 }
 
+// Digit rows are carved inside guard words: a kernel that stores past its
+// digits, or a test that carves wrongly, changes one.
+const (
+	guardDigit = int64(0x7ff8dead_beef_cafe)
+	guardFloat = -0x1.deadbeefcafep+700
+)
+
 // quantizeCheck holds one tier to the reference quantizer four addends at a
-// time. The four fill one vector block and are rotated through it, so every
-// addend passes through every lane position and meets every prefill, its
-// neighbours being the other three — each held to the reference like it.
+// time. The four fill one vector block, its digit rows carved inside guard
+// words, and are rotated through it, so every addend passes through every
+// lane position and meets every prefill, its neighbours being the other
+// three — each held to the reference like it.
 type quantizeCheck struct {
 	fold        foldFunc
 	delta, zero tensor.Vec
-	lo, hi      []uint64
+	d           [3][]int64
+	carved      [3]testutil.Carved[int64]
 }
 
 func newQuantizeCheck(fold foldFunc) *quantizeCheck {
-	return &quantizeCheck{fold: fold, delta: tensor.NewVec(4), zero: tensor.NewVec(4),
-		lo: make([]uint64, 4), hi: make([]uint64, 4)}
+	q := &quantizeCheck{fold: fold, delta: tensor.NewVec(4), zero: tensor.NewVec(4)}
+	for k := range q.d {
+		q.d[k], q.carved[k] = testutil.Carve(4, k == 1, guardDigit)
+	}
+	return q
 }
+
+// prefillLimbs is prefill normalised by bigLimbs.
+var prefillLimbs = func() (l [4][2]uint64) {
+	for i, p := range prefill {
+		l[i][0], l[i][1] = bigLimbs(p[0], p[1], p[2])
+	}
+	return l
+}()
 
 func (q *quantizeCheck) check(t testing.TB, xs [4]float64) {
 	t.Helper()
@@ -288,36 +346,42 @@ func (q *quantizeCheck) check(t testing.TB, xs [4]float64) {
 	for rot := 0; rot < 4; rot++ {
 		for lane := range q.delta {
 			q.delta[lane] = xs[(lane+rot)&3]
-			q.lo[lane], q.hi[lane] = prefill[lane][0], prefill[lane][1]
+			for k := range q.d {
+				q.d[k][lane] = prefill[lane][k]
+			}
 		}
-		sat := q.fold(1, 1, q.delta, q.zero, q.lo, q.hi)
+		sat := q.fold(1, 1, q.delta, q.zero, q.d[0], q.d[1], q.d[2])
 		wantSat := false
 		for lane, x := range q.delta {
 			r := ref[(lane+rot)&3]
-			wantLo, wantHi := prefill[lane][0], prefill[lane][1]
+			wantLo, wantHi := prefillLimbs[lane][0], prefillLimbs[lane][1]
 			if r.ok {
-				var c uint64
-				wantLo, c = bits.Add64(wantLo, r.lo, 0)
-				wantHi, _ = bits.Add64(wantHi, r.hi, c)
+				wantLo, wantHi = add128(wantLo, wantHi, r.lo, r.hi)
 			} else {
-				wantSat = true // and the lane's limbs stay as they were
+				wantSat = true // and the lane's digits stay as they were
 			}
-			if q.lo[lane] != wantLo || q.hi[lane] != wantHi {
+			lo, hi := limbs(q.d[0][lane], q.d[1][lane], q.d[2][lane])
+			if lo != wantLo || hi != wantHi {
 				t.Fatalf("quantize(%v = %#016x) in lane %d onto %#016x:%016x = %#016x:%016x, reference %#016x:%016x (ok=%v)",
-					x, math.Float64bits(x), lane, prefill[lane][1], prefill[lane][0], q.hi[lane], q.lo[lane], wantHi, wantLo, r.ok)
+					x, math.Float64bits(x), lane, prefillLimbs[lane][1], prefillLimbs[lane][0], hi, lo, wantHi, wantLo, r.ok)
 			}
 		}
 		if sat != wantSat {
 			t.Fatalf("block %v: sat = %v, reference %v", q.delta, sat, wantSat)
 		}
+		for k := range q.carved {
+			if !q.carved[k].Intact() {
+				t.Fatalf("block %v: the fold wrote outside digit row %d", q.delta, k)
+			}
+		}
 	}
 }
 
-// TestQuantizeMatchesReference is the differential test of the integer
-// quantizer: limbs and saturation must equal the float-library reference on
-// every edge and on seeded random bit patterns, magnitudes and exact ties —
-// for the Go loop on every host, and through AddScaled's vector kernel, in
-// every lane position, wherever there is one.
+// TestQuantizeMatchesReference is the differential test of the digit split:
+// the normalised limbs and the saturation verdict must equal the
+// float-library reference on every edge and on seeded random bit patterns,
+// magnitudes and exact ties — for the Go loop on every host, and through
+// AddScaled's vector kernel, in every lane position, wherever there is one.
 func TestQuantizeMatchesReference(t *testing.T) {
 	t.Run("portable", func(t *testing.T) { quantizeDifferential(t, addScaledDiffPortable) })
 	t.Run("vector", func(t *testing.T) {
@@ -358,10 +422,68 @@ func quantizeDifferential(t *testing.T, fold foldFunc) {
 	}
 }
 
+// digitBoundaryAddends are ties and near-ties of both signs where the digit
+// split changes hands: B = x·2^80 at k·2^32 ± ½ and k·2^64 ± ½ (the nearest
+// floats where the ½ does not fit the significand), half way between two
+// multiples of 2^32 or of 2^64, and the floats on either side of each.
+func digitBoundaryAddends() []float64 {
+	var bs []float64
+	near := func(b float64) {
+		bs = append(bs, b, math.Nextafter(b, math.Inf(1)), math.Nextafter(b, math.Inf(-1)))
+	}
+	for _, k := range []float64{1, 2, 3, 5, 1<<19 - 1, 1 << 19, 1<<20 + 1, 1<<31 - 1, 1 << 31, 1<<32 - 1, 1 << 32} {
+		for _, unit := range []float64{1 << 32, 1 << 64} {
+			base := k * unit
+			for _, off := range []float64{0, 0.5, -0.5, 1.5, -1.5} {
+				near(base + off)
+			}
+			near(base + unit/2) // half way to the next multiple
+			near(base - unit/2)
+			near(base + 1<<31) // half a digit-1 unit off a digit-2 multiple
+			near(base - 1<<31)
+		}
+	}
+	// The largest k·2^32 ± ½ that fit the significand, and odd halves near them.
+	for _, m := range []float64{1<<52 - 1, 1<<52 - 3, 1 << 51} {
+		near(m + 0.5)
+		near(-(m + 0.5))
+	}
+	var xs []float64
+	for _, b := range bs {
+		x := math.Ldexp(b, -fixShift)
+		xs = append(xs, x, -x)
+	}
+	return xs
+}
+
+// TestDigitBoundaries holds both tiers to the reference where one digit
+// hands over to the next, so a magic constant off by a binade, or a digit
+// rounded the wrong way, cannot hide among the random addends.
+func TestDigitBoundaries(t *testing.T) {
+	xs := digitBoundaryAddends()
+	for _, tier := range []struct {
+		name string
+		fold foldFunc
+	}{{"portable", addScaledDiffPortable}, {"vector", dispatched}} {
+		t.Run(tier.name, func(t *testing.T) {
+			if tier.name == "vector" {
+				requireVectorTier(t)
+			}
+			q := newQuantizeCheck(tier.fold)
+			for i := 0; i < len(xs); i += 3 {
+				// A boundary addend beside its neighbours and the grid tie.
+				q.check(t, [4]float64{xs[i], xs[(i+1)%len(xs)], xs[(i+2)%len(xs)], 0x1p-81})
+			}
+		})
+	}
+}
+
 // FuzzQuantizeMatchesReference hands the fuzzer the addend's 64 bits; its
 // block's other three are its negation, the adjacent float and the same
-// exponent under the complemented fraction. The Go loop is checked on every
-// host; without a vector tier the exec then reports itself skipped.
+// exponent under the complemented fraction. The normalised limbs are held to
+// the reference, in every lane position and inside guard words. The Go loop
+// is checked on every host; without a vector tier the exec then reports
+// itself skipped.
 func FuzzQuantizeMatchesReference(f *testing.F) {
 	for _, x := range quantizeEdges() {
 		f.Add(math.Float64bits(x))
@@ -369,7 +491,7 @@ func FuzzQuantizeMatchesReference(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b uint64) {
 		xs := [4]float64{
 			math.Float64frombits(b), math.Float64frombits(b ^ f64SignBit),
-			math.Float64frombits(b ^ 1), math.Float64frombits(b ^ f64FracMask),
+			math.Float64frombits(b ^ 1), math.Float64frombits(b ^ fracMask),
 		}
 		newQuantizeCheck(addScaledDiffPortable).check(t, xs)
 		requireVectorTier(t)
@@ -406,9 +528,7 @@ func TestAddScaledMatchesReferenceElementwise(t *testing.T) {
 				wantSat = true
 				continue
 			}
-			var c uint64
-			wantLo[j], c = bits.Add64(wantLo[j], lo, 0)
-			wantHi[j], _ = bits.Add64(wantHi[j], hi, c)
+			wantLo[j], wantHi[j] = add128(wantLo[j], wantHi[j], lo, hi)
 		}
 		if err := got.AddScaled(scale, delta); err != nil {
 			t.Fatal(err)
@@ -432,17 +552,23 @@ func TestAddScaledMatchesReferenceElementwise(t *testing.T) {
 	}
 }
 
-// The words written around every carved slice: a kernel that stores past its
-// limbs, or a test that carves wrongly, changes one.
-const (
-	guardWord  = uint64(0x7ff8dead_beef_cafe)
-	guardFloat = -0x1.deadbeefcafep+700
-)
+// randomDigits draws one parameter's digits: d0 and d1 of either sign up to
+// 2^62 in magnitude, inside the headroom the package comment promises, d2
+// anything — a quarter of them summing to one unit either side of a limb
+// boundary.
+func randomDigits(rng *stats.RNG) (d0, d1, d2 int64) {
+	d0, d1, d2 = int64(rng.Uint64())>>1, int64(rng.Uint64())>>1, int64(rng.Uint64())
+	if rng.Bernoulli(0.25) {
+		d0, d1 = int64(rng.Intn(3))-1, 0
+	}
+	return d0, d1, d2
+}
 
 // TestVectorFoldMatchesPortable holds AddScaled's vector tier to the Go loop
-// limb for limb: every length from 0 to 70 (whole blocks and all four tail
-// sizes), scales of both signs, addends on both sides of every shift, edges
-// and raw bit patterns among them, onto limbs that already hold sums — each
+// digit for digit, and its normalised limbs to the float-library reference:
+// every length from 0 to 70 (whole blocks and all four tail sizes), scales
+// of both signs, addends on both sides of every digit boundary, edges and
+// raw bit patterns among them, onto digits that already hold sums — each
 // buffer carved out of guard words at an odd offset, some ending where their
 // allocation ends, because the kernel stores through raw pointers.
 func TestVectorFoldMatchesPortable(t *testing.T) {
@@ -454,8 +580,11 @@ func TestVectorFoldMatchesPortable(t *testing.T) {
 	for i := 0; i < cases; i++ {
 		n := i % 71
 		delta, deltaCarved := testutil.Carve(n, i%3 == 2, guardFloat)
-		lo, loCarved := testutil.Carve(n, i%5 == 4, guardWord)
-		hi, hiCarved := testutil.Carve(n, i%7 == 6, guardWord)
+		var d [3][]int64
+		var carved [3]testutil.Carved[int64]
+		for k := range d {
+			d[k], carved[k] = testutil.Carve(n, i%(5+2*k) == 4, guardDigit)
+		}
 		scale := math.Exp(6 * (rng.Float64() - 0.5))
 		special := []float64{0, 0, 0.02, 0.3}[i%4]
 		if special > 0 && rng.Bernoulli(0.5) {
@@ -473,38 +602,47 @@ func TestVectorFoldMatchesPortable(t *testing.T) {
 			default:
 				delta[j] = (rng.Float64() - 0.5) * math.Ldexp(1, rng.Intn(60)-50)
 			}
-			// Sums of either sign, a quarter of them one step from the limb
-			// boundary.
-			lo[j], hi[j] = rng.Uint64(), rng.Uint64()
-			if rng.Bernoulli(0.25) {
-				lo[j] = -uint64(rng.Intn(3))
-			}
+			d[0][j], d[1][j], d[2][j] = randomDigits(rng)
 		}
 		before := tensor.Vec(delta).Clone()
 		zero := tensor.NewVec(n)
-		wantLo, wantHi := append([]uint64(nil), lo...), append([]uint64(nil), hi...)
-		wantSat := addScaledDiffPortable(scale, 1, delta, zero, wantLo, wantHi)
-		if sat := dispatched(scale, 1, delta, zero, lo, hi); sat != wantSat {
-			t.Fatalf("case %d, n=%d scale=%v: sat = %v, portable %v", i, n, scale, sat, wantSat)
+		var want [3][]int64
+		for k := range want {
+			want[k] = append([]int64(nil), d[k]...)
 		}
-		for j := range lo {
-			if lo[j] != wantLo[j] || hi[j] != wantHi[j] {
-				t.Fatalf("case %d, n=%d scale=%v, parameter %d (delta %v = %#016x): limbs %#016x:%016x, portable %#016x:%016x",
-					i, n, scale, j, delta[j], math.Float64bits(delta[j]), hi[j], lo[j], wantHi[j], wantLo[j])
+		refLo, refHi := make([]uint64, n), make([]uint64, n)
+		for j := range refLo {
+			refLo[j], refHi[j] = bigLimbs(d[0][j], d[1][j], d[2][j])
+		}
+		refSat := refFold(refLo, refHi, func(j int) float64 { return scale * delta[j] })
+		wantSat := addScaledDiffPortable(scale, 1, delta, zero, want[0], want[1], want[2])
+		if sat := dispatched(scale, 1, delta, zero, d[0], d[1], d[2]); sat != wantSat || sat != refSat {
+			t.Fatalf("case %d, n=%d scale=%v: sat = %v, portable %v, reference %v", i, n, scale, sat, wantSat, refSat)
+		}
+		for j := range delta {
+			for k := range d {
+				if d[k][j] != want[k][j] {
+					t.Fatalf("case %d, n=%d scale=%v, parameter %d (delta %v = %#016x): digit %d %#x, portable %#x",
+						i, n, scale, j, delta[j], math.Float64bits(delta[j]), k, d[k][j], want[k][j])
+				}
+			}
+			if lo, hi := limbs(d[0][j], d[1][j], d[2][j]); lo != refLo[j] || hi != refHi[j] {
+				t.Fatalf("case %d, n=%d scale=%v, parameter %d (delta %v): limbs %#016x:%016x, reference %#016x:%016x",
+					i, n, scale, j, delta[j], hi, lo, refHi[j], refLo[j])
 			}
 			if math.Float64bits(delta[j]) != math.Float64bits(before[j]) {
 				t.Fatalf("case %d, n=%d: the fold changed delta[%d]", i, n, j)
 			}
 		}
-		if !deltaCarved.Intact() || !loCarved.Intact() || !hiCarved.Intact() {
-			t.Fatalf("case %d, n=%d: the fold wrote outside its slices (delta %v, lo %v, hi %v intact)",
-				i, n, deltaCarved.Intact(), loCarved.Intact(), hiCarved.Intact())
+		if !deltaCarved.Intact() || !carved[0].Intact() || !carved[1].Intact() || !carved[2].Intact() {
+			t.Fatalf("case %d, n=%d: the fold wrote outside its slices (delta %v, d0 %v, d1 %v, d2 %v intact)",
+				i, n, deltaCarved.Intact(), carved[0].Intact(), carved[1].Intact(), carved[2].Intact())
 		}
 	}
 
-	// One saturating lane among finite ones, in every lane position: its limbs
-	// stay put, its neighbours fold as if it were not there, and the flag
-	// survives a clean fold and goes with Reset.
+	// One saturating lane among finite ones, in every lane position: its
+	// digits stay put, its neighbours fold as if it were not there, and the
+	// flag survives a clean fold and goes with Reset.
 	finite := tensor.Vec{1.5, -2.25e-9, 3e-12, -7, 0x1p-30, -0x1p-81, 1 << 21, -1e-20}
 	alone := New(len(finite))
 	if err := alone.AddScaled(-3, finite); err != nil || alone.Saturated() {
@@ -519,13 +657,12 @@ func TestVectorFoldMatchesPortable(t *testing.T) {
 				t.Fatal(err)
 			}
 			for j := range finite {
-				wantLo, wantHi := alone.lo[j], alone.hi[j]
+				want := [3]int64{alone.d0[j], alone.d1[j], alone.d2[j]}
 				if j == lane {
-					wantLo, wantHi = 0, 0
+					want = [3]int64{}
 				}
-				if a.lo[j] != wantLo || a.hi[j] != wantHi {
-					t.Fatalf("lane %d = %v: parameter %d holds %#016x:%016x, want %#016x:%016x",
-						lane, bad, j, a.hi[j], a.lo[j], wantHi, wantLo)
+				if got := [3]int64{a.d0[j], a.d1[j], a.d2[j]}; got != want {
+					t.Fatalf("lane %d = %v: parameter %d holds digits %#x, want %#x", lane, bad, j, got, want)
 				}
 			}
 			if err := a.AddScaled(-3, finite); err != nil {
@@ -572,6 +709,85 @@ func TestAccHeadroom(t *testing.T) {
 			t.Fatalf("sign %v: 2^24-1 cap addends fold to %v, want %v", sign, v[0], want)
 		}
 	}
+}
+
+// TestDigitHeadroom folds 2^20 cap-size addends of one sign, then 2^20 of
+// mixed signs, and merges 2^20 partials of all-ones limbs, each onto one
+// accumulator, and holds every sum to math/big. Beside the cap, the addends
+// are those that move d0 or d1 by the most a fold can, 2^31 (ties at a digit
+// boundary), so in the one-sign run the digits drift as far as 2^20 folds can
+// take them while the sums approach 2^123.
+func TestDigitHeadroom(t *testing.T) {
+	const n = 1 << 20
+	// Lanes 0–3 are a vector block, 4 the Go tail.
+	lanes := [5]float64{
+		fixMaxAddend,                        // d2 = 2^39
+		math.Nextafter(fixMaxAddend, 0),     // the largest addend below the cap
+		0x1p63 / (1 << fixShift),            // B = 2^63, a tie at 2^64: d1 = 2^31
+		(0x1p31 + 0.5) / (1 << fixShift),    // a tie at 2^32 and one at 1: d0 = 2^31
+		(0x1p63 + 0x1p31) / (1 << fixShift), // d0 = 2^31, d1 = −2^31, d2 = 1
+	}
+	refSum := func(xs []float64) *big.Int {
+		q, _ := new(big.Float).SetPrec(0).SetFloat64(math.RoundToEven(math.Ldexp(xs[0], fixShift))).Int(nil)
+		return q
+	}
+	check := func(name string, a *Acc, want [5]*big.Int) {
+		t.Helper()
+		lo, hi, sat := a.Limbs()
+		if sat {
+			t.Fatalf("%s: saturated", name)
+		}
+		for j := range want {
+			wantLo, wantHi := bigToLimbs(want[j])
+			if lo[j] != wantLo || hi[j] != wantHi {
+				t.Fatalf("%s, parameter %d: limbs %#016x:%016x, math/big %#016x:%016x (digits %d %d %d)",
+					name, j, hi[j], lo[j], wantHi, wantLo, a.d0[j], a.d1[j], a.d2[j])
+			}
+		}
+	}
+	for _, mixed := range []bool{false, true} {
+		a := New(len(lanes))
+		var want [5]*big.Int
+		for j := range want {
+			want[j] = new(big.Int)
+		}
+		pos, neg := tensor.Vec(lanes[:]).Clone(), tensor.Vec(lanes[:]).Clone()
+		neg.Scale(-1)
+		rng := stats.NewRNG(43)
+		for i := 0; i < n; i++ {
+			delta := neg
+			if mixed && rng.Bernoulli(0.5) {
+				delta = pos
+			}
+			if err := a.AddScaled(1, delta); err != nil {
+				t.Fatal(err)
+			}
+			for j := range want {
+				want[j].Add(want[j], refSum(delta[j:]))
+			}
+		}
+		name := "one sign"
+		if mixed {
+			name = "mixed signs"
+		}
+		check(name, a, want)
+	}
+
+	a := New(len(lanes))
+	ones := make([]uint64, len(lanes))
+	for j := range ones {
+		ones[j] = ^uint64(0)
+	}
+	for i := 0; i < n; i++ {
+		if err := a.MergeLimbs(ones, ones, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var want [5]*big.Int
+	for j := range want {
+		want[j] = big.NewInt(-n) // all-ones limbs are −1
+	}
+	check("merges of all-ones limbs", a, want)
 }
 
 // TestFoldAllocs: a group's fold — Reset, AddScaledDiff per member (or
@@ -626,9 +842,9 @@ var benchSizes = []struct {
 
 // BenchmarkAddScaled folds a rotation of 32 distinct deltas, as a group folds
 // its members, on the tier AddScaled dispatches to and, beside it, on the Go
-// loop. The rotation is there for the Go loop: on one repeated vector the
-// branch predictor learns every data-dependent branch its quantizer has and
-// hides it. The vector kernel has none to learn.
+// loop. Neither tier has a branch that depends on an addend's value — the Go
+// loop's one test, saturation, never fires here — so the rotation is there
+// for the caches: 32 deltas are what a group's members stream through.
 func BenchmarkAddScaled(b *testing.B) {
 	for _, size := range benchSizes {
 		deltas := make([]tensor.Vec, 32)
@@ -645,7 +861,7 @@ func BenchmarkAddScaled(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if tier.fold(0.37, 1, deltas[i%len(deltas)], a.zero, a.lo, a.hi) {
+					if tier.fold(0.37, 1, deltas[i%len(deltas)], a.zero, a.d0, a.d1, a.d2) {
 						b.Fatal("saturated")
 					}
 				}

@@ -6,6 +6,6 @@ import "unbiasedfl/internal/tensor"
 
 // Only amd64 has a vector fold; everywhere else addScaledDiffPortable is the
 // implementation.
-func foldVector(scale, factor float64, w, g tensor.Vec, lo, hi []uint64) (n int, sat bool) {
+func foldVector(scale, factor float64, w, g tensor.Vec, d0, d1, d2 []int64) (n int, sat bool) {
 	return 0, false
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
 
 // This file holds crossingPair to its two contracts: on the predicates of
@@ -40,10 +41,14 @@ func quoteColdGame(seed uint64, n int) *Params {
 
 // lognormalGame draws a game whose α, R, cost and valuation scales each
 // range over ±4 decades, with log-normal spread between clients: the
-// valuations that matter here put sharp knees into the spend curve.
+// valuations that matter here put sharp knees into the spend curve. It draws
+// through tensor.Exp and tensor.Log, whose bits are the same on every host,
+// so the game — and the solve digests pinned on it — do not depend on the
+// CPU's FMA support as math.Exp and math.Pow do.
 func lognormalGame(seed uint64, n int) *Params {
 	r := stats.NewRNG(seed ^ 0xABCDEF)
-	decades := func() float64 { return math.Pow(10, 8*r.Float64()-4) }
+	ln10 := tensor.Log(10)
+	decades := func() float64 { return tensor.Exp(float64((8*r.Float64() - 4) * ln10)) }
 	p := &Params{
 		A: make([]float64, n), G: make([]float64, n), C: make([]float64, n), V: make([]float64, n),
 		Alpha: decades(), R: 1000 * decades(), QMax: 1, QMin: DefaultQMin,
@@ -54,8 +59,8 @@ func lognormalGame(seed uint64, n int) *Params {
 		p.A[j] = 0.2 + r.Float64()
 		asum += p.A[j]
 		p.G[j] = 1 + 24*r.Float64()
-		p.C[j] = cScale * math.Exp(r.NormFloat64())
-		p.V[j] = vScale * math.Exp(r.NormFloat64())
+		p.C[j] = cScale * tensor.Exp(r.NormFloat64())
+		p.V[j] = vScale * tensor.Exp(r.NormFloat64())
 	}
 	for j := range p.A {
 		p.A[j] /= asum

@@ -387,10 +387,9 @@ func (s *Server) handleBatchQuote(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.metrics.solveRequests.Add(1)
 	c := getCodec()
+	defer c.release()
 	var req SolveRequest
-	ok := decodePricing(s, w, r, c, &req)
-	c.release()
-	if !ok {
+	if !decodePricing(s, w, r, c, &req) {
 		s.metrics.quoteErrors.Add(1)
 		return
 	}
@@ -404,7 +403,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.quoteError(w, http.StatusInternalServerError, "solve_failed", err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{
+	b, err := appendSolve(c.buf[:0], &SolveResponse{
 		Q:           eq.Q,
 		P:           eq.P,
 		Lambda:      eq.Lambda,
@@ -412,6 +411,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		ServerObj:   eq.ServerObj,
 		BudgetTight: eq.BudgetTight,
 	})
+	c.reply(w, b, err)
 }
 
 func (s *Server) handleSchemes(w http.ResponseWriter, _ *http.Request) {

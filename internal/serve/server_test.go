@@ -595,3 +595,80 @@ func TestReadyzLifecycle(t *testing.T) {
 		t.Fatalf("draining readyz = %d %q, want 503 draining", code, status)
 	}
 }
+
+// TestSolveReplyMatchesReflectiveRender solves a 256-client game through
+// POST /v1/solve and holds the reply to the one the reflective, indented
+// writeJSON renders for the same equilibrium: the same status and content
+// type, and values that decode through encoding/json to the same bits. The
+// body itself must be json.Marshal's, and an equilibrium holding a NaN or
+// an infinity fails to render as json.Marshal fails.
+func TestSolveReplyMatchesReflectiveRender(t *testing.T) {
+	var req QuoteRequest
+	if err := json.Unmarshal(quoteBody(t, 256, 3), &req); err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	resp := postJSON(t, ts.URL+"/v1/solve", SolveRequest{Params: req.Params})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	p, err := req.Params.ToGame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eq, err := p.SolveKKT()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := SolveResponse{Q: eq.Q, P: eq.P, Lambda: eq.Lambda, Spent: eq.Spent, ServerObj: eq.ServerObj, BudgetTight: eq.BudgetTight}
+	old := httptest.NewRecorder()
+	writeJSON(old, http.StatusOK, want)
+	if resp.StatusCode != old.Code || resp.Header.Get("Content-Type") != old.Header().Get("Content-Type") {
+		t.Fatalf("status %d, content type %q; the reflective render's %d, %q",
+			resp.StatusCode, resp.Header.Get("Content-Type"), old.Code, old.Header().Get("Content-Type"))
+	}
+	var got, was SolveResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(old.Body.Bytes(), &was); err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Q) != 256 || len(got.P) != 256 {
+		t.Fatalf("reply has %d q and %d p values, want 256 each", len(got.Q), len(got.P))
+	}
+	same := func(a, b []float64) bool {
+		if len(a) != len(b) {
+			return false
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return false
+			}
+		}
+		return true
+	}
+	if !same(got.Q, was.Q) || !same(got.P, was.P) ||
+		!same([]float64{got.Lambda, got.Spent, got.ServerObj}, []float64{was.Lambda, was.Spent, was.ServerObj}) ||
+		got.BudgetTight != was.BudgetTight {
+		t.Fatalf("the reply decodes to %+v, the reflective render to %+v", got, was)
+	}
+	marshalled, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(body, append(marshalled, '\n')) {
+		t.Fatalf("reply %s\njson.Marshal %s", body, marshalled)
+	}
+
+	for _, bad := range []SolveResponse{{Q: []float64{math.NaN()}}, {Lambda: math.Inf(1)}, {P: []float64{1, math.Inf(-1)}, ServerObj: math.NaN()}} {
+		_, err := appendSolve(nil, &bad)
+		_, wantErr := json.Marshal(bad)
+		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
+			t.Fatalf("%+v: render error %v, json.Marshal error %v", bad, err, wantErr)
+		}
+	}
+}
