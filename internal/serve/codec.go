@@ -364,24 +364,15 @@ func (c *codec) space() {
 	}
 }
 
-// nonFinite returns the error json.Marshal fails with on the first NaN or
-// infinity in fss, taken in order, or nil.
-func nonFinite(fss ...[]float64) error {
-	for _, fs := range fss {
-		for _, f := range fs {
-			if math.IsNaN(f) || math.IsInf(f, 0) {
-				return &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-			}
-		}
-	}
-	return nil
-}
-
 // appendQuote appends q as json.Marshal renders it, or fails as
 // json.Marshal fails, on the first NaN or infinity in field order.
 func appendQuote(b []byte, q *QuoteResponse) ([]byte, error) {
-	if err := nonFinite(q.P, q.Q, []float64{q.Spent, q.ServerObj}); err != nil {
-		return b, err
+	for _, fs := range [][]float64{q.P, q.Q, {q.Spent, q.ServerObj}} {
+		for _, f := range fs {
+			if math.IsNaN(f) || math.IsInf(f, 0) {
+				return b, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
+			}
+		}
 	}
 	b = append(b, `{"scheme":`...)
 	b = appendString(b, q.Scheme)
@@ -393,27 +384,6 @@ func appendQuote(b []byte, q *QuoteResponse) ([]byte, error) {
 	b = appendFloat(b, q.Spent)
 	b = append(b, `,"server_obj":`...)
 	b = appendFloat(b, q.ServerObj)
-	return append(b, '}'), nil
-}
-
-// appendSolve appends r as json.Marshal renders it, or fails as
-// json.Marshal fails, on the first NaN or infinity in field order.
-func appendSolve(b []byte, r *SolveResponse) ([]byte, error) {
-	if err := nonFinite(r.Q, r.P, []float64{r.Lambda, r.Spent, r.ServerObj}); err != nil {
-		return b, err
-	}
-	b = append(b, `{"q":`...)
-	b = appendFloats(b, r.Q)
-	b = append(b, `,"p":`...)
-	b = appendFloats(b, r.P)
-	b = append(b, `,"lambda":`...)
-	b = appendFloat(b, r.Lambda)
-	b = append(b, `,"spent":`...)
-	b = appendFloat(b, r.Spent)
-	b = append(b, `,"server_obj":`...)
-	b = appendFloat(b, r.ServerObj)
-	b = append(b, `,"budget_tight":`...)
-	b = strconv.AppendBool(b, r.BudgetTight)
 	return append(b, '}'), nil
 }
 

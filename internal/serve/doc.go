@@ -13,9 +13,9 @@
 //     benchmark/ measures it); the solver runs only on first sight of a
 //     game. A body in the shape json.Marshal writes is parsed in one
 //     pass and any other goes to a strict encoding/json decode (codec.go
-//     states the shape), so both accept, reject and fill alike. Quote,
-//     batch and solve replies are rendered byte-identical to json.Marshal
-//     without reflection.
+//     states the shape), so both accept, reject and fill alike. Quote
+//     replies are rendered byte-identical to json.Marshal without
+//     reflection.
 //
 //   - Sessions: POST /v1/sessions starts a federation run — a library or
 //     custom scenario through the facade's RunScenarioWith, or a setup +

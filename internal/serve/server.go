@@ -403,7 +403,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		s.quoteError(w, http.StatusInternalServerError, "solve_failed", err.Error())
 		return
 	}
-	b, err := appendSolve(c.buf[:0], &SolveResponse{
+	b, err := json.Marshal(SolveResponse{
 		Q:           eq.Q,
 		P:           eq.P,
 		Lambda:      eq.Lambda,

@@ -601,7 +601,7 @@ func TestReadyzLifecycle(t *testing.T) {
 // writeJSON renders for the same equilibrium: the same status and content
 // type, and values that decode through encoding/json to the same bits. The
 // body itself must be json.Marshal's, and an equilibrium holding a NaN or
-// an infinity fails to render as json.Marshal fails.
+// an infinity answers 500 encode_failed through the codec's reply.
 func TestSolveReplyMatchesReflectiveRender(t *testing.T) {
 	var req QuoteRequest
 	if err := json.Unmarshal(quoteBody(t, 256, 3), &req); err != nil {
@@ -665,10 +665,13 @@ func TestSolveReplyMatchesReflectiveRender(t *testing.T) {
 	}
 
 	for _, bad := range []SolveResponse{{Q: []float64{math.NaN()}}, {Lambda: math.Inf(1)}, {P: []float64{1, math.Inf(-1)}, ServerObj: math.NaN()}} {
-		_, err := appendSolve(nil, &bad)
-		_, wantErr := json.Marshal(bad)
-		if err == nil || wantErr == nil || err.Error() != wantErr.Error() {
-			t.Fatalf("%+v: render error %v, json.Marshal error %v", bad, err, wantErr)
+		rec := httptest.NewRecorder()
+		b, err := json.Marshal(bad)
+		c := getCodec()
+		c.reply(rec, b, err)
+		c.release()
+		if env := decodeResp[cli.ErrorEnvelope](t, rec.Result()); rec.Code != http.StatusInternalServerError || env.Error.Code != "encode_failed" {
+			t.Fatalf("%+v: status %d, error code %q; want 500 encode_failed", bad, rec.Code, env.Error.Code)
 		}
 	}
 }
