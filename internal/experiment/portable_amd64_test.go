@@ -15,3 +15,12 @@ func TestCalibrationPortableTiersMatchGolden(t *testing.T) {
 	defer func() { tensor.HasAVX2 = prev }()
 	TestCalibrationMatchesGolden(t)
 }
+
+// TestFleetSetupPortableTiersMatchGolden rebuilds the fleet set-up digest
+// with the vector kernels declined, as a host without AVX2 builds it.
+func TestFleetSetupPortableTiersMatchGolden(t *testing.T) {
+	prev := tensor.HasAVX2
+	tensor.HasAVX2 = false
+	defer func() { tensor.HasAVX2 = prev }()
+	TestFleetSetupMatchesGolden(t)
+}
