@@ -227,6 +227,30 @@ func TestResumeRefusesShortWAL(t *testing.T) {
 	}
 }
 
+// TestResumeRefusesMisnumberedWAL: a WAL whose frames are all intact but
+// whose record i is not round i's cannot reproduce the trace either.
+func TestResumeRefusesMisnumberedWAL(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	commitThrough(t, path, 4, Options{})
+	raw := walHeader()
+	for _, m := range fakeState(4).History {
+		if m.Round == 2 {
+			m.Round = 7
+		}
+		raw = appendWALRecord(raw, &m)
+	}
+	records, _, tail, err := parseWAL(raw)
+	if err != nil || tail != nil || len(records) != 4 {
+		t.Fatalf("rewritten WAL parses to %d records (tail %v, err %v), want 4 clean ones", len(records), tail, err)
+	}
+	if err := os.WriteFile(WALPath(path), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := Resume(path, testMeta, Options{}); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("got %v, want ErrCorrupt", err)
+	}
+}
+
 func TestResumeRejectsMetaMismatch(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	commitThrough(t, path, 2, Options{})

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"unbiasedfl/internal/stats"
+	"unbiasedfl/internal/tensor"
 )
 
 func TestDatasetValidate(t *testing.T) {
@@ -127,6 +128,53 @@ func TestGenerateSyntheticDeterministic(t *testing.T) {
 			for j := range a.Clients[n].X[i] {
 				if a.Clients[n].X[i][j] != b.Clients[n].X[i][j] {
 					t.Fatal("features differ across identical seeds")
+				}
+			}
+		}
+	}
+}
+
+// TestLabelMatchesPerSampleScores holds label to the per-sample form it
+// replaced — MulVec, + bias, ArgMax — bit for bit in every score and label,
+// at even and odd class counts, dims on and off the vector kernel's multiple
+// of 4, and part sizes around LogitsBatch's pair and 8-sample edges.
+func TestLabelMatchesPerSampleScores(t *testing.T) {
+	r := stats.NewRNG(77)
+	for _, classes := range []int{2, 3, 4, 5, 10} {
+		for _, dim := range []int{4, 7, 60} {
+			for _, n := range []int{0, 1, 2, 7, 8, 9, 17, 24} {
+				wk, err := tensor.NewMat(classes, dim)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bias := make(tensor.Vec, classes)
+				r.NormFloat64s(wk.Data)
+				r.NormFloat64s(bias)
+				ds := newDataset(n, dim, classes)
+				for _, x := range ds.X {
+					r.NormFloat64s(x)
+				}
+				z := make(tensor.Vec, n*classes)
+				if err := label(ds, wk, bias, z); err != nil {
+					t.Fatal(err)
+				}
+				want := make(tensor.Vec, classes)
+				for i, x := range ds.X {
+					if err := wk.MulVec(x, want); err != nil {
+						t.Fatal(err)
+					}
+					for c := range want {
+						want[c] += bias[c]
+					}
+					for c, w := range want {
+						if got := z[i*classes+c]; math.Float64bits(got) != math.Float64bits(w) {
+							t.Fatalf("classes=%d dim=%d n=%d: score %d,%d is %v, MulVec + bias gives %v",
+								classes, dim, n, i, c, got, w)
+						}
+					}
+					if y, _ := tensor.ArgMax(want); ds.Y[i] != y {
+						t.Fatalf("classes=%d dim=%d n=%d: label %d is %d, want %d", classes, dim, n, i, ds.Y[i], y)
+					}
 				}
 			}
 		}

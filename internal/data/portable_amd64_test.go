@@ -15,3 +15,12 @@ func TestGeneratedDataPortableTiersMatchGolden(t *testing.T) {
 	defer func() { tensor.HasAVX2 = prev }()
 	TestGeneratedDataMatchesGolden(t)
 }
+
+// TestLabelPortableMatchesPerSampleScores is the labelling test with the
+// vector kernels declined.
+func TestLabelPortableMatchesPerSampleScores(t *testing.T) {
+	prev := tensor.HasAVX2
+	tensor.HasAVX2 = false
+	defer func() { tensor.HasAVX2 = prev }()
+	TestLabelMatchesPerSampleScores(t)
+}

@@ -114,7 +114,8 @@ func GenerateSynthetic(r *stats.RNG, cfg SyntheticConfig) (*Federated, error) {
 
 // fillSynthetic draws one client's model and input mean from cr, then fills
 // its train and test parts, in that order, with samples labelled by that
-// model.
+// model: each part's rows are drawn first, then labelled (labelling draws
+// nothing).
 func fillSynthetic(cr *stats.RNG, cfg SyntheticConfig, stddev []float64, train, test *Dataset) error {
 	uk := float64(math.Sqrt(cfg.Alpha) * cr.NormFloat64())
 	bk := float64(math.Sqrt(cfg.Beta) * cr.NormFloat64())
@@ -129,25 +130,51 @@ func fillSynthetic(cr *stats.RNG, cfg SyntheticConfig, stddev []float64, train, 
 	normalsAround(cr, bias, uk)
 	normalsAround(cr, vk, bk)
 
-	logits := make(tensor.Vec, cfg.Classes)
+	logits := make(tensor.Vec, max(len(train.X), len(test.X))*cfg.Classes)
 	for _, ds := range [2]*Dataset{train, test} {
-		for i, x := range ds.X {
+		for _, x := range ds.X {
 			cr.NormFloat64s(x)
 			for j := range x {
 				x[j] = vk[j] + float64(stddev[j]*x[j])
 			}
-			if err := wk.MulVec(tensor.Vec(x), logits); err != nil {
-				return err
-			}
-			for c := range logits {
-				logits[c] += bias[c]
-			}
-			y, err := tensor.ArgMax(logits)
-			if err != nil {
-				return err
-			}
-			ds.Y[i] = y
 		}
+		if err := label(ds, wk, bias, logits[:len(ds.X)*cfg.Classes]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// label sets each sample's label to the first maximum of its scores
+// wk·x + bias, each score one sum of the products from +0, j ascending,
+// then + bias: the order of MulVec and then the bias. With an even class
+// count the sample pairs are scored by one tensor.LogitsBatch call, whose
+// order for them is that one; an odd last sample, and every sample with an
+// odd class count, is scored by MulVec. z holds the scores.
+func label(ds *Dataset, wk *tensor.Mat, bias, z tensor.Vec) error {
+	classes := wk.Rows
+	pairs := len(ds.X) &^ 1
+	if classes%2 != 0 {
+		pairs = 0
+	}
+	if err := tensor.LogitsBatch(ds.X[:pairs], wk.Data, bias, wk.Cols, classes, z[:pairs*classes]); err != nil {
+		return err
+	}
+	for i := pairs; i < len(ds.X); i++ {
+		zi := z[i*classes : (i+1)*classes]
+		if err := wk.MulVec(ds.X[i], zi); err != nil {
+			return err
+		}
+		for c := range zi {
+			zi[c] += bias[c]
+		}
+	}
+	for i := range ds.Y {
+		y, err := tensor.ArgMax(z[i*classes : (i+1)*classes])
+		if err != nil {
+			return err
+		}
+		ds.Y[i] = y
 	}
 	return nil
 }

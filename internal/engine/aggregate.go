@@ -33,8 +33,8 @@ func checkUpdateShapes(global tensor.Vec, updates []ClientUpdate, weights, q []f
 // participation levels q. Clients with q_n = 0 can never appear in S_r, so
 // the division is always well defined for actual participants.
 //
-// The sum runs through the engine's canonical fixed-point accumulator (see
-// fixacc.go), so the result is independent of summation order and grouping —
+// The sum runs through the canonical fixed-point accumulator (package
+// internal/fixpoint), so the result is independent of summation order and grouping —
 // the property that makes hierarchical group partials bit-identical to this
 // flat fold.
 type UnbiasedAggregator struct{}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"math"
 	"runtime"
 	"strings"
@@ -373,6 +374,50 @@ type dupSampler struct{ n int }
 
 func (d dupSampler) Sample(int) []int { return []int{0, 1, 0} }
 func (d dupSampler) NumClients() int  { return d.n }
+
+// cancelAfterSteps is a model that cancels its context during its n-th Step.
+type cancelAfterSteps struct {
+	*model.LogisticRegression
+	n, steps int
+	cancel   context.CancelFunc
+}
+
+func (m *cancelAfterSteps) Step(w tensor.Vec, ds *data.Dataset, batch int, lr float64, r *stats.RNG, s *model.Scratch) error {
+	if m.steps++; m.steps == m.n {
+		m.cancel()
+	}
+	return m.LogisticRegression.Step(w, ds, batch, lr, r, s)
+}
+
+// TestTrainStopsWhenCanceled: a local update under a cancelled context
+// returns context.Canceled without stepping, one cancelled during its steps
+// stops at the next eighth step, and neither moves the client's cursor.
+func TestTrainStopsWhenCanceled(t *testing.T) {
+	fed := testFederation(t, 21, 4)
+	global := testModel(t, fed).ZeroParams()
+	delta := tensor.NewVec(len(global))
+	for _, c := range []struct{ cancelAt, wantSteps int }{{0, 0}, {3, 7}} {
+		ctx, cancel := context.WithCancel(context.Background())
+		if c.cancelAt == 0 {
+			cancel()
+		}
+		m := &cancelAfterSteps{LogisticRegression: testModel(t, fed), n: c.cancelAt, cancel: cancel}
+		cur := initialCursors(7, 1)[0]
+		want := cur
+		var arena execArena
+		err := arena.localUpdate(ctx, m, fed.Clients[0], 0, &cur, global, 20, 16, 0.01, delta)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at step %d: got %v, want context.Canceled", c.cancelAt, err)
+		}
+		if m.steps != c.wantSteps {
+			t.Fatalf("cancelled at step %d: took %d steps, want %d", c.cancelAt, m.steps, c.wantSteps)
+		}
+		if cur != want {
+			t.Fatalf("cancelled at step %d: the cursor moved", c.cancelAt)
+		}
+	}
+}
 
 // BenchmarkLocalUpdate measures one participant's full local update (E=10
 // training steps at batch 16) through the shared execution arena.

@@ -39,7 +39,7 @@ func (ar *execArena) train(
 	ctx context.Context, m model.Model, shard *data.Dataset, n int, c *ClientCursor,
 	global tensor.Vec, steps, batch int, lr float64,
 ) error {
-	if err := ctx.Err(); err != nil {
+	if err := canceled(ctx); err != nil {
 		return err
 	}
 	if err := ar.rng.Restore(c.RNG); err != nil {
@@ -52,10 +52,9 @@ func (ar *execArena) train(
 	copy(w, global)
 	for e := 0; e < steps; e++ {
 		// Re-check cancellation every few steps so paper-scale E (100 local
-		// steps) still cancels mid-update, without putting the ctx mutex on
-		// every step of the hot path.
+		// steps) still cancels mid-update.
 		if e&7 == 7 {
-			if err := ctx.Err(); err != nil {
+			if err := canceled(ctx); err != nil {
 				return err
 			}
 		}
@@ -65,6 +64,20 @@ func (ar *execArena) train(
 	}
 	c.RNG = ar.rng.State()
 	return nil
+}
+
+// canceled returns ctx.Err() once ctx is done, and nil before. It polls
+// Done without blocking: on a cancelable context that is an atomic load,
+// where Err takes the context's mutex, a lock whose cache line the worker
+// threads of a node, and the nodes beside it, would otherwise pass around
+// once per client.
+func canceled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // localUpdate is the flat path's update: train, then write the delta
@@ -90,12 +103,13 @@ func (ar *execArena) localUpdate(
 // client n's is the state of the n-th Split — the stream discipline every
 // backend must share for cross-backend bit-identity. Both backends — and the
 // resume path — share this single definition, so a round-zero cursor table
-// is indistinguishable from a fresh boot.
+// is indistinguishable from a fresh boot. Each state is written in place
+// (SplitState); no child generator is allocated.
 func initialCursors(seed uint64, nClients int) []ClientCursor {
 	root := stats.NewRNG(seed)
 	cursors := make([]ClientCursor, nClients)
 	for n := range cursors {
-		cursors[n] = ClientCursor{RNG: root.Split().State()}
+		cursors[n].RNG = root.SplitState()
 	}
 	return cursors
 }

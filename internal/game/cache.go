@@ -2,35 +2,60 @@ package game
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
 
-// Fingerprint returns a 64-bit FNV-1a hash over every field of the game,
+// Fingerprint returns a 64-bit hash over every field of the game,
 // position-sensitive and exact on the raw float bits. Two games with equal
 // fingerprints are (up to hash collisions, which the Cache re-verifies with
 // a full comparison) the same game and therefore have the same equilibrium.
+//
+// A, G, C and V are each folded into a lane of their own, one 64-bit word a
+// step (xxHash64's round), and the four lanes advance together so their
+// multiply chains overlap. The client count, the lanes and the six scalars
+// are then folded into one word in that order, and xxHash64's avalanche
+// finishes it, so that every bit of the result — the low bits pick the
+// Cache's lock shard — depends on every input bit.
 func (p *Params) Fingerprint() uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= x & 0xFF
-			h *= prime
-			x >>= 8
-		}
+	n := min(len(p.A), len(p.G), len(p.C), len(p.V))
+	a, g, c, v := p.A[:n], p.G[:n], p.C[:n], p.V[:n]
+	la, lg, lc, lv := uint64(fpPrime3), uint64(fpPrime3), uint64(fpPrime3), uint64(fpPrime3)
+	for i, x := range a {
+		la = fpRound(la, math.Float64bits(x))
+		lg = fpRound(lg, math.Float64bits(g[i]))
+		lc = fpRound(lc, math.Float64bits(c[i]))
+		lv = fpRound(lv, math.Float64bits(v[i]))
 	}
-	mix(uint64(p.N()))
-	for _, s := range [][]float64{p.A, p.G, p.C, p.V} {
-		for _, x := range s {
-			mix(math.Float64bits(x))
-		}
-	}
-	for _, x := range []float64{p.Alpha, p.Beta, p.R, p.B, p.QMax, p.QMin} {
-		mix(math.Float64bits(x))
+	// A malformed game's longer slices go on in their own lanes.
+	la, lg = fpFold(la, p.A[n:]), fpFold(lg, p.G[n:])
+	lc, lv = fpFold(lc, p.C[n:]), fpFold(lv, p.V[n:])
+
+	h := fpRound(uint64(p.N()), la)
+	h = fpRound(fpRound(fpRound(h, lg), lc), lv)
+	h = fpFold(h, []float64{p.Alpha, p.Beta, p.R, p.B, p.QMax, p.QMin})
+	h ^= h >> 33
+	h *= fpPrime2
+	h ^= h >> 29
+	h *= fpPrime3
+	return h ^ h>>32
+}
+
+// xxHash64's primes.
+const (
+	fpPrime1 = 0x9E3779B185EBCA87
+	fpPrime2 = 0xC2B2AE3D27D4EB4F
+	fpPrime3 = 0x165667B19E3779F9
+)
+
+// fpRound folds the word x into the lane h.
+func fpRound(h, x uint64) uint64 { return bits.RotateLeft64(h+x*fpPrime2, 31) * fpPrime1 }
+
+// fpFold folds the bits of each of xs into h, in order.
+func fpFold(h uint64, xs []float64) uint64 {
+	for _, x := range xs {
+		h = fpRound(h, math.Float64bits(x))
 	}
 	return h
 }

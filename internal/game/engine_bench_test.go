@@ -89,6 +89,21 @@ func benchSweepGames(b *testing.B, n, points int) []*Params {
 	return games
 }
 
+// BenchmarkFingerprint times the cache key at a quote's size and at fleet
+// sizes.
+func BenchmarkFingerprint(b *testing.B) {
+	for _, n := range []int{256, 100000, 1000000} {
+		b.Run(fmt.Sprintf("N=%d", n), func(b *testing.B) {
+			p := benchGame(b, n)
+			var fp uint64
+			for i := 0; i < b.N; i++ {
+				fp ^= p.Fingerprint()
+			}
+			_ = fp
+		})
+	}
+}
+
 // BenchmarkWarmSweep measures a fine-grained budget sweep: cold solves per
 // point, one warm-started Solver, and the SolveMany worker pool.
 func BenchmarkWarmSweep(b *testing.B) {

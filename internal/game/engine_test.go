@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"unbiasedfl/internal/stats"
@@ -364,6 +365,44 @@ func TestCachePriceSchemes(t *testing.T) {
 	}
 }
 
+// TestCacheCollisionMisses plants another game's entry under a game's key,
+// as a fingerprint collision would: the lookup must see the stored Params
+// differ, count a miss, and price the game it was asked about.
+func TestCacheCollisionMisses(t *testing.T) {
+	c := NewCache(8)
+	p, other := engineGame(t, 71, 5), engineGame(t, 72, 5)
+	ps, err := SchemeByName(SchemeNameProposed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherOut, err := ps.Price(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKey{scheme: ps.Name(), fp: p.Fingerprint()}
+	c.store(key, other, &cacheEntry{out: otherOut})
+	if e := c.lookup(key, p); e != nil {
+		t.Fatal("lookup returned the colliding game's entry")
+	}
+	if s := c.Snapshot(); s.Misses != 1 || s.Hits != 0 {
+		t.Fatalf("after the colliding lookup: %+v, want 1 miss and no hit", s)
+	}
+	got, err := c.Price(ps, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ps.Price(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Price returned %+v, want the asked game's %+v", got, want)
+	}
+	if s := c.Snapshot(); s.Misses != 2 || s.Hits != 0 {
+		t.Fatalf("after Price: %+v, want 2 misses and no hit", s)
+	}
+}
+
 // TestCacheEviction pins the FIFO capacity bound.
 func TestCacheEviction(t *testing.T) {
 	c := NewCache(3)
@@ -397,6 +436,9 @@ func TestFingerprintDiscriminates(t *testing.T) {
 		func(q *Params) { q.B += 1 },
 		func(q *Params) { q.QMax -= 0.01 },
 		func(q *Params) { q.QMin *= 2 },
+		func(q *Params) { q.A[0], q.A[1] = q.A[1], q.A[0] },
+		func(q *Params) { q.C[0], q.C[1] = -q.C[0], -q.C[1] },
+		func(q *Params) { q.G, q.V = q.V, q.G },
 	}
 	for i, m := range mutate {
 		q := p.Clone()

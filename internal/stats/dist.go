@@ -10,6 +10,12 @@ import (
 // given mean. The paper's Table I setups draw the per-client local cost
 // parameter c_n and intrinsic value v_n this way ("c and v following
 // exponential distribution among clients").
+//
+// Sample i is mean·ExpFloat64() of the i-th of n successive calls, bit for
+// bit, and r is left where those calls leave it. It works in three passes: a
+// walk of the stream that keeps each 1 − u, with the state words in locals;
+// tensor.LogSlice, four values at a time on an AVX2 host; and mean·(−Log).
+// (u < 1 always, so ExpFloat64's guard never fires.)
 func Exponential(r *RNG, n int, mean float64) ([]float64, error) {
 	if n < 0 {
 		return nil, errors.New("stats: negative sample count")
@@ -18,8 +24,16 @@ func Exponential(r *RNG, n int, mean float64) ([]float64, error) {
 		return nil, errors.New("stats: negative mean")
 	}
 	out := make([]float64, n)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
 	for i := range out {
-		out[i] = mean * r.ExpFloat64()
+		var x uint64
+		x, s0, s1, s2, s3 = xoshiro(s0, s1, s2, s3)
+		out[i] = 1 - unit(x)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	tensor.LogSlice(out)
+	for i, l := range out {
+		out[i] = mean * -l
 	}
 	return out, nil
 }
@@ -69,7 +83,10 @@ func PowerLawSizes(r *RNG, n, total, minPer int, s float64) ([]int, error) {
 
 // LogNormal draws n samples with the given median and sigma of the
 // underlying normal. Used by the hardware-prototype timing model for
-// heterogeneous per-client compute and communication times.
+// heterogeneous per-client compute and communication times. Sample i is
+// Exp(Log(median) + σ·z_i), the product rounded before the add, with z_i
+// the i-th of n NormFloat64 draws; the exponentials run through
+// tensor.ExpSlice.
 func LogNormal(r *RNG, n int, median, sigma float64) ([]float64, error) {
 	if n < 0 {
 		return nil, errors.New("stats: negative sample count")
@@ -81,8 +98,9 @@ func LogNormal(r *RNG, n int, median, sigma float64) ([]float64, error) {
 	out := make([]float64, n)
 	r.NormFloat64s(out)
 	for i, z := range out {
-		out[i] = tensor.Exp(mu + float64(sigma*z))
+		out[i] = mu + float64(sigma*z)
 	}
+	tensor.ExpSlice(out)
 	return out, nil
 }
 

@@ -27,6 +27,29 @@ func TestExponentialMean(t *testing.T) {
 	}
 }
 
+// TestExponentialMatchesScalarLoop holds Exponential's three passes to a
+// loop of ExpFloat64 calls, the form they replaced, bit for bit and in the
+// state they leave, at every length up to 300.
+func TestExponentialMatchesScalarLoop(t *testing.T) {
+	for _, mean := range []float64{1, 55, 4000} {
+		bulk, scalar := NewRNG(6), NewRNG(6)
+		for n := 0; n <= 300; n++ {
+			got, err := Exponential(bulk, n, mean)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, x := range got {
+				if want := mean * scalar.ExpFloat64(); math.Float64bits(x) != math.Float64bits(want) {
+					t.Fatalf("mean %v, %d values: value %d is %v, the scalar loop gives %v", mean, n, i, x, want)
+				}
+			}
+			if bulk.State() != scalar.State() {
+				t.Fatalf("mean %v, %d values: state %x, the scalar loop leaves %x", mean, n, bulk.State(), scalar.State())
+			}
+		}
+	}
+}
+
 func TestExponentialErrors(t *testing.T) {
 	r := NewRNG(5)
 	if _, err := Exponential(r, -1, 1); err == nil {

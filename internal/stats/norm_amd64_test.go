@@ -15,3 +15,13 @@ func TestNormFloat64sPortableMatchesNormFloat64(t *testing.T) {
 	defer func() { tensor.HasAVX2 = prev }()
 	TestNormFloat64sMatchesNormFloat64(t)
 }
+
+// TestDistributionsPortableMatchScalarLoops runs the Exponential and
+// LogNormal bulk-draw tests with the vector kernels declined.
+func TestDistributionsPortableMatchScalarLoops(t *testing.T) {
+	prev := tensor.HasAVX2
+	tensor.HasAVX2 = false
+	defer func() { tensor.HasAVX2 = prev }()
+	TestExponentialMatchesScalarLoop(t)
+	TestLogNormalMatchesScalarLoop(t)
+}

@@ -33,18 +33,20 @@ type RNG struct {
 }
 
 // NewRNG returns a generator seeded from a single 64-bit seed.
-func NewRNG(seed uint64) *RNG {
-	var r RNG
+func NewRNG(seed uint64) *RNG { return &RNG{s: seedState(seed)} }
+
+// seedState is NewRNG's state for seed: four SplitMix64 outputs.
+func seedState(seed uint64) (s [4]uint64) {
 	sm := seed
-	for i := range r.s {
+	for i := range s {
 		sm = splitMix64Next(sm)
-		r.s[i] = sm
+		s[i] = sm
 	}
 	// xoshiro must not start in the all-zero state.
-	if r.s[0]|r.s[1]|r.s[2]|r.s[3] == 0 {
-		r.s[0] = 0x9E3779B97F4A7C15
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		s[0] = 0x9E3779B97F4A7C15
 	}
-	return &r
+	return s
 }
 
 func splitMix64Next(x uint64) uint64 {
@@ -80,9 +82,12 @@ func xoshiro(s0, s1, s2, s3 uint64) (x, n0, n1, n2, n3 uint64) {
 // Split derives an independent child generator. The child's stream is
 // decorrelated from the parent's continued stream, which lets concurrent
 // clients own private generators while the whole run stays reproducible.
-func (r *RNG) Split() *RNG {
-	return NewRNG(r.Uint64() ^ 0xA5A5A5A55A5A5A5A)
-}
+func (r *RNG) Split() *RNG { return &RNG{s: r.SplitState()} }
+
+// SplitState advances r exactly as Split does and returns the child's state
+// without allocating the child, for a caller that keeps states, not
+// generators: Split().State() in one step.
+func (r *RNG) SplitState() [4]uint64 { return seedState(r.Uint64() ^ 0xA5A5A5A55A5A5A5A) }
 
 // State exposes the generator's internal cursor — the full xoshiro256**
 // word vector — so a checkpoint can persist a stream mid-flight and

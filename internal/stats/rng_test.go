@@ -175,6 +175,27 @@ func TestSplitIndependence(t *testing.T) {
 	}
 }
 
+// TestSplitStateMatchesSplit holds Split and SplitState to the child
+// definition, NewRNG(parent.Uint64() ^ 0xA5A5A5A55A5A5A5A), and to leaving
+// the parent where that draw leaves it.
+func TestSplitStateMatchesSplit(t *testing.T) {
+	for seed := uint64(0); seed < 64; seed++ {
+		ref, a, b := NewRNG(seed), NewRNG(seed), NewRNG(seed)
+		for i := 0; i < 8; i++ {
+			want := NewRNG(ref.Uint64() ^ 0xA5A5A5A55A5A5A5A).State()
+			if got := a.Split().State(); got != want {
+				t.Fatalf("seed %d split %d: Split %x, want %x", seed, i, got, want)
+			}
+			if got := b.SplitState(); got != want {
+				t.Fatalf("seed %d split %d: SplitState %x, want %x", seed, i, got, want)
+			}
+		}
+		if a.State() != ref.State() || b.State() != ref.State() {
+			t.Fatalf("seed %d: parents left at %x and %x, want %x", seed, a.State(), b.State(), ref.State())
+		}
+	}
+}
+
 func TestQuickFloat64AlwaysInRange(t *testing.T) {
 	f := func(seed uint64) bool {
 		r := NewRNG(seed)

@@ -60,8 +60,8 @@ const (
 //
 // and the result is y·2^k: for |x| ≤ 708, where it is a normal number, by
 // adding k to the exponent field of y's bits; beyond, by math.Ldexp. The
-// vector kernel under SoftmaxRows and LogSumExp performs exactly this
-// sequence in each of its lanes.
+// vector kernels under SoftmaxRows, LogSumExp and ExpSlice perform exactly
+// this sequence in each of their lanes.
 func Exp(x float64) float64 {
 	if a := math.Abs(x); a <= expNormal {
 		if a < expNearZero {
@@ -111,7 +111,9 @@ func expReduce(x float64) (y float64, k int) {
 //	Log(x) = k·Ln2Hi − ((hfsq − (s·(hfsq + R) + k·Ln2Lo)) − f)
 //
 // This is also the sequence of math.Log's amd64 assembly, which gives the
-// same bits for every positive normal x (and wrong ones for subnormals).
+// same bits for every positive normal x (and wrong ones for subnormals), and
+// of the vector kernels under LogSlice and PolarScale, in each of their
+// lanes.
 func Log(x float64) float64 {
 	u := math.Float64bits(x)
 	if u-minNormalBits >= infBits-minNormalBits {
@@ -158,6 +160,36 @@ func logSplit(f1 float64, ki int) float64 {
 	R := t1 + t2
 	hfsq := float64(0.5 * f * f)
 	return float64(k*ln2Hi) - ((hfsq - (float64(s*(hfsq+R)) + float64(k*ln2Lo))) - f)
+}
+
+// ExpSlice sets each x[i] to Exp(x[i]). On amd64 with AVX2 every group of
+// four elements whose values all lie in [−708, 708] runs on a vector kernel
+// that performs Exp's sequence in each lane, the kernel SoftmaxRows uses;
+// every other group, the len mod 4 tail and every element without AVX2 take
+// the Go loop, which is also the reference. The bits are the same either
+// way.
+func ExpSlice(x Vec) {
+	for i := 0; i < len(x); i += 4 {
+		i += expVector(x[i:])
+		for j := i; j < min(i+4, len(x)); j++ {
+			x[j] = Exp(x[j])
+		}
+	}
+}
+
+// LogSlice sets each x[i] to Log(x[i]). On amd64 with AVX2 every group of
+// four elements that are all finite positive normal numbers runs on a vector
+// kernel that performs Log's sequence in each lane, the sequence of
+// PolarScale's kernel; every other group, the len mod 4 tail and every
+// element without AVX2 take the Go loop, which is also the reference. The
+// bits are the same either way.
+func LogSlice(x Vec) {
+	for i := 0; i < len(x); i += 4 {
+		i += logVector(x[i:])
+		for j := i; j < min(i+4, len(x)); j++ {
+			x[j] = Log(x[j])
+		}
+	}
 }
 
 // PolarScale sets each u[i] to u[i]·√(−2·Log(s[i])/s[i]): the transform of

@@ -27,6 +27,12 @@ func sgdUpdateAVX2(w, grad *float64, n int, mu, lr float64)
 //go:noescape
 func polarScaleAVX2(u, s *float64, groups int) int
 
+//go:noescape
+func expAVX2(x *float64, groups int) int
+
+//go:noescape
+func logAVX2(x *float64, groups int) int
+
 // tmulSamples is how many samples one addTMul call takes: its frame holds
 // their scaled probabilities.
 const tmulSamples = 64
@@ -115,4 +121,26 @@ func polarScaleVector(u, s Vec) int {
 		return 0
 	}
 	return 4 * polarScaleAVX2(&u[0], &s[0], len(u)/4)
+}
+
+// expVector runs ExpSlice's leading groups of four elements through the
+// vector kernel, up to the first group it declines (one holding an x with
+// |x| not ≤ 708), and returns how many elements it finished: a multiple of
+// 4, and 0 without AVX2.
+func expVector(x Vec) int {
+	if !HasAVX2 || len(x) < 4 {
+		return 0
+	}
+	return 4 * expAVX2(&x[0], len(x)/4)
+}
+
+// logVector runs LogSlice's leading groups of four elements through the
+// vector kernel, up to the first group it declines (one holding an x that is
+// not a finite positive normal number), and returns how many elements it
+// finished: a multiple of 4, and 0 without AVX2.
+func logVector(x Vec) int {
+	if !HasAVX2 || len(x) < 4 {
+		return 0
+	}
+	return 4 * logAVX2(&x[0], len(x)/4)
 }

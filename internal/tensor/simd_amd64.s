@@ -2,12 +2,13 @@
 #include "funcdata.h"
 
 // AVX2 micro-kernels behind LogitsBatch, AddScaledTMul, SoftmaxRows,
-// SGDUpdate and PolarScale (see kernels.go for the per-output operation order
-// they must reproduce, and exp.go for the sequences of Exp, Log and the polar
-// transform). Vector lanes carry four independent outputs; every lane
-// performs the portable code's own sequence of IEEE operations — VMULPD then
-// VADDPD, never a fused multiply-add, never a reduction across lanes — so
-// results are bit-identical to the Go code.
+// SGDUpdate, PolarScale, ExpSlice and LogSlice (see kernels.go for the
+// per-output operation order they must reproduce, and exp.go for the
+// sequences of Exp, Log and the polar transform; each of Exp's and Log's is
+// written once here, as EXP_LANES and LOG_LANES). Vector lanes carry four
+// independent outputs; every lane performs the portable code's own sequence
+// of IEEE operations — VMULPD then VADDPD, never a fused multiply-add, never
+// a reduction across lanes — so results are bit-identical to the Go code.
 // Pointers are not bounds-checked here: the length checks in the exported
 // functions are the only guard.
 
@@ -363,7 +364,9 @@ LANES(expc, 320, 0xbf66c16c16bebd93) // P2
 LANES(expc, 352, 0x3fc5555555555555) // P1
 LANES(expc, 384, 0x3ff0000000000000) // 1
 LANES(expc, 416, 0x4000000000000000) // 2
-GLOBL expc<>(SB), RODATA|NOPTR, $448
+LANES(expc, 448, 0x8000000000000000) // sign bit
+LANES(expc, 480, 0x4086200000000000) // 708
+GLOBL expc<>(SB), RODATA|NOPTR, $512
 
 // LOADCOL gathers the element at ptr of four consecutive rows (R9 bytes
 // apart, R10 = 3·R9) into the lanes of y, whose low half is x; xt is scratch.
@@ -383,6 +386,56 @@ GLOBL expc<>(SB), RODATA|NOPTR, $448
 	VMOVSD xt, (ptr)(R9*2); \
 	VMOVHPD xt, (ptr)(R10*1)
 
+// EXP_LANES is Exp's sequence (exp.go) in each lane of Y2, for |x| ≤ 708,
+// where the result is a normal number; it leaves Exp(x) in Y11. Lanes where
+// |x| < 2^-28 take 1 + x. Elsewhere k = trunc(Log2e·x ± 0.5), the half
+// taking x's sign, and y·2^k adds k to the exponent field of y. ROUND is
+// the step that adds the half to Y4 = Log2e·x: EXP_ROUND_SIGNED for any x,
+// or EXP_ROUND_DOWN when every lane that keeps its k holds an x < 0. Y14
+// must hold 2 and Y15 1; Y2–Y12 are clobbered.
+#define EXP_LANES(ROUND) \
+	VANDPD expc<>+0(SB), Y2, Y3          /* |x| */ \
+	VCMPPD $0x11, expc<>+64(SB), Y3, Y3  /* |x| < 2^-28: the lanes that return 1 + x */ \
+	VMULPD expc<>+128(SB), Y2, Y4        /* Log2e·x */ \
+	ROUND                                /* Log2e·x ± 0.5 */ \
+	VCVTTPD2DQY Y4, X4                   /* k, truncated */ \
+	VCVTDQ2PD X4, Y5                     /* float64(k) */ \
+	VMULPD expc<>+160(SB), Y5, Y6        /* k·Ln2Hi */ \
+	VSUBPD Y6, Y2, Y6                    /* hi = x − k·Ln2Hi */ \
+	VMULPD expc<>+192(SB), Y5, Y7        /* lo = k·Ln2Lo */ \
+	VSUBPD Y7, Y6, Y8                    /* r = hi − lo */ \
+	VMULPD Y8, Y8, Y9                    /* r·r */ \
+	VMULPD expc<>+224(SB), Y9, Y10       /* r·r·P5 */ \
+	VADDPD expc<>+256(SB), Y10, Y10      /* P4 + r·r·P5 */ \
+	VMULPD Y10, Y9, Y10 \
+	VADDPD expc<>+288(SB), Y10, Y10      /* P3 + r·r·(…) */ \
+	VMULPD Y10, Y9, Y10 \
+	VADDPD expc<>+320(SB), Y10, Y10      /* P2 + r·r·(…) */ \
+	VMULPD Y10, Y9, Y10 \
+	VADDPD expc<>+352(SB), Y10, Y10      /* P1 + r·r·(…) */ \
+	VMULPD Y10, Y9, Y10 \
+	VSUBPD Y10, Y8, Y10                  /* c = r − r·r·(…) */ \
+	VMULPD Y10, Y8, Y11                  /* r·c */ \
+	VSUBPD Y10, Y14, Y12                 /* 2 − c */ \
+	VDIVPD Y12, Y11, Y11                 /* r·c/(2 − c) */ \
+	VSUBPD Y11, Y7, Y11                  /* lo − r·c/(2 − c) */ \
+	VSUBPD Y6, Y11, Y11                  /* (…) − hi */ \
+	VSUBPD Y11, Y15, Y11                 /* y = 1 − (…) */ \
+	VPMOVSXDQ X4, Y4 \
+	VPSLLQ $52, Y4, Y4 \
+	VPADDQ Y4, Y11, Y11                  /* y·2^k: k added to the exponent field */ \
+	VADDPD Y15, Y2, Y2                   /* 1 + x */ \
+	VBLENDVPD Y3, Y2, Y11, Y11
+
+// EXP_ROUND_SIGNED adds copysign(0.5, x) to Y4; Y5 is scratch.
+#define EXP_ROUND_SIGNED \
+	VANDPD expc<>+448(SB), Y2, Y5        /* x's sign */ \
+	VORPD expc<>+96(SB), Y5, Y5          /* copysign(0.5, x) */ \
+	VADDPD Y5, Y4, Y4
+
+// EXP_ROUND_DOWN subtracts 0.5 from Y4: Exp's step for x < 0.
+#define EXP_ROUND_DOWN VSUBPD expc<>+96(SB), Y4, Y4
+
 // func softmaxAVX2(p *float64, cols, groups int, maxes, sums *float64) int
 //
 // Runs the softmax of groups × 4 consecutive rows of cols elements at p, four
@@ -400,9 +453,9 @@ GLOBL expc<>(SB), RODATA|NOPTR, $448
 // A group where any element is NaN or min − m is not ≥ −708 (a spread beyond
 // 708, ±Inf) is left untouched: the kernel stops before it and returns how
 // many groups it finished. In every group it does run, t = x − m lies in
-// [−708, 0], where Exp's result is a normal number and its k is
-// trunc(Log2e·t − 0.5) — the lanes where t is ±0 take 1 + t — so the
-// exponential needs no range check and no sign.
+// [−708, 0], where Exp's result is a normal number, so EXP_LANES needs no
+// range check, and no sign: it rounds with EXP_ROUND_DOWN, and the lanes
+// where t is ±0 take 1 + t.
 TEXT ·softmaxAVX2(SB), NOSPLIT, $0-48
 	MOVQ p+0(FP), DI
 	MOVQ cols+8(FP), R9
@@ -448,38 +501,7 @@ bounds:
 expcol:
 	LOADCOL(R8, X2, Y2, X13)
 	VSUBPD Y0, Y2, Y2                    // t = x − m
-	VANDPD expc<>+0(SB), Y2, Y3          // |t|
-	VCMPPD $0x11, expc<>+64(SB), Y3, Y3  // |t| < 2^-28: the lanes that return 1 + t
-	VMULPD expc<>+128(SB), Y2, Y4        // Log2e·t
-	VSUBPD expc<>+96(SB), Y4, Y4         // Log2e·t − 0.5
-	VCVTTPD2DQY Y4, X4                   // k, truncated
-	VCVTDQ2PD X4, Y5                     // float64(k)
-	VMULPD expc<>+160(SB), Y5, Y6        // k·Ln2Hi
-	VSUBPD Y6, Y2, Y6                    // hi = t − k·Ln2Hi
-	VMULPD expc<>+192(SB), Y5, Y7        // lo = k·Ln2Lo
-	VSUBPD Y7, Y6, Y8                    // r = hi − lo
-	VMULPD Y8, Y8, Y9                    // r·r
-	VMULPD expc<>+224(SB), Y9, Y10       // r·r·P5
-	VADDPD expc<>+256(SB), Y10, Y10      // P4 + r·r·P5
-	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+288(SB), Y10, Y10      // P3 + r·r·(…)
-	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+320(SB), Y10, Y10      // P2 + r·r·(…)
-	VMULPD Y10, Y9, Y10
-	VADDPD expc<>+352(SB), Y10, Y10      // P1 + r·r·(…)
-	VMULPD Y10, Y9, Y10
-	VSUBPD Y10, Y8, Y10                  // c = r − r·r·(…)
-	VMULPD Y10, Y8, Y11                  // r·c
-	VSUBPD Y10, Y14, Y12                 // 2 − c
-	VDIVPD Y12, Y11, Y11                 // r·c/(2 − c)
-	VSUBPD Y11, Y7, Y11                  // lo − r·c/(2 − c)
-	VSUBPD Y6, Y11, Y11                  // (…) − hi
-	VSUBPD Y11, Y15, Y11                 // y = 1 − (…)
-	VPMOVSXDQ X4, Y4
-	VPSLLQ $52, Y4, Y4
-	VPADDQ Y4, Y11, Y11                  // y·2^k: k added to the exponent field
-	VADDPD Y15, Y2, Y2                   // 1 + t
-	VBLENDVPD Y3, Y2, Y11, Y11           // e
+	EXP_LANES(EXP_ROUND_DOWN)            // e
 	VADDPD Y11, Y1, Y1                   // sum += e
 	STORECOL(R8, X11, Y11, X13)
 	ADDQ $8, R8
@@ -563,17 +585,60 @@ LANES(logc, 320, 0x3fc7466496cb03de) // L5
 LANES(logc, 352, 0x3fc39a09d078c69f) // L6
 LANES(logc, 384, 0x3fc2f112df3e5244) // L7
 LANES(logc, 416, 0xc000000000000000) // -2
-GLOBL logc<>(SB), RODATA|NOPTR, $448
+LANES(logc, 448, 0x7ff0000000000000) // +Inf
+GLOBL logc<>(SB), RODATA|NOPTR, $480
+
+// LOG_LANES is Log's sequence (exp.go) in each lane of Y0, for x a positive
+// normal number; it leaves Log(x) in Y8 and x in Y0. The split x = f1·2^ki
+// takes f1 from x's fraction bits under the exponent of 1/2 and ki from its
+// exponent field; where f1 < √2/2, f1 is doubled by adding 1 to its exponent
+// field and ki decremented. k = ki converts to a double exactly as
+// (2^52 + biased exponent) − (2^52 + 1022). Y1–Y10 are clobbered.
+#define LOG_LANES \
+	VANDPD logc<>+0(SB), Y0, Y1          /* x's fraction bits */ \
+	VORPD expc<>+96(SB), Y1, Y1          /* f1 in [1/2, 1): under the exponent of 0.5 */ \
+	VPSRLQ $52, Y0, Y2                   /* biased exponent e = ki + 1022 */ \
+	VCMPPD $0x11, logc<>+32(SB), Y1, Y3  /* f1 < √2/2: the lanes that double f1 */ \
+	VANDPD logc<>+96(SB), Y3, Y4 \
+	VPADDQ Y4, Y1, Y1                    /* 2·f1 there: 1 added to the exponent field */ \
+	VSUBPD expc<>+384(SB), Y1, Y1        /* f = f1 − 1 */ \
+	VPSRLQ $63, Y3, Y3                   /* d = 1 where doubled, else 0 */ \
+	VPSUBQ Y3, Y2, Y2                    /* e − d */ \
+	VPOR logc<>+128(SB), Y2, Y2          /* 2^52 + e − d */ \
+	VSUBPD logc<>+160(SB), Y2, Y2        /* k = e − d − 1022 */ \
+	VADDPD expc<>+416(SB), Y1, Y5        /* 2 + f */ \
+	VDIVPD Y5, Y1, Y5                    /* s = f/(2 + f) */ \
+	VMULPD Y5, Y5, Y6                    /* s2 = s·s */ \
+	VMULPD Y6, Y6, Y7                    /* s4 = s2·s2 */ \
+	VMULPD logc<>+384(SB), Y7, Y8        /* s4·L7 */ \
+	VADDPD logc<>+320(SB), Y8, Y8        /* L5 + s4·L7 */ \
+	VMULPD Y8, Y7, Y8 \
+	VADDPD logc<>+256(SB), Y8, Y8        /* L3 + s4·(…) */ \
+	VMULPD Y8, Y7, Y8 \
+	VADDPD logc<>+192(SB), Y8, Y8        /* L1 + s4·(…) */ \
+	VMULPD Y8, Y6, Y8                    /* t1 = s2·(…) */ \
+	VMULPD logc<>+352(SB), Y7, Y9        /* s4·L6 */ \
+	VADDPD logc<>+288(SB), Y9, Y9        /* L4 + s4·L6 */ \
+	VMULPD Y9, Y7, Y9 \
+	VADDPD logc<>+224(SB), Y9, Y9        /* L2 + s4·(…) */ \
+	VMULPD Y9, Y7, Y9                    /* t2 = s4·(…) */ \
+	VADDPD Y9, Y8, Y8                    /* R = t1 + t2 */ \
+	VMULPD expc<>+96(SB), Y1, Y9         /* 0.5·f */ \
+	VMULPD Y1, Y9, Y9                    /* hfsq = (0.5·f)·f */ \
+	VADDPD Y8, Y9, Y8                    /* hfsq + R */ \
+	VMULPD Y8, Y5, Y8                    /* s·(hfsq + R) */ \
+	VMULPD expc<>+192(SB), Y2, Y10       /* k·Ln2Lo */ \
+	VADDPD Y10, Y8, Y8                   /* s·(hfsq + R) + k·Ln2Lo */ \
+	VSUBPD Y8, Y9, Y8                    /* hfsq − (…) */ \
+	VSUBPD Y1, Y8, Y8                    /* (…) − f */ \
+	VMULPD expc<>+160(SB), Y2, Y10       /* k·Ln2Hi */ \
+	VSUBPD Y8, Y10, Y8                   /* Log(x) = k·Ln2Hi − (…) */
 
 // func polarScaleAVX2(u, s *float64, groups int) int
 //
 // PolarScale on groups × 4 consecutive elements at u and s, four per pass,
-// one element per lane: u·Sqrt((−2·Log(s))/s), with Log's own sequence
-// (exp.go) in each lane and then VMULPD, VDIVPD, VSQRTPD, VMULPD. The split
-// s = f1·2^ki takes f1 from s's fraction bits under the exponent of 1/2 and
-// ki from its exponent field; where f1 < √2/2, f1 is doubled by adding 1 to
-// its exponent field and ki decremented. k = ki converts to a double
-// exactly as (2^52 + biased exponent) − (2^52 + 1022).
+// one element per lane: u·Sqrt((−2·Log(s))/s), with LOG_LANES and then
+// VMULPD, VDIVPD, VSQRTPD, VMULPD.
 //
 // A group where any s is not in [2^-1022, 1) (NaN included) is left
 // untouched: the kernel stops before it and returns how many groups it
@@ -595,44 +660,7 @@ group:
 	TESTL DX, DX
 	JNZ  done
 
-	VANDPD logc<>+0(SB), Y0, Y1          // s's fraction bits
-	VORPD expc<>+96(SB), Y1, Y1          // f1 in [1/2, 1): under the exponent of 0.5
-	VPSRLQ $52, Y0, Y2                   // biased exponent e = ki + 1022
-	VCMPPD $0x11, logc<>+32(SB), Y1, Y3  // f1 < √2/2: the lanes that double f1
-	VANDPD logc<>+96(SB), Y3, Y4
-	VPADDQ Y4, Y1, Y1                    // 2·f1 there: 1 added to the exponent field
-	VSUBPD expc<>+384(SB), Y1, Y1        // f = f1 − 1
-	VPSRLQ $63, Y3, Y3                   // d = 1 where doubled, else 0
-	VPSUBQ Y3, Y2, Y2                    // e − d
-	VPOR logc<>+128(SB), Y2, Y2          // 2^52 + e − d
-	VSUBPD logc<>+160(SB), Y2, Y2        // k = e − d − 1022
-	VADDPD expc<>+416(SB), Y1, Y5        // 2 + f
-	VDIVPD Y5, Y1, Y5                    // s' = f/(2 + f)
-	VMULPD Y5, Y5, Y6                    // s2 = s'·s'
-	VMULPD Y6, Y6, Y7                    // s4 = s2·s2
-	VMULPD logc<>+384(SB), Y7, Y8        // s4·L7
-	VADDPD logc<>+320(SB), Y8, Y8        // L5 + s4·L7
-	VMULPD Y8, Y7, Y8
-	VADDPD logc<>+256(SB), Y8, Y8        // L3 + s4·(…)
-	VMULPD Y8, Y7, Y8
-	VADDPD logc<>+192(SB), Y8, Y8        // L1 + s4·(…)
-	VMULPD Y8, Y6, Y8                    // t1 = s2·(…)
-	VMULPD logc<>+352(SB), Y7, Y9        // s4·L6
-	VADDPD logc<>+288(SB), Y9, Y9        // L4 + s4·L6
-	VMULPD Y9, Y7, Y9
-	VADDPD logc<>+224(SB), Y9, Y9        // L2 + s4·(…)
-	VMULPD Y9, Y7, Y9                    // t2 = s4·(…)
-	VADDPD Y9, Y8, Y8                    // R = t1 + t2
-	VMULPD expc<>+96(SB), Y1, Y9         // 0.5·f
-	VMULPD Y1, Y9, Y9                    // hfsq = (0.5·f)·f
-	VADDPD Y8, Y9, Y8                    // hfsq + R
-	VMULPD Y8, Y5, Y8                    // s'·(hfsq + R)
-	VMULPD expc<>+192(SB), Y2, Y10       // k·Ln2Lo
-	VADDPD Y10, Y8, Y8                   // s'·(hfsq + R) + k·Ln2Lo
-	VSUBPD Y8, Y9, Y8                    // hfsq − (…)
-	VSUBPD Y1, Y8, Y8                    // (…) − f
-	VMULPD expc<>+160(SB), Y2, Y10       // k·Ln2Hi
-	VSUBPD Y8, Y10, Y8                   // Log(s) = k·Ln2Hi − (…)
+	LOG_LANES                            // Log(s)
 	VMULPD logc<>+416(SB), Y8, Y8        // −2·Log(s)
 	VDIVPD Y0, Y8, Y8                    // (−2·Log(s))/s
 	VSQRTPD Y8, Y8
@@ -647,5 +675,68 @@ group:
 
 done:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expAVX2(x *float64, groups int) int
+//
+// ExpSlice on groups × 4 consecutive elements at x, in place, four per pass:
+// EXP_LANES. A group where any |x| is not ≤ 708 (±Inf and NaN included) is
+// left untouched: the kernel stops before it and returns how many groups it
+// finished.
+TEXT ·expAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ groups+8(FP), BX
+	XORQ AX, AX
+	VMOVUPD expc<>+384(SB), Y15          // 1
+	VMOVUPD expc<>+416(SB), Y14          // 2
+
+group:
+	VMOVUPD (DI), Y2
+	VANDPD expc<>+0(SB), Y2, Y3          // |x|
+	VCMPPD $0x16, expc<>+480(SB), Y3, Y3 // !(|x| <= 708): beyond, ±Inf or NaN
+	VMOVMSKPD Y3, DX
+	TESTL DX, DX
+	JNZ  done
+	EXP_LANES(EXP_ROUND_SIGNED)
+	VMOVUPD Y11, (DI)
+	ADDQ $32, DI
+	INCQ AX
+	CMPQ AX, BX
+	JB   group
+
+done:
+	MOVQ AX, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func logAVX2(x *float64, groups int) int
+//
+// LogSlice on groups × 4 consecutive elements at x, in place, four per pass:
+// LOG_LANES. A group where any x is not in [2^-1022, +Inf) — zero, a
+// subnormal, a negative, +Inf or NaN — is left untouched: the kernel stops
+// before it and returns how many groups it finished.
+TEXT ·logAVX2(SB), NOSPLIT, $0-24
+	MOVQ x+0(FP), DI
+	MOVQ groups+8(FP), BX
+	XORQ AX, AX
+
+group:
+	VMOVUPD (DI), Y0
+	VCMPPD $0x19, logc<>+64(SB), Y0, Y1  // !(x >= 2^-1022): subnormal, ≤ 0 or NaN
+	VCMPPD $0x15, logc<>+448(SB), Y0, Y2 // !(x < +Inf)
+	VORPD Y2, Y1, Y1
+	VMOVMSKPD Y1, DX
+	TESTL DX, DX
+	JNZ  done
+	LOG_LANES
+	VMOVUPD Y8, (DI)
+	ADDQ $32, DI
+	INCQ AX
+	CMPQ AX, BX
+	JB   group
+
+done:
+	MOVQ AX, ret+16(FP)
 	VZEROUPPER
 	RET

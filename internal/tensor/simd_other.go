@@ -17,3 +17,7 @@ func softmaxVector(p Vec, rows, cols int, maxes, sums Vec) int { return 0 }
 func sgdUpdateVector(w, g Vec, mu, lr float64) int { return 0 }
 
 func polarScaleVector(u, s Vec) int { return 0 }
+
+func expVector(x Vec) int { return 0 }
+
+func logVector(x Vec) int { return 0 }
